@@ -57,13 +57,31 @@ DEFAULT_PARAMS = {
 }
 
 
+def _validator(schema: dict):
+    """A validator for ``schema``, which is checked against its metaschema once."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
+_PARAM_VALIDATORS = {name: _validator(schema) for name, schema in PARAM_SCHEMAS.items()}
+
+
+def _raise_first_error(validator, instance) -> None:
+    # The error jsonschema.validate would raise for the same instance.
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def validate_config(config: dict) -> dict:
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        _raise_first_error(_CONFIG_VALIDATOR, config)
         experiment = config["experiment"]
         params = dict(DEFAULT_PARAMS[experiment])
         params.update(config.get("params", {}))
-        jsonschema.validate(params, PARAM_SCHEMAS[experiment])
+        _raise_first_error(_PARAM_VALIDATORS[experiment], params)
     except jsonschema.ValidationError as err:
         field = "/".join(str(p) for p in err.absolute_path) or "(root)"
         raise ConfigError(f"config field {field}: {err.message}", fields=[field]) from err
@@ -150,14 +168,9 @@ def _experiment_dqct(config: dict) -> dict:
     return results
 
 
-def _pipeline_protocol(name: str):
-    entry = catalog_entry(name)
-    return entry
-
-
 def _experiment_compile_pipeline(config: dict) -> dict:
     params = config["params"]
-    entry = _pipeline_protocol(params["protocol"])
+    entry = catalog_entry(params["protocol"])
     instance = entry.yes_instance if params["instance"] == "yes" else entry.no_instance
     compiled = dam_to_dqip(entry.protocol, instance)
     c, s = float(entry.completeness), float(entry.soundness)
@@ -207,7 +220,7 @@ def _experiment_compile_pipeline(config: dict) -> dict:
 
 def _experiment_optimize(config: dict) -> dict:
     params = config["params"]
-    entry = _pipeline_protocol(params["protocol"])
+    entry = catalog_entry(params["protocol"])
     instance = entry.yes_instance if params["instance"] == "yes" else entry.no_instance
     compiled = dam_to_dqip(entry.protocol, instance)
     trace = seesaw_optimize(

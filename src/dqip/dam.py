@@ -286,32 +286,34 @@ def coin_guess() -> DamProtocol:
     )
 
 
-def toy_protocols() -> list[DamCatalogEntry]:
-    """Catalog of brute-forceable protocols with yes/no instance pairs."""
-    entries = []
-    specs = [
+def _catalog_specs() -> list[tuple[DamProtocol, NetworkGraph, NetworkGraph]]:
+    """(protocol, yes-instance, no-instance) of every catalog entry, in order."""
+    return [
         (bipartite_pls(), cycle_graph(4), cycle_graph(3)),
         (coin_parity_echo(), path_graph(2, ["0", "0"]), path_graph(2, ["0", "1"])),
         (coin_guess(), path_graph(2, ["0", "0"]), path_graph(2, ["0", "1"])),
     ]
-    for protocol, yes, no in specs:
-        c = brute_force_value(protocol, yes).optimal_acceptance
-        s = brute_force_value(protocol, no).optimal_acceptance
-        entries.append(
-            DamCatalogEntry(
-                name=protocol.name,
-                protocol=protocol,
-                yes_instance=yes,
-                no_instance=no,
-                completeness=c,
-                soundness=s,
-            )
-        )
-    return entries
+
+
+def _catalog_entry_of(protocol: DamProtocol, yes: NetworkGraph, no: NetworkGraph) -> DamCatalogEntry:
+    return DamCatalogEntry(
+        name=protocol.name,
+        protocol=protocol,
+        yes_instance=yes,
+        no_instance=no,
+        completeness=brute_force_value(protocol, yes).optimal_acceptance,
+        soundness=brute_force_value(protocol, no).optimal_acceptance,
+    )
+
+
+def toy_protocols() -> list[DamCatalogEntry]:
+    """Catalog of brute-forceable protocols with yes/no instance pairs."""
+    return [_catalog_entry_of(*spec) for spec in _catalog_specs()]
 
 
 def catalog_entry(name: str) -> DamCatalogEntry:
-    for entry in toy_protocols():
-        if entry.name == name:
-            return entry
+    """The named catalog entry; only its own two instances are brute-forced."""
+    for spec in _catalog_specs():
+        if spec[0].name == name:
+            return _catalog_entry_of(*spec)
     raise ValidationError(f"no catalog entry named {name!r}")

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import qcore
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .network import PROVER, NetworkGraph, allocate_layout, spanning_tree
 from .protocol import (
     Broadcast,
@@ -41,6 +41,11 @@ from .protocol import (
 )
 from .qcore import QuantumState, apply_unitary
 from .transforms import CompileReport, Compiled, message_accounting, private_accounting
+
+# Largest dense operator kron_chain builds: 16 bytes per complex entry of a
+# 2^q x 2^q matrix.  2^30 admits q = 13; the honest 4-node, 2-copy pGHZ gate
+# (q = 12) takes 256 MiB.
+MAX_DENSE_BYTES = 2**30
 
 
 def ghz_state(n: int) -> QuantumState:
@@ -75,7 +80,21 @@ def star_prep_matrix(n: int) -> np.ndarray:
 
 
 def kron_chain(ops: list[np.ndarray]) -> np.ndarray:
-    """Tensor product with ops[0] acting on the lowest qubits."""
+    """Tensor product with ops[0] acting on the lowest qubits.
+
+    Raises :class:`CapacityError` before allocating when the product would
+    take more than ``MAX_DENSE_BYTES``.
+    """
+    rows = cols = 1
+    for op in ops:
+        rows, cols = rows * op.shape[0], cols * op.shape[1]
+    requested = 16 * rows * cols
+    if requested > MAX_DENSE_BYTES:
+        raise CapacityError(
+            f"dense {rows}x{cols} operator needs {requested} bytes, above the limit of {MAX_DENSE_BYTES}",
+            requested=requested,
+            limit=MAX_DENSE_BYTES,
+        )
     return reduce(lambda low, high: np.kron(high, low), ops)
 
 

@@ -155,12 +155,6 @@ class RegisterLayout:
         start, size = self._index[name]
         return list(range(start, start + size))
 
-    def qubits_of(self, names: Iterable[str]) -> list[int]:
-        out: list[int] = []
-        for name in names:
-            out.extend(self.qubits(name))
-        return out
-
     def owner(self, name: str) -> int:
         return self.initial_owner[name]
 

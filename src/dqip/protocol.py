@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ProtocolError, ValidationError
 from .network import PROVER, NetworkGraph, RegisterLayout
-from .qcore import SWAP, apply_matrix_vec, check_projector, reduced_density_from_vec
+from .qcore import SWAP, apply_matrix_vec, check_projector, project_outcome, reduced_density_from_vec
 from .seeding import substream
 
 PRUNE_TOL = 1e-24  # squared-norm threshold for dropping dead branches
@@ -599,9 +599,8 @@ def _split_outcomes(vec: np.ndarray, qubits: list[int]):
 
     Yields (outcome, unnormalized collapsed vector) for every outcome.
     """
-    k = len(qubits)
-    for outcome in range(2**k):
-        yield outcome, apply_matrix_vec(vec, _selector_matrix(k, outcome), qubits)
+    for outcome in range(2 ** len(qubits)):
+        yield outcome, project_outcome(vec, qubits, outcome)
 
 
 def _selector_matrix(k: int, outcome: int) -> np.ndarray:

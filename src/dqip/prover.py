@@ -34,7 +34,7 @@ from .protocol import (
     _expand_registers,
     collect_paths,
 )
-from .qcore import _keep_block, apply_matrix_vec
+from .qcore import StructuredOp, _keep_block, apply_matrix_vec
 from .seeding import substream
 
 
@@ -44,7 +44,6 @@ class OptimizerConfig:
     restarts: int = 5
     seed: int = 0
     convergence_tol: float = 1e-9
-    prover_qubits: int | None = None  # recorded for reporting; layouts fix the size
 
     def __post_init__(self):
         if self.sweeps < 1 or self.restarts < 1 or self.convergence_tol <= 0:
@@ -71,21 +70,65 @@ class OptimizerTrace:
 # ---------------------------------------------------------------------------
 
 
-def _apply_path(vec: np.ndarray, path: BranchPath, gates: Mapping) -> np.ndarray:
-    for op in path.ops:
-        kind, payload, qubits = op
-        mat = gates[payload] if kind == "block" else payload
-        vec = apply_matrix_vec(vec, mat, list(qubits))
-    for mat, qubits in path.accept_ops:
-        vec = apply_matrix_vec(vec, mat, list(qubits))
-    return vec
+@dataclass
+class _CompiledPath:
+    """A :class:`BranchPath` with its fixed operators classified once.
+
+    ``ops`` holds a :class:`StructuredOp` per fixed operator and a
+    ``(block key, qubits)`` pair per prover block.
+    """
+
+    weight: float
+    ops: list
+    accept: list[StructuredOp]
 
 
-def _acceptance(paths: list[BranchPath], initial: np.ndarray, gates: Mapping) -> float:
-    total = 0.0
+def _compile_paths(paths: list[BranchPath]) -> list[_CompiledPath]:
+    # Branches share their recorded matrices, so each one is classified once.
+    structured: dict = {}
+
+    def fixed(mat, qubits) -> StructuredOp:
+        key = (id(mat), tuple(qubits))
+        if key not in structured:
+            structured[key] = StructuredOp(mat, qubits)
+        return structured[key]
+
+    return [
+        _CompiledPath(
+            weight=path.weight,
+            ops=[
+                (payload, qubits) if kind == "block" else fixed(payload, qubits)
+                for kind, payload, qubits in path.ops
+            ],
+            accept=[fixed(mat, qubits) for mat, qubits in path.accept_ops],
+        )
+        for path in paths
+    ]
+
+
+def _step(vec: np.ndarray, op, gates: Mapping) -> np.ndarray:
+    if isinstance(op, StructuredOp):
+        return op.apply(vec)
+    key, qubits = op
+    return apply_matrix_vec(vec, gates[key], qubits)
+
+
+def _final_vectors(paths: list[_CompiledPath], initial: np.ndarray, gates: Mapping) -> list[np.ndarray]:
+    finals = []
     for path in paths:
-        v = _apply_path(initial, path, gates)
-        total += path.weight * float(np.vdot(v, v).real)
+        vec = initial
+        for op in path.ops:
+            vec = _step(vec, op, gates)
+        for op in path.accept:
+            vec = op.apply(vec)
+        finals.append(vec)
+    return finals
+
+
+def _acceptance(paths: list[_CompiledPath], finals: list[np.ndarray]) -> float:
+    total = 0.0
+    for path, vec in zip(paths, finals):
+        total += path.weight * float(np.vdot(vec, vec).real)
     return total
 
 
@@ -150,6 +193,7 @@ def seesaw_optimize(
             restarts=config.restarts,
         )
     blocks = _block_table(paths)
+    compiled = _compile_paths(paths)
     order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
 
     def honest_gates() -> dict:
@@ -181,10 +225,12 @@ def seesaw_optimize(
             gates = honest_gates()
         else:
             gates = random_gates(restart)
-        history = [_acceptance(paths, initial, gates)]
+        finals = _final_vectors(compiled, initial, gates)
+        history = [_acceptance(compiled, finals)]
         for _ in range(config.sweeps):
-            _sweep(paths, initial, gates, update_order, blocks)
-            value = _acceptance(paths, initial, gates)
+            _sweep(compiled, initial, finals, gates, update_order, blocks)
+            finals = _final_vectors(compiled, initial, gates)
+            value = _acceptance(compiled, finals)
             history.append(value)
             if value > 1 + 1e-9:
                 raise ValidationError(f"see-saw acceptance {value!r} exceeded 1")
@@ -199,50 +245,47 @@ def seesaw_optimize(
     return trace
 
 
-def _sweep(paths, initial, gates, order, blocks) -> None:
-    # Witness vectors: the current final branch vectors (their global scale
+def _sweep(paths, initial, witnesses, gates, order, blocks) -> None:
+    # ``witnesses`` are the current final branch vectors (their global scale
     # does not affect the polar factor of any block matrix M).
-    witnesses = [_apply_path(initial, p, gates) for p in paths]
-
+    #
     # Backward suffix vectors at each block position, computed with the
     # pre-sweep gates.  Blocks later in a path are updated after this block
     # within the sweep, so their pre-sweep values are the correct fixed ones.
+    adjoints = {key: np.ascontiguousarray(gate.conj().T) for key, gate in gates.items()}
     suffixes: list[dict[int, np.ndarray]] = []
     for path, a in zip(paths, witnesses):
         vec = a
-        for mat, qubits in reversed(path.accept_ops):
-            vec = apply_matrix_vec(vec, np.asarray(mat).conj().T, list(qubits))
+        for op in reversed(path.accept):
+            vec = op.adjoint().apply(vec)
         suffix: dict[int, np.ndarray] = {}
         for pos in range(len(path.ops) - 1, -1, -1):
-            kind, payload, qubits = path.ops[pos]
-            if kind == "block":
-                suffix[pos] = vec
-                mat = gates[payload]
+            op = path.ops[pos]
+            if isinstance(op, StructuredOp):
+                vec = op.adjoint().apply(vec)
             else:
-                mat = payload
-            vec = apply_matrix_vec(vec, np.asarray(mat).conj().T, list(qubits))
+                suffix[pos] = vec
+                vec = _step(vec, op, adjoints)
         suffixes.append(suffix)
 
     # Forward prefixes advance lazily with the freshly updated gates.
-    fronts = [initial.copy() for _ in paths]
+    fronts = [initial] * len(paths)
     cursor = [0] * len(paths)
 
     def advance(i: int, stop: int) -> None:
-        path = paths[i]
+        ops = paths[i].ops
         while cursor[i] < stop:
-            kind, payload, qubits = path.ops[cursor[i]]
-            mat = gates[payload] if kind == "block" else payload
-            fronts[i] = apply_matrix_vec(fronts[i], mat, list(qubits))
+            fronts[i] = _step(fronts[i], ops[cursor[i]], gates)
             cursor[i] += 1
 
     positions: dict = {key: [] for key in order}
     for i, path in enumerate(paths):
-        for pos, (kind, payload, _) in enumerate(path.ops):
-            if kind == "block" and payload in positions:
-                positions[payload].append((i, pos))
+        for pos, op in enumerate(path.ops):
+            if not isinstance(op, StructuredOp) and op[0] in positions:
+                positions[op[0]].append((i, pos))
 
     for key in order:
-        qubits = list(blocks[key])
+        qubits = blocks[key]
         dim = 2 ** len(qubits)
         m = np.zeros((dim, dim), dtype=np.complex128)
         for i, pos in positions[key]:
@@ -297,17 +340,15 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
         basis_states.append(apply_matrix_vec(initial, prep, qubits))
 
     e = np.zeros((dim, dim), dtype=np.complex128)
-    for path in paths:
-        if any(kind == "block" for kind, _, _ in path.ops[1:]):
+    for path in _compile_paths(paths):
+        fixed = path.ops[1:] + path.accept  # op 0 is the block itself
+        if not all(isinstance(op, StructuredOp) for op in fixed):
             raise ShapeError("unexpected second prover block")
         evolved = []
         for vec in basis_states:
-            v = vec
-            for kind, payload, q in path.ops[1:]:  # op 0 is the block itself
-                v = apply_matrix_vec(v, payload, list(q))
-            for mat, q in path.accept_ops:
-                v = apply_matrix_vec(v, mat, list(q))
-            evolved.append(v)
+            for op in fixed:
+                vec = op.apply(vec)
+            evolved.append(vec)
         u = np.stack(evolved)
         e += path.weight * (u.conj() @ u.T)
 

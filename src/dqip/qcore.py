@@ -9,12 +9,23 @@ Conventions used throughout the package:
 * Everything is immutable after construction and all operations are pure
   functions, so independent calls are safe to evaluate in parallel.
 
+Gates act through one planned kernel, :func:`apply_matrix_vec`.  The axis
+plan for a ``(qubit count, targets)`` pair (the transpose that brings the
+targets to the front, its inverse, and the validated targets) is built once
+and kept in a bounded cache; only the matrix shape is checked per call.
+:class:`StructuredOp` classifies a fixed ``(matrix, targets)`` pair once as
+diagonal, 0/1 permutation or dense and applies it by broadcast multiply,
+cached gather or the planned matmul; :func:`project_outcome` zeroes the
+amplitudes outside one computational-basis outcome.  ``embed_operator``
+builds the full operator by index arithmetic and is kept as the oracle.
+
 The dense representation is practical up to roughly 22 qubits; layouts are
 capped well below that (see :mod:`dqip.network`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -169,10 +180,6 @@ def controlled(gate: Gate) -> Gate:
     return Gate(gate.arity + 1, mat)
 
 
-def identity_gate(arity: int) -> Gate:
-    return Gate(arity, np.eye(2**arity, dtype=np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # Gate application on raw vectors
 # ---------------------------------------------------------------------------
@@ -188,31 +195,179 @@ def _check_targets(targets: Sequence[int], num_qubits: int, arity: int) -> None:
             raise LayoutError(f"target qubit {q} outside [0, {num_qubits})")
 
 
+@dataclass(frozen=True)
+class _AxisPlan:
+    """How a ``2^n`` vector is viewed so that ``targets`` lead.
+
+    ``shape`` is the vector as a tensor, most significant qubit first.  Each
+    axis is a run of adjacent qubits: a run of non-targets (``None`` in
+    ``groups``), or a run of targets that are also consecutive in the
+    target list (``(j, m)``: the axis value is bits ``j..j+m-1`` of the gate
+    index).  ``order`` moves the target axes to the front so that row bit
+    ``j`` of the flattened ``(dim, rest)`` block addresses ``targets[j]``;
+    ``inverse`` undoes it from ``moved``, the transposed shape.  When the
+    targets are the lowest qubits in order (``trailing``), the vector already
+    is the transposed block and no axis has to move.
+    """
+
+    shape: tuple[int, ...]
+    groups: tuple[tuple[int, int] | None, ...]
+    order: tuple[int, ...]
+    inverse: tuple[int, ...]
+    moved: tuple[int, ...]
+    dim: int
+    trailing: bool
+
+    def front(self, vec: np.ndarray) -> np.ndarray:
+        """The ``(dim, rest)`` block of ``vec``: a view, or one copy."""
+        if self.trailing:
+            return vec.reshape(-1, self.dim).T
+        return vec.reshape(self.shape).transpose(self.order).reshape(self.dim, -1)
+
+    def back(self, block: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`front`, as a new C-contiguous vector."""
+        return block.reshape(self.moved).transpose(self.inverse).reshape(-1)
+
+    def apply(self, vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        if self.trailing:
+            return (vec.reshape(-1, self.dim) @ mat.T).reshape(-1)
+        block = self.front(vec)
+        # Rebinding drops the transposed copy of the input before the output
+        # copy is made, which bounds the temporaries on large states.
+        block = mat @ block
+        return self.back(block)
+
+
+@functools.lru_cache(maxsize=4096)
+def _axis_plan(num_qubits: int, targets: tuple[int, ...]) -> _AxisPlan:
+    # Raising here caches nothing, so a bad call raises on every repeat.
+    _check_targets(targets, num_qubits, len(targets))
+    position = {q: j for j, q in enumerate(targets)}
+    shape: list[int] = []
+    groups: list[tuple[int, int] | None] = []
+    for q in range(num_qubits - 1, -1, -1):
+        j = position.get(q)
+        last = groups[-1] if groups else False
+        if (j is None and last is None) or (j is not None and last and last[0] == j + 1):
+            shape[-1] *= 2
+            if j is not None:
+                groups[-1] = (j, last[1] + 1)
+        else:
+            shape.append(2)
+            groups.append(None if j is None else (j, 1))
+    lead = tuple(sorted((a for a, g in enumerate(groups) if g), key=lambda a: -groups[a][0]))
+    order = lead + tuple(a for a, g in enumerate(groups) if not g)
+    inverse = tuple(int(a) for a in np.argsort(order))
+    moved = tuple(shape[a] for a in order)
+    trailing = len(lead) == 1 and lead[0] == len(shape) - 1 and groups[-1][0] == 0
+    return _AxisPlan(tuple(shape), tuple(groups), order, inverse, moved, 2 ** len(targets), trailing)
+
+
+def _plan_for(vec: np.ndarray, targets: Sequence[int]) -> _AxisPlan:
+    return _axis_plan(vec.size.bit_length() - 1, tuple(targets))
+
+
 def apply_matrix_vec(vec: np.ndarray, mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """Apply a ``2^k x 2^k`` matrix to ``targets`` of a raw state vector.
 
     ``mat`` need not be unitary (measurement collapse uses projectors); bit
-    ``j`` of the matrix index addresses global qubit ``targets[j]``.
+    ``j`` of the matrix index addresses global qubit ``targets[j]``.  The
+    result is a new C-contiguous vector.
     """
-    n = int(round(np.log2(vec.size)))
-    k = len(targets)
-    _check_targets(targets, n, int(round(np.log2(mat.shape[0]))))
-    tensor = vec.reshape([2] * n)
-    # Axis a of the tensor holds qubit n-1-a; after the move, row bit j of the
-    # flattened front block addresses targets[j].
-    src = [n - 1 - q for q in targets]
-    dst = [k - 1 - j for j in range(k)]
-    tensor = np.moveaxis(tensor, src, dst)
-    flat = tensor.reshape(2**k, -1)
-    flat = mat @ flat
-    tensor = flat.reshape([2] * n)
-    tensor = np.moveaxis(tensor, dst, src)
-    return np.ascontiguousarray(tensor.reshape(-1))
+    plan = _plan_for(vec, targets)
+    if mat.shape != (plan.dim, plan.dim):
+        raise LayoutError(f"matrix of shape {mat.shape} does not match {len(targets)} targets")
+    return plan.apply(vec, mat)
+
+
+class StructuredOp:
+    """A fixed ``(matrix, targets)`` pair, classified once for repeated use.
+
+    ``kind`` is ``"diagonal"`` (applied as a broadcast multiply over the
+    target axes), ``"permutation"`` (a 0/1 matrix with one 1 per row and
+    column, applied as a gather through a cached index) or ``"dense"``
+    (applied by :func:`apply_matrix_vec`).  Every kind matches
+    ``embed_operator(matrix, targets, n) @ vec``.
+    """
+
+    def __init__(self, matrix: np.ndarray, targets: Sequence[int]):
+        mat = np.asarray(matrix, dtype=np.complex128)
+        self.targets = tuple(int(q) for q in targets)
+        dim = 2 ** len(self.targets)
+        if mat.shape != (dim, dim):
+            raise LayoutError(f"operator of shape {mat.shape} does not match {len(self.targets)} targets")
+        self.matrix = mat
+        self._adjoint: StructuredOp | None = None
+        self._per_size: dict[int, tuple] = {}  # qubit count -> (tensor shape, diagonal or gather index)
+        diag = np.diagonal(mat)
+        nonzero = mat != 0
+        if np.count_nonzero(nonzero) == np.count_nonzero(diag):
+            self.kind = "diagonal"
+            self._diag = diag.copy()
+        elif (
+            np.all(np.count_nonzero(nonzero, axis=0) == 1)
+            and np.all(np.count_nonzero(nonzero, axis=1) == 1)
+            and np.all(mat[nonzero] == 1)
+        ):
+            self.kind = "permutation"
+            self._source = np.argmax(nonzero, axis=1)  # row r reads input row _source[r]
+        else:
+            self.kind = "dense"
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The operator applied to ``vec``, as a new C-contiguous vector."""
+        if self.kind == "dense":
+            return apply_matrix_vec(vec, self.matrix, self.targets)
+        n = vec.size.bit_length() - 1
+        prepared = self._per_size.get(n)
+        if prepared is None:
+            prepared = self._per_size[n] = self._prepare(n)
+        shape, table = prepared
+        if self.kind == "diagonal":
+            return (vec.reshape(shape) * table).reshape(-1)
+        return vec[table]
+
+    def _prepare(self, n: int) -> tuple:
+        plan = _axis_plan(n, self.targets)
+        if self.kind == "permutation":
+            return plan.shape, plan.back(plan.front(np.arange(2**n))[self._source])
+        # Axis ``k-1-j`` of the diagonal as a (2,)*k tensor holds bit j; lay
+        # the bits out as the target axes of ``plan.shape`` hold them, most
+        # significant first, and give the other axes length 1.
+        k = len(self.targets)
+        bits: list[int] = []
+        for group in plan.groups:
+            if group:
+                j, m = group
+                bits += range(j + m - 1, j - 1, -1)
+        diag = self._diag.reshape((2,) * k).transpose([k - 1 - b for b in bits])
+        return plan.shape, diag.reshape([size if group else 1 for size, group in zip(plan.shape, plan.groups)])
+
+    def adjoint(self) -> "StructuredOp":
+        """The conjugate transpose on the same targets (of the same kind)."""
+        if self._adjoint is None:
+            self._adjoint = StructuredOp(np.ascontiguousarray(self.matrix.conj().T), self.targets)
+            self._adjoint._adjoint = self
+        return self._adjoint
+
+
+def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np.ndarray:
+    """``vec`` with every amplitude whose ``targets`` bits differ from ``outcome`` zeroed.
+
+    Bit ``j`` of ``outcome`` is qubit ``targets[j]``.  Equal, element for
+    element, to applying the 0/1 selector ``|outcome><outcome|`` to ``targets``.
+    """
+    plan = _plan_for(vec, targets)
+    if not 0 <= outcome < plan.dim:
+        raise LayoutError(f"outcome {outcome} outside [0, {plan.dim})")
+    index = tuple(slice(None) if group is None else (outcome >> group[0]) % 2 ** group[1] for group in plan.groups)
+    out = np.zeros(vec.size, dtype=np.complex128)
+    out.reshape(plan.shape)[index] = vec.reshape(plan.shape)[index]
+    return out
 
 
 def apply_unitary(state: QuantumState, gate: Gate, targets: Sequence[int]) -> QuantumState:
     """Apply ``gate`` to the given qubits, identity elsewhere."""
-    _check_targets(targets, state.num_qubits, gate.arity)
     vec = apply_matrix_vec(state.amplitudes, gate.matrix, targets)
     return QuantumState(state.num_qubits, vec)
 
@@ -251,13 +406,7 @@ def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> n
 
 def _keep_block(vec: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Reshape a vector to (2^k, 2^rest) with row bit j = keep[j]."""
-    n = int(round(np.log2(vec.size)))
-    k = len(keep)
-    tensor = vec.reshape([2] * n)
-    src = [n - 1 - q for q in keep]
-    dst = [k - 1 - j for j in range(k)]
-    tensor = np.moveaxis(tensor, src, dst)
-    return tensor.reshape(2**k, -1)
+    return _plan_for(vec, keep).front(vec)
 
 
 def partial_trace(state, keep: Iterable[int]) -> DensityOperator:
@@ -268,32 +417,24 @@ def partial_trace(state, keep: Iterable[int]) -> DensityOperator:
     """
     keep = sorted(set(keep))
     if isinstance(state, QuantumState):
-        n, vec = state.num_qubits, state.amplitudes
-        _validate_keep(keep, n)
         if not keep:
             return DensityOperator(0, np.array([[1.0 + 0j]]))
-        block = _keep_block(vec, keep)
+        block = _keep_block(state.amplitudes, keep)
         return DensityOperator(len(keep), block @ block.conj().T)
     if isinstance(state, DensityOperator):
         n, mat = state.num_qubits, state.matrix
-        _validate_keep(keep, n)
         if not keep:
             return DensityOperator(0, np.array([[1.0 + 0j]]))
-        k = len(keep)
-        tensor = mat.reshape([2] * (2 * n))
-        src = [n - 1 - q for q in keep] + [2 * n - 1 - q for q in keep]
-        dst = [k - 1 - j for j in range(k)] + [2 * k - 1 - j for j in range(k)]
-        tensor = np.moveaxis(tensor, src, dst)
-        # Moved axes land as [row-keep, col-keep, row-rest, col-rest].
-        tensor = tensor.reshape(2**k, 2**k, 2 ** (n - k), 2 ** (n - k))
-        return DensityOperator(k, np.einsum("abrr->ab", tensor))
+        plan = _axis_plan(n, tuple(keep))
+        # Row and column indices each get the vector plan: the tensor comes
+        # out as [row-keep, row-rest, col-keep, col-rest].
+        width = len(plan.shape)
+        order = plan.order + tuple(width + a for a in plan.order)
+        tensor = mat.reshape(plan.shape + plan.shape).transpose(order)
+        rest = 2 ** (n - len(keep))
+        tensor = tensor.reshape(plan.dim, rest, plan.dim, rest)
+        return DensityOperator(len(keep), np.einsum("arbr->ab", tensor))
     raise ValidationError(f"cannot take a partial trace of {type(state).__name__}")
-
-
-def _validate_keep(keep: Sequence[int], num_qubits: int) -> None:
-    for q in keep:
-        if not 0 <= q < num_qubits:
-            raise LayoutError(f"keep qubit {q} outside [0, {num_qubits})")
 
 
 def reduced_density_from_vec(vec: np.ndarray, keep: Sequence[int]) -> np.ndarray:

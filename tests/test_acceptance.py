@@ -10,9 +10,16 @@ import pytest
 from dqip import acceptance, qcore
 
 
+@pytest.fixture(scope="session")
+def battery():
+    """One run of the whole battery, shared by the per-criterion and total tests."""
+    results, total = acceptance.run_all()
+    return {r.criterion: r for r in results}, total
+
+
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA, ids=lambda c: c.ident)
-def test_criterion(criterion):
-    result = criterion.evaluate()
+def test_criterion(criterion, battery):
+    result = battery[0][criterion.ident]
     print(result.row())
     for line in result.details:
         print(f"    {line}")
@@ -23,9 +30,9 @@ def test_criterion(criterion):
         assert result.measured >= result.bound, result.details
 
 
-def test_battery_total_runtime_under_budget():
-    results, total = acceptance.run_all()
-    assert all(r.passed for r in results)
+def test_battery_total_runtime_under_budget(battery):
+    results, total = battery
+    assert all(r.passed for r in results.values())
     assert total <= 15 * 60
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,28 @@ def test_cli_config_error_is_machine_readable(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
+    # nodes=5, copies=2 passes the schema but its honest gate would take
+    # 16 GiB.  The run gets a few GiB of address space, so a missing check
+    # fails fast with a raw MemoryError instead of touching host memory.
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+    config_path = tmp_path / "big.json"
+    config_path.write_text(json.dumps({"experiment": "ghz", "seed": 1, "params": {"nodes": 5, "copies": 2}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "CapacityError"
+    assert "17179869184 bytes" in err["message"]
 
 
 def test_cli_listings(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dqip import dam
 from dqip.dam import (
     DamProtocol,
     bipartite_pls,
@@ -61,6 +62,26 @@ def test_catalog_has_gap_everywhere():
     # Both c < 1 and s > 0 appear somewhere in the corpus.
     assert any(e.completeness < 1 for e in entries)
     assert any(e.soundness > 0 for e in entries)
+
+
+def test_catalog_entry_brute_forces_only_its_own_instances(monkeypatch):
+    entries = {entry.name: entry for entry in toy_protocols()}
+    calls = []
+    original = dam.brute_force_value
+
+    def counting(protocol, instance, *args, **kwargs):
+        calls.append(protocol.name)
+        return original(protocol, instance, *args, **kwargs)
+
+    monkeypatch.setattr(dam, "brute_force_value", counting)
+    for name, listed in entries.items():
+        calls.clear()
+        entry = catalog_entry(name)
+        assert calls == [name, name]
+        assert (entry.name, entry.completeness, entry.soundness) == (name, listed.completeness, listed.soundness)
+        assert entry.yes_instance == listed.yes_instance and entry.no_instance == listed.no_instance
+    with pytest.raises(ValidationError):
+        catalog_entry("no-such-protocol")
 
 
 def test_shared_equals_private_with_identical_coins():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from dqip import qcore
-from dqip.errors import ValidationError
+from dqip import ghz, qcore
+from dqip.errors import CapacityError, ValidationError
 from dqip.ghz import (
     GhzProtocolParams,
     all_zero_cheat,
     build_pghz,
     ghz_fidelity,
     ghz_state,
+    kron_chain,
     stabilizer_tests,
     star_state,
 )
@@ -175,3 +176,21 @@ def test_params_validation():
         GhzProtocolParams(copies=1, epsilon=1.5)
     with pytest.raises(ValidationError):
         build_pghz(build_network(1, []), GhzProtocolParams(copies=1))
+
+
+def test_kron_chain_refuses_operators_over_the_dense_limit(monkeypatch):
+    # Only the shapes are read before the check: broadcast views stand in
+    # for the 32x32 star preparations of a 5-node, 2-copy honest gate.
+    prep = np.broadcast_to(np.eye(1, dtype=complex), (32, 32))
+    with pytest.raises(CapacityError) as err:
+        kron_chain([prep] * 3)
+    assert err.value.requested == 16 * 4**15
+    assert err.value.limit == ghz.MAX_DENSE_BYTES
+    # The ghz workload's 12-qubit honest gate stays admitted.
+    assert 16 * 4**12 <= ghz.MAX_DENSE_BYTES
+    # At a small limit, a product of exactly the limit is built, one above is not.
+    monkeypatch.setattr(ghz, "MAX_DENSE_BYTES", 16 * 4**3)
+    ops = [qcore.H.matrix, qcore.X.matrix, qcore.Z.matrix]
+    assert np.allclose(kron_chain(ops), np.kron(qcore.Z.matrix, np.kron(qcore.X.matrix, qcore.H.matrix)))
+    with pytest.raises(CapacityError):
+        kron_chain(ops + [qcore.H.matrix])

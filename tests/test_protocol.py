@@ -10,6 +10,7 @@ from dqip.corpus import (
     random_clean_spec,
 )
 from dqip.errors import ProtocolError
+from dqip.seeding import substream
 from dqip.network import allocate_layout, path_graph
 from dqip.protocol import (
     FunctionalStrategy,
@@ -18,6 +19,8 @@ from dqip.protocol import (
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
+    _selector_matrix,
+    _split_outcomes,
     execute_exact,
     execute_sampled,
     first_qubit_zero_accept,
@@ -290,3 +293,20 @@ def test_spec_serialization_shape():
     assert gate_step["kind"] == "gate"
     assert len(gate_step["matrix"]) == 4  # 2-qubit matrix, row-major
     assert all(len(entry) == 2 for row in gate_step["matrix"] for entry in row)
+
+
+def test_split_outcomes_equal_selector_matmul_exactly():
+    # The basis projection must give the very amplitudes of the 0/1 selector
+    # matmul it replaced, on random unnormalized vectors and target orders.
+    rng = substream(17, "test.split-outcomes")
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, min(4, n) + 1))]]
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        outcomes = list(_split_outcomes(vec, qubits))
+        assert [o for o, _ in outcomes] == list(range(2 ** len(qubits)))
+        for outcome, got in outcomes:
+            selector = _selector_matrix(len(qubits), outcome)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, qcore.apply_matrix_vec(vec, selector, qubits))
+            assert np.array_equal(got, qcore.embed_operator(selector, qubits, n) @ vec)

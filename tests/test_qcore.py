@@ -14,6 +14,7 @@ from dqip.qcore import (
     Gate,
     H,
     QuantumState,
+    StructuredOp,
     X,
     acceptance_rotation,
     apply_matrix_vec,
@@ -88,6 +89,56 @@ def test_fast_application_matches_embedded_operator(gate):
     fast = apply_matrix_vec(vec, gate.matrix, targets)
     slow = embed_operator(gate.matrix, targets, n) @ vec
     assert np.allclose(fast, slow, atol=1e-12)
+
+
+def _random_kernel_case(rng):
+    """A normalized random n <= 8 state and arity 1-4 targets in shuffled order."""
+    n = int(rng.integers(1, 9))
+    k = int(rng.integers(1, min(4, n) + 1))
+    targets = [int(q) for q in rng.permutation(n)[:k]]
+    vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return n, targets, vec / np.linalg.norm(vec)
+
+
+def _random_matrices(rng, k):
+    dim = 2**k
+    return {
+        "dense": rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)),
+        "diagonal": np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)),
+        "permutation": np.eye(dim, dtype=complex)[rng.permutation(dim)],
+    }
+
+
+def test_planned_kernel_and_structured_ops_match_embedded_operator():
+    rng = substream(13, "test.kernel-oracle")
+    for _ in range(60):
+        n, targets, vec = _random_kernel_case(rng)
+        for kind, mat in _random_matrices(rng, len(targets)).items():
+            op = StructuredOp(mat, targets)
+            if kind != "permutation" or not np.array_equal(mat, np.eye(len(mat))):
+                assert op.kind == kind
+            expected = embed_operator(mat, targets, n) @ vec
+            expected_adj = embed_operator(mat.conj().T, targets, n) @ vec
+            for got, want in (
+                (apply_matrix_vec(vec, mat, targets), expected),
+                (op.apply(vec), expected),
+                (op.apply(vec), expected),  # served from the per-size cache
+                (op.adjoint().apply(vec), expected_adj),
+            ):
+                assert got.shape == (2**n,) and got.flags.c_contiguous
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert op.adjoint().kind == op.kind and op.adjoint().adjoint() is op
+
+
+@pytest.mark.parametrize("targets, arity", [([1, 1], 2), ([0, 4], 2), ([-1], 1), ([0, 1], 1), ([0], 2)])
+def test_bad_targets_raise_on_first_and_cached_call(targets, arity):
+    vec = QuantumState.zero(3).amplitudes
+    mat = np.eye(2**arity, dtype=complex)
+    for _ in range(2):
+        with pytest.raises(LayoutError):
+            apply_matrix_vec(vec, mat, targets)
+        with pytest.raises(LayoutError):
+            StructuredOp(mat, targets).apply(vec)
 
 
 def test_apply_unitary_errors():
