@@ -63,7 +63,7 @@ class Criterion:
         start = time.perf_counter()
         measured, bound, comparison, details = self.run()
         elapsed = time.perf_counter() - start
-        passed = measured <= bound if comparison == "<=" else measured >= bound
+        passed = bool(measured <= bound if comparison == "<=" else measured >= bound)
         return CriterionResult(self.ident, passed, measured, bound, comparison, details, elapsed)
 
 

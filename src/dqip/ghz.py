@@ -13,18 +13,21 @@ The distributed protocol delivers N+1 copies, tests N randomly chosen ones
 with a random test per copy, routes the parity check through prover-supplied
 subtree sums over a spanning tree, and hands back the untested copy as the
 output register.
+
+The honest delivery is a :class:`~dqip.qcore.FactoredOp` of N+1 local
+n-qubit star preparations, so no 2^{n(N+1)}-square matrix is built unless a
+caller asks for the dense form (the see-saw does, under the dense budget).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import qcore
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .network import PROVER, NetworkGraph, allocate_layout, spanning_tree
 from .protocol import (
     Broadcast,
@@ -39,13 +42,8 @@ from .protocol import (
     VerifierTurn,
     Step,
 )
-from .qcore import QuantumState, apply_unitary
+from .qcore import FactoredOp, QuantumState, apply_unitary, kron_chain
 from .transforms import CompileReport, Compiled, message_accounting, private_accounting
-
-# Largest dense operator kron_chain builds: 16 bytes per complex entry of a
-# 2^q x 2^q matrix.  2^30 admits q = 13; the honest 4-node, 2-copy pGHZ gate
-# (q = 12) takes 256 MiB.
-MAX_DENSE_BYTES = 2**30
 
 
 def ghz_state(n: int) -> QuantumState:
@@ -77,25 +75,6 @@ def star_prep_matrix(n: int) -> np.ndarray:
     for leaf in range(1, n):
         total = qcore.embed_operator(qcore.CZ.matrix, [0, leaf], n) @ total
     return total
-
-
-def kron_chain(ops: list[np.ndarray]) -> np.ndarray:
-    """Tensor product with ops[0] acting on the lowest qubits.
-
-    Raises :class:`CapacityError` before allocating when the product would
-    take more than ``MAX_DENSE_BYTES``.
-    """
-    rows = cols = 1
-    for op in ops:
-        rows, cols = rows * op.shape[0], cols * op.shape[1]
-    requested = 16 * rows * cols
-    if requested > MAX_DENSE_BYTES:
-        raise CapacityError(
-            f"dense {rows}x{cols} operator needs {requested} bytes, above the limit of {MAX_DENSE_BYTES}",
-            requested=requested,
-            limit=MAX_DENSE_BYTES,
-        )
-    return reduce(lambda low, high: np.kron(high, low), ops)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +436,14 @@ def honest_pghz_strategy(
     none_parent = n
     p_qubits = params.prover_qubits
 
+    # Turn 1 acts on (P, R:1:0..R:1:n-1, R:2:0, ...): copy i's star
+    # preparation covers its n node qubits, centred on node 0; P is idle.
     prep = star_prep_matrix(n)
-    full_prep = kron_chain(
-        ([np.eye(2**p_qubits, dtype=np.complex128)] if p_qubits else []) + [prep] * (copies + 1)
+    full_prep = FactoredOp(
+        p_qubits + n * (copies + 1),
+        [(prep, range(p_qubits + i * n, p_qubits + (i + 1) * n)) for i in range(copies + 1)],
     )
+    idle = FactoredOp(p_qubits)
 
     def subtree(u: int) -> list[int]:
         out, frontier = [u], [u]
@@ -475,10 +458,8 @@ def honest_pghz_strategy(
 
     subtrees = {u: subtree(u) for u in range(n)}
 
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index == 1:
-            return full_prep
-        return np.eye(2**p_qubits, dtype=np.complex128) if p_qubits else np.eye(1, dtype=np.complex128)
+    def gate(turn_index: int, view: Mapping) -> FactoredOp:
+        return full_prep if turn_index == 1 else idle
 
     def reply(slot_name: str, view: Mapping) -> int:
         kind, _, u = slot_name.partition(":")
@@ -510,9 +491,8 @@ def all_zero_cheat(spec: ProtocolSpec, params: GhzProtocolParams) -> FunctionalS
     """Fixed cheat: sends |0...0> instead of star states, replies honestly."""
     honest = honest_pghz_strategy(spec, spec.graph, params)
 
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        mat = honest.gate_fn(turn_index, view)
-        return np.eye(mat.shape[0], dtype=np.complex128)
+    def gate(turn_index: int, view: Mapping) -> FactoredOp:
+        return FactoredOp(honest.gate_fn(turn_index, view).arity)
 
     return FunctionalStrategy("ghz-all-zero", gate, honest.reply_fn)
 

@@ -11,7 +11,10 @@ visibility: a node's gates and predicates can only read variables that node
 has seen.  Exact execution averages over coin values by branching, keeps
 measurement branches unnormalized (their squared norms carry the Born
 weights), and sums ``weight * ||accept-projected vector||^2 * predicate``
-over leaves.
+over leaves.  Before a coin, measurement or check branches, the executor
+checks that the parent and child state vectors together fit
+``qcore.MAX_DENSE_BYTES`` and raises :class:`~dqip.errors.CapacityError`
+otherwise.
 """
 
 from __future__ import annotations
@@ -22,9 +25,19 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, ValidationError
+from . import qcore
+from .errors import LayoutError, ProtocolError, ValidationError
 from .network import PROVER, NetworkGraph, RegisterLayout
-from .qcore import SWAP, apply_matrix_vec, check_projector, project_outcome, reduced_density_from_vec
+from .qcore import (
+    SWAP,
+    FactoredOp,
+    apply_matrix_vec,
+    apply_op,
+    check_projector,
+    outcome_weights,
+    project_outcome,
+    reduced_density_from_vec,
+)
 from .seeding import substream
 
 PRUNE_TOL = 1e-24  # squared-norm threshold for dropping dead branches
@@ -190,9 +203,14 @@ class ProtocolSpec:
 
 
 class ProverStrategy:
-    """Interface: one unitary per prover turn plus classical reply functions."""
+    """Interface: one unitary per prover turn plus classical reply functions.
 
-    def gate(self, turn_index: int, view: Mapping) -> np.ndarray:
+    A gate is a dense ``2^k`` matrix on the turn's ``acts_on`` qubits or a
+    :class:`~dqip.qcore.FactoredOp` over them; callers that need the matrix
+    use :func:`~dqip.qcore.dense_matrix`.
+    """
+
+    def gate(self, turn_index: int, view: Mapping) -> np.ndarray | FactoredOp:
         raise NotImplementedError
 
     def reply(self, slot_name: str, view: Mapping) -> int:
@@ -202,10 +220,10 @@ class ProverStrategy:
 @dataclass
 class FunctionalStrategy(ProverStrategy):
     name: str
-    gate_fn: Callable[[int, Mapping], np.ndarray]
+    gate_fn: Callable[[int, Mapping], np.ndarray | FactoredOp]
     reply_fn: Callable[[str, Mapping], int] | None = None
 
-    def gate(self, turn_index: int, view: Mapping) -> np.ndarray:
+    def gate(self, turn_index: int, view: Mapping) -> np.ndarray | FactoredOp:
         return self.gate_fn(turn_index, view)
 
     def reply(self, slot_name: str, view: Mapping) -> int:
@@ -328,10 +346,11 @@ class _Branch:
     owner: dict
     ops: list | None = None  # (kind, payload...) recorded for the optimizer
 
-    def clone(self) -> "_Branch":
+    def clone(self, vec: np.ndarray | None = None) -> "_Branch":
+        """A copy of the branch, holding ``vec`` or else a copy of this vector."""
         return _Branch(
             self.weight,
-            self.vec.copy(),
+            self.vec.copy() if vec is None else vec,
             dict(self.values),
             dict(self.visibility),
             dict(self.owner),
@@ -404,7 +423,16 @@ class _Executor:
         qubits = _expand_registers(self.layout, regs)
         self._apply(branch, np.asarray(matrix, dtype=np.complex128), qubits)
 
-    def _flip_coin(self, branches: list[_Branch], coin: CoinFlip) -> list[_Branch]:
+    def _check_live(self, parents: int, children: int, label: str, what: str) -> None:
+        """Refuse to branch when parents and children together exceed the byte budget."""
+        state_bytes = 16 * 2**self.layout.total_qubits
+        qcore.check_budget(
+            (parents + children) * state_bytes,
+            f"{label}: {what} with {parents} + {children} live branches of {state_bytes} bytes",
+        )
+
+    def _flip_coin(self, branches: list[_Branch], coin: CoinFlip, label: str) -> list[_Branch]:
+        self._check_live(len(branches), len(branches) * coin.num_values, label, f"coin {coin.name!r}")
         out = []
         visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
         for branch in branches:
@@ -416,21 +444,35 @@ class _Executor:
         return out
 
     def _measure(self, branches: list[_Branch], m: Measurement, label: str) -> list[_Branch]:
-        out = []
+        # Outcomes that survive pruning are found from their weights, so the
+        # budget counts the children before any of them is built.
+        plans = []
         for branch in branches:
             regs = m.resolve_targets(_view(branch, m.node))
             if not regs:
-                out.append(branch)
+                plans.append(None)
                 continue
             self._check_ownership(branch, m.node, regs, label)
             qubits = _expand_registers(self.layout, regs)
-            visible = [m.node, PROVER] if m.to_prover else [m.node]
-            for outcome, vec in _split_outcomes(branch.vec, qubits):
-                keep = self.record or float(np.vdot(vec, vec).real) > PRUNE_TOL
-                if not keep:
-                    continue
-                child = branch.clone()
-                child.vec = vec
+            if self.record:
+                kept = range(2 ** len(qubits))
+            else:
+                kept = np.flatnonzero(outcome_weights(branch.vec, qubits) > PRUNE_TOL)
+            plans.append((regs, qubits, kept))
+        measured = [plan for plan in plans if plan is not None]
+        if measured:
+            children = sum(len(kept) for _, _, kept in measured)
+            self._check_live(len(branches), children, label, f"measurement {m.name!r} of {measured[0][0]}")
+        out = []
+        visible = [m.node, PROVER] if m.to_prover else [m.node]
+        for branch, plan in zip(branches, plans):
+            if plan is None:
+                out.append(branch)
+                continue
+            _, qubits, kept = plan
+            for outcome in kept:
+                outcome = int(outcome)
+                child = branch.clone(project_outcome(branch.vec, qubits, outcome))
                 _set_value(child, m.name, outcome, visible)
                 if child.ops is not None:
                     child.ops.append(("mat", _selector_matrix(len(qubits), outcome), tuple(qubits)))
@@ -440,31 +482,37 @@ class _Executor:
     def _projective_check(self, branches: list[_Branch], check: ProjectiveCheck, label: str) -> list[_Branch]:
         if len(check.nodes) > 1 and not self.spec.allow_node_exchange:
             raise ProtocolError(f"{label}: cross-node check {check.name!r} requires node exchange")
-        out = []
+        resolved_all = []
         for branch in branches:
             merged: dict = {}
             for node in check.nodes:
                 merged.update(_view(branch, node))
             resolved = check.resolve(merged)
+            if resolved is not None:
+                for name in resolved[1]:
+                    base = _base_register(name)
+                    if branch.owner.get(base) not in check.nodes:
+                        raise ProtocolError(f"{label}: register {base!r} is not held by the checking nodes")
+            resolved_all.append(resolved)
+        checked = [r[1] for r in resolved_all if r is not None]
+        if checked:
+            self._check_live(len(branches), 2 * len(checked), label, f"check {check.name!r} on {checked[0]}")
+        out = []
+        visible = list(check.nodes)
+        for branch, resolved in zip(branches, resolved_all):
             if resolved is None:
                 out.append(branch)
                 continue
             projector, regs = resolved
-            for name in regs:
-                base = _base_register(name)
-                if branch.owner.get(base) not in check.nodes:
-                    raise ProtocolError(f"{label}: register {base!r} is not held by the checking nodes")
             qubits = _expand_registers(self.layout, regs)
             projector = np.asarray(projector, dtype=np.complex128)
             hit = apply_matrix_vec(branch.vec, projector, qubits)
             miss = branch.vec - hit
-            visible = list(check.nodes)
             for outcome, vec, op in ((1, hit, projector), (0, miss, np.eye(projector.shape[0]) - projector)):
                 keep = self.record or float(np.vdot(vec, vec).real) > PRUNE_TOL
                 if not keep:
                     continue
-                child = branch.clone()
-                child.vec = vec
+                child = branch.clone(vec)
                 _set_value(child, check.name, outcome, visible)
                 if child.ops is not None:
                     child.ops.append(("mat", op, tuple(qubits)))
@@ -490,18 +538,17 @@ class _Executor:
                 # does not depend on amplitudes because pruning is off.
                 branch.ops.append(("block", block_key(turn.index, view), tuple(qubits)))
             else:
-                matrix = np.asarray(self.strategy.gate(turn.index, view), dtype=np.complex128)
-                if matrix.shape != (2 ** len(qubits),) * 2:
-                    raise ProtocolError(
-                        f"{label}: strategy gate has shape {matrix.shape}, expected {2 ** len(qubits)}"
-                    )
-                branch.vec = apply_matrix_vec(branch.vec, matrix, qubits)
+                try:
+                    branch.vec = apply_op(branch.vec, self.strategy.gate(turn.index, view), qubits)
+                except LayoutError as err:
+                    raise ProtocolError(f"{label}: strategy gate on {len(qubits)} qubits: {err}") from err
             for slot in turn.replies:
-                value = int(self.strategy.reply(slot.name, _view(branch, PROVER)))
+                value = int(self.strategy.reply(slot.name, view))
                 if not 0 <= value < slot.num_values:
                     raise ProtocolError(f"{label}: reply {slot.name!r}={value} out of range")
                 _set_value(branch, slot.name, value, [PROVER, *slot.audience])
-            deliveries = turn.delivers(_view(branch, PROVER)) if callable(turn.delivers) else turn.delivers
+                view = {**view, slot.name: value}  # the prover sees its own replies
+            deliveries = turn.delivers(view) if callable(turn.delivers) else turn.delivers
             for register, node in deliveries:
                 self._move(branch, register, node, label)
         return branches
@@ -509,7 +556,7 @@ class _Executor:
     def _verifier_turn(self, branches: list[_Branch], turn: VerifierTurn) -> list[_Branch]:
         label = f"turn {turn.index} (verifier)"
         for coin in turn.coins:
-            branches = self._flip_coin(branches, coin)
+            branches = self._flip_coin(branches, coin, label)
         for step in turn.steps:
             for branch in branches:
                 self._apply_step(branch, step, label)
@@ -689,7 +736,8 @@ def execute_exact(
                 if node == u:
                     vec_u = apply_matrix_vec(vec_u, matrix, qubits)
             accept_u = next((a for a in spec.verification.accepts if a.node == u), None)
-            if accept_u is not None and accept_u.predicate is not None:
+            # pred is 1 only when every predicate passed, this node's among them.
+            if pred == 0.0 and accept_u is not None and accept_u.predicate is not None:
                 pred_u = 1.0 if accept_u.predicate(views[u]) else 0.0
             node_acc[u] += branch.weight * pred_u * float(np.vdot(vec_u, vec_u).real)
         if collect_output and spec.output_registers is not None and pred > 0:
@@ -740,7 +788,7 @@ def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, see
                     vec_u = apply_matrix_vec(vec_u, matrix, qubits)
             accept_u = next((a for a in spec.verification.accepts if a.node == u), None)
             pred_u = 1.0
-            if accept_u is not None and accept_u.predicate is not None:
+            if pred == 0.0 and accept_u is not None and accept_u.predicate is not None:
                 pred_u = 1.0 if accept_u.predicate(views[u]) else 0.0
             p_u = min(max(pred_u * float(np.vdot(vec_u, vec_u).real), 0.0), 1.0)
             if rng.random() < p_u:
@@ -857,6 +905,7 @@ def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None
     """
     assignment = dict(assignment or {})
     dim = 2**spec.layout.total_qubits
+    qcore.check_budget(16 * dim * dim, f"verification projector of {spec.name!r}")
     executor = _Executor(spec, FunctionalStrategy("unused", lambda *_: None))
 
     out = np.zeros((dim, dim), dtype=np.complex128)

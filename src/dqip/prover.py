@@ -34,7 +34,7 @@ from .protocol import (
     _expand_registers,
     collect_paths,
 )
-from .qcore import StructuredOp, _keep_block, apply_matrix_vec
+from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix
 from .seeding import substream
 
 
@@ -200,17 +200,18 @@ def seesaw_optimize(
         gates = {}
         for key in order:
             turn_index, view_items = key
-            gates[key] = np.asarray(honest.gate(turn_index, dict(view_items)), dtype=np.complex128)
+            gates[key] = dense_matrix(honest.gate(turn_index, dict(view_items)))
         return gates
 
     def random_gates(restart: int) -> dict:
         gates = {}
         for b, key in enumerate(order):
             if key[0] in freeze_turns:
-                gates[key] = np.asarray(honest.gate(key[0], dict(key[1])), dtype=np.complex128)
+                gates[key] = dense_matrix(honest.gate(key[0], dict(key[1])))
                 continue
             rng = substream(config.seed, "prover.seesaw", spec.name, str(restart), str(b))
             dim = 2 ** len(blocks[key])
+            check_budget(16 * dim * dim, f"see-saw block of turn {key[0]}")
             z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
             q, r = np.linalg.qr(z)
             gates[key] = q * (np.diag(r) / np.abs(np.diag(r)))

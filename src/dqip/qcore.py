@@ -19,6 +19,18 @@ cached gather or the planned matmul; :func:`project_outcome` zeroes the
 amplitudes outside one computational-basis outcome.  ``embed_operator``
 builds the full operator by index arithmetic and is kept as the oracle.
 
+A gate is either a dense matrix or a :class:`FactoredOp`: local factors on
+disjoint positions, identity elsewhere.  :func:`apply_op` applies both; a
+factored gate goes through its cached dense form when that matrix is no
+larger than the state, and factor by factor otherwise.  Fixed verifier
+operators, projectors and see-saw blocks stay dense; honest prover moves
+that are tensor products of local gates (the GHZ delivery of N+1 star
+states, the copies of a parallel repetition) are factored.  The dense
+constructors (:func:`kron_chain`, :meth:`FactoredOp.dense`,
+:func:`embed_operator`) check ``MAX_DENSE_BYTES`` before they allocate
+(:func:`check_budget`), and the executor checks its live branches against
+the same limit.
+
 The dense representation is practical up to roughly 22 qubits; layouts are
 capped well below that (see :mod:`dqip.network`).
 """
@@ -31,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LayoutError, ValidationError
+from .errors import CapacityError, LayoutError, ValidationError
 from .seeding import substream
 
 NORM_ATOL = 1e-10
@@ -40,6 +52,20 @@ HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 PROJECTOR_ATOL = 1e-9
+
+# Byte budget for one dense operator (16 bytes per complex entry, so 2^30
+# admits a 2^13 x 2^13 matrix) and for the executor's live branches.
+MAX_DENSE_BYTES = 2**30
+
+
+def check_budget(requested: int, what: str) -> None:
+    """Raise :class:`CapacityError` when ``requested`` bytes exceed ``MAX_DENSE_BYTES``."""
+    if requested > MAX_DENSE_BYTES:
+        raise CapacityError(
+            f"{what} needs {requested} bytes, above the limit of {MAX_DENSE_BYTES}",
+            requested=requested,
+            limit=MAX_DENSE_BYTES,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +377,96 @@ class StructuredOp:
         return self._adjoint
 
 
+def kron_chain(ops: list[np.ndarray]) -> np.ndarray:
+    """Tensor product with ops[0] acting on the lowest qubits.
+
+    Raises :class:`CapacityError` before allocating when the product would
+    take more than ``MAX_DENSE_BYTES``.
+    """
+    rows = cols = 1
+    for op in ops:
+        rows, cols = rows * op.shape[0], cols * op.shape[1]
+    check_budget(16 * rows * cols, f"dense {rows}x{cols} operator")
+    return functools.reduce(lambda low, high: np.kron(high, low), ops)
+
+
+class FactoredOp:
+    """A gate on ``arity`` qubits given as local factors on disjoint positions.
+
+    Each factor is a ``(matrix, positions)`` pair: bit ``j`` of the matrix
+    index addresses position ``positions[j]`` of the gate, and positions index
+    the targets the gate is applied to.  Positions no factor covers get the
+    identity, so ``FactoredOp(k)`` is the identity on ``k`` qubits.  Bad
+    positions or factor shapes raise :class:`LayoutError`.
+    """
+
+    def __init__(self, arity: int, factors: Iterable[tuple[np.ndarray, Sequence[int]]] = ()):
+        self.arity = int(arity)
+        self.factors = tuple(
+            (np.asarray(mat, dtype=np.complex128), tuple(int(p) for p in positions)) for mat, positions in factors
+        )
+        self._dense: np.ndarray | None = None
+        covered: set[int] = set()
+        for mat, positions in self.factors:
+            dim = 2 ** len(positions)
+            if mat.shape != (dim, dim):
+                raise LayoutError(f"factor of shape {mat.shape} does not match {len(positions)} positions")
+            for p in positions:
+                if not 0 <= p < self.arity:
+                    raise LayoutError(f"factor position {p} outside [0, {self.arity})")
+                if p in covered:
+                    raise LayoutError(f"factor position {p} is covered twice")
+                covered.add(p)
+
+    def dense(self) -> np.ndarray:
+        """The ``2^arity`` matrix, built once by :func:`kron_chain` after a budget check.
+
+        Every call returns the same array; callers must not modify it.
+        """
+        if self._dense is None:
+            k = self.arity
+            check_budget(16 * 4**k, f"dense {2**k}x{2**k} operator")
+            covered = [p for _, positions in self.factors for p in positions]
+            rest = sorted(set(range(k)) - set(covered))
+            # Bit j of the kron_chain index addresses position order[j].
+            order = rest + covered
+            mats = ([np.eye(2 ** len(rest), dtype=np.complex128)] if rest else []) + [m for m, _ in self.factors]
+            mat = kron_chain(mats) if mats else np.eye(1, dtype=np.complex128)
+            if order != sorted(order):
+                # Axis a of the (2,)*k row tensor holds bit k-1-a.
+                bit = {q: j for j, q in enumerate(order)}
+                axes = [k - 1 - bit[k - 1 - a] for a in range(k)]
+                mat = mat.reshape((2,) * (2 * k)).transpose(axes + [k + a for a in axes]).reshape(2**k, 2**k)
+            self._dense = mat
+        return self._dense
+
+
+def dense_matrix(op) -> np.ndarray:
+    """A strategy gate as a dense complex matrix (:meth:`FactoredOp.dense` when factored)."""
+    return op.dense() if isinstance(op, FactoredOp) else np.asarray(op, dtype=np.complex128)
+
+
+def apply_op(vec: np.ndarray, op, targets: Sequence[int]) -> np.ndarray:
+    """Apply a dense matrix or a :class:`FactoredOp` to ``targets`` of ``vec``.
+
+    A factored op is applied through its dense form when that matrix is no
+    larger than the state (``4^k <= 2^n``), factor by factor otherwise; one
+    without factors returns ``vec`` itself.
+    """
+    if not isinstance(op, FactoredOp):
+        return apply_matrix_vec(vec, np.asarray(op, dtype=np.complex128), targets)
+    if len(targets) != op.arity:
+        raise LayoutError(f"factored op of arity {op.arity} does not match {len(targets)} targets")
+    _plan_for(vec, targets)  # validates the targets as a whole
+    if not op.factors:
+        return vec
+    if 4**op.arity <= vec.size:
+        return apply_matrix_vec(vec, op.dense(), targets)
+    for mat, positions in op.factors:
+        vec = apply_matrix_vec(vec, mat, [targets[p] for p in positions])
+    return vec
+
+
 def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np.ndarray:
     """``vec`` with every amplitude whose ``targets`` bits differ from ``outcome`` zeroed.
 
@@ -364,6 +480,16 @@ def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np
     out = np.zeros(vec.size, dtype=np.complex128)
     out.reshape(plan.shape)[index] = vec.reshape(plan.shape)[index]
     return out
+
+
+def outcome_weights(vec: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Squared norm of ``vec`` on each computational-basis outcome of ``targets``.
+
+    Entry ``o`` equals ``||project_outcome(vec, targets, o)||^2``; no
+    projected vector is built.
+    """
+    block = _plan_for(vec, targets).front(vec)
+    return (block.real**2 + block.imag**2).sum(axis=1)
 
 
 def apply_unitary(state: QuantumState, gate: Gate, targets: Sequence[int]) -> QuantumState:
@@ -381,6 +507,7 @@ def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> n
     k = len(targets)
     _check_targets(targets, num_qubits, int(round(np.log2(op.shape[0]))))
     dim = 2**num_qubits
+    check_budget(16 * dim * dim, f"dense {dim}x{dim} operator")
     full = np.zeros((dim, dim), dtype=np.complex128)
     rest = [q for q in range(num_qubits) if q not in set(targets)]
     for env in range(2 ** len(rest)):

@@ -172,7 +172,7 @@ def _node_unit(spec: ProtocolSpec, turn: VerifierTurn, u: int) -> np.ndarray:
 def _prover_full_gate(spec: ProtocolSpec, honest: ProverStrategy, turn: ProverTurn) -> tuple[np.ndarray, list[int]]:
     regs = list(turn.acts_on)
     qubits = _expand_registers(spec.layout, regs)
-    return np.asarray(honest.gate(turn.index, {}), dtype=np.complex128), qubits
+    return qcore.dense_matrix(honest.gate(turn.index, {})), qubits
 
 
 def _prefix_unitary(spec: ProtocolSpec, honest: ProverStrategy, upto: int) -> np.ndarray:
@@ -182,6 +182,7 @@ def _prefix_unitary(spec: ProtocolSpec, honest: ProverStrategy, upto: int) -> np
     unitary (turn k+1 in the usual indexing).
     """
     n = spec.layout.total_qubits
+    qcore.check_budget(16 * 4**n, f"honest prefix unitary of {spec.name!r}")
     total = np.eye(2**n, dtype=np.complex128)
     for turn in spec.turns:
         if turn.index > upto:
@@ -530,7 +531,7 @@ def halve_turns_shared(
 
     verifier_turns = {t.index: t for t in spec.turns if isinstance(t, VerifierTurn)}
     prover_gates = {
-        t.index: np.asarray(honest.gate(t.index, {}), dtype=np.complex128)
+        t.index: qcore.dense_matrix(honest.gate(t.index, {}))
         for t in spec.turns
         if isinstance(t, ProverTurn)
     }
@@ -703,7 +704,7 @@ def seven_to_five(
     verifier_turns = {t.index: t for t in spec.turns if isinstance(t, VerifierTurn)}
     node_units = {idx: {u: _node_unit(spec, t, u) for u in range(n)} for idx, t in verifier_turns.items()}
     prover_gates = {
-        t.index: np.asarray(honest.gate(t.index, {}), dtype=np.complex128)
+        t.index: qcore.dense_matrix(honest.gate(t.index, {}))
         for t in spec.turns
         if isinstance(t, ProverTurn)
     }
@@ -910,7 +911,7 @@ def halve_turns_private(
     verifier_turns = {t.index: t for t in spec.turns if isinstance(t, VerifierTurn)}
     node_units = {idx: {u: _node_unit(spec, t, u) for u in range(n)} for idx, t in verifier_turns.items()}
     prover_gates = {
-        t.index: np.asarray(honest.gate(t.index, {}), dtype=np.complex128)
+        t.index: qcore.dense_matrix(honest.gate(t.index, {}))
         for t in spec.turns
         if isinstance(t, ProverTurn)
     }
@@ -1186,17 +1187,21 @@ def _require_coherent(spec: ProtocolSpec) -> None:
 
 def _basis_completion(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
     """Unitary whose first columns are the given orthonormal vectors."""
-    cols = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    cols = np.zeros((dim, dim), dtype=np.complex128)
+    count = len(vectors)
+    for j, v in enumerate(vectors):
+        cols[:, j] = v
     for i in range(dim):
-        if len(cols) == dim:
+        if count == dim:
             break
-        e = np.zeros(dim, dtype=np.complex128)
-        e[i] = 1.0
-        w = e - sum(c * np.vdot(c, e) for c in cols)
+        # Classical Gram-Schmidt of e_i: subtract sum_c c <c, e_i> = C conj(C[i]).
+        w = -(cols[:, :count] @ cols[i, :count].conj())
+        w[i] += 1.0
         norm = np.linalg.norm(w)
         if norm > 1e-7:
-            cols.append(w / norm)
-    return np.column_stack(cols)
+            cols[:, count] = w / norm
+            count += 1
+    return cols[:, :count]
 
 
 def _or_fanout_permutation(p_total: int, p_in: int, n: int) -> np.ndarray:
@@ -1649,23 +1654,20 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
         metadata=dict(spec.metadata, repeated=t, repeat_mode=mode),
     )
 
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
+    def gate(turn_index: int, view: Mapping) -> qcore.FactoredOp:
+        # Copy i's honest gate acts on its own block of P and its own messages.
         inner_acts = prover_acts[turn_index]
         acts = (("P",) if p_in else ()) + tuple(
             _suffixed(r, i) for i in range(t) for r in inner_acts if r != "P"
         )
-        qubits = _expand_registers(layout, list(acts))
-        if len(qubits) > 14:
-            raise ValidationError("parallel honest gate would exceed the dense-matrix budget")
         per_copy_m = sum(spec.layout.size(r) for r in inner_acts if r != "P")
-        inner_gate = np.asarray(honest.gate(turn_index, view), dtype=np.complex128)
-        total = np.eye(2 ** len(qubits), dtype=np.complex128)
+        inner_gate = qcore.dense_matrix(honest.gate(turn_index, view))
+        factors = []
         for i in range(t):
-            positions = list(range(i * p_in, (i + 1) * p_in)) if p_in else []
             offset = p_in * t + i * per_copy_m
-            positions += list(range(offset, offset + per_copy_m))
-            total = qcore.embed_operator(inner_gate, positions, len(qubits)) @ total
-        return total
+            positions = list(range(i * p_in, (i + 1) * p_in)) + list(range(offset, offset + per_copy_m))
+            factors.append((inner_gate, positions))
+        return qcore.FactoredOp(len(_expand_registers(layout, list(acts))), factors)
 
     report = CompileReport(
         transform="parallel_repeat",
@@ -1814,8 +1816,8 @@ def materialize_coins(spec: ProtocolSpec):
         def gate(turn_index: int, view: Mapping) -> np.ndarray:
             if turn_index < coin_turn.index:
                 return strategy.gate(turn_index, view)
-            g0 = np.asarray(strategy.gate(turn_index, {**view, name: 0}), dtype=np.complex128)
-            g1 = np.asarray(strategy.gate(turn_index, {**view, name: 1}), dtype=np.complex128)
+            g0 = qcore.dense_matrix(strategy.gate(turn_index, {**view, name: 0}))
+            g1 = qcore.dense_matrix(strategy.gate(turn_index, {**view, name: 1}))
             return _two_branch_controlled(g0, g1)
 
         return FunctionalStrategy(f"bell[{strategy.name}]", gate)

@@ -4,6 +4,8 @@ Each criterion prints one pass/fail line; the same battery backs the CLI's
 ``verify-suite`` command.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ def test_battery_total_runtime_under_budget(battery):
     results, total = battery
     assert all(r.passed for r in results.values())
     assert total <= 15 * 60
+
+
+def test_results_document_is_plain_json():
+    # numpy scalars from a criterion body must not leak into the document.
+    stub = acceptance.Criterion("stub", "numpy-valued body", 1, lambda: (np.float64(0.5), np.float64(1.0), "<=", []))
+    result = stub.evaluate()
+    assert type(result.passed) is bool
+    document = json.loads(json.dumps(acceptance.results_document([result], 0.0)))
+    assert document["criteria"][0]["passed"] is True
 
 
 def test_mutated_rotation_breaks_perfect_completeness(monkeypatch):

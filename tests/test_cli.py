@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,25 +185,41 @@ def test_cli_config_error_is_machine_readable(tmp_path, capsys):
 
 
 def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
-    # nodes=5, copies=2 passes the schema but its honest gate would take
-    # 16 GiB.  The run gets a few GiB of address space, so a missing check
-    # fails fast with a raw MemoryError instead of touching host memory.
+    # Both configs pass the schema.  nodes=5, copies=2 (15 qubits) runs: its
+    # honest gate is factored, not a 16 GiB matrix.  nodes=5, copies=3 (20
+    # qubits) passes the layout ceiling, but its measurement branches would
+    # outgrow the byte budget.  The runs get a few GiB of address space, so a
+    # missing check fails fast with a raw MemoryError instead of touching
+    # host memory.
     resource = pytest.importorskip("resource")
     limit = 3 * 2**30
-    config_path = tmp_path / "big.json"
-    config_path.write_text(json.dumps({"experiment": "ghz", "seed": 1, "params": {"nodes": 5, "copies": 2}}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+
+    def run(copies: int) -> tuple[subprocess.CompletedProcess, Path]:
+        config_path = tmp_path / f"big{copies}.json"
+        config = {"experiment": "ghz", "seed": 1, "params": {"nodes": 5, "copies": copies}}
+        config_path.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        return proc, tmp_path / f"big{copies}.json"
+
+    proc, _ = run(3)
     assert proc.returncode == 1, proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"] == "CapacityError"
-    assert "17179869184 bytes" in err["message"]
+    assert "turn 4" in err["message"]
+    assert re.search(r"needs \d+ bytes, above the limit of 1073741824", err["message"])
+
+    proc, report_path = run(2)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(report_path.read_text())["results"]
+    assert abs(results["run"]["acceptance_probability"] - 1.0) <= 1e-9
+    assert abs(results["output_ghz_fidelity"] - 1.0) <= 1e-9
 
 
 def test_cli_listings(capsys):

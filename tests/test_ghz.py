@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dqip import ghz, qcore
-from dqip.errors import CapacityError, ValidationError
+from dqip.errors import CapacityError, ProtocolError, ValidationError
 from dqip.ghz import (
     GhzProtocolParams,
     all_zero_cheat,
@@ -15,6 +15,7 @@ from dqip.ghz import (
 )
 from dqip.network import cycle_graph, path_graph
 from dqip.protocol import FunctionalStrategy, execute_exact, execute_sampled
+from dqip.qcore import FactoredOp
 
 
 def test_ghz_two_qubits():
@@ -185,12 +186,69 @@ def test_kron_chain_refuses_operators_over_the_dense_limit(monkeypatch):
     with pytest.raises(CapacityError) as err:
         kron_chain([prep] * 3)
     assert err.value.requested == 16 * 4**15
-    assert err.value.limit == ghz.MAX_DENSE_BYTES
-    # The ghz workload's 12-qubit honest gate stays admitted.
-    assert 16 * 4**12 <= ghz.MAX_DENSE_BYTES
+    assert err.value.limit == qcore.MAX_DENSE_BYTES
+    # The dense form of the ghz workload's 12-qubit honest gate stays admitted.
+    assert 16 * 4**12 <= qcore.MAX_DENSE_BYTES
     # At a small limit, a product of exactly the limit is built, one above is not.
-    monkeypatch.setattr(ghz, "MAX_DENSE_BYTES", 16 * 4**3)
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 16 * 4**3)
     ops = [qcore.H.matrix, qcore.X.matrix, qcore.Z.matrix]
     assert np.allclose(kron_chain(ops), np.kron(qcore.Z.matrix, np.kron(qcore.X.matrix, qcore.H.matrix)))
     with pytest.raises(CapacityError):
         kron_chain(ops + [qcore.H.matrix])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("prover_qubits", [0, 1])
+def test_factored_honest_gate_matches_dense_gate(n, copies, prover_qubits):
+    params = GhzProtocolParams(copies=copies, prover_qubits=prover_qubits)
+    compiled = build_pghz(path_graph(n), params)
+    honest = compiled.honest
+    prep = ghz.star_prep_matrix(n)
+    old_gate = kron_chain(([np.eye(2**prover_qubits, dtype=complex)] if prover_qubits else []) + [prep] * (copies + 1))
+    assert np.array_equal(honest.gate(1, {}).dense(), old_gate)
+
+    def dense_gate(turn_index, view):
+        return qcore.dense_matrix(honest.gate(turn_index, view))
+
+    dense = FunctionalStrategy("dense", dense_gate, honest.reply_fn)
+    factored_report = execute_exact(compiled.spec, honest, collect_output=True)
+    dense_report = execute_exact(compiled.spec, dense, collect_output=True)
+    assert abs(factored_report.acceptance_probability - dense_report.acceptance_probability) <= 1e-12
+    assert np.allclose(factored_report.output_state, dense_report.output_state, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "factors, arity",
+    [
+        ([(np.eye(2), [0]), (np.eye(2), [0])], 6),  # overlapping positions
+        ([(np.eye(2), [6])], 6),  # position out of range
+        ([(np.eye(4), [0])], 6),  # factor shape does not match its positions
+        ([(np.eye(2), [0])], 5),  # arity does not match the turn's qubits
+    ],
+)
+def test_bad_factored_gate_is_a_protocol_error_naming_the_turn(factors, arity):
+    compiled = build_pghz(path_graph(2), GhzProtocolParams(copies=2))
+
+    def gate(turn_index, view, _inner=compiled.honest.gate_fn):
+        return FactoredOp(arity, factors) if turn_index == 1 else _inner(turn_index, view)
+
+    with pytest.raises(ProtocolError) as err:
+        execute_exact(compiled.spec, FunctionalStrategy("bad", gate, compiled.honest.reply_fn))
+    assert "turn 1" in str(err.value)
+
+
+def test_live_branches_over_the_budget_are_refused_before_branching(monkeypatch):
+    # n=2, N=1: 4 qubits, so each live branch holds 256 bytes.
+    compiled = build_pghz(path_graph(2), GhzProtocolParams(copies=1))
+    # The second coin would hold 2 parents + 4 children.
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 5 * 256)
+    with pytest.raises(CapacityError) as err:
+        execute_exact(compiled.spec, compiled.honest)
+    assert "turn 2" in str(err.value) and "'btarget'" in str(err.value)
+    assert err.value.requested == 6 * 256 and err.value.limit == 5 * 256
+    # The coins fit; node 0's measurement of 4 branches would not.
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 6 * 256)
+    with pytest.raises(CapacityError) as err:
+        execute_exact(compiled.spec, compiled.honest)
+    assert "turn 4" in str(err.value) and "'o:0'" in str(err.value)

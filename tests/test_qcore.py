@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqip import qcore
-from dqip.errors import LayoutError, ValidationError
+from dqip.errors import CapacityError, LayoutError, ValidationError
 from dqip.qcore import (
     CNOT,
     CSWAP,
     CZ,
     SWAP,
     DensityOperator,
+    FactoredOp,
     Gate,
     H,
     QuantumState,
@@ -18,12 +19,14 @@ from dqip.qcore import (
     X,
     acceptance_rotation,
     apply_matrix_vec,
+    apply_op,
     apply_unitary,
     embed_operator,
     fidelity,
     haar_random,
     haar_state,
     haar_unitary,
+    kron_chain,
     partial_trace,
     projector_probability,
     trace_distance,
@@ -128,6 +131,70 @@ def test_planned_kernel_and_structured_ops_match_embedded_operator():
                 assert got.shape == (2**n,) and got.flags.c_contiguous
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert op.adjoint().kind == op.kind and op.adjoint().adjoint() is op
+
+
+def _random_factored(rng, k):
+    """Random factors of 1-3 qubits on shuffled disjoint positions; some positions stay uncovered."""
+    positions = [int(p) for p in rng.permutation(k)]
+    factors, start = [], 0
+    while start < k:
+        size = int(rng.integers(1, min(3, k - start) + 1))
+        chunk, start = positions[start : start + size], start + size
+        if rng.random() < 0.2:
+            continue
+        factors.append((_random_matrices(rng, size)["dense"], chunk))
+    return FactoredOp(k, factors)
+
+
+def test_factored_op_matches_embedded_operator_on_both_sides_of_the_dense_rule():
+    rng = substream(17, "test.factored-oracle")
+    paths = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(1, n + 1))
+        targets = [int(q) for q in rng.permutation(n)[:k]]
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        op = _random_factored(rng, k)
+        # The dense form by embedded products, independent of FactoredOp.dense.
+        reference = np.eye(2**k, dtype=complex)
+        for mat, positions in op.factors:
+            reference = embed_operator(mat, list(positions), k) @ reference
+        got = apply_op(vec, op, targets)
+        dense_path = 4**k <= 2**n and bool(op.factors)
+        paths.add(dense_path)
+        assert (op._dense is not None) == dense_path
+        assert np.allclose(got, embed_operator(reference, targets, n) @ vec, rtol=0, atol=1e-12)
+        assert np.allclose(op.dense(), reference, rtol=0, atol=1e-12)
+    assert paths == {True, False}
+
+
+def test_factored_dense_is_the_kron_chain_product():
+    rng = substream(19, "test.factored-kron")
+    mats = [_random_matrices(rng, size)["dense"] for size in (2, 1, 3)]
+    positions = [[0, 1], [2], [3, 4, 5]]
+    op = FactoredOp(6, zip(mats, positions))
+    assert np.array_equal(op.dense(), kron_chain(mats))
+    assert op.dense() is op.dense()
+    # Uncovered low positions are an identity factor below the others.
+    idle_low = FactoredOp(7, zip(mats, [[p + 1 for p in pos] for pos in positions]))
+    assert np.array_equal(idle_low.dense(), kron_chain([np.eye(2, dtype=complex)] + mats))
+    assert np.array_equal(FactoredOp(2).dense(), np.eye(4))
+    vec = rng.standard_normal(8) + 0j
+    assert apply_op(vec, FactoredOp(2), [0, 2]) is vec
+
+
+def test_dense_constructors_refuse_operators_over_the_budget(monkeypatch):
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 16 * 4**3)
+    op = FactoredOp(4, [(H.matrix, [0])])
+    with pytest.raises(CapacityError) as err:
+        op.dense()
+    assert err.value.requested == 16 * 4**4 and err.value.limit == 16 * 4**3
+    with pytest.raises(CapacityError):
+        embed_operator(H.matrix, [0], 4)
+    assert embed_operator(H.matrix, [0], 3).shape == (8, 8)
+    # On a state smaller than its dense form it is applied factor by factor.
+    vec = QuantumState.zero(7).amplitudes
+    assert np.allclose(apply_op(vec, op, [0, 1, 2, 3]), apply_matrix_vec(vec, H.matrix, [0]), atol=1e-15)
 
 
 @pytest.mark.parametrize("targets, arity", [([1, 1], 2), ([0, 4], 2), ([-1], 1), ([0, 1], 1), ([0], 2)])

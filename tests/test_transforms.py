@@ -13,6 +13,7 @@ from dqip.protocol import (
 )
 from dqip.prover import OptimizerConfig, exact_single_message_max, seesaw_optimize
 from dqip.transforms import (
+    _basis_completion,
     dam_to_dqip,
     halve_turns_private,
     halve_turns_shared,
@@ -272,6 +273,18 @@ def test_perfect_completeness_two_nodes():
     compiled = perfect_completeness(spec, honest)
     out = execute_exact(compiled.spec, compiled.honest).acceptance_probability
     assert abs(out - 1.0) <= 1e-9
+
+
+def test_basis_completion_is_unitary_and_keeps_its_inputs():
+    rng = np.random.default_rng(5)
+    dim = 32
+    for given in (0, 1, 5, dim):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        inputs = np.linalg.qr(z)[0][:, :given]
+        mat = _basis_completion(list(inputs.T), dim)
+        assert mat.shape == (dim, dim)
+        assert np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= 1e-10
+        assert np.array_equal(mat[:, :given], inputs)
 
 
 def test_perfect_completeness_soundness_bound():
