@@ -259,28 +259,8 @@ def _perfect_completeness():
 
 
 def _quantum_information_suite():
-    rng = substream(4242, "acceptance.fvdg")
-    worst = -1.0
-    for _ in range(500):
-        n = int(rng.integers(1, 4))
-        rho, sigma, xi = (_random_density(rng, n) for _ in range(3))
-        f = qcore.fidelity(rho, sigma)
-        d = qcore.trace_distance(rho, sigma)
-        worst = max(worst, (1 - f) - d)
-        worst = max(worst, d - np.sqrt(max(0.0, 1 - f * f)))
-        worst = max(worst, qcore.fidelity(rho, sigma) ** 2 + qcore.fidelity(xi, sigma) ** 2 - 1 - qcore.fidelity(rho, xi))
+    worst = max(qcore.fvdg_slacks(substream(4242, "acceptance.fvdg"), 500))
     return worst, 1e-8, "<=", ["500 random pairs/triples, mixtures of <= 4 pure states on <= 3 qubits"]
-
-
-def _random_density(rng, n):
-    terms = int(rng.integers(1, 5))
-    weights = rng.dirichlet(np.ones(terms))
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        v = qcore.haar_state(n, rng).amplitudes
-        mat += w * np.outer(v, v.conj())
-    return qcore.DensityOperator(n, mat)
 
 
 def _optimizer_sanity():

@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from . import qcore
 from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
@@ -253,34 +252,12 @@ def _experiment_dam(config: dict) -> dict:
 
 def _experiment_qcore(config: dict) -> dict:
     samples = config["params"]["samples"]
-    rng = substream(config["seed"], "cli.qcore-properties")
-    worst_fvdg_lower = worst_fvdg_upper = worst_triple = -1.0
-    for _ in range(samples):
-        n = int(rng.integers(1, 4))
-        mats = []
-        for _ in range(3):
-            terms = int(rng.integers(1, 5))
-            weights = rng.dirichlet(np.ones(terms))
-            dim = 2**n
-            mat = np.zeros((dim, dim), dtype=complex)
-            for w in weights:
-                v = qcore.haar_state(n, rng).amplitudes
-                mat += w * np.outer(v, v.conj())
-            mats.append(qcore.DensityOperator(n, mat))
-        rho, sigma, xi = mats
-        f = qcore.fidelity(rho, sigma)
-        d = qcore.trace_distance(rho, sigma)
-        worst_fvdg_lower = max(worst_fvdg_lower, (1 - f) - d)
-        worst_fvdg_upper = max(worst_fvdg_upper, d - float(np.sqrt(max(0.0, 1 - f * f))))
-        worst_triple = max(
-            worst_triple,
-            qcore.fidelity(rho, sigma) ** 2 + qcore.fidelity(xi, sigma) ** 2 - 1 - qcore.fidelity(rho, xi),
-        )
+    lower, upper, triple = qcore.fvdg_slacks(substream(config["seed"], "cli.qcore-properties"), samples)
     return {
         "samples": samples,
-        "worst_fvdg_lower_slack": worst_fvdg_lower,
-        "worst_fvdg_upper_slack": worst_fvdg_upper,
-        "worst_triple_inequality_slack": worst_triple,
+        "worst_fvdg_lower_slack": lower,
+        "worst_fvdg_upper_slack": upper,
+        "worst_triple_inequality_slack": triple,
         "tolerance": 1e-8,
     }
 

@@ -1,4 +1,4 @@
-"""Turn scripts and their exact / sampled execution.
+"""Turn scripts and the one walk that executes them.
 
 A protocol is an alternating list of prover and verifier turns followed by a
 single verification phase.  Quantum registers move between actors only at
@@ -8,17 +8,33 @@ gate that touches a register its actor does not currently hold.
 Classical data (coin flips by nodes, classical replies by the prover,
 measurement outcomes) lives in a per-branch transcript with explicit
 visibility: a node's gates and predicates can only read variables that node
-has seen.  Exact execution averages over coin values by branching, keeps
-measurement branches unnormalized (their squared norms carry the Born
-weights), and sums ``weight * ||accept-projected vector||^2 * predicate``
-over leaves.  Before a coin, measurement or check branches, the executor
-checks that the parent and child state vectors together fit
-``qcore.MAX_DENSE_BYTES`` and raises :class:`~dqip.errors.CapacityError`
-otherwise.
+has seen.
+
+Every run goes through one walk, :class:`_Executor`: a frontier of branches
+expanded one event at a time, with the same ownership, exchange and
+visibility checks in every mode.  A policy decides which children of a coin,
+a measurement or a check are kept:
+
+* exact (:func:`execute_exact`, :func:`variable_marginal`): every child whose
+  weight is above ``PRUNE_TOL``; measurement children stay unnormalized
+  (their squared norms carry the Born weights), and acceptance sums
+  ``weight * ||accept-projected vector||^2 * predicate`` over leaves;
+* sample (:func:`execute_sampled`): one child, drawn with its probability and
+  renormalized, so each trial is a one-branch walk;
+* record (:func:`collect_paths`, :func:`verification_projector`): every child,
+  with the fixed operators and the symbolic prover gates logged instead of
+  any amplitudes.
+
+The initial vector is built once per executor and shared, since no vector is
+ever modified in place.  Before a coin, measurement or check branches, the
+exact and sampled walks check that the parent and child state vectors
+together fit ``qcore.MAX_DENSE_BYTES`` and raise
+:class:`~dqip.errors.CapacityError` otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -207,14 +223,19 @@ class ProverStrategy:
 
     A gate is a dense ``2^k`` matrix on the turn's ``acts_on`` qubits or a
     :class:`~dqip.qcore.FactoredOp` over them; callers that need the matrix
-    use :func:`~dqip.qcore.dense_matrix`.
+    use :func:`~dqip.qcore.dense_matrix`.  Replies come from ``reply_fn``.
     """
+
+    name: str
+    reply_fn: Callable[[str, Mapping], int] | None = None
 
     def gate(self, turn_index: int, view: Mapping) -> np.ndarray | FactoredOp:
         raise NotImplementedError
 
     def reply(self, slot_name: str, view: Mapping) -> int:
-        raise NotImplementedError
+        if self.reply_fn is None:
+            raise ProtocolError(f"strategy {self.name!r} has no reply function for {slot_name!r}")
+        return self.reply_fn(slot_name, view)
 
 
 @dataclass
@@ -225,11 +246,6 @@ class FunctionalStrategy(ProverStrategy):
 
     def gate(self, turn_index: int, view: Mapping) -> np.ndarray | FactoredOp:
         return self.gate_fn(turn_index, view)
-
-    def reply(self, slot_name: str, view: Mapping) -> int:
-        if self.reply_fn is None:
-            raise ProtocolError(f"strategy {self.name!r} has no reply function for {slot_name!r}")
-        return self.reply_fn(slot_name, view)
 
 
 def block_key(turn_index: int, view: Mapping) -> tuple:
@@ -250,11 +266,6 @@ class TabularStrategy(ProverStrategy):
 
     def gate(self, turn_index: int, view: Mapping) -> np.ndarray:
         return self.gates[block_key(turn_index, view)]
-
-    def reply(self, slot_name: str, view: Mapping) -> int:
-        if self.reply_fn is None:
-            raise ProtocolError(f"strategy {self.name!r} has no reply function for {slot_name!r}")
-        return self.reply_fn(slot_name, view)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +328,7 @@ def first_qubit_zero_accept(node: int, register: str) -> NodeAccept:
 
 
 # ---------------------------------------------------------------------------
-# Executor internals
+# The walk
 # ---------------------------------------------------------------------------
 
 
@@ -333,29 +344,128 @@ def _expand_registers(layout: RegisterLayout, names: Iterable[str]) -> list[int]
     return out
 
 
-def _base_register(name: str) -> str:
-    return name.split("[")[0] if "[" in name else name
+def _norm2(vec: np.ndarray) -> float:
+    return float(np.vdot(vec, vec).real)
+
+
+def _selector_matrix(k: int, outcome: int) -> np.ndarray:
+    diag = np.zeros(2**k)
+    diag[outcome] = 1.0
+    return np.diag(diag).astype(np.complex128)
 
 
 @dataclass
 class _Branch:
+    """One classical branch: weight, state and transcript.
+
+    ``vec`` is the state vector, or on the record walk the chain of recorded
+    operators (see :class:`_Record`).  States are shared between branches and
+    never modified.
+    """
+
     weight: float
-    vec: np.ndarray
+    vec: object
     values: dict
     visibility: dict
     owner: dict
-    ops: list | None = None  # (kind, payload...) recorded for the optimizer
 
-    def clone(self, vec: np.ndarray | None = None) -> "_Branch":
-        """A copy of the branch, holding ``vec`` or else a copy of this vector."""
+    def child(self, vec, weight: float | None = None) -> "_Branch":
         return _Branch(
-            self.weight,
-            self.vec.copy() if vec is None else vec,
-            dict(self.values),
-            dict(self.visibility),
-            dict(self.owner),
-            None if self.ops is None else list(self.ops),
+            self.weight if weight is None else weight, vec, dict(self.values), dict(self.visibility), dict(self.owner)
         )
+
+
+class _Exact:
+    """Keep every child whose weight is above ``PRUNE_TOL``; coins keep every value.
+
+    Children stay unnormalised: a coin value divides the branch weight by its
+    number of values, and an outcome keeps its projected vector.
+    """
+
+    records = False
+    normalise = False
+
+    def apply(self, vec: np.ndarray, matrix: np.ndarray, qubits: list[int]) -> np.ndarray:
+        return apply_matrix_vec(vec, matrix, qubits)
+
+    def prover(self, vec: np.ndarray, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
+        return apply_op(vec, strategy.gate(turn_index, view), qubits)
+
+    def project(self, vec: np.ndarray, qubits: list[int], outcome: int) -> np.ndarray:
+        return project_outcome(vec, qubits, outcome)
+
+    def split(self, vec: np.ndarray, projector: np.ndarray, qubits: list[int]) -> tuple:
+        """The (hit, miss) children of a two-outcome check."""
+        hit = apply_matrix_vec(vec, projector, qubits)
+        return hit, vec - hit
+
+    def coin(self, n: int) -> Iterable[int]:
+        return range(n)
+
+    def outcomes(self, vec: np.ndarray, qubits: list[int]) -> Iterable[int]:
+        return np.flatnonzero(outcome_weights(vec, qubits) > PRUNE_TOL)
+
+    def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
+        """Kept indices into ``(hit, miss)``."""
+        return [i for i, vec in enumerate((hit, miss)) if _norm2(vec) > PRUNE_TOL]
+
+
+class _Sample(_Exact):
+    """Keep one child, drawn with its Born probability, and renormalise it."""
+
+    normalise = True
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def coin(self, n: int) -> Iterable[int]:
+        return [int(self.rng.integers(n))]
+
+    def outcomes(self, vec: np.ndarray, qubits: list[int]) -> Iterable[int]:
+        probs = np.clip(outcome_weights(vec, qubits), 0.0, None)
+        return [int(self.rng.choice(len(probs), p=probs / probs.sum()))]
+
+    def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
+        return [0 if self.rng.random() < min(max(_norm2(hit), 0.0), 1.0) else 1]
+
+
+class _Record(_Exact):
+    """Keep every child and carry recorded operators instead of amplitudes.
+
+    A branch's state is a chain ``(previous, op)`` of fixed operators
+    ``('mat', matrix, qubits)`` and prover gates ``('block', key, qubits)``
+    that starts from the initial vector, which it never changes;
+    :func:`_recorded` lists it.  The classical flow never reads amplitudes.
+    """
+
+    records = True
+
+    def apply(self, chain, matrix: np.ndarray, qubits: list[int]):
+        return chain, ("mat", matrix, tuple(qubits))
+
+    def prover(self, chain, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
+        return chain, ("block", block_key(turn_index, view), tuple(qubits))
+
+    def project(self, chain, qubits: list[int], outcome: int):
+        return self.apply(chain, _selector_matrix(len(qubits), outcome), qubits)
+
+    def split(self, chain, projector: np.ndarray, qubits: list[int]) -> tuple:
+        return self.apply(chain, projector, qubits), self.apply(chain, np.eye(len(projector)) - projector, qubits)
+
+    def outcomes(self, chain, qubits: list[int]) -> Iterable[int]:
+        return range(2 ** len(qubits))
+
+    def check(self, hit, miss) -> Iterable[int]:
+        return (0, 1)
+
+
+def _recorded(chain) -> list:
+    """The operators of a record-walk chain, first to last."""
+    ops = []
+    while isinstance(chain, tuple):
+        chain, op = chain
+        ops.append(op)
+    return ops[::-1]
 
 
 def _view(branch: _Branch, actor: int) -> dict:
@@ -374,16 +484,26 @@ def _all_actors(graph: NetworkGraph) -> list[int]:
 
 
 class _Executor:
-    def __init__(self, spec: ProtocolSpec, strategy: ProverStrategy, record: bool = False):
+    """The turn walk: a frontier of branches expanded one event at a time.
+
+    ``policy`` (:class:`_Exact` by default, :class:`_Sample` or
+    :class:`_Record`) decides which children of a coin, a measurement or a
+    check are kept and what a branch's state carries; the walk itself is the
+    same in every mode.
+    """
+
+    def __init__(self, spec: ProtocolSpec, strategy: ProverStrategy, policy: _Exact | None = None):
         self.spec = spec
         self.strategy = strategy
-        self.record = record
+        self.policy = policy or _Exact()
         self.layout = spec.layout
         self.graph = spec.graph
 
     # -- setup --------------------------------------------------------------
 
-    def initial_branch(self) -> _Branch:
+    @functools.cached_property
+    def initial(self) -> np.ndarray:
+        """The initial state vector, built once and shared by every walk."""
         vec = np.zeros(2**self.layout.total_qubits, dtype=np.complex128)
         vec[0] = 1.0
         for regs, factor in self.spec.initial_factors:
@@ -394,25 +514,19 @@ class _Executor:
             prep = np.zeros((factor.size, factor.size), dtype=np.complex128)
             prep[:, 0] = factor
             vec = apply_matrix_vec(vec, prep, qubits)
-        owner = {name: self.layout.owner(name) for name in self.layout.names()}
-        return _Branch(1.0, vec, {}, {}, owner, [] if self.record else None)
+        return vec
 
     # -- primitive operations -----------------------------------------------
 
     def _check_ownership(self, branch: _Branch, actor: int, regs: list[str], label: str) -> None:
         for name in regs:
-            base = _base_register(name)
+            base = name.split("[")[0]
             holder = branch.owner.get(base)
             if holder is None:
                 raise ProtocolError(f"{label}: unknown register {base!r}")
             if holder != actor:
                 who = "prover" if actor == PROVER else f"node {actor}"
                 raise ProtocolError(f"{label}: register {base!r} is not held by {who}")
-
-    def _apply(self, branch: _Branch, matrix: np.ndarray, qubits: list[int]) -> None:
-        branch.vec = apply_matrix_vec(branch.vec, matrix, qubits)
-        if branch.ops is not None:
-            branch.ops.append(("mat", matrix, tuple(qubits)))
 
     def _apply_step(self, branch: _Branch, step: Step, label: str) -> None:
         resolved = step.resolve(_view(branch, step.actor))
@@ -421,31 +535,38 @@ class _Executor:
         matrix, regs = resolved
         self._check_ownership(branch, step.actor, regs, label)
         qubits = _expand_registers(self.layout, regs)
-        self._apply(branch, np.asarray(matrix, dtype=np.complex128), qubits)
+        branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
 
     def _check_live(self, parents: int, children: int, label: str, what: str) -> None:
-        """Refuse to branch when parents and children together exceed the byte budget."""
+        """Refuse to branch when parent and child vectors together exceed the byte budget."""
+        if self.policy.records:
+            return
         state_bytes = 16 * 2**self.layout.total_qubits
         qcore.check_budget(
             (parents + children) * state_bytes,
             f"{label}: {what} with {parents} + {children} live branches of {state_bytes} bytes",
         )
 
+    def _keep(self, branch: _Branch, vec) -> _Branch:
+        """A kept child holding ``vec``, renormalised when the policy samples."""
+        return branch.child(vec / np.linalg.norm(vec) if self.policy.normalise else vec)
+
     def _flip_coin(self, branches: list[_Branch], coin: CoinFlip, label: str) -> list[_Branch]:
-        self._check_live(len(branches), len(branches) * coin.num_values, label, f"coin {coin.name!r}")
+        kept = [self.policy.coin(coin.num_values) for _ in branches]
+        self._check_live(len(branches), sum(len(values) for values in kept), label, f"coin {coin.name!r}")
         out = []
         visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
-        for branch in branches:
-            for value in range(coin.num_values):
-                child = branch.clone()
-                child.weight /= coin.num_values
+        for branch, values in zip(branches, kept):
+            weight = branch.weight if self.policy.normalise else branch.weight / coin.num_values
+            for value in values:
+                child = branch.child(branch.vec, weight)
                 _set_value(child, coin.name, value, visible)
                 out.append(child)
         return out
 
     def _measure(self, branches: list[_Branch], m: Measurement, label: str) -> list[_Branch]:
-        # Outcomes that survive pruning are found from their weights, so the
-        # budget counts the children before any of them is built.
+        # The policy picks the kept outcomes from their weights, so the budget
+        # counts the children before any of them is built.
         plans = []
         for branch in branches:
             regs = m.resolve_targets(_view(branch, m.node))
@@ -454,11 +575,7 @@ class _Executor:
                 continue
             self._check_ownership(branch, m.node, regs, label)
             qubits = _expand_registers(self.layout, regs)
-            if self.record:
-                kept = range(2 ** len(qubits))
-            else:
-                kept = np.flatnonzero(outcome_weights(branch.vec, qubits) > PRUNE_TOL)
-            plans.append((regs, qubits, kept))
+            plans.append((regs, qubits, self.policy.outcomes(branch.vec, qubits)))
         measured = [plan for plan in plans if plan is not None]
         if measured:
             children = sum(len(kept) for _, _, kept in measured)
@@ -472,10 +589,8 @@ class _Executor:
             _, qubits, kept = plan
             for outcome in kept:
                 outcome = int(outcome)
-                child = branch.clone(project_outcome(branch.vec, qubits, outcome))
+                child = self._keep(branch, self.policy.project(branch.vec, qubits, outcome))
                 _set_value(child, m.name, outcome, visible)
-                if child.ops is not None:
-                    child.ops.append(("mat", _selector_matrix(len(qubits), outcome), tuple(qubits)))
                 out.append(child)
         return out
 
@@ -490,7 +605,7 @@ class _Executor:
             resolved = check.resolve(merged)
             if resolved is not None:
                 for name in resolved[1]:
-                    base = _base_register(name)
+                    base = name.split("[")[0]
                     if branch.owner.get(base) not in check.nodes:
                         raise ProtocolError(f"{label}: register {base!r} is not held by the checking nodes")
             resolved_all.append(resolved)
@@ -505,17 +620,10 @@ class _Executor:
                 continue
             projector, regs = resolved
             qubits = _expand_registers(self.layout, regs)
-            projector = np.asarray(projector, dtype=np.complex128)
-            hit = apply_matrix_vec(branch.vec, projector, qubits)
-            miss = branch.vec - hit
-            for outcome, vec, op in ((1, hit, projector), (0, miss, np.eye(projector.shape[0]) - projector)):
-                keep = self.record or float(np.vdot(vec, vec).real) > PRUNE_TOL
-                if not keep:
-                    continue
-                child = branch.clone(vec)
-                _set_value(child, check.name, outcome, visible)
-                if child.ops is not None:
-                    child.ops.append(("mat", op, tuple(qubits)))
+            vecs = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
+            for i in self.policy.check(*vecs):
+                child = self._keep(branch, vecs[i])
+                _set_value(child, check.name, 1 - i, visible)
                 out.append(child)
         return out
 
@@ -533,15 +641,10 @@ class _Executor:
             regs = list(turn.acts_on(view)) if callable(turn.acts_on) else list(turn.acts_on)
             self._check_ownership(branch, PROVER, regs, label)
             qubits = _expand_registers(self.layout, regs)
-            if branch.ops is not None:
-                # Recording mode: prover gates stay symbolic; classical flow
-                # does not depend on amplitudes because pruning is off.
-                branch.ops.append(("block", block_key(turn.index, view), tuple(qubits)))
-            else:
-                try:
-                    branch.vec = apply_op(branch.vec, self.strategy.gate(turn.index, view), qubits)
-                except LayoutError as err:
-                    raise ProtocolError(f"{label}: strategy gate on {len(qubits)} qubits: {err}") from err
+            try:
+                branch.vec = self.policy.prover(branch.vec, self.strategy, turn.index, view, qubits)
+            except LayoutError as err:
+                raise ProtocolError(f"{label}: strategy gate on {len(qubits)} qubits: {err}") from err
             for slot in turn.replies:
                 value = int(self.strategy.reply(slot.name, view))
                 if not 0 <= value < slot.num_values:
@@ -557,10 +660,7 @@ class _Executor:
         label = f"turn {turn.index} (verifier)"
         for coin in turn.coins:
             branches = self._flip_coin(branches, coin, label)
-        for step in turn.steps:
-            for branch in branches:
-                self._apply_step(branch, step, label)
-        branches = self._run_checks_and_measurements(branches, turn.measurements, turn.checks, label)
+        branches = self._local(branches, turn, label)
         for branch in branches:
             sends = turn.sends(_view(branch, PROVER)) if callable(turn.sends) else turn.sends
             for register in sends:
@@ -569,10 +669,16 @@ class _Executor:
                 self._move(branch, register, PROVER, label)
         return branches
 
-    def _run_checks_and_measurements(self, branches, measurements, checks, label):
-        for m in measurements:
+    def _local(self, branches: list[_Branch], part: VerifierTurn | VerificationPhase, label: str) -> list[_Branch]:
+        """The nodes' steps, W-swaps, measurements and checks of a turn or of the verification phase."""
+        for step in part.steps:
+            for branch in branches:
+                self._apply_step(branch, step, label)
+        if isinstance(part, VerificationPhase) and part.w_swap:
+            self._w_swap(branches)
+        for m in part.measurements:
             branches = self._measure(branches, m, label)
-        for check in checks:
+        for check in part.checks:
             branches = self._projective_check(branches, check, label)
         return branches
 
@@ -588,7 +694,7 @@ class _Executor:
             qa, qb = self.layout.qubits(nab), self.layout.qubits(nba)
             for branch in branches:
                 for x, y in zip(qa, qb):
-                    self._apply(branch, SWAP.matrix, [x, y])
+                    branch.vec = self.policy.apply(branch.vec, SWAP.matrix, [x, y])
 
     def _verification_views(self, branch: _Branch) -> dict[int, dict]:
         views = {u: _view(branch, u) for u in range(self.graph.node_count)}
@@ -602,14 +708,7 @@ class _Executor:
         return views
 
     def run_verification(self, branches: list[_Branch]) -> list[tuple[_Branch, dict[int, dict]]]:
-        label = "verification"
-        phase = self.spec.verification
-        for step in phase.steps:
-            for branch in branches:
-                self._apply_step(branch, step, label)
-        if phase.w_swap:
-            self._w_swap(branches)
-        branches = self._run_checks_and_measurements(branches, phase.measurements, phase.checks, label)
+        branches = self._local(branches, self.spec.verification, "verification")
         return [(branch, self._verification_views(branch)) for branch in branches]
 
     def accept_ops(self, branch: _Branch, views: dict[int, dict]) -> tuple[list, float]:
@@ -629,10 +728,35 @@ class _Executor:
                     ops.append((accept.node, matrix, _expand_registers(self.layout, regs)))
         return ops, pred
 
+    def acceptance(self, branch: _Branch, views: dict[int, dict]) -> tuple[float, dict[int, float], np.ndarray | None]:
+        """A leaf's joint and per-node accept probabilities, before its weight.
+
+        Also returns the accept-projected vector, or ``None`` when a
+        predicate fails.
+        """
+        ops, pred = self.accept_ops(branch, views)
+        projected = None
+        if pred != 0.0:
+            projected = branch.vec
+            for _, matrix, qubits in ops:
+                projected = apply_matrix_vec(projected, matrix, qubits)
+        per_node = {}
+        for u in range(self.graph.node_count):
+            vec_u = branch.vec
+            for node, matrix, qubits in ops:
+                if node == u:
+                    vec_u = apply_matrix_vec(vec_u, matrix, qubits)
+            accept_u = next((a for a in self.spec.verification.accepts if a.node == u), None)
+            # pred is 1 only when every predicate passed, this node's among them.
+            passed = pred != 0.0 or accept_u is None or accept_u.predicate is None or accept_u.predicate(views[u])
+            per_node[u] = _norm2(vec_u) if passed else 0.0
+        return (0.0 if projected is None else _norm2(projected)), per_node, projected
+
     # -- main loops -----------------------------------------------------------
 
     def run_interaction(self) -> list[_Branch]:
-        branches = [self.initial_branch()]
+        owner = {name: self.layout.owner(name) for name in self.layout.names()}
+        branches = [_Branch(1.0, self.initial, {}, {}, owner)]
         for turn in self.spec.turns:
             if isinstance(turn, ProverTurn):
                 branches = self._prover_turn(branches, turn)
@@ -640,20 +764,9 @@ class _Executor:
                 branches = self._verifier_turn(branches, turn)
         return branches
 
-
-def _split_outcomes(vec: np.ndarray, qubits: list[int]):
-    """Split a vector by computational-basis outcome of ``qubits``.
-
-    Yields (outcome, unnormalized collapsed vector) for every outcome.
-    """
-    for outcome in range(2 ** len(qubits)):
-        yield outcome, project_outcome(vec, qubits, outcome)
-
-
-def _selector_matrix(k: int, outcome: int) -> np.ndarray:
-    diag = np.zeros(2**k)
-    diag[outcome] = 1.0
-    return np.diag(diag).astype(np.complex128)
+    def leaves(self) -> list[tuple[_Branch, dict[int, dict]]]:
+        """Every kept leaf of the whole protocol with its nodes' verification views."""
+        return self.run_verification(self.run_interaction())
 
 
 # ---------------------------------------------------------------------------
@@ -717,37 +830,18 @@ def execute_exact(
         raise ValidationError(f"unknown coin_mode {coin_mode!r}")
 
     executor = _Executor(spec, prover)
-    leaves = executor.run_verification(executor.run_interaction())
-
     acceptance = 0.0
     node_acc = {u: 0.0 for u in range(spec.graph.node_count)}
     out_mat = None
-    out_dim = None
-    for branch, views in leaves:
-        ops, pred = executor.accept_ops(branch, views)
-        projected = branch.vec
-        for _, matrix, qubits in ops:
-            projected = apply_matrix_vec(projected, matrix, qubits)
-        acceptance += branch.weight * pred * float(np.vdot(projected, projected).real)
-        for u in range(spec.graph.node_count):
-            vec_u = branch.vec
-            pred_u = 1.0
-            for node, matrix, qubits in ops:
-                if node == u:
-                    vec_u = apply_matrix_vec(vec_u, matrix, qubits)
-            accept_u = next((a for a in spec.verification.accepts if a.node == u), None)
-            # pred is 1 only when every predicate passed, this node's among them.
-            if pred == 0.0 and accept_u is not None and accept_u.predicate is not None:
-                pred_u = 1.0 if accept_u.predicate(views[u]) else 0.0
-            node_acc[u] += branch.weight * pred_u * float(np.vdot(vec_u, vec_u).real)
-        if collect_output and spec.output_registers is not None and pred > 0:
+    for branch, views in executor.leaves():
+        p_all, per_node, projected = executor.acceptance(branch, views)
+        acceptance += branch.weight * p_all
+        for u, p_u in per_node.items():
+            node_acc[u] += branch.weight * p_u
+        if collect_output and spec.output_registers is not None and projected is not None:
             regs = spec.output_registers(branch.values)
-            qubits = _expand_registers(spec.layout, regs)
-            red = branch.weight * reduced_density_from_vec(projected, qubits)
-            if out_mat is None:
-                out_mat, out_dim = red, len(qubits)
-            else:
-                out_mat = out_mat + red
+            red = branch.weight * reduced_density_from_vec(projected, _expand_registers(spec.layout, regs))
+            out_mat = red if out_mat is None else out_mat + red
 
     if out_mat is not None and acceptance > 1e-15:
         out_mat = out_mat / acceptance
@@ -762,37 +856,23 @@ def execute_exact(
 
 
 def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, seed: int) -> RunReport:
-    """Monte-Carlo execution: sample coins and measurements, count accepts."""
+    """Monte-Carlo execution: one sampled walk per trial, accepts counted.
+
+    Each trial draws the joint accept, then each node's accept, from the
+    same sampled leaf.
+    """
     if trials < 1:
         raise ValidationError("execute_sampled needs at least one trial")
     rng = substream(seed, "protocol.execute_sampled", spec.name)
-    executor = _Executor(spec, prover)
+    executor = _Executor(spec, prover, _Sample(rng))
     successes = 0
     node_hits = {u: 0 for u in range(spec.graph.node_count)}
     for _ in range(trials):
-        branch = _sample_path(executor, rng)
-        views = executor._verification_views(branch)
-        ops, pred = executor.accept_ops(branch, views)
-        # Per-node Bernoulli draws share the branch; the joint accept uses the
-        # product projector on the same sampled path.
-        projected = branch.vec
-        for _, matrix, qubits in ops:
-            projected = apply_matrix_vec(projected, matrix, qubits)
-        p_all = min(max(pred * float(np.vdot(projected, projected).real), 0.0), 1.0)
-        if rng.random() < p_all:
-            successes += 1
-        for u in range(spec.graph.node_count):
-            vec_u = branch.vec
-            for node, matrix, qubits in ops:
-                if node == u:
-                    vec_u = apply_matrix_vec(vec_u, matrix, qubits)
-            accept_u = next((a for a in spec.verification.accepts if a.node == u), None)
-            pred_u = 1.0
-            if pred == 0.0 and accept_u is not None and accept_u.predicate is not None:
-                pred_u = 1.0 if accept_u.predicate(views[u]) else 0.0
-            p_u = min(max(pred_u * float(np.vdot(vec_u, vec_u).real), 0.0), 1.0)
-            if rng.random() < p_u:
-                node_hits[u] += 1
+        ((branch, views),) = executor.leaves()
+        p_all, per_node, _ = executor.acceptance(branch, views)
+        successes += rng.random() < min(max(p_all, 0.0), 1.0)
+        for u, p_u in per_node.items():
+            node_hits[u] += rng.random() < min(max(p_u, 0.0), 1.0)
     lo, hi = wilson_interval(successes, trials)
     return RunReport(
         acceptance_probability=successes / trials,
@@ -811,83 +891,11 @@ def variable_marginal(spec: ProtocolSpec, prover: ProverStrategy, name: str, val
     Sums branch weight times squared norm over all leaves agreeing with the
     value; coins, replies and measurement outcomes are all addressable.
     """
-    executor = _Executor(spec, prover)
-    leaves = executor.run_verification(executor.run_interaction())
     total = 0.0
-    for branch, _ in leaves:
+    for branch, _ in _Executor(spec, prover).leaves():
         if branch.values.get(name) == value:
-            total += branch.weight * float(np.vdot(branch.vec, branch.vec).real)
+            total += branch.weight * _norm2(branch.vec)
     return total
-
-
-def _sample_path(executor: _Executor, rng: np.random.Generator) -> _Branch:
-    """Walk one trajectory: coins and measurement outcomes drawn at random."""
-    spec = executor.spec
-    branch = executor.initial_branch()
-
-    def sample_measure(m: Measurement, label: str) -> None:
-        regs = m.resolve_targets(_view(branch, m.node))
-        if not regs:
-            return
-        executor._check_ownership(branch, m.node, regs, label)
-        qubits = _expand_registers(spec.layout, regs)
-        outcomes = list(_split_outcomes(branch.vec, qubits))
-        probs = np.array([float(np.vdot(v, v).real) for _, v in outcomes])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        pick = rng.choice(len(outcomes), p=probs)
-        outcome, vec = outcomes[pick]
-        branch.vec = vec / np.linalg.norm(vec)
-        _set_value(branch, m.name, outcome, [m.node, PROVER] if m.to_prover else [m.node])
-
-    def sample_check(check: ProjectiveCheck, label: str) -> None:
-        merged: dict = {}
-        for node in check.nodes:
-            merged.update(_view(branch, node))
-        resolved = check.resolve(merged)
-        if resolved is None:
-            return
-        projector, regs = resolved
-        qubits = _expand_registers(spec.layout, regs)
-        hit = apply_matrix_vec(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
-        p1 = min(max(float(np.vdot(hit, hit).real), 0.0), 1.0)
-        if rng.random() < p1:
-            branch.vec = hit / np.linalg.norm(hit)
-            _set_value(branch, check.name, 1, list(check.nodes))
-        else:
-            miss = branch.vec - hit
-            branch.vec = miss / np.linalg.norm(miss)
-            _set_value(branch, check.name, 0, list(check.nodes))
-
-    for turn in spec.turns:
-        if isinstance(turn, ProverTurn):
-            executor._prover_turn([branch], turn)
-        else:
-            label = f"turn {turn.index} (verifier)"
-            for coin in turn.coins:
-                value = int(rng.integers(coin.num_values))
-                visible = _all_actors(spec.graph) if coin.owner is None else [PROVER, coin.owner]
-                _set_value(branch, coin.name, value, visible)
-            for step in turn.steps:
-                executor._apply_step(branch, step, label)
-            for m in turn.measurements:
-                sample_measure(m, label)
-            for check in turn.checks:
-                sample_check(check, label)
-            sends = turn.sends(_view(branch, PROVER)) if callable(turn.sends) else turn.sends
-            for register in sends:
-                executor._move(branch, register, PROVER, label)
-
-    phase = spec.verification
-    for step in phase.steps:
-        executor._apply_step(branch, step, "verification")
-    if phase.w_swap:
-        executor._w_swap([branch])
-    for m in phase.measurements:
-        sample_measure(m, "verification")
-    for check in phase.checks:
-        sample_check(check, "verification")
-    return branch
 
 
 # ---------------------------------------------------------------------------
@@ -898,71 +906,49 @@ def _sample_path(executor: _Executor, rng: np.random.Generator) -> _Branch:
 def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None) -> np.ndarray:
     """The single operator whose pre-verification expectation is acceptance.
 
-    Builds the product of per-node accept projectors conjugated by the
-    verification unitaries, W-swaps and measurement branching, for the given
-    classical ``assignment`` (values of any coins and replies the
-    verification phase conditions on).  The result is idempotent.
+    The record walk of the verification phase, for the given classical
+    ``assignment`` (values of any coins and replies the phase conditions
+    on), gives each predicate-passing leaf its fixed operators ``L`` (steps,
+    W-swaps, measurement and check outcomes) and accept projectors ``A``.
+    The result is ``sum_leaf L^dag A^dag A L`` (``L^dag A L``, as the
+    projectors of different nodes commute), built column by column.  It is
+    idempotent.
     """
     assignment = dict(assignment or {})
     dim = 2**spec.layout.total_qubits
     qcore.check_budget(16 * dim * dim, f"verification projector of {spec.name!r}")
-    executor = _Executor(spec, FunctionalStrategy("unused", lambda *_: None))
+    executor = _Executor(spec, FunctionalStrategy("unused", lambda *_: None), _Record())
+    all_vis = frozenset(_all_actors(spec.graph))
+    # Ownership does not constrain the verification phase analysis here:
+    # every register is measured or projected by its final holder.
+    start = _Branch(1.0, None, dict(assignment), {k: all_vis for k in assignment}, _final_holders(spec))
+    paths = _paths(executor, executor.run_verification([start]))
 
     out = np.zeros((dim, dim), dtype=np.complex128)
-    all_vis = frozenset(_all_actors(spec.graph))
     for j in range(dim):
         basis = np.zeros(dim, dtype=np.complex128)
         basis[j] = 1.0
-        branch = _Branch(
-            1.0,
-            basis,
-            dict(assignment),
-            {k: all_vis for k in assignment},
-            {name: spec.layout.owner(name) for name in spec.layout.names()},
-        )
-        # Ownership does not constrain the verification phase analysis here:
-        # every register is measured or projected by its final holder.
-        for name in branch.owner:
-            branch.owner[name] = _final_holder(spec, name)
-        forward: list[tuple[np.ndarray, list[int]]] = []
-        original_apply = executor._apply
-
-        def recording_apply(br, matrix, qubits, _log=forward):
-            _log.append((matrix, qubits))
-            original_apply(br, matrix, qubits)
-
-        executor._apply = recording_apply  # type: ignore[method-assign]
-        leaves = executor.run_verification([branch])
-        executor._apply = original_apply  # type: ignore[method-assign]
-
-        column = np.zeros(dim, dtype=np.complex128)
-        for leaf, views in leaves:
-            ops, pred = executor.accept_ops(leaf, views)
-            if pred == 0.0:
-                continue
-            vec = leaf.vec
-            for _, matrix, qubits in ops:
+        for path in paths:
+            ops = [(matrix, qubits) for _, matrix, qubits in path.ops] + path.accept_ops
+            vec = basis
+            for matrix, qubits in ops:
                 vec = apply_matrix_vec(vec, matrix, qubits)
-            column += vec
-        # Conjugate back through the shared unitary prefix (steps + swaps).
-        for matrix, qubits in reversed(forward):
-            column = apply_matrix_vec(column, np.asarray(matrix).conj().T, qubits)
-        out[:, j] = column
+            for matrix, qubits in reversed(ops):
+                vec = apply_matrix_vec(vec, matrix.conj().T, qubits)
+            out[:, j] += vec
 
     check_projector(out, atol=1e-9)
     return out
 
 
-def _final_holder(spec: ProtocolSpec, name: str) -> int:
-    owner = spec.layout.owner(name)
+def _final_holders(spec: ProtocolSpec) -> dict[str, int]:
+    """Each register's holder after the turns' static deliveries and sends."""
+    owner = {name: spec.layout.owner(name) for name in spec.layout.names()}
     for turn in spec.turns:
         if isinstance(turn, ProverTurn) and not callable(turn.delivers):
-            for reg, node in turn.delivers:
-                if reg == name:
-                    owner = node
+            owner.update((reg, node) for reg, node in turn.delivers if reg in owner)
         elif isinstance(turn, VerifierTurn) and not callable(turn.sends):
-            if name in turn.sends:
-                owner = PROVER
+            owner.update((reg, PROVER) for reg in turn.sends if reg in owner)
     return owner
 
 
@@ -986,26 +972,22 @@ def collect_paths(spec: ProtocolSpec, strategy: ProverStrategy) -> tuple[list[Br
     """Record every classical branch with prover gates left symbolic.
 
     The classical skeleton (transcripts, replies, ownership) is fixed by the
-    strategy's reply functions; measurement branches are never pruned, so the
-    recorded paths stay valid for any unitary assignment to the blocks.
-    Returns the paths and the initial state vector.
+    strategy's reply functions; the record walk keeps every measurement
+    outcome, so the recorded paths stay valid for any unitary assignment to
+    the blocks.  Returns the paths and the initial state vector.
     """
-    executor = _Executor(spec, strategy, record=True)
-    initial = executor.initial_branch().vec
-    leaves = executor.run_verification(executor.run_interaction())
+    executor = _Executor(spec, strategy, _Record())
+    return _paths(executor, executor.leaves()), executor.initial
+
+
+def _paths(executor: _Executor, leaves: list) -> list[BranchPath]:
+    """The predicate-passing leaves of a record walk."""
     paths = []
     for branch, views in leaves:
         ops, pred = executor.accept_ops(branch, views)
-        if pred == 0.0:
-            continue
-        paths.append(
-            BranchPath(
-                weight=branch.weight,
-                ops=list(branch.ops or []),
-                accept_ops=[(matrix, qubits) for _, matrix, qubits in ops],
-            )
-        )
-    return paths, initial
+        if pred != 0.0:
+            paths.append(BranchPath(branch.weight, _recorded(branch.vec), [(m, q) for _, m, q in ops]))
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,14 @@ def seesaw_optimize(
     blocks = _block_table(paths)
     compiled = _compile_paths(paths)
     order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
+    # A sweep holds the witnesses (last finals), a forward front per path and
+    # a suffix per block position; the next finals are built while the old
+    # ones are still held.
+    suffixes = sum(1 for path in compiled for op in path.ops if not isinstance(op, StructuredOp))
+    check_budget(
+        (2 * len(paths) + suffixes) * 16 * initial.size,
+        f"see-saw of {spec.name!r} over {len(paths)} paths and {suffixes} block positions",
+    )
 
     def honest_gates() -> dict:
         gates = {}

@@ -486,10 +486,11 @@ def outcome_weights(vec: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """Squared norm of ``vec`` on each computational-basis outcome of ``targets``.
 
     Entry ``o`` equals ``||project_outcome(vec, targets, o)||^2``; no
-    projected vector is built.
+    projected vector is built.  The squared magnitudes are taken before the
+    targets are moved to the front, so the transpose copies real numbers.
     """
-    block = _plan_for(vec, targets).front(vec)
-    return (block.real**2 + block.imag**2).sum(axis=1)
+    squares = vec.real * vec.real + vec.imag * vec.imag
+    return _plan_for(vec, targets).front(squares).sum(axis=1)
 
 
 def apply_unitary(state: QuantumState, gate: Gate, targets: Sequence[int]) -> QuantumState:
@@ -677,3 +678,33 @@ def haar_random(kind: str, dimension_qubits: int, seed):
     if kind == "unitary":
         return haar_unitary(dimension_qubits, seed)
     raise ValidationError(f"unknown haar_random kind {kind!r}")
+
+
+def _random_density(rng: np.random.Generator, n: int) -> DensityOperator:
+    """A mixture of one to four Haar-random pure states on ``n`` qubits."""
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    for w in weights:
+        v = haar_state(n, rng).amplitudes
+        mat += w * np.outer(v, v.conj())
+    return DensityOperator(n, mat)
+
+
+def fvdg_slacks(rng: np.random.Generator, samples: int) -> tuple[float, float, float]:
+    """Worst slacks of three inequalities over random mixed-state triples.
+
+    Each sample draws ``rho, sigma, xi`` on one to three qubits.  The slacks
+    are ``(1 - F) - D`` and ``D - sqrt(1 - F^2)`` (Fuchs-van de Graaf) and
+    ``F(rho, sigma)^2 + F(xi, sigma)^2 - 1 - F(rho, xi)``, for ``F`` and
+    ``D`` of ``(rho, sigma)``; each is at most 0 when its inequality holds.
+    """
+    lower = upper = triple = -1.0
+    for _ in range(samples):
+        n = int(rng.integers(1, 4))
+        rho, sigma, xi = (_random_density(rng, n) for _ in range(3))
+        f = fidelity(rho, sigma)
+        d = trace_distance(rho, sigma)
+        lower = max(lower, (1 - f) - d)
+        upper = max(upper, d - float(np.sqrt(max(0.0, 1 - f * f))))
+        triple = max(triple, f**2 + fidelity(xi, sigma) ** 2 - 1 - fidelity(rho, xi))
+    return lower, upper, triple

@@ -222,6 +222,41 @@ def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
     assert abs(results["output_ghz_fidelity"] - 1.0) <= 1e-9
 
 
+def test_cli_repeated_pipeline_see_saw_runs_under_the_memory_cap(tmp_path):
+    # The record walk that feeds the see-saw carries no state vectors, so the
+    # 2,560 live branches at the verification measurement cost no 16-qubit
+    # vectors; every leaf of this no-instance fails its predicate, so the
+    # see-saw holds none either.  Under a 3 GiB address-space cap the run must
+    # finish or fail with a typed error, never with a raw MemoryError.
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+    config = {
+        "experiment": "compile-pipeline",
+        "seed": 1,
+        "params": {
+            "protocol": "coin-guess",
+            "instance": "no",
+            "optimize": True,
+            "pipeline": [{"transform": "parallel-repeat", "t": 2, "repeat_mode": "majority"}],
+        },
+    }
+    config_path = tmp_path / "repeat.json"
+    config_path.write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "MemoryError" not in proc.stderr
+    results = json.loads((tmp_path / "out" / "repeat.json").read_text())["results"]
+    assert results["seesaw_best"] == 0.0 and results["seesaw_sweeps"] == [[0.0]]
+    assert [stage["turns"] for stage in results["stages"]] == [3, 3]
+
+
 def test_cli_listings(capsys):
     assert main(["list-dam"]) == 0
     out = capsys.readouterr().out

@@ -13,14 +13,18 @@ from dqip.errors import ProtocolError
 from dqip.seeding import substream
 from dqip.network import allocate_layout, path_graph
 from dqip.protocol import (
+    CoinFlip,
     FunctionalStrategy,
+    Measurement,
     NodeAccept,
+    ProjectiveCheck,
     ProtocolSpec,
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
+    _Executor,
+    _Sample,
     _selector_matrix,
-    _split_outcomes,
     execute_exact,
     execute_sampled,
     first_qubit_zero_accept,
@@ -117,6 +121,95 @@ def test_exact_and_sampled_agree_on_random_specs():
         if lo - 1e-12 <= exact <= hi + 1e-12:
             hits += 1
     assert hits >= 95
+
+
+def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, FunctionalStrategy]:
+    """Random 2-node protocol with a coin, a measurement and a check mid-protocol.
+
+    Node 0 measures its message (the outcome goes to the prover), node 1
+    checks its private qubit against |+><+|, and node 0 measures its private
+    qubit again in the verification phase.
+    """
+    rng = substream(seed, "test.measure-and-check")
+    graph = path_graph(2)
+    layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    turn2 = VerifierTurn(
+        index=2,
+        coins=(CoinFlip("r", 2, owner=None),),
+        steps=tuple(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]) for u in range(2)),
+        measurements=(Measurement("m0", 0, lambda view: ["M:0"], to_prover=True),),
+        checks=(ProjectiveCheck("c1", (1,), lambda view: (plus, ["V:1"])),),
+        sends=("M:0", "M:1"),
+    )
+    acts = ("P", "M:0", "M:1")
+    turns = (
+        ProverTurn(index=1, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        turn2,
+        ProverTurn(index=3, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+    )
+    verification = VerificationPhase(
+        steps=(static_step(0, qcore.haar_unitary(2, rng).matrix, ["V:0", "M:0"]),),
+        measurements=(Measurement("v0", 0, lambda view: ["V:0"]),),
+        accepts=tuple(first_qubit_zero_accept(u, f"M:{u}") for u in range(2)),
+    )
+    spec = ProtocolSpec(
+        name=f"measure-check-{seed}", graph=graph, layout=layout, turns=turns, verification=verification
+    )
+    gates = {1: qcore.haar_unitary(3, rng).matrix}
+    # The turn-3 gate depends on the measured outcome and the coin the prover saw.
+    gates.update({(m, r): qcore.haar_unitary(3, rng).matrix for m in range(2) for r in range(2)})
+    return spec, FunctionalStrategy("haar", lambda t, view: gates[1] if t == 1 else gates[view["m0"], view["r"]])
+
+
+def test_sampled_leaves_follow_the_exact_leaf_weights():
+    # The sample policy keeps one child per event; over many walks each leaf
+    # transcript must turn up at its exact Born weight, within 5 sigma.
+    walks = 2000
+    cases = [random_clean_spec(5, coin=True), measure_and_check_spec(0), measure_and_check_spec(1)]
+    for case, (spec, prover) in enumerate(cases):
+        exact = {}
+        for branch, _ in _Executor(spec, prover).leaves():
+            key = tuple(sorted(branch.values.items()))
+            exact[key] = exact.get(key, 0.0) + branch.weight * float(np.vdot(branch.vec, branch.vec).real)
+        assert abs(sum(exact.values()) - 1.0) <= 1e-12
+        assert len(exact) >= (2 if case == 0 else 8)
+        sampler = _Executor(spec, prover, _Sample(substream(case, "test.sampled-leaves")))
+        counts: dict = {}
+        for _ in range(walks):
+            ((branch, _),) = sampler.leaves()
+            key = tuple(sorted(branch.values.items()))
+            counts[key] = counts.get(key, 0) + 1
+        for key in set(exact) | set(counts):
+            p = exact.get(key, 0.0)
+            sigma = np.sqrt(walks * p * (1 - p))
+            assert abs(counts.get(key, 0) - walks * p) <= 5 * sigma, (spec.name, key, counts.get(key, 0), walks * p)
+
+
+def test_checks_on_registers_the_nodes_do_not_hold_fail_in_both_modes():
+    graph = path_graph(2)
+    layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
+    proj = np.diag([1.0, 0.0]).astype(complex)
+    accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2))
+    cases = [
+        # Node 0 checks V:1, which node 1 holds.
+        (ProjectiveCheck("c", (0,), lambda view: (proj, ["V:1"])), "'V:1' is not held by the checking nodes"),
+        # A cross-node check without node exchange.
+        (ProjectiveCheck("c", (0, 1), lambda view: (proj, ["V:0"])), "requires node exchange"),
+    ]
+    for check, message in cases:
+        spec = ProtocolSpec(
+            name="bad-check",
+            graph=graph,
+            layout=layout,
+            turns=(VerifierTurn(index=1, checks=(check,)),),
+            verification=VerificationPhase(accepts=accepts),
+        )
+        for run in (lambda: execute_exact(spec, identity_for(spec)),
+                    lambda: execute_sampled(spec, identity_for(spec), trials=3, seed=1)):
+            with pytest.raises(ProtocolError) as err:
+                run()
+            assert message in str(err.value) and "turn 1" in str(err.value)
 
 
 def test_prover_post_processing_on_private_register_is_irrelevant():
@@ -303,7 +396,7 @@ def test_split_outcomes_equal_selector_matmul_exactly():
         n = int(rng.integers(1, 9))
         qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, min(4, n) + 1))]]
         vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        outcomes = list(_split_outcomes(vec, qubits))
+        outcomes = [(o, qcore.project_outcome(vec, qubits, o)) for o in range(2 ** len(qubits))]
         assert [o for o, _ in outcomes] == list(range(2 ** len(qubits)))
         for outcome, got in outcomes:
             selector = _selector_matrix(len(qubits), outcome)

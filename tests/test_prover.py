@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from dqip import qcore
 from dqip.corpus import (
     coin_check_honest,
     coin_check_spec,
     prover_blind_spec,
     random_clean_spec,
 )
-from dqip.errors import ShapeError, ValidationError
+from dqip.errors import CapacityError, ShapeError, ValidationError
 from dqip.prover import (
     OptimizerConfig,
     exact_single_message_max,
@@ -94,3 +95,16 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValidationError):
         OptimizerConfig(convergence_tol=0.0)
+
+
+def test_seesaw_refuses_vectors_over_the_budget_before_the_first_sweep(monkeypatch):
+    # Two coin paths of 5 qubits (512 bytes a vector), each through two prover
+    # blocks: finals, fronts and suffixes hold 2 * 2 + 4 vectors at once.
+    spec, honest = random_clean_spec(0, coin=True)
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 8 * 512 - 1)
+    with pytest.raises(CapacityError) as err:
+        seesaw_optimize(spec, OptimizerConfig(restarts=1, sweeps=2, seed=1), honest=honest)
+    assert "see-saw of 'random-clean-0' over 2 paths and 4 block positions" in str(err.value)
+    assert err.value.requested == 8 * 512
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 8 * 512)
+    seesaw_optimize(spec, OptimizerConfig(restarts=1, sweeps=2, seed=1), honest=honest)

@@ -27,7 +27,9 @@ from dqip.qcore import (
     haar_state,
     haar_unitary,
     kron_chain,
+    outcome_weights,
     partial_trace,
+    project_outcome,
     projector_probability,
     trace_distance,
 )
@@ -131,6 +133,16 @@ def test_planned_kernel_and_structured_ops_match_embedded_operator():
                 assert got.shape == (2**n,) and got.flags.c_contiguous
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert op.adjoint().kind == op.kind and op.adjoint().adjoint() is op
+
+
+def test_outcome_weights_are_the_squared_norms_of_the_projected_outcomes():
+    rng = substream(23, "test.outcome-weights")
+    for _ in range(60):
+        n, targets, vec = _random_kernel_case(rng)
+        want = [float(np.vdot(v, v).real) for v in (project_outcome(vec, targets, o) for o in range(2 ** len(targets)))]
+        got = outcome_weights(vec, targets)
+        assert got.shape == (2 ** len(targets),)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def _random_factored(rng, k):
