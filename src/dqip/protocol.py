@@ -26,10 +26,12 @@ a measurement or a check are kept:
   any amplitudes.
 
 The initial vector is built once per executor and shared, since no vector is
-ever modified in place.  Before a coin, measurement or check branches, the
-exact and sampled walks check that the parent and child state vectors
-together fit ``qcore.MAX_DENSE_BYTES`` and raise
-:class:`~dqip.errors.CapacityError` otherwise.
+ever modified in place.  A measured or checked branch releases its state as
+soon as its children are built, so the children reuse its memory and a
+level never holds all its parents and all its children at once.  Before a
+coin, measurement or check branches, the exact and sampled walks check that
+the parent and child state vectors together fit ``qcore.MAX_DENSE_BYTES``
+and raise :class:`~dqip.errors.CapacityError` otherwise.
 """
 
 from __future__ import annotations
@@ -592,6 +594,7 @@ class _Executor:
                 child = self._keep(branch, self.policy.project(branch.vec, qubits, outcome))
                 _set_value(child, m.name, outcome, visible)
                 out.append(child)
+            branch.vec = None  # consumed: the next children reuse its memory
         return out
 
     def _projective_check(self, branches: list[_Branch], check: ProjectiveCheck, label: str) -> list[_Branch]:
@@ -621,6 +624,7 @@ class _Executor:
             projector, regs = resolved
             qubits = _expand_registers(self.layout, regs)
             vecs = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
+            branch.vec = None  # consumed, as in _measure
             for i in self.policy.check(*vecs):
                 child = self._keep(branch, vecs[i])
                 _set_value(child, check.name, 1 - i, visible)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dqip.ghz import (
     star_state,
 )
 from dqip.network import cycle_graph, path_graph
-from dqip.protocol import FunctionalStrategy, execute_exact, execute_sampled
+from dqip.protocol import FunctionalStrategy, _Executor, execute_exact, execute_sampled
 from dqip.qcore import FactoredOp
 
 
@@ -252,3 +254,20 @@ def test_live_branches_over_the_budget_are_refused_before_branching(monkeypatch)
     with pytest.raises(CapacityError) as err:
         execute_exact(compiled.spec, compiled.honest)
     assert "turn 4" in str(err.value) and "'o:0'" in str(err.value)
+
+
+def test_measured_parents_are_released_while_their_level_is_built():
+    # n=4, N=2: 12 qubits.  Node 3's measurement turns 300 parents into 300
+    # children; parents kept until the level ends would double the peak.
+    compiled = build_pghz(path_graph(4), GhzProtocolParams(copies=2, epsilon=0.25, delta=0.5, seed=1))
+    executor = _Executor(compiled.spec, compiled.honest)
+    state_bytes = 16 * 2**compiled.spec.layout.total_qubits
+    executor.initial  # built before tracing, like any other input
+    tracemalloc.start()
+    try:
+        branches = executor.run_interaction()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(branches) == 300
+    assert peak - held < 32 * state_bytes
