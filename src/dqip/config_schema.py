@@ -1,4 +1,10 @@
-"""JSON schema for experiment configurations (also shipped in docs/)."""
+"""JSON schema for experiment configurations.
+
+``python -m dqip.config_schema > docs/config.schema.json`` writes the copy
+shipped in ``docs/``.
+"""
+
+import json
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -79,10 +85,14 @@ PARAM_SCHEMAS = {
                                 "parallel-repeat",
                             ]
                         },
-                        "target": {"type": "integer"},
+                        "target": {"type": "integer", "minimum": 1},
                         "t": {"type": "integer", "minimum": 1},
                         "repeat_mode": {"enum": ["AND", "majority"]},
                     },
+                    "allOf": [
+                        {"if": {"properties": {"transform": {"const": kind}}}, "then": {"required": [field]}}
+                        for kind, field in (("pad", "target"), ("parallel-repeat", "t"))
+                    ],
                 },
             },
             "optimize": {"type": "boolean"},
@@ -114,3 +124,6 @@ PARAM_SCHEMAS = {
         "properties": {"samples": {"type": "integer", "minimum": 1, "maximum": 5000}},
     },
 }
+
+if __name__ == "__main__":
+    print(json.dumps({"config": CONFIG_SCHEMA, "params": PARAM_SCHEMAS}, indent=2, sort_keys=True))

@@ -10,10 +10,14 @@ measurement outcomes) lives in a per-branch transcript with explicit
 visibility: a node's gates and predicates can only read variables that node
 has seen.
 
-Every run goes through one walk, :class:`_Executor`: a frontier of branches
-expanded one event at a time, with the same ownership, exchange and
-visibility checks in every mode.  A policy decides which children of a coin,
-a measurement or a check are kept:
+Every run goes through one walk, :class:`_Executor`, with the same
+ownership, exchange and visibility checks in every mode.  The protocol's
+events (prover turns, coins, steps, W-swaps, measurements, checks, sends,
+then the verification phase) form one schedule, which each branch walks
+depth first: a coin, a measurement or a check yields its children one at a
+time, and each finishes its subtree before the next is built.  Leaves stream
+out in the order a level-by-level expansion would list them.  A policy
+decides which children are kept:
 
 * exact (:func:`execute_exact`, :func:`variable_marginal`): every child whose
   weight is above ``PRUNE_TOL``; measurement children stay unnormalized
@@ -25,13 +29,11 @@ a measurement or a check are kept:
   with the fixed operators and the symbolic prover gates logged instead of
   any amplitudes.
 
-The initial vector is built once per executor and shared, since no vector is
-ever modified in place.  A measured or checked branch releases its state as
-soon as its children are built, so the children reuse its memory and a
-level never holds all its parents and all its children at once.  Before a
-coin, measurement or check branches, the exact and sampled walks check that
-the parent and child state vectors together fit ``qcore.MAX_DENSE_BYTES``
-and raise :class:`~dqip.errors.CapacityError` otherwise.
+No vector is modified in place, so the initial one is built once per
+executor and shared.  A branch releases its state once its last child is
+built: a walk holds one state per open fork on its current path, and exact
+and sampled walks check that many (:meth:`_Executor.check_budget`) against
+``qcore.MAX_DENSE_BYTES`` before they start.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -295,8 +297,7 @@ def conditional_step(
     fixed = {k: (None if v is None else (np.asarray(v[0], dtype=np.complex128), list(v[1]))) for k, v in table.items()}
 
     def resolve(view: Mapping):
-        key = tuple(view[d] for d in deps)
-        return fixed[key]
+        return fixed[tuple(view[d] for d in deps)]
 
     describe = {
         "kind": "conditional-gate",
@@ -317,16 +318,8 @@ def matrix_to_json(mat: np.ndarray) -> list:
 def first_qubit_zero_accept(node: int, register: str) -> NodeAccept:
     """Canonical accept condition: first qubit of the node's register is |0>."""
     proj = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-
-    def resolve(view: Mapping):
-        return proj, [f"{register}[0]"]
-
-    return NodeAccept(
-        node=node,
-        projector=resolve,
-        predicate=None,
-        describe={"kind": "first-qubit-zero", "register": register},
-    )
+    describe = {"kind": "first-qubit-zero", "register": register}
+    return NodeAccept(node=node, projector=lambda view: (proj, [f"{register}[0]"]), describe=describe)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +344,7 @@ def _norm2(vec: np.ndarray) -> float:
 
 
 def _selector_matrix(k: int, outcome: int) -> np.ndarray:
-    diag = np.zeros(2**k)
-    diag[outcome] = 1.0
-    return np.diag(diag).astype(np.complex128)
+    return np.diag(np.eye(2**k, dtype=np.complex128)[outcome])
 
 
 @dataclass
@@ -370,11 +361,6 @@ class _Branch:
     values: dict
     visibility: dict
     owner: dict
-
-    def child(self, vec, weight: float | None = None) -> "_Branch":
-        return _Branch(
-            self.weight if weight is None else weight, vec, dict(self.values), dict(self.visibility), dict(self.owner)
-        )
 
 
 class _Exact:
@@ -486,12 +472,14 @@ def _all_actors(graph: NetworkGraph) -> list[int]:
 
 
 class _Executor:
-    """The turn walk: a frontier of branches expanded one event at a time.
+    """The turn walk: every branch runs one event schedule, depth first.
 
-    ``policy`` (:class:`_Exact` by default, :class:`_Sample` or
-    :class:`_Record`) decides which children of a coin, a measurement or a
-    check are kept and what a branch's state carries; the walk itself is the
-    same in every mode.
+    The schedule holds ``(function, event, label)`` entries.  A plain event
+    changes the branch in place; a fork (a coin, a measurement or a check)
+    returns a generator of the branch's kept children, and each child walks
+    the rest of the schedule before the next is built.  ``policy``
+    (:class:`_Exact` by default, :class:`_Sample` or :class:`_Record`)
+    decides which children are kept and what a branch's state carries.
     """
 
     def __init__(self, spec: ProtocolSpec, strategy: ProverStrategy, policy: _Exact | None = None):
@@ -500,8 +488,19 @@ class _Executor:
         self.policy = policy or _Exact()
         self.layout = spec.layout
         self.graph = spec.graph
-
-    # -- setup --------------------------------------------------------------
+        # Plain functions, not bound methods: the executor must not refer to
+        # itself, or the states it caches would wait for the cyclic collector.
+        schedule = []
+        for turn in spec.turns:
+            if isinstance(turn, ProverTurn):
+                schedule.append((_Executor._prover_turn, turn, f"turn {turn.index} (prover)"))
+                continue
+            label = f"turn {turn.index} (verifier)"
+            schedule += [(_Executor._flip_coin, coin, label) for coin in turn.coins]
+            schedule += _local_events(turn, label)
+            schedule.append((_Executor._send, turn, label))
+        self.verification_start = len(schedule)
+        self.schedule = schedule + _local_events(spec.verification, "verification")
 
     @functools.cached_property
     def initial(self) -> np.ndarray:
@@ -518,187 +517,159 @@ class _Executor:
             vec = apply_matrix_vec(vec, prep, qubits)
         return vec
 
-    # -- primitive operations -----------------------------------------------
+    def check_budget(self) -> None:
+        """Refuse a walk that could hold more states at once than ``qcore.MAX_DENSE_BYTES``.
 
-    def _check_ownership(self, branch: _Branch, actor: int, regs: list[str], label: str) -> None:
-        for name in regs:
-            base = name.split("[")[0]
-            holder = branch.owner.get(base)
-            if holder is None:
-                raise ProtocolError(f"{label}: unknown register {base!r}")
-            if holder != actor:
-                who = "prover" if actor == PROVER else f"node {actor}"
-                raise ProtocolError(f"{label}: register {base!r} is not held by {who}")
-
-    def _apply_step(self, branch: _Branch, step: Step, label: str) -> None:
-        resolved = step.resolve(_view(branch, step.actor))
-        if resolved is None:
-            return
-        matrix, regs = resolved
-        self._check_ownership(branch, step.actor, regs, label)
-        qubits = _expand_registers(self.layout, regs)
-        branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
-
-    def _check_live(self, parents: int, children: int, label: str, what: str) -> None:
-        """Refuse to branch when parent and child vectors together exceed the byte budget."""
-        if self.policy.records:
-            return
+        The deepest path holds the initial state, the current one and two
+        built from it, plus one per open fork: the parent of a verifier
+        turn's coins or of a measurement, and a check's second child.
+        """
+        forks = [entry for entry in self.schedule if entry[0] in _FORKS]
+        coin_turns = {label for function, _, label in forks if function is _Executor._flip_coin}
+        live = 4 + len(coin_turns) + sum(function is not _Executor._flip_coin for function, _, _ in forks)
         state_bytes = 16 * 2**self.layout.total_qubits
-        qcore.check_budget(
-            (parents + children) * state_bytes,
-            f"{label}: {what} with {parents} + {children} live branches of {state_bytes} bytes",
-        )
+        deepest = f", deepest fork {forks[-1][2]} {forks[-1][1].name!r}" if forks else ""
+        what = f"walk of {self.spec.name!r} ({live} states of {state_bytes} bytes{deepest})"
+        qcore.check_budget(live * state_bytes, what)
 
-    def _keep(self, branch: _Branch, vec) -> _Branch:
-        """A kept child holding ``vec``, renormalised when the policy samples."""
-        return branch.child(vec / np.linalg.norm(vec) if self.policy.normalise else vec)
+    # -- the walk -------------------------------------------------------------
 
-    def _flip_coin(self, branches: list[_Branch], coin: CoinFlip, label: str) -> list[_Branch]:
-        kept = [self.policy.coin(coin.num_values) for _ in branches]
-        self._check_live(len(branches), sum(len(values) for values in kept), label, f"coin {coin.name!r}")
-        out = []
-        visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
-        for branch, values in zip(branches, kept):
-            weight = branch.weight if self.policy.normalise else branch.weight / coin.num_values
-            for value in values:
-                child = branch.child(branch.vec, weight)
-                _set_value(child, coin.name, value, visible)
-                out.append(child)
-        return out
+    def leaves(self, branch: _Branch | None = None, start: int = 0) -> Iterator[tuple[_Branch, dict[int, dict]]]:
+        """Every kept leaf, one at a time, with its nodes' verification views.
 
-    def _measure(self, branches: list[_Branch], m: Measurement, label: str) -> list[_Branch]:
-        # The policy picks the kept outcomes from their weights, so the budget
-        # counts the children before any of them is built.
-        plans = []
-        for branch in branches:
-            regs = m.resolve_targets(_view(branch, m.node))
-            if not regs:
-                plans.append(None)
-                continue
-            self._check_ownership(branch, m.node, regs, label)
-            qubits = _expand_registers(self.layout, regs)
-            plans.append((regs, qubits, self.policy.outcomes(branch.vec, qubits)))
-        measured = [plan for plan in plans if plan is not None]
-        if measured:
-            children = sum(len(kept) for _, _, kept in measured)
-            self._check_live(len(branches), children, label, f"measurement {m.name!r} of {measured[0][0]}")
-        out = []
-        visible = [m.node, PROVER] if m.to_prover else [m.node]
-        for branch, plan in zip(branches, plans):
-            if plan is None:
-                out.append(branch)
-                continue
-            _, qubits, kept = plan
-            for outcome in kept:
-                outcome = int(outcome)
-                child = self._keep(branch, self.policy.project(branch.vec, qubits, outcome))
-                _set_value(child, m.name, outcome, visible)
-                out.append(child)
-            branch.vec = None  # consumed: the next children reuse its memory
-        return out
+        The walk starts from the initial state, or from ``branch`` at
+        schedule position ``start``.
+        """
+        if branch is None:
+            if not self.policy.records:
+                self.check_budget()
+            owner = {name: self.layout.owner(name) for name in self.layout.names()}
+            branch = _Branch(1.0, self.initial, {}, {}, owner)
+        for leaf in self._walk(branch, start):
+            yield leaf, self._verification_views(leaf)
+            del leaf
 
-    def _projective_check(self, branches: list[_Branch], check: ProjectiveCheck, label: str) -> list[_Branch]:
-        if len(check.nodes) > 1 and not self.spec.allow_node_exchange:
-            raise ProtocolError(f"{label}: cross-node check {check.name!r} requires node exchange")
-        resolved_all = []
-        for branch in branches:
-            merged: dict = {}
-            for node in check.nodes:
-                merged.update(_view(branch, node))
-            resolved = check.resolve(merged)
-            if resolved is not None:
-                for name in resolved[1]:
-                    base = name.split("[")[0]
-                    if branch.owner.get(base) not in check.nodes:
-                        raise ProtocolError(f"{label}: register {base!r} is not held by the checking nodes")
-            resolved_all.append(resolved)
-        checked = [r[1] for r in resolved_all if r is not None]
-        if checked:
-            self._check_live(len(branches), 2 * len(checked), label, f"check {check.name!r} on {checked[0]}")
-        out = []
-        visible = list(check.nodes)
-        for branch, resolved in zip(branches, resolved_all):
-            if resolved is None:
-                out.append(branch)
-                continue
-            projector, regs = resolved
-            qubits = _expand_registers(self.layout, regs)
-            vecs = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
-            branch.vec = None  # consumed, as in _measure
-            for i in self.policy.check(*vecs):
-                child = self._keep(branch, vecs[i])
-                _set_value(child, check.name, 1 - i, visible)
-                out.append(child)
-        return out
+    def _walk(self, branch: _Branch, start: int):
+        for i in range(start, len(self.schedule)):
+            function, item, label = self.schedule[i]
+            children = function(self, branch, item, label)
+            if children is not None:
+                for child in children:
+                    yield from self._walk(child, i + 1)
+                    del child
+                return
+        yield branch
+
+    def _fork(self, branch: _Branch, name: str, visible, values: list, states: Iterable, weight: float):
+        """The children ``name = value`` of ``branch``, one at a time.
+
+        ``states`` builds each child's state when it is reached; the last
+        one releases the parent's.
+        """
+        for k, value in enumerate(values):
+            child = _Branch(weight, next(states), dict(branch.values), dict(branch.visibility), dict(branch.owner))
+            if k == len(values) - 1:
+                branch.vec = None
+            _set_value(child, name, value, visible)
+            yield child
+            del child
+
+    def _normalised(self, vec):
+        return vec / np.linalg.norm(vec) if self.policy.normalise else vec
+
+    # -- events ---------------------------------------------------------------
+
+    def _check_ownership(self, branch: _Branch, actors: tuple, regs: list[str], label: str, who: str = "") -> None:
+        for base in (name.split("[")[0] for name in regs):
+            if base not in branch.owner:
+                raise ProtocolError(f"{label}: unknown register {base!r}")
+            if branch.owner[base] not in actors:
+                who = who or ("prover" if actors == (PROVER,) else f"node {actors[0]}")
+                raise ProtocolError(f"{label}: register {base!r} is not held by {who}")
 
     def _move(self, branch: _Branch, register: str, new_owner: int, label: str) -> None:
         if register not in branch.owner:
             raise ProtocolError(f"{label}: unknown register {register!r}")
         branch.owner[register] = new_owner
 
-    # -- turns ---------------------------------------------------------------
+    def _prover_turn(self, branch: _Branch, turn: ProverTurn, label: str) -> None:
+        view = _view(branch, PROVER)
+        regs = list(turn.acts_on(view)) if callable(turn.acts_on) else list(turn.acts_on)
+        self._check_ownership(branch, (PROVER,), regs, label)
+        qubits = _expand_registers(self.layout, regs)
+        try:
+            branch.vec = self.policy.prover(branch.vec, self.strategy, turn.index, view, qubits)
+        except LayoutError as err:
+            raise ProtocolError(f"{label}: strategy gate on {len(qubits)} qubits: {err}") from err
+        for slot in turn.replies:
+            value = int(self.strategy.reply(slot.name, view))
+            if not 0 <= value < slot.num_values:
+                raise ProtocolError(f"{label}: reply {slot.name!r}={value} out of range")
+            _set_value(branch, slot.name, value, [PROVER, *slot.audience])
+            view = {**view, slot.name: value}  # the prover sees its own replies
+        deliveries = turn.delivers(view) if callable(turn.delivers) else turn.delivers
+        for register, node in deliveries:
+            self._move(branch, register, node, label)
 
-    def _prover_turn(self, branches: list[_Branch], turn: ProverTurn) -> list[_Branch]:
-        label = f"turn {turn.index} (prover)"
-        for branch in branches:
-            view = _view(branch, PROVER)
-            regs = list(turn.acts_on(view)) if callable(turn.acts_on) else list(turn.acts_on)
-            self._check_ownership(branch, PROVER, regs, label)
-            qubits = _expand_registers(self.layout, regs)
-            try:
-                branch.vec = self.policy.prover(branch.vec, self.strategy, turn.index, view, qubits)
-            except LayoutError as err:
-                raise ProtocolError(f"{label}: strategy gate on {len(qubits)} qubits: {err}") from err
-            for slot in turn.replies:
-                value = int(self.strategy.reply(slot.name, view))
-                if not 0 <= value < slot.num_values:
-                    raise ProtocolError(f"{label}: reply {slot.name!r}={value} out of range")
-                _set_value(branch, slot.name, value, [PROVER, *slot.audience])
-                view = {**view, slot.name: value}  # the prover sees its own replies
-            deliveries = turn.delivers(view) if callable(turn.delivers) else turn.delivers
-            for register, node in deliveries:
-                self._move(branch, register, node, label)
-        return branches
+    def _send(self, branch: _Branch, turn: VerifierTurn, label: str) -> None:
+        sends = turn.sends(_view(branch, PROVER)) if callable(turn.sends) else turn.sends
+        for register in sends:
+            if branch.owner.get(register) == PROVER:
+                raise ProtocolError(f"{label}: register {register!r} already at the prover")
+            self._move(branch, register, PROVER, label)
 
-    def _verifier_turn(self, branches: list[_Branch], turn: VerifierTurn) -> list[_Branch]:
-        label = f"turn {turn.index} (verifier)"
-        for coin in turn.coins:
-            branches = self._flip_coin(branches, coin, label)
-        branches = self._local(branches, turn, label)
-        for branch in branches:
-            sends = turn.sends(_view(branch, PROVER)) if callable(turn.sends) else turn.sends
-            for register in sends:
-                if branch.owner.get(register) == PROVER:
-                    raise ProtocolError(f"{label}: register {register!r} already at the prover")
-                self._move(branch, register, PROVER, label)
-        return branches
+    def _apply_step(self, branch: _Branch, step: Step, label: str) -> None:
+        resolved = step.resolve(_view(branch, step.actor))
+        if resolved is None:
+            return
+        matrix, regs = resolved
+        self._check_ownership(branch, (step.actor,), regs, label)
+        qubits = _expand_registers(self.layout, regs)
+        branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
 
-    def _local(self, branches: list[_Branch], part: VerifierTurn | VerificationPhase, label: str) -> list[_Branch]:
-        """The nodes' steps, W-swaps, measurements and checks of a turn or of the verification phase."""
-        for step in part.steps:
-            for branch in branches:
-                self._apply_step(branch, step, label)
-        if isinstance(part, VerificationPhase) and part.w_swap:
-            self._w_swap(branches)
-        for m in part.measurements:
-            branches = self._measure(branches, m, label)
-        for check in part.checks:
-            branches = self._projective_check(branches, check, label)
-        return branches
-
-    # -- verification ---------------------------------------------------------
-
-    def _w_swap(self, branches: list[_Branch]) -> None:
+    def _w_swap(self, branch: _Branch, _, label: str) -> None:
         # Contents are exchanged while names keep their owner: after the
         # phase, W:u:v (held by u) contains whatever v prepared in W:v:u.
         for a, b in sorted(self.graph.edges):
             nab, nba = f"W:{a}:{b}", f"W:{b}:{a}"
-            if not (self.layout.has(nab) and self.layout.has(nba)):
-                continue
-            qa, qb = self.layout.qubits(nab), self.layout.qubits(nba)
-            for branch in branches:
-                for x, y in zip(qa, qb):
+            if self.layout.has(nab) and self.layout.has(nba):
+                for x, y in zip(self.layout.qubits(nab), self.layout.qubits(nba)):
                     branch.vec = self.policy.apply(branch.vec, SWAP.matrix, [x, y])
+
+    def _flip_coin(self, branch: _Branch, coin: CoinFlip, label: str):
+        values = list(self.policy.coin(coin.num_values))
+        visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
+        weight = branch.weight if self.policy.normalise else branch.weight / coin.num_values
+        return self._fork(branch, coin.name, visible, values, (branch.vec for _ in values), weight)
+
+    def _measure(self, branch: _Branch, m: Measurement, label: str):
+        regs = m.resolve_targets(_view(branch, m.node))
+        if not regs:
+            return None
+        self._check_ownership(branch, (m.node,), regs, label)
+        qubits = _expand_registers(self.layout, regs)
+        outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.vec, qubits)]
+        states = (self._normalised(self.policy.project(branch.vec, qubits, outcome)) for outcome in outcomes)
+        visible = [m.node, PROVER] if m.to_prover else [m.node]
+        return self._fork(branch, m.name, visible, outcomes, states, branch.weight)
+
+    def _projective_check(self, branch: _Branch, check: ProjectiveCheck, label: str):
+        if len(check.nodes) > 1 and not self.spec.allow_node_exchange:
+            raise ProtocolError(f"{label}: cross-node check {check.name!r} requires node exchange")
+        resolved = check.resolve({k: v for node in check.nodes for k, v in _view(branch, node).items()})
+        if resolved is None:
+            return None
+        projector, regs = resolved
+        self._check_ownership(branch, check.nodes, regs, label, "the checking nodes")
+        qubits = _expand_registers(self.layout, regs)
+        hit_miss = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
+        branch.vec = None  # the (hit, miss) pair replaces it
+        kept = list(self.policy.check(*hit_miss))
+        pending = [hit_miss[i] for i in kept]  # popped when reached: nothing else holds a child's first state
+        states = (self._normalised(pending.pop(0)) for _ in kept)
+        return self._fork(branch, check.name, check.nodes, [1 - i for i in kept], states, branch.weight)
+
+    # -- verification ---------------------------------------------------------
 
     def _verification_views(self, branch: _Branch) -> dict[int, dict]:
         views = {u: _view(branch, u) for u in range(self.graph.node_count)}
@@ -710,10 +681,6 @@ class _Executor:
                 if v in sent:
                     views[u][f"recv:{v}"] = sent[v]
         return views
-
-    def run_verification(self, branches: list[_Branch]) -> list[tuple[_Branch, dict[int, dict]]]:
-        branches = self._local(branches, self.spec.verification, "verification")
-        return [(branch, self._verification_views(branch)) for branch in branches]
 
     def accept_ops(self, branch: _Branch, views: dict[int, dict]) -> tuple[list, float]:
         """Per-node accept projectors (resolved) and the predicate product."""
@@ -733,11 +700,8 @@ class _Executor:
         return ops, pred
 
     def acceptance(self, branch: _Branch, views: dict[int, dict]) -> tuple[float, dict[int, float], np.ndarray | None]:
-        """A leaf's joint and per-node accept probabilities, before its weight.
-
-        Also returns the accept-projected vector, or ``None`` when a
-        predicate fails.
-        """
+        """A leaf's joint and per-node accept probabilities, before its weight, and its
+        accept-projected vector (``None`` when a predicate fails)."""
         ops, pred = self.accept_ops(branch, views)
         projected = None
         if pred != 0.0:
@@ -747,34 +711,29 @@ class _Executor:
         per_node = {}
         for u in range(self.graph.node_count):
             vec_u = branch.vec
-            for node, matrix, qubits in ops:
-                if node == u:
-                    vec_u = apply_matrix_vec(vec_u, matrix, qubits)
+            for matrix, qubits in (op[1:] for op in ops if op[0] == u):
+                vec_u = apply_matrix_vec(vec_u, matrix, qubits)
             accept_u = next((a for a in self.spec.verification.accepts if a.node == u), None)
             # pred is 1 only when every predicate passed, this node's among them.
             passed = pred != 0.0 or accept_u is None or accept_u.predicate is None or accept_u.predicate(views[u])
             per_node[u] = _norm2(vec_u) if passed else 0.0
         return (0.0 if projected is None else _norm2(projected)), per_node, projected
 
-    # -- main loops -----------------------------------------------------------
 
-    def run_interaction(self) -> list[_Branch]:
-        owner = {name: self.layout.owner(name) for name in self.layout.names()}
-        branches = [_Branch(1.0, self.initial, {}, {}, owner)]
-        for turn in self.spec.turns:
-            if isinstance(turn, ProverTurn):
-                branches = self._prover_turn(branches, turn)
-            else:
-                branches = self._verifier_turn(branches, turn)
-        return branches
+_FORKS = (_Executor._flip_coin, _Executor._measure, _Executor._projective_check)
 
-    def leaves(self) -> list[tuple[_Branch, dict[int, dict]]]:
-        """Every kept leaf of the whole protocol with its nodes' verification views."""
-        return self.run_verification(self.run_interaction())
+
+def _local_events(part: VerifierTurn | VerificationPhase, label: str) -> list[tuple]:
+    """Schedule entries for the nodes' steps, W-swap, measurements and checks of a turn or phase."""
+    events = [(_Executor._apply_step, step, label) for step in part.steps]
+    if isinstance(part, VerificationPhase) and part.w_swap:
+        events.append((_Executor._w_swap, None, label))
+    events += [(_Executor._measure, m, label) for m in part.measurements]
+    return events + [(_Executor._projective_check, check, label) for check in part.checks]
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports and execution entry points
 # ---------------------------------------------------------------------------
 
 
@@ -809,11 +768,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-# ---------------------------------------------------------------------------
-# Public execution entry points
-# ---------------------------------------------------------------------------
-
-
 def execute_exact(
     spec: ProtocolSpec,
     prover: ProverStrategy,
@@ -846,6 +800,7 @@ def execute_exact(
             regs = spec.output_registers(branch.values)
             red = branch.weight * reduced_density_from_vec(projected, _expand_registers(spec.layout, regs))
             out_mat = red if out_mat is None else out_mat + red
+        del branch, projected  # the walk frees a leaf's states only once nothing else holds them
 
     if out_mat is not None and acceptance > 1e-15:
         out_mat = out_mat / acceptance
@@ -877,14 +832,13 @@ def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, see
         successes += rng.random() < min(max(p_all, 0.0), 1.0)
         for u, p_u in per_node.items():
             node_hits[u] += rng.random() < min(max(p_u, 0.0), 1.0)
-    lo, hi = wilson_interval(successes, trials)
     return RunReport(
         acceptance_probability=successes / trials,
         mode="sampled",
         per_node_acceptance={u: node_hits[u] / trials for u in range(spec.graph.node_count)},
         seed=seed,
         trials=trials,
-        wilson_interval=(lo, hi),
+        wilson_interval=wilson_interval(successes, trials),
         metadata={"protocol": spec.name, "turns": spec.num_turns, "strategy": prover.name},
     )
 
@@ -926,12 +880,11 @@ def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None
     # Ownership does not constrain the verification phase analysis here:
     # every register is measured or projected by its final holder.
     start = _Branch(1.0, None, dict(assignment), {k: all_vis for k in assignment}, _final_holders(spec))
-    paths = _paths(executor, executor.run_verification([start]))
+    paths = _paths(executor, executor.leaves(start, executor.verification_start))
 
     out = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):
-        basis = np.zeros(dim, dtype=np.complex128)
-        basis[j] = 1.0
+        basis = np.eye(1, dim, j, dtype=np.complex128)[0]
         for path in paths:
             ops = [(matrix, qubits) for _, matrix, qubits in path.ops] + path.accept_ops
             vec = basis
@@ -984,7 +937,7 @@ def collect_paths(spec: ProtocolSpec, strategy: ProverStrategy) -> tuple[list[Br
     return _paths(executor, executor.leaves()), executor.initial
 
 
-def _paths(executor: _Executor, leaves: list) -> list[BranchPath]:
+def _paths(executor: _Executor, leaves: Iterable) -> list[BranchPath]:
     """The predicate-passing leaves of a record walk."""
     paths = []
     for branch, views in leaves:
@@ -1002,9 +955,6 @@ def _paths(executor: _Executor, leaves: list) -> list[BranchPath]:
 def spec_to_json(spec: ProtocolSpec) -> dict:
     """Stable JSON form: turn list, gate matrices as [re, im] pairs, registers."""
 
-    def coin_json(c: CoinFlip) -> dict:
-        return {"name": c.name, "num_values": c.num_values, "owner": c.owner}
-
     def turn_json(turn) -> dict:
         if isinstance(turn, ProverTurn):
             return {
@@ -1013,14 +963,13 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
                 "acts_on": list(turn.acts_on) if not callable(turn.acts_on) else "dynamic",
                 "delivers": [list(d) for d in turn.delivers] if not callable(turn.delivers) else "dynamic",
                 "replies": [
-                    {"name": r.name, "num_values": r.num_values, "audience": list(r.audience)}
-                    for r in turn.replies
+                    {"name": r.name, "num_values": r.num_values, "audience": list(r.audience)} for r in turn.replies
                 ],
             }
         return {
             "type": "verifier",
             "index": turn.index,
-            "coins": [coin_json(c) for c in turn.coins],
+            "coins": [{"name": c.name, "num_values": c.num_values, "owner": c.owner} for c in turn.coins],
             "steps": [s.describe for s in turn.steps],
             "measurements": [m.describe or {"name": m.name, "node": m.node} for m in turn.measurements],
             "checks": [c.describe or {"name": c.name} for c in turn.checks],

@@ -28,8 +28,8 @@ that are tensor products of local gates (the GHZ delivery of N+1 star
 states, the copies of a parallel repetition) are factored.  The dense
 constructors (:func:`kron_chain`, :meth:`FactoredOp.dense`,
 :func:`embed_operator`) check ``MAX_DENSE_BYTES`` before they allocate
-(:func:`check_budget`), and the executor checks its live branches against
-the same limit.
+(:func:`check_budget`), and the executor checks the states its deepest path
+holds against the same limit before it walks.
 
 The dense representation is practical up to roughly 22 qubits; layouts are
 capped well below that (see :mod:`dqip.network`).
@@ -54,7 +54,7 @@ EIGENVALUE_FLOOR = -1e-9
 PROJECTOR_ATOL = 1e-9
 
 # Byte budget for one dense operator (16 bytes per complex entry, so 2^30
-# admits a 2^13 x 2^13 matrix) and for the executor's live branches.
+# admits a 2^13 x 2^13 matrix) and for the states an executor walk holds.
 MAX_DENSE_BYTES = 2**30
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qcore
 from .dam import DamNodeView, DamProtocol, brute_force_value
-from .errors import ProtocolError, ShapeError, ValidationError
+from .errors import ConfigError, ProtocolError, ShapeError, ValidationError
 from .network import PROVER, NetworkGraph, RegisterLayout, allocate_layout, reg_m, reg_v, spanning_tree
 from .protocol import (
     Broadcast,
@@ -149,6 +149,14 @@ def _require_clean(spec: ProtocolSpec) -> None:
 
 def _vm_regs(u: int) -> list[str]:
     return [reg_v(u), reg_m(u)]
+
+
+def _require_node_registers(spec: ProtocolSpec, transform: str) -> None:
+    """The turn reductions act on every node's (V, M) space, so each node needs both registers."""
+    for u in range(spec.graph.node_count):
+        for name in _vm_regs(u):
+            if not spec.layout.has(name):
+                raise ConfigError(f"{transform} needs a {name!r} register, which {spec.name!r} does not have")
 
 
 def _node_unit(spec: ProtocolSpec, turn: VerifierTurn, u: int) -> np.ndarray:
@@ -523,6 +531,7 @@ def halve_turns_shared(
     un-simulation (r=1, ending in the all-zero check of every V register).
     """
     _require_clean(spec)
+    _require_node_registers(spec, "halve_turns_shared")
     k = spec.num_turns
     if k < 5 or k % 4 != 1:
         raise ShapeError(f"turn count {k} is not of the form 4l+1 with l >= 1")
@@ -696,6 +705,7 @@ def seven_to_five(
     or differently from the coin, is rejected outright.
     """
     _require_clean(spec)
+    _require_node_registers(spec, "seven_to_five")
     if spec.num_turns != 7:
         raise ShapeError(f"seven_to_five needs exactly 7 turns, got {spec.num_turns}")
     n = spec.graph.node_count
@@ -899,6 +909,7 @@ def halve_turns_private(
     branches forward/backward exactly as in the shared-coin construction.
     """
     _require_clean(spec)
+    _require_node_registers(spec, "halve_turns_private")
     k = spec.num_turns
     if k < 5 or k % 4 != 1:
         raise ShapeError(f"turn count {k} is not of the form 4l+1 with l >= 1")
@@ -1446,9 +1457,8 @@ def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, held
     n = out_spec.graph.node_count
     or_gate_holder["gate"] = _or_fanout_permutation(p_total, p_total - n, n)
 
-    executor = _Executor(partial, FunctionalStrategy("replay", gate))
-    branches = executor.run_interaction()
-    live = [b for b in branches if float(np.vdot(b.vec, b.vec).real) > 1e-18]
+    leaves = _Executor(partial, FunctionalStrategy("replay", gate)).leaves()
+    live = [b for b, _ in leaves if float(np.vdot(b.vec, b.vec).real) > 1e-18]
     if len(live) != 1:
         raise ProtocolError(f"honest replay produced {len(live)} live branches, expected 1")
     vec = live[0].vec

@@ -34,6 +34,22 @@ def test_schema_rejects_bad_params():
     assert err.value.fields
 
 
+@pytest.mark.parametrize(
+    "stage, field, message",
+    [
+        ({"transform": "pad"}, "pipeline/1", "'target' is a required property"),
+        ({"transform": "parallel-repeat"}, "pipeline/1", "'t' is a required property"),
+        ({"transform": "pad", "target": 0}, "pipeline/1/target", "0 is less than the minimum of 1"),
+    ],
+)
+def test_schema_requires_the_parameters_of_each_transform(stage, field, message):
+    pipeline = [{"transform": "pad", "target": 5}, stage]
+    params = {"protocol": "coin-guess", "instance": "yes", "pipeline": pipeline}
+    with pytest.raises(ConfigError) as err:
+        validate_config({"experiment": "compile-pipeline", "seed": 1, "params": params})
+    assert err.value.fields == [field] and message in str(err.value)
+
+
 def test_defaults_resolved():
     resolved = validate_config({"experiment": "ghz", "seed": 1, "params": {"nodes": 3, "copies": 1}})
     assert resolved["mode"] == "exact"
@@ -185,18 +201,17 @@ def test_cli_config_error_is_machine_readable(tmp_path, capsys):
 
 
 def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
-    # Both configs pass the schema.  nodes=5, copies=2 (15 qubits) runs: its
-    # honest gate is factored, not a 16 GiB matrix.  nodes=5, copies=3 (20
-    # qubits) passes the layout ceiling, but its measurement branches would
-    # outgrow the byte budget.  The runs get a few GiB of address space, so a
+    # Both configs pass the schema.  ghz nodes=5, copies=2 (15 qubits) runs:
+    # its honest gate is factored, not a 16 GiB matrix.  dqct with four input
+    # qubits per node and two copies needs 25 qubits and is refused before
+    # any state exists.  The runs get a few GiB of address space, so a
     # missing check fails fast with a raw MemoryError instead of touching
     # host memory.
     resource = pytest.importorskip("resource")
     limit = 3 * 2**30
 
-    def run(copies: int) -> tuple[subprocess.CompletedProcess, Path]:
-        config_path = tmp_path / f"big{copies}.json"
-        config = {"experiment": "ghz", "seed": 1, "params": {"nodes": 5, "copies": copies}}
+    def run(name: str, config: dict) -> tuple[subprocess.CompletedProcess, Path]:
+        config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(config))
         proc = subprocess.run(
             [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path)],
@@ -206,16 +221,16 @@ def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
-        return proc, tmp_path / f"big{copies}.json"
+        return proc, tmp_path / f"{name}.json"
 
-    proc, _ = run(3)
+    dqct = {"nodes": 2, "qubits_per_node": [4, 4], "states": "random", "copies": 2, "probe": True}
+    proc, _ = run("big-dqct", {"experiment": "dqct", "seed": 1, "params": dqct})
     assert proc.returncode == 1, proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"] == "CapacityError"
-    assert "turn 4" in err["message"]
-    assert re.search(r"needs \d+ bytes, above the limit of 1073741824", err["message"])
+    assert re.search(r"layout needs 25 qubits, above the ceiling of 22", err["message"])
 
-    proc, report_path = run(2)
+    proc, report_path = run("big-ghz", {"experiment": "ghz", "seed": 1, "params": {"nodes": 5, "copies": 2}})
     assert proc.returncode == 0, proc.stderr
     results = json.loads(report_path.read_text())["results"]
     assert abs(results["run"]["acceptance_probability"] - 1.0) <= 1e-9

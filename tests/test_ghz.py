@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -240,34 +241,74 @@ def test_bad_factored_gate_is_a_protocol_error_naming_the_turn(factors, arity):
     assert "turn 1" in str(err.value)
 
 
-def test_live_branches_over_the_budget_are_refused_before_branching(monkeypatch):
-    # n=2, N=1: 4 qubits, so each live branch holds 256 bytes.
+def test_walks_over_the_budget_are_refused_before_they_start(monkeypatch):
+    # n=2, N=1: 4 qubits, so each state holds 256 bytes.  The deepest path
+    # holds the initial state, the current one and two being built, the coin
+    # turn's parent and the parents of measurements o:0 and o:1: 7 states.
     compiled = build_pghz(path_graph(2), GhzProtocolParams(copies=1))
-    # The second coin would hold 2 parents + 4 children.
+    calls = []
+
+    def gate(turn_index, view, _inner=compiled.honest.gate_fn):
+        calls.append(turn_index)
+        return _inner(turn_index, view)
+
+    counted = FunctionalStrategy("counted", gate, compiled.honest.reply_fn)
     monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 5 * 256)
-    with pytest.raises(CapacityError) as err:
-        execute_exact(compiled.spec, compiled.honest)
-    assert "turn 2" in str(err.value) and "'btarget'" in str(err.value)
-    assert err.value.requested == 6 * 256 and err.value.limit == 5 * 256
-    # The coins fit; node 0's measurement of 4 branches would not.
-    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 6 * 256)
-    with pytest.raises(CapacityError) as err:
-        execute_exact(compiled.spec, compiled.honest)
-    assert "turn 4" in str(err.value) and "'o:0'" in str(err.value)
+    for run in (lambda: execute_exact(compiled.spec, counted), lambda: execute_sampled(compiled.spec, counted, 3, 1)):
+        with pytest.raises(CapacityError) as err:
+            run()
+        assert "walk of 'ghz-verify[n=2,N=1]'" in str(err.value)
+        assert "deepest fork turn 4 (verifier) 'o:1'" in str(err.value)
+        assert err.value.requested == 7 * 256 and err.value.limit == 5 * 256
+    assert calls == []  # refused before the first prover gate
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 7 * 256)
+    assert abs(execute_exact(compiled.spec, counted).acceptance_probability - 1.0) <= 1e-9
 
 
-def test_measured_parents_are_released_while_their_level_is_built():
-    # n=4, N=2: 12 qubits.  Node 3's measurement turns 300 parents into 300
-    # children; parents kept until the level ends would double the peak.
+def test_exact_walk_peak_is_flat_in_leaf_count():
+    # Two 12-qubit instances on the 4-node path: N=1 with four prover qubits
+    # has 20 leaves, N=2 without has 300.  A depth-first walk holds one state
+    # per open fork (one coin turn, four measurements) plus the initial state,
+    # the current one and two being built, whatever the number of leaves; the
+    # level-by-level walk this replaced peaked at about 330 states for N=2.
+    state_bytes = 16 * 2**12
+    for copies, prover_qubits, leaves in ((1, 4, 20), (2, 0, 300)):
+        params = GhzProtocolParams(copies=copies, epsilon=0.25, delta=0.5, seed=1, prover_qubits=prover_qubits)
+        compiled = build_pghz(path_graph(4), params)
+        assert compiled.spec.layout.total_qubits == 12
+        assert sum(1 for _ in _Executor(compiled.spec, compiled.honest).leaves()) == leaves
+        execute_exact(compiled.spec, compiled.honest)  # warms the kernel plans, like any other input
+        tracemalloc.start()
+        try:
+            report = execute_exact(compiled.spec, compiled.honest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(report.acceptance_probability - 1.0) <= 1e-9
+        # 9 states, and one more for transcripts and kernel scratch.
+        assert peak < 10 * state_bytes, (copies, peak / state_bytes)
+
+
+def test_runs_free_their_states_without_the_cyclic_collector():
+    # A reference cycle through the walk would keep its states alive until
+    # the cyclic collector ran; with the collector off, no block the size of
+    # a state may outlive the call.
     compiled = build_pghz(path_graph(4), GhzProtocolParams(copies=2, epsilon=0.25, delta=0.5, seed=1))
-    executor = _Executor(compiled.spec, compiled.honest)
     state_bytes = 16 * 2**compiled.spec.layout.total_qubits
-    executor.initial  # built before tracing, like any other input
-    tracemalloc.start()
-    try:
-        branches = executor.run_interaction()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(branches) == 300
-    assert peak - held < 32 * state_bytes
+    runs = (
+        lambda: execute_exact(compiled.spec, compiled.honest, collect_output=True),
+        lambda: execute_sampled(compiled.spec, compiled.honest, trials=3, seed=1),
+    )
+    for run in runs:
+        run()  # warms the kernel plans
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            report = run()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert report.acceptance_probability > 0.99
+        assert [trace.size for trace in snapshot.traces if trace.size >= state_bytes] == [], report.mode

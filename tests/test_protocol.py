@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -318,10 +320,8 @@ def test_projector_expectation_matches_execute_exact():
         spec, prover = random_clean_spec(seed)
         # Pre-verification state: run the interaction only, via a spec whose
         # verification is empty, then take expectation of the projector.
-        from dqip.protocol import _Executor
-
-        executor = _Executor(spec, prover)
-        branches = executor.run_interaction()
+        interaction = dataclasses.replace(spec, verification=VerificationPhase())
+        branches = [branch for branch, _ in _Executor(interaction, prover).leaves()]
         assert len(branches) == 1
         pre = branches[0].vec
         proj = verification_projector(spec)

@@ -4,7 +4,7 @@ import pytest
 from dqip import qcore
 from dqip.corpus import coin_check_honest, coin_check_spec, random_clean_spec, two_check_spec
 from dqip.dam import catalog_entry
-from dqip.errors import ShapeError, ValidationError
+from dqip.errors import ConfigError, ShapeError, ValidationError
 from dqip.protocol import (
     FunctionalStrategy,
     ProverTurn,
@@ -428,3 +428,19 @@ def test_materialize_rejects_shared_coins():
 
     with pytest.raises(ShapeError):
         materialize_coins(fair_coin_spec())
+
+
+@pytest.mark.parametrize(
+    "reduce, turns",
+    [(halve_turns_shared, 5), (seven_to_five, 7), (halve_turns_private, 5)],
+)
+def test_reductions_name_a_missing_node_register(reduce, turns):
+    # bipartite-pls keeps its state in message registers only: no node has V:u.
+    entry = catalog_entry("bipartite-pls")
+    compiled = dam_to_dqip(entry.protocol, entry.yes_instance)
+    padded = pad_to_turns(compiled.spec, compiled.honest, turns)
+    assert not padded.spec.layout.has("V:0")
+    with pytest.raises(ConfigError) as err:
+        reduce(padded.spec, padded.honest)
+    assert reduce.__name__ in str(err.value) and "'V:0'" in str(err.value)
+
