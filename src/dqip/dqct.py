@@ -213,11 +213,12 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     )
 
     def finish_step() -> Step:
+        # CNOT from B2 back onto the leader's control qubit, then H on B2.
+        cnot = qcore.embed_operator(qcore.CNOT.matrix, [1, 0], 2)  # control = B2
+        finish = qcore.embed_operator(qcore.H.matrix, [1], 2) @ cnot
+
         def resolve(view: Mapping):
-            # CNOT from B2 back onto the leader's control qubit, then H on B2.
-            cnot = qcore.embed_operator(qcore.CNOT.matrix, [1, 0], 2)  # control = B2
-            had = qcore.embed_operator(qcore.H.matrix, [1], 2)
-            return had @ cnot, [b_reg(leader, view), "B2"]
+            return finish, [b_reg(leader, view), "B2"]
 
         return Step(actor=leader, resolve=resolve, describe={"kind": "swap-test-finish"})
 

@@ -21,6 +21,7 @@ caller asks for the dense form (the see-saw does, under the dense budget).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -203,10 +204,10 @@ def make_rotation_step(leader: int, copies: int):
     measured_copies = make_measured_copies(leader, copies)
 
     def rotation_step(u: int) -> Step:
-        def resolve(view: Mapping):
-            bits, target = tests_of(u, view)
+        @functools.cache  # one operator per (tested bits, target copy)
+        def rotation(bits: int, target: int, measured: tuple[int, ...]):
             ops, regs = [], []
-            for t, i in enumerate(measured_copies(u, view)):
+            for t, i in enumerate(measured):
                 bit = (bits >> t) & 1
                 wants_x = (bit == 0) if u == leader else (bit == 1)
                 if wants_x:
@@ -218,6 +219,9 @@ def make_rotation_step(leader: int, copies: int):
             if not regs:
                 return None
             return kron_chain(ops), regs
+
+        def resolve(view: Mapping):
+            return rotation(*tests_of(u, view), tuple(measured_copies(u, view)))
 
         return Step(actor=u, resolve=resolve, describe={"kind": "test-basis-rotation", "node": u})
 

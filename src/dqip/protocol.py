@@ -29,11 +29,14 @@ decides which children are kept:
   with the fixed operators and the symbolic prover gates logged instead of
   any amplitudes.
 
-No vector is modified in place, so the initial one is built once per
-executor and shared.  A branch releases its state once its last child is
-built: a walk holds one state per open fork on its current path, and exact
-and sampled walks check that many (:meth:`_Executor.check_budget`) against
-``qcore.MAX_DENSE_BYTES`` before they start.
+The exact and sampled walks apply each fixed operator (a step, a W-swap, a
+check or accept projector) as a :class:`~dqip.qcore.StructuredOp`,
+classified once per executor.  No vector is modified in place, so the
+initial one is built once per executor and shared.  A branch releases its
+state once its last child is built: a walk holds one state per open fork on
+its current path, and exact and sampled walks check that many
+(:meth:`_Executor.check_budget`) against ``qcore.MAX_DENSE_BYTES`` before
+they start.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .network import PROVER, NetworkGraph, RegisterLayout
 from .qcore import (
     SWAP,
     FactoredOp,
+    StructuredOp,
     apply_matrix_vec,
     apply_op,
     check_projector,
@@ -373,8 +377,12 @@ class _Exact:
     records = False
     normalise = False
 
+    def __init__(self):
+        self._ops: dict = {}  # see StructuredOp.cached
+
     def apply(self, vec: np.ndarray, matrix: np.ndarray, qubits: list[int]) -> np.ndarray:
-        return apply_matrix_vec(vec, matrix, qubits)
+        """A fixed operator applied to ``vec``, classified on its first use."""
+        return StructuredOp.cached(self._ops, matrix, qubits).apply(vec)
 
     def prover(self, vec: np.ndarray, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
         return apply_op(vec, strategy.gate(turn_index, view), qubits)
@@ -384,7 +392,7 @@ class _Exact:
 
     def split(self, vec: np.ndarray, projector: np.ndarray, qubits: list[int]) -> tuple:
         """The (hit, miss) children of a two-outcome check."""
-        hit = apply_matrix_vec(vec, projector, qubits)
+        hit = self.apply(vec, projector, qubits)
         return hit, vec - hit
 
     def coin(self, n: int) -> Iterable[int]:
@@ -404,6 +412,7 @@ class _Sample(_Exact):
     normalise = True
 
     def __init__(self, rng: np.random.Generator):
+        super().__init__()
         self.rng = rng
 
     def coin(self, n: int) -> Iterable[int]:
@@ -707,12 +716,12 @@ class _Executor:
         if pred != 0.0:
             projected = branch.vec
             for _, matrix, qubits in ops:
-                projected = apply_matrix_vec(projected, matrix, qubits)
+                projected = self.policy.apply(projected, matrix, qubits)
         per_node = {}
         for u in range(self.graph.node_count):
             vec_u = branch.vec
             for matrix, qubits in (op[1:] for op in ops if op[0] == u):
-                vec_u = apply_matrix_vec(vec_u, matrix, qubits)
+                vec_u = self.policy.apply(vec_u, matrix, qubits)
             accept_u = next((a for a in self.spec.verification.accepts if a.node == u), None)
             # pred is 1 only when every predicate passed, this node's among them.
             passed = pred != 0.0 or accept_u is None or accept_u.predicate is None or accept_u.predicate(views[u])

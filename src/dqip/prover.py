@@ -18,6 +18,7 @@ certified lower bound on the optimal cheating probability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -85,14 +86,7 @@ class _CompiledPath:
 
 def _compile_paths(paths: list[BranchPath]) -> list[_CompiledPath]:
     # Branches share their recorded matrices, so each one is classified once.
-    structured: dict = {}
-
-    def fixed(mat, qubits) -> StructuredOp:
-        key = (id(mat), tuple(qubits))
-        if key not in structured:
-            structured[key] = StructuredOp(mat, qubits)
-        return structured[key]
-
+    fixed = functools.partial(StructuredOp.cached, {})
     return [
         _CompiledPath(
             weight=path.weight,

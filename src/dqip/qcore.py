@@ -15,9 +15,11 @@ targets to the front, its inverse, and the validated targets) is built once
 and kept in a bounded cache; only the matrix shape is checked per call.
 :class:`StructuredOp` classifies a fixed ``(matrix, targets)`` pair once as
 diagonal, 0/1 permutation or dense and applies it by broadcast multiply,
-cached gather or the planned matmul; :func:`project_outcome` zeroes the
-amplitudes outside one computational-basis outcome.  ``embed_operator``
-builds the full operator by index arithmetic and is kept as the oracle.
+row moves by basic slicing or the planned matmul; the see-saw and the
+executor's walks apply their fixed operators through it.
+:func:`project_outcome` zeroes the amplitudes outside one outcome.
+``embed_operator`` builds the full operator by index arithmetic and is kept
+as the oracle.
 
 A gate is either a dense matrix or a :class:`FactoredOp`: local factors on
 disjoint positions, identity elsewhere.  :func:`apply_op` applies both; a
@@ -254,6 +256,10 @@ class _AxisPlan:
         """Inverse of :meth:`front`, as a new C-contiguous vector."""
         return block.reshape(self.moved).transpose(self.inverse).reshape(-1)
 
+    def index(self, outcome: int) -> tuple:
+        """Basic index into ``shape`` of the amplitudes whose target bits read ``outcome``."""
+        return tuple(slice(None) if group is None else (outcome >> group[0]) % 2 ** group[1] for group in self.groups)
+
     def apply(self, vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
         if self.trailing:
             return (vec.reshape(-1, self.dim) @ mat.T).reshape(-1)
@@ -311,9 +317,10 @@ class StructuredOp:
 
     ``kind`` is ``"diagonal"`` (applied as a broadcast multiply over the
     target axes), ``"permutation"`` (a 0/1 matrix with one 1 per row and
-    column, applied as a gather through a cached index) or ``"dense"``
-    (applied by :func:`apply_matrix_vec`).  Every kind matches
-    ``embed_operator(matrix, targets, n) @ vec``.
+    column, applied as a copy of the vector in which each row ``r`` with
+    ``source[r] != r`` is moved by basic slicing, so no ``2^n`` index is
+    built) or ``"dense"`` (applied by :func:`apply_matrix_vec`).  Every kind
+    matches ``embed_operator(matrix, targets, n) @ vec``.
     """
 
     def __init__(self, matrix: np.ndarray, targets: Sequence[int]):
@@ -324,7 +331,7 @@ class StructuredOp:
             raise LayoutError(f"operator of shape {mat.shape} does not match {len(self.targets)} targets")
         self.matrix = mat
         self._adjoint: StructuredOp | None = None
-        self._per_size: dict[int, tuple] = {}  # qubit count -> (tensor shape, diagonal or gather index)
+        self._per_size: dict[int, tuple] = {}  # qubit count -> (tensor shape, diagonal or row moves)
         diag = np.diagonal(mat)
         nonzero = mat != 0
         if np.count_nonzero(nonzero) == np.count_nonzero(diag):
@@ -340,6 +347,15 @@ class StructuredOp:
         else:
             self.kind = "dense"
 
+    @classmethod
+    def cached(cls, cache: dict, matrix: np.ndarray, targets: Sequence[int]) -> "StructuredOp":
+        """The op of ``(matrix, targets)`` from ``cache``, keyed on ``id(matrix)``: classified
+        on first use, and held with the matrix so that the id is not reused."""
+        key = (id(matrix), tuple(targets))
+        if key not in cache:
+            cache[key] = (matrix, cls(matrix, targets))
+        return cache[key][1]
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The operator applied to ``vec``, as a new C-contiguous vector."""
         if self.kind == "dense":
@@ -351,12 +367,16 @@ class StructuredOp:
         shape, table = prepared
         if self.kind == "diagonal":
             return (vec.reshape(shape) * table).reshape(-1)
-        return vec[table]
+        out = vec.copy()
+        source, target = vec.reshape(shape), out.reshape(shape)
+        for to, read in table:
+            target[to] = source[read]
+        return out
 
     def _prepare(self, n: int) -> tuple:
         plan = _axis_plan(n, self.targets)
         if self.kind == "permutation":
-            return plan.shape, plan.back(plan.front(np.arange(2**n))[self._source])
+            return plan.shape, [(plan.index(r), plan.index(int(s))) for r, s in enumerate(self._source) if s != r]
         # Axis ``k-1-j`` of the diagonal as a (2,)*k tensor holds bit j; lay
         # the bits out as the target axes of ``plan.shape`` hold them, most
         # significant first, and give the other axes length 1.
@@ -476,7 +496,7 @@ def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np
     plan = _plan_for(vec, targets)
     if not 0 <= outcome < plan.dim:
         raise LayoutError(f"outcome {outcome} outside [0, {plan.dim})")
-    index = tuple(slice(None) if group is None else (outcome >> group[0]) % 2 ** group[1] for group in plan.groups)
+    index = plan.index(outcome)
     out = np.zeros(vec.size, dtype=np.complex128)
     out.reshape(plan.shape)[index] = vec.reshape(plan.shape)[index]
     return out

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dqip import protocol, qcore
 from dqip.dqct import (
     DqctInstance,
     build_pdqct,
@@ -9,11 +12,12 @@ from dqip.dqct import (
     make_instance,
     soundness_probe,
 )
-from dqip.errors import ValidationError
+from dqip.errors import CapacityError, ValidationError
 from dqip.ghz import GhzProtocolParams
 from dqip.network import path_graph
 from dqip.prover import OptimizerConfig, seesaw_optimize
-from dqip.protocol import execute_exact
+from dqip.protocol import _Executor, _Sample, execute_exact, execute_sampled
+from dqip.seeding import substream
 
 G2 = path_graph(2)
 PARAMS = GhzProtocolParams(copies=1, epsilon=0.25, prover_qubits=0)
@@ -127,3 +131,58 @@ def test_input_distance_against_inner_product():
     inst = make_instance(G2, (1, 1), "random", seed=4)
     direct = np.sqrt(1 - inst.overlap_squared())
     assert abs(input_trace_distance(inst) - direct) <= 1e-10
+
+
+def test_sampled_runs_classify_each_operator_once(monkeypatch):
+    # Steps, checks and accept projectors are classified once per executor,
+    # keyed on the matrix object, so the count is bounded by the distinct
+    # operators the trials resolve, not by the number of trials.  Trials draw
+    # the coins, so a short run may not reach every operator; at this seed
+    # 12 trials reach all 18.
+    classified = []
+
+    class Counting(qcore.StructuredOp):
+        def __init__(self, matrix, targets):
+            classified.append((matrix.tobytes(), tuple(targets)))
+            super().__init__(matrix, targets)
+
+    monkeypatch.setattr(protocol, "StructuredOp", Counting)
+    compiled = build_pdqct(make_instance(G2, (1, 1), "random", seed=1), PARAMS)
+    counts = []
+    for trials in (12, 48):
+        classified.clear()
+        execute_sampled(compiled.spec, compiled.honest, trials=trials, seed=0)
+        assert len(set(classified)) == len(classified), trials  # no operator built or classified twice
+        counts.append(len(classified))
+    assert counts == [18, 18]
+
+
+def test_sampled_17_qubit_run_holds_no_gather_index(monkeypatch):
+    # The bench's sampled closeness test: three input qubits per node.  Its
+    # fixed permutations (the controlled slice swaps, the leader's CNOT) move
+    # rows by slicing, so a run's peak stays within the states the walk is
+    # budgeted for plus one vector, and an executor holds no 2^n index.
+    compiled = build_pdqct(make_instance(G2, (3, 3), "random", seed=1), PARAMS)
+    n = compiled.spec.layout.total_qubits
+    assert n == 17
+    state_bytes = 16 * 2**n
+    with monkeypatch.context() as patch:  # the walk's budget, read from its refusal under a zero limit
+        patch.setattr(qcore, "MAX_DENSE_BYTES", 0)
+        with pytest.raises(CapacityError, match="walk of") as err:
+            execute_sampled(compiled.spec, compiled.honest, trials=1, seed=1)
+    budget = err.value.requested
+    tracemalloc.start()
+    try:
+        report = execute_sampled(compiled.spec, compiled.honest, trials=4, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+        executor = _Executor(compiled.spec, compiled.honest, _Sample(substream(1, "test.no-gather-index")))
+        for _ in range(4):
+            ((leaf, views),) = executor.leaves()
+            executor.acceptance(leaf, views)
+        del leaf, views
+        held = [trace.size for trace in tracemalloc.take_snapshot().traces if trace.size >= 8 * 2**n]
+    finally:
+        tracemalloc.stop()
+    assert report.trials == 4
+    assert peak <= budget + state_bytes, (peak / state_bytes, budget / state_bytes)
+    assert held == [state_bytes]  # the initial state the executor shares between walks

@@ -135,6 +135,59 @@ def test_planned_kernel_and_structured_ops_match_embedded_operator():
             assert op.adjoint().kind == op.kind and op.adjoint().adjoint() is op
 
 
+def _embedded_product(mat, targets, n, vec):
+    """``embed_operator(mat, targets, n) @ vec`` for a ``mat`` with one nonzero per row.
+
+    Row ``i`` of the embedded operator has one nonzero, ``mat[g, h]`` in the
+    column that keeps ``i``'s other bits and sets its target bits to ``h``
+    (``g`` being ``i``'s target bits and ``h`` the nonzero column of row
+    ``g``).  The same index arithmetic as ``embed_operator``, without the
+    ``4^n`` matrix, so it reaches 17 qubits.
+    """
+    index = np.arange(2**n)
+    rows = sum(((index >> q) & 1) << j for j, q in enumerate(targets))
+    cols = np.argmax(mat != 0, axis=1)[rows]
+    read = index & ~sum(1 << q for q in targets)
+    read |= sum(((cols >> j) & 1) << q for j, q in enumerate(targets))
+    return mat[rows, cols] * vec[read]
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 17])
+def test_structured_permutations_and_diagonals_match_embedded_operator(n):
+    rng = substream(n, "test.structured-oracle")
+    k = min(3, n - 1)
+    target_sets = {
+        "non-contiguous": [n - 1, 0, n // 2][:k],
+        "reversed": list(range(n - 1, n - 1 - k, -1)),
+        "trailing": list(range(k)),
+    }
+    if n == 17:  # the closeness test's controlled slice swap: control, then two 3-qubit slices
+        target_sets["seven-qubit"] = [4, 16, 9, 10, 0, 1, 2]
+    assert qcore._axis_plan(n, tuple(target_sets["trailing"])).trailing
+    assert not any(qcore._axis_plan(n, tuple(t)).trailing for name, t in target_sets.items() if name != "trailing")
+    for name, targets in target_sets.items():
+        dim = 2 ** len(targets)
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        order = rng.permutation(dim)
+        while np.array_equal(order, np.arange(dim)):
+            order = rng.permutation(dim)
+        permutation = np.eye(dim, dtype=complex)[order]
+        diagonal = np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        for mat in (permutation, diagonal):
+            op = StructuredOp(mat, targets)
+            assert op.kind == ("permutation" if mat is permutation else "diagonal")
+            wants = [_embedded_product(mat, targets, n, vec)]
+            if n <= 7:
+                wants.append(embed_operator(mat, targets, n) @ vec)
+            for got in (op.apply(vec), op.apply(vec)):  # planned, then from the per-size cache
+                assert got.shape == (2**n,) and got.flags.c_contiguous
+                for want in wants:
+                    if mat is permutation:
+                        assert np.array_equal(got, want), (name, targets)
+                    else:
+                        assert np.allclose(got, want, rtol=0, atol=1e-12), (name, targets)
+
+
 def test_outcome_weights_are_the_squared_norms_of_the_projected_outcomes():
     rng = substream(23, "test.outcome-weights")
     for _ in range(60):
