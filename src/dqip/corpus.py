@@ -176,34 +176,38 @@ def prover_blind_spec() -> tuple[ProtocolSpec, FunctionalStrategy]:
     return spec, honest
 
 
-def random_clean_spec(seed: int, coin: bool = False) -> tuple[ProtocolSpec, FunctionalStrategy]:
-    """Random 2-node, 3-turn protocol with Haar gates and first-qubit accepts.
+def random_clean_spec(
+    seed: int, coin: bool = False, turns: int = 3, nodes: int = 2
+) -> tuple[ProtocolSpec, FunctionalStrategy]:
+    """Random protocol on a path of ``nodes`` nodes with Haar gates in every turn.
 
-    The honest prover applies Haar-random unitaries as well; used by the
-    statistical and invariance property tests.
+    Odd turns are prover turns acting on (P, every M); even turns apply one
+    Haar gate per node on its (V, M).  ``coin`` adds a shared coin at turn 2
+    that picks each node's verification gate.  The honest prover applies
+    Haar-random unitaries as well; used by the statistical and invariance
+    property tests and as the oracle for the turn reductions.
     """
     rng = substream(seed, "corpus.random_clean_spec")
-    graph = path_graph(2)
+    graph = path_graph(nodes)
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
+    messages = tuple(f"M:{u}" for u in range(nodes))
 
     gates = {}
     turn_list = []
-    gates[1] = qcore.haar_unitary(3, rng).matrix  # P, M:0, M:1
-    turn_list.append(
-        ProverTurn(index=1, acts_on=("P", "M:0", "M:1"), delivers=(("M:0", 0), ("M:1", 1)))
-    )
-    steps = []
-    for u in range(2):
-        steps.append(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]))
-    coins = (CoinFlip("r", 2, owner=None),) if coin else ()
-    turn_list.append(VerifierTurn(index=2, coins=coins, steps=tuple(steps), sends=("M:0", "M:1")))
-    gates[3] = qcore.haar_unitary(3, rng).matrix
-    turn_list.append(
-        ProverTurn(index=3, acts_on=("P", "M:0", "M:1"), delivers=(("M:0", 0), ("M:1", 1)))
-    )
+    for j in range(1, turns + 1):
+        if j % 2 == 1:
+            gates[j] = qcore.haar_unitary(1 + nodes, rng).matrix
+            delivers = tuple((m, u) for u, m in enumerate(messages))
+            turn_list.append(ProverTurn(index=j, acts_on=("P",) + messages, delivers=delivers))
+            continue
+        steps = tuple(
+            static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]) for u in range(nodes)
+        )
+        coins = (CoinFlip("r", 2, owner=None),) if coin and j == 2 else ()
+        turn_list.append(VerifierTurn(index=j, coins=coins, steps=steps, sends=messages))
 
     ver_steps = []
-    for u in range(2):
+    for u in range(nodes):
         if coin:
             ver_steps.append(
                 conditional_step(
@@ -217,7 +221,7 @@ def random_clean_spec(seed: int, coin: bool = False) -> tuple[ProtocolSpec, Func
             )
         else:
             ver_steps.append(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]))
-    accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2))
+    accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(nodes))
     spec = ProtocolSpec(
         name=f"random-clean-{seed}",
         graph=graph,

@@ -171,6 +171,19 @@ def test_wrong_parity_label_rejected_on_that_branch():
     assert report.per_node_acceptance[1] <= 0.5 + 1e-9
 
 
+@pytest.mark.parametrize("slot", ["dist:1", "parent:2"])
+def test_lying_tree_label_rejected(slot):
+    params = GhzProtocolParams(copies=1)
+    compiled = build_pghz(path_graph(3), params)
+
+    def lying_reply(slot_name, view, _inner=compiled.honest.reply_fn):
+        value = _inner(slot_name, view)
+        return (value + 1) % 3 if slot_name == slot else value
+
+    cheat = FunctionalStrategy("bad-tree-label", compiled.honest.gate_fn, lying_reply)
+    assert execute_exact(compiled.spec, cheat).acceptance_probability == 0.0
+
+
 def test_params_validation():
     from dqip.network import build_network
 

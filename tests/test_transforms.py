@@ -32,6 +32,26 @@ PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 SEESAW = OptimizerConfig(restarts=4, sweeps=60, seed=17)
 
+# (reduction, input turn count) pairs: both halvings at l = 1 and l = 2, and 7 -> 5.
+REDUCTIONS = [
+    (halve_turns_shared, 5),
+    (seven_to_five, 7),
+    (halve_turns_private, 5),
+    (halve_turns_shared, 9),
+    (halve_turns_private, 9),
+]
+
+
+def _lying(strategy: FunctionalStrategy, spec, slot: str) -> FunctionalStrategy:
+    """``strategy`` with the reply to ``slot`` moved to the next value."""
+    sizes = {r.name: r.num_values for t in spec.turns if isinstance(t, ProverTurn) for r in t.replies}
+
+    def reply(slot_name, view):
+        value = strategy.reply_fn(slot_name, view)
+        return (value + 1) % sizes[slot] if slot_name == slot else value
+
+    return FunctionalStrategy(f"lie-{slot}", strategy.gate_fn, reply)
+
 
 @pytest.fixture(scope="module")
 def parity_echo():
@@ -241,6 +261,15 @@ def test_halve_private_all_zero_coin_cheat(parity_echo):
     assert value <= shared_bound + 1e-6
 
 
+@pytest.mark.parametrize("slot", ["dist:2", "parent:2", "leader:1", "parent:0"])
+def test_halve_private_rejects_a_lying_tree_label(slot):
+    spec, honest = random_clean_spec(0, turns=5, nodes=3)
+    halved = halve_turns_private(spec, honest)
+    assert execute_exact(halved.spec, halved.honest).acceptance_probability > 0.5
+    cheat = _lying(halved.honest, halved.spec, slot)
+    assert execute_exact(halved.spec, cheat).acceptance_probability == 0.0
+
+
 def test_halve_private_soundness_seesaw(parity_echo):
     padded = pad_to_turns(parity_echo["no"].spec, parity_echo["no"].honest, 5)
     halved = halve_turns_private(padded.spec, padded.honest, soundness=parity_echo["s"])
@@ -430,10 +459,7 @@ def test_materialize_rejects_shared_coins():
         materialize_coins(fair_coin_spec())
 
 
-@pytest.mark.parametrize(
-    "reduce, turns",
-    [(halve_turns_shared, 5), (seven_to_five, 7), (halve_turns_private, 5)],
-)
+@pytest.mark.parametrize("reduce, turns", REDUCTIONS)
 def test_reductions_name_a_missing_node_register(reduce, turns):
     # bipartite-pls keeps its state in message registers only: no node has V:u.
     entry = catalog_entry("bipartite-pls")
@@ -444,3 +470,18 @@ def test_reductions_name_a_missing_node_register(reduce, turns):
         reduce(padded.spec, padded.honest)
     assert reduce.__name__ in str(err.value) and "'V:0'" in str(err.value)
 
+
+
+@pytest.mark.parametrize("nodes", [2, 3])
+@pytest.mark.parametrize("reduce, turns", REDUCTIONS)
+def test_reductions_halve_the_value_of_random_specs(reduce, turns, nodes):
+    # Haar gates in every turn: a wrong forward/backward pairing past turn 3 moves the value.
+    for seed in (0, 1):
+        spec, honest = random_clean_spec(seed, turns=turns, nodes=nodes)
+        c = execute_exact(spec, honest).acceptance_probability
+        out = reduce(spec, honest)
+        value = execute_exact(out.spec, out.honest).acceptance_probability
+        assert abs(value - halved_completeness(c)) <= 1e-9
+        if reduce is halve_turns_private:
+            for u in range(nodes):
+                assert abs(variable_marginal(out.spec, out.honest, f"coin:{u}", 0) - 0.5) <= 1e-10
