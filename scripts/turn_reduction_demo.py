@@ -2,9 +2,12 @@
 """Walk a classical protocol through the full turn-reduction chain.
 
 Compiles a 3-turn classical toy to a quantum protocol, pads it, halves it
-with a shared coin, reduces the padded 7-turn version to 5 turns, and runs
-the adversarial optimizer against every stage's no-instance, printing the
-measured values next to the (1+c)/2 and (1+sqrt(s))/2 predictions.
+with a shared coin, reduces the padded 7-turn version to 5 turns, halves the
+padded 5-turn version with private coins, and runs the adversarial optimizer
+against every stage's no-instance, printing the measured values next to the
+(1+c)/2 and (1+sqrt(s))/2 predictions.
+
+Usage: python scripts/turn_reduction_demo.py [--restarts N] [--sweeps N]
 """
 
 import argparse
@@ -15,6 +18,7 @@ from dqip.protocol import execute_exact
 from dqip.prover import OptimizerConfig, seesaw_optimize
 from dqip.transforms import (
     dam_to_dqip,
+    halve_turns_private,
     halve_turns_shared,
     halved_completeness,
     halved_soundness,
@@ -23,12 +27,12 @@ from dqip.transforms import (
 )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--protocol", default="coin-parity-echo-private")
     parser.add_argument("--restarts", type=int, default=4)
     parser.add_argument("--sweeps", type=int, default=60)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     entry = catalog_entry(args.protocol)
     c, s = float(entry.completeness), float(entry.soundness)
@@ -38,6 +42,7 @@ def main() -> int:
     for label, target, reduce in (
         ("shared halving 5 -> 3", 5, halve_turns_shared),
         ("leader coin 7 -> 5", 7, seven_to_five),
+        ("private halving 5 -> 5", 5, halve_turns_private),
     ):
         yes = dam_to_dqip(entry.protocol, entry.yes_instance)
         padded = pad_to_turns(yes.spec, yes.honest, target)

@@ -28,7 +28,7 @@ from . import qcore
 from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
 from .dam import brute_force_value, catalog_entry, toy_protocols
 from .dqct import build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
-from .errors import ConfigError, DqipError
+from .errors import ConfigError, DqipError, ShapeError
 from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity
 from .network import build_network, path_graph
 from .prover import OptimizerConfig, seesaw_optimize
@@ -181,22 +181,15 @@ def _experiment_compile_pipeline(config: dict) -> dict:
             "report": compiled.report,
         }
     ]
-    for stage in params["pipeline"]:
+    for i, stage in enumerate(params["pipeline"]):
         kind = stage["transform"]
-        if kind == "pad":
-            compiled = pad_to_turns(compiled.spec, compiled.honest, stage["target"])
-        elif kind == "halve-shared":
-            compiled = halve_turns_shared(compiled.spec, compiled.honest, completeness=c, soundness=s)
-        elif kind == "halve-private":
-            compiled = halve_turns_private(compiled.spec, compiled.honest, completeness=c, soundness=s)
-        elif kind == "seven-to-five":
-            compiled = seven_to_five(compiled.spec, compiled.honest, completeness=c, soundness=s)
-        elif kind == "perfect-completeness":
-            compiled = perfect_completeness(compiled.spec, compiled.honest)
-        elif kind == "parallel-repeat":
-            compiled = parallel_repeat(
-                compiled.spec, compiled.honest, stage["t"], stage.get("repeat_mode", "AND")
-            )
+        try:
+            compiled = _apply_stage(compiled, stage, c, s)
+        except (ShapeError, ConfigError) as err:
+            if isinstance(err, ConfigError) and err.fields:
+                raise
+            field = f"pipeline/{i}"
+            raise ConfigError(f"config field {field}: {kind} cannot apply: {err}", fields=[field]) from err
         stages.append(
             {
                 "transform": kind,
@@ -215,6 +208,21 @@ def _experiment_compile_pipeline(config: dict) -> dict:
         results["seesaw_best"] = trace.best_acceptance
         results["seesaw_sweeps"] = trace.sweep_acceptance
     return results
+
+
+def _apply_stage(compiled, stage: dict, c: float, s: float):
+    kind = stage["transform"]
+    if kind == "pad":
+        return pad_to_turns(compiled.spec, compiled.honest, stage["target"])
+    if kind == "halve-shared":
+        return halve_turns_shared(compiled.spec, compiled.honest, completeness=c, soundness=s)
+    if kind == "halve-private":
+        return halve_turns_private(compiled.spec, compiled.honest, completeness=c, soundness=s)
+    if kind == "seven-to-five":
+        return seven_to_five(compiled.spec, compiled.honest, completeness=c, soundness=s)
+    if kind == "perfect-completeness":
+        return perfect_completeness(compiled.spec, compiled.honest)
+    return parallel_repeat(compiled.spec, compiled.honest, stage["t"], stage.get("repeat_mode", "AND"))
 
 
 def _experiment_optimize(config: dict) -> dict:

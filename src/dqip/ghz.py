@@ -29,7 +29,15 @@ import numpy as np
 
 from . import qcore
 from .errors import ValidationError
-from .network import PROVER, NetworkGraph, allocate_layout, spanning_tree
+from .network import (
+    PROVER,
+    NetworkGraph,
+    allocate_layout,
+    spanning_tree,
+    tree_label_replies,
+    tree_label_slots,
+    tree_labels_hold,
+)
 from .protocol import (
     Broadcast,
     CoinFlip,
@@ -250,29 +258,18 @@ def make_ghz_broadcasts(graph: NetworkGraph) -> tuple[Broadcast, ...]:
 def make_ghz_predicate(graph: NetworkGraph, leader: int, copies: int):
     """The four verification checks: echo consistency anchored at the leader,
     spanning-tree labels, the telescoped parity test, the all-equal test."""
-    none_parent = graph.node_count
 
     def predicate(view: Mapping, u: int) -> bool:
         received = {v: view[f"recv:{v}"] for v in graph.neighbors(u)}
         my_test = view[f"becho_test:{u}"]
         my_target = view[f"becho_target:{u}"]
-        my_leader = view[f"leader:{u}"]
         for got in received.values():
             if got["becho_test"] != my_test or got["becho_target"] != my_target:
                 return False
-            if got["leader"] != my_leader:
-                return False
         if u == leader and (my_test != view["btest"] or my_target != view["btarget"]):
             return False
-        if u == leader and my_leader != leader:
+        if not tree_labels_hold(graph, leader, u, view, received):
             return False
-        my_parent, my_dist = view[f"parent:{u}"], view[f"dist:{u}"]
-        if my_leader == u:
-            if my_parent != none_parent or my_dist != 0:
-                return False
-        else:
-            if my_parent not in received or received[my_parent]["dist"] + 1 != my_dist:
-                return False
         o_u = view[f"o:{u}"]
         s_u = view[f"s:{u}"]
         children = [v for v, got in received.items() if got["parent"] == u]
@@ -296,25 +293,15 @@ def make_ghz_predicate(graph: NetworkGraph, leader: int, copies: int):
 
 def ghz_reply_slots(graph: NetworkGraph, copies: int) -> tuple[tuple[ReplySlot, ...], tuple[ReplySlot, ...]]:
     """(turn-1 tree slots, turn-3 echo slots) for the verification protocol."""
-    n = graph.node_count
-    tree_slots = tuple(
-        slot
-        for u in range(n)
-        for slot in (
-            ReplySlot(f"leader:{u}", n, audience=(u,)),
-            ReplySlot(f"parent:{u}", n + 1, audience=(u,)),
-            ReplySlot(f"dist:{u}", n, audience=(u,)),
-        )
-    )
     echo_slots = tuple(
         slot
-        for u in range(n)
+        for u in range(graph.node_count)
         for slot in (
             ReplySlot(f"becho_test:{u}", 2**copies, audience=(u,)),
             ReplySlot(f"becho_target:{u}", copies + 1, audience=(u,)),
         )
     )
-    return tree_slots, echo_slots
+    return tree_label_slots(graph), echo_slots
 
 
 def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
@@ -334,8 +321,6 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         raise ValidationError("the protocol needs at least two nodes")
     copies = params.copies
     leader = 0
-    tree = spanning_tree(graph, leader)
-    none_parent = n
 
     extras = [(copy_reg(i, u), 1, PROVER) for i in range(1, copies + 2) for u in range(n)]
     layout = allocate_layout(graph, prover_qubits=params.prover_qubits, extras=extras)
@@ -437,7 +422,7 @@ def honest_pghz_strategy(
     copies = params.copies
     leader = 0
     tree = spanning_tree(graph, leader)
-    none_parent = n
+    labels = tree_label_replies(tree)
     p_qubits = params.prover_qubits
 
     # Turn 1 acts on (P, R:1:0..R:1:n-1, R:2:0, ...): copy i's star
@@ -466,14 +451,10 @@ def honest_pghz_strategy(
         return full_prep if turn_index == 1 else idle
 
     def reply(slot_name: str, view: Mapping) -> int:
+        if slot_name in labels:
+            return labels[slot_name]
         kind, _, u = slot_name.partition(":")
         u = int(u)
-        if kind == "leader":
-            return leader
-        if kind == "parent":
-            return none_parent if tree.parent[u] is None else tree.parent[u]
-        if kind == "dist":
-            return tree.distance[u]
         if kind == "becho_test":
             return view["btest"]
         if kind == "becho_target":

@@ -247,6 +247,53 @@ def spanning_tree(graph: NetworkGraph, root: int) -> SpanningTreeLabels:
     return SpanningTreeLabels(root, tuple(parent), tuple(dist))
 
 
+def tree_label_slots(graph: NetworkGraph) -> tuple:
+    """Reply slots through which the prover tells each node its claimed leader, parent and distance.
+
+    Parent ``n`` stands for "no parent".
+    """
+    from .protocol import ReplySlot  # protocol builds on this module
+
+    n = graph.node_count
+    return tuple(
+        slot
+        for u in range(n)
+        for slot in (
+            ReplySlot(f"leader:{u}", n, audience=(u,)),
+            ReplySlot(f"parent:{u}", n + 1, audience=(u,)),
+            ReplySlot(f"dist:{u}", n, audience=(u,)),
+        )
+    )
+
+
+def tree_label_replies(tree: SpanningTreeLabels) -> dict[str, int]:
+    """The honest answers to :func:`tree_label_slots`, by slot name."""
+    n = len(tree.parent)
+    replies = {}
+    for u in range(n):
+        replies[f"leader:{u}"] = tree.root
+        replies[f"parent:{u}"] = n if tree.parent[u] is None else tree.parent[u]
+        replies[f"dist:{u}"] = tree.distance[u]
+    return replies
+
+
+def tree_labels_hold(graph: NetworkGraph, root: int, u: int, view: Mapping, received: Mapping) -> bool:
+    """Node ``u``'s local check of the labels from :func:`tree_label_slots`.
+
+    ``received`` maps each neighbor to its broadcast, which carries that
+    neighbor's ``leader`` and ``dist`` labels.  Every neighbor must name the
+    same leader and ``root`` must name itself; a node naming itself leader
+    has no parent and distance 0, and any other node's parent is a neighbor
+    one step closer to the leader.
+    """
+    leader, parent, dist = view[f"leader:{u}"], view[f"parent:{u}"], view[f"dist:{u}"]
+    if any(got["leader"] != leader for got in received.values()) or (u == root and leader != root):
+        return False
+    if leader == u:
+        return parent == graph.node_count and dist == 0
+    return parent in received and received[parent]["dist"] + 1 == dist
+
+
 def verify_spanning_tree(graph: NetworkGraph, labels: SpanningTreeLabels) -> list[bool]:
     """Local verification predicate, evaluated at every node.
 

@@ -2,9 +2,14 @@
 
 * classical Arthur-Merlin simulation (reversible certificate writes, coin
   superpositions, computational-basis verification),
-* turn halving with a shared coin (snapshot + forward/backward simulation),
-* turn halving with private coins (root Bell pair + prover fan-out),
-* the 7-to-5 reduction (leader coin, prover echo, branch consistency),
+* three turn reductions built from one snapshot-and-branch schedule
+  (:class:`_Halving`): the prover delivers the honest mid-protocol state and
+  a branch bit picks forward simulation of the tail or backward
+  un-simulation of the head.  They differ only in the branch source
+  (:class:`_Branch`) through which nodes learn that bit: a shared coin
+  (4l+1 to 2l+1 turns), a leader coin echoed by the prover with neighbor
+  cross-checks (7 to 5), or a root Bell pair the prover fans out, checked
+  against spanning-tree labels (4l+1 to 2l+3),
 * the perfect-completeness transform (verdict round-trip, leader counters,
   acceptance rotation),
 * parallel repetition (AND / per-node majority),
@@ -19,7 +24,7 @@ replaying the input protocol's honest evolution internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 from typing import Callable, Mapping, Sequence
 
@@ -28,7 +33,18 @@ import numpy as np
 from . import qcore
 from .dam import DamNodeView, DamProtocol, brute_force_value
 from .errors import ConfigError, ProtocolError, ShapeError, ValidationError
-from .network import PROVER, NetworkGraph, RegisterLayout, allocate_layout, reg_m, reg_v, spanning_tree
+from .network import (
+    PROVER,
+    NetworkGraph,
+    RegisterLayout,
+    allocate_layout,
+    reg_m,
+    reg_v,
+    spanning_tree,
+    tree_label_replies,
+    tree_label_slots,
+    tree_labels_hold,
+)
 from .protocol import (
     Broadcast,
     CoinFlip,
@@ -159,50 +175,20 @@ def _require_node_registers(spec: ProtocolSpec, transform: str) -> None:
                 raise ConfigError(f"{transform} needs a {name!r} register, which {spec.name!r} does not have")
 
 
+def _on_vm(spec: ProtocolSpec, mat: np.ndarray, regs: Sequence[str], u: int) -> np.ndarray:
+    """``mat`` on registers ``regs``, embedded into node ``u``'s (V, M) space."""
+    union = _expand_registers(spec.layout, _vm_regs(u))
+    positions = [union.index(q) for q in _expand_registers(spec.layout, regs)]
+    return qcore.embed_operator(np.asarray(mat, dtype=np.complex128), positions, len(union))
+
+
 def _node_unit(spec: ProtocolSpec, turn: VerifierTurn, u: int) -> np.ndarray:
     """Composite unitary of node ``u``'s steps in a turn, on its (V, M) space."""
-    union = _expand_registers(spec.layout, _vm_regs(u))
-    dim = 2 ** len(union)
-    total = np.eye(dim, dtype=np.complex128)
+    total = np.eye(2 ** len(_expand_registers(spec.layout, _vm_regs(u))), dtype=np.complex128)
     for step in turn.steps:
-        if step.actor != u:
-            continue
-        resolved = step.resolve({})
-        if resolved is None:
-            continue
-        mat, regs = resolved
-        qubits = _expand_registers(spec.layout, regs)
-        positions = [union.index(q) for q in qubits]
-        total = qcore.embed_operator(np.asarray(mat, dtype=np.complex128), positions, len(union)) @ total
-    return total
-
-
-def _prover_full_gate(spec: ProtocolSpec, honest: ProverStrategy, turn: ProverTurn) -> tuple[np.ndarray, list[int]]:
-    regs = list(turn.acts_on)
-    qubits = _expand_registers(spec.layout, regs)
-    return qcore.dense_matrix(honest.gate(turn.index, {})), qubits
-
-
-def _prefix_unitary(spec: ProtocolSpec, honest: ProverStrategy, upto: int) -> np.ndarray:
-    """Full-space unitary of the honest evolution through turn ``upto``.
-
-    ``upto`` may exceed the turn count by one to include the verification
-    unitary (turn k+1 in the usual indexing).
-    """
-    n = spec.layout.total_qubits
-    qcore.check_budget(16 * 4**n, f"honest prefix unitary of {spec.name!r}")
-    total = np.eye(2**n, dtype=np.complex128)
-    for turn in spec.turns:
-        if turn.index > upto:
-            break
-        if isinstance(turn, ProverTurn):
-            mat, qubits = _prover_full_gate(spec, honest, turn)
-            total = qcore.embed_operator(mat, qubits, n) @ total
-        else:
-            for u in range(spec.graph.node_count):
-                unit = _node_unit(spec, turn, u)
-                union = _expand_registers(spec.layout, _vm_regs(u))
-                total = qcore.embed_operator(unit, union, n) @ total
+        resolved = step.resolve({}) if step.actor == u else None
+        if resolved is not None:
+            total = _on_vm(spec, *resolved, u) @ total
     return total
 
 
@@ -248,14 +234,6 @@ def _when_measurement(flag: Callable[[Mapping], bool], m: Measurement) -> Measur
         resolve_targets=lambda view: m.resolve_targets(view) if flag(view) else [],
         to_prover=m.to_prover,
         describe={"kind": "branch-gated", "inner": m.describe},
-    )
-
-
-def _when_broadcast(flag: Callable[[Mapping], bool], bc: Broadcast) -> Broadcast:
-    return Broadcast(
-        node=bc.node,
-        fn=lambda view: bc.fn(view) if flag(view) else None,
-        describe={"kind": "branch-gated", "inner": bc.describe},
     )
 
 
@@ -513,8 +491,251 @@ def pad_to_turns(spec: ProtocolSpec, honest: ProverStrategy, target: int) -> Com
 
 
 # ---------------------------------------------------------------------------
-# Turn halving with shared randomness
+# Turn reductions: one snapshot-and-branch schedule, three branch sources
 # ---------------------------------------------------------------------------
+
+_FOUR_L_PLUS_ONE = ("4l+1 turns with l >= 1", lambda k: k >= 5 and k % 4 == 1)
+_SEVEN = ("exactly 7 turns", lambda k: k == 7)
+
+
+def _two_branch_controlled(mat0: np.ndarray, mat1: np.ndarray) -> np.ndarray:
+    """Block gate selecting ``mat0``/``mat1`` by the control (gate qubit 0)."""
+    dim = mat0.shape[0]
+    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
+    for c, mat in ((0, mat0), (1, mat1)):
+        idx = [2 * j + c for j in range(dim)]
+        out[np.ix_(idx, idx)] = mat
+    return out
+
+
+def coin_reg(u: int) -> str:
+    return f"C:{u}"
+
+
+@dataclass
+class _Branch:
+    """How the nodes of a turn reduction learn the branch bit (0 forward, 1 backward).
+
+    ``key(u)`` names the classical variable holding node u's bit in the
+    verification phase.  Without ``control`` the bit is classical before the
+    first pair turn and node steps are conditional on ``key(u)``; with it,
+    node u holds the bit in the qubit ``control(u)`` until the verification
+    measures it, and every branch-dependent node step is controlled on that
+    qubit.  ``gate(pair, view)`` makes the honest prover gate of a pair turn
+    from its (forward, backward) matrices on (``holds``, P, M).  ``first``
+    adds coins or reply slots to the first pair turn; ``prelude`` turns run
+    between the snapshot and the pairs.  Node u broadcasts ``bundle(u, view)``
+    next to the input's broadcast under ``"inner"``, and rejects unless
+    ``check(u, view, received)`` holds on its neighbors' bundles.
+    """
+
+    tag: str
+    metadata: dict
+    key: Callable[[int], str]
+    gate: Callable[[tuple[np.ndarray, np.ndarray], Mapping], np.ndarray]
+    kinds: tuple[str, str]  # describe kinds of the bundle broadcast and of the accept
+    control: Callable[[int], str] | None = None
+    holds: tuple[str, ...] = ()
+    first: dict = field(default_factory=dict)
+    replies: tuple[ReplySlot, ...] = ()  # turn-1 reply slots
+    reply: Callable[[str, Mapping], int] | None = None
+    prelude: tuple[ProverTurn | VerifierTurn, ...] = ()
+    prelude_gates: dict = field(default_factory=dict)
+    extras: tuple[tuple[str, int, int], ...] = ()  # added registers: (name, size, owner)
+    measurements: tuple[Measurement, ...] = ()
+    bundle: Callable[[int, Mapping], dict] = lambda u, view: {}
+    check: Callable[[int, Mapping, dict], bool] = lambda u, view, received: True
+
+
+class _Halving:
+    """The snapshot-and-branch schedule behind the three turn reductions.
+
+    The honest prover delivers the state after the middle verifier turn
+    m = 2*floor((k-1)/4) + 2.  A branch bit then picks, at every node, the
+    forward tail P_{m+1}, V_{m+2}, ..., P_k (bit 0, ending in the input's
+    verification) or the backward head V_m^-1, P_{m-1}^-1, ..., P_3^-1 (bit 1,
+    ending in V_2^-1 and the all-zero check of every V register).  The two
+    sequences are paired from their ends, so the longer one overhangs at the
+    start against an idle branch, and each pair is one output turn.
+    """
+
+    def __init__(self, spec: ProtocolSpec, honest: ProverStrategy, transform: str, shape) -> None:
+        _require_clean(spec)
+        _require_node_registers(spec, transform)
+        (form, fits), k = shape, spec.num_turns
+        if not fits(k):
+            raise ShapeError(f"{transform} needs {form}, got {k}")
+        self.spec, self.honest, self.transform = spec, honest, transform
+        self.n = n = spec.graph.node_count
+        # Honest tables: node units on (V, M) and dense prover gates, by input turn.
+        self.units = {
+            (t.index, u): _node_unit(spec, t, u)
+            for t in spec.turns
+            if isinstance(t, VerifierTurn)
+            for u in range(n)
+        }
+        self.gates = {
+            t.index: qcore.dense_matrix(honest.gate(t.index, {}))
+            for t in spec.turns
+            if isinstance(t, ProverTurn)
+        }
+        mid = 2 * ((k - 1) // 4) + 2
+        forward, backward = list(range(mid + 1, k + 1)), list(range(mid, 2, -1))
+        width = max(len(forward), len(backward))  # the shorter side idles at the start
+        self.pairs = list(zip([None] * (width - len(forward)) + forward, [None] * (width - len(backward)) + backward))
+        self.snapshot = self._fold(mid)
+
+    def _fold(self, upto: int) -> np.ndarray:
+        """Full-space unitary of the honest evolution through turn ``upto``."""
+        layout = self.spec.layout
+        size = layout.total_qubits
+        qcore.check_budget(16 * 4**size, f"honest prefix unitary of {self.spec.name!r}")
+        total = np.eye(2**size, dtype=np.complex128)
+        for turn in self.spec.turns:
+            if turn.index > upto:
+                break
+            if isinstance(turn, ProverTurn):
+                qubits = _expand_registers(layout, list(turn.acts_on))
+                total = qcore.embed_operator(self.gates[turn.index], qubits, size) @ total
+            else:
+                for u in range(self.n):
+                    qubits = _expand_registers(layout, _vm_regs(u))
+                    total = qcore.embed_operator(self.units[turn.index, u], qubits, size) @ total
+        return total
+
+    def _node_step(self, b: _Branch, u: int, fwd: np.ndarray | None, bwd: np.ndarray | None) -> Step:
+        """Node u runs ``fwd`` on branch 0 and ``bwd`` on branch 1; None idles."""
+        vm = _vm_regs(u)
+        if b.control is None:
+            table = {(0,): None if fwd is None else (fwd, vm), (1,): None if bwd is None else (bwd, vm)}
+            return conditional_step(u, [b.key(u)], table)
+        idle = np.eye((bwd if fwd is None else fwd).shape[0], dtype=np.complex128)
+        pair = _two_branch_controlled(idle if fwd is None else fwd, idle if bwd is None else bwd)
+        return static_step(u, pair, [b.control(u)] + vm)
+
+    def build(self, b: _Branch, completeness: float | None, soundness: float | None) -> Compiled:
+        spec, n = self.spec, self.n
+        layout = allocate_layout(
+            spec.graph,
+            prover_qubits=spec.layout.size("P") if spec.layout.has("P") else 0,
+            node_private={u: spec.layout.size(reg_v(u)) for u in range(n)},
+            node_message={u: spec.layout.size(reg_m(u)) for u in range(n)},
+            extras=b.extras,
+        )
+        deliver_m = tuple((reg_m(u), u) for u in range(n))
+        # Nodes get their M back with the snapshot when the first pair turn is theirs.
+        nodes_first = (self.pairs[0][0] or self.pairs[0][1]) not in self.gates
+        turns: list[ProverTurn | VerifierTurn] = [
+            ProverTurn(
+                index=1,
+                acts_on=tuple(spec.layout.names()),
+                delivers=tuple((reg_v(u), u) for u in range(n)) + (deliver_m if nodes_first else ()),
+                replies=b.replies,
+            ),
+            *b.prelude,
+        ]
+        idle = np.eye(2 ** len(_expand_registers(spec.layout, _prover_regs(spec))), dtype=np.complex128)
+        pair_gates = {}
+        for i, (fwd, bwd) in enumerate(self.pairs):
+            index, extra = len(turns) + 1, (b.first if i == 0 else {})
+            if (fwd or bwd) in self.gates:
+                turns.append(ProverTurn(index=index, acts_on=b.holds + _prover_regs(spec), delivers=deliver_m, **extra))
+                pair_gates[index] = (
+                    idle if fwd is None else self.gates[fwd],
+                    idle if bwd is None else self.gates[bwd].conj().T,
+                )
+                continue
+            steps = tuple(
+                self._node_step(
+                    b,
+                    u,
+                    None if fwd is None else self.units[fwd, u],
+                    None if bwd is None else self.units[bwd, u].conj().T,
+                )
+                for u in range(n)
+            )
+            turns.append(VerifierTurn(index=index, steps=steps, sends=_all_m(spec), **extra))
+
+        def forward(u: int) -> Callable[[Mapping], bool]:
+            return lambda view: view[b.key(u)] == 0
+
+        ver = spec.verification
+        if b.control is None:
+            steps = [_when_step(forward(s.actor), s) for s in ver.steps]
+        else:  # the bit is still a qubit while the steps run, so they are controlled on it
+            resolved = [(s.actor, s.resolve({})) for s in ver.steps]
+            steps = [self._node_step(b, u, _on_vm(spec, *r, u), None) for u, r in resolved if r is not None]
+        steps += [self._node_step(b, u, None, self.units[2, u].conj().T) for u in range(n)]
+        measurements = b.measurements + tuple(_when_measurement(forward(m.node), m) for m in ver.measurements)
+
+        inner_broadcasts = {bc.node: bc for bc in ver.broadcasts}
+        broadcasts = tuple(
+            Broadcast(
+                node=u,
+                fn=lambda view, _u=u: {
+                    **b.bundle(_u, view),
+                    "inner": inner_broadcasts[_u].fn(view) if _u in inner_broadcasts and forward(_u)(view) else None,
+                },
+                describe={"kind": b.kinds[0], "node": u},
+            )
+            for u in range(n)
+        )
+
+        inner_accepts = {a.node: a for a in ver.accepts}
+        zeros = {u: _zero_projector(spec.layout.size(reg_v(u))) for u in range(n)}
+
+        def predicate(view: Mapping, u: int) -> bool:
+            received = {v: view[f"recv:{v}"] for v in spec.graph.neighbors(u)}
+            inner = inner_accepts.get(u)
+            if not b.check(u, view, received):
+                return False
+            if view[b.key(u)] == 1 or inner is None or inner.predicate is None:
+                return True
+            return inner.predicate({**view, **{f"recv:{v}": got["inner"] for v, got in received.items()}})
+
+        def projector(view: Mapping, u: int):
+            inner = inner_accepts.get(u)
+            if view[b.key(u)] == 1:
+                return zeros[u], [reg_v(u)]
+            return None if inner is None or inner.projector is None else inner.projector(view)
+
+        accepts = tuple(
+            NodeAccept(
+                node=u,
+                projector=lambda view, _u=u: projector(view, _u),
+                predicate=lambda view, _u=u: predicate(view, _u),
+                describe={"kind": b.kinds[1], "node": u},
+            )
+            for u in range(n)
+        )
+        out = ProtocolSpec(
+            name=f"{b.tag}[{spec.name}]",
+            graph=spec.graph,
+            layout=_with_owners(layout, {reg_v(u): PROVER for u in range(n)}),
+            turns=tuple(turns),
+            verification=VerificationPhase(
+                steps=tuple(steps), measurements=measurements, broadcasts=broadcasts, accepts=accepts
+            ),
+            metadata=dict(spec.metadata, **b.metadata),
+        )
+
+        def gate(turn_index: int, view: Mapping) -> np.ndarray:
+            if turn_index == 1:
+                return self.snapshot
+            if turn_index in b.prelude_gates:
+                return b.prelude_gates[turn_index]
+            return b.gate(pair_gates[turn_index], view)
+
+        report = CompileReport(
+            transform=self.transform,
+            input_turns=spec.num_turns,
+            output_turns=out.num_turns,
+            message_qubits_per_node=message_accounting(out),
+            private_qubits_per_node=private_accounting(out),
+            predicted_completeness=None if completeness is None else halved_completeness(float(completeness)),
+            predicted_soundness=None if soundness is None else halved_soundness(float(soundness)),
+        )
+        return Compiled(out, FunctionalStrategy(f"{b.tag}[{self.honest.name}]", gate, b.reply), report)
 
 
 def halve_turns_shared(
@@ -526,166 +747,21 @@ def halve_turns_shared(
     """(4l+1)-turn protocol -> (2l+1)-turn protocol with one shared coin.
 
     Turn 1 delivers the snapshot of the honest state through verifier turn
-    2l+2; the shared coin r then selects forward simulation of the remaining
-    turns (r=0, ending in the original verification) or backward
-    un-simulation (r=1, ending in the all-zero check of every V register).
+    2l+2; turn 2 flips the shared coin r, which every node and the prover
+    read directly.  r=0 simulates the remaining turns forward and ends in the
+    original verification; r=1 un-simulates the first half and ends in the
+    all-zero check of every V register.
     """
-    _require_clean(spec)
-    _require_node_registers(spec, "halve_turns_shared")
-    k = spec.num_turns
-    if k < 5 or k % 4 != 1:
-        raise ShapeError(f"turn count {k} is not of the form 4l+1 with l >= 1")
-    ell = (k - 1) // 4
-    n = spec.graph.node_count
-
-    verifier_turns = {t.index: t for t in spec.turns if isinstance(t, VerifierTurn)}
-    prover_gates = {
-        t.index: qcore.dense_matrix(honest.gate(t.index, {}))
-        for t in spec.turns
-        if isinstance(t, ProverTurn)
-    }
-    node_units = {idx: {u: _node_unit(spec, t, u) for u in range(n)} for idx, t in verifier_turns.items()}
-
-    layout = _with_owners(spec.layout, {reg_v(u): PROVER for u in range(n)})
-    snapshot = _prefix_unitary(spec, honest, upto=2 * ell + 2)
-    all_regs = tuple(spec.layout.names())
-
-    turns: list[ProverTurn | VerifierTurn] = [
-        ProverTurn(
-            index=1,
-            acts_on=all_regs,
-            delivers=tuple((reg_v(u), u) for u in range(n)) + tuple((reg_m(u), u) for u in range(n)),
-        )
-    ]
-    turns.append(
-        VerifierTurn(
-            index=2,
-            coins=(CoinFlip("r", 2, owner=None),),
-            steps=tuple(
-                conditional_step(
-                    u,
-                    ["r"],
-                    {(0,): None, (1,): (node_units[2 * ell + 2][u].conj().T, _vm_regs(u))},
-                )
-                for u in range(n)
-            ),
-            sends=_all_m(spec),
-        )
+    halving = _Halving(spec, honest, "halve_turns_shared", _FOUR_L_PLUS_ONE)
+    branch = _Branch(
+        tag="halved-sh",
+        metadata={"halved": "shared"},
+        key=lambda u: "r",
+        gate=lambda pair, view: pair[view["r"]],
+        kinds=("shared-bundle", "halved-accept"),
+        first={"coins": (CoinFlip("r", 2, owner=None),)},
     )
-
-    honest_gates: dict[int, dict[int, np.ndarray]] = {}
-    for idx in range(3, 2 * ell + 2):
-        if idx % 2 == 1:
-            j = (idx - 1) // 2
-            turns.append(
-                ProverTurn(
-                    index=idx,
-                    acts_on=_prover_regs(spec),
-                    delivers=tuple((reg_m(u), u) for u in range(n)),
-                )
-            )
-            honest_gates[idx] = {
-                0: prover_gates[2 * ell + 2 * j + 1],
-                1: prover_gates[2 * ell - 2 * j + 3].conj().T,
-            }
-        else:
-            j = (idx - 2) // 2
-            turns.append(
-                VerifierTurn(
-                    index=idx,
-                    steps=tuple(
-                        conditional_step(
-                            u,
-                            ["r"],
-                            {
-                                (0,): (node_units[2 * ell + 2 * j + 2][u], _vm_regs(u)),
-                                (1,): (node_units[2 * ell - 2 * j + 2][u].conj().T, _vm_regs(u)),
-                            },
-                        )
-                        for u in range(n)
-                    ),
-                    sends=_all_m(spec),
-                )
-            )
-
-    forward = lambda view: view["r"] == 0  # noqa: E731
-    backward = lambda view: view["r"] == 1  # noqa: E731
-
-    ver = spec.verification
-    steps = [_when_step(forward, s) for s in ver.steps]
-    for u in range(n):
-        steps.append(
-            conditional_step(
-                u,
-                ["r"],
-                {(0,): None, (1,): (node_units[2][u].conj().T, _vm_regs(u))},
-            )
-        )
-    measurements = tuple(_when_measurement(forward, m) for m in ver.measurements)
-    broadcasts = tuple(_when_broadcast(forward, bc) for bc in ver.broadcasts)
-
-    accepts = []
-    inner_accepts = {a.node: a for a in ver.accepts}
-    for u in range(n):
-        inner = inner_accepts.get(u)
-        g_u = spec.layout.size(reg_v(u)) if spec.layout.has(reg_v(u)) else 0
-        zero_proj = _zero_projector(g_u) if g_u else None
-
-        def projector(view, _inner=inner, _zero=zero_proj, _u=u):
-            if view["r"] == 0:
-                return None if (_inner is None or _inner.projector is None) else _inner.projector(view)
-            return None if _zero is None else (_zero, [reg_v(_u)])
-
-        def predicate(view, _inner=inner):
-            if view["r"] == 0:
-                return True if (_inner is None or _inner.predicate is None) else _inner.predicate(view)
-            return True
-
-        accepts.append(
-            NodeAccept(
-                node=u,
-                projector=projector,
-                predicate=predicate,
-                describe={"kind": "halved-accept", "node": u},
-            )
-        )
-
-    out = ProtocolSpec(
-        name=f"halved-sh[{spec.name}]",
-        graph=spec.graph,
-        layout=layout,
-        turns=tuple(turns),
-        verification=VerificationPhase(
-            steps=tuple(steps),
-            measurements=measurements,
-            broadcasts=broadcasts,
-            accepts=tuple(accepts),
-        ),
-        metadata=dict(spec.metadata, halved="shared"),
-    )
-
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index == 1:
-            return snapshot
-        return honest_gates[turn_index][view["r"]]
-
-    report = CompileReport(
-        transform="halve_turns_shared",
-        input_turns=k,
-        output_turns=out.num_turns,
-        message_qubits_per_node=message_accounting(out),
-        private_qubits_per_node=private_accounting(out),
-        predicted_completeness=None if completeness is None else halved_completeness(float(completeness)),
-        predicted_soundness=None if soundness is None else halved_soundness(float(soundness)),
-    )
-    if out.num_turns != 2 * ell + 1:
-        raise ProtocolError("halved protocol has the wrong turn count")
-    return Compiled(out, FunctionalStrategy(f"halved-sh[{honest.name}]", gate), report)
-
-
-# ---------------------------------------------------------------------------
-# Seven turns to five
-# ---------------------------------------------------------------------------
+    return halving.build(branch, completeness, soundness)
 
 
 def seven_to_five(
@@ -704,193 +780,29 @@ def seven_to_five(
     its own echo against the coin, so a prover who answers inconsistently,
     or differently from the coin, is rejected outright.
     """
-    _require_clean(spec)
-    _require_node_registers(spec, "seven_to_five")
-    if spec.num_turns != 7:
-        raise ShapeError(f"seven_to_five needs exactly 7 turns, got {spec.num_turns}")
-    n = spec.graph.node_count
-    leader = 0
+    halving = _Halving(spec, honest, "seven_to_five", _SEVEN)
+    n, leader = halving.n, 0
 
-    verifier_turns = {t.index: t for t in spec.turns if isinstance(t, VerifierTurn)}
-    node_units = {idx: {u: _node_unit(spec, t, u) for u in range(n)} for idx, t in verifier_turns.items()}
-    prover_gates = {
-        t.index: qcore.dense_matrix(honest.gate(t.index, {}))
-        for t in spec.turns
-        if isinstance(t, ProverTurn)
-    }
+    def check(u: int, view: Mapping, received: dict) -> bool:
+        echo, label = view[f"becho:{u}"], view[f"leader:{u}"]
+        if any(got["becho"] != echo or got["leader"] != label for got in received.values()):
+            return False
+        return u != leader or (echo == view["b"] and label == leader)
 
-    layout = _with_owners(spec.layout, {reg_v(u): PROVER for u in range(n)})
-    psi4 = _prefix_unitary(spec, honest, upto=4)
-    all_regs = tuple(spec.layout.names())
-    echo_slots = tuple(ReplySlot(f"becho:{u}", 2, audience=(u,)) for u in range(n))
-    leader_slots = tuple(ReplySlot(f"leader:{u}", n, audience=(u,)) for u in range(n))
-
-    turns: list[ProverTurn | VerifierTurn] = [
-        ProverTurn(
-            index=1,
-            acts_on=all_regs,
-            delivers=tuple((reg_v(u), u) for u in range(n)),
-            replies=leader_slots,
-        ),
-        VerifierTurn(index=2, coins=(CoinFlip("b", 2, owner=leader),)),
-        ProverTurn(
-            index=3,
-            acts_on=_prover_regs(spec),
-            delivers=tuple((reg_m(u), u) for u in range(n)),
-            replies=echo_slots,
-        ),
-        VerifierTurn(
-            index=4,
-            steps=tuple(
-                conditional_step(
-                    u,
-                    [f"becho:{u}"],
-                    {
-                        (0,): (node_units[6][u], _vm_regs(u)),
-                        (1,): (node_units[4][u].conj().T, _vm_regs(u)),
-                    },
-                )
-                for u in range(n)
-            ),
-            sends=_all_m(spec),
-        ),
-        ProverTurn(
-            index=5,
-            acts_on=_prover_regs(spec),
-            delivers=tuple((reg_m(u), u) for u in range(n)),
-        ),
-    ]
-
-    def fwd(u: int):
-        return lambda view: view[f"becho:{u}"] == 0
-
-    ver = spec.verification
-    steps = [_when_step(fwd(s.actor), s) for s in ver.steps]
-    for u in range(n):
-        steps.append(
-            conditional_step(
-                u,
-                [f"becho:{u}"],
-                {(0,): None, (1,): (node_units[2][u].conj().T, _vm_regs(u))},
-            )
-        )
-    measurements = tuple(_when_measurement(fwd(m.node), m) for m in ver.measurements)
-
-    inner_broadcasts = {bc.node: bc for bc in ver.broadcasts}
-    broadcasts = tuple(
-        Broadcast(
-            node=u,
-            fn=lambda view, _u=u: {
-                "becho": view[f"becho:{_u}"],
-                "leader": view[f"leader:{_u}"],
-                "inner": (
-                    inner_broadcasts[_u].fn(view)
-                    if _u in inner_broadcasts and view[f"becho:{_u}"] == 0
-                    else None
-                ),
-            },
-            describe={"kind": "echo-bundle", "node": u},
-        )
-        for u in range(n)
+    branch = _Branch(
+        tag="5turn",
+        metadata={"reduced": "7to5"},
+        key=lambda u: f"becho:{u}",
+        gate=lambda pair, view: pair[view["b"]],
+        kinds=("echo-bundle", "seven-to-five-accept"),
+        first={"replies": tuple(ReplySlot(f"becho:{u}", 2, audience=(u,)) for u in range(n))},
+        replies=tuple(ReplySlot(f"leader:{u}", n, audience=(u,)) for u in range(n)),
+        reply=lambda slot, view: view["b"] if slot.startswith("becho:") else leader,
+        prelude=(VerifierTurn(index=2, coins=(CoinFlip("b", 2, owner=leader),)),),
+        bundle=lambda u, view: {"becho": view[f"becho:{u}"], "leader": view[f"leader:{u}"]},
+        check=check,
     )
-
-    inner_accepts = {a.node: a for a in ver.accepts}
-    accepts = []
-    for u in range(n):
-        inner = inner_accepts.get(u)
-        g_u = spec.layout.size(reg_v(u)) if spec.layout.has(reg_v(u)) else 0
-        zero_proj = _zero_projector(g_u) if g_u else None
-
-        def predicate(view, _u=u, _inner=inner):
-            mine = view[f"becho:{_u}"]
-            for v in spec.graph.neighbors(_u):
-                got = view[f"recv:{v}"]
-                if got["becho"] != mine or got["leader"] != view[f"leader:{_u}"]:
-                    return False
-            if _u == leader and (view[f"becho:{_u}"] != view["b"] or view[f"leader:{_u}"] != leader):
-                return False
-            if mine == 1:
-                return True
-            if _inner is None or _inner.predicate is None:
-                return True
-            translated = dict(view)
-            for v in spec.graph.neighbors(_u):
-                translated[f"recv:{v}"] = view[f"recv:{v}"]["inner"]
-            return _inner.predicate(translated)
-
-        def projector(view, _u=u, _inner=inner, _zero=zero_proj):
-            if view[f"becho:{_u}"] == 0:
-                return None if (_inner is None or _inner.projector is None) else _inner.projector(view)
-            return None if _zero is None else (_zero, [reg_v(_u)])
-
-        accepts.append(
-            NodeAccept(node=u, projector=projector, predicate=predicate,
-                       describe={"kind": "seven-to-five-accept", "node": u})
-        )
-
-    out = ProtocolSpec(
-        name=f"5turn[{spec.name}]",
-        graph=spec.graph,
-        layout=layout,
-        turns=tuple(turns),
-        verification=VerificationPhase(
-            steps=tuple(steps),
-            measurements=measurements,
-            broadcasts=broadcasts,
-            accepts=tuple(accepts),
-        ),
-        metadata=dict(spec.metadata, reduced="7to5"),
-    )
-
-    identity_pm = np.eye(2 ** len(_expand_registers(spec.layout, _prover_regs(spec))), dtype=np.complex128)
-
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index == 1:
-            return psi4
-        if turn_index == 3:
-            return prover_gates[5] if view["b"] == 0 else identity_pm
-        if turn_index == 5:
-            return prover_gates[7] if view["b"] == 0 else prover_gates[3].conj().T
-        raise ProtocolError(f"unexpected prover turn {turn_index}")
-
-    def reply(slot_name: str, view: Mapping) -> int:
-        if slot_name.startswith("becho:"):
-            return view["b"]
-        if slot_name.startswith("leader:"):
-            return leader
-        raise ProtocolError(f"unexpected reply slot {slot_name}")
-
-    report = CompileReport(
-        transform="seven_to_five",
-        input_turns=7,
-        output_turns=out.num_turns,
-        message_qubits_per_node=message_accounting(out),
-        private_qubits_per_node=private_accounting(out),
-        predicted_completeness=None if completeness is None else halved_completeness(float(completeness)),
-        predicted_soundness=None if soundness is None else halved_soundness(float(soundness)),
-    )
-    if out.num_turns != 5:
-        raise ProtocolError("seven_to_five produced the wrong turn count")
-    return Compiled(out, FunctionalStrategy(f"5turn[{honest.name}]", gate, reply), report)
-
-
-# ---------------------------------------------------------------------------
-# Turn halving with private randomness
-# ---------------------------------------------------------------------------
-
-
-def _two_branch_controlled(mat0: np.ndarray, mat1: np.ndarray) -> np.ndarray:
-    """Block gate selecting ``mat0``/``mat1`` by the control (gate qubit 0)."""
-    dim = mat0.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    for c, mat in ((0, mat0), (1, mat1)):
-        idx = [2 * j + c for j in range(dim)]
-        out[np.ix_(idx, idx)] = mat
-    return out
-
-
-def coin_reg(u: int) -> str:
-    return f"C:{u}"
+    return halving.build(branch, completeness, soundness)
 
 
 def halve_turns_private(
@@ -908,59 +820,14 @@ def halve_turns_private(
     every neighbor, verifies prover-supplied spanning-tree labels, and then
     branches forward/backward exactly as in the shared-coin construction.
     """
-    _require_clean(spec)
-    _require_node_registers(spec, "halve_turns_private")
-    k = spec.num_turns
-    if k < 5 or k % 4 != 1:
-        raise ShapeError(f"turn count {k} is not of the form 4l+1 with l >= 1")
-    ell = (k - 1) // 4
-    n = spec.graph.node_count
-    root = 0
-    tree = spanning_tree(spec.graph, root)
-    none_parent = n  # parent encoding: 0..n-1 real, n = "no parent"
-
-    verifier_turns = {t.index: t for t in spec.turns if isinstance(t, VerifierTurn)}
-    node_units = {idx: {u: _node_unit(spec, t, u) for u in range(n)} for idx, t in verifier_turns.items()}
-    prover_gates = {
-        t.index: qcore.dense_matrix(honest.gate(t.index, {}))
-        for t in spec.turns
-        if isinstance(t, ProverTurn)
-    }
-
+    halving = _Halving(spec, honest, "halve_turns_private", _FOUR_L_PLUS_ONE)
+    n, root = halving.n, 0
     p_size = spec.layout.size("P") if spec.layout.has("P") else 0
-    extras = [(coin_reg(u), 1, root if u == root else PROVER) for u in range(n)]
-    extras.append(("CP", 1, root))
-    layout = allocate_layout(
-        spec.graph,
-        prover_qubits=p_size,
-        node_private={u: spec.layout.size(reg_v(u)) if spec.layout.has(reg_v(u)) else 0 for u in range(n)},
-        node_message={u: spec.layout.size(reg_m(u)) for u in range(n)},
-        extras=extras,
-    )
-    layout = _with_owners(layout, {reg_v(u): PROVER for u in range(n)})
-
-    # The snapshot acts on the (P, V, M) qubits listed in input-layout order,
-    # so the full-space prefix unitary of the input is directly reusable.
-    snapshot = _prefix_unitary(spec, honest, upto=2 * ell + 2)
-    tree_slots = tuple(
-        slot
-        for u in range(n)
-        for slot in (
-            ReplySlot(f"leader:{u}", n, audience=(u,)),
-            ReplySlot(f"parent:{u}", n + 1, audience=(u,)),
-            ReplySlot(f"dist:{u}", n, audience=(u,)),
-        )
-    )
-
-    pvm_regs = tuple(spec.layout.names())  # input-layout order = snapshot qubit order
     fanout_regs = ("CP",) + tuple(coin_reg(u) for u in range(n) if u != root)
-    turns: list[ProverTurn | VerifierTurn] = [
-        ProverTurn(
-            index=1,
-            acts_on=pvm_regs,
-            delivers=tuple((reg_v(u), u) for u in range(n)) + tuple((reg_m(u), u) for u in range(n)),
-            replies=tree_slots,
-        ),
+    fanout = np.eye(2 ** (p_size + len(fanout_regs)), dtype=np.complex128)
+    for offset in range(1, n):  # CP at position p_size, fan-out targets follow
+        fanout = qcore.embed_operator(qcore.CNOT.matrix, [p_size, p_size + offset], p_size + len(fanout_regs)) @ fanout
+    prelude = (
         VerifierTurn(
             index=2,
             steps=(
@@ -974,207 +841,46 @@ def halve_turns_private(
             acts_on=(("P",) if p_size else ()) + fanout_regs,
             delivers=tuple((coin_reg(u), u) for u in range(n) if u != root),
         ),
-    ]
-
-    honest_gates: dict[int, dict[int, np.ndarray]] = {}
-    fan_dim = 2 ** (p_size + len(fanout_regs))
-    fanout = np.eye(fan_dim, dtype=np.complex128)
-    for offset in range(1, n):  # CP at position p_size, fan-out targets follow
-        fanout = qcore.embed_operator(
-            qcore.CNOT.matrix, [p_size, p_size + offset], p_size + len(fanout_regs)
-        ) @ fanout
-
-    for idx in range(4, 2 * ell + 4):
-        shared_idx = idx - 2  # mirrors the shared construction's turn index
-        if shared_idx % 2 == 0:
-            j = (shared_idx - 2) // 2
-            steps = []
-            for u in range(n):
-                if shared_idx == 2:
-                    fwd_mat = np.eye(node_units[2 * ell + 2][u].shape[0], dtype=np.complex128)
-                    bwd_mat = node_units[2 * ell + 2][u].conj().T
-                else:
-                    fwd_mat = node_units[2 * ell + 2 * j + 2][u]
-                    bwd_mat = node_units[2 * ell - 2 * j + 2][u].conj().T
-                steps.append(
-                    static_step(
-                        u,
-                        _two_branch_controlled(fwd_mat, bwd_mat),
-                        [coin_reg(u)] + _vm_regs(u),
-                    )
-                )
-            turns.append(VerifierTurn(index=idx, steps=tuple(steps), sends=_all_m(spec)))
-        else:
-            j = (shared_idx - 1) // 2
-            turns.append(
-                ProverTurn(
-                    index=idx,
-                    acts_on=("CP",) + _prover_regs(spec),
-                    delivers=tuple((reg_m(u), u) for u in range(n)),
-                )
-            )
-            honest_gates[idx] = {
-                0: prover_gates[2 * ell + 2 * j + 1],
-                1: prover_gates[2 * ell - 2 * j + 3].conj().T,
-            }
-
-    # Verification: measure each coin qubit, then branch classically.
-    coin_measurements = tuple(
-        Measurement(
-            name=f"coin:{u}",
-            node=u,
-            resolve_targets=lambda view, _r=coin_reg(u): [_r],
-            describe={"kind": "coin-measurement", "node": u},
-        )
-        for u in range(n)
     )
+    labels = tree_label_replies(spanning_tree(spec.graph, root))
 
-    def fwd(u: int):
-        return lambda view: view[f"coin:{u}"] == 0
+    def check(u: int, view: Mapping, received: dict) -> bool:
+        coin = view[f"coin:{u}"]
+        return all(got["coin"] == coin for got in received.values()) and tree_labels_hold(
+            spec.graph, root, u, view, received
+        )
 
-    ver = spec.verification
-    # Steps run before measurements, so branch on the coin QUBIT coherently.
-    steps = []
-    for s in ver.steps:
-        u = s.actor
-        resolved = s.resolve({})
-        if resolved is None:
-            continue
-        mat, regs = resolved
-        union = _expand_registers(spec.layout, _vm_regs(u))
-        qubits = _expand_registers(spec.layout, regs)
-        positions = [union.index(q) for q in qubits]
-        lifted_mat = qcore.embed_operator(np.asarray(mat, dtype=np.complex128), positions, len(union))
-        steps.append(
-            static_step(
-                u,
-                _two_branch_controlled(lifted_mat, np.eye(lifted_mat.shape[0], dtype=np.complex128)),
-                [coin_reg(u)] + _vm_regs(u),
+    branch = _Branch(
+        tag="halved-p",
+        metadata={"halved": "private"},
+        key=lambda u: f"coin:{u}",
+        gate=lambda pair, view: _two_branch_controlled(*pair),
+        kinds=("coin-bundle", "private-halved-accept"),
+        control=coin_reg,
+        holds=("CP",),
+        replies=tree_label_slots(spec.graph),
+        reply=lambda slot, view: labels[slot],
+        prelude=prelude,
+        prelude_gates={3: fanout},
+        extras=tuple((coin_reg(u), 1, root if u == root else PROVER) for u in range(n)) + (("CP", 1, root),),
+        measurements=tuple(
+            Measurement(
+                name=f"coin:{u}",
+                node=u,
+                resolve_targets=lambda view, _r=coin_reg(u): [_r],
+                describe={"kind": "coin-measurement", "node": u},
             )
-        )
-    for u in range(n):
-        steps.append(
-            static_step(
-                u,
-                _two_branch_controlled(
-                    np.eye(node_units[2][u].shape[0], dtype=np.complex128),
-                    node_units[2][u].conj().T,
-                ),
-                [coin_reg(u)] + _vm_regs(u),
-            )
-        )
-
-    measurements = coin_measurements + tuple(_when_measurement(fwd(m.node), m) for m in ver.measurements)
-
-    inner_broadcasts = {bc.node: bc for bc in ver.broadcasts}
-    broadcasts = tuple(
-        Broadcast(
-            node=u,
-            fn=lambda view, _u=u: {
-                "coin": view[f"coin:{_u}"],
-                "leader": view[f"leader:{_u}"],
-                "parent": view[f"parent:{_u}"],
-                "dist": view[f"dist:{_u}"],
-                "inner": (
-                    inner_broadcasts[_u].fn(view)
-                    if _u in inner_broadcasts and view[f"coin:{_u}"] == 0
-                    else None
-                ),
-            },
-            describe={"kind": "coin-bundle", "node": u},
-        )
-        for u in range(n)
-    )
-
-    inner_accepts = {a.node: a for a in ver.accepts}
-    accepts = []
-    for u in range(n):
-        inner = inner_accepts.get(u)
-        g_u = spec.layout.size(reg_v(u)) if spec.layout.has(reg_v(u)) else 0
-        zero_proj = _zero_projector(g_u) if g_u else None
-
-        def predicate(view, _u=u, _inner=inner):
-            mine = view[f"coin:{_u}"]
-            my_leader = view[f"leader:{_u}"]
-            my_parent = view[f"parent:{_u}"]
-            my_dist = view[f"dist:{_u}"]
-            received = {v: view[f"recv:{v}"] for v in spec.graph.neighbors(_u)}
-            for got in received.values():
-                if got["coin"] != mine or got["leader"] != my_leader:
-                    return False
-            if _u == root and my_leader != root:
-                return False
-            # Local spanning-tree label checks against the parent's distance.
-            if my_leader == _u:
-                if my_parent != none_parent or my_dist != 0:
-                    return False
-            else:
-                if my_parent not in received or received[my_parent]["dist"] + 1 != my_dist:
-                    return False
-            if mine == 1:
-                return True
-            if _inner is None or _inner.predicate is None:
-                return True
-            translated = dict(view)
-            for v in received:
-                translated[f"recv:{v}"] = received[v]["inner"]
-            return _inner.predicate(translated)
-
-        def projector(view, _u=u, _inner=inner, _zero=zero_proj):
-            if view[f"coin:{_u}"] == 0:
-                return None if (_inner is None or _inner.projector is None) else _inner.projector(view)
-            return None if _zero is None else (_zero, [reg_v(_u)])
-
-        accepts.append(
-            NodeAccept(node=u, projector=projector, predicate=predicate,
-                       describe={"kind": "private-halved-accept", "node": u})
-        )
-
-    out = ProtocolSpec(
-        name=f"halved-p[{spec.name}]",
-        graph=spec.graph,
-        layout=layout,
-        turns=tuple(turns),
-        verification=VerificationPhase(
-            steps=tuple(steps),
-            measurements=measurements,
-            broadcasts=broadcasts,
-            accepts=tuple(accepts),
+            for u in range(n)
         ),
-        metadata=dict(spec.metadata, halved="private"),
+        bundle=lambda u, view: {
+            "coin": view[f"coin:{u}"],
+            "leader": view[f"leader:{u}"],
+            "parent": view[f"parent:{u}"],
+            "dist": view[f"dist:{u}"],
+        },
+        check=check,
     )
-
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index == 1:
-            return snapshot
-        if turn_index == 3:
-            return fanout
-        mats = honest_gates[turn_index]
-        return _two_branch_controlled(mats[0], mats[1])
-
-    def reply(slot_name: str, view: Mapping) -> int:
-        kind, _, u = slot_name.partition(":")
-        u = int(u)
-        if kind == "leader":
-            return root
-        if kind == "parent":
-            return none_parent if tree.parent[u] is None else tree.parent[u]
-        if kind == "dist":
-            return tree.distance[u]
-        raise ProtocolError(f"unexpected reply slot {slot_name}")
-
-    report = CompileReport(
-        transform="halve_turns_private",
-        input_turns=k,
-        output_turns=out.num_turns,
-        message_qubits_per_node=message_accounting(out),
-        private_qubits_per_node=private_accounting(out),
-        predicted_completeness=None if completeness is None else halved_completeness(float(completeness)),
-        predicted_soundness=None if soundness is None else halved_soundness(float(soundness)),
-    )
-    if out.num_turns != 2 * ell + 3:
-        raise ProtocolError("private halving produced the wrong turn count")
-    return Compiled(out, FunctionalStrategy(f"halved-p[{honest.name}]", gate, reply), report)
+    return halving.build(branch, completeness, soundness)
 
 
 # ---------------------------------------------------------------------------

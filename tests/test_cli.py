@@ -200,6 +200,29 @@ def test_cli_config_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize(
+    "protocol, pipeline, field",
+    [
+        ("coin-guess", [{"transform": "halve-shared"}], "pipeline/0"),
+        ("coin-guess", [{"transform": "pad", "target": 4}], "pipeline/0"),
+        ("coin-guess", [{"transform": "pad", "target": 7}, {"transform": "halve-private"}], "pipeline/1"),
+        ("coin-guess", [{"transform": "pad", "target": 5}, {"transform": "seven-to-five"}], "pipeline/1"),
+        ("bipartite-pls", [{"transform": "pad", "target": 5}, {"transform": "halve-shared"}], "pipeline/1"),
+    ],
+)
+def test_cli_stage_that_cannot_apply_is_a_config_error(tmp_path, capsys, protocol, pipeline, field):
+    # Each config passes the schema; the stage's transform refuses its input.
+    params = {"protocol": protocol, "instance": "yes", "pipeline": pipeline}
+    config = {"experiment": "compile-pipeline", "seed": 1, "params": params}
+    config_path = tmp_path / "stage.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    kind = pipeline[int(field.split("/")[1])]["transform"]
+    assert err["error"] == "config" and err["fields"] == [field]
+    assert field in err["message"] and kind in err["message"]
+
+
 def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
     # Both configs pass the schema.  ghz nodes=5, copies=2 (15 qubits) runs:
     # its honest gate is factored, not a 16 GiB matrix.  dqct with four input

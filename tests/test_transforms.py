@@ -480,6 +480,8 @@ def test_reductions_halve_the_value_of_random_specs(reduce, turns, nodes):
         spec, honest = random_clean_spec(seed, turns=turns, nodes=nodes)
         c = execute_exact(spec, honest).acceptance_probability
         out = reduce(spec, honest)
+        out_turns = {halve_turns_shared: (turns + 1) // 2, seven_to_five: 5, halve_turns_private: (turns + 5) // 2}
+        assert out.spec.num_turns == out_turns[reduce]
         value = execute_exact(out.spec, out.honest).acceptance_probability
         assert abs(value - halved_completeness(c)) <= 1e-9
         if reduce is halve_turns_private:
