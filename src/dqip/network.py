@@ -291,7 +291,7 @@ def tree_labels_hold(graph: NetworkGraph, root: int, u: int, view: Mapping, rece
         return False
     if leader == u:
         return parent == graph.node_count and dist == 0
-    return parent in received and received[parent]["dist"] + 1 == dist
+    return parent in received and dist >= 1 and received[parent]["dist"] + 1 == dist
 
 
 def verify_spanning_tree(graph: NetworkGraph, labels: SpanningTreeLabels) -> list[bool]:
@@ -302,13 +302,9 @@ def verify_spanning_tree(graph: NetworkGraph, labels: SpanningTreeLabels) -> lis
     adjacent node one step closer to the root.  All nodes return True iff
     the labels encode a spanning tree rooted at ``labels.root``.
     """
-    ok = []
-    for u in range(graph.node_count):
-        p, d = labels.parent[u], labels.distance[u]
-        if u == labels.root:
-            ok.append(p is None and d == 0)
-        elif p is None or p not in graph.neighbors(u):
-            ok.append(False)
-        else:
-            ok.append(d == labels.distance[p] + 1 and d >= 1)
-    return ok
+    claims = tree_label_replies(labels)
+    bundles = {v: {"leader": labels.root, "dist": labels.distance[v]} for v in range(graph.node_count)}
+    return [
+        tree_labels_hold(graph, labels.root, u, claims, {v: bundles[v] for v in graph.neighbors(u)})
+        for u in range(graph.node_count)
+    ]

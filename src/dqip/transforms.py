@@ -613,15 +613,9 @@ class _Halving:
         pair = _two_branch_controlled(idle if fwd is None else fwd, idle if bwd is None else bwd)
         return static_step(u, pair, [b.control(u)] + vm)
 
-    def build(self, b: _Branch, completeness: float | None, soundness: float | None) -> Compiled:
+    def _turns(self, b: _Branch) -> tuple[list[ProverTurn | VerifierTurn], dict]:
+        """The output turns, and the (forward, backward) prover matrices of each prover pair turn."""
         spec, n = self.spec, self.n
-        layout = allocate_layout(
-            spec.graph,
-            prover_qubits=spec.layout.size("P") if spec.layout.has("P") else 0,
-            node_private={u: spec.layout.size(reg_v(u)) for u in range(n)},
-            node_message={u: spec.layout.size(reg_m(u)) for u in range(n)},
-            extras=b.extras,
-        )
         deliver_m = tuple((reg_m(u), u) for u in range(n))
         # Nodes get their M back with the snapshot when the first pair turn is theirs.
         nodes_first = (self.pairs[0][0] or self.pairs[0][1]) not in self.gates
@@ -655,6 +649,11 @@ class _Halving:
                 for u in range(n)
             )
             turns.append(VerifierTurn(index=index, steps=steps, sends=_all_m(spec), **extra))
+        return turns, pair_gates
+
+    def _verification(self, b: _Branch) -> VerificationPhase:
+        """Forward: the input's verification, gated; backward: V_2^-1 and the all-zero V check."""
+        spec, n = self.spec, self.n
 
         def forward(u: int) -> Callable[[Mapping], bool]:
             return lambda view: view[b.key(u)] == 0
@@ -708,14 +707,24 @@ class _Halving:
             )
             for u in range(n)
         )
+        return VerificationPhase(steps=tuple(steps), measurements=measurements, broadcasts=broadcasts, accepts=accepts)
+
+    def build(self, b: _Branch, completeness: float | None, soundness: float | None) -> Compiled:
+        spec, n = self.spec, self.n
+        layout = allocate_layout(
+            spec.graph,
+            prover_qubits=spec.layout.size("P") if spec.layout.has("P") else 0,
+            node_private={u: spec.layout.size(reg_v(u)) for u in range(n)},
+            node_message={u: spec.layout.size(reg_m(u)) for u in range(n)},
+            extras=b.extras,
+        )
+        turns, pair_gates = self._turns(b)
         out = ProtocolSpec(
             name=f"{b.tag}[{spec.name}]",
             graph=spec.graph,
             layout=_with_owners(layout, {reg_v(u): PROVER for u in range(n)}),
             turns=tuple(turns),
-            verification=VerificationPhase(
-                steps=tuple(steps), measurements=measurements, broadcasts=broadcasts, accepts=accepts
-            ),
+            verification=self._verification(b),
             metadata=dict(spec.metadata, **b.metadata),
         )
 
