@@ -287,8 +287,11 @@ def tree_labels_hold(graph: NetworkGraph, root: int, u: int, view: Mapping, rece
     one step closer to the leader.
     """
     leader, parent, dist = view[f"leader:{u}"], view[f"parent:{u}"], view[f"dist:{u}"]
-    if any(got["leader"] != leader for got in received.values()) or (u == root and leader != root):
+    if u == root and leader != root:
         return False
+    for got in received.values():
+        if got["leader"] != leader:
+            return False
     if leader == u:
         return parent == graph.node_count and dist == 0
     return parent in received and dist >= 1 and received[parent]["dist"] + 1 == dist

@@ -559,7 +559,9 @@ class _Halving:
     start against an idle branch, and each pair is one output turn.
     """
 
-    def __init__(self, spec: ProtocolSpec, honest: ProverStrategy, transform: str, shape) -> None:
+    def __init__(
+        self, spec: ProtocolSpec, honest: ProverStrategy, transform: str, shape: tuple[str, Callable[[int], bool]]
+    ) -> None:
         _require_clean(spec)
         _require_node_registers(spec, transform)
         (form, fits), k = shape, spec.num_turns
