@@ -137,6 +137,11 @@ def _experiment_dqct(config: dict) -> dict:
     params = config["params"]
     graph = _graph_from(params)
     qubits = tuple(params.get("qubits_per_node", [1] * graph.node_count))
+    if len(qubits) != graph.node_count:
+        raise ConfigError(
+            f"config field qubits_per_node: lists {len(qubits)} nodes, expected {graph.node_count}",
+            fields=["qubits_per_node"],
+        )
     instance = make_instance(graph, qubits, params["states"], seed=config["seed"])
     ghz_params = GhzProtocolParams(
         copies=params["copies"],

@@ -21,13 +21,6 @@ from .protocol import (
 from .seeding import substream
 
 
-def identity_prover(name: str = "identity") -> FunctionalStrategy:
-    def gate(turn_index, view):
-        raise AssertionError("identity prover needs explicit dimensions; use identity_for")
-
-    return FunctionalStrategy(name, gate)
-
-
 def identity_for(spec: ProtocolSpec, name: str = "identity") -> FunctionalStrategy:
     """Prover that applies the identity on whatever it holds at each turn."""
 
@@ -110,11 +103,11 @@ def coin_check_spec(check_vectors: list[np.ndarray], name: str = "coin-check") -
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=1)
     turn1 = ProverTurn(index=1, acts_on=("M:0",), delivers=(("M:0", 0),))
     turn2 = VerifierTurn(index=2, coins=(CoinFlip("r", len(check_vectors), owner=0),))
-    copy_into_v = qcore.embed_operator(qcore.CNOT.matrix, [1, 0], 2)  # control M, target V
     table = {}
     for r, v in enumerate(check_vectors):
-        unrotate = qcore.embed_operator(_completion_unitary(v).conj().T, [1], 2)
-        table[(r,)] = (copy_into_v @ unrotate, ["V:0", "M:0"])
+        # Unrotate M, then copy it into V (CNOT with control M, target V).
+        factors = [(_completion_unitary(v).conj().T, [1]), (qcore.CNOT.matrix, [1, 0])]
+        table[(r,)] = (qcore.circuit_matrix(2, factors, "check step"), ["V:0", "M:0"])
     step = conditional_step(0, ["r"], table)
     return ProtocolSpec(
         name=name,
@@ -137,12 +130,11 @@ def two_check_spec(v0: np.ndarray, v1: np.ndarray, name: str = "two-check") -> P
     layout = allocate_layout(graph, prover_qubits=0, node_private=2, node_message=1)
     turn1 = ProverTurn(index=1, acts_on=("M:0",), delivers=(("M:0", 0),))
     coin_h = static_step(0, qcore.H.matrix, ["V:0[1]"])
-    # Gate qubit 0 is the coin, gate qubit 1 the message: per-coin blocks interleave.
-    unrot = np.zeros((4, 4), dtype=np.complex128)
-    for c, v in ((0, v0), (1, v1)):
-        unrot[np.ix_([c, 2 + c], [c, 2 + c])] = _completion_unitary(v).conj().T
+    # Gate qubit 0 is the coin, gate qubit 1 the message.
+    unrot = qcore.controlled(_completion_unitary(v0).conj().T, _completion_unitary(v1).conj().T)
     controlled_unrotate = static_step(0, unrot, ["V:0[1]", "M:0"])
-    copy_into_v = static_step(0, qcore.embed_operator(qcore.CNOT.matrix, [1, 0], 2), ["V:0[0]", "M:0"])
+    copy = qcore.circuit_matrix(2, [(qcore.CNOT.matrix, [1, 0])], "copy step")  # control M, target V
+    copy_into_v = static_step(0, copy, ["V:0[0]", "M:0"])
     return ProtocolSpec(
         name=name,
         graph=graph,

@@ -79,10 +79,6 @@ class DamValue:
     strategy: dict  # merlin turn -> {coin history tuple -> per-node certificates}
     enumerated: int = 0
 
-    @property
-    def as_float(self) -> float:
-        return float(self.optimal_acceptance)
-
 
 def _coin_values(protocol: DamProtocol, graph: NetworkGraph) -> list:
     per_value = 2**protocol.bits_per_turn

@@ -108,10 +108,9 @@ def in_reg(side: int, u: int) -> str:
 
 def _controlled_slice_swap(width: int) -> np.ndarray:
     """Controlled qubit-wise SWAP of two width-qubit slices (control first)."""
-    swap = np.eye(2 ** (2 * width), dtype=np.complex128)
-    for j in range(width):
-        swap = qcore.embed_operator(qcore.SWAP.matrix, [j, width + j], 2 * width) @ swap
-    return qcore.controlled(qcore.Gate.from_matrix(swap)).matrix
+    what = f"controlled swap of two {width}-qubit slices"
+    swap = qcore.circuit_matrix(2 * width, [(qcore.SWAP.matrix, [j, width + j]) for j in range(width)], what)
+    return qcore.controlled(np.eye(len(swap), dtype=np.complex128), swap)
 
 
 def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compiled:
@@ -214,8 +213,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
 
     def finish_step() -> Step:
         # CNOT from B2 back onto the leader's control qubit, then H on B2.
-        cnot = qcore.embed_operator(qcore.CNOT.matrix, [1, 0], 2)  # control = B2
-        finish = qcore.embed_operator(qcore.H.matrix, [1], 2) @ cnot
+        finish = qcore.circuit_matrix(2, [(qcore.CNOT.matrix, [1, 0]), (qcore.H.matrix, [1])], "swap-test finish")
 
         def resolve(view: Mapping):
             return finish, [b_reg(leader, view), "B2"]
@@ -296,10 +294,9 @@ def _honest_pdqct_strategy(spec: ProtocolSpec, instance: DqctInstance, params: G
 
     # Turn 5: CNOT fan-in from the leader's control qubit onto all others,
     # sending the register back as |0^(n-1)> on the non-leader qubits.
-    fan_dim = p_qubits + n
-    fan_in = np.eye(2**fan_dim, dtype=np.complex128)
-    for offset in range(1, n):
-        fan_in = qcore.embed_operator(qcore.CNOT.matrix, [p_qubits, p_qubits + offset], fan_dim) @ fan_in
+    fan_in = qcore.circuit_matrix(
+        p_qubits + n, [(qcore.CNOT.matrix, [p_qubits, p_qubits + offset]) for offset in range(1, n)], "CNOT fan-in"
+    )
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
         if turn_index == 5:

@@ -78,12 +78,8 @@ def star_state(n: int) -> QuantumState:
 
 def star_prep_matrix(n: int) -> np.ndarray:
     """Unitary with star_state(n) as its action on |0^n>."""
-    total = np.eye(2**n, dtype=np.complex128)
-    for q in range(n):
-        total = qcore.embed_operator(qcore.H.matrix, [q], n) @ total
-    for leaf in range(1, n):
-        total = qcore.embed_operator(qcore.CZ.matrix, [0, leaf], n) @ total
-    return total
+    factors = [(qcore.H.matrix, [q]) for q in range(n)] + [(qcore.CZ.matrix, [0, leaf]) for leaf in range(1, n)]
+    return qcore.circuit_matrix(n, factors, f"{n}-qubit star preparation")
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +123,14 @@ def stabilizer_tests(n: int) -> tuple[StabilizerTest, StabilizerTest]:
     """The two star-coloring tests with the center at qubit 0."""
     if n < 2:
         raise ValidationError("stabilizer_tests needs at least two qubits")
-    dim = 2**n
-    center_x = qcore.embed_operator(qcore.X.matrix, [0], n)
-    for leaf in range(1, n):
-        center_x = center_x @ qcore.embed_operator(qcore.Z.matrix, [leaf], n)
-    p0 = (np.eye(dim) + center_x) / 2
-
-    p1 = np.eye(dim, dtype=np.complex128)
-    for leaf in range(1, n):
-        k_leaf = qcore.embed_operator(qcore.Z.matrix, [0], n) @ qcore.embed_operator(
-            qcore.X.matrix, [leaf], n
-        )
-        p1 = p1 @ ((np.eye(dim) + k_leaf) / 2)
+    # The center's stabilizer X_0 Z_1 ... Z_{n-1}, and the product of the
+    # leaves' projectors (1 + Z_0 X_leaf) / 2, which commute.
+    what = f"{n}-qubit stabilizer test"
+    leaves = range(1, n)
+    center_x = qcore.circuit_matrix(n, [(qcore.Z.matrix, [leaf]) for leaf in leaves] + [(qcore.X.matrix, [0])], what)
+    p0 = (np.eye(2**n) + center_x) / 2
+    k_leaf = qcore.circuit_matrix(2, [(qcore.X.matrix, [1]), (qcore.Z.matrix, [0])], what)
+    p1 = qcore.circuit_matrix(n, [((np.eye(4) + k_leaf) / 2, [0, leaf]) for leaf in reversed(leaves)], what)
 
     test0 = StabilizerTest(
         color=0,

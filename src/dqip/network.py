@@ -43,9 +43,6 @@ class NetworkGraph:
                 out.append(a)
         return sorted(out)
 
-    def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
-
 
 def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     adj: dict[int, list[int]] = {u: [] for u in range(n)}

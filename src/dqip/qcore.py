@@ -18,8 +18,11 @@ diagonal, 0/1 permutation or dense and applies it by broadcast multiply,
 row moves by basic slicing or the planned matmul; the see-saw and the
 executor's walks apply their fixed operators through it.
 :func:`project_outcome` zeroes the amplitudes outside one outcome.
-``embed_operator`` builds the full operator by index arithmetic and is kept
-as the oracle.
+Composite operators (node units, the honest prefix of a turn reduction,
+star preparations, fan-outs) are built by :func:`circuit_matrix`, which
+applies their factors to the identity through the same kernel.
+:func:`embed_operator` builds one embedded operator by index arithmetic;
+nothing in the package calls it, and the tests use it as the oracle.
 
 A gate is either a dense matrix or a :class:`FactoredOp`: local factors on
 disjoint positions, identity elsewhere.  :func:`apply_op` applies both; a
@@ -28,10 +31,10 @@ larger than the state, and factor by factor otherwise.  Fixed verifier
 operators, projectors and see-saw blocks stay dense; honest prover moves
 that are tensor products of local gates (the GHZ delivery of N+1 star
 states, the copies of a parallel repetition) are factored.  The dense
-constructors (:func:`kron_chain`, :meth:`FactoredOp.dense`,
-:func:`embed_operator`) check ``MAX_DENSE_BYTES`` before they allocate
-(:func:`check_budget`), and the executor checks the states its deepest path
-holds against the same limit before it walks.
+constructors (:func:`circuit_matrix`, :func:`kron_chain`,
+:meth:`FactoredOp.dense`, :func:`embed_operator`) check ``MAX_DENSE_BYTES``
+before they allocate (:func:`check_budget`), and the executor checks the
+states its deepest path holds against the same limit before it walks.
 
 The dense representation is practical up to roughly 22 qubits; layouts are
 capped well below that (see :mod:`dqip.network`).
@@ -99,14 +102,6 @@ class QuantumState:
         amps[0] = 1.0
         return cls(num_qubits, amps)
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "QuantumState":
-        vec = np.asarray(vec, dtype=np.complex128)
-        n = int(round(np.log2(vec.size)))
-        if 2**n != vec.size:
-            raise ValidationError(f"vector length {vec.size} is not a power of two")
-        return cls(n, vec)
-
     def density(self) -> "DensityOperator":
         return DensityOperator(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -149,15 +144,6 @@ class Gate:
             raise ValidationError("gate matrix is not unitary within tolerance")
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "Gate":
-        mat = np.asarray(mat, dtype=np.complex128)
-        k = int(round(np.log2(mat.shape[0])))
-        return cls(k, mat)
-
-    def dagger(self) -> "Gate":
-        return Gate(self.arity, self.matrix.conj().T)
-
 
 # ---------------------------------------------------------------------------
 # Named gates
@@ -198,14 +184,14 @@ def acceptance_rotation(c: float) -> Gate:
     return Gate(1, np.array([[sc, ss], [-ss, sc]], dtype=np.complex128))
 
 
-def controlled(gate: Gate) -> Gate:
-    """Add one control qubit (gate qubit 0) in front of ``gate``."""
-    dim = 2**gate.arity
-    mat = np.eye(2 * dim, dtype=np.complex128)
-    # Index layout: bit 0 = control, bits 1.. = original gate qubits.
-    idx = [2 * j + 1 for j in range(dim)]
-    mat[np.ix_(idx, idx)] = gate.matrix
-    return Gate(gate.arity + 1, mat)
+def controlled(mat0: np.ndarray, mat1: np.ndarray) -> np.ndarray:
+    """Block matrix applying ``mat0`` or ``mat1`` by the control (matrix qubit 0)."""
+    dim = mat0.shape[0]
+    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
+    for c, mat in ((0, mat0), (1, mat1)):
+        idx = [2 * j + c for j in range(dim)]
+        out[np.ix_(idx, idx)] = mat
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +296,22 @@ def apply_matrix_vec(vec: np.ndarray, mat: np.ndarray, targets: Sequence[int]) -
     if mat.shape != (plan.dim, plan.dim):
         raise LayoutError(f"matrix of shape {mat.shape} does not match {len(targets)} targets")
     return plan.apply(vec, mat)
+
+
+def circuit_matrix(num_qubits: int, factors: Iterable[tuple[np.ndarray, Sequence[int]]], what: str) -> np.ndarray:
+    """Dense matrix of ``(matrix, targets)`` factors applied in order, first factor first.
+
+    The identity is viewed as a ``2^(2n)`` vector whose bit ``n+q`` is row
+    qubit ``q``, and each factor acts on those row bits through
+    :func:`apply_matrix_vec`.  Raises :class:`CapacityError` naming ``what``
+    before allocating more than ``MAX_DENSE_BYTES``.
+    """
+    n = num_qubits
+    check_budget(16 * 4**n, what)
+    vec = np.eye(2**n, dtype=np.complex128).reshape(-1)
+    for mat, targets in factors:
+        vec = apply_matrix_vec(vec, np.asarray(mat, dtype=np.complex128), [n + q for q in targets])
+    return vec.reshape(2**n, 2**n)
 
 
 class StructuredOp:
@@ -522,8 +524,9 @@ def apply_unitary(state: QuantumState, gate: Gate, targets: Sequence[int]) -> Qu
 def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
     """Lift an operator on ``targets`` to the full ``2^n`` space.
 
-    Built by explicit index arithmetic; serves both as the dense-operator
-    constructor and as an independent oracle for the fast application path.
+    Built by explicit index arithmetic, independently of the kernel, as the
+    tests' oracle for :func:`apply_matrix_vec`, :class:`StructuredOp` and
+    :func:`circuit_matrix`; the package builds operators with the latter.
     """
     k = len(targets)
     _check_targets(targets, num_qubits, int(round(np.log2(op.shape[0]))))

@@ -175,21 +175,16 @@ def _require_node_registers(spec: ProtocolSpec, transform: str) -> None:
                 raise ConfigError(f"{transform} needs a {name!r} register, which {spec.name!r} does not have")
 
 
-def _on_vm(spec: ProtocolSpec, mat: np.ndarray, regs: Sequence[str], u: int) -> np.ndarray:
-    """``mat`` on registers ``regs``, embedded into node ``u``'s (V, M) space."""
+def _node_unit(spec: ProtocolSpec, steps: Sequence[Step], u: int) -> np.ndarray:
+    """Composite unitary of node ``u``'s static ``steps``, in order, on its (V, M) space."""
     union = _expand_registers(spec.layout, _vm_regs(u))
-    positions = [union.index(q) for q in _expand_registers(spec.layout, regs)]
-    return qcore.embed_operator(np.asarray(mat, dtype=np.complex128), positions, len(union))
-
-
-def _node_unit(spec: ProtocolSpec, turn: VerifierTurn, u: int) -> np.ndarray:
-    """Composite unitary of node ``u``'s steps in a turn, on its (V, M) space."""
-    total = np.eye(2 ** len(_expand_registers(spec.layout, _vm_regs(u))), dtype=np.complex128)
-    for step in turn.steps:
+    factors = []
+    for step in steps:
         resolved = step.resolve({}) if step.actor == u else None
         if resolved is not None:
-            total = _on_vm(spec, *resolved, u) @ total
-    return total
+            mat, regs = resolved
+            factors.append((mat, [union.index(q) for q in _expand_registers(spec.layout, regs)]))
+    return qcore.circuit_matrix(len(union), factors, f"node {u}'s unit on (V, M) in {spec.name!r}")
 
 
 def _all_m(spec: ProtocolSpec) -> tuple[str, ...]:
@@ -398,15 +393,10 @@ def _arthur_unit(slot: tuple[int | None, int], g: int, m: int) -> np.ndarray:
     CNOT fan-out from the coin slot into M.
     """
     store, coin = slot
-    size = g + m
-    total = np.eye(2**size, dtype=np.complex128)
-    if store is not None:
-        for b in range(m):
-            total = qcore.embed_operator(qcore.SWAP.matrix, [store + b, g + b], size) @ total
+    factors = [] if store is None else [(qcore.SWAP.matrix, [store + b, g + b]) for b in range(m)]
     for b in range(m):
-        total = qcore.embed_operator(qcore.H.matrix, [coin + b], size) @ total
-        total = qcore.embed_operator(qcore.CNOT.matrix, [coin + b, g + b], size) @ total
-    return total
+        factors += [(qcore.H.matrix, [coin + b]), (qcore.CNOT.matrix, [coin + b, g + b])]
+    return qcore.circuit_matrix(g + m, factors, "Arthur unit on (V, M)")
 
 
 def _merlin_gate(dam, instance, strategy, j, p_size, m, n, arthur) -> np.ndarray:
@@ -498,16 +488,6 @@ _FOUR_L_PLUS_ONE = ("4l+1 turns with l >= 1", lambda k: k >= 5 and k % 4 == 1)
 _SEVEN = ("exactly 7 turns", lambda k: k == 7)
 
 
-def _two_branch_controlled(mat0: np.ndarray, mat1: np.ndarray) -> np.ndarray:
-    """Block gate selecting ``mat0``/``mat1`` by the control (gate qubit 0)."""
-    dim = mat0.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    for c, mat in ((0, mat0), (1, mat1)):
-        idx = [2 * j + c for j in range(dim)]
-        out[np.ix_(idx, idx)] = mat
-    return out
-
-
 def coin_reg(u: int) -> str:
     return f"C:{u}"
 
@@ -571,7 +551,7 @@ class _Halving:
         self.n = n = spec.graph.node_count
         # Honest tables: node units on (V, M) and dense prover gates, by input turn.
         self.units = {
-            (t.index, u): _node_unit(spec, t, u)
+            (t.index, u): _node_unit(spec, t.steps, u)
             for t in spec.turns
             if isinstance(t, VerifierTurn)
             for u in range(n)
@@ -590,20 +570,15 @@ class _Halving:
     def _fold(self, upto: int) -> np.ndarray:
         """Full-space unitary of the honest evolution through turn ``upto``."""
         layout = self.spec.layout
-        size = layout.total_qubits
-        qcore.check_budget(16 * 4**size, f"honest prefix unitary of {self.spec.name!r}")
-        total = np.eye(2**size, dtype=np.complex128)
+        factors = []
         for turn in self.spec.turns:
             if turn.index > upto:
                 break
             if isinstance(turn, ProverTurn):
-                qubits = _expand_registers(layout, list(turn.acts_on))
-                total = qcore.embed_operator(self.gates[turn.index], qubits, size) @ total
+                factors.append((self.gates[turn.index], _expand_registers(layout, list(turn.acts_on))))
             else:
-                for u in range(self.n):
-                    qubits = _expand_registers(layout, _vm_regs(u))
-                    total = qcore.embed_operator(self.units[turn.index, u], qubits, size) @ total
-        return total
+                factors += [(self.units[turn.index, u], _expand_registers(layout, _vm_regs(u))) for u in range(self.n)]
+        return qcore.circuit_matrix(layout.total_qubits, factors, f"honest prefix unitary of {self.spec.name!r}")
 
     def _node_step(self, b: _Branch, u: int, fwd: np.ndarray | None, bwd: np.ndarray | None) -> Step:
         """Node u runs ``fwd`` on branch 0 and ``bwd`` on branch 1; None idles."""
@@ -612,7 +587,7 @@ class _Halving:
             table = {(0,): None if fwd is None else (fwd, vm), (1,): None if bwd is None else (bwd, vm)}
             return conditional_step(u, [b.key(u)], table)
         idle = np.eye((bwd if fwd is None else fwd).shape[0], dtype=np.complex128)
-        pair = _two_branch_controlled(idle if fwd is None else fwd, idle if bwd is None else bwd)
+        pair = qcore.controlled(idle if fwd is None else fwd, idle if bwd is None else bwd)
         return static_step(u, pair, [b.control(u)] + vm)
 
     def _turns(self, b: _Branch) -> tuple[list[ProverTurn | VerifierTurn], dict]:
@@ -664,8 +639,11 @@ class _Halving:
         if b.control is None:
             steps = [_when_step(forward(s.actor), s) for s in ver.steps]
         else:  # the bit is still a qubit while the steps run, so they are controlled on it
-            resolved = [(s.actor, s.resolve({})) for s in ver.steps]
-            steps = [self._node_step(b, u, _on_vm(spec, *r, u), None) for u, r in resolved if r is not None]
+            steps = [
+                self._node_step(b, s.actor, _node_unit(spec, [s], s.actor), None)
+                for s in ver.steps
+                if s.resolve({}) is not None
+            ]
         steps += [self._node_step(b, u, None, self.units[2, u].conj().T) for u in range(n)]
         measurements = b.measurements + tuple(_when_measurement(forward(m.node), m) for m in ver.measurements)
 
@@ -835,9 +813,9 @@ def halve_turns_private(
     n, root = halving.n, 0
     p_size = spec.layout.size("P") if spec.layout.has("P") else 0
     fanout_regs = ("CP",) + tuple(coin_reg(u) for u in range(n) if u != root)
-    fanout = np.eye(2 ** (p_size + len(fanout_regs)), dtype=np.complex128)
-    for offset in range(1, n):  # CP at position p_size, fan-out targets follow
-        fanout = qcore.embed_operator(qcore.CNOT.matrix, [p_size, p_size + offset], p_size + len(fanout_regs)) @ fanout
+    # CP at position p_size, fan-out targets follow.
+    cnots = [(qcore.CNOT.matrix, [p_size, p_size + offset]) for offset in range(1, n)]
+    fanout = qcore.circuit_matrix(p_size + len(fanout_regs), cnots, "coin fan-out")
     prelude = (
         VerifierTurn(
             index=2,
@@ -865,7 +843,7 @@ def halve_turns_private(
         tag="halved-p",
         metadata={"halved": "private"},
         key=lambda u: f"coin:{u}",
-        gate=lambda pair, view: _two_branch_controlled(*pair),
+        gate=lambda pair, view: qcore.controlled(*pair),
         kinds=("coin-bundle", "private-halved-accept"),
         control=coin_reg,
         holds=("CP",),
@@ -1325,12 +1303,8 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
                 for _, regs in parts:
                     union.extend(regs)
                 qubits = _expand_registers(layout, union)
-                mat = np.eye(2 ** len(qubits), dtype=np.complex128)
-                for part_mat, part_regs in parts:
-                    part_qubits = _expand_registers(layout, part_regs)
-                    positions = [qubits.index(q) for q in part_qubits]
-                    mat = qcore.embed_operator(np.asarray(part_mat), positions, len(qubits)) @ mat
-                return mat, union
+                factors = [(m, [qubits.index(q) for q in _expand_registers(layout, r)]) for m, r in parts]
+                return qcore.circuit_matrix(len(qubits), factors, f"AND accept projector of node {_u}"), union
 
             def predicate(view, _u=u):
                 inner = inner_accepts[_u]
@@ -1476,15 +1450,12 @@ def materialize_coins(spec: ProtocolSpec):
                     if reg not in union:
                         union.append(reg)
         qubits = _expand_registers(lay, union)
-        mats = []
-        for resolved in (r0, r1):
-            if resolved is None:
-                mats.append(np.eye(2 ** len(qubits), dtype=np.complex128))
-                continue
-            mat, regs = resolved
-            positions = [qubits.index(q) for q in _expand_registers(lay, regs)]
-            mats.append(qcore.embed_operator(np.asarray(mat, dtype=np.complex128), positions, len(qubits)))
-        return _two_branch_controlled(mats[0], mats[1]), ["CK"] + union
+        factors = [
+            [] if resolved is None else [(resolved[0], [qubits.index(q) for q in _expand_registers(lay, resolved[1])])]
+            for resolved in (r0, r1)
+        ]
+        mats = [qcore.circuit_matrix(len(qubits), f, f"coin-lifted step of node {owner}") for f in factors]
+        return qcore.controlled(*mats), ["CK"] + union
 
     turns: list[ProverTurn | VerifierTurn] = []
     after_coin = False
@@ -1545,7 +1516,7 @@ def materialize_coins(spec: ProtocolSpec):
                 return strategy.gate(turn_index, view)
             g0 = qcore.dense_matrix(strategy.gate(turn_index, {**view, name: 0}))
             g1 = qcore.dense_matrix(strategy.gate(turn_index, {**view, name: 1}))
-            return _two_branch_controlled(g0, g1)
+            return qcore.controlled(g0, g1)
 
         return FunctionalStrategy(f"bell[{strategy.name}]", gate)
 

@@ -200,6 +200,16 @@ def test_cli_config_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+def test_cli_dqct_qubits_per_node_of_the_wrong_length_is_a_config_error(tmp_path, capsys):
+    params = {"nodes": 3, "qubits_per_node": [1, 1], "states": "random", "copies": 1}
+    config_path = tmp_path / "short.json"
+    config_path.write_text(json.dumps({"experiment": "dqct", "seed": 1, "params": params}))
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["fields"] == ["qubits_per_node"]
+    assert "qubits_per_node" in err["message"]
+
+
 @pytest.mark.parametrize(
     "protocol, pipeline, field",
     [

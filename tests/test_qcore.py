@@ -21,6 +21,8 @@ from dqip.qcore import (
     apply_matrix_vec,
     apply_op,
     apply_unitary,
+    circuit_matrix,
+    controlled,
     embed_operator,
     fidelity,
     haar_random,
@@ -76,6 +78,7 @@ def brute_force_cswap() -> np.ndarray:
 
 def test_controlled_swap_matches_brute_force_permutation():
     assert np.array_equal(CSWAP.matrix, brute_force_cswap())
+    assert np.array_equal(controlled(np.eye(4), SWAP.matrix), CSWAP.matrix)
     rng = substream(7, "test.cswap")
     psi = qcore.haar_state(1, rng)
     phi = qcore.haar_state(1, rng)
@@ -260,6 +263,38 @@ def test_dense_constructors_refuse_operators_over_the_budget(monkeypatch):
     # On a state smaller than its dense form it is applied factor by factor.
     vec = QuantumState.zero(7).amplitudes
     assert np.allclose(apply_op(vec, op, [0, 1, 2, 3]), apply_matrix_vec(vec, H.matrix, [0]), atol=1e-15)
+
+
+def test_circuit_matrix_is_the_product_of_embedded_factors():
+    rng = substream(19, "test.circuit-oracle")
+    kinds = set()
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        factors, reference = [], np.eye(2**n, dtype=complex)
+        for _ in range(int(rng.integers(0, 6))):
+            k = int(rng.integers(1, min(3, n) + 1))
+            targets = [int(q) for q in rng.permutation(n)[:k]]
+            mat = haar_unitary(k, rng).matrix
+            if rng.integers(2):  # a projector onto the span of the first columns
+                basis = mat[:, : int(rng.integers(1, 2**k))] if k > 1 else mat[:, :1]
+                mat = basis @ basis.conj().T
+            kinds.add(bool(np.allclose(mat @ mat.conj().T, np.eye(2**k))))
+            factors.append((mat, targets))
+            reference = embed_operator(mat, targets, n) @ reference
+        got = circuit_matrix(n, factors, "test circuit")
+        assert got.shape == (2**n, 2**n) and got.flags.c_contiguous
+        assert np.allclose(got, reference, rtol=0, atol=1e-12)
+    assert kinds == {True, False}
+    for n in (0, 1, 4):
+        assert np.array_equal(circuit_matrix(n, [], "empty circuit"), np.eye(2**n))
+
+
+def test_circuit_matrix_checks_the_budget_before_allocating():
+    # 16 qubits would need a 64 GiB matrix; the refusal names the operator.
+    with pytest.raises(CapacityError) as err:
+        circuit_matrix(16, [], "x")
+    assert str(err.value).startswith("x needs ")
+    assert err.value.requested == 16 * 4**16 and err.value.limit == qcore.MAX_DENSE_BYTES
 
 
 @pytest.mark.parametrize("targets, arity", [([1, 1], 2), ([0, 4], 2), ([-1], 1), ([0, 1], 1), ([0], 2)])
