@@ -27,16 +27,18 @@ decides which children are kept:
   renormalized, so each trial is a one-branch walk;
 * record (:func:`collect_paths`, :func:`verification_projector`): every child,
   with the fixed operators and the symbolic prover gates logged instead of
-  any amplitudes.
+  any amplitudes, as the :class:`BranchPath` list that the see-saw and the
+  exact single-message optimum replay.
 
-The exact and sampled walks apply each fixed operator (a step, a W-swap, a
-check or accept projector) as a :class:`~dqip.qcore.StructuredOp`,
-classified once per executor.  No vector is modified in place, so the
-initial one is built once per executor and shared.  A branch releases its
-state once its last child is built: a walk holds one state per open fork on
-its current path, and exact and sampled walks check that many
-(:meth:`_Executor.check_budget`) against ``qcore.MAX_DENSE_BYTES`` before
-they start.
+All three walks take each fixed operator (a step, a W-swap, a check or
+accept projector, and on the record walk an outcome's selector) as a
+:class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
+and sampled walks apply it, the record walk records it.  No vector is
+modified in place, so the initial one is built once per executor and shared.
+A branch releases its state once its last child is built: a walk holds one
+state per open fork on its current path, and exact and sampled walks check
+that many (:meth:`_Executor.check_budget`) against ``qcore.MAX_DENSE_BYTES``
+before they start.
 """
 
 from __future__ import annotations
@@ -380,9 +382,13 @@ class _Exact:
     def __init__(self):
         self._ops: dict = {}  # see StructuredOp.cached
 
+    def op(self, matrix: np.ndarray, qubits: list[int]) -> StructuredOp:
+        """The structured op of a fixed operator, classified on its first use."""
+        return StructuredOp.cached(self._ops, matrix, qubits)
+
     def apply(self, vec: np.ndarray, matrix: np.ndarray, qubits: list[int]) -> np.ndarray:
-        """A fixed operator applied to ``vec``, classified on its first use."""
-        return StructuredOp.cached(self._ops, matrix, qubits).apply(vec)
+        """A fixed operator applied to ``vec``."""
+        return self.op(matrix, qubits).apply(vec)
 
     def prover(self, vec: np.ndarray, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
         return apply_op(vec, strategy.gate(turn_index, view), qubits)
@@ -429,22 +435,29 @@ class _Sample(_Exact):
 class _Record(_Exact):
     """Keep every child and carry recorded operators instead of amplitudes.
 
-    A branch's state is a chain ``(previous, op)`` of fixed operators
-    ``('mat', matrix, qubits)`` and prover gates ``('block', key, qubits)``
-    that starts from the initial vector, which it never changes;
-    :func:`_recorded` lists it.  The classical flow never reads amplitudes.
+    A branch's state is a chain ``(previous, op)`` that starts from the
+    initial vector, which it never changes.  A fixed operator is recorded as
+    its :class:`~dqip.qcore.StructuredOp` (:meth:`_Exact.op`, so each is
+    classified once per executor and branches through the same prefix hold
+    the same op objects), a prover gate as a ``(block key, qubits)`` pair.
+    :func:`_recorded` lists a chain.  The classical flow never reads
+    amplitudes.
     """
 
     records = True
 
+    def __init__(self):
+        super().__init__()
+        self._selector = functools.cache(_selector_matrix)  # one array, so one op, per outcome
+
     def apply(self, chain, matrix: np.ndarray, qubits: list[int]):
-        return chain, ("mat", matrix, tuple(qubits))
+        return chain, self.op(matrix, qubits)
 
     def prover(self, chain, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
-        return chain, ("block", block_key(turn_index, view), tuple(qubits))
+        return chain, (block_key(turn_index, view), tuple(qubits))
 
     def project(self, chain, qubits: list[int], outcome: int):
-        return self.apply(chain, _selector_matrix(len(qubits), outcome), qubits)
+        return self.apply(chain, self._selector(len(qubits), outcome), qubits)
 
     def split(self, chain, projector: np.ndarray, qubits: list[int]) -> tuple:
         return self.apply(chain, projector, qubits), self.apply(chain, np.eye(len(projector)) - projector, qubits)
@@ -877,31 +890,25 @@ def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None
     ``assignment`` (values of any coins and replies the phase conditions
     on), gives each predicate-passing leaf its fixed operators ``L`` (steps,
     W-swaps, measurement and check outcomes) and accept projectors ``A``.
-    The result is ``sum_leaf L^dag A^dag A L`` (``L^dag A L``, as the
-    projectors of different nodes commute), built column by column.  It is
-    idempotent.
+    The result is ``sum_leaf (A L)^dag (A L)`` (``L^dag A L``, as the
+    projectors of different nodes commute), with ``A L`` built as one
+    :func:`~dqip.qcore.circuit_matrix` per leaf.  It is idempotent.
     """
     assignment = dict(assignment or {})
     dim = 2**spec.layout.total_qubits
-    qcore.check_budget(16 * dim * dim, f"verification projector of {spec.name!r}")
+    what = f"verification projector of {spec.name!r}"
+    qcore.check_budget(16 * dim * dim, what)
     executor = _Executor(spec, FunctionalStrategy("unused", lambda *_: None), _Record())
     all_vis = frozenset(_all_actors(spec.graph))
     # Ownership does not constrain the verification phase analysis here:
     # every register is measured or projected by its final holder.
     start = _Branch(1.0, None, dict(assignment), {k: all_vis for k in assignment}, _final_holders(spec))
-    paths = _paths(executor, executor.leaves(start, executor.verification_start))
-
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        basis = np.eye(1, dim, j, dtype=np.complex128)[0]
-        for path in paths:
-            ops = [(matrix, qubits) for _, matrix, qubits in path.ops] + path.accept_ops
-            vec = basis
-            for matrix, qubits in ops:
-                vec = apply_matrix_vec(vec, matrix, qubits)
-            for matrix, qubits in reversed(ops):
-                vec = apply_matrix_vec(vec, matrix.conj().T, qubits)
-            out[:, j] += vec
+    for path in _paths(executor, executor.leaves(start, executor.verification_start)):
+        m = qcore.circuit_matrix(
+            spec.layout.total_qubits, [(op.matrix, op.targets) for op in path.ops + path.accept], what
+        )
+        out += m.conj().T @ m
 
     check_projector(out, atol=1e-9)
     return out
@@ -920,18 +927,20 @@ def _final_holders(spec: ProtocolSpec) -> dict[str, int]:
 
 @dataclass
 class BranchPath:
-    """One classical leaf of a protocol: coin weight and linear-op sequence.
+    """One classical leaf of a protocol: coin weight and recorded operators.
 
-    ``ops`` entries are ``('mat', matrix, qubits)`` for fixed operators or
-    ``('block', key, qubits)`` for prover unitaries; ``accept_ops`` holds the
-    final per-node projectors.  Predicate-failing leaves are dropped, so the
-    acceptance probability of a strategy assigning unitaries to the blocks is
-    ``sum_b weight_b * || accept(ops(|0>)) ||^2``.
+    ``ops`` holds, in the order applied, a :class:`~dqip.qcore.StructuredOp`
+    per fixed operator and a ``(block key, qubits)`` pair per prover gate;
+    ``accept`` holds the nodes' accept projectors as structured ops.  Paths
+    through the same prefix hold the same op objects.  Predicate-failing
+    leaves are dropped, so the acceptance probability of a strategy
+    assigning unitaries to the blocks is
+    ``sum_b weight_b * || accept(ops(|init>)) ||^2``.
     """
 
     weight: float
     ops: list
-    accept_ops: list
+    accept: list[StructuredOp]
 
 
 def collect_paths(spec: ProtocolSpec, strategy: ProverStrategy) -> tuple[list[BranchPath], np.ndarray]:
@@ -952,7 +961,8 @@ def _paths(executor: _Executor, leaves: Iterable) -> list[BranchPath]:
     for branch, views in leaves:
         ops, pred = executor.accept_ops(branch, views)
         if pred != 0.0:
-            paths.append(BranchPath(branch.weight, _recorded(branch.vec), [(m, q) for _, m, q in ops]))
+            accept = [executor.policy.op(matrix, qubits) for _, matrix, qubits in ops]
+            paths.append(BranchPath(branch.weight, _recorded(branch.vec), accept))
     return paths
 
 

@@ -18,7 +18,6 @@ certified lower bound on the optimal cheating probability.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -71,35 +70,6 @@ class OptimizerTrace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _CompiledPath:
-    """A :class:`BranchPath` with its fixed operators classified once.
-
-    ``ops`` holds a :class:`StructuredOp` per fixed operator and a
-    ``(block key, qubits)`` pair per prover block.
-    """
-
-    weight: float
-    ops: list
-    accept: list[StructuredOp]
-
-
-def _compile_paths(paths: list[BranchPath]) -> list[_CompiledPath]:
-    # Branches share their recorded matrices, so each one is classified once.
-    fixed = functools.partial(StructuredOp.cached, {})
-    return [
-        _CompiledPath(
-            weight=path.weight,
-            ops=[
-                (payload, qubits) if kind == "block" else fixed(payload, qubits)
-                for kind, payload, qubits in path.ops
-            ],
-            accept=[fixed(mat, qubits) for mat, qubits in path.accept_ops],
-        )
-        for path in paths
-    ]
-
-
 def _step(vec: np.ndarray, op, gates: Mapping) -> np.ndarray:
     if isinstance(op, StructuredOp):
         return op.apply(vec)
@@ -107,7 +77,7 @@ def _step(vec: np.ndarray, op, gates: Mapping) -> np.ndarray:
     return apply_matrix_vec(vec, gates[key], qubits)
 
 
-def _final_vectors(paths: list[_CompiledPath], initial: np.ndarray, gates: Mapping) -> list[np.ndarray]:
+def _final_vectors(paths: list[BranchPath], initial: np.ndarray, gates: Mapping) -> list[np.ndarray]:
     finals = []
     for path in paths:
         vec = initial
@@ -119,7 +89,7 @@ def _final_vectors(paths: list[_CompiledPath], initial: np.ndarray, gates: Mappi
     return finals
 
 
-def _acceptance(paths: list[_CompiledPath], finals: list[np.ndarray]) -> float:
+def _acceptance(paths: list[BranchPath], finals: list[np.ndarray]) -> float:
     total = 0.0
     for path, vec in zip(paths, finals):
         total += path.weight * float(np.vdot(vec, vec).real)
@@ -130,12 +100,13 @@ def _block_table(paths: list[BranchPath]) -> dict:
     """Block key -> qubit tuple, consistency-checked across branches."""
     blocks: dict = {}
     for path in paths:
-        for kind, payload, qubits in path.ops:
-            if kind != "block":
+        for op in path.ops:
+            if isinstance(op, StructuredOp):
                 continue
-            if payload in blocks and blocks[payload] != qubits:
+            key, qubits = op
+            if key in blocks and blocks[key] != qubits:
                 raise ValidationError("prover block appears with inconsistent targets")
-            blocks[payload] = qubits
+            blocks[key] = qubits
     if not blocks:
         raise ShapeError("spec has no prover turns to optimize")
     return blocks
@@ -187,12 +158,11 @@ def seesaw_optimize(
             restarts=config.restarts,
         )
     blocks = _block_table(paths)
-    compiled = _compile_paths(paths)
     order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
     # A sweep holds the witnesses (last finals), a forward front per path and
     # a suffix per block position; the next finals are built while the old
     # ones are still held.
-    suffixes = sum(1 for path in compiled for op in path.ops if not isinstance(op, StructuredOp))
+    suffixes = sum(1 for path in paths for op in path.ops if not isinstance(op, StructuredOp))
     check_budget(
         (2 * len(paths) + suffixes) * 16 * initial.size,
         f"see-saw of {spec.name!r} over {len(paths)} paths and {suffixes} block positions",
@@ -228,12 +198,12 @@ def seesaw_optimize(
             gates = honest_gates()
         else:
             gates = random_gates(restart)
-        finals = _final_vectors(compiled, initial, gates)
-        history = [_acceptance(compiled, finals)]
+        finals = _final_vectors(paths, initial, gates)
+        history = [_acceptance(paths, finals)]
         for _ in range(config.sweeps):
-            _sweep(compiled, initial, finals, gates, update_order, blocks)
-            finals = _final_vectors(compiled, initial, gates)
-            value = _acceptance(compiled, finals)
+            _sweep(paths, initial, finals, gates, update_order, blocks)
+            finals = _final_vectors(paths, initial, gates)
+            value = _acceptance(paths, finals)
             history.append(value)
             if value > 1 + 1e-9:
                 raise ValidationError(f"see-saw acceptance {value!r} exceeded 1")
@@ -334,25 +304,16 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
     ((key, block_qubits),) = blocks.items()
     if tuple(block_qubits) != tuple(qubits):
         raise ShapeError("prover block targets disagree with the turn's registers")
-    qubits = list(block_qubits)
 
-    basis_states = []
+    # Basis message i: the block's gate is a preparation mapping |0> to |i>.
+    preps = []
     for i in range(dim):
         prep = np.zeros((dim, dim), dtype=np.complex128)
         prep[i, 0] = 1.0
-        basis_states.append(apply_matrix_vec(initial, prep, qubits))
-
+        preps.append({key: prep})
     e = np.zeros((dim, dim), dtype=np.complex128)
-    for path in _compile_paths(paths):
-        fixed = path.ops[1:] + path.accept  # op 0 is the block itself
-        if not all(isinstance(op, StructuredOp) for op in fixed):
-            raise ShapeError("unexpected second prover block")
-        evolved = []
-        for vec in basis_states:
-            for op in fixed:
-                vec = op.apply(vec)
-            evolved.append(vec)
-        u = np.stack(evolved)
+    for path in paths:
+        u = np.stack([_final_vectors([path], initial, gates)[0] for gates in preps])
         e += path.weight * (u.conj() @ u.T)
 
     vals, vecs = np.linalg.eigh((e + e.conj().T) / 2)

@@ -403,6 +403,7 @@ def _merlin_gate(dam, instance, strategy, j, p_size, m, n, arthur) -> np.ndarray
     """Honest Merlin permutation at turn j on (P, M): store coins, write c_j."""
     mn = m * n
     dim = 2 ** (p_size + mn)
+    qcore.check_budget(16 * dim * dim, f"dam_to_dqip Merlin gate of turn {j} on {p_size + mn} qubits")
     perm = np.zeros((dim, dim), dtype=np.complex128)
     mask = (1 << mn) - 1
     prior = [a for a in arthur if a < j]
@@ -920,6 +921,7 @@ def _or_fanout_permutation(p_total: int, p_in: int, n: int) -> np.ndarray:
     anc_base = p_in  # ancilla qubits live at P[p_in .. p_in + n)
     total_bits = p_total + n
     dim = 2**total_bits
+    qcore.check_budget(16 * dim * dim, f"perfect_completeness OR fan-out on {total_bits} qubits")
     out_base = p_total
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -1103,7 +1105,7 @@ def perfect_completeness(
 
     # Honest re-coherence gate: replay the first k+3 turns and map the two
     # verdict branches onto the all-zero state tagged by the marker B.
-    uncompute = _uncompute_gate(out, honest, k, held_regs)
+    uncompute = _uncompute_gate(out, honest, k, or_gate, held_regs)
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
         if turn_index <= k:
@@ -1129,7 +1131,7 @@ def perfect_completeness(
     return Compiled(out, FunctionalStrategy(f"perfect[{honest.name}]", gate), report)
 
 
-def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, held_regs) -> np.ndarray:
+def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, or_gate: np.ndarray, held_regs) -> np.ndarray:
     partial = ProtocolSpec(
         name="partial",
         graph=out_spec.graph,
@@ -1140,17 +1142,9 @@ def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, held
         initial_factors=out_spec.initial_factors,
     )
 
-    or_gate_holder = {}
-
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index <= k:
-            return honest.gate(turn_index, view)
-        return or_gate_holder["gate"]
-
-    # The k+2 gate is the OR fan-out; reconstruct it from the spec's sizes.
-    p_total = out_spec.layout.size("P")
-    n = out_spec.graph.node_count
-    or_gate_holder["gate"] = _or_fanout_permutation(p_total, p_total - n, n)
+        # The one prover turn after the original ones is the OR fan-out.
+        return honest.gate(turn_index, view) if turn_index <= k else or_gate
 
     leaves = _Executor(partial, FunctionalStrategy("replay", gate)).leaves()
     live = [b for b, _ in leaves if float(np.vdot(b.vec, b.vec).real) > 1e-18]

@@ -24,9 +24,14 @@ from dqip.protocol import (
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
+    _Branch,
     _Executor,
+    _final_holders,
+    _paths,
+    _Record,
     _Sample,
     _selector_matrix,
+    collect_paths,
     execute_exact,
     execute_sampled,
     first_qubit_zero_accept,
@@ -359,6 +364,42 @@ def build_w_exchange_spec(expect0: int, expect1: int) -> ProtocolSpec:
     )
 
 
+def _projector_oracle(spec: ProtocolSpec) -> np.ndarray:
+    """``sum (A L)^dag (A L)`` over the recorded verification leaves, from ``embed_operator`` products."""
+    n = spec.layout.total_qubits
+    executor = _Executor(spec, identity_for(spec), _Record())
+    start = _Branch(1.0, None, {}, {}, _final_holders(spec))
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for path in _paths(executor, executor.leaves(start, executor.verification_start)):
+        m = np.eye(2**n, dtype=complex)
+        for op in path.ops + path.accept:
+            m = qcore.embed_operator(op.matrix, op.targets, n) @ m
+        out += m.conj().T @ m
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_projector_matches_the_embedded_product_oracle(seed):
+    spec, _ = random_clean_spec(seed)
+    assert np.allclose(verification_projector(spec), _projector_oracle(spec), rtol=0, atol=1e-12)
+
+
+def test_recorded_paths_share_structured_ops_across_branches():
+    # One path per value of the shared coin at turn 2: the turn-1 block comes
+    # before the fork, and the turn-2 steps and the accept projectors are the
+    # same matrices on both branches, so both paths hold the same op objects.
+    spec, honest = random_clean_spec(0, coin=True)
+    paths, _ = collect_paths(spec, honest)
+    assert len(paths) == 2
+    for path in paths:
+        assert [isinstance(op, qcore.StructuredOp) for op in path.ops] == [False, True, True, False, True, True]
+        assert all(isinstance(op, qcore.StructuredOp) for op in path.accept)
+    first, second = paths
+    assert all(a is b for a, b in zip(first.ops[:3], second.ops[:3]))
+    assert all(a is b for a, b in zip(first.accept, second.accept))
+    assert first.ops[3] != second.ops[3]  # the turn-3 block key holds the coin
+
+
 def test_w_registers_exchange_contents():
     # Node 1 must see node 0's flipped bit and vice versa; expecting each
     # node's own bit instead must fail completely.
@@ -368,6 +409,7 @@ def test_w_registers_exchange_contents():
     assert execute_exact(wrong, identity_for(wrong)).acceptance_probability <= 1e-12
     proj = verification_projector(spec)
     assert proj.shape == (2**spec.layout.total_qubits,) * 2
+    assert np.allclose(proj, _projector_oracle(spec), rtol=0, atol=1e-12)
 
 
 def test_wilson_interval_basic():

@@ -4,7 +4,7 @@ import pytest
 from dqip import qcore
 from dqip.corpus import coin_check_honest, coin_check_spec, random_clean_spec, two_check_spec
 from dqip.dam import catalog_entry
-from dqip.errors import ConfigError, ShapeError, ValidationError
+from dqip.errors import CapacityError, ConfigError, ShapeError, ValidationError
 from dqip.protocol import (
     FunctionalStrategy,
     ProverTurn,
@@ -338,6 +338,22 @@ def test_perfect_completeness_validation():
         perfect_completeness(spec, honest, c=0.0)
     with pytest.raises(ShapeError):
         perfect_completeness(coin_check_spec([E0, E1]), honest)  # classical coin
+
+
+def test_dense_gate_builders_check_the_budget_before_allocating(monkeypatch):
+    # coin-guess: the turn-1 Merlin gate acts on P (2 qubits) and both M
+    # registers; the OR fan-out of one node acts on P, one ancilla and out:0.
+    entry = catalog_entry("coin-guess")
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 16 * 4**4 - 1)
+    with pytest.raises(CapacityError, match="dam_to_dqip Merlin gate of turn 1 on 4 qubits") as err:
+        dam_to_dqip(entry.protocol, entry.yes_instance)
+    assert err.value.requested == 16 * 4**4
+
+    spec = two_check_spec(E0, PLUS)
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 16 * 4**2 - 1)
+    with pytest.raises(CapacityError, match="perfect_completeness OR fan-out on 2 qubits") as err:
+        perfect_completeness(spec, coin_check_honest(), c=0.75)
+    assert err.value.requested == 16 * 4**2
 
 
 # ---------------------------------------------------------------------------
