@@ -54,7 +54,7 @@ def main() -> int:
             "bound_at_honest": closeness_bound(honest, args.epsilon),
         }
         if args.probe:
-            probe = soundness_probe(instance, params, OptimizerConfig(restarts=3, sweeps=40, seed=1))
+            probe = soundness_probe(instance, compiled, honest, OptimizerConfig(restarts=3, sweeps=40, seed=1))
             row["best_acceptance"] = probe["best_acceptance"]
             row["bound_at_best"] = probe["distance_bound_at_best"]
         rows.append(row)

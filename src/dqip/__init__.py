@@ -8,6 +8,15 @@ counts, enforces perfect completeness, and searches for the best cheating
 prover by see-saw coordinate ascent.
 """
 
+import os
+
+# BLAS runs on one thread unless the environment sets a count.  The states
+# are small, so extra threads buy little, and on a busy host they make run
+# times swing by an order of magnitude.  This takes effect only when dqip is
+# imported before numpy.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 __version__ = "0.1.0"
 
 from .network import NetworkGraph, RegisterLayout, build_network  # noqa: F401

@@ -138,7 +138,9 @@ def _dqct_soundness_implication():
     details = []
     for kind, seed in (("equal", 0), ("orthogonal", 1), ("random", 2), ("random", 3)):
         instance = make_instance(graph, (1, 1), kind, seed=seed)
-        probe = soundness_probe(instance, params, config)
+        compiled = build_pdqct(instance, params)
+        honest = execute_exact(compiled.spec, compiled.honest).acceptance_probability
+        probe = soundness_probe(instance, compiled, honest, config)
         margin = probe["input_trace_distance"] - probe["distance_bound_at_best"]
         worst = max(worst, margin)
         details.append(

@@ -28,7 +28,7 @@ from . import qcore
 from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
 from .dam import brute_force_value, catalog_entry, toy_protocols
 from .dqct import build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
-from .errors import ConfigError, DqipError, ShapeError
+from .errors import ConfigError, DqipError, ShapeError, ValidationError
 from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity
 from .network import build_network, path_graph
 from .prover import OptimizerConfig, seesaw_optimize
@@ -96,11 +96,20 @@ def validate_config(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _graph_from(params: dict, nodes_key: str = "nodes"):
-    n = params[nodes_key]
-    if "edges" in params:
-        return build_network(n, [tuple(e) for e in params["edges"]])
-    return path_graph(n)
+def _graph_from(params: dict):
+    if "edges" not in params:
+        return path_graph(params["nodes"])
+    try:
+        return build_network(params["nodes"], [tuple(e) for e in params["edges"]])
+    except ValidationError as err:
+        raise ConfigError(f"config field edges: {err}", fields=["edges"]) from err
+
+
+def _catalog_entry(params: dict):
+    try:
+        return catalog_entry(params["protocol"])
+    except ValidationError as err:
+        raise ConfigError(f"config field protocol: {err}", fields=["protocol"]) from err
 
 
 def _run_or_sample(spec, strategy, config):
@@ -142,6 +151,8 @@ def _experiment_dqct(config: dict) -> dict:
             f"config field qubits_per_node: lists {len(qubits)} nodes, expected {graph.node_count}",
             fields=["qubits_per_node"],
         )
+    if not sum(qubits):
+        raise ConfigError("config field qubits_per_node: no node holds an input qubit", fields=["qubits_per_node"])
     instance = make_instance(graph, qubits, params["states"], seed=config["seed"])
     ghz_params = GhzProtocolParams(
         copies=params["copies"],
@@ -161,9 +172,11 @@ def _experiment_dqct(config: dict) -> dict:
         "distance_bound_at_honest": closeness_bound(min(acc, 1.0), params["epsilon"]),
     }
     if params["probe"]:
+        exact = report if config["mode"] == "exact" else execute_exact(compiled.spec, compiled.honest)
         probe = soundness_probe(
             instance,
-            ghz_params,
+            compiled,
+            exact.acceptance_probability,
             OptimizerConfig(restarts=params["restarts"], sweeps=params["sweeps"], seed=config["seed"]),
         )
         trace = probe.pop("trace")
@@ -174,7 +187,7 @@ def _experiment_dqct(config: dict) -> dict:
 
 def _experiment_compile_pipeline(config: dict) -> dict:
     params = config["params"]
-    entry = catalog_entry(params["protocol"])
+    entry = _catalog_entry(params)
     instance = entry.yes_instance if params["instance"] == "yes" else entry.no_instance
     compiled = dam_to_dqip(entry.protocol, instance)
     c, s = float(entry.completeness), float(entry.soundness)
@@ -232,7 +245,7 @@ def _apply_stage(compiled, stage: dict, c: float, s: float):
 
 def _experiment_optimize(config: dict) -> dict:
     params = config["params"]
-    entry = catalog_entry(params["protocol"])
+    entry = _catalog_entry(params)
     instance = entry.yes_instance if params["instance"] == "yes" else entry.no_instance
     compiled = dam_to_dqip(entry.protocol, instance)
     trace = seesaw_optimize(
@@ -251,7 +264,7 @@ def _experiment_optimize(config: dict) -> dict:
 
 
 def _experiment_dam(config: dict) -> dict:
-    entry = catalog_entry(config["params"]["protocol"])
+    entry = _catalog_entry(config["params"])
     yes = brute_force_value(entry.protocol, entry.yes_instance)
     no = brute_force_value(entry.protocol, entry.no_instance)
     return {

@@ -40,7 +40,10 @@ PARAM_SCHEMAS = {
             "copies": {"type": "integer", "minimum": 1, "maximum": 3},
             "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "edges": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
+            "edges": {
+                "type": "array",
+                "items": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
+            },
             "strategy": {"enum": ["honest", "all-zero"]},
             "prover_qubits": {"type": "integer", "minimum": 0, "maximum": 4},
         },

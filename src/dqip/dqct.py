@@ -42,7 +42,6 @@ from .protocol import (
     Step,
     VerificationPhase,
     VerifierTurn,
-    execute_exact,
 )
 from .seeding import substream
 from .transforms import CompileReport, Compiled, message_accounting, private_accounting
@@ -330,30 +329,30 @@ def input_trace_distance(instance: DqctInstance) -> float:
 
 def soundness_probe(
     instance: DqctInstance,
-    ghz_params: GhzProtocolParams,
-    config: OptimizerConfig | None = None,
+    compiled: Compiled,
+    honest_value: float,
+    config: OptimizerConfig,
 ) -> dict:
     """See-saw over adversarial provers and compare with the analytic ceiling.
 
-    Reports the best acceptance found, the ceiling 1/2 + |<psi|phi>|^2/2 +
-    sqrt(2 epsilon), and the trace-distance implication of the measured
-    acceptance through :func:`closeness_bound`.
+    ``compiled`` is :func:`build_pdqct` of ``instance`` and ``honest_value``
+    its exact honest acceptance.  Reports the best acceptance found, the
+    ceiling 1/2 + |<psi|phi>|^2/2 + sqrt(2 epsilon), and the trace-distance
+    implication of the measured acceptance through :func:`closeness_bound`.
     """
-    config = config or OptimizerConfig(restarts=5, sweeps=60, seed=ghz_params.seed)
-    compiled = build_pdqct(instance, ghz_params)
-    honest_value = execute_exact(compiled.spec, compiled.honest).acceptance_probability
+    epsilon = compiled.spec.metadata["epsilon"]
     trace = seesaw_optimize(compiled.spec, config, honest=compiled.honest)
     overlap = instance.overlap_squared()
-    ceiling = 0.5 + 0.5 * overlap + sqrt(2.0 * ghz_params.epsilon)
+    ceiling = 0.5 + 0.5 * overlap + sqrt(2.0 * epsilon)
     distance = input_trace_distance(instance)
     return {
         "honest_acceptance": honest_value,
         "best_acceptance": trace.best_acceptance,
         "overlap_squared": overlap,
         "ceiling": min(1.0, ceiling),
-        "epsilon": ghz_params.epsilon,
+        "epsilon": epsilon,
         "input_trace_distance": distance,
-        "distance_bound_at_best": closeness_bound(trace.best_acceptance, ghz_params.epsilon),
+        "distance_bound_at_best": closeness_bound(trace.best_acceptance, epsilon),
         "restarts": config.restarts,
         "trace": trace,
     }

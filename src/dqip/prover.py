@@ -112,6 +112,67 @@ def _block_table(paths: list[BranchPath]) -> dict:
     return blocks
 
 
+class _Trie:
+    """The recorded paths merged on their shared prefixes, and a sweep's schedule.
+
+    Node 0 stands for the initial state; node ``j > 0`` applies ``op[j]`` to
+    the front of ``parent[j]``.  Children are keyed by op identity for fixed
+    ops (paths through the same prefix hold the same op objects) and by
+    equality for ``(block key, qubits)`` pairs.  ``order`` lists the blocks a
+    sweep updates.  ``schedule[s]`` holds, in creation order, the nodes whose
+    nearest updated block at or above them is ``order[s - 1]`` (none for
+    ``s = 0``), so their fronts are computed right after that update.  A
+    front is kept while its node has children (``holds``) until the last of
+    them is computed (``releases`` marks it); ``peak_fronts`` is the most
+    fronts a sweep holds at once, counting the one being computed.
+    """
+
+    def __init__(self, paths: list[BranchPath], initial: np.ndarray, blocks: dict, order: list):
+        self.paths, self.initial, self.blocks, self.order = paths, initial, blocks, order
+        rank = {key: s + 1 for s, key in enumerate(order)}
+        self.parent, self.op, stage = [-1], [None], [0]
+        children: list[dict] = [{}]
+        self.ends: list[list[int]] = [[]]  # the paths whose ops end at each node
+        self.visits: dict = {key: [] for key in order}  # key -> (path, node of its block), in path order
+        self.first: list[int] = []  # position of each path's first updated block, or len(ops)
+        for i, path in enumerate(paths):
+            node = 0
+            self.first.append(len(path.ops))
+            for pos, op in enumerate(path.ops):
+                fixed = isinstance(op, StructuredOp)
+                block = None if fixed else rank.get(op[0])
+                child = children[node].setdefault(id(op) if fixed else op, len(self.parent))
+                if child == len(self.parent):
+                    self.parent.append(node)
+                    self.op.append(op)
+                    # A path meets its blocks in turn order, so a block's stage is above
+                    # every stage before it.
+                    stage.append(stage[node] if block is None else block)
+                    children.append({})
+                    self.ends.append([])
+                if block is not None:
+                    self.visits[op[0]].append((i, child))
+                    self.first[i] = min(self.first[i], pos)
+                node = child
+            self.ends[node].append(i)
+        self.schedule: list[list[int]] = [[] for _ in range(len(order) + 1)]
+        for node in range(1, len(self.parent)):
+            self.schedule[stage[node]].append(node)
+        last = {}
+        for nodes in self.schedule:
+            for node in nodes:
+                last[self.parent[node]] = node
+        self.holds = [bool(kids) for kids in children]
+        self.releases = [False] * len(self.parent)
+        for node in last.values():
+            self.releases[node] = True
+        live = self.peak_fronts = 1
+        for nodes in self.schedule:
+            for node in nodes:
+                self.peak_fronts = max(self.peak_fronts, live + 1)
+                live += self.holds[node] - self.releases[node]
+
+
 def _polar_maximizer(m: np.ndarray) -> np.ndarray:
     """Unitary U maximizing Re tr(U m): the polar factor from the SVD of m."""
     w, _, vh = np.linalg.svd(m)
@@ -159,13 +220,17 @@ def seesaw_optimize(
         )
     blocks = _block_table(paths)
     order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
-    # A sweep holds the witnesses (last finals), a forward front per path and
-    # a suffix per block position; the next finals are built while the old
-    # ones are still held.
-    suffixes = sum(1 for path in paths for op in path.ops if not isinstance(op, StructuredOp))
+    update_order = [key for key in order if key[0] not in freeze_turns]
+    if not update_order:
+        raise ShapeError("freeze_turns pinned every prover block")
+    trie = _Trie(paths, initial, blocks, update_order)
+    # A sweep holds one witness or new final per path, a suffix per updated
+    # block position and the live trie fronts.
+    suffixes = sum(len(visits) for visits in trie.visits.values())
     check_budget(
-        (2 * len(paths) + suffixes) * 16 * initial.size,
-        f"see-saw of {spec.name!r} over {len(paths)} paths and {suffixes} block positions",
+        (len(paths) + suffixes + trie.peak_fronts) * 16 * initial.size,
+        f"see-saw of {spec.name!r} over {len(paths)} paths, {suffixes} block suffixes "
+        f"and {trie.peak_fronts} trie fronts",
     )
 
     def honest_gates() -> dict:
@@ -189,9 +254,6 @@ def seesaw_optimize(
             gates[key] = q * (np.diag(r) / np.abs(np.diag(r)))
         return gates
 
-    update_order = [key for key in order if key[0] not in freeze_turns]
-    if not update_order:
-        raise ShapeError("freeze_turns pinned every prover block")
     trace = OptimizerTrace(best_acceptance=-1.0, best_strategy=None, restarts=config.restarts)
     for restart in range(config.restarts):
         if restart == 0 and honest is not None:
@@ -201,8 +263,7 @@ def seesaw_optimize(
         finals = _final_vectors(paths, initial, gates)
         history = [_acceptance(paths, finals)]
         for _ in range(config.sweeps):
-            _sweep(paths, initial, finals, gates, update_order, blocks)
-            finals = _final_vectors(paths, initial, gates)
+            _sweep(trie, finals, gates)
             value = _acceptance(paths, finals)
             history.append(value)
             if value > 1 + 1e-9:
@@ -218,57 +279,68 @@ def seesaw_optimize(
     return trace
 
 
-def _sweep(paths, initial, witnesses, gates, order, blocks) -> None:
-    # ``witnesses`` are the current final branch vectors (their global scale
-    # does not affect the polar factor of any block matrix M).
-    #
+def _sweep(trie: _Trie, witnesses: list, gates: dict) -> None:
+    """Update each block of ``trie.order`` once, in order, and replace the
+    witnesses by the finals under the updated gates.
+
+    ``witnesses`` are the current final branch vectors (their global scale
+    does not affect the polar factor of any block matrix M).  Each one is
+    released once its path's backward suffixes are stored, and its slot takes
+    the path's new final when the forward walk reaches the path's leaf.
+    """
     # Backward suffix vectors at each block position, computed with the
     # pre-sweep gates.  Blocks later in a path are updated after this block
     # within the sweep, so their pre-sweep values are the correct fixed ones.
+    # A path's walk stops at its first updated block: nothing reads the
+    # adjoint applied before it.
     adjoints = {key: np.ascontiguousarray(gate.conj().T) for key, gate in gates.items()}
-    suffixes: list[dict[int, np.ndarray]] = []
-    for path, a in zip(paths, witnesses):
-        vec = a
+    suffixes: dict = {}
+    for i, path in enumerate(trie.paths):
+        vec, witnesses[i] = witnesses[i], None
+        first = trie.first[i]
+        if first == len(path.ops):
+            continue
         for op in reversed(path.accept):
             vec = op.adjoint().apply(vec)
-        suffix: dict[int, np.ndarray] = {}
-        for pos in range(len(path.ops) - 1, -1, -1):
+        for pos in range(len(path.ops) - 1, first - 1, -1):
             op = path.ops[pos]
             if isinstance(op, StructuredOp):
                 vec = op.adjoint().apply(vec)
-            else:
-                suffix[pos] = vec
+                continue
+            if op[0] in trie.visits:
+                suffixes[i, op[0]] = vec
+            if pos > first:
                 vec = _step(vec, op, adjoints)
-        suffixes.append(suffix)
 
-    # Forward prefixes advance lazily with the freshly updated gates.
-    fronts = [initial] * len(paths)
-    cursor = [0] * len(paths)
-
-    def advance(i: int, stop: int) -> None:
-        ops = paths[i].ops
-        while cursor[i] < stop:
-            fronts[i] = _step(fronts[i], ops[cursor[i]], gates)
-            cursor[i] += 1
-
-    positions: dict = {key: [] for key in order}
-    for i, path in enumerate(paths):
-        for pos, op in enumerate(path.ops):
-            if not isinstance(op, StructuredOp) and op[0] in positions:
-                positions[op[0]].append((i, pos))
-
-    for key in order:
-        qubits = blocks[key]
-        dim = 2 ** len(qubits)
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for i, pos in positions[key]:
-            advance(i, pos)
-            x = _keep_block(fronts[i], qubits)
-            y = _keep_block(suffixes[i][pos], qubits)
-            m += paths[i].weight * (x @ y.conj().T)
-        gates[key] = _polar_maximizer(m)
-        for i, pos in positions[key]:
-            advance(i, pos + 1)
+    # Forward fronts, one per trie node, each computed once after the blocks
+    # above it are updated (stage s follows the update of block s - 1).
+    fronts = {0: trie.initial}
+    for stage, nodes in enumerate(trie.schedule):
+        if stage:
+            key = trie.order[stage - 1]
+            qubits = trie.blocks[key]
+            dim = 2 ** len(qubits)
+            m = np.zeros((dim, dim), dtype=np.complex128)
+            xs: dict = {}
+            for i, node in trie.visits[key]:
+                above = trie.parent[node]
+                if above not in xs:
+                    xs[above] = _keep_block(fronts[above], qubits)
+                y = _keep_block(suffixes.pop((i, key)), qubits)
+                m += trie.paths[i].weight * (xs[above] @ y.conj().T)
+            gates[key] = _polar_maximizer(m)
+        for node in nodes:
+            above = trie.parent[node]
+            vec = _step(fronts[above], trie.op[node], gates)
+            if trie.releases[node]:
+                del fronts[above]
+            for i in trie.ends[node]:
+                final = vec
+                for op in trie.paths[i].accept:
+                    final = op.apply(final)
+                witnesses[i] = final
+            if trie.holds[node]:
+                fronts[node] = vec
 
 
 # ---------------------------------------------------------------------------

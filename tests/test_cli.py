@@ -50,6 +50,12 @@ def test_schema_requires_the_parameters_of_each_transform(stage, field, message)
     assert err.value.fields == [field] and message in str(err.value)
 
 
+def test_schema_rejects_an_edge_that_is_not_a_pair():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"experiment": "ghz", "seed": 1, "params": {"nodes": 3, "copies": 1, "edges": [[0, 1, 2]]}})
+    assert err.value.fields == ["edges/0"]
+
+
 def test_defaults_resolved():
     resolved = validate_config({"experiment": "ghz", "seed": 1, "params": {"nodes": 3, "copies": 1}})
     assert resolved["mode"] == "exact"
@@ -211,6 +217,50 @@ def test_cli_dqct_qubits_per_node_of_the_wrong_length_is_a_config_error(tmp_path
 
 
 @pytest.mark.parametrize(
+    "experiment, params, field, message",
+    [
+        ("optimize", {"protocol": "no-such-protocol", "instance": "yes"}, "protocol", "no-such-protocol"),
+        ("dqct", {"nodes": 2, "qubits_per_node": [0, 0], "states": "random", "copies": 1}, "qubits_per_node",
+         "no node holds an input qubit"),
+        ("ghz", {"nodes": 3, "copies": 1, "edges": [[0, 1], [1, 3]]}, "edges", "unknown node"),
+        ("ghz", {"nodes": 4, "copies": 1, "edges": [[0, 1], [2, 3]]}, "edges", "disconnected"),
+    ],
+)
+def test_cli_schema_valid_config_the_run_refuses_names_the_field(tmp_path, capsys, experiment, params, field, message):
+    config_path = tmp_path / "refused.json"
+    config_path.write_text(json.dumps({"experiment": experiment, "seed": 1, "params": params}))
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["fields"] == [field]
+    assert f"config field {field}:" in err["message"] and message in err["message"]
+
+
+def test_dqct_probe_builds_and_runs_the_protocol_once(tmp_path, monkeypatch):
+    from dqip import cli, dqct
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli, dqct):
+        monkeypatch.setattr(module, "build_pdqct", counted("build", dqct.build_pdqct))
+    monkeypatch.setattr(cli, "execute_exact", counted("exact", cli.execute_exact))
+    monkeypatch.setattr(cli, "execute_sampled", counted("sampled", cli.execute_sampled))
+    params = {"nodes": 2, "qubits_per_node": [1, 1], "states": "random", "probe": True,
+              "restarts": 1, "sweeps": 2}
+    run_config({"experiment": "dqct", "seed": 3, "params": params}, tmp_path)
+    assert calls == ["build", "exact"]
+    calls.clear()
+    run_config({"experiment": "dqct", "seed": 3, "mode": "sampled", "trials": 4, "params": params}, tmp_path)
+    assert calls == ["build", "sampled", "exact"]
+
+
+@pytest.mark.parametrize(
     "protocol, pipeline, field",
     [
         ("coin-guess", [{"transform": "halve-shared"}], "pipeline/0"),
@@ -320,3 +370,13 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "coin-guess" in proc.stdout
+
+
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}])
+def test_importing_dqip_pins_blas_to_one_thread_unless_set(preset):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names} | preset
+    code = f"import os, sys, dqip; assert 'numpy' in sys.modules; print(*(os.environ[n] for n in {names!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [preset.get(name, "1") for name in names]

@@ -99,8 +99,9 @@ def test_communication_independent_of_input_size():
 
 def test_equal_states_seesaw_reaches_one():
     inst = make_instance(G2, (1, 1), "equal", seed=1)
-    probe = soundness_probe(inst, GhzProtocolParams(copies=1, epsilon=0.25, prover_qubits=2),
-                            OptimizerConfig(restarts=3, sweeps=40, seed=3))
+    compiled = build_pdqct(inst, GhzProtocolParams(copies=1, epsilon=0.25, prover_qubits=2))
+    honest = execute_exact(compiled.spec, compiled.honest).acceptance_probability
+    probe = soundness_probe(inst, compiled, honest, OptimizerConfig(restarts=3, sweeps=40, seed=3))
     assert abs(probe["best_acceptance"] - 1.0) <= 1e-6
     assert probe["ceiling"] >= probe["best_acceptance"] - 1e-9
 
@@ -120,7 +121,10 @@ def test_orthogonal_with_ideal_ghz_capped_at_half():
 def test_random_pair_stays_under_ceiling():
     inst = make_instance(G2, (1, 1), "random", seed=3)
     params = GhzProtocolParams(copies=1, epsilon=0.25, prover_qubits=2)
-    probe = soundness_probe(inst, params, OptimizerConfig(restarts=4, sweeps=50, seed=11))
+    compiled = build_pdqct(inst, params)
+    honest = execute_exact(compiled.spec, compiled.honest).acceptance_probability
+    probe = soundness_probe(inst, compiled, honest, OptimizerConfig(restarts=4, sweeps=50, seed=11))
+    assert probe["honest_acceptance"] == honest
     assert probe["best_acceptance"] <= probe["ceiling"] + 1e-6
     # Theorem restated on measured values: the input distance obeys the
     # bound implied by the measured acceptance.

@@ -102,14 +102,16 @@ def test_optimizer_config_validation():
 
 def test_seesaw_refuses_vectors_over_the_budget_before_the_first_sweep(monkeypatch):
     # Two coin paths of 5 qubits (512 bytes a vector), each through two prover
-    # blocks: finals, fronts and suffixes hold 2 * 2 + 4 vectors at once.
+    # blocks: 2 witnesses, 4 suffixes and 3 trie fronts at once (the prefix
+    # both coin branches share up to turn 3, one branch's front past its
+    # turn-3 block, and the front being computed).
     spec, honest = random_clean_spec(0, coin=True)
-    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 8 * 512 - 1)
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 9 * 512 - 1)
     with pytest.raises(CapacityError) as err:
         seesaw_optimize(spec, OptimizerConfig(restarts=1, sweeps=2, seed=1), honest=honest)
-    assert "see-saw of 'random-clean-0' over 2 paths and 4 block positions" in str(err.value)
-    assert err.value.requested == 8 * 512
-    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 8 * 512)
+    assert "see-saw of 'random-clean-0' over 2 paths, 4 block suffixes and 3 trie fronts" in str(err.value)
+    assert err.value.requested == 9 * 512
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 9 * 512)
     seesaw_optimize(spec, OptimizerConfig(restarts=1, sweeps=2, seed=1), honest=honest)
 
 
