@@ -102,13 +102,16 @@ def test_trie_sweep_matches_per_path_on_random_specs(monkeypatch, seed, coin):
     assert_same_as_per_path(monkeypatch, spec, OptimizerConfig(restarts=3, sweeps=30, seed=seed), honest=honest)
 
 
-@pytest.mark.parametrize("seed", [1_400_000, 1_400_001, 1_400_002])
-def test_trie_sweep_matches_per_path_on_the_dqct_probe(monkeypatch, seed):
-    # The benchmark's seesaw config: 11 qubits, one Haar restart at the sweep cap.
+@pytest.mark.parametrize(
+    "seed, freeze_turns", [(1_400_000, ()), (1_400_001, ()), (1_400_002, ()), (1_400_000, (1,))]
+)
+def test_trie_sweep_matches_per_path_on_the_dqct_probe(monkeypatch, seed, freeze_turns):
+    # The benchmark's seesaw config: 11 qubits, one Haar restart at the sweep
+    # cap; with turn 1 frozen, the trie applies its blocks as fixed ops.
     instance = make_instance(path_graph(2), (1, 1), "random", seed=seed)
     compiled = build_pdqct(instance, GhzProtocolParams(copies=1, epsilon=0.25, seed=seed, prover_qubits=2))
     config = OptimizerConfig(restarts=2, sweeps=20, seed=seed)
-    assert_same_as_per_path(monkeypatch, compiled.spec, config, honest=compiled.honest)
+    assert_same_as_per_path(monkeypatch, compiled.spec, config, honest=compiled.honest, freeze_turns=freeze_turns)
 
 
 @pytest.mark.parametrize("which", ["yes", "no"])
