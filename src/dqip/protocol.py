@@ -22,17 +22,18 @@ decides which children are kept:
 * exact (:func:`execute_exact`, :func:`variable_marginal`): every child whose
   weight is above ``PRUNE_TOL``; measurement children stay unnormalized
   (their squared norms carry the Born weights), and acceptance sums
-  ``weight * ||accept-projected vector||^2 * predicate`` over leaves;
+  ``weight * tr(A^dag A rho) * predicate`` over leaves (:meth:`_Executor.acceptance`);
 * sample (:func:`execute_sampled`): one child, drawn with its probability and
-  renormalized, so each trial is a one-branch walk;
+  not renormalized, so each trial is a one-branch walk whose draws divide by
+  the squared norm that the marginal they read already holds;
 * record (:func:`collect_paths`, :func:`verification_projector`): every child,
   with the fixed operators and the symbolic prover gates logged instead of
   any amplitudes, as the :class:`BranchPath` list that the see-saw and the
   exact single-message optimum replay.
 
-All three walks take each fixed operator (a step, a W-swap, a check or
-accept projector, and on the record walk an outcome's selector) as a
-:class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
+All three walks take each fixed operator (a step, a W-swap, a check
+projector, on the record walk an accept projector and an outcome's selector)
+as a :class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
 and sampled walks apply it, the record walk records it.  No vector is
 modified in place, so the initial one is built once per executor and shared.
 A branch releases its state once its last child is built: a walk holds one
@@ -60,6 +61,7 @@ from .qcore import (
     apply_matrix_vec,
     apply_op,
     check_projector,
+    circuit_matrix,
     outcome_weights,
     project_outcome,
     reduced_density_from_vec,
@@ -377,7 +379,6 @@ class _Exact:
     """
 
     records = False
-    normalise = False
 
     def __init__(self):
         self._ops: dict = {}  # see StructuredOp.cached
@@ -413,9 +414,8 @@ class _Exact:
 
 
 class _Sample(_Exact):
-    """Keep one child, drawn with its Born probability, and renormalise it."""
-
-    normalise = True
+    """Keep one child, drawn with its Born probability and not renormalised: each draw
+    divides by the squared norm that the marginal it reads holds, so no pass is spent on it."""
 
     def __init__(self, rng: np.random.Generator):
         super().__init__()
@@ -429,7 +429,8 @@ class _Sample(_Exact):
         return [int(self.rng.choice(len(probs), p=probs / probs.sum()))]
 
     def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
-        return [0 if self.rng.random() < min(max(_norm2(hit), 0.0), 1.0) else 1]
+        p_hit, p_miss = _norm2(hit), _norm2(miss)
+        return [0 if self.rng.random() < p_hit / (p_hit + p_miss) else 1]
 
 
 class _Record(_Exact):
@@ -510,6 +511,7 @@ class _Executor:
         self.policy = policy or _Exact()
         self.layout = spec.layout
         self.graph = spec.graph
+        self._accept_forms: dict = {}  # see _accept_form
         # Plain functions, not bound methods: the executor must not refer to
         # itself, or the states it caches would wait for the cyclic collector.
         schedule = []
@@ -596,9 +598,6 @@ class _Executor:
             yield child
             del child
 
-    def _normalised(self, vec):
-        return vec / np.linalg.norm(vec) if self.policy.normalise else vec
-
     # -- events ---------------------------------------------------------------
 
     def _check_ownership(self, branch: _Branch, actors: tuple, regs: list[str], label: str, who: str = "") -> None:
@@ -661,7 +660,7 @@ class _Executor:
     def _flip_coin(self, branch: _Branch, coin: CoinFlip, label: str):
         values = list(self.policy.coin(coin.num_values))
         visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
-        weight = branch.weight if self.policy.normalise else branch.weight / coin.num_values
+        weight = branch.weight / coin.num_values
         return self._fork(branch, coin.name, visible, values, (branch.vec for _ in values), weight)
 
     def _measure(self, branch: _Branch, m: Measurement, label: str):
@@ -671,7 +670,7 @@ class _Executor:
         self._check_ownership(branch, (m.node,), regs, label)
         qubits = _expand_registers(self.layout, regs)
         outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.vec, qubits)]
-        states = (self._normalised(self.policy.project(branch.vec, qubits, outcome)) for outcome in outcomes)
+        states = (self.policy.project(branch.vec, qubits, outcome) for outcome in outcomes)
         visible = [m.node, PROVER] if m.to_prover else [m.node]
         return self._fork(branch, m.name, visible, outcomes, states, branch.weight)
 
@@ -688,7 +687,7 @@ class _Executor:
         branch.vec = None  # the (hit, miss) pair replaces it
         kept = list(self.policy.check(*hit_miss))
         pending = [hit_miss[i] for i in kept]  # popped when reached: nothing else holds a child's first state
-        states = (self._normalised(pending.pop(0)) for _ in kept)
+        states = (pending.pop(0) for _ in kept)
         return self._fork(branch, check.name, check.nodes, [1 - i for i in kept], states, branch.weight)
 
     # -- verification ---------------------------------------------------------
@@ -704,14 +703,13 @@ class _Executor:
                     views[u][f"recv:{v}"] = sent[v]
         return views
 
-    def accept_ops(self, branch: _Branch, views: dict[int, dict]) -> tuple[list, float]:
-        """Per-node accept projectors (resolved) and the predicate product."""
+    def accept_ops(self, branch: _Branch, views: dict[int, dict]) -> tuple[list, dict[int, bool]]:
+        """Per-node accept projectors (resolved) and whether each node's predicates pass."""
         ops = []
-        pred = 1.0
+        passed = {u: True for u in range(self.graph.node_count)}
         for accept in self.spec.verification.accepts:
             view = views[accept.node]
-            if accept.predicate is not None and not accept.predicate(view):
-                pred = 0.0
+            passed[accept.node] &= accept.predicate is None or bool(accept.predicate(view))
             if accept.projector is not None:
                 resolved = accept.projector(view)
                 if resolved is not None:
@@ -719,27 +717,37 @@ class _Executor:
                     matrix = np.asarray(matrix, dtype=np.complex128)
                     check_projector(matrix)
                     ops.append((accept.node, matrix, _expand_registers(self.layout, regs)))
-        return ops, pred
+        return ops, passed
 
-    def acceptance(self, branch: _Branch, views: dict[int, dict]) -> tuple[float, dict[int, float], np.ndarray | None]:
-        """A leaf's joint and per-node accept probabilities, before its weight, and its
-        accept-projected vector (``None`` when a predicate fails)."""
-        ops, pred = self.accept_ops(branch, views)
-        projected = None
-        if pred != 0.0:
-            projected = branch.vec
-            for _, matrix, qubits in ops:
-                projected = self.policy.apply(projected, matrix, qubits)
-        per_node = {}
-        for u in range(self.graph.node_count):
-            vec_u = branch.vec
-            for matrix, qubits in (op[1:] for op in ops if op[0] == u):
-                vec_u = self.policy.apply(vec_u, matrix, qubits)
-            accept_u = next((a for a in self.spec.verification.accepts if a.node == u), None)
-            # pred is 1 only when every predicate passed, this node's among them.
-            passed = pred != 0.0 or accept_u is None or accept_u.predicate is None or accept_u.predicate(views[u])
-            per_node[u] = _norm2(vec_u) if passed else 0.0
-        return (0.0 if projected is None else _norm2(projected)), per_node, projected
+    def acceptance(self, branch: _Branch, views: dict[int, dict], project: bool = False) -> tuple:
+        """A leaf's squared norm ``tr(rho)``, joint and per-node accept masses ``tr(A^dag A rho)``
+        before its weight, and with ``project`` its accept-projected vector (``None`` if a
+        predicate fails), for ``rho`` the reduced density of the accept qubits (or low span)."""
+        ops, passed = self.accept_ops(branch, views)
+        marginal = sorted({q for _, _, qubits in ops for q in qubits})
+        if marginal and marginal[-1] < qcore.SPAN_QUBITS:
+            marginal = list(range(marginal[-1] + 1))
+        reads = {u: [op for op in ops if op[0] == u] for u in passed if passed[u]}
+        if all(passed.values()):
+            reads["all"] = ops
+        forms = {u: self._accept_form(marginal, node_ops) for u, node_ops in reads.items() if node_ops}
+        rho = reduced_density_from_vec(branch.vec, marginal)
+        total = float(rho.trace().real)  # also the read of a node without projectors
+        read = {u: float(np.vdot(forms[u], rho).real) if u in forms else total for u in reads}  # tr(F rho), F = F^dag
+        projected = branch.vec if "all" in read and project else None
+        for _, matrix, qubits in ops if projected is not None else ():
+            projected = self.policy.apply(projected, matrix, qubits)
+        return total, read.pop("all", 0.0), {u: read.get(u, 0.0) for u in passed}, projected
+
+    def _accept_form(self, marginal: list[int], ops: list) -> np.ndarray:
+        """``A^dag A`` on the ``marginal`` qubits, for the product ``A`` of ``ops``; built
+        once per executor, keyed like :meth:`StructuredOp.cached` on the matrices' ids."""
+        key = (tuple(marginal), tuple((id(matrix), tuple(qubits)) for _, matrix, qubits in ops))
+        if key not in self._accept_forms:
+            what = f"accept marginal of {self.spec.name!r} on {len(marginal)} qubits"
+            a = circuit_matrix(len(marginal), [(m, [marginal.index(q) for q in qs]) for _, m, qs in ops], what)
+            self._accept_forms[key] = (ops, a.conj().T @ a)  # the ops hold the matrices, so no id is reused
+        return self._accept_forms[key][1]
 
 
 _FORKS = (_Executor._flip_coin, _Executor._measure, _Executor._projective_check)
@@ -813,12 +821,13 @@ def execute_exact(
     acceptance = 0.0
     node_acc = {u: 0.0 for u in range(spec.graph.node_count)}
     out_mat = None
+    project = collect_output and spec.output_registers is not None
     for branch, views in executor.leaves():
-        p_all, per_node, projected = executor.acceptance(branch, views)
+        _, p_all, per_node, projected = executor.acceptance(branch, views, project)
         acceptance += branch.weight * p_all
         for u, p_u in per_node.items():
             node_acc[u] += branch.weight * p_u
-        if collect_output and spec.output_registers is not None and projected is not None:
+        if projected is not None:
             regs = spec.output_registers(branch.values)
             red = branch.weight * reduced_density_from_vec(projected, _expand_registers(spec.layout, regs))
             out_mat = red if out_mat is None else out_mat + red
@@ -850,10 +859,10 @@ def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, see
     node_hits = {u: 0 for u in range(spec.graph.node_count)}
     for _ in range(trials):
         ((branch, views),) = executor.leaves()
-        p_all, per_node, _ = executor.acceptance(branch, views)
-        successes += rng.random() < min(max(p_all, 0.0), 1.0)
+        total, p_all, per_node, _ = executor.acceptance(branch, views)
+        successes += rng.random() < min(max(p_all / total, 0.0), 1.0)
         for u, p_u in per_node.items():
-            node_hits[u] += rng.random() < min(max(p_u, 0.0), 1.0)
+            node_hits[u] += rng.random() < min(max(p_u / total, 0.0), 1.0)
     return RunReport(
         acceptance_probability=successes / trials,
         mode="sampled",
@@ -959,8 +968,8 @@ def _paths(executor: _Executor, leaves: Iterable) -> list[BranchPath]:
     """The predicate-passing leaves of a record walk."""
     paths = []
     for branch, views in leaves:
-        ops, pred = executor.accept_ops(branch, views)
-        if pred != 0.0:
+        ops, passed = executor.accept_ops(branch, views)
+        if all(passed.values()):
             accept = [executor.policy.op(matrix, qubits) for _, matrix, qubits in ops]
             paths.append(BranchPath(branch.weight, _recorded(branch.vec), accept))
     return paths

@@ -62,6 +62,11 @@ PROJECTOR_ATOL = 1e-9
 # admits a 2^13 x 2^13 matrix) and for the states an executor walk holds.
 MAX_DENSE_BYTES = 2**30
 
+# The low span (see StructuredOp): qubits below SPAN_QUBITS, and the run a
+# span-form diagonal is tiled to.
+SPAN_QUBITS = 5
+SPAN_RUN = 256
+
 
 def check_budget(requested: int, what: str) -> None:
     """Raise :class:`CapacityError` when ``requested`` bytes exceed ``MAX_DENSE_BYTES``."""
@@ -321,8 +326,12 @@ class StructuredOp:
     target axes), ``"permutation"`` (a 0/1 matrix with one 1 per row and
     column, applied as a copy of the vector in which each row ``r`` with
     ``source[r] != r`` is moved by basic slicing, so no ``2^n`` index is
-    built) or ``"dense"`` (applied by :func:`apply_matrix_vec`).  Every kind
-    matches ``embed_operator(matrix, targets, n) @ vec``.
+    built) or ``"dense"`` (applied by :func:`apply_matrix_vec`).  An op whose
+    targets lie below ``SPAN_QUBITS`` is expanded to the low ``s`` qubits up to
+    its highest target, whose ``2^s`` amplitudes are contiguous runs, and
+    applied in span form: one trailing matmul (dense), a multiply by the
+    diagonal tiled to ``SPAN_RUN`` entries, or one length-``2^s`` ``np.take``.
+    Every kind and form matches ``embed_operator(matrix, targets, n) @ vec``.
     """
 
     def __init__(self, matrix: np.ndarray, targets: Sequence[int]):
@@ -333,7 +342,7 @@ class StructuredOp:
             raise LayoutError(f"operator of shape {mat.shape} does not match {len(self.targets)} targets")
         self.matrix = mat
         self._adjoint: StructuredOp | None = None
-        self._per_size: dict[int, tuple] = {}  # qubit count -> (tensor shape, diagonal or row moves)
+        self._per_size: dict[int, tuple] = {}  # qubit count -> (tensor shape, prepared table or None)
         diag = np.diagonal(mat)
         nonzero = mat != 0
         if np.count_nonzero(nonzero) == np.count_nonzero(diag):
@@ -360,15 +369,19 @@ class StructuredOp:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The operator applied to ``vec``, as a new C-contiguous vector."""
-        if self.kind == "dense":
-            return apply_matrix_vec(vec, self.matrix, self.targets)
         n = vec.size.bit_length() - 1
         prepared = self._per_size.get(n)
         if prepared is None:
             prepared = self._per_size[n] = self._prepare(n)
         shape, table = prepared
+        if table is None:
+            return apply_matrix_vec(vec, self.matrix, self.targets)
+        if self.kind == "dense":  # span form: the expanded gate, transposed
+            return (vec.reshape(shape) @ table).reshape(-1)
         if self.kind == "diagonal":
             return (vec.reshape(shape) * table).reshape(-1)
+        if isinstance(table, np.ndarray):  # a permutation's span form: the source column of each column
+            return np.take(vec.reshape(shape), table, axis=1).reshape(-1)
         out = vec.copy()
         source, target = vec.reshape(shape), out.reshape(shape)
         for to, read in table:
@@ -376,20 +389,27 @@ class StructuredOp:
         return out
 
     def _prepare(self, n: int) -> tuple:
-        plan = _axis_plan(n, self.targets)
+        plan = _axis_plan(n, self.targets)  # validates the targets
+        span = max(self.targets, default=-1) + 1
+        if span <= SPAN_QUBITS:
+            eye = np.eye(2**span, dtype=np.complex128).reshape(-1)  # as circuit_matrix; 32 x 32 needs no budget
+            full = apply_matrix_vec(eye, self.matrix, [span + q for q in self.targets]).reshape(2**span, -1)
+            if self.kind == "dense":
+                return (-1, 2**span), np.ascontiguousarray(full.T)
+            if self.kind == "permutation":
+                return (-1, 2**span), np.argmax(full != 0, axis=1)
+            run = min(2**n, max(2**span, SPAN_RUN))
+            return (-1, run), np.tile(np.diagonal(full), run // 2**span)
+        if self.kind == "dense":
+            return None, None
         if self.kind == "permutation":
             return plan.shape, [(plan.index(r), plan.index(int(s))) for r, s in enumerate(self._source) if s != r]
-        # Axis ``k-1-j`` of the diagonal as a (2,)*k tensor holds bit j; lay
-        # the bits out as the target axes of ``plan.shape`` hold them, most
-        # significant first, and give the other axes length 1.
-        k = len(self.targets)
-        bits: list[int] = []
-        for group in plan.groups:
-            if group:
-                j, m = group
-                bits += range(j + m - 1, j - 1, -1)
-        diag = self._diag.reshape((2,) * k).transpose([k - 1 - b for b in bits])
-        return plan.shape, diag.reshape([size if group else 1 for size, group in zip(plan.shape, plan.groups)])
+        # The gate index at each value of the target axes (value v of an axis
+        # holding gate bits j.. adds v << j); the other axes get length 1.
+        index = np.zeros((), dtype=np.intp)
+        for size, group in zip(plan.shape, plan.groups):
+            index = index[..., None] + (np.arange(size) << group[0] if group else 0)
+        return plan.shape, self._diag[index]
 
     def adjoint(self) -> "StructuredOp":
         """The conjugate transpose on the same targets (of the same kind)."""

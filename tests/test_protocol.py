@@ -193,6 +193,121 @@ def test_sampled_leaves_follow_the_exact_leaf_weights():
             assert abs(counts.get(key, 0) - walks * p) <= 5 * sigma, (spec.name, key, counts.get(key, 0), walks * p)
 
 
+def check_after_measurement_spec() -> ProtocolSpec:
+    """Node 0 measures V:0 (|0> with weight 0.3), then node 1 checks V:1 against |0>
+    (weight 0.6) and node 0 checks M:0 against |0> (certain) in the same turn."""
+    graph = path_graph(2)
+    layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    acts = ("P", "M:0", "M:1")
+    turns = (
+        ProverTurn(index=1, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        VerifierTurn(
+            index=2,
+            steps=tuple(
+                static_step(u, qcore.acceptance_rotation(c).matrix, [f"V:{u}"]) for u, c in ((0, 0.3), (1, 0.6))
+            ),
+            measurements=(Measurement("m0", 0, lambda view: ["V:0"]),),
+            checks=(
+                ProjectiveCheck("c1", (1,), lambda view: (zero, ["V:1"])),
+                ProjectiveCheck("c0", (0,), lambda view: (zero, ["M:0"])),
+            ),
+            sends=("M:0", "M:1"),
+        ),
+        ProverTurn(index=3, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+    )
+    verification = VerificationPhase(accepts=tuple(first_qubit_zero_accept(u, f"M:{u}") for u in range(2)))
+    return ProtocolSpec(name="check-after-measurement", graph=graph, layout=layout, turns=turns, verification=verification)
+
+
+def test_sampled_checks_after_a_measurement_divide_by_the_unnormalised_norm():
+    # The sampled walk does not renormalise the measured child, so the checks
+    # draw from a state of squared norm 0.3 or 0.7, and smaller still after the
+    # first check.  Node 0's check holds with certainty in every branch, so a
+    # draw that did not divide by the norm would miss it on most walks.
+    spec = check_after_measurement_spec()
+    prover = identity_for(spec)
+    exact = {}
+    for branch, _ in _Executor(spec, prover).leaves():
+        key = (branch.values["m0"], branch.values["c1"], branch.values["c0"])
+        exact[key] = branch.weight * float(np.vdot(branch.vec, branch.vec).real)
+    want = {(m, c, 1): (0.3 if m == 0 else 0.7) * (0.6 if c == 1 else 0.4) for m in (0, 1) for c in (0, 1)}
+    assert exact.keys() == want.keys() and all(abs(exact[k] - want[k]) <= 1e-12 for k in want)
+    walks = 2000
+    sampler = _Executor(spec, prover, _Sample(substream(3, "test.check-after-measurement")))
+    counts: dict = {}
+    for _ in range(walks):
+        ((branch, _),) = sampler.leaves()
+        key = (branch.values["m0"], branch.values["c1"], branch.values["c0"])
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(want)  # c0 never misses
+    for key, p in want.items():
+        assert abs(counts.get(key, 0) - walks * p) <= 5 * np.sqrt(walks * p * (1 - p)), (key, counts)
+
+
+@pytest.mark.parametrize("seed, accepted, node_accepted", [(1, 6, {0: 6, 1: 12}), (7, 9, {0: 2, 1: 12})])
+def test_sampled_closeness_test_on_17_qubits_keeps_its_draws(seed, accepted, node_accepted):
+    # The benchmark's sampled config.  These are the counts the walk drew when
+    # it renormalised every child and applied each accept projector to the
+    # leaf: taking every probability from a marginal changes no draw.
+    from dqip.dqct import build_pdqct, make_instance
+    from dqip.ghz import GhzProtocolParams
+
+    params = GhzProtocolParams(copies=1, epsilon=0.25, prover_qubits=0)
+    compiled = build_pdqct(make_instance(path_graph(2), (3, 3), "random", seed=seed), params)
+    assert compiled.spec.layout.total_qubits == 17
+    report = execute_sampled(compiled.spec, compiled.honest, trials=12, seed=seed)
+    assert report.acceptance_probability == accepted / 12
+    assert report.per_node_acceptance == {u: k / 12 for u, k in node_accepted.items()}
+
+
+def _leaf_cases():
+    from dqip.dqct import build_pdqct, make_instance
+    from dqip.ghz import GhzProtocolParams
+
+    cases = [random_clean_spec(seed, coin=coin) for seed in range(3) for coin in (False, True)]
+    cases += [measure_and_check_spec(0), (check_after_measurement_spec(), None)]
+    closeness = build_pdqct(make_instance(path_graph(2), (1, 1), "random", seed=4), GhzProtocolParams(copies=1))
+    rng = substream(4, "test.leaf-cases")
+
+    def scrambled(turn_index, view):  # the honest move after a Haar unitary: some GHZ predicates fail
+        gate = qcore.dense_matrix(closeness.honest.gate(turn_index, view))
+        return gate if len(gate) == 1 else qcore.haar_unitary(len(gate).bit_length() - 1, rng).matrix @ gate
+
+    cheat = FunctionalStrategy("scrambled", scrambled, closeness.honest.reply_fn)
+    return cases + [(closeness.spec, closeness.honest), (closeness.spec, cheat)]
+
+
+def test_acceptance_reads_equal_the_norms_of_the_projected_leaves():
+    # Each leaf's marginal reads against ||A v||^2, with A built by applying the
+    # embedded projectors to the leaf's (unnormalised) vector.
+    predicate_failed = 0
+    for spec, prover in _leaf_cases():
+        executor = _Executor(spec, prover or identity_for(spec))
+        n = spec.layout.total_qubits
+        for branch, views in executor.leaves():
+            total, joint, per_node, projected = executor.acceptance(branch, views, project=True)
+            ops, passed = executor.accept_ops(branch, views)
+            assert abs(total - float(np.vdot(branch.vec, branch.vec).real)) <= 1e-12
+            want = {}
+            for u in list(passed) + ["all"]:
+                vec = branch.vec
+                for node, matrix, qubits in ops:
+                    if u in ("all", node):
+                        vec = qcore.embed_operator(matrix, qubits, n) @ vec
+                want[u] = vec
+            for u, ok in passed.items():
+                assert abs(per_node[u] - (float(np.vdot(want[u], want[u]).real) if ok else 0.0)) <= 1e-12, (spec.name, u)
+            if all(passed.values()):
+                assert abs(joint - float(np.vdot(want["all"], want["all"]).real)) <= 1e-12, spec.name
+                assert np.allclose(projected, want["all"], rtol=0, atol=1e-12)
+            else:
+                predicate_failed += 1
+                assert joint == 0.0 and projected is None
+            assert executor.acceptance(branch, views)[3] is None  # built only when asked for
+    assert predicate_failed > 0
+
+
 def test_checks_on_registers_the_nodes_do_not_hold_fail_in_both_modes():
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)

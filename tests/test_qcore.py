@@ -191,6 +191,50 @@ def test_structured_permutations_and_diagonals_match_embedded_operator(n):
                         assert np.allclose(got, want, rtol=0, atol=1e-12), (name, targets)
 
 
+def _span_target_sets(n: int) -> dict[str, tuple[list[int], bool]]:
+    """Named target lists for an ``n``-qubit state, each with whether the span rule covers it."""
+    span = min(n, qcore.SPAN_QUBITS)
+    sets = {
+        "low, in order": (list(range(min(2, span))), True),
+        "low, reversed": (list(range(span - 1, -1, -1))[:3], True),
+        "low, shuffled": ([span - 1, 0, span // 2][: min(3, span)], True),
+        "non-adjacent": ([0, span - 1], True),
+        "single low qubit": ([span - 1], True),
+    }
+    if n <= qcore.SPAN_QUBITS:
+        sets["span == n"] = ([n - 1, 0], True)
+    else:
+        sets["one target above the span"] = ([1, qcore.SPAN_QUBITS], False)
+        sets["top qubit"] = ([n - 1, 0], False)
+        sets["high only"] = ([n - 1, n - 2], False)
+    return sets
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_span_forms_and_their_adjoints_match_embedded_operator(n):
+    # Every kind in span form (targets below SPAN_QUBITS), and on the old
+    # paths otherwise, against the index-arithmetic oracle.
+    rng = substream(n, "test.span-forms")
+    for name, (targets, in_span) in _span_target_sets(n).items():
+        assert len(set(targets)) == len(targets) and (max(targets) < qcore.SPAN_QUBITS) == in_span, name
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        for mat in _random_matrices(rng, len(targets)).values():
+            op = StructuredOp(mat, targets)
+            for applied, matrix in ((op, mat), (op.adjoint(), mat.conj().T)):
+                got, kind = applied.apply(vec), applied.kind  # an identity permutation is diagonal
+                shape, table = applied._per_size[n]
+                if in_span:
+                    width = 2 ** (max(targets) + 1)
+                    assert shape == (-1, min(2**n, max(width, qcore.SPAN_RUN)) if kind == "diagonal" else width)
+                else:
+                    assert table is None if kind == "dense" else shape == qcore._axis_plan(n, tuple(targets)).shape
+                assert got.shape == (2**n,) and got.flags.c_contiguous
+                want = embed_operator(matrix, targets, n) @ vec
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (name, kind, applied is op)
+                if kind != "dense":
+                    assert np.array_equal(got, applied.apply(vec)), (name, kind)  # served from the per-size cache
+
+
 def test_outcome_weights_are_the_squared_norms_of_the_projected_outcomes():
     rng = substream(23, "test.outcome-weights")
     for _ in range(60):
