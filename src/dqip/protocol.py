@@ -14,10 +14,11 @@ Every run goes through one walk, :class:`_Executor`, with the same
 ownership, exchange and visibility checks in every mode.  The protocol's
 events (prover turns, coins, steps, W-swaps, measurements, checks, sends,
 then the verification phase) form one schedule, which each branch walks
-depth first: a coin, a measurement or a check yields its children one at a
-time, and each finishes its subtree before the next is built.  Leaves stream
-out in the order a level-by-level expansion would list them.  A policy
-decides which children are kept:
+depth first: a coin, a group of measurements (one fork, see
+:class:`Measurement`) or a check yields its children one at a time, and
+each finishes its subtree before the next is built.  Leaves stream out in
+the order a level-by-level expansion would list them.  A policy decides
+which children are kept:
 
 * exact (:func:`execute_exact`, :func:`variable_marginal`): every child whose
   weight is above ``PRUNE_TOL``; measurement children stay unnormalized
@@ -114,7 +115,9 @@ class Measurement:
     ``resolve_targets(view)`` returns the register names to measure (empty
     list skips).  Outcome bit ``j`` is the j-th qubit of the expanded target
     list.  The outcome is visible to the node and, if ``to_prover``, to the
-    prover.
+    prover.  A run of consecutive measurements by distinct nodes forks once,
+    on their joint outcome (they commute, and none sees another's outcome); a
+    node's second one in a turn forks again, so it can read the first's.
     """
 
     name: str
@@ -355,6 +358,16 @@ def _selector_matrix(k: int, outcome: int) -> np.ndarray:
     return np.diag(np.eye(2**k, dtype=np.complex128)[outcome])
 
 
+def _joint(parts: list[list[int]]) -> list[int]:
+    """The targets of a joint outcome of ``parts`` whose most significant bits are the first part's."""
+    return [q for qubits in reversed(parts) for q in qubits]
+
+
+def _digits(outcome: int, parts: list[list[int]]) -> list[int]:
+    """Each part's outcome in a joint ``outcome`` of ``parts`` (see :func:`_joint`)."""
+    return [int(digit) for digit in np.unravel_index(outcome, [2 ** len(qubits) for qubits in parts])]
+
+
 @dataclass
 class _Branch:
     """One classical branch: weight, state and transcript.
@@ -394,8 +407,8 @@ class _Exact:
     def prover(self, vec: np.ndarray, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
         return apply_op(vec, strategy.gate(turn_index, view), qubits)
 
-    def project(self, vec: np.ndarray, qubits: list[int], outcome: int) -> np.ndarray:
-        return project_outcome(vec, qubits, outcome)
+    def project(self, vec: np.ndarray, parts: list[list[int]], outcome: int) -> np.ndarray:
+        return project_outcome(vec, _joint(parts), outcome)
 
     def split(self, vec: np.ndarray, projector: np.ndarray, qubits: list[int]) -> tuple:
         """The (hit, miss) children of a two-outcome check."""
@@ -405,8 +418,9 @@ class _Exact:
     def coin(self, n: int) -> Iterable[int]:
         return range(n)
 
-    def outcomes(self, vec: np.ndarray, qubits: list[int]) -> Iterable[int]:
-        return np.flatnonzero(outcome_weights(vec, qubits) > PRUNE_TOL)
+    def outcomes(self, vec: np.ndarray, parts: list[list[int]]) -> Iterable[int]:
+        """Kept joint outcomes: one weight pass, and each part's marginal holds at least the joint weight."""
+        return np.flatnonzero(outcome_weights(vec, _joint(parts)) > PRUNE_TOL)
 
     def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
         """Kept indices into ``(hit, miss)``."""
@@ -424,9 +438,15 @@ class _Sample(_Exact):
     def coin(self, n: int) -> Iterable[int]:
         return [int(self.rng.integers(n))]
 
-    def outcomes(self, vec: np.ndarray, qubits: list[int]) -> Iterable[int]:
-        probs = np.clip(outcome_weights(vec, qubits), 0.0, None)
-        return [int(self.rng.choice(len(probs), p=probs / probs.sum()))]
+    def outcomes(self, vec: np.ndarray, parts: list[list[int]]) -> Iterable[int]:
+        """One joint outcome, drawn part by part from the marginals of one weight table."""
+        table, outcome = np.clip(outcome_weights(vec, _joint(parts)), 0.0, None), 0
+        for qubits in parts:
+            table = table.reshape(2 ** len(qubits), -1)
+            probs = table.sum(axis=1)
+            digit = int(self.rng.choice(len(probs), p=probs / probs.sum()))
+            table, outcome = table[digit], outcome << len(qubits) | digit
+        return [outcome]
 
     def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
         p_hit, p_miss = _norm2(hit), _norm2(miss)
@@ -457,14 +477,16 @@ class _Record(_Exact):
     def prover(self, chain, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
         return chain, (block_key(turn_index, view), tuple(qubits))
 
-    def project(self, chain, qubits: list[int], outcome: int):
-        return self.apply(chain, self._selector(len(qubits), outcome), qubits)
+    def project(self, chain, parts: list[list[int]], outcome: int):
+        for qubits, digit in zip(parts, _digits(outcome, parts)):
+            chain = self.apply(chain, self._selector(len(qubits), digit), qubits)
+        return chain
 
     def split(self, chain, projector: np.ndarray, qubits: list[int]) -> tuple:
         return self.apply(chain, projector, qubits), self.apply(chain, np.eye(len(projector)) - projector, qubits)
 
-    def outcomes(self, chain, qubits: list[int]) -> Iterable[int]:
-        return range(2 ** len(qubits))
+    def outcomes(self, chain, parts: list[list[int]]) -> Iterable[int]:
+        return range(2 ** sum(map(len, parts)))
 
     def check(self, hit, miss) -> Iterable[int]:
         return (0, 1)
@@ -546,13 +568,15 @@ class _Executor:
 
         The deepest path holds the initial state, the current one and two
         built from it, plus one per open fork: the parent of a verifier
-        turn's coins or of a measurement, and a check's second child.
+        turn's coins or of a group of measurements, and a check's second child.
         """
         forks = [entry for entry in self.schedule if entry[0] in _FORKS]
         coin_turns = {label for function, _, label in forks if function is _Executor._flip_coin}
         live = 4 + len(coin_turns) + sum(function is not _Executor._flip_coin for function, _, _ in forks)
         state_bytes = 16 * 2**self.layout.total_qubits
-        deepest = f", deepest fork {forks[-1][2]} {forks[-1][1].name!r}" if forks else ""
+        last = forks[-1][1] if forks else None
+        last = last[-1] if isinstance(last, list) else last  # a group of measurements is named by its last
+        deepest = f", deepest fork {forks[-1][2]} {last.name!r}" if forks else ""
         what = f"walk of {self.spec.name!r} ({live} states of {state_bytes} bytes{deepest})"
         qcore.check_budget(live * state_bytes, what)
 
@@ -584,17 +608,18 @@ class _Executor:
                 return
         yield branch
 
-    def _fork(self, branch: _Branch, name: str, visible, values: list, states: Iterable, weight: float):
-        """The children ``name = value`` of ``branch``, one at a time.
+    def _fork(self, branch: _Branch, values: list[list[tuple]], states: Iterable, weight: float):
+        """The children of ``branch``, one at a time, one per list of ``(name, value, visible)``.
 
         ``states`` builds each child's state when it is reached; the last
         one releases the parent's.
         """
-        for k, value in enumerate(values):
+        for k, assigned in enumerate(values):
             child = _Branch(weight, next(states), dict(branch.values), dict(branch.visibility), dict(branch.owner))
             if k == len(values) - 1:
                 branch.vec = None
-            _set_value(child, name, value, visible)
+            for name, value, visible in assigned:
+                _set_value(child, name, value, visible)
             yield child
             del child
 
@@ -661,18 +686,24 @@ class _Executor:
         values = list(self.policy.coin(coin.num_values))
         visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
         weight = branch.weight / coin.num_values
-        return self._fork(branch, coin.name, visible, values, (branch.vec for _ in values), weight)
+        return self._fork(branch, [[(coin.name, v, visible)] for v in values], (branch.vec for _ in values), weight)
 
-    def _measure(self, branch: _Branch, m: Measurement, label: str):
-        regs = m.resolve_targets(_view(branch, m.node))
-        if not regs:
+    def _measure(self, branch: _Branch, group: list[Measurement], label: str):
+        """One fork on the joint outcome of a group, each member resolved from its node's view
+        (empty ones skipped); the first's outcome is most significant, as in one fork each."""
+        members, parts = [], []
+        for m in group:
+            regs = m.resolve_targets(_view(branch, m.node))
+            if regs:
+                self._check_ownership(branch, (m.node,), regs, label)
+                members.append((m.name, [m.node, PROVER] if m.to_prover else [m.node]))
+                parts.append(_expand_registers(self.layout, regs))
+        if not members:
             return None
-        self._check_ownership(branch, (m.node,), regs, label)
-        qubits = _expand_registers(self.layout, regs)
-        outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.vec, qubits)]
-        states = (self.policy.project(branch.vec, qubits, outcome) for outcome in outcomes)
-        visible = [m.node, PROVER] if m.to_prover else [m.node]
-        return self._fork(branch, m.name, visible, outcomes, states, branch.weight)
+        outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.vec, parts)]
+        states = (self.policy.project(branch.vec, parts, outcome) for outcome in outcomes)
+        values = [[(name, d, visible) for (name, visible), d in zip(members, _digits(o, parts))] for o in outcomes]
+        return self._fork(branch, values, states, branch.weight)
 
     def _projective_check(self, branch: _Branch, check: ProjectiveCheck, label: str):
         if len(check.nodes) > 1 and not self.spec.allow_node_exchange:
@@ -688,7 +719,7 @@ class _Executor:
         kept = list(self.policy.check(*hit_miss))
         pending = [hit_miss[i] for i in kept]  # popped when reached: nothing else holds a child's first state
         states = (pending.pop(0) for _ in kept)
-        return self._fork(branch, check.name, check.nodes, [1 - i for i in kept], states, branch.weight)
+        return self._fork(branch, [[(check.name, 1 - i, check.nodes)] for i in kept], states, branch.weight)
 
     # -- verification ---------------------------------------------------------
 
@@ -724,15 +755,15 @@ class _Executor:
         before its weight, and with ``project`` its accept-projected vector (``None`` if a
         predicate fails), for ``rho`` the reduced density of the accept qubits (or low span)."""
         ops, passed = self.accept_ops(branch, views)
-        marginal = sorted({q for _, _, qubits in ops for q in qubits})
-        if marginal and marginal[-1] < qcore.SPAN_QUBITS:
-            marginal = list(range(marginal[-1] + 1))
         reads = {u: [op for op in ops if op[0] == u] for u in passed if passed[u]}
         if all(passed.values()):
             reads["all"] = ops
+        marginal = sorted({q for _, _, qubits in ops for q in qubits})
+        if marginal and marginal[-1] < qcore.SPAN_QUBITS:
+            marginal = list(range(marginal[-1] + 1))
         forms = {u: self._accept_form(marginal, node_ops) for u, node_ops in reads.items() if node_ops}
-        rho = reduced_density_from_vec(branch.vec, marginal)
-        total = float(rho.trace().real)  # also the read of a node without projectors
+        rho = reduced_density_from_vec(branch.vec, marginal) if ops else None  # no projector: no marginal
+        total = float(rho.trace().real) if ops else _norm2(branch.vec)  # also the read of a node without projectors
         read = {u: float(np.vdot(forms[u], rho).real) if u in forms else total for u in reads}  # tr(F rho), F = F^dag
         projected = branch.vec if "all" in read and project else None
         for _, matrix, qubits in ops if projected is not None else ():
@@ -758,7 +789,12 @@ def _local_events(part: VerifierTurn | VerificationPhase, label: str) -> list[tu
     events = [(_Executor._apply_step, step, label) for step in part.steps]
     if isinstance(part, VerificationPhase) and part.w_swap:
         events.append((_Executor._w_swap, None, label))
-    events += [(_Executor._measure, m, label) for m in part.measurements]
+    groups: list[list[Measurement]] = []
+    for m in part.measurements:  # each maximal run by distinct nodes forks once
+        if not groups or m.node in {other.node for other in groups[-1]}:
+            groups.append([])
+        groups[-1].append(m)
+    events += [(_Executor._measure, group, label) for group in groups]
     return events + [(_Executor._projective_check, check, label) for check in part.checks]
 
 

@@ -63,7 +63,7 @@ PROJECTOR_ATOL = 1e-9
 MAX_DENSE_BYTES = 2**30
 
 # The low span (see StructuredOp): qubits below SPAN_QUBITS, and the run a
-# span-form diagonal is tiled to.
+# span-form diagonal is tiled to and outcome_weights sums down.
 SPAN_QUBITS = 5
 SPAN_RUN = 256
 
@@ -392,8 +392,7 @@ class StructuredOp:
         plan = _axis_plan(n, self.targets)  # validates the targets
         span = max(self.targets, default=-1) + 1
         if span <= SPAN_QUBITS:
-            eye = np.eye(2**span, dtype=np.complex128).reshape(-1)  # as circuit_matrix; 32 x 32 needs no budget
-            full = apply_matrix_vec(eye, self.matrix, [span + q for q in self.targets]).reshape(2**span, -1)
+            full = _span_matrix(self.matrix, self.targets)
             if self.kind == "dense":
                 return (-1, 2**span), np.ascontiguousarray(full.T)
             if self.kind == "permutation":
@@ -417,6 +416,13 @@ class StructuredOp:
             self._adjoint = StructuredOp(np.ascontiguousarray(self.matrix.conj().T), self.targets)
             self._adjoint._adjoint = self
         return self._adjoint
+
+
+def _span_matrix(mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """``mat`` expanded to the qubits up to its highest target, as by :func:`circuit_matrix` (no budget: <= 32 x 32)."""
+    span = max(targets) + 1
+    eye = np.eye(2**span, dtype=np.complex128).reshape(-1)
+    return apply_matrix_vec(eye, mat, [span + q for q in targets]).reshape(2**span, -1)
 
 
 def kron_chain(ops: list[np.ndarray]) -> np.ndarray:
@@ -493,20 +499,24 @@ def apply_op(vec: np.ndarray, op, targets: Sequence[int]) -> np.ndarray:
 
     A factored op is applied through its dense form when that matrix is no
     larger than the state (``4^k <= 2^n``), factor by factor otherwise; one
-    without factors returns ``vec`` itself.
+    without factors returns ``vec`` itself.  A dense form on targets below
+    ``SPAN_QUBITS`` is one span-form matmul, as in :class:`StructuredOp`.
     """
-    if not isinstance(op, FactoredOp):
-        return apply_matrix_vec(vec, np.asarray(op, dtype=np.complex128), targets)
-    if len(targets) != op.arity:
-        raise LayoutError(f"factored op of arity {op.arity} does not match {len(targets)} targets")
     _plan_for(vec, targets)  # validates the targets as a whole
-    if not op.factors:
-        return vec
-    if 4**op.arity <= vec.size:
-        return apply_matrix_vec(vec, op.dense(), targets)
-    for mat, positions in op.factors:
-        vec = apply_matrix_vec(vec, mat, [targets[p] for p in positions])
-    return vec
+    if isinstance(op, FactoredOp):
+        if len(targets) != op.arity:
+            raise LayoutError(f"factored op of arity {op.arity} does not match {len(targets)} targets")
+        if not op.factors:
+            return vec
+        if 4**op.arity > vec.size:
+            for mat, positions in op.factors:
+                vec = apply_matrix_vec(vec, mat, [targets[p] for p in positions])
+            return vec
+        op = op.dense()
+    mat = np.asarray(op, dtype=np.complex128)
+    if targets and max(targets) < SPAN_QUBITS:
+        return (vec.reshape(-1, 2 ** (max(targets) + 1)) @ _span_matrix(mat, targets).T).reshape(-1)
+    return apply_matrix_vec(vec, mat, targets)
 
 
 def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np.ndarray:
@@ -528,11 +538,19 @@ def outcome_weights(vec: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """Squared norm of ``vec`` on each computational-basis outcome of ``targets``.
 
     Entry ``o`` equals ``||project_outcome(vec, targets, o)||^2``; no
-    projected vector is built.  The squared magnitudes are taken before the
-    targets are moved to the front, so the transpose copies real numbers.
+    projected vector is built.  Targets below ``SPAN_QUBITS`` sum the squares
+    down runs of the float view in one pass, then fold the sums onto the
+    targets; others take the squares first, so the transpose copies reals.
     """
+    plan = _plan_for(vec, targets)  # validates the targets
+    span = max(targets, default=-1) + 1
+    if span <= SPAN_QUBITS:
+        run = min(vec.size, max(2**span, SPAN_RUN))
+        runs = np.ascontiguousarray(vec).view(np.float64).reshape(-1, 2 * run)
+        sums = np.einsum("ij,ij->j", runs, runs).reshape(-1, 2**span, 2).sum(axis=(0, 2))
+        return _axis_plan(span, tuple(targets)).front(sums).sum(axis=1)
     squares = vec.real * vec.real + vec.imag * vec.imag
-    return _plan_for(vec, targets).front(squares).sum(axis=1)
+    return plan.front(squares).sum(axis=1)
 
 
 def apply_unitary(state: QuantumState, gate: Gate, targets: Sequence[int]) -> QuantumState:

@@ -257,7 +257,8 @@ def test_bad_factored_gate_is_a_protocol_error_naming_the_turn(factors, arity):
 def test_walks_over_the_budget_are_refused_before_they_start(monkeypatch):
     # n=2, N=1: 4 qubits, so each state holds 256 bytes.  The deepest path
     # holds the initial state, the current one and two being built, the coin
-    # turn's parent and the parents of measurements o:0 and o:1: 7 states.
+    # turn's parent and the parent of the group of measurements o:0 and o:1,
+    # which forks once and is named by its last member: 6 states.
     compiled = build_pghz(path_graph(2), GhzProtocolParams(copies=1))
     calls = []
 
@@ -272,9 +273,9 @@ def test_walks_over_the_budget_are_refused_before_they_start(monkeypatch):
             run()
         assert "walk of 'ghz-verify[n=2,N=1]'" in str(err.value)
         assert "deepest fork turn 4 (verifier) 'o:1'" in str(err.value)
-        assert err.value.requested == 7 * 256 and err.value.limit == 5 * 256
+        assert err.value.requested == 6 * 256 and err.value.limit == 5 * 256
     assert calls == []  # refused before the first prover gate
-    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 7 * 256)
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 6 * 256)
     assert abs(execute_exact(compiled.spec, counted).acceptance_probability - 1.0) <= 1e-9
 
 

@@ -245,6 +245,43 @@ def test_outcome_weights_are_the_squared_norms_of_the_projected_outcomes():
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_low_qubit_outcome_weights_match_the_projected_norms(n):
+    # Targets below SPAN_QUBITS sum runs of the float view; in order, reversed
+    # and non-adjacent, and one target above the span on the transposing path.
+    rng = substream(n, "test.low-outcome-weights")
+    span = min(n, qcore.SPAN_QUBITS)
+    cases = [list(range(span)), list(range(span))[::-1], [0], [span - 1], [0, span - 1], [span - 1, span // 2, 0]]
+    cases += [[1, n - 1]] if n > qcore.SPAN_QUBITS else []
+    vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    vec /= np.linalg.norm(vec)
+    for targets in (t for t in cases if len(set(t)) == len(t)):
+        want = [float(np.vdot(v, v).real) for v in (project_outcome(vec, targets, o) for o in range(2 ** len(targets)))]
+        assert np.allclose(outcome_weights(vec, targets), want, rtol=0, atol=1e-12), targets
+    with pytest.raises(LayoutError):
+        outcome_weights(vec, [n])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_low_qubit_prover_gates_take_the_span_form_and_match_embedded_operator(n, monkeypatch):
+    # A dense gate, or a factored one through its dense form, whose targets lie
+    # below SPAN_QUBITS never hands the state to apply_matrix_vec.
+    rng = substream(n, "test.low-prover-gates")
+    seen = []
+    kernel = qcore.apply_matrix_vec
+    monkeypatch.setattr(qcore, "apply_matrix_vec", lambda vec, *rest: seen.append(vec) or kernel(vec, *rest))
+    for name, (targets, in_span) in _span_target_sets(n).items():
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        dense = _random_matrices(rng, len(targets))["dense"]
+        for op in (dense, FactoredOp(len(targets), [(dense, range(len(targets)))])):
+            seen.clear()
+            got = apply_op(vec, op, targets)
+            assert got.shape == (2**n,) and got.flags.c_contiguous
+            assert np.allclose(got, embed_operator(dense, targets, n) @ vec, rtol=0, atol=1e-12), name
+            factor_by_factor = isinstance(op, FactoredOp) and 4 ** len(targets) > 2**n
+            assert any(arg is vec for arg in seen) == (not in_span or factor_by_factor), name
+
+
 def _random_factored(rng, k):
     """Random factors of 1-3 qubits on shuffled disjoint positions; some positions stay uncovered."""
     positions = [int(p) for p in rng.permutation(k)]
