@@ -43,6 +43,7 @@ capped well below that (see :mod:`dqip.network`).
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -341,7 +342,7 @@ class StructuredOp:
         if mat.shape != (dim, dim):
             raise LayoutError(f"operator of shape {mat.shape} does not match {len(self.targets)} targets")
         self.matrix = mat
-        self._adjoint: StructuredOp | None = None
+        self._adjoint: StructuredOp | weakref.ref | None = None
         self._per_size: dict[int, tuple] = {}  # qubit count -> (tensor shape, prepared table or None)
         diag = np.diagonal(mat)
         nonzero = mat != 0
@@ -411,11 +412,13 @@ class StructuredOp:
         return plan.shape, self._diag[index]
 
     def adjoint(self) -> "StructuredOp":
-        """The conjugate transpose on the same targets (of the same kind)."""
-        if self._adjoint is None:
-            self._adjoint = StructuredOp(np.ascontiguousarray(self.matrix.conj().T), self.targets)
-            self._adjoint._adjoint = self
-        return self._adjoint
+        """The conjugate transpose on the same targets (of the same kind).  An op holds its
+        adjoint, which refers back weakly: a cycle would keep both for the cyclic collector."""
+        adjoint = self._adjoint() if isinstance(self._adjoint, weakref.ref) else self._adjoint
+        if adjoint is None:
+            adjoint = self._adjoint = StructuredOp(np.ascontiguousarray(self.matrix.conj().T), self.targets)
+            adjoint._adjoint = weakref.ref(self)
+        return adjoint
 
 
 def _span_matrix(mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:

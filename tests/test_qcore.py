@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +139,21 @@ def test_planned_kernel_and_structured_ops_match_embedded_operator():
                 assert got.shape == (2**n,) and got.flags.c_contiguous
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert op.adjoint().kind == op.kind and op.adjoint().adjoint() is op
+
+
+def test_an_op_and_its_adjoint_form_no_reference_cycle():
+    # The op holds its adjoint and the adjoint refers back weakly, so the pair
+    # (and its prepared tables) is freed without the cyclic collector.
+    gc.disable()
+    try:
+        op = StructuredOp(H.matrix, [0])
+        adjoint = op.adjoint()
+        assert adjoint.adjoint() is op and op.adjoint() is adjoint
+        alive = weakref.ref(adjoint)
+        del op, adjoint
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def _embedded_product(mat, targets, n, vec):
