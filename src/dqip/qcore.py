@@ -549,7 +549,7 @@ def outcome_weights(vec: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     span = max(targets, default=-1) + 1
     if span <= SPAN_QUBITS:
         run = min(vec.size, max(2**span, SPAN_RUN))
-        runs = np.ascontiguousarray(vec).view(np.float64).reshape(-1, 2 * run)
+        runs = np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2 * run)
         sums = np.einsum("ij,ij->j", runs, runs).reshape(-1, 2**span, 2).sum(axis=(0, 2))
         return _axis_plan(span, tuple(targets)).front(sums).sum(axis=1)
     squares = vec.real * vec.real + vec.imag * vec.imag

@@ -143,7 +143,8 @@ def test_grouped_record_walk_records_one_selector_per_member(case):
     for spec, strategy in CASES[case]():
         strategy = strategy or identity_for(spec)
         policy = _Record()  # one op cache, so both walks record the same op object per operator
-        grouped, reference = _Executor(spec, strategy, policy).leaves(), oracle(_Executor(spec, strategy, policy)).leaves()
+        grouped = _Executor(spec, strategy, policy).leaves()
+        reference = oracle(_Executor(spec, strategy, policy)).leaves()
         for (got, _), (want, _) in zip(grouped, reference, strict=True):
             assert got.values == want.values and got.weight == want.weight
             ops, want_ops = _recorded(got.vec), _recorded(want.vec)
@@ -183,7 +184,8 @@ def test_bench_ghz_forks_once_per_coin_pair(monkeypatch):
     # weight pass over the four nodes' joint outcome and one projection per
     # leaf; one fork per node made 468 weight passes and 756 projections.
     spec, honest = _ghz(4, 2)
-    for walk, leaves, passes, projections in ((_Executor, 300, 12, 300), (lambda *a: oracle(_Executor(*a)), 300, 468, 756)):
+    walks = ((_Executor, 12, 300), (lambda *args: oracle(_Executor(*args)), 468, 756))
+    for walk, passes, projections in walks:
         calls = {"weights": 0, "projections": 0}
 
         def counted(function, key):
@@ -196,5 +198,5 @@ def test_bench_ghz_forks_once_per_coin_pair(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "outcome_weights", counted(qcore.outcome_weights, "weights"))
             patch.setattr(protocol, "project_outcome", counted(qcore.project_outcome, "projections"))
-            assert sum(1 for _ in walk(spec, honest).leaves()) == leaves
+            assert sum(1 for _ in walk(spec, honest).leaves()) == 300
         assert calls == {"weights": passes, "projections": projections}
