@@ -755,12 +755,12 @@ class _Executor:
         before its weight, and with ``project`` its accept-projected vector (``None`` if a
         predicate fails), for ``rho`` the reduced density of the accept qubits (or low span)."""
         ops, passed = self.accept_ops(branch, views)
-        reads = {u: [op for op in ops if op[0] == u] for u in passed if passed[u]}
-        if all(passed.values()):
-            reads["all"] = ops
         marginal = sorted({q for _, _, qubits in ops for q in qubits})
         if marginal and marginal[-1] < qcore.SPAN_QUBITS:
             marginal = list(range(marginal[-1] + 1))
+        reads = {u: [op for op in ops if op[0] == u] for u in passed if passed[u]}
+        if all(passed.values()):
+            reads["all"] = ops
         forms = {u: self._accept_form(marginal, node_ops) for u, node_ops in reads.items() if node_ops}
         rho = reduced_density_from_vec(branch.vec, marginal) if ops else None  # no projector: no marginal
         total = float(rho.trace().real) if ops else _norm2(branch.vec)  # also the read of a node without projectors
