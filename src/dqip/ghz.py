@@ -51,7 +51,7 @@ from .protocol import (
     VerifierTurn,
     Step,
 )
-from .qcore import FactoredOp, QuantumState, apply_unitary, kron_chain
+from .qcore import FactoredOp, QuantumState, apply_unitary
 from .transforms import CompileReport, Compiled, message_accounting, private_accounting
 
 
@@ -206,19 +206,18 @@ def make_rotation_step(leader: int, copies: int):
     def rotation_step(u: int) -> Step:
         @functools.cache  # one operator per (tested bits, target copy)
         def rotation(bits: int, target: int, measured: tuple[int, ...]):
-            ops, regs = [], []
+            regs = []
             for t, i in enumerate(measured):
                 bit = (bits >> t) & 1
                 wants_x = (bit == 0) if u == leader else (bit == 1)
                 if wants_x:
-                    ops.append(qcore.H.matrix)
                     regs.append(copy_reg(i, u))
             if u != leader:
-                ops.append(qcore.H.matrix)
                 regs.append(copy_reg(target, u))
             if not regs:
                 return None
-            return kron_chain(ops), regs
+            hadamards = [(qcore.H.matrix, [j]) for j in range(len(regs))]
+            return qcore.circuit_matrix(len(regs), hadamards, f"basis rotation of node {u}"), regs
 
         def resolve(view: Mapping):
             return rotation(*tests_of(u, view), tuple(measured_copies(u, view)))

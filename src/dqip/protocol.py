@@ -834,25 +834,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def execute_exact(
-    spec: ProtocolSpec,
-    prover: ProverStrategy,
-    coin_mode: str = "branch",
-    collect_output: bool = False,
-) -> RunReport:
-    """Exact acceptance probability by branch-averaging all classical events.
-
-    ``coin_mode='bell'`` first materializes eligible coin flips as Bell pairs
-    (see :func:`dqip.transforms.materialize_coins`) and then runs exactly.
-    """
-    if coin_mode == "bell":
-        from .transforms import materialize_coins
-
-        spec, wrap = materialize_coins(spec)
-        prover = wrap(prover)
-    elif coin_mode != "branch":
-        raise ValidationError(f"unknown coin_mode {coin_mode!r}")
-
+def execute_exact(spec: ProtocolSpec, prover: ProverStrategy, collect_output: bool = False) -> RunReport:
+    """Exact acceptance probability by branch-averaging all classical events."""
     executor = _Executor(spec, prover)
     acceptance = 0.0
     node_acc = {u: 0.0 for u in range(spec.graph.node_count)}

@@ -18,23 +18,25 @@ diagonal, 0/1 permutation or dense and applies it by broadcast multiply,
 row moves by basic slicing or the planned matmul; the see-saw and the
 executor's walks apply their fixed operators through it.
 :func:`project_outcome` zeroes the amplitudes outside one outcome.
-Composite operators (node units, the honest prefix of a turn reduction,
-star preparations, fan-outs) are built by :func:`circuit_matrix`, which
-applies their factors to the identity through the same kernel.
+:func:`circuit_matrix` is the one dense constructor of composite operators
+(node units, star preparations, fan-outs, basis rotations): it applies
+their factors to the identity through the same kernel.
 :func:`embed_operator` builds one embedded operator by index arithmetic;
 nothing in the package calls it, and the tests use it as the oracle.
 
-A gate is either a dense matrix or a :class:`FactoredOp`: local factors on
-disjoint positions, identity elsewhere.  :func:`apply_op` applies both; a
-factored gate goes through its cached dense form when that matrix is no
-larger than the state, and factor by factor otherwise.  Fixed verifier
-operators, projectors and see-saw blocks stay dense; honest prover moves
-that are tensor products of local gates (the GHZ delivery of N+1 star
-states, the copies of a parallel repetition) are factored.  The dense
-constructors (:func:`circuit_matrix`, :func:`kron_chain`,
-:meth:`FactoredOp.dense`, :func:`embed_operator`) check ``MAX_DENSE_BYTES``
-before they allocate (:func:`check_budget`), and the executor checks the
-states its deepest path holds against the same limit before it walks.
+A gate is either a dense matrix or a :class:`FactoredOp`: local factors
+applied in order, which may share qubits, identity elsewhere.
+:func:`apply_op` applies both; a factored gate goes through its dense form,
+built once by :func:`circuit_matrix`, when that matrix is no larger than
+the state, and factor by factor otherwise.  Fixed verifier operators,
+projectors and see-saw blocks stay dense; honest prover moves made of local
+gates are factored: the GHZ delivery of N+1 star states, the copies of a
+parallel repetition, and the honest prefix of a turn reduction, whose
+dense form would span every qubit.  The dense constructors
+(:func:`circuit_matrix` and :func:`embed_operator`) check what they will
+hold against ``MAX_DENSE_BYTES`` before they allocate
+(:func:`check_budget`), and the executor checks the states its deepest
+path holds against the same limit before it walks.
 
 The dense representation is practical up to roughly 22 qubits; layouts are
 capped well below that (see :mod:`dqip.network`).
@@ -59,8 +61,9 @@ TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 PROJECTOR_ATOL = 1e-9
 
-# Byte budget for one dense operator (16 bytes per complex entry, so 2^30
-# admits a 2^13 x 2^13 matrix) and for the states an executor walk holds.
+# Byte budget for the arrays one dense build holds (16 bytes per complex
+# entry; circuit_matrix holds three 2^n x 2^n arrays, so 2^30 admits n = 12)
+# and for the states an executor walk holds.
 MAX_DENSE_BYTES = 2**30
 
 # The low span (see StructuredOp): qubits below SPAN_QUBITS, and the run a
@@ -313,7 +316,8 @@ def circuit_matrix(num_qubits: int, factors: Iterable[tuple[np.ndarray, Sequence
     before allocating more than ``MAX_DENSE_BYTES``.
     """
     n = num_qubits
-    check_budget(16 * 4**n, what)
+    # Each factor holds the input, its moved block and the output at once.
+    check_budget(3 * 16 * 4**n, what)
     vec = np.eye(2**n, dtype=np.complex128).reshape(-1)
     for mat, targets in factors:
         vec = apply_matrix_vec(vec, np.asarray(mat, dtype=np.complex128), [n + q for q in targets])
@@ -428,27 +432,15 @@ def _span_matrix(mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     return apply_matrix_vec(eye, mat, [span + q for q in targets]).reshape(2**span, -1)
 
 
-def kron_chain(ops: list[np.ndarray]) -> np.ndarray:
-    """Tensor product with ops[0] acting on the lowest qubits.
-
-    Raises :class:`CapacityError` before allocating when the product would
-    take more than ``MAX_DENSE_BYTES``.
-    """
-    rows = cols = 1
-    for op in ops:
-        rows, cols = rows * op.shape[0], cols * op.shape[1]
-    check_budget(16 * rows * cols, f"dense {rows}x{cols} operator")
-    return functools.reduce(lambda low, high: np.kron(high, low), ops)
-
-
 class FactoredOp:
-    """A gate on ``arity`` qubits given as local factors on disjoint positions.
+    """A gate on ``arity`` qubits given as local factors, applied in order.
 
     Each factor is a ``(matrix, positions)`` pair: bit ``j`` of the matrix
     index addresses position ``positions[j]`` of the gate, and positions index
-    the targets the gate is applied to.  Positions no factor covers get the
-    identity, so ``FactoredOp(k)`` is the identity on ``k`` qubits.  Bad
-    positions or factor shapes raise :class:`LayoutError`.
+    the targets the gate is applied to.  Factors act first to last and may
+    share positions; positions no factor covers get the identity, so
+    ``FactoredOp(k)`` is the identity on ``k`` qubits.  Bad positions or
+    factor shapes raise :class:`LayoutError`.
     """
 
     def __init__(self, arity: int, factors: Iterable[tuple[np.ndarray, Sequence[int]]] = ()):
@@ -457,38 +449,19 @@ class FactoredOp:
             (np.asarray(mat, dtype=np.complex128), tuple(int(p) for p in positions)) for mat, positions in factors
         )
         self._dense: np.ndarray | None = None
-        covered: set[int] = set()
         for mat, positions in self.factors:
             dim = 2 ** len(positions)
             if mat.shape != (dim, dim):
                 raise LayoutError(f"factor of shape {mat.shape} does not match {len(positions)} positions")
-            for p in positions:
-                if not 0 <= p < self.arity:
-                    raise LayoutError(f"factor position {p} outside [0, {self.arity})")
-                if p in covered:
-                    raise LayoutError(f"factor position {p} is covered twice")
-                covered.add(p)
+            _check_targets(positions, self.arity, len(positions))
 
     def dense(self) -> np.ndarray:
-        """The ``2^arity`` matrix, built once by :func:`kron_chain` after a budget check.
+        """The ``2^arity`` matrix, built once by :func:`circuit_matrix`.
 
         Every call returns the same array; callers must not modify it.
         """
         if self._dense is None:
-            k = self.arity
-            check_budget(16 * 4**k, f"dense {2**k}x{2**k} operator")
-            covered = [p for _, positions in self.factors for p in positions]
-            rest = sorted(set(range(k)) - set(covered))
-            # Bit j of the kron_chain index addresses position order[j].
-            order = rest + covered
-            mats = ([np.eye(2 ** len(rest), dtype=np.complex128)] if rest else []) + [m for m, _ in self.factors]
-            mat = kron_chain(mats) if mats else np.eye(1, dtype=np.complex128)
-            if order != sorted(order):
-                # Axis a of the (2,)*k row tensor holds bit k-1-a.
-                bit = {q: j for j, q in enumerate(order)}
-                axes = [k - 1 - bit[k - 1 - a] for a in range(k)]
-                mat = mat.reshape((2,) * (2 * k)).transpose(axes + [k + a for a in axes]).reshape(2**k, 2**k)
-            self._dense = mat
+            self._dense = circuit_matrix(self.arity, self.factors, f"dense {2**self.arity}x{2**self.arity} operator")
         return self._dense
 
 

@@ -12,8 +12,7 @@
   against spanning-tree labels (4l+1 to 2l+3),
 * the perfect-completeness transform (verdict round-trip, leader counters,
   acceptance rotation),
-* parallel repetition (AND / per-node majority),
-* Bell-pair materialization of classical coin flips.
+* parallel repetition (AND / per-node majority).
 
 Every transform takes and returns (spec, honest strategy) pairs plus a
 :class:`CompileReport` with turn counts, register accounting and, when the
@@ -537,7 +536,10 @@ class _Halving:
     verification) or the backward head V_m^-1, P_{m-1}^-1, ..., P_3^-1 (bit 1,
     ending in V_2^-1 and the all-zero check of every V register).  The two
     sequences are paired from their ends, so the longer one overhangs at the
-    start against an idle branch, and each pair is one output turn.
+    start against an idle branch, and each pair is one output turn.  The
+    honest turn-1 gate (``snapshot``) is a :class:`~dqip.qcore.FactoredOp`
+    of the input's node units and prover gates through turn m, in order, so
+    no operator on every qubit is built.
     """
 
     def __init__(
@@ -568,8 +570,8 @@ class _Halving:
         self.pairs = list(zip([None] * (width - len(forward)) + forward, [None] * (width - len(backward)) + backward))
         self.snapshot = self._fold(mid)
 
-    def _fold(self, upto: int) -> np.ndarray:
-        """Full-space unitary of the honest evolution through turn ``upto``."""
+    def _fold(self, upto: int) -> qcore.FactoredOp:
+        """The honest evolution through turn ``upto``, as its node units and prover gates in order."""
         layout = self.spec.layout
         factors = []
         for turn in self.spec.turns:
@@ -579,7 +581,7 @@ class _Halving:
                 factors.append((self.gates[turn.index], _expand_registers(layout, list(turn.acts_on))))
             else:
                 factors += [(self.units[turn.index, u], _expand_registers(layout, _vm_regs(u))) for u in range(self.n)]
-        return qcore.circuit_matrix(layout.total_qubits, factors, f"honest prefix unitary of {self.spec.name!r}")
+        return qcore.FactoredOp(layout.total_qubits, factors)
 
     def _node_step(self, b: _Branch, u: int, fwd: np.ndarray | None, bwd: np.ndarray | None) -> Step:
         """Node u runs ``fwd`` on branch 0 and ``bwd`` on branch 1; None idles."""
@@ -709,7 +711,7 @@ class _Halving:
             metadata=dict(spec.metadata, **b.metadata),
         )
 
-        def gate(turn_index: int, view: Mapping) -> np.ndarray:
+        def gate(turn_index: int, view: Mapping) -> np.ndarray | qcore.FactoredOp:
             if turn_index == 1:
                 return self.snapshot
             if turn_index in b.prelude_gates:
@@ -1372,146 +1374,3 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
         private_qubits_per_node=private_accounting(out),
     )
     return Compiled(out, FunctionalStrategy(f"repeat[{honest.name}]", gate), report)
-
-
-# ---------------------------------------------------------------------------
-# Bell-pair materialization of coin flips
-# ---------------------------------------------------------------------------
-
-
-def materialize_coins(spec: ProtocolSpec):
-    """Replace a node-private binary coin flip by a kept/sent Bell pair.
-
-    The flipping node builds (|00> + |11>)/sqrt(2) across a kept qubit and a
-    message qubit sent to the prover; its own coin-conditioned gates become
-    quantum-controlled on the kept half, later prover gates become controlled
-    on the sent half, and the verification measures the kept half so accept
-    conditions read the same classical variable as before.  Returns the
-    rewritten spec plus a strategy wrapper for provers written against the
-    original spec.
-    """
-    coins = [
-        (turn, coin)
-        for turn in spec.turns
-        if isinstance(turn, VerifierTurn)
-        for coin in turn.coins
-    ]
-    if len(coins) != 1:
-        raise ShapeError("coin materialization supports exactly one coin flip")
-    coin_turn, coin = coins[0]
-    if coin.owner is None or coin.num_values != 2:
-        raise ShapeError("only single-node binary coins can be materialized")
-    for turn in spec.turns:
-        if isinstance(turn, ProverTurn) and turn.replies:
-            raise ShapeError("coin materialization does not support classical replies")
-        if isinstance(turn, VerifierTurn) and (turn.measurements or turn.checks):
-            raise ShapeError("coin materialization needs measurement-free interaction turns")
-    owner, name = coin.owner, coin.name
-    n = spec.graph.node_count
-
-    layout = allocate_layout(
-        spec.graph,
-        prover_qubits=spec.layout.size("P") if spec.layout.has("P") else 0,
-        node_private={u: spec.layout.size(reg_v(u)) if spec.layout.has(reg_v(u)) else 0 for u in range(n)},
-        node_message={u: spec.layout.size(reg_m(u)) if spec.layout.has(reg_m(u)) else 0 for u in range(n)},
-        extras=[("CK", 1, owner), ("CS", 1, owner)],
-    )
-
-    def lift_step(step: Step) -> Step:
-        def resolve(view):
-            r0 = step.resolve({**view, name: 0})
-            r1 = step.resolve({**view, name: 1})
-            if _resolved_equal(r0, r1):
-                return r0
-            if step.actor != owner:
-                raise ProtocolError("only the coin owner's gates may depend on a materialized coin")
-            return _controlled_pair(layout, r0, r1)
-
-        return Step(step.actor, resolve, {"kind": "coin-lifted", "inner": step.describe})
-
-    def _resolved_equal(r0, r1) -> bool:
-        if r0 is None and r1 is None:
-            return True
-        if (r0 is None) != (r1 is None):
-            return False
-        return list(r0[1]) == list(r1[1]) and np.array_equal(np.asarray(r0[0]), np.asarray(r1[0]))
-
-    def _controlled_pair(lay, r0, r1):
-        union: list[str] = []
-        for resolved in (r0, r1):
-            if resolved is not None:
-                for reg in resolved[1]:
-                    if reg not in union:
-                        union.append(reg)
-        qubits = _expand_registers(lay, union)
-        factors = [
-            [] if resolved is None else [(resolved[0], [qubits.index(q) for q in _expand_registers(lay, resolved[1])])]
-            for resolved in (r0, r1)
-        ]
-        mats = [qcore.circuit_matrix(len(qubits), f, f"coin-lifted step of node {owner}") for f in factors]
-        return qcore.controlled(*mats), ["CK"] + union
-
-    turns: list[ProverTurn | VerifierTurn] = []
-    after_coin = False
-    for turn in spec.turns:
-        if isinstance(turn, ProverTurn):
-            acts = (("CS",) + tuple(turn.acts_on)) if after_coin else turn.acts_on
-            turns.append(ProverTurn(index=turn.index, acts_on=acts, delivers=turn.delivers))
-        elif turn.index == coin_turn.index:
-            after_coin = True
-            bell = (
-                static_step(owner, qcore.H.matrix, ["CK"]),
-                static_step(owner, qcore.CNOT.matrix, ["CK", "CS"]),
-            )
-            turns.append(
-                VerifierTurn(
-                    index=turn.index,
-                    steps=bell + tuple(lift_step(s) for s in turn.steps),
-                    sends=tuple(turn.sends) + ("CS",),
-                )
-            )
-        else:
-            turns.append(
-                VerifierTurn(
-                    index=turn.index,
-                    steps=tuple(lift_step(s) for s in turn.steps),
-                    sends=turn.sends,
-                )
-            )
-
-    ver = spec.verification
-    coin_measure = Measurement(
-        name=name,
-        node=owner,
-        resolve_targets=lambda view: ["CK"],
-        describe={"kind": "materialized-coin", "coin": name},
-    )
-    out = ProtocolSpec(
-        name=f"bell[{spec.name}]",
-        graph=spec.graph,
-        layout=layout,
-        turns=tuple(turns),
-        verification=VerificationPhase(
-            steps=tuple(lift_step(s) for s in ver.steps),
-            w_swap=ver.w_swap,
-            measurements=(coin_measure,) + tuple(ver.measurements),
-            checks=ver.checks,
-            broadcasts=ver.broadcasts,
-            accepts=ver.accepts,
-        ),
-        allow_node_exchange=spec.allow_node_exchange,
-        initial_factors=spec.initial_factors,
-        metadata=dict(spec.metadata, materialized_coin=name),
-    )
-
-    def wrap(strategy: ProverStrategy) -> ProverStrategy:
-        def gate(turn_index: int, view: Mapping) -> np.ndarray:
-            if turn_index < coin_turn.index:
-                return strategy.gate(turn_index, view)
-            g0 = qcore.dense_matrix(strategy.gate(turn_index, {**view, name: 0}))
-            g1 = qcore.dense_matrix(strategy.gate(turn_index, {**view, name: 1}))
-            return qcore.controlled(g0, g1)
-
-        return FunctionalStrategy(f"bell[{strategy.name}]", gate)
-
-    return out, wrap

@@ -12,7 +12,6 @@ from dqip.ghz import (
     build_pghz,
     ghz_fidelity,
     ghz_state,
-    kron_chain,
     stabilizer_tests,
     star_state,
 )
@@ -195,24 +194,6 @@ def test_params_validation():
         build_pghz(build_network(1, []), GhzProtocolParams(copies=1))
 
 
-def test_kron_chain_refuses_operators_over_the_dense_limit(monkeypatch):
-    # Only the shapes are read before the check: broadcast views stand in
-    # for the 32x32 star preparations of a 5-node, 2-copy honest gate.
-    prep = np.broadcast_to(np.eye(1, dtype=complex), (32, 32))
-    with pytest.raises(CapacityError) as err:
-        kron_chain([prep] * 3)
-    assert err.value.requested == 16 * 4**15
-    assert err.value.limit == qcore.MAX_DENSE_BYTES
-    # The dense form of the ghz workload's 12-qubit honest gate stays admitted.
-    assert 16 * 4**12 <= qcore.MAX_DENSE_BYTES
-    # At a small limit, a product of exactly the limit is built, one above is not.
-    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 16 * 4**3)
-    ops = [qcore.H.matrix, qcore.X.matrix, qcore.Z.matrix]
-    assert np.allclose(kron_chain(ops), np.kron(qcore.Z.matrix, np.kron(qcore.X.matrix, qcore.H.matrix)))
-    with pytest.raises(CapacityError):
-        kron_chain(ops + [qcore.H.matrix])
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("copies", [1, 2])
 @pytest.mark.parametrize("prover_qubits", [0, 1])
@@ -221,8 +202,10 @@ def test_factored_honest_gate_matches_dense_gate(n, copies, prover_qubits):
     compiled = build_pghz(path_graph(n), params)
     honest = compiled.honest
     prep = ghz.star_prep_matrix(n)
-    old_gate = kron_chain(([np.eye(2**prover_qubits, dtype=complex)] if prover_qubits else []) + [prep] * (copies + 1))
-    assert np.array_equal(honest.gate(1, {}).dense(), old_gate)
+    kron_gate = np.eye(2**prover_qubits, dtype=complex)
+    for _ in range(copies + 1):
+        kron_gate = np.kron(prep, kron_gate)
+    assert np.array_equal(honest.gate(1, {}).dense(), kron_gate)
 
     def dense_gate(turn_index, view):
         return qcore.dense_matrix(honest.gate(turn_index, view))
@@ -237,7 +220,7 @@ def test_factored_honest_gate_matches_dense_gate(n, copies, prover_qubits):
 @pytest.mark.parametrize(
     "factors, arity",
     [
-        ([(np.eye(2), [0]), (np.eye(2), [0])], 6),  # overlapping positions
+        ([(np.eye(4), [0, 0])], 6),  # a position repeated within one factor
         ([(np.eye(2), [6])], 6),  # position out of range
         ([(np.eye(4), [0])], 6),  # factor shape does not match its positions
         ([(np.eye(2), [0])], 5),  # arity does not match the turn's qubits

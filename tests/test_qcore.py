@@ -1,5 +1,9 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,6 @@ from dqip.qcore import (
     haar_random,
     haar_state,
     haar_unitary,
-    kron_chain,
     outcome_weights,
     partial_trace,
     project_outcome,
@@ -301,7 +304,8 @@ def test_low_qubit_prover_gates_take_the_span_form_and_match_embedded_operator(n
 
 
 def _random_factored(rng, k):
-    """Random factors of 1-3 qubits on shuffled disjoint positions; some positions stay uncovered."""
+    """Random factors of 1-3 qubits on shuffled disjoint positions, some positions left uncovered,
+    then up to two more on random positions that overlap them."""
     positions = [int(p) for p in rng.permutation(k)]
     factors, start = [], 0
     while start < k:
@@ -310,6 +314,9 @@ def _random_factored(rng, k):
         if rng.random() < 0.2:
             continue
         factors.append((_random_matrices(rng, size)["dense"], chunk))
+    for _ in range(int(rng.integers(0, 3))):
+        size = int(rng.integers(1, min(3, k) + 1))
+        factors.append((_random_matrices(rng, size)["dense"], [int(p) for p in rng.permutation(k)[:size]]))
     return FactoredOp(k, factors)
 
 
@@ -335,16 +342,16 @@ def test_factored_op_matches_embedded_operator_on_both_sides_of_the_dense_rule()
     assert paths == {True, False}
 
 
-def test_factored_dense_is_the_kron_chain_product():
+def test_factored_dense_is_the_kron_product():
     rng = substream(19, "test.factored-kron")
     mats = [_random_matrices(rng, size)["dense"] for size in (2, 1, 3)]
     positions = [[0, 1], [2], [3, 4, 5]]
     op = FactoredOp(6, zip(mats, positions))
-    assert np.array_equal(op.dense(), kron_chain(mats))
+    assert np.allclose(op.dense(), np.kron(mats[2], np.kron(mats[1], mats[0])), rtol=0, atol=1e-12)
     assert op.dense() is op.dense()
     # Uncovered low positions are an identity factor below the others.
     idle_low = FactoredOp(7, zip(mats, [[p + 1 for p in pos] for pos in positions]))
-    assert np.array_equal(idle_low.dense(), kron_chain([np.eye(2, dtype=complex)] + mats))
+    assert np.allclose(idle_low.dense(), np.kron(op.dense(), np.eye(2)), rtol=0, atol=1e-12)
     assert np.array_equal(FactoredOp(2).dense(), np.eye(4))
     vec = rng.standard_normal(8) + 0j
     assert apply_op(vec, FactoredOp(2), [0, 2]) is vec
@@ -355,7 +362,7 @@ def test_dense_constructors_refuse_operators_over_the_budget(monkeypatch):
     op = FactoredOp(4, [(H.matrix, [0])])
     with pytest.raises(CapacityError) as err:
         op.dense()
-    assert err.value.requested == 16 * 4**4 and err.value.limit == 16 * 4**3
+    assert err.value.requested == 3 * 16 * 4**4 and err.value.limit == 16 * 4**3
     with pytest.raises(CapacityError):
         embed_operator(H.matrix, [0], 4)
     assert embed_operator(H.matrix, [0], 3).shape == (8, 8)
@@ -393,7 +400,33 @@ def test_circuit_matrix_checks_the_budget_before_allocating():
     with pytest.raises(CapacityError) as err:
         circuit_matrix(16, [], "x")
     assert str(err.value).startswith("x needs ")
-    assert err.value.requested == 16 * 4**16 and err.value.limit == qcore.MAX_DENSE_BYTES
+    assert err.value.requested == 3 * 16 * 4**16 and err.value.limit == qcore.MAX_DENSE_BYTES
+
+
+def test_circuit_matrix_refuses_what_it_cannot_hold_under_a_memory_cap():
+    # At 13 qubits the matrix alone fits the 1 GiB budget, but a factor also
+    # holds its moved block and its output.  Under a 3 GiB address-space cap
+    # the build must be refused, never end in a raw MemoryError.
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+    code = (
+        "from dqip import qcore\n"
+        "from dqip.errors import CapacityError\n"
+        "try:\n"
+        "    qcore.circuit_matrix(13, [(qcore.H.matrix, [12])], 'probe')\n"
+        "except CapacityError as err:\n"
+        "    print(err.requested)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(qcore.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0 and "MemoryError" not in proc.stderr, proc.stderr
+    assert proc.stdout.split() == [str(3 * 16 * 4**13)]
 
 
 @pytest.mark.parametrize("targets, arity", [([1, 1], 2), ([0, 4], 2), ([-1], 1), ([0, 1], 1), ([0], 2)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqip import qcore
+from dqip import protocol, qcore
 from dqip.corpus import coin_check_honest, coin_check_spec, random_clean_spec, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.errors import CapacityError, ConfigError, ShapeError, ValidationError
@@ -19,7 +19,6 @@ from dqip.transforms import (
     halve_turns_shared,
     halved_completeness,
     halved_soundness,
-    materialize_coins,
     pad_to_turns,
     parallel_repeat,
     perfect_completeness,
@@ -397,84 +396,6 @@ def test_parallel_repeat_validation():
         parallel_repeat(spec, honest, 2, "XOR")
 
 
-# ---------------------------------------------------------------------------
-# Coin materialization
-# ---------------------------------------------------------------------------
-
-
-def test_bell_mode_matches_branch_mode():
-    spec = coin_check_spec([E0, PLUS])
-    strategies = [coin_check_honest()]
-    for seed in (3, 4):
-        gate = qcore.haar_unitary(1, seed).matrix
-        strategies.append(FunctionalStrategy(f"fixed{seed}", lambda t, v, _g=gate: _g))
-    for strategy in strategies:
-        branch = execute_exact(spec, strategy).acceptance_probability
-        bell = execute_exact(spec, strategy, coin_mode="bell").acceptance_probability
-        assert abs(branch - bell) <= 1e-10
-
-
-def test_materialize_coin_with_dependent_prover_turn():
-    # Coin flipped mid-protocol and read by a later prover gate: the wrapped
-    # strategy becomes controlled on the sent Bell half.
-    from dqip.network import allocate_layout, build_network
-    from dqip.protocol import (
-        CoinFlip,
-        NodeAccept,
-        ProtocolSpec,
-        VerificationPhase,
-        VerifierTurn,
-    )
-
-    graph = build_network(1, [])
-    layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=1)
-    turns = (
-        ProverTurn(index=1, acts_on=("M:0",), delivers=(("M:0", 0),)),
-        VerifierTurn(index=2, coins=(CoinFlip("r", 2, owner=0),), sends=("M:0",)),
-        ProverTurn(index=3, acts_on=("M:0",), delivers=(("M:0", 0),)),
-    )
-    copy_step = qcore.embed_operator(qcore.CNOT.matrix, [1, 0], 2)
-    from dqip.protocol import static_step
-
-    spec = ProtocolSpec(
-        name="echo-coin",
-        graph=graph,
-        layout=layout,
-        turns=turns,
-        verification=VerificationPhase(
-            steps=(static_step(0, copy_step, ["V:0", "M:0"]),),
-            accepts=(
-                NodeAccept(
-                    node=0,
-                    projector=lambda view: (np.array([[1, 0], [0, 0]], dtype=complex), ["V:0"]),
-                    predicate=None,
-                    describe={"kind": "first-qubit-zero", "register": "V:0"},
-                ),
-            ),
-        ),
-    )
-
-    # Honest: write |r> into the message at turn 3... then V:0 reads r, so
-    # acceptance is Pr[r = 0] = 1/2; a coin-ignoring prover also gets 1/2.
-    def honest_gate(turn_index, view):
-        if turn_index == 3 and view.get("r") == 1:
-            return qcore.X.matrix
-        return np.eye(2, dtype=np.complex128)
-
-    honest = FunctionalStrategy("echo", honest_gate)
-    a = execute_exact(spec, honest).acceptance_probability
-    b = execute_exact(spec, honest, coin_mode="bell").acceptance_probability
-    assert abs(a - b) <= 1e-10
-    assert abs(a - 0.5) <= 1e-12
-
-
-def test_materialize_rejects_shared_coins():
-    from dqip.corpus import fair_coin_spec
-
-    with pytest.raises(ShapeError):
-        materialize_coins(fair_coin_spec())
-
-
 @pytest.mark.parametrize("reduce, turns", REDUCTIONS)
 def test_reductions_name_a_missing_node_register(reduce, turns):
     # bipartite-pls keeps its state in message registers only: no node has V:u.
@@ -485,7 +406,6 @@ def test_reductions_name_a_missing_node_register(reduce, turns):
     with pytest.raises(ConfigError) as err:
         reduce(padded.spec, padded.honest)
     assert reduce.__name__ in str(err.value) and "'V:0'" in str(err.value)
-
 
 
 @pytest.mark.parametrize("nodes", [2, 3])
@@ -503,3 +423,34 @@ def test_reductions_halve_the_value_of_random_specs(reduce, turns, nodes):
         if reduce is halve_turns_private:
             for u in range(nodes):
                 assert abs(variable_marginal(out.spec, out.honest, f"coin:{u}", 0) - 0.5) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "reduce, turns, nodes",
+    [(halve_turns_shared, 5, 7), (halve_turns_shared, 9, 7), (seven_to_five, 7, 7), (halve_turns_private, 5, 6)],
+)
+def test_reductions_of_wide_random_specs_build_no_operator_on_every_qubit(reduce, turns, nodes, monkeypatch):
+    # 15, 15, 15 and 13 input qubits, so a dense honest prefix would take 16 GiB
+    # or 1 GiB.  Every dense operator of the compile and the exact runs is
+    # built by circuit_matrix, and none spans every input qubit.
+    widths = []
+    build = qcore.circuit_matrix
+
+    def recording(num_qubits, factors, what):
+        widths.append(num_qubits)
+        return build(num_qubits, factors, what)
+
+    monkeypatch.setattr(qcore, "circuit_matrix", recording)
+    monkeypatch.setattr(protocol, "circuit_matrix", recording)
+    spec, honest = random_clean_spec(0, turns=turns, nodes=nodes)
+    c = execute_exact(spec, honest).acceptance_probability
+    out = reduce(spec, honest)
+    assert isinstance(out.honest.gate(1, {}), qcore.FactoredOp)
+    assert abs(execute_exact(out.spec, out.honest).acceptance_probability - halved_completeness(c)) <= 1e-9
+    assert widths and max(widths) < spec.layout.total_qubits
+
+
+def test_private_halving_past_the_layout_ceiling_is_a_typed_error():
+    spec, honest = random_clean_spec(0, turns=5, nodes=7)
+    with pytest.raises(CapacityError, match="layout needs 23 qubits, above the ceiling of 22"):
+        halve_turns_private(spec, honest)
