@@ -31,13 +31,13 @@ def interpolated_instance(graph, angle: float) -> DqctInstance:
     return DqctInstance(graph, (1,) * total, psi, phi)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=5)
     parser.add_argument("--epsilon", type=float, default=0.25)
     parser.add_argument("--probe", action="store_true", help="also run the adversarial see-saw")
     parser.add_argument("--out", type=Path, default=Path("dqct_soundness_sweep.csv"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     graph = path_graph(2)
     params = GhzProtocolParams(copies=1, epsilon=args.epsilon, prover_qubits=2)

@@ -17,12 +17,12 @@ from dqip.network import path_graph
 from dqip.protocol import execute_exact
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nodes", type=int, default=3)
     parser.add_argument("--max-copies", type=int, default=3)
     parser.add_argument("--out", type=Path, default=Path("ghz_fidelity_curve.csv"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rows = []
     for copies in range(1, args.max_copies + 1):

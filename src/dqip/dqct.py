@@ -1,8 +1,9 @@
 """Distributed quantum closeness testing.
 
 Two pure states, each scattered over the network (node u holds N_u qubits of
-both), are compared by a distributed SWAP test: the GHZ verification
-subprotocol supplies the shared control register B, each node applies a
+both), are compared by a distributed SWAP test.  The closeness test is the
+pGHZ script of :func:`dqip.ghz.build_pghz` plus the SWAP test: pGHZ's
+untested copy is the shared control register B, each node applies a
 controlled-SWAP of its two input slices on B(u), the control comes back
 through the prover via a leader ancilla, and the leader's Hadamard finishes
 the interference.  The honest acceptance is 1/2 + |<psi|phi>|^2 / 2; an
@@ -11,7 +12,7 @@ acceptance of 1 - 1/z certifies trace distance at most sqrt(2/z) + epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
 from typing import Mapping
 
@@ -19,30 +20,10 @@ import numpy as np
 
 from . import qcore
 from .errors import ValidationError
-from .ghz import (
-    GhzProtocolParams,
-    copy_reg,
-    ghz_reply_slots,
-    honest_pghz_strategy,
-    make_ghz_broadcasts,
-    make_ghz_predicate,
-    make_measured_copies,
-    make_rotation_step,
-)
-from .network import PROVER, NetworkGraph, allocate_layout
+from .ghz import GhzProtocolParams, build_pghz, copy_reg
+from .network import NetworkGraph, allocate_layout
 from .prover import OptimizerConfig, seesaw_optimize
-from .protocol import (
-    CoinFlip,
-    FunctionalStrategy,
-    Measurement,
-    NodeAccept,
-    ProtocolSpec,
-    ProverTurn,
-    ReplySlot,
-    Step,
-    VerificationPhase,
-    VerifierTurn,
-)
+from .protocol import FunctionalStrategy, Step
 from .seeding import substream
 from .transforms import CompileReport, Compiled, message_accounting, private_accounting
 
@@ -113,45 +94,43 @@ def _controlled_slice_swap(width: int) -> np.ndarray:
 
 
 def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compiled:
-    """The 5-turn closeness test on top of the GHZ verification subprotocol.
+    """The closeness test: :func:`~dqip.ghz.build_pghz` plus the SWAP test.
 
-    Turns 1-3 are the GHZ protocol's delivery, coin and echo turns.  In turn
-    4 every node runs its test measurements, converts its target-copy qubit,
-    the leader copies its control qubit onto the ancilla B2, each node
-    controlled-swaps its input slices on its control qubit, and the control
-    register travels to the prover.  Turn 5 returns it (honestly after a
-    CNOT fan-in onto the leader's qubit) along with the parity labels, and
-    the verification adds the SWAP-test finish: CNOT from B2, Hadamard,
-    control register all-zero, B2 zero at the leader.
+    The pGHZ script runs unchanged, and its untested copy, the target copy,
+    is the control register B.  The SWAP test adds the leader's ancilla B2
+    and each node's two input slices to the layout.  In turn 4, after the
+    pGHZ test measurements and rotations, the leader copies its control
+    qubit onto B2, each node controlled-swaps its input slices on its
+    control qubit, and B travels to the prover.  Turn 5 returns it (honestly
+    after a CNOT fan-in onto the leader's qubit) with the parity labels.
+    The verification adds the SWAP-test finish (CNOT from B2, Hadamard on
+    B2), and each node's pGHZ predicate gains the projector onto B(u) = 0,
+    and B2 = 0 at the leader.
     """
     graph = instance.graph
     n = graph.node_count
-    copies = ghz_params.copies
     leader = 0
+    ghz = build_pghz(graph, ghz_params)
+    ghz_turns, phase = ghz.spec.turns, ghz.spec.verification
+    # pGHZ's output, the untested copy at every node, is the control register B.
+    control_regs = ghz.spec.output_registers
 
-    extras = [(copy_reg(i, u), 1, PROVER) for i in range(1, copies + 2) for u in range(n)]
+    # pGHZ's registers after P (which prover_qubits places first), then the SWAP test's.
+    extras = [(name, size, ghz.spec.layout.owner(name)) for name, _, size in ghz.spec.layout.registers if name != "P"]
     extras.append(("B2", 1, leader))
-    for u in range(n):
-        if instance.qubits_per_node[u]:
-            extras.append((in_reg(1, u), instance.qubits_per_node[u], u))
-            extras.append((in_reg(2, u), instance.qubits_per_node[u], u))
+    held = [u for u in range(n) if instance.qubits_per_node[u]]
+    for u in held:
+        extras.append((in_reg(1, u), instance.qubits_per_node[u], u))
+        extras.append((in_reg(2, u), instance.qubits_per_node[u], u))
     layout = allocate_layout(graph, prover_qubits=ghz_params.prover_qubits, extras=extras)
-
-    r_regs = tuple(copy_reg(i, u) for i in range(1, copies + 2) for u in range(n))
-    p_regs = ("P",) if ghz_params.prover_qubits else ()
-    tree_slots, echo_slots = ghz_reply_slots(graph, copies)
-    measured_copies = make_measured_copies(leader, copies)
-    rotation_step = make_rotation_step(leader, copies)
 
     def b_reg(u: int, view: Mapping) -> str:
         target = (view["btarget"] if u == leader else view[f"becho_target:{u}"]) + 1
         return copy_reg(target, u)
 
-    def leader_mark_step() -> Step:
-        def resolve(view: Mapping):
-            return qcore.CNOT.matrix, [b_reg(leader, view), "B2"]
-
-        return Step(actor=leader, resolve=resolve, describe={"kind": "control-mark", "node": leader})
+    def leader_step(matrix: np.ndarray, describe: dict) -> Step:
+        """``matrix`` on the leader's control qubit and B2."""
+        return Step(actor=leader, resolve=lambda view: (matrix, [b_reg(leader, view), "B2"]), describe=describe)
 
     def cswap_step(u: int) -> Step:
         width = instance.qubits_per_node[u]
@@ -164,115 +143,69 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
 
         return Step(actor=u, resolve=resolve, describe={"kind": "controlled-slice-swap", "node": u})
 
-    def control_regs(view: Mapping) -> list[str]:
-        target = view["btarget"] + 1
-        return [copy_reg(target, u) for u in range(n)]
-
-    turns = (
-        ProverTurn(
-            index=1,
-            acts_on=p_regs + r_regs,
-            delivers=tuple((copy_reg(i, u), u) for i in range(1, copies + 2) for u in range(n)),
-            replies=tree_slots,
-        ),
-        VerifierTurn(
-            index=2,
-            coins=(
-                CoinFlip("btest", 2**copies, owner=leader),
-                CoinFlip("btarget", copies + 1, owner=leader),
-            ),
-        ),
-        ProverTurn(index=3, acts_on=p_regs, replies=echo_slots),
-        VerifierTurn(
-            index=4,
-            steps=tuple(rotation_step(u) for u in range(n))
-            + (leader_mark_step(),)
+    turn4, turn5 = ghz_turns[3], ghz_turns[4]
+    turns = ghz_turns[:3] + (
+        replace(
+            turn4,
+            steps=turn4.steps
+            + (leader_step(qcore.CNOT.matrix, {"kind": "control-mark", "node": leader}),)
             + tuple(cswap_step(u) for u in range(n)),
-            measurements=tuple(
-                Measurement(
-                    name=f"o:{u}",
-                    node=u,
-                    resolve_targets=lambda view, _u=u: [
-                        copy_reg(i, _u) for i in measured_copies(_u, view)
-                    ],
-                    to_prover=True,
-                    describe={"kind": "test-outcomes", "node": u},
-                )
-                for u in range(n)
-            ),
             sends=control_regs,
         ),
-        ProverTurn(
-            index=5,
-            acts_on=lambda view: list(p_regs) + control_regs(view),
-            delivers=lambda view: [(copy_reg(view["btarget"] + 1, u), u) for u in range(n)],
-            replies=tuple(ReplySlot(f"s:{u}", 2**copies, audience=(u,)) for u in range(n)),
+        replace(
+            turn5,
+            acts_on=lambda view: list(turn5.acts_on) + control_regs(view),
+            delivers=lambda view: [(reg, u) for u, reg in enumerate(control_regs(view))],
         ),
     )
 
-    def finish_step() -> Step:
-        # CNOT from B2 back onto the leader's control qubit, then H on B2.
-        finish = qcore.circuit_matrix(2, [(qcore.CNOT.matrix, [1, 0]), (qcore.H.matrix, [1])], "swap-test finish")
+    # CNOT from B2 back onto the leader's control qubit, then H on B2.
+    finish = qcore.circuit_matrix(2, [(qcore.CNOT.matrix, [1, 0]), (qcore.H.matrix, [1])], "swap-test finish")
+    zero1 = np.diag([1, 0]).astype(np.complex128)
+    zero2 = np.diag([1, 0, 0, 0]).astype(np.complex128)
 
-        def resolve(view: Mapping):
-            return finish, [b_reg(leader, view), "B2"]
+    def projector(u: int):
+        if u == leader:
+            return lambda view: (zero2, [b_reg(u, view), "B2"])
+        return lambda view: (zero1, [b_reg(u, view)])
 
-        return Step(actor=leader, resolve=resolve, describe={"kind": "swap-test-finish"})
+    accepts = tuple(
+        replace(accept, projector=projector(accept.node), describe={"kind": "closeness-accept", "node": accept.node})
+        for accept in phase.accepts
+    )
 
-    ghz_predicate = make_ghz_predicate(graph, leader, copies)
-    zero1 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    zero2 = np.zeros((4, 4), dtype=np.complex128)
-    zero2[0, 0] = 1.0
+    inputs = ((tuple(in_reg(1, u) for u in held), instance.psi), (tuple(in_reg(2, u) for u in held), instance.phi))
 
-    accepts = []
-    for u in range(n):
-        def projector(view, _u=u):
-            if _u == leader:
-                return zero2, [b_reg(_u, view), "B2"]
-            return zero1, [b_reg(_u, view)]
-
-        accepts.append(
-            NodeAccept(
-                node=u,
-                projector=projector,
-                predicate=lambda view, _u=u: ghz_predicate(view, _u),
-                describe={"kind": "closeness-accept", "node": u},
-            )
-        )
-
-    initial_factors = []
-    if instance.total_qubits:
-        initial_factors.append(
-            (tuple(in_reg(1, u) for u in range(n) if instance.qubits_per_node[u]), instance.psi)
-        )
-        initial_factors.append(
-            (tuple(in_reg(2, u) for u in range(n) if instance.qubits_per_node[u]), instance.phi)
-        )
-
-    spec = ProtocolSpec(
-        name=f"closeness[n={n},N={copies}]",
-        graph=graph,
+    spec = replace(
+        ghz.spec,
+        name=f"closeness[n={n},N={ghz_params.copies}]",
         layout=layout,
         turns=turns,
-        verification=VerificationPhase(
-            steps=(finish_step(),),
-            broadcasts=make_ghz_broadcasts(graph),
-            accepts=tuple(accepts),
-        ),
-        initial_factors=tuple(initial_factors),
+        verification=replace(phase, steps=(leader_step(finish, {"kind": "swap-test-finish"}),), accepts=accepts),
+        initial_factors=inputs if held else (),
+        # The control register is measured by the accept projectors, not handed out.
+        output_registers=None,
         metadata={
+            **ghz.spec.metadata,
             "kind": "closeness-test",
-            "copies": copies,
-            "epsilon": ghz_params.epsilon,
-            "delta": ghz_params.delta,
             "overlap_squared": instance.overlap_squared(),
             # Communication accounting: all independent of the input size.
-            "quantum_message_qubits_per_node": copies + 1,
+            "quantum_message_qubits_per_node": ghz_params.copies + 1,
             "classical_broadcast_fields_per_edge": 7,
         },
     )
 
-    honest = _honest_pdqct_strategy(spec, instance, ghz_params)
+    # Turn 5: CNOT fan-in from the leader's control qubit onto all others,
+    # sending the register back as |0^(n-1)> on the non-leader qubits.
+    p_qubits = ghz_params.prover_qubits
+    fan_in = qcore.circuit_matrix(
+        p_qubits + n, [(qcore.CNOT.matrix, [p_qubits, p_qubits + offset]) for offset in range(1, n)], "CNOT fan-in"
+    )
+
+    def gate(turn_index: int, view: Mapping):
+        return fan_in if turn_index == 5 else ghz.honest.gate_fn(turn_index, view)
+
+    honest = FunctionalStrategy("closeness-honest", gate, ghz.honest.reply_fn)
     report = CompileReport(
         transform="build_pdqct",
         input_turns=0,
@@ -283,26 +216,6 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
         predicted_soundness=None,
     )
     return Compiled(spec, honest, report)
-
-
-def _honest_pdqct_strategy(spec: ProtocolSpec, instance: DqctInstance, params: GhzProtocolParams):
-    graph = instance.graph
-    n = graph.node_count
-    ghz_honest = honest_pghz_strategy(spec, graph, params)
-    p_qubits = params.prover_qubits
-
-    # Turn 5: CNOT fan-in from the leader's control qubit onto all others,
-    # sending the register back as |0^(n-1)> on the non-leader qubits.
-    fan_in = qcore.circuit_matrix(
-        p_qubits + n, [(qcore.CNOT.matrix, [p_qubits, p_qubits + offset]) for offset in range(1, n)], "CNOT fan-in"
-    )
-
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index == 5:
-            return fan_in
-        return ghz_honest.gate_fn(turn_index, view)
-
-    return FunctionalStrategy("closeness-honest", gate, ghz_honest.reply_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -177,33 +177,43 @@ def copy_reg(i: int, u: int) -> str:
     return f"R:{i}:{u}"
 
 
-def make_tests_of(leader: int, copies: int):
+def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
+    """The 5-turn GHZ verification protocol on ``graph``.
+
+    The prover delivers N+1 candidate star states; the leader draws a test
+    string and a target copy; the prover echoes both to every node; nodes
+    measure the test copies (center in X and leaves in Z for parity tests,
+    the complementary assignment for all-equal tests), Hadamard their leaf
+    qubit of the target copy, and report outcomes to the prover; the prover
+    supplies subtree parities which the verification telescopes to the
+    leader's total-parity check.  Echo consistency is anchored at the
+    leader, and tree labels are verified locally.  The untested copy is the
+    output register; :func:`dqip.dqct.build_pdqct` extends this script.
+    """
+    n = graph.node_count
+    if n < 2:
+        raise ValidationError("the protocol needs at least two nodes")
+    copies = params.copies
+    leader = 0
+
+    r_regs = tuple(copy_reg(i, u) for i in range(1, copies + 2) for u in range(n))
+    layout = allocate_layout(graph, prover_qubits=params.prover_qubits, extras=[(r, 1, PROVER) for r in r_regs])
+    p_regs = ("P",) if params.prover_qubits else ()
+
     def tests_of(u: int, view: Mapping) -> tuple[int, int]:
         """(test bit string, target copy index) as node u understands them."""
         if u == leader:
             return view["btest"], view["btarget"] + 1
         return view[f"becho_test:{u}"], view[f"becho_target:{u}"] + 1
 
-    return tests_of
-
-
-def make_measured_copies(leader: int, copies: int):
-    tests_of = make_tests_of(leader, copies)
-
     def measured_copies(u: int, view: Mapping) -> list[int]:
         _, target = tests_of(u, view)
         return [i for i in range(1, copies + 2) if i != target]
 
-    return measured_copies
-
-
-def make_rotation_step(leader: int, copies: int):
-    """Per-node basis rotations: Hadamard where the test wants X, plus the
-    leaf-qubit Hadamard on the target copy that turns the star into GHZ."""
-    tests_of = make_tests_of(leader, copies)
-    measured_copies = make_measured_copies(leader, copies)
-
     def rotation_step(u: int) -> Step:
+        """Hadamard where the test wants X, plus the leaf-qubit Hadamard on
+        the target copy that turns the star into GHZ."""
+
         @functools.cache  # one operator per (tested bits, target copy)
         def rotation(bits: int, target: int, measured: tuple[int, ...]):
             regs = []
@@ -224,33 +234,10 @@ def make_rotation_step(leader: int, copies: int):
 
         return Step(actor=u, resolve=resolve, describe={"kind": "test-basis-rotation", "node": u})
 
-    return rotation_step
-
-
-def make_ghz_broadcasts(graph: NetworkGraph) -> tuple[Broadcast, ...]:
-    return tuple(
-        Broadcast(
-            node=u,
-            fn=lambda view, _u=u: {
-                "becho_test": view[f"becho_test:{_u}"],
-                "becho_target": view[f"becho_target:{_u}"],
-                "o": view[f"o:{_u}"],
-                "s": view[f"s:{_u}"],
-                "leader": view[f"leader:{_u}"],
-                "parent": view[f"parent:{_u}"],
-                "dist": view[f"dist:{_u}"],
-            },
-            describe={"kind": "test-bundle", "node": u},
-        )
-        for u in range(graph.node_count)
-    )
-
-
-def make_ghz_predicate(graph: NetworkGraph, leader: int, copies: int):
-    """The four verification checks: echo consistency anchored at the leader,
-    spanning-tree labels, the telescoped parity test, the all-equal test."""
-
     def predicate(view: Mapping, u: int) -> bool:
+        """The four verification checks: echo consistency anchored at the
+        leader, spanning-tree labels, the telescoped parity test, the
+        all-equal test."""
         received = {v: view[f"recv:{v}"] for v in graph.neighbors(u)}
         my_test = view[f"becho_test:{u}"]
         my_target = view[f"becho_target:{u}"]
@@ -279,55 +266,12 @@ def make_ghz_predicate(graph: NetworkGraph, leader: int, copies: int):
                     return False
         return True
 
-    return predicate
-
-
-def ghz_reply_slots(graph: NetworkGraph, copies: int) -> tuple[tuple[ReplySlot, ...], tuple[ReplySlot, ...]]:
-    """(turn-1 tree slots, turn-3 echo slots) for the verification protocol."""
-    echo_slots = tuple(
-        slot
-        for u in range(graph.node_count)
-        for slot in (
-            ReplySlot(f"becho_test:{u}", 2**copies, audience=(u,)),
-            ReplySlot(f"becho_target:{u}", copies + 1, audience=(u,)),
-        )
-    )
-    return tree_label_slots(graph), echo_slots
-
-
-def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
-    """The 5-turn GHZ verification protocol on ``graph``.
-
-    The prover delivers N+1 candidate star states; the leader draws a test
-    string and a target copy; the prover echoes both to every node; nodes
-    measure the test copies (center in X and leaves in Z for parity tests,
-    the complementary assignment for all-equal tests), Hadamard their leaf
-    qubit of the target copy, and report outcomes to the prover; the prover
-    supplies subtree parities which the verification telescopes to the
-    leader's total-parity check.  Echo consistency is anchored at the
-    leader, and tree labels are verified locally.
-    """
-    n = graph.node_count
-    if n < 2:
-        raise ValidationError("the protocol needs at least two nodes")
-    copies = params.copies
-    leader = 0
-
-    extras = [(copy_reg(i, u), 1, PROVER) for i in range(1, copies + 2) for u in range(n)]
-    layout = allocate_layout(graph, prover_qubits=params.prover_qubits, extras=extras)
-
-    r_regs = tuple(copy_reg(i, u) for i in range(1, copies + 2) for u in range(n))
-    p_regs = ("P",) if params.prover_qubits else ()
-    tree_slots, echo_slots = ghz_reply_slots(graph, copies)
-    measured_copies = make_measured_copies(leader, copies)
-    rotation_step = make_rotation_step(leader, copies)
-
     turns = (
         ProverTurn(
             index=1,
             acts_on=p_regs + r_regs,
             delivers=tuple((copy_reg(i, u), u) for i in range(1, copies + 2) for u in range(n)),
-            replies=tree_slots,
+            replies=tree_label_slots(graph),
         ),
         VerifierTurn(
             index=2,
@@ -336,7 +280,18 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
                 CoinFlip("btarget", copies + 1, owner=leader),
             ),
         ),
-        ProverTurn(index=3, acts_on=p_regs, replies=echo_slots),
+        ProverTurn(
+            index=3,
+            acts_on=p_regs,
+            replies=tuple(
+                slot
+                for u in range(n)
+                for slot in (
+                    ReplySlot(f"becho_test:{u}", 2**copies, audience=(u,)),
+                    ReplySlot(f"becho_target:{u}", copies + 1, audience=(u,)),
+                )
+            ),
+        ),
         VerifierTurn(
             index=4,
             steps=tuple(rotation_step(u) for u in range(n)),
@@ -360,9 +315,22 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         ),
     )
 
-    broadcasts = make_ghz_broadcasts(graph)
-    predicate = make_ghz_predicate(graph, leader, copies)
-
+    broadcasts = tuple(
+        Broadcast(
+            node=u,
+            fn=lambda view, _u=u: {
+                "becho_test": view[f"becho_test:{_u}"],
+                "becho_target": view[f"becho_target:{_u}"],
+                "o": view[f"o:{_u}"],
+                "s": view[f"s:{_u}"],
+                "leader": view[f"leader:{_u}"],
+                "parent": view[f"parent:{_u}"],
+                "dist": view[f"dist:{_u}"],
+            },
+            describe={"kind": "test-bundle", "node": u},
+        )
+        for u in range(n)
+    )
     accepts = tuple(
         NodeAccept(
             node=u,
@@ -392,7 +360,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         },
     )
 
-    honest = honest_pghz_strategy(spec, graph, params)
+    honest = honest_pghz_strategy(graph, params)
     report = CompileReport(
         transform="build_pghz",
         input_turns=0,
@@ -405,9 +373,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     return Compiled(spec, honest, report)
 
 
-def honest_pghz_strategy(
-    spec: ProtocolSpec, graph: NetworkGraph, params: GhzProtocolParams
-) -> FunctionalStrategy:
+def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> FunctionalStrategy:
     """Sends star states, echoes the leader's coins, sums subtree parities."""
     n = graph.node_count
     copies = params.copies
@@ -465,7 +431,7 @@ def honest_pghz_strategy(
 
 def all_zero_cheat(spec: ProtocolSpec, params: GhzProtocolParams) -> FunctionalStrategy:
     """Fixed cheat: sends |0...0> instead of star states, replies honestly."""
-    honest = honest_pghz_strategy(spec, spec.graph, params)
+    honest = honest_pghz_strategy(spec.graph, params)
 
     def gate(turn_index: int, view: Mapping) -> FactoredOp:
         return FactoredOp(honest.gate_fn(turn_index, view).arity)

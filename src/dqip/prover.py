@@ -34,7 +34,7 @@ from .protocol import (
     _expand_registers,
     collect_paths,
 )
-from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix
+from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix, haar_matrix
 from .seeding import substream
 
 
@@ -233,31 +233,26 @@ def seesaw_optimize(
         f"and {trie.peak_fronts} trie fronts",
     )
 
-    def honest_gates() -> dict:
-        gates = {}
-        for key in order:
-            turn_index, view_items = key
-            gates[key] = dense_matrix(honest.gate(turn_index, dict(view_items)))
-        return gates
+    def honest_gate(key) -> np.ndarray:
+        turn_index, view_items = key
+        what = f"the honest gate of turn {turn_index} in the see-saw of {spec.name!r}"
+        return dense_matrix(honest.gate(turn_index, dict(view_items)), what)
 
     def random_gates(restart: int) -> dict:
         gates = {}
         for b, key in enumerate(order):
             if key[0] in freeze_turns:
-                gates[key] = dense_matrix(honest.gate(key[0], dict(key[1])))
+                gates[key] = honest_gate(key)
                 continue
             rng = substream(config.seed, "prover.seesaw", spec.name, str(restart), str(b))
-            dim = 2 ** len(blocks[key])
-            check_budget(16 * dim * dim, f"see-saw block of turn {key[0]}")
-            z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-            q, r = np.linalg.qr(z)
-            gates[key] = q * (np.diag(r) / np.abs(np.diag(r)))
+            what = f"a Haar block of turn {key[0]} in the see-saw of {spec.name!r}"
+            gates[key] = haar_matrix(len(blocks[key]), rng, what)
         return gates
 
     trace = OptimizerTrace(best_acceptance=-1.0, best_strategy=None, restarts=config.restarts)
     for restart in range(config.restarts):
         if restart == 0 and honest is not None:
-            gates = honest_gates()
+            gates = {key: honest_gate(key) for key in order}
         else:
             gates = random_gates(restart)
         finals = _final_vectors(paths, initial, gates)

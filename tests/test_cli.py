@@ -184,6 +184,24 @@ def test_protocol_spec_golden_file():
     assert doc == golden.read_text()
 
 
+def test_ghz_and_closeness_spec_golden_files():
+    # The closeness test extends the pGHZ script; both specs are pinned,
+    # including the no-op swap step of node 1, which holds no input qubits.
+    from dqip.dqct import build_pdqct, make_instance
+    from dqip.ghz import GhzProtocolParams, build_pghz
+    from dqip.network import path_graph
+    from dqip.protocol import spec_to_json
+
+    params = GhzProtocolParams(copies=2, prover_qubits=1)
+    instance = make_instance(path_graph(3), (2, 0, 1), "random", seed=0)
+    for name, compiled in (
+        ("pghz-spec.json", build_pghz(path_graph(3), params)),
+        ("pdqct-spec.json", build_pdqct(instance, params)),
+    ):
+        doc = json.dumps(spec_to_json(compiled.spec), sort_keys=True, indent=2) + "\n"
+        assert doc == (GOLDEN / name).read_text(), name
+
+
 # ---------------------------------------------------------------------------
 # Command-line entry points
 # ---------------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,7 @@ from dqip.prover import (
     seesaw_optimize,
 )
 from dqip.protocol import collect_paths, execute_exact
+from dqip.transforms import halve_turns_shared
 
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -113,6 +119,49 @@ def test_seesaw_refuses_vectors_over_the_budget_before_the_first_sweep(monkeypat
     assert err.value.requested == 9 * 512
     monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 9 * 512)
     seesaw_optimize(spec, OptimizerConfig(restarts=1, sweeps=2, seed=1), honest=honest)
+
+
+def test_seesaw_refusal_of_the_honest_start_names_the_spec_and_the_turn():
+    # Shared halving of a 6-node random spec puts 13 qubits in turn 1.
+    compiled = halve_turns_shared(*random_clean_spec(0, turns=5, nodes=6))
+    with pytest.raises(CapacityError) as err:
+        seesaw_optimize(compiled.spec, OptimizerConfig(restarts=1, sweeps=1, seed=1), honest=compiled.honest)
+    message = str(err.value)
+    assert "dense 8192x8192 operator for the honest gate of turn 1" in message
+    assert repr(compiled.spec.name) in message
+
+
+def test_seesaw_refuses_a_haar_block_it_cannot_draw_under_a_memory_cap():
+    # Without the honest start, restart 0 draws a Haar block on turn 1's 13
+    # qubits.  The matrix alone fits the 1 GiB budget, but the draw holds
+    # about four times its size; under a 3 GiB address-space cap it must be
+    # refused before it allocates, never end in a raw MemoryError.
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+    code = (
+        "from dqip.corpus import random_clean_spec\n"
+        "from dqip.errors import CapacityError\n"
+        "from dqip.prover import OptimizerConfig, seesaw_optimize\n"
+        "from dqip.transforms import halve_turns_shared\n"
+        "compiled = halve_turns_shared(*random_clean_spec(0, turns=5, nodes=6))\n"
+        "try:\n"
+        "    seesaw_optimize(compiled.spec, OptimizerConfig(restarts=1, sweeps=1, seed=1))\n"
+        "except CapacityError as err:\n"
+        "    print(err.requested)\n"
+        "    print(err)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(qcore.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0 and "MemoryError" not in proc.stderr, proc.stderr
+    requested, message = proc.stdout.splitlines()
+    assert int(requested) == qcore.HAAR_PEAK_MATRICES * 16 * 4**13
+    assert "a Haar block of turn 1 in the see-saw of 'halved-sh[random-clean-0]'" in message
 
 
 def test_seesaw_classifies_each_recorded_op_once(monkeypatch):

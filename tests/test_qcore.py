@@ -615,6 +615,18 @@ def test_haar_unitarity():
         assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4))) <= 1e-10
 
 
+def test_haar_matrix_checks_what_the_draw_holds_before_drawing():
+    # A 12-qubit matrix is 256 MiB, but the draw holds five of its size.
+    rng = np.random.default_rng(0)
+    with pytest.raises(CapacityError) as err:
+        qcore.haar_matrix(12, rng, "probe block")
+    assert str(err.value).startswith("probe block needs ")
+    assert err.value.requested == qcore.HAAR_PEAK_MATRICES * 16 * 4**12 > qcore.MAX_DENSE_BYTES
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # nothing drawn
+    for k in (1, 3):
+        assert np.array_equal(qcore.haar_matrix(k, substream(5, "t"), "x"), haar_unitary(k, substream(5, "t")).matrix)
+
+
 def test_haar_first_moment():
     vals = [abs(haar_state(1, seed).amplitudes[0]) ** 2 for seed in range(10_000)]
     assert abs(np.mean(vals) - 0.5) <= 0.02
