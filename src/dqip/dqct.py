@@ -25,7 +25,7 @@ from .network import NetworkGraph, allocate_layout
 from .prover import OptimizerConfig, seesaw_optimize
 from .protocol import FunctionalStrategy, Step
 from .seeding import substream
-from .transforms import CompileReport, Compiled, message_accounting, private_accounting
+from .transforms import Compiled
 
 
 @dataclass(frozen=True)
@@ -206,16 +206,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
         return fan_in if turn_index == 5 else ghz.honest.gate_fn(turn_index, view)
 
     honest = FunctionalStrategy("closeness-honest", gate, ghz.honest.reply_fn)
-    report = CompileReport(
-        transform="build_pdqct",
-        input_turns=0,
-        output_turns=spec.num_turns,
-        message_qubits_per_node=message_accounting(spec),
-        private_qubits_per_node=private_accounting(spec),
-        predicted_completeness=0.5 + 0.5 * instance.overlap_squared(),
-        predicted_soundness=None,
-    )
-    return Compiled(spec, honest, report)
+    return Compiled.of("build_pdqct", 0, spec, honest, completeness=0.5 + 0.5 * instance.overlap_squared())
 
 
 # ---------------------------------------------------------------------------

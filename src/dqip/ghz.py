@@ -52,7 +52,7 @@ from .protocol import (
     Step,
 )
 from .qcore import FactoredOp, QuantumState, apply_unitary
-from .transforms import CompileReport, Compiled, message_accounting, private_accounting
+from .transforms import Compiled
 
 
 def ghz_state(n: int) -> QuantumState:
@@ -360,17 +360,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         },
     )
 
-    honest = honest_pghz_strategy(graph, params)
-    report = CompileReport(
-        transform="build_pghz",
-        input_turns=0,
-        output_turns=spec.num_turns,
-        message_qubits_per_node=message_accounting(spec),
-        private_qubits_per_node=private_accounting(spec),
-        predicted_completeness=1.0,
-        predicted_soundness=None,
-    )
-    return Compiled(spec, honest, report)
+    return Compiled.of("build_pghz", 0, spec, honest_pghz_strategy(graph, params), completeness=1.0)
 
 
 def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> FunctionalStrategy:

@@ -298,6 +298,16 @@ def static_step(actor: int, matrix: np.ndarray, registers: Sequence[str]) -> Ste
     )
 
 
+def register_measurement(name: str, node: int, register: str, describe: dict | None = None) -> Measurement:
+    """Computational-basis measurement of the whole of ``register``."""
+    return Measurement(
+        name=name,
+        node=node,
+        resolve_targets=lambda view: [register],
+        describe={"kind": "computational", "register": register} if describe is None else describe,
+    )
+
+
 def conditional_step(
     actor: int,
     depends_on: Sequence[str],

@@ -176,7 +176,6 @@ def _swap_bits(i: int, a: int, b: int) -> int:
 H = Gate(1, np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
 X = Gate(1, np.array([[0, 1], [1, 0]], dtype=np.complex128))
 Z = Gate(1, np.array([[1, 0], [0, -1]], dtype=np.complex128))
-I2 = Gate(1, np.eye(2, dtype=np.complex128))
 
 # Control is the gate's qubit 0 in all controlled gates below.
 CNOT = Gate(2, _permutation_matrix(2, lambda i: i ^ 2 if i & 1 else i))

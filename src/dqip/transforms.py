@@ -17,13 +17,18 @@
 Every transform takes and returns (spec, honest strategy) pairs plus a
 :class:`CompileReport` with turn counts, register accounting and, when the
 caller supplies the input's (completeness, soundness), the predicted output
-values.  Honest strategies for snapshot-style constructions are built by
-replaying the input protocol's honest evolution internally.
+values; :meth:`Compiled.of` is the one place a report is made.  Honest
+strategies for snapshot-style constructions are built by replaying the input
+protocol's honest evolution internally.  Transforms that carry the input's
+steps, measurements or accept projectors into the output do it through one
+rewrite layer (:class:`_Rewrite`): parallel repetition renames each copy's
+registers and translates its views, perfect completeness widens P, and the
+turn reductions gate the input's verification on the forward branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from math import sqrt
 from typing import Callable, Mapping, Sequence
 
@@ -61,6 +66,7 @@ from .protocol import (
     _Executor,
     _expand_registers,
     conditional_step,
+    register_measurement,
     static_step,
 )
 
@@ -80,15 +86,7 @@ class CompileReport:
     predicted_soundness: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "transform": self.transform,
-            "input_turns": self.input_turns,
-            "output_turns": self.output_turns,
-            "message_qubits_per_node": self.message_qubits_per_node,
-            "private_qubits_per_node": self.private_qubits_per_node,
-            "predicted_completeness": self.predicted_completeness,
-            "predicted_soundness": self.predicted_soundness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -96,6 +94,28 @@ class Compiled:
     spec: ProtocolSpec
     honest: ProverStrategy
     report: CompileReport
+
+    @classmethod
+    def of(
+        cls,
+        transform: str,
+        input_turns: int,
+        spec: ProtocolSpec,
+        honest: ProverStrategy,
+        completeness: float | None = None,
+        soundness: float | None = None,
+    ) -> Compiled:
+        """``spec`` and ``honest`` with the report of the compile step that made them."""
+        report = CompileReport(
+            transform=transform,
+            input_turns=input_turns,
+            output_turns=spec.num_turns,
+            message_qubits_per_node=message_accounting(spec),
+            private_qubits_per_node=private_accounting(spec),
+            predicted_completeness=completeness,
+            predicted_soundness=soundness,
+        )
+        return cls(spec, honest, report)
 
 
 def halved_completeness(c: float) -> float:
@@ -142,8 +162,11 @@ def private_accounting(spec: ProtocolSpec) -> dict:
 
 
 def _require_clean(spec: ProtocolSpec) -> None:
-    """Halving-compatible shape: only P/V/M registers, no classical events
-    before verification, fully static turn plumbing."""
+    """Halving-compatible shape: only P/V/M registers, all starting in |0...0>,
+    no classical events before verification, fully static turn plumbing."""
+    seeded = sorted({reg for regs, _ in spec.initial_factors for reg in regs})
+    if seeded:
+        raise ShapeError(f"clean specs start in |0...0>, but {spec.name!r} seeds registers {seeded}")
     allowed = {"P"} | {reg_v(u) for u in range(spec.graph.node_count)} | {
         reg_m(u) for u in range(spec.graph.node_count)
     }
@@ -210,25 +233,65 @@ def _zero_projector(size: int) -> np.ndarray:
     return proj
 
 
-# Conditional wrappers: fire the wrapped object only when flag(view) holds.
+# ---------------------------------------------------------------------------
+# Spec rewrites
+# ---------------------------------------------------------------------------
 
 
-def _when_step(flag: Callable[[Mapping], bool], step: Step) -> Step:
-    return Step(
-        actor=step.actor,
-        resolve=lambda view: step.resolve(view) if flag(view) else None,
-        describe={"kind": "branch-gated", "inner": step.describe},
-    )
+@dataclass(frozen=True)
+class _Rewrite:
+    """One rewrite of a clean spec's parts: registers renamed, views translated, firing gated.
 
+    ``regs`` maps a register to the names it becomes (any other keeps its
+    name; ``name[i]`` selects qubit i of each); ``suffix`` is appended to
+    measurement names; ``view`` turns an output view into the input's view.
+    A rewritten step, measurement or resolver fires only where ``when(view)``
+    holds, and a ``tag`` wraps each describe as ``{**tag, "inner": describe}``.
+    """
 
-def _when_measurement(flag: Callable[[Mapping], bool], m: Measurement) -> Measurement:
-    return Measurement(
-        name=m.name,
-        node=m.node,
-        resolve_targets=lambda view: m.resolve_targets(view) if flag(view) else [],
-        to_prover=m.to_prover,
-        describe={"kind": "branch-gated", "inner": m.describe},
-    )
+    regs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    suffix: str = ""
+    view: Callable[[Mapping], Mapping] = lambda view: view
+    when: Callable[[Mapping], bool] = lambda view: True
+    tag: dict | None = None
+
+    def names(self, regs: Sequence[str]) -> list[str]:
+        out = []
+        for reg in regs:
+            base, bracket, qubit = reg.partition("[")
+            out += [name + bracket + qubit for name in self.regs.get(base, (base,))]
+        return out
+
+    def describe(self, inner: dict) -> dict:
+        return inner if self.tag is None else {**self.tag, "inner": inner}
+
+    def resolver(self, resolve: Callable[[Mapping], tuple[np.ndarray, list[str]] | None]) -> Callable:
+        """A (matrix, registers) resolver of the input, such as a step's, a check's or an accept projector."""
+
+        def rewritten(view: Mapping):
+            found = resolve(self.view(view)) if self.when(view) else None
+            return None if found is None else (found[0], self.names(found[1]))
+
+        return rewritten
+
+    def step(self, step: Step) -> Step:
+        return Step(step.actor, self.resolver(step.resolve), self.describe(step.describe))
+
+    def measurement(self, m: Measurement) -> Measurement:
+        return Measurement(
+            name=m.name + self.suffix,
+            node=m.node,
+            resolve_targets=lambda view: self.names(m.resolve_targets(self.view(view))) if self.when(view) else [],
+            to_prover=m.to_prover,
+            describe=self.describe(m.describe),
+        )
+
+    def turn(self, turn: ProverTurn | VerifierTurn) -> ProverTurn | VerifierTurn:
+        """A clean spec's turn (static plumbing, no classical events) with its registers and steps rewritten."""
+        if isinstance(turn, ProverTurn):
+            delivers = tuple((name, node) for reg, node in turn.delivers for name in self.names([reg]))
+            return replace(turn, acts_on=tuple(self.names(turn.acts_on)), delivers=delivers)
+        return replace(turn, steps=tuple(self.step(s) for s in turn.steps), sends=tuple(self.names(turn.sends)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +357,9 @@ def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, budget: int | None = N
     measurements = []
     for u in range(n):
         if g:
-            measurements.append(
-                Measurement(
-                    name=f"vout:{u}",
-                    node=u,
-                    resolve_targets=lambda view, _r=reg_v(u): [_r],
-                    describe={"kind": "computational", "register": reg_v(u)},
-                )
-            )
+            measurements.append(register_measurement(f"vout:{u}", u, reg_v(u)))
         if k % 2 == 1:
-            measurements.append(
-                Measurement(
-                    name=f"mout:{u}",
-                    node=u,
-                    resolve_targets=lambda view, _r=reg_m(u): [_r],
-                    describe={"kind": "computational", "register": reg_m(u)},
-                )
-            )
+            measurements.append(register_measurement(f"mout:{u}", u, reg_m(u)))
 
     def transcript_view(u: int, view: Mapping) -> DamNodeView:
         certs: dict[int, int] = {}
@@ -372,16 +421,7 @@ def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, budget: int | None = N
         name=f"dam-honest[{dam.name}]",
         gate_fn=lambda turn, view: honest_gates[turn],
     )
-    report = CompileReport(
-        transform="dam_to_dqip",
-        input_turns=k,
-        output_turns=spec.num_turns,
-        message_qubits_per_node=message_accounting(spec),
-        private_qubits_per_node=private_accounting(spec),
-        predicted_completeness=float(value.optimal_acceptance),
-        predicted_soundness=None,
-    )
-    return Compiled(spec, honest, report)
+    return Compiled.of("dam_to_dqip", k, spec, honest, completeness=float(value.optimal_acceptance))
 
 
 def _arthur_unit(slot: tuple[int | None, int], g: int, m: int) -> np.ndarray:
@@ -462,22 +502,10 @@ def pad_to_turns(spec: ProtocolSpec, honest: ProverStrategy, target: int) -> Com
             return np.eye(dim, dtype=np.complex128)
         return honest.gate(turn_index, view)
 
-    padded = ProtocolSpec(
-        name=f"{spec.name}+pad{target}",
-        graph=spec.graph,
-        layout=spec.layout,
-        turns=tuple(turns),
-        verification=spec.verification,
-        metadata=dict(spec.metadata, padded_to=target),
+    padded = replace(
+        spec, name=f"{spec.name}+pad{target}", turns=tuple(turns), metadata=dict(spec.metadata, padded_to=target)
     )
-    report = CompileReport(
-        transform="pad_to_turns",
-        input_turns=k,
-        output_turns=target,
-        message_qubits_per_node=message_accounting(padded),
-        private_qubits_per_node=private_accounting(padded),
-    )
-    return Compiled(padded, FunctionalStrategy(f"{honest.name}+pad", gate), report)
+    return Compiled.of("pad_to_turns", k, padded, FunctionalStrategy(f"{honest.name}+pad", gate))
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +662,13 @@ class _Halving:
     def _verification(self, b: _Branch) -> VerificationPhase:
         """Forward: the input's verification, gated; backward: V_2^-1 and the all-zero V check."""
         spec, n = self.spec, self.n
-
-        def forward(u: int) -> Callable[[Mapping], bool]:
-            return lambda view: view[b.key(u)] == 0
-
+        # The input's verification steps and measurements run on the forward branch only.
+        forward = {
+            u: _Rewrite(when=lambda view, _u=u: view[b.key(_u)] == 0, tag={"kind": "branch-gated"}) for u in range(n)
+        }
         ver = spec.verification
         if b.control is None:
-            steps = [_when_step(forward(s.actor), s) for s in ver.steps]
+            steps = [forward[s.actor].step(s) for s in ver.steps]
         else:  # the bit is still a qubit while the steps run, so they are controlled on it
             steps = [
                 self._node_step(b, s.actor, _node_unit(spec, [s], s.actor), None)
@@ -648,7 +676,7 @@ class _Halving:
                 if s.resolve({}) is not None
             ]
         steps += [self._node_step(b, u, None, self.units[2, u].conj().T) for u in range(n)]
-        measurements = b.measurements + tuple(_when_measurement(forward(m.node), m) for m in ver.measurements)
+        measurements = b.measurements + tuple(forward[m.node].measurement(m) for m in ver.measurements)
 
         inner_broadcasts = {bc.node: bc for bc in ver.broadcasts}
         broadcasts = tuple(
@@ -656,7 +684,9 @@ class _Halving:
                 node=u,
                 fn=lambda view, _u=u: {
                     **b.bundle(_u, view),
-                    "inner": inner_broadcasts[_u].fn(view) if _u in inner_broadcasts and forward(_u)(view) else None,
+                    "inner": (
+                        inner_broadcasts[_u].fn(view) if _u in inner_broadcasts and forward[_u].when(view) else None
+                    ),
                 },
                 describe={"kind": b.kinds[0], "node": u},
             )
@@ -718,16 +748,10 @@ class _Halving:
                 return b.prelude_gates[turn_index]
             return b.gate(pair_gates[turn_index], view)
 
-        report = CompileReport(
-            transform=self.transform,
-            input_turns=spec.num_turns,
-            output_turns=out.num_turns,
-            message_qubits_per_node=message_accounting(out),
-            private_qubits_per_node=private_accounting(out),
-            predicted_completeness=None if completeness is None else halved_completeness(float(completeness)),
-            predicted_soundness=None if soundness is None else halved_soundness(float(soundness)),
-        )
-        return Compiled(out, FunctionalStrategy(f"{b.tag}[{self.honest.name}]", gate, b.reply), report)
+        honest = FunctionalStrategy(f"{b.tag}[{self.honest.name}]", gate, b.reply)
+        c = None if completeness is None else halved_completeness(float(completeness))
+        s = None if soundness is None else halved_soundness(float(soundness))
+        return Compiled.of(self.transform, spec.num_turns, out, honest, c, s)
 
 
 def halve_turns_shared(
@@ -856,13 +880,7 @@ def halve_turns_private(
         prelude_gates={3: fanout},
         extras=tuple((coin_reg(u), 1, root if u == root else PROVER) for u in range(n)) + (("CP", 1, root),),
         measurements=tuple(
-            Measurement(
-                name=f"coin:{u}",
-                node=u,
-                resolve_targets=lambda view, _r=coin_reg(u): [_r],
-                describe={"kind": "coin-measurement", "node": u},
-            )
-            for u in range(n)
+            register_measurement(f"coin:{u}", u, coin_reg(u), {"kind": "coin-measurement", "node": u}) for u in range(n)
         ),
         bundle=lambda u, view: {
             "coin": view[f"coin:{u}"],
@@ -883,9 +901,6 @@ def halve_turns_private(
 def _require_coherent(spec: ProtocolSpec) -> None:
     """Perfect-completeness inputs: one coherent branch, canonical accepts."""
     _require_clean(spec)
-    for turn in spec.turns:
-        if isinstance(turn, VerifierTurn) and (turn.coins or turn.measurements or turn.checks):
-            raise ShapeError("perfect completeness needs a protocol without classical events")
     ver = spec.verification
     if ver.measurements or ver.checks or ver.broadcasts:
         raise ShapeError("perfect completeness needs a coherent verification phase")
@@ -991,23 +1006,9 @@ def perfect_completeness(
         extras=extras,
     )
 
-    def remap_acts(acts):
-        out = []
-        for name in acts:
-            if name == "P":
-                out.extend(f"P[{i}]" for i in range(p_in))
-            else:
-                out.append(name)
-        return tuple(out)
-
-    turns: list[ProverTurn | VerifierTurn] = []
-    for turn in spec.turns:
-        if isinstance(turn, ProverTurn):
-            turns.append(
-                ProverTurn(index=turn.index, acts_on=remap_acts(turn.acts_on), delivers=turn.delivers)
-            )
-        else:
-            turns.append(turn)
+    # The input's prover memory is the first p_in qubits of the wider P.
+    widened = _Rewrite(regs={"P": tuple(f"P[{i}]" for i in range(p_in))})
+    turns = [widened.turn(turn) for turn in spec.turns]
 
     out_regs = tuple(f"out:{u}" for u in range(n))
     copy_steps = tuple(
@@ -1102,7 +1103,6 @@ def perfect_completeness(
         ),
         allow_node_exchange=True,
         metadata=dict(spec.metadata, perfected_with_c=c),
-        initial_factors=spec.initial_factors,
     )
 
     # Honest re-coherence gate: replay the first k+3 turns and map the two
@@ -1119,30 +1119,14 @@ def perfect_completeness(
         raise ProtocolError(f"unexpected prover turn {turn_index}")
 
     delta = None if soundness is None else c - float(soundness)
-    report = CompileReport(
-        transform="perfect_completeness",
-        input_turns=k,
-        output_turns=out.num_turns,
-        message_qubits_per_node=message_accounting(out),
-        private_qubits_per_node=private_accounting(out),
-        predicted_completeness=1.0,
-        predicted_soundness=None if delta is None else 1 - delta**2,
-    )
     if out.num_turns != k + 4:
         raise ProtocolError("perfect completeness produced the wrong turn count")
-    return Compiled(out, FunctionalStrategy(f"perfect[{honest.name}]", gate), report)
+    honest_out = FunctionalStrategy(f"perfect[{honest.name}]", gate)
+    return Compiled.of("perfect_completeness", k, out, honest_out, 1.0, None if delta is None else 1 - delta**2)
 
 
 def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, or_gate: np.ndarray, held_regs) -> np.ndarray:
-    partial = ProtocolSpec(
-        name="partial",
-        graph=out_spec.graph,
-        layout=out_spec.layout,
-        turns=out_spec.turns[:-1],
-        verification=VerificationPhase(),
-        allow_node_exchange=True,
-        initial_factors=out_spec.initial_factors,
-    )
+    partial = replace(out_spec, name="partial", turns=out_spec.turns[:-1], verification=VerificationPhase())
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
         # The one prover turn after the original ones is the OR fan-out.
@@ -1180,11 +1164,26 @@ def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, or_g
 # ---------------------------------------------------------------------------
 
 
-def _suffixed(name: str, i: int) -> str:
-    if "[" in name:
-        base, idx = name.split("[")
-        return f"{base}:r{i}[{idx}"
-    return f"{name}:r{i}"
+def _copy(spec: ProtocolSpec, i: int) -> _Rewrite:
+    """Copy ``i`` of a parallel repetition of ``spec``.
+
+    Every register but the shared P, and every measurement, gets the suffix
+    ``:r{i}``; a view keeps the copy's suffixed values, unsuffixed, and the
+    copy's entry of each received bundle.
+    """
+    suffix = f":r{i}"
+
+    def view(outer: Mapping) -> dict:
+        inner = {}
+        for key, val in outer.items():
+            if key.startswith("recv:"):
+                inner[key] = None if val is None else val[i]
+            elif key.endswith(suffix):
+                inner[key[: -len(suffix)]] = val
+        return inner
+
+    regs = {name: (name + suffix,) for name in spec.layout.names() if name != "P"}
+    return _Rewrite(regs=regs, suffix=suffix, view=view, tag={"kind": "copy", "copy": i})
 
 
 def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: str = "AND") -> Compiled:
@@ -1201,103 +1200,59 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
         raise ValidationError(f"unknown repetition mode {mode!r}")
     n = spec.graph.node_count
     p_in = spec.layout.size("P") if spec.layout.has("P") else 0
-
-    extras = []
-    for i in range(t):
-        for u in range(n):
-            if spec.layout.has(reg_v(u)):
-                extras.append((_suffixed(reg_v(u), i), spec.layout.size(reg_v(u)), u))
-            if spec.layout.has(reg_m(u)):
-                extras.append((_suffixed(reg_m(u), i), spec.layout.size(reg_m(u)), PROVER))
+    copies = [_copy(spec, i) for i in range(t)]
+    extras = [
+        (copy.names([reg])[0], spec.layout.size(reg), owner)
+        for copy in copies
+        for u in range(n)
+        for reg, owner in ((reg_v(u), u), (reg_m(u), PROVER))
+        if spec.layout.has(reg)
+    ]
     layout = allocate_layout(spec.graph, prover_qubits=p_in * t, extras=extras)
 
-    def rename_regs(regs: Sequence[str], i: int) -> list[str]:
-        return [_suffixed(r, i) for r in regs]
-
-    def translate(view: Mapping, i: int) -> dict:
-        suffix = f":r{i}"
-        out = {}
-        for key, val in view.items():
-            if key.startswith("recv:"):
-                out[key] = None if val is None else val[i]
-            elif key.endswith(suffix):
-                out[key[: -len(suffix)]] = val
-        return out
-
-    def rename_step(step: Step, i: int) -> Step:
-        def resolve(view, _i=i, _inner=step.resolve):
-            resolved = _inner(translate(view, _i))
-            if resolved is None:
-                return None
-            mat, regs = resolved
-            return mat, rename_regs(regs, _i)
-
-        return Step(step.actor, resolve, {"kind": "copy", "copy": i, "inner": step.describe})
-
     turns: list[ProverTurn | VerifierTurn] = []
-    prover_acts: dict[int, tuple] = {}
+    prover_acts: dict[int, tuple[tuple, tuple]] = {}  # (input, output) acts_on of each prover turn
     for turn in spec.turns:
+        parts = [copy.turn(turn) for copy in copies]
         if isinstance(turn, ProverTurn):
-            acts = (("P",) if p_in else ()) + tuple(
-                _suffixed(r, i) for i in range(t) for r in turn.acts_on if r != "P"
-            )
-            delivers = tuple(
-                (_suffixed(r, i), node) for i in range(t) for r, node in turn.delivers
-            )
-            prover_acts[turn.index] = tuple(turn.acts_on)
-            turns.append(ProverTurn(index=turn.index, acts_on=acts, delivers=delivers))
+            acts = (("P",) if p_in else ()) + tuple(r for part in parts for r in part.acts_on if r != "P")
+            prover_acts[turn.index] = (tuple(turn.acts_on), acts)
+            delivers = tuple(d for part in parts for d in part.delivers)
+            turns.append(replace(turn, acts_on=acts, delivers=delivers))
         else:
-            steps = tuple(rename_step(s, i) for i in range(t) for s in turn.steps)
-            sends = tuple(_suffixed(r, i) for i in range(t) for r in turn.sends)
-            turns.append(VerifierTurn(index=turn.index, steps=steps, sends=sends))
+            steps = tuple(s for part in parts for s in part.steps)
+            turns.append(replace(turn, steps=steps, sends=tuple(r for part in parts for r in part.sends)))
 
     ver = spec.verification
-    steps = tuple(rename_step(s, i) for i in range(t) for s in ver.steps)
-    measurements = tuple(
-        Measurement(
-            name=f"{m.name}:r{i}",
-            node=m.node,
-            resolve_targets=lambda view, _m=m, _i=i: rename_regs(_m.resolve_targets(translate(view, _i)), _i),
-            to_prover=m.to_prover,
-            describe={"kind": "copy", "copy": i, "inner": m.describe},
-        )
-        for i in range(t)
-        for m in ver.measurements
-    )
+    steps = tuple(copy.step(s) for copy in copies for s in ver.steps)
+    measurements = tuple(copy.measurement(m) for copy in copies for m in ver.measurements)
     inner_bc = {bc.node: bc for bc in ver.broadcasts}
     broadcasts = tuple(
         Broadcast(
             node=u,
-            fn=lambda view, _u=u: tuple(inner_bc[_u].fn(translate(view, i)) for i in range(t)),
+            fn=lambda view, _u=u: tuple(inner_bc[_u].fn(copy.view(view)) for copy in copies),
             describe={"kind": "copy-bundle", "node": u},
         )
         for u in sorted(inner_bc)
     )
 
     inner_accepts = {a.node: a for a in ver.accepts}
+    # Each node's accept projector in every copy, resolved on the output view.
+    copy_accepts = {
+        u: [copy.resolver(a.projector) for copy in copies]
+        for u, a in inner_accepts.items()
+        if a.projector is not None
+    }
     accepts = []
     checks: list[ProjectiveCheck] = []
-
-    def copy_projector(u: int, i: int, view: Mapping):
-        inner = inner_accepts[u]
-        if inner.projector is None:
-            return None
-        resolved = inner.projector(translate(view, i))
-        if resolved is None:
-            return None
-        mat, regs = resolved
-        return mat, rename_regs(regs, i)
 
     if mode == "AND":
         for u in sorted(inner_accepts):
             def projector(view, _u=u):
-                parts = [copy_projector(_u, i, view) for i in range(t)]
-                parts = [p for p in parts if p is not None]
+                parts = [p for p in (resolve(view) for resolve in copy_accepts.get(_u, ())) if p is not None]
                 if not parts:
                     return None
-                union: list[str] = []
-                for _, regs in parts:
-                    union.extend(regs)
+                union = [reg for _, regs in parts for reg in regs]
                 qubits = _expand_registers(layout, union)
                 factors = [(m, [qubits.index(q) for q in _expand_registers(layout, r)]) for m, r in parts]
                 return qcore.circuit_matrix(len(qubits), factors, f"AND accept projector of node {_u}"), union
@@ -1306,30 +1261,28 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
                 inner = inner_accepts[_u]
                 if inner.predicate is None:
                     return True
-                return all(inner.predicate(translate(view, i)) for i in range(t))
+                return all(inner.predicate(copy.view(view)) for copy in copies)
 
             accepts.append(NodeAccept(node=u, projector=projector, predicate=predicate,
                                       describe={"kind": "and-accept", "node": u}))
     else:
         for u in sorted(inner_accepts):
-            inner = inner_accepts[u]
-            if inner.projector is not None:
-                for i in range(t):
-                    checks.append(
-                        ProjectiveCheck(
-                            name=f"acc:{u}:r{i}",
-                            nodes=(u,),
-                            resolve=lambda view, _u=u, _i=i: copy_projector(_u, _i, view),
-                            describe={"kind": "copy-accept", "node": u, "copy": i},
-                        )
+            for i, resolve in enumerate(copy_accepts.get(u, ())):
+                checks.append(
+                    ProjectiveCheck(
+                        name=f"acc:{u}:r{i}",
+                        nodes=(u,),
+                        resolve=resolve,
+                        describe={"kind": "copy-accept", "node": u, "copy": i},
                     )
+                )
 
-            def predicate(view, _u=u, _inner=inner):
+            def predicate(view, _u=u, _inner=inner_accepts[u]):
                 good = 0
-                for i in range(t):
+                for i, copy in enumerate(copies):
                     ok = view.get(f"acc:{_u}:r{i}", 1) == 1
                     if ok and _inner.predicate is not None:
-                        ok = _inner.predicate(translate(view, i))
+                        ok = _inner.predicate(copy.view(view))
                     good += 1 if ok else 0
                 return good > t / 2
 
@@ -1353,10 +1306,7 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
 
     def gate(turn_index: int, view: Mapping) -> qcore.FactoredOp:
         # Copy i's honest gate acts on its own block of P and its own messages.
-        inner_acts = prover_acts[turn_index]
-        acts = (("P",) if p_in else ()) + tuple(
-            _suffixed(r, i) for i in range(t) for r in inner_acts if r != "P"
-        )
+        inner_acts, acts = prover_acts[turn_index]
         per_copy_m = sum(spec.layout.size(r) for r in inner_acts if r != "P")
         inner_gate = qcore.dense_matrix(honest.gate(turn_index, view))
         factors = []
@@ -1366,11 +1316,4 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
             factors.append((inner_gate, positions))
         return qcore.FactoredOp(len(_expand_registers(layout, list(acts))), factors)
 
-    report = CompileReport(
-        transform="parallel_repeat",
-        input_turns=spec.num_turns,
-        output_turns=out.num_turns,
-        message_qubits_per_node=message_accounting(out),
-        private_qubits_per_node=private_accounting(out),
-    )
-    return Compiled(out, FunctionalStrategy(f"repeat[{honest.name}]", gate), report)
+    return Compiled.of("parallel_repeat", spec.num_turns, out, FunctionalStrategy(f"repeat[{honest.name}]", gate))

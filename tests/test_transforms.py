@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,29 @@ def test_padding_preserves_value(parity_echo):
     assert abs(execute_exact(padded.spec, padded.honest).acceptance_probability - 1.0) <= 1e-9
     with pytest.raises(ShapeError):
         pad_to_turns(parity_echo["yes"].spec, parity_echo["yes"].honest, 4)
+
+
+@pytest.mark.parametrize(
+    "transform, turns",
+    [
+        (lambda spec, honest: pad_to_turns(spec, honest, 7), 5),
+        (lambda spec, honest: parallel_repeat(spec, honest, 1), 5),
+        (perfect_completeness, 3),
+        (halve_turns_shared, 5),
+        (seven_to_five, 7),
+        (halve_turns_private, 5),
+    ],
+)
+def test_transforms_refuse_a_spec_with_seeded_registers(transform, turns):
+    # A clean spec starts in |0...0>: the output would run from |0...0> and
+    # lose the seed (padding read 0.187 for a seeded value of 0.263).
+    spec, honest = random_clean_spec(0, turns=turns)
+    seeded = dataclasses.replace(spec, initial_factors=((("V:0[0]",), E1),))
+    assert abs(
+        execute_exact(seeded, honest).acceptance_probability - execute_exact(spec, honest).acceptance_probability
+    ) > 0.01
+    with pytest.raises(ShapeError, match=r"seeds registers \['V:0\[0\]'\]"):
+        transform(seeded, honest)
 
 
 @pytest.mark.parametrize("target,out_turns", [(5, 3), (9, 5)])
