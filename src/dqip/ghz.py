@@ -199,6 +199,11 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     r_regs = tuple(copy_reg(i, u) for i in range(1, copies + 2) for u in range(n))
     layout = allocate_layout(graph, prover_qubits=params.prover_qubits, extras=[(r, 1, PROVER) for r in r_regs])
     p_regs = ("P",) if params.prover_qubits else ()
+    # Each node's variables and received broadcasts, named once per build.
+    bundle = ("becho_test", "becho_target", "o", "s", "leader", "parent", "dist")
+    keys = [{field: f"{field}:{u}" for field in bundle} for u in range(n)]
+    receives = [[(v, f"recv:{v}") for v in graph.neighbors(u)] for u in range(n)]
+    bits = (1 << copies) - 1  # one bit per test copy
 
     def tests_of(u: int, view: Mapping) -> tuple[int, int]:
         """(test bit string, target copy index) as node u understands them."""
@@ -238,9 +243,9 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         """The four verification checks: echo consistency anchored at the
         leader, spanning-tree labels, the telescoped parity test, the
         all-equal test."""
-        received = {v: view[f"recv:{v}"] for v in graph.neighbors(u)}
-        my_test = view[f"becho_test:{u}"]
-        my_target = view[f"becho_target:{u}"]
+        received = {v: view[key] for v, key in receives[u]}
+        my_test = view[keys[u]["becho_test"]]
+        my_target = view[keys[u]["becho_target"]]
         for got in received.values():
             if got["becho_test"] != my_test or got["becho_target"] != my_target:
                 return False
@@ -248,23 +253,16 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
             return False
         if not tree_labels_hold(graph, leader, u, view, received):
             return False
-        o_u = view[f"o:{u}"]
-        s_u = view[f"s:{u}"]
-        children = [v for v, got in received.items() if got["parent"] == u]
-        for t in range(copies):
-            bit = (my_test >> t) & 1
-            if bit == 0:
-                total = ((o_u >> t) & 1) + sum((received[v]["s"] >> t) & 1 for v in children)
-                if u == leader:
-                    if total % 2 != 0:
-                        return False
-                elif total % 2 != (s_u >> t) & 1:
-                    return False
-            else:
-                mine = (o_u >> t) & 1
-                if any((got["o"] >> t) & 1 != mine for got in received.values()):
-                    return False
-        return True
+        # Bit t of the test string picks copy t's test: 0 the parity test, where
+        # u's outcome and its children's subtree parities must sum to u's own
+        # (0 at the leader), 1 the all-equal test against every neighbor.
+        o_u = view[keys[u]["o"]]
+        parity = o_u if u == leader else o_u ^ view[keys[u]["s"]]
+        for got in received.values():
+            parity ^= got["s"] if got["parent"] == u else 0
+        if parity & ~my_test & bits:
+            return False
+        return not any((got["o"] ^ o_u) & my_test & bits for got in received.values())
 
     turns = (
         ProverTurn(
@@ -318,15 +316,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     broadcasts = tuple(
         Broadcast(
             node=u,
-            fn=lambda view, _u=u: {
-                "becho_test": view[f"becho_test:{_u}"],
-                "becho_target": view[f"becho_target:{_u}"],
-                "o": view[f"o:{_u}"],
-                "s": view[f"s:{_u}"],
-                "leader": view[f"leader:{_u}"],
-                "parent": view[f"parent:{_u}"],
-                "dist": view[f"dist:{_u}"],
-            },
+            fn=lambda view, _keys=keys[u]: {field: view[key] for field, key in _keys.items()},
             describe={"kind": "test-bundle", "node": u},
         )
         for u in range(n)
@@ -392,7 +382,8 @@ def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> Func
             frontier = nxt
         return out
 
-    subtrees = {u: subtree(u) for u in range(n)}
+    # The reply s:u is each test bit's parity over the outcomes o:w of u's subtree.
+    parity_keys = {f"s:{u}": [f"o:{w}" for w in subtree(u)] for u in range(n)}
 
     def gate(turn_index: int, view: Mapping) -> FactoredOp:
         return full_prep if turn_index == 1 else idle
@@ -400,20 +391,16 @@ def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> Func
     def reply(slot_name: str, view: Mapping) -> int:
         if slot_name in labels:
             return labels[slot_name]
-        kind, _, u = slot_name.partition(":")
-        u = int(u)
+        if slot_name in parity_keys:
+            value = 0
+            for key in parity_keys[slot_name]:
+                value ^= view[key]
+            return value & ((1 << copies) - 1)
+        kind = slot_name.partition(":")[0]
         if kind == "becho_test":
             return view["btest"]
         if kind == "becho_target":
             return view["btarget"]
-        if kind == "s":
-            value = 0
-            for t in range(copies):
-                parity = 0
-                for w in subtrees[u]:
-                    parity ^= (view[f"o:{w}"] >> t) & 1
-                value |= parity << t
-            return value
         raise ValidationError(f"unexpected reply slot {slot_name!r}")
 
     return FunctionalStrategy("ghz-honest", gate, reply)

@@ -8,6 +8,7 @@ between actors only at turn boundaries (tracked by the executor).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -35,20 +36,25 @@ class NetworkGraph:
     node_inputs: tuple[str, ...]
 
     def neighbors(self, u: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
+        """``u``'s neighbors in increasing order, as a new list."""
+        return list(self._neighbor_table.get(u, ()))
+
+    @functools.cached_property
+    def _neighbor_table(self) -> dict[int, tuple[int, ...]]:
+        """Each node's sorted neighbors, computed on first use."""
+        return {u: tuple(sorted(vs)) for u, vs in _adjacency(self.node_count, self.edges).items()}
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {u: [] for u in range(n)}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return adj
 
 
 def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: dict[int, list[int]] = {u: [] for u in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _adjacency(n, edges)
     seen: set[int] = set()
     comps = []
     for start in range(n):

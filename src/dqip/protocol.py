@@ -6,9 +6,9 @@ turn boundaries; the executor tracks ownership per branch and rejects any
 gate that touches a register its actor does not currently hold.
 
 Classical data (coin flips by nodes, classical replies by the prover,
-measurement outcomes) lives in a per-branch transcript with explicit
-visibility: a node's gates and predicates can only read variables that node
-has seen.
+measurement outcomes) lives in a per-branch transcript, and each actor reads
+its own view of it: the variables that actor has seen, in the order they
+were set.  A node's gates and predicates can only read that view.
 
 Every run goes through one walk, :class:`_Executor`, with the same
 ownership, exchange and visibility checks in every mode.  The protocol's
@@ -380,18 +380,28 @@ def _digits(outcome: int, parts: list[list[int]]) -> list[int]:
 
 @dataclass
 class _Branch:
-    """One classical branch: weight, state and transcript.
+    """One classical branch: weight, state, transcript and each actor's view of it.
 
     ``vec`` is the state vector, or on the record walk the chain of recorded
-    operators (see :class:`_Record`).  States are shared between branches and
-    never modified.
+    operators (see :class:`_Record`).  ``views`` maps the prover and every
+    node to the variables it has seen, in the order they were set.  States
+    and view dicts are shared between branches and never modified: a new
+    value replaces a view with a longer copy (:func:`_set_value`), so a
+    callback's view never changes after it returns, and callbacks must not
+    change it either.
     """
 
     weight: float
     vec: object
     values: dict
-    visibility: dict
+    views: dict[int, dict]
     owner: dict
+
+    @classmethod
+    def start(cls, graph: NetworkGraph, vec, owner: Mapping[str, int], values: Mapping | None = None) -> _Branch:
+        """A weight-1 branch whose transcript holds ``values``, seen by every actor."""
+        view = dict(values or {})
+        return cls(1.0, vec, dict(view), dict.fromkeys(_all_actors(graph), view), dict(owner))
 
 
 class _Exact:
@@ -512,14 +522,18 @@ def _recorded(chain) -> list:
 
 
 def _view(branch: _Branch, actor: int) -> dict:
-    return {k: v for k, v in branch.values.items() if actor in branch.visibility[k]}
+    try:
+        return branch.views[actor]
+    except KeyError:
+        raise ProtocolError(f"actor {actor!r} is neither the prover nor a node of the network") from None
 
 
 def _set_value(branch: _Branch, name: str, value, visible_to: Iterable[int]) -> None:
     if name in branch.values:
         raise ProtocolError(f"classical variable {name!r} assigned twice")
     branch.values[name] = value
-    branch.visibility[name] = frozenset(visible_to)
+    for actor in visible_to:
+        branch.views[actor] = {**_view(branch, actor), name: value}
 
 
 def _all_actors(graph: NetworkGraph) -> list[int]:
@@ -544,6 +558,7 @@ class _Executor:
         self.layout = spec.layout
         self.graph = spec.graph
         self._accept_forms: dict = {}  # see _accept_form
+        self._receives = [(u, v, f"recv:{v}") for u in range(self.graph.node_count) for v in self.graph.neighbors(u)]
         # Plain functions, not bound methods: the executor must not refer to
         # itself, or the states it caches would wait for the cyclic collector.
         schedule = []
@@ -602,7 +617,7 @@ class _Executor:
             if not self.policy.records:
                 self.check_budget()
             owner = {name: self.layout.owner(name) for name in self.layout.names()}
-            branch = _Branch(1.0, self.initial, {}, {}, owner)
+            branch = _Branch.start(self.graph, self.initial, owner)
         for leaf in self._walk(branch, start):
             yield leaf, self._verification_views(leaf)
             del leaf
@@ -625,7 +640,7 @@ class _Executor:
         one releases the parent's.
         """
         for k, assigned in enumerate(values):
-            child = _Branch(weight, next(states), dict(branch.values), dict(branch.visibility), dict(branch.owner))
+            child = _Branch(weight, next(states), dict(branch.values), dict(branch.views), dict(branch.owner))
             if k == len(values) - 1:
                 branch.vec = None
             for name, value, visible in assigned:
@@ -662,7 +677,7 @@ class _Executor:
             if not 0 <= value < slot.num_values:
                 raise ProtocolError(f"{label}: reply {slot.name!r}={value} out of range")
             _set_value(branch, slot.name, value, [PROVER, *slot.audience])
-            view = {**view, slot.name: value}  # the prover sees its own replies
+            view = _view(branch, PROVER)  # the prover sees its own replies
         deliveries = turn.delivers(view) if callable(turn.delivers) else turn.delivers
         for register, node in deliveries:
             self._move(branch, register, node, label)
@@ -734,14 +749,11 @@ class _Executor:
     # -- verification ---------------------------------------------------------
 
     def _verification_views(self, branch: _Branch) -> dict[int, dict]:
-        views = {u: _view(branch, u) for u in range(self.graph.node_count)}
-        sent: dict[int, object] = {}
-        for bc in self.spec.verification.broadcasts:
-            sent[bc.node] = bc.fn(views[bc.node])
-        for u in range(self.graph.node_count):
-            for v in self.graph.neighbors(u):
-                if v in sent:
-                    views[u][f"recv:{v}"] = sent[v]
+        sent = {bc.node: bc.fn(_view(branch, bc.node)) for bc in self.spec.verification.broadcasts}
+        views = {u: dict(branch.views[u]) for u in range(self.graph.node_count)}
+        for u, v, key in self._receives:
+            if v in sent:
+                views[u][key] = sent[v]
         return views
 
     def accept_ops(self, branch: _Branch, views: dict[int, dict]) -> tuple[list, dict[int, bool]]:
@@ -932,15 +944,13 @@ def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None
     projectors of different nodes commute), with ``A L`` built as one
     :func:`~dqip.qcore.circuit_matrix` per leaf.  It is idempotent.
     """
-    assignment = dict(assignment or {})
     dim = 2**spec.layout.total_qubits
     what = f"verification projector of {spec.name!r}"
     qcore.check_budget(16 * dim * dim, what)
     executor = _Executor(spec, FunctionalStrategy("unused", lambda *_: None), _Record())
-    all_vis = frozenset(_all_actors(spec.graph))
     # Ownership does not constrain the verification phase analysis here:
     # every register is measured or projected by its final holder.
-    start = _Branch(1.0, None, dict(assignment), {k: all_vis for k in assignment}, _final_holders(spec))
+    start = _Branch.start(spec.graph, None, _final_holders(spec), assignment)
     out = np.zeros((dim, dim), dtype=np.complex128)
     for path in _paths(executor, executor.leaves(start, executor.verification_start)):
         m = qcore.circuit_matrix(

@@ -1126,6 +1126,11 @@ def perfect_completeness(
 
 
 def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, or_gate: np.ndarray, held_regs) -> np.ndarray:
+    held = _expand_registers(out_spec.layout, list(held_regs))
+    dim = 2 ** len(held)
+    # Two basis completions and their product, each dim x dim, before the replay.
+    what = f"perfect_completeness uncompute gate of {out_spec.name!r} on {len(held)} held qubits"
+    qcore.check_budget(3 * 16 * dim * dim, what)
     partial = replace(out_spec, name="partial", turns=out_spec.turns[:-1], verification=VerificationPhase())
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
@@ -1138,10 +1143,7 @@ def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, or_g
         raise ProtocolError(f"honest replay produced {len(live)} live branches, expected 1")
     vec = live[0].vec
 
-    held = _expand_registers(out_spec.layout, list(held_regs))
-    q2 = out_spec.layout.qubits("B2")[0]
     block = qcore._keep_block(vec, held)  # columns indexed by the B2 bit
-    dim = block.shape[0]
     pos_b = held.index(out_spec.layout.qubits("B")[0])
 
     sources, targets = [], []

@@ -15,7 +15,7 @@ from dqip.ghz import (
     stabilizer_tests,
     star_state,
 )
-from dqip.network import cycle_graph, path_graph
+from dqip.network import cycle_graph, path_graph, spanning_tree, tree_label_replies, tree_labels_hold
 from dqip.protocol import FunctionalStrategy, _Executor, execute_exact, execute_sampled
 from dqip.qcore import FactoredOp
 
@@ -168,6 +168,57 @@ def test_wrong_parity_label_rejected_on_that_branch():
     # Both the corrupted node and its parent reject on the dead branches.
     assert report.per_node_acceptance[0] <= 0.5 + 1e-9
     assert report.per_node_acceptance[1] <= 0.5 + 1e-9
+
+
+def _per_bit_predicate(graph, copies, view, u, leader=0):
+    """The pGHZ verification predicate with its tests checked one copy at a time."""
+    received = {v: view[f"recv:{v}"] for v in graph.neighbors(u)}
+    my_test, my_target = view[f"becho_test:{u}"], view[f"becho_target:{u}"]
+    for got in received.values():
+        if got["becho_test"] != my_test or got["becho_target"] != my_target:
+            return False
+    if u == leader and (my_test != view["btest"] or my_target != view["btarget"]):
+        return False
+    if not tree_labels_hold(graph, leader, u, view, received):
+        return False
+    o_u, s_u = view[f"o:{u}"], view[f"s:{u}"]
+    children = [v for v, got in received.items() if got["parent"] == u]
+    for t in range(copies):
+        if (my_test >> t) & 1 == 0:
+            total = ((o_u >> t) & 1) + sum((received[v]["s"] >> t) & 1 for v in children)
+            if total % 2 != (0 if u == leader else (s_u >> t) & 1):
+                return False
+        elif any((got["o"] >> t) & 1 != (o_u >> t) & 1 for got in received.values()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("graph", [path_graph(2), path_graph(4), cycle_graph(4)], ids=["path2", "path4", "cycle4"])
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_pghz_predicate_equals_the_per_bit_loop(graph, copies):
+    # Random transcripts around the honest tree labels: mostly honest echoes,
+    # random outcomes and parity replies, now and then one lying label.
+    rng = np.random.default_rng(copies)
+    accepts = build_pghz(graph, GhzProtocolParams(copies=copies)).spec.verification.accepts
+    n, fields = graph.node_count, ("becho_test", "becho_target", "o", "s", "leader", "parent", "dist")
+    verdicts = set()
+    for _ in range(400):
+        btest, btarget = int(rng.integers(2**copies)), int(rng.integers(copies + 1))
+        values = {"btest": btest, "btarget": btarget, **tree_label_replies(spanning_tree(graph, 0))}
+        for u in range(n):
+            values[f"becho_test:{u}"] = btest if rng.random() < 0.9 else int(rng.integers(2**copies))
+            values[f"becho_target:{u}"] = btarget
+            values[f"o:{u}"], values[f"s:{u}"] = (int(x) for x in rng.integers(2**copies, size=2))
+        if rng.random() < 0.1:
+            values[f"parent:{int(rng.integers(1, n))}"] = int(rng.integers(n + 1))
+        bundles = {v: {f: values[f"{f}:{v}"] for f in fields} for v in range(n)}
+        for accept in accepts:
+            u = accept.node
+            view = values | {f"recv:{v}": bundles[v] for v in graph.neighbors(u)}
+            verdict = accept.predicate(view)
+            assert verdict == _per_bit_predicate(graph, copies, view, u)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("slot", ["dist:1", "parent:2"])

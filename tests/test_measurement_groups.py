@@ -133,7 +133,10 @@ def test_grouped_walk_keeps_the_leaves_of_one_fork_per_measurement(case):
         strategy = strategy or identity_for(spec)
         grouped, reference = _Executor(spec, strategy).leaves(), oracle(_Executor(spec, strategy)).leaves()
         for (got, got_views), (want, want_views) in zip(grouped, reference, strict=True):
-            assert got.values == want.values and got.visibility == want.visibility and got.owner == want.owner
+            assert got.values == want.values and got.owner == want.owner
+            assert {a: list(view.items()) for a, view in got.views.items()} == {
+                a: list(view.items()) for a, view in want.views.items()
+            }
             assert got.weight == want.weight and got_views == want_views
             assert np.array_equal(got.vec, want.vec), (spec.name, got.values)
 
@@ -174,7 +177,8 @@ def test_a_nodes_second_measurement_in_a_turn_forks_again_and_reads_the_first():
         values = branch.values
         assert ("c" in values) == (values["a"] == 1) and ("d" in values) == (values["b"] == 0)
         assert "b" not in views[0] and "a" not in views[1]
-        assert branch.visibility["a"] == {0, PROVER} and branch.visibility["b"] == {1}
+        assert {actor for actor, view in branch.views.items() if "a" in view} == {0, PROVER}
+        assert {actor for actor, view in branch.views.items() if "b" in view} == {1}
         seen.add((values["a"], values["b"]))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 

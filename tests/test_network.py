@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,29 @@ def test_path_graph_valid():
     assert g.neighbors(1) == [0, 2]
     # diameter 2: node 0 to node 2 via node 1
     assert (0, 2) not in g.edges
+
+
+def _random_connected(n: int, seed: int) -> NetworkGraph:
+    """A random spanning tree on ``n`` nodes plus random extra edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.3}
+    return build_network(n, sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [path_graph(5), cycle_graph(6), build_network(5, [(0, v) for v in range(1, 5)]), _random_connected(8, 3)],
+    ids=["path", "cycle", "star", "random"],
+)
+def test_neighbors_are_the_sorted_edge_scan_and_a_fresh_list(graph):
+    for u in range(graph.node_count):
+        scan = sorted([b for a, b in graph.edges if a == u] + [a for a, b in graph.edges if b == u])
+        got = graph.neighbors(u)
+        assert got == scan and isinstance(got, list)
+        got.append(-7)
+        got.clear()
+        assert graph.neighbors(u) == scan
 
 
 def test_four_cycle_two_colorable():

@@ -483,7 +483,7 @@ def _projector_oracle(spec: ProtocolSpec) -> np.ndarray:
     """``sum (A L)^dag (A L)`` over the recorded verification leaves, from ``embed_operator`` products."""
     n = spec.layout.total_qubits
     executor = _Executor(spec, identity_for(spec), _Record())
-    start = _Branch(1.0, None, {}, {}, _final_holders(spec))
+    start = _Branch.start(spec.graph, None, _final_holders(spec))
     out = np.zeros((2**n, 2**n), dtype=complex)
     for path in _paths(executor, executor.leaves(start, executor.verification_start)):
         m = np.eye(2**n, dtype=complex)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +330,37 @@ def test_perfect_completeness_two_nodes():
     compiled = perfect_completeness(spec, honest)
     out = execute_exact(compiled.spec, compiled.honest).acceptance_probability
     assert abs(out - 1.0) <= 1e-9
+
+
+def test_perfect_completeness_refuses_an_uncompute_gate_it_cannot_hold_under_a_memory_cap():
+    # On three nodes the prover's last turn holds 14 qubits: the uncompute
+    # gate's two basis completions and their product are three 16384 x 16384
+    # matrices (12 GiB).  Under a 3 GiB address-space cap the transform must
+    # refuse them before the honest replay, never end in a raw MemoryError.
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+    code = (
+        "from dqip.corpus import random_clean_spec\n"
+        "from dqip.errors import CapacityError\n"
+        "from dqip.transforms import perfect_completeness\n"
+        "try:\n"
+        "    perfect_completeness(*random_clean_spec(0, nodes=3))\n"
+        "except CapacityError as err:\n"
+        "    print(err.requested)\n"
+        "    print(err)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(qcore.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0 and "MemoryError" not in proc.stderr, proc.stderr
+    requested, message = proc.stdout.splitlines()
+    assert int(requested) == 3 * 16 * 4**14
+    assert "perfect_completeness uncompute gate of 'perfect[random-clean-0]' on 14 held qubits" in message
 
 
 def test_basis_completion_is_unitary_and_keeps_its_inputs():
