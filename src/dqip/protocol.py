@@ -25,8 +25,10 @@ which children are kept:
   (their squared norms carry the Born weights), and acceptance sums
   ``weight * tr(A^dag A rho) * predicate`` over leaves (:meth:`_Executor.acceptance`);
 * sample (:func:`execute_sampled`): one child, drawn with its probability and
-  not renormalized, so each trial is a one-branch walk whose draws divide by
-  the squared norm that the marginal they read already holds;
+  not renormalized, so a trial is a one-branch walk whose draws divide by
+  the squared norm that the marginal they read already holds; the draws are
+  memoised on the choices drawn before them, so a trial that repeats a
+  classical history redraws it without a walk (see :class:`_Sample`);
 * record (:func:`collect_paths`, :func:`verification_projector`): every child,
   with the fixed operators and the symbolic prover gates logged instead of
   any amplitudes, as the :class:`BranchPath` list that the see-saw and the
@@ -449,28 +451,89 @@ class _Exact:
 
 class _Sample(_Exact):
     """Keep one child, drawn with its Born probability and not renormalised: each draw
-    divides by the squared norm that the marginal it reads holds, so no pass is spent on it."""
+    divides by the squared norm that the marginal it reads holds, so no pass is spent on it.
+    A fork whose draw reads no mass (at most ``PRUNE_TOL``) keeps no child.
 
-    def __init__(self, rng: np.random.Generator):
+    After :meth:`redraw`, a walk also memoises its draws.  ``memo`` maps the
+    choices drawn so far in a trial to what comes next: a fork's draw input
+    (``("coin", n)``, ``("outcome", table, widths)`` or ``("check", p_hit,
+    p_miss)``, see :func:`_draw`) or a leaf's accept probabilities
+    (``("leaf", accepts)``).  :meth:`redraw` replays a trial's draws from it,
+    and the walk of a history no earlier trial reached is handed the choices
+    already drawn (no second draw) before it draws and stores the rest.  The
+    memo holds no states; its weight tables may hold at most ``room`` bytes,
+    and past that it stores nothing new.
+    """
+
+    def __init__(self, rng: np.random.Generator, room: int = 0):
         super().__init__()
         self.rng = rng
+        self.memo: dict[tuple, tuple] = {}
+        self.room = room
+        self.path: list[int] | None = None  # this trial's choices, once redraw has started it
+        self.at = 0  # forks this trial's walk has passed; the path's first ones were drawn by redraw
+
+    def redraw(self) -> list[float] | None:
+        """Start a trial: draw from the memo while it knows the next fork; the stored
+        leaf's accept probabilities if one is reached, else ``None`` (walk it)."""
+        self.path, self.at = [], 0
+        node = self.memo.get(())
+        while node is not None and node[0] != "leaf":
+            self.path.append(_draw(self.rng, node))
+            node = self.memo.get(tuple(self.path))
+        return None if node is None else node[1]
+
+    def store(self, node: tuple, nbytes: int = 0) -> None:
+        """Keep ``node`` under the trial's choices so far, if its ``nbytes`` fit the room."""
+        if self.path is not None and nbytes <= self.room:
+            self.room -= nbytes
+            self.memo[tuple(self.path)] = node
+
+    def _choose(self, node: Callable[[], tuple], mass: Callable[[tuple], float] = lambda node: 1.0) -> list[int]:
+        """The walk's choice at a fork: the redrawn one while the trial's path lasts,
+        else drawn from ``node()`` (none if it reads no mass) and stored."""
+        if self.path is not None and self.at < len(self.path):
+            choice = self.path[self.at]
+        else:
+            node = node()
+            if mass(node) <= PRUNE_TOL:
+                return []
+            self.store(node, node[1].nbytes if node[0] == "outcome" else 0)
+            choice = _draw(self.rng, node)
+            if self.path is not None:
+                self.path.append(choice)
+        self.at += 1
+        return [choice]
 
     def coin(self, n: int) -> Iterable[int]:
-        return [int(self.rng.integers(n))]
+        return self._choose(lambda: ("coin", n))
 
     def outcomes(self, vec: np.ndarray, parts: list[list[int]]) -> Iterable[int]:
         """One joint outcome, drawn part by part from the marginals of one weight table."""
-        table, outcome = np.clip(outcome_weights(vec, _joint(parts)), 0.0, None), 0
-        for qubits in parts:
-            table = table.reshape(2 ** len(qubits), -1)
-            probs = table.sum(axis=1)
-            digit = int(self.rng.choice(len(probs), p=probs / probs.sum()))
-            table, outcome = table[digit], outcome << len(qubits) | digit
-        return [outcome]
+
+        def table():
+            return "outcome", np.clip(outcome_weights(vec, _joint(parts)), 0.0, None), [len(q) for q in parts]
+
+        return self._choose(table, lambda node: node[1].sum())
 
     def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
-        p_hit, p_miss = _norm2(hit), _norm2(miss)
-        return [0 if self.rng.random() < p_hit / (p_hit + p_miss) else 1]
+        return self._choose(lambda: ("check", _norm2(hit), _norm2(miss)), lambda node: node[1] + node[2])
+
+
+def _draw(rng: np.random.Generator, node: tuple) -> int:
+    """One choice drawn from a fork's input: a coin value, a joint outcome drawn part by
+    part from the marginals of its weight table, or a check's hit (0) or miss (1)."""
+    if node[0] == "coin":
+        return int(rng.integers(node[1]))
+    if node[0] == "check":
+        return 0 if rng.random() < node[1] / (node[1] + node[2]) else 1
+    table, outcome = node[1], 0
+    for width in node[2]:
+        table = table.reshape(2**width, -1)
+        probs = table.sum(axis=1)
+        digit = int(rng.choice(len(probs), p=probs / probs.sum()))
+        table, outcome = table[digit], outcome << width | digit
+    return outcome
 
 
 class _Record(_Exact):
@@ -557,6 +620,9 @@ class _Executor:
         self.policy = policy or _Exact()
         self.layout = spec.layout
         self.graph = spec.graph
+        for accept in spec.verification.accepts:
+            if accept.node not in range(self.graph.node_count):
+                raise ProtocolError(f"verification: accept node {accept.node!r} is not a node of the network")
         self._accept_forms: dict = {}  # see _accept_form
         self._receives = [(u, v, f"recv:{v}") for u in range(self.graph.node_count) for v in self.graph.neighbors(u)]
         # Plain functions, not bound methods: the executor must not refer to
@@ -887,23 +953,35 @@ def execute_exact(spec: ProtocolSpec, prover: ProverStrategy, collect_output: bo
 
 
 def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, seed: int) -> RunReport:
-    """Monte-Carlo execution: one sampled walk per trial, accepts counted.
+    """Monte-Carlo execution: one sampled history per trial, accepts counted.
 
     Each trial draws the joint accept, then each node's accept, from the
-    same sampled leaf.
+    same sampled leaf; a trial whose draw reads no mass rejects for all.
+    Trials that repeat a classical history are redrawn from the memo of
+    :class:`_Sample` with the same draws in the same order, so only a new
+    history costs a walk, and the report equals that of one walk per trial.
+    This relies on the strategy and the resolvers being pure functions of
+    the views, as the exact walk and :func:`block_key` already do.
     """
     if trials < 1:
         raise ValidationError("execute_sampled needs at least one trial")
     rng = substream(seed, "protocol.execute_sampled", spec.name)
-    executor = _Executor(spec, prover, _Sample(rng))
+    policy = _Sample(rng, room=16 * 2**spec.layout.total_qubits)  # the tables may take one state's bytes
+    executor = _Executor(spec, prover, policy)
     successes = 0
     node_hits = {u: 0 for u in range(spec.graph.node_count)}
     for _ in range(trials):
-        ((branch, views),) = executor.leaves()
-        total, p_all, per_node, _ = executor.acceptance(branch, views)
-        successes += rng.random() < min(max(p_all / total, 0.0), 1.0)
-        for u, p_u in per_node.items():
-            node_hits[u] += rng.random() < min(max(p_u / total, 0.0), 1.0)
+        accepts = policy.redraw()
+        if accepts is None:
+            accepts = [0.0] * (1 + len(node_hits))  # the walk keeps no leaf if a draw reads no mass
+            for branch, views in executor.leaves():
+                total, p_all, per_node, _ = executor.acceptance(branch, views)
+                if total > PRUNE_TOL:
+                    accepts = [min(max(p / total, 0.0), 1.0) for p in (p_all, *per_node.values())]
+            policy.store(("leaf", accepts))
+        successes += rng.random() < accepts[0]
+        for u, p_u in zip(node_hits, accepts[1:]):
+            node_hits[u] += rng.random() < p_u
     return RunReport(
         acceptance_probability=successes / trials,
         mode="sampled",

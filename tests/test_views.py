@@ -35,7 +35,9 @@ from dqip.protocol import (
     _Executor,
     _Record,
     _Sample,
+    collect_paths,
     execute_exact,
+    execute_sampled,
     first_qubit_zero_accept,
 )
 from dqip.seeding import substream
@@ -299,3 +301,14 @@ def test_a_coin_owner_or_reply_audience_that_names_no_actor_is_a_protocol_error(
     with pytest.raises(ProtocolError, match="neither the prover nor a node"):
         execute_exact(_one_coin_spec(owner, audience), ONE)
     assert execute_exact(_one_coin_spec(0, (0, 1)), ONE).acceptance_probability == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("node", [2, PROVER, 7])
+def test_an_accept_of_no_node_is_a_protocol_error_that_names_it_under_every_policy(node):
+    spec = _one_coin_spec(0, (0, 1))
+    accepts = spec.verification.accepts + (first_qubit_zero_accept(node, "V:0"),)
+    spec = dataclasses.replace(spec, verification=VerificationPhase(accepts=accepts))
+    runs = (execute_exact, lambda spec, strategy: execute_sampled(spec, strategy, 3, 1), collect_paths)
+    for run in runs:
+        with pytest.raises(ProtocolError, match=f"accept node {node} is not a node of the network"):
+            run(spec, ONE)
