@@ -34,8 +34,6 @@ from .qcore import (  # noqa: F401
     QuantumState,
     apply_unitary,
     fidelity,
-    haar_random,
-    partial_trace,
     projector_probability,
     trace_distance,
 )

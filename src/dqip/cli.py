@@ -41,7 +41,6 @@ from .transforms import (
     halve_turns_shared,
     pad_to_turns,
     parallel_repeat,
-    perfect_completeness,
     seven_to_five,
 )
 
@@ -118,15 +117,20 @@ def _run_or_sample(spec, strategy, config):
     return execute_exact(spec, strategy, collect_output=spec.output_registers is not None)
 
 
-def _experiment_ghz(config: dict) -> dict:
+def _ghz_params(config: dict) -> GhzProtocolParams:
     params = config["params"]
-    ghz_params = GhzProtocolParams(
+    return GhzProtocolParams(
         copies=params["copies"],
         epsilon=params["epsilon"],
         delta=params["delta"],
         seed=config["seed"],
         prover_qubits=params["prover_qubits"],
     )
+
+
+def _experiment_ghz(config: dict) -> dict:
+    params = config["params"]
+    ghz_params = _ghz_params(config)
     compiled = build_pghz(_graph_from(params), ghz_params)
     strategy = compiled.honest
     if params["strategy"] == "all-zero":
@@ -154,14 +158,7 @@ def _experiment_dqct(config: dict) -> dict:
     if not sum(qubits):
         raise ConfigError("config field qubits_per_node: no node holds an input qubit", fields=["qubits_per_node"])
     instance = make_instance(graph, qubits, params["states"], seed=config["seed"])
-    ghz_params = GhzProtocolParams(
-        copies=params["copies"],
-        epsilon=params["epsilon"],
-        delta=params["delta"],
-        seed=config["seed"],
-        prover_qubits=params["prover_qubits"],
-    )
-    compiled = build_pdqct(instance, ghz_params)
+    compiled = build_pdqct(instance, _ghz_params(config))
     report = _run_or_sample(compiled.spec, compiled.honest, config)
     acc = report.acceptance_probability
     results = {
@@ -191,14 +188,7 @@ def _experiment_compile_pipeline(config: dict) -> dict:
     instance = entry.yes_instance if params["instance"] == "yes" else entry.no_instance
     compiled = dam_to_dqip(entry.protocol, instance)
     c, s = float(entry.completeness), float(entry.soundness)
-    stages = [
-        {
-            "transform": "dam_to_dqip",
-            "turns": compiled.spec.num_turns,
-            "honest_acceptance": execute_exact(compiled.spec, compiled.honest).acceptance_probability,
-            "report": compiled.report,
-        }
-    ]
+    stages = [_stage_record("dam_to_dqip", compiled)]
     for i, stage in enumerate(params["pipeline"]):
         kind = stage["transform"]
         try:
@@ -208,14 +198,7 @@ def _experiment_compile_pipeline(config: dict) -> dict:
                 raise
             field = f"pipeline/{i}"
             raise ConfigError(f"config field {field}: {kind} cannot apply: {err}", fields=[field]) from err
-        stages.append(
-            {
-                "transform": kind,
-                "turns": compiled.spec.num_turns,
-                "honest_acceptance": execute_exact(compiled.spec, compiled.honest).acceptance_probability,
-                "report": compiled.report,
-            }
-        )
+        stages.append(_stage_record(kind, compiled))
     results = {"classical_completeness": c, "classical_soundness": s, "stages": stages}
     if params["optimize"]:
         trace = seesaw_optimize(
@@ -228,6 +211,15 @@ def _experiment_compile_pipeline(config: dict) -> dict:
     return results
 
 
+def _stage_record(kind: str, compiled) -> dict:
+    return {
+        "transform": kind,
+        "turns": compiled.spec.num_turns,
+        "honest_acceptance": execute_exact(compiled.spec, compiled.honest).acceptance_probability,
+        "report": compiled.report,
+    }
+
+
 def _apply_stage(compiled, stage: dict, c: float, s: float):
     kind = stage["transform"]
     if kind == "pad":
@@ -238,8 +230,6 @@ def _apply_stage(compiled, stage: dict, c: float, s: float):
         return halve_turns_private(compiled.spec, compiled.honest, completeness=c, soundness=s)
     if kind == "seven-to-five":
         return seven_to_five(compiled.spec, compiled.honest, completeness=c, soundness=s)
-    if kind == "perfect-completeness":
-        return perfect_completeness(compiled.spec, compiled.honest)
     return parallel_repeat(compiled.spec, compiled.honest, stage["t"], stage.get("repeat_mode", "AND"))
 
 

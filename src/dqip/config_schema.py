@@ -84,7 +84,6 @@ PARAM_SCHEMAS = {
                                 "halve-shared",
                                 "halve-private",
                                 "seven-to-five",
-                                "perfect-completeness",
                                 "parallel-repeat",
                             ]
                         },

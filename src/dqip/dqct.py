@@ -21,11 +21,11 @@ import numpy as np
 from . import qcore
 from .errors import ValidationError
 from .ghz import GhzProtocolParams, build_pghz, copy_reg
-from .network import NetworkGraph, allocate_layout
+from .network import NetworkGraph
 from .prover import OptimizerConfig, seesaw_optimize
 from .protocol import FunctionalStrategy, Step
 from .seeding import substream
-from .transforms import Compiled
+from .transforms import Compiled, _layout_with
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,13 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     # pGHZ's output, the untested copy at every node, is the control register B.
     control_regs = ghz.spec.output_registers
 
-    # pGHZ's registers after P (which prover_qubits places first), then the SWAP test's.
-    extras = [(name, size, ghz.spec.layout.owner(name)) for name, _, size in ghz.spec.layout.registers if name != "P"]
-    extras.append(("B2", 1, leader))
+    # pGHZ's registers, then the SWAP test's.
     held = [u for u in range(n) if instance.qubits_per_node[u]]
+    extras = [("B2", 1, leader)]
     for u in held:
         extras.append((in_reg(1, u), instance.qubits_per_node[u], u))
         extras.append((in_reg(2, u), instance.qubits_per_node[u], u))
-    layout = allocate_layout(graph, prover_qubits=ghz_params.prover_qubits, extras=extras)
+    layout = _layout_with(ghz.spec, extras)
 
     def b_reg(u: int, view: Mapping) -> str:
         target = (view["btarget"] if u == leader else view[f"becho_target:{u}"]) + 1

@@ -169,12 +169,11 @@ def allocate_layout(
     node_message: Mapping[int, int] | int = 0,
     edge_w: int = 0,
     extras: Sequence[tuple[str, int, int]] = (),
-    ceiling: int = DEFAULT_QUBIT_CEILING,
 ) -> RegisterLayout:
     """Deterministic layout over (P, per-node V/M, directed-edge W, extras).
 
     ``extras`` entries are (name, size, initial owner).  Raises
-    :class:`CapacityError` when the total exceeds ``ceiling``.
+    :class:`CapacityError` when the total exceeds ``DEFAULT_QUBIT_CEILING``.
     """
 
     def per_node(spec, u: int) -> int:
@@ -206,11 +205,11 @@ def allocate_layout(
     for name, size, owner in extras:
         add(name, size, owner)
 
-    if cursor > ceiling:
+    if cursor > DEFAULT_QUBIT_CEILING:
         raise CapacityError(
-            f"layout needs {cursor} qubits, above the ceiling of {ceiling}",
+            f"layout needs {cursor} qubits, above the ceiling of {DEFAULT_QUBIT_CEILING}",
             requested=cursor,
-            limit=ceiling,
+            limit=DEFAULT_QUBIT_CEILING,
         )
     return RegisterLayout(tuple(regs), owners, cursor)
 

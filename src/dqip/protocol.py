@@ -226,9 +226,6 @@ class ProtocolSpec:
     def num_turns(self) -> int:
         return len(self.turns)
 
-    def prover_turn_indices(self) -> list[int]:
-        return [t.index for t in self.turns if isinstance(t, ProverTurn)]
-
 
 # ---------------------------------------------------------------------------
 # Prover strategies
@@ -400,10 +397,9 @@ class _Branch:
     owner: dict
 
     @classmethod
-    def start(cls, graph: NetworkGraph, vec, owner: Mapping[str, int], values: Mapping | None = None) -> _Branch:
-        """A weight-1 branch whose transcript holds ``values``, seen by every actor."""
-        view = dict(values or {})
-        return cls(1.0, vec, dict(view), dict.fromkeys(_all_actors(graph), view), dict(owner))
+    def start(cls, graph: NetworkGraph, vec, owner: Mapping[str, int]) -> _Branch:
+        """A weight-1 branch with an empty transcript."""
+        return cls(1.0, vec, {}, dict.fromkeys(_all_actors(graph), {}), dict(owner))
 
 
 class _Exact:
@@ -911,8 +907,9 @@ class RunReport:
         self.acceptance_probability = min(max(self.acceptance_probability, 0.0), 1.0)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     if trials <= 0:
         raise ValidationError("wilson_interval needs at least one trial")
     phat = successes / trials
@@ -1011,13 +1008,12 @@ def variable_marginal(spec: ProtocolSpec, prover: ProverStrategy, name: str, val
 # ---------------------------------------------------------------------------
 
 
-def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None) -> np.ndarray:
+def verification_projector(spec: ProtocolSpec) -> np.ndarray:
     """The single operator whose pre-verification expectation is acceptance.
 
-    The record walk of the verification phase, for the given classical
-    ``assignment`` (values of any coins and replies the phase conditions
-    on), gives each predicate-passing leaf its fixed operators ``L`` (steps,
-    W-swaps, measurement and check outcomes) and accept projectors ``A``.
+    The record walk of the verification phase gives each predicate-passing
+    leaf its fixed operators ``L`` (steps, W-swaps, measurement and check
+    outcomes) and accept projectors ``A``.
     The result is ``sum_leaf (A L)^dag (A L)`` (``L^dag A L``, as the
     projectors of different nodes commute), with ``A L`` built as one
     :func:`~dqip.qcore.circuit_matrix` per leaf.  It is idempotent.
@@ -1028,7 +1024,7 @@ def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None
     executor = _Executor(spec, FunctionalStrategy("unused", lambda *_: None), _Record())
     # Ownership does not constrain the verification phase analysis here:
     # every register is measured or projected by its final holder.
-    start = _Branch.start(spec.graph, None, _final_holders(spec), assignment)
+    start = _Branch.start(spec.graph, None, _final_holders(spec))
     out = np.zeros((dim, dim), dtype=np.complex128)
     for path in _paths(executor, executor.leaves(start, executor.verification_start)):
         m = qcore.circuit_matrix(
@@ -1036,7 +1032,7 @@ def verification_projector(spec: ProtocolSpec, assignment: Mapping | None = None
         )
         out += m.conj().T @ m
 
-    check_projector(out, atol=1e-9)
+    check_projector(out)
     return out
 
 

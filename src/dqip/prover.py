@@ -19,7 +19,7 @@ certified lower bound on the optimal cheating probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -37,17 +37,19 @@ from .protocol import (
 from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix, haar_matrix
 from .seeding import substream
 
+# A restart stops once a sweep gains less than this.
+CONVERGENCE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     sweeps: int = 120
     restarts: int = 5
     seed: int = 0
-    convergence_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.sweeps < 1 or self.restarts < 1 or self.convergence_tol <= 0:
-            raise ValidationError("sweeps >= 1, restarts >= 1 and convergence_tol > 0 required")
+        if self.sweeps < 1 or self.restarts < 1:
+            raise ValidationError("sweeps >= 1 and restarts >= 1 required")
 
 
 @dataclass
@@ -188,14 +190,13 @@ def seesaw_optimize(
     spec: ProtocolSpec,
     config: OptimizerConfig,
     honest: ProverStrategy | None = None,
-    reply_fn: Callable[[str, Mapping], int] | None = None,
     freeze_turns: tuple[int, ...] = (),
 ) -> OptimizerTrace:
     """Coordinate-ascent over prover-turn unitaries.
 
-    Classical replies are pinned to ``reply_fn`` (defaulting to the honest
-    strategy's replies); for the protocols in this package every deviating
-    reply is annihilated by a consistency check, so pinning loses nothing.
+    Classical replies are pinned to the honest strategy's replies; for the
+    protocols in this package every deviating reply is annihilated by a
+    consistency check, so pinning loses nothing.
     One restart starts from the honest gates when ``honest`` is given; the
     rest start Haar-random.  Blocks of turns listed in ``freeze_turns`` are
     pinned to the honest gates in every restart (used to probe constrained
@@ -206,8 +207,7 @@ def seesaw_optimize(
         raise ShapeError("seesaw_optimize needs at least one prover turn")
     if freeze_turns and honest is None:
         raise ValidationError("freeze_turns requires an honest strategy to pin")
-    if reply_fn is None and honest is not None:
-        reply_fn = honest.reply
+    reply_fn = None if honest is None else honest.reply
     skeleton = FunctionalStrategy("skeleton", lambda *_: None, reply_fn)
     paths, initial = collect_paths(spec, skeleton)
     if not paths:
@@ -263,7 +263,7 @@ def seesaw_optimize(
             history.append(value)
             if value > 1 + 1e-9:
                 raise ValidationError(f"see-saw acceptance {value!r} exceeded 1")
-            if history[-1] - history[-2] < config.convergence_tol:
+            if history[-1] - history[-2] < CONVERGENCE_TOL:
                 break
         trace.sweep_acceptance.append(history)
         if history[-1] > trace.best_acceptance:

@@ -566,41 +566,13 @@ def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> n
 
 
 # ---------------------------------------------------------------------------
-# Partial trace and measurement statistics
+# Reduced densities and projectors
 # ---------------------------------------------------------------------------
 
 
 def _keep_block(vec: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Reshape a vector to (2^k, 2^rest) with row bit j = keep[j]."""
     return _plan_for(vec, keep).front(vec)
-
-
-def partial_trace(state, keep: Iterable[int]) -> DensityOperator:
-    """Reduced state on ``keep`` (ascending qubit order), tracing out the rest.
-
-    Accepts a :class:`QuantumState` or a :class:`DensityOperator`.  An empty
-    keep set yields the 1x1 matrix ``[[1]]``.
-    """
-    keep = sorted(set(keep))
-    if isinstance(state, QuantumState):
-        if not keep:
-            return DensityOperator(0, np.array([[1.0 + 0j]]))
-        block = _keep_block(state.amplitudes, keep)
-        return DensityOperator(len(keep), block @ block.conj().T)
-    if isinstance(state, DensityOperator):
-        n, mat = state.num_qubits, state.matrix
-        if not keep:
-            return DensityOperator(0, np.array([[1.0 + 0j]]))
-        plan = _axis_plan(n, tuple(keep))
-        # Row and column indices each get the vector plan: the tensor comes
-        # out as [row-keep, row-rest, col-keep, col-rest].
-        width = len(plan.shape)
-        order = plan.order + tuple(width + a for a in plan.order)
-        tensor = mat.reshape(plan.shape + plan.shape).transpose(order)
-        rest = 2 ** (n - len(keep))
-        tensor = tensor.reshape(plan.dim, rest, plan.dim, rest)
-        return DensityOperator(len(keep), np.einsum("arbr->ab", tensor))
-    raise ValidationError(f"cannot take a partial trace of {type(state).__name__}")
 
 
 def reduced_density_from_vec(vec: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -610,10 +582,10 @@ def reduced_density_from_vec(vec: np.ndarray, keep: Sequence[int]) -> np.ndarray
     return block @ block.conj().T
 
 
-def check_projector(op: np.ndarray, atol: float = PROJECTOR_ATOL) -> None:
-    if np.max(np.abs(op - op.conj().T)) > atol:
+def check_projector(op: np.ndarray) -> None:
+    if np.max(np.abs(op - op.conj().T)) > PROJECTOR_ATOL:
         raise ValidationError("operator is not Hermitian within tolerance")
-    if np.max(np.abs(op @ op - op)) > atol:
+    if np.max(np.abs(op @ op - op)) > PROJECTOR_ATOL:
         raise ValidationError("operator is not idempotent within tolerance")
 
 
@@ -721,15 +693,6 @@ def haar_unitary(num_qubits: int, seed) -> Gate:
     if num_qubits < 1:
         raise ValidationError("haar_unitary needs at least one qubit")
     return Gate(num_qubits, haar_matrix(num_qubits, _as_rng(seed), f"{num_qubits}-qubit Haar unitary"))
-
-
-def haar_random(kind: str, dimension_qubits: int, seed):
-    """Dispatch to :func:`haar_state` or :func:`haar_unitary` by ``kind``."""
-    if kind == "state":
-        return haar_state(dimension_qubits, seed)
-    if kind == "unitary":
-        return haar_unitary(dimension_qubits, seed)
-    raise ValidationError(f"unknown haar_random kind {kind!r}")
 
 
 def _random_density(rng: np.random.Generator, n: int) -> DensityOperator:

@@ -221,10 +221,23 @@ def _prover_regs(spec: ProtocolSpec) -> tuple[str, ...]:
     return tuple(regs)
 
 
-def _with_owners(layout: RegisterLayout, overrides: Mapping[str, int]) -> RegisterLayout:
-    owners = dict(layout.initial_owner)
-    owners.update(overrides)
-    return RegisterLayout(layout.registers, owners, layout.total_qubits)
+def _layout_with(
+    spec: ProtocolSpec,
+    extras: Sequence[tuple[str, int, int]],
+    p_size: int | None = None,
+    owners: Mapping[str, int] | None = None,
+) -> RegisterLayout:
+    """``spec``'s registers in place, then ``extras`` (name, size, owner).
+
+    P is resized to ``p_size`` when given, and ``owners`` overrides the
+    initial owner of the registers it names.  The layout is built by
+    :func:`allocate_layout`, so it is held to the qubit ceiling.
+    """
+    layout, owners = spec.layout, owners or {}
+    if p_size is None:
+        p_size = layout.size("P") if layout.has("P") else 0
+    kept = [(name, size, owners.get(name, layout.owner(name))) for name, _, size in layout.registers if name != "P"]
+    return allocate_layout(spec.graph, prover_qubits=p_size, extras=kept + list(extras))
 
 
 def _zero_projector(size: int) -> np.ndarray:
@@ -299,7 +312,7 @@ class _Rewrite:
 # ---------------------------------------------------------------------------
 
 
-def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, budget: int | None = None) -> Compiled:
+def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph) -> Compiled:
     """Quantum simulation of a private-coin dAM protocol.
 
     Verifier turns store the received certificate with SWAP gates and send
@@ -312,7 +325,7 @@ def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, budget: int | None = N
     """
     if dam.randomness != "private":
         raise ShapeError("dam_to_dqip simulates private-randomness protocols")
-    value = brute_force_value(dam, instance, **({"budget": budget} if budget else {}))
+    value = brute_force_value(dam, instance)
     n = instance.node_count
     m = dam.bits_per_turn
     k = dam.turns
@@ -443,10 +456,10 @@ def _merlin_gate(dam, instance, strategy, j, p_size, m, n, arthur) -> np.ndarray
     mn = m * n
     dim = 2 ** (p_size + mn)
     qcore.check_budget(16 * dim * dim, f"dam_to_dqip Merlin gate of turn {j} on {p_size + mn} qubits")
-    perm = np.zeros((dim, dim), dtype=np.complex128)
     mask = (1 << mn) - 1
     prior = [a for a in arthur if a < j]
-    for idx in range(dim):
+
+    def image(idx: int) -> int:
         p_bits = idx & ((1 << p_size) - 1) if p_size else 0
         m_bits = (idx >> p_size) & mask
         if prior:
@@ -462,9 +475,9 @@ def _merlin_gate(dam, instance, strategy, j, p_size, m, n, arthur) -> np.ndarray
         certs = strategy[j][tuple(history)]
         for u in range(n):
             m_bits ^= certs[u] << (m * u)
-        out = (m_bits << p_size) | p_bits
-        perm[out, idx] = 1.0
-    return perm
+        return (m_bits << p_size) | p_bits
+
+    return qcore._permutation_matrix(p_size + mn, image)
 
 
 # ---------------------------------------------------------------------------
@@ -723,19 +736,12 @@ class _Halving:
         return VerificationPhase(steps=tuple(steps), measurements=measurements, broadcasts=broadcasts, accepts=accepts)
 
     def build(self, b: _Branch, completeness: float | None, soundness: float | None) -> Compiled:
-        spec, n = self.spec, self.n
-        layout = allocate_layout(
-            spec.graph,
-            prover_qubits=spec.layout.size("P") if spec.layout.has("P") else 0,
-            node_private={u: spec.layout.size(reg_v(u)) for u in range(n)},
-            node_message={u: spec.layout.size(reg_m(u)) for u in range(n)},
-            extras=b.extras,
-        )
+        spec = self.spec
         turns, pair_gates = self._turns(b)
         out = ProtocolSpec(
             name=f"{b.tag}[{spec.name}]",
             graph=spec.graph,
-            layout=_with_owners(layout, {reg_v(u): PROVER for u in range(n)}),
+            layout=_layout_with(spec, b.extras, owners={reg_v(u): PROVER for u in range(self.n)}),
             turns=tuple(turns),
             verification=self._verification(b),
             metadata=dict(spec.metadata, **b.metadata),
@@ -931,37 +937,25 @@ def _basis_completion(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
 def _or_fanout_permutation(p_total: int, p_in: int, n: int) -> np.ndarray:
     """Permutation on (P, out): write OR(out) into every out qubit.
 
-    The input patterns with zeroed ancilla map as (x, 0) -> (OR^n, x) with
-    x itself stored in the ancilla as the disambiguating junk; everything
-    else is completed greedily into an arbitrary bijection.
+    The input patterns with zeroed ancilla (P[p_in .. p_in + n)) map as
+    (x, 0) -> (OR^n, x) with x itself stored in the ancilla as the
+    disambiguating junk; everything else is completed greedily into an
+    arbitrary bijection.
     """
-    anc_base = p_in  # ancilla qubits live at P[p_in .. p_in + n)
     total_bits = p_total + n
     dim = 2**total_bits
     qcore.check_budget(16 * dim * dim, f"perfect_completeness OR fan-out on {total_bits} qubits")
-    out_base = p_total
+    ones = (1 << n) - 1
     mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def build(x: int, anc: int, rest: int) -> int:
-        return rest | (anc << anc_base) | (x << out_base)
-
     for idx in range(dim):
-        x = (idx >> out_base) & ((1 << n) - 1)
-        anc = (idx >> anc_base) & ((1 << n) - 1)
-        rest = idx & ~(((1 << n) - 1) << anc_base) & ~(((1 << n) - 1) << out_base)
-        if anc == 0:
-            target = build(0, 0, rest) if x == 0 else build((1 << n) - 1, x, rest)
-            mapping[idx] = target
-            used.add(target)
+        x = idx >> p_total  # the out qubits are the top n
+        low = idx & ((1 << p_total) - 1)
+        if (low >> p_in) & ones == 0:
+            mapping[idx] = low | (x << p_in) | (ones << p_total) if x else idx
+    used = set(mapping.values())
     free_targets = iter(t for t in range(dim) if t not in used)
-    perm = np.zeros((dim, dim), dtype=np.complex128)
-    for idx in range(dim):
-        target = mapping.get(idx)
-        if target is None:
-            target = next(free_targets)
-        perm[target, idx] = 1.0
-    return perm
+    # Called in index order, so the free targets fill the other inputs greedily.
+    return qcore._permutation_matrix(total_bits, lambda idx: mapping[idx] if idx in mapping else next(free_targets))
 
 
 def perfect_completeness(
@@ -998,13 +992,7 @@ def perfect_completeness(
     p_total = p_in + n  # ancilla workspace for the verdict fan-out
 
     extras = [(f"out:{u}", 1, u) for u in range(n)] + [("B", 1, leader), ("B2", 1, leader)]
-    layout = allocate_layout(
-        spec.graph,
-        prover_qubits=p_total,
-        node_private={u: spec.layout.size(reg_v(u)) for u in range(n)},
-        node_message={u: spec.layout.size(reg_m(u)) if spec.layout.has(reg_m(u)) else 0 for u in range(n)},
-        extras=extras,
-    )
+    layout = _layout_with(spec, extras, p_size=p_total)
 
     # The input's prover memory is the first p_in qubits of the wider P.
     widened = _Rewrite(regs={"P": tuple(f"P[{i}]" for i in range(p_in))})

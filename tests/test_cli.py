@@ -50,6 +50,21 @@ def test_schema_requires_the_parameters_of_each_transform(stage, field, message)
     assert err.value.fields == [field] and message in str(err.value)
 
 
+def test_schema_refuses_the_perfect_completeness_stage_before_any_brute_force(tmp_path, monkeypatch):
+    # No pipeline output is a coherent spec, so the stage is not in the schema.
+    from dqip import cli, transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config ran a brute force")
+
+    monkeypatch.setattr(transforms, "brute_force_value", refuse)
+    monkeypatch.setattr(cli, "brute_force_value", refuse)
+    params = {"protocol": "coin-guess", "instance": "yes", "pipeline": [{"transform": "perfect-completeness"}]}
+    with pytest.raises(ConfigError) as err:
+        run_config({"experiment": "compile-pipeline", "seed": 1, "params": params}, tmp_path)
+    assert err.value.fields == ["pipeline/0/transform"]
+
+
 def test_schema_rejects_an_edge_that_is_not_a_pair():
     with pytest.raises(ConfigError) as err:
         validate_config({"experiment": "ghz", "seed": 1, "params": {"nodes": 3, "copies": 1, "edges": [[0, 1, 2]]}})

@@ -102,8 +102,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(sweeps=0)
     with pytest.raises(ValidationError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValidationError):
-        OptimizerConfig(convergence_tol=0.0)
 
 
 def test_seesaw_refuses_vectors_over_the_budget_before_the_first_sweep(monkeypatch):

@@ -32,11 +32,9 @@ from dqip.qcore import (
     controlled,
     embed_operator,
     fidelity,
-    haar_random,
     haar_state,
     haar_unitary,
     outcome_weights,
-    partial_trace,
     project_outcome,
     projector_probability,
     trace_distance,
@@ -463,26 +461,26 @@ def test_norm_preserved_under_random_unitaries():
 
 
 # ---------------------------------------------------------------------------
-# partial_trace
+# reduced_density_from_vec
 # ---------------------------------------------------------------------------
 
 
-def test_partial_trace_bell_pair():
-    red = partial_trace(bell_pair(), [0])
-    assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
+def test_reduced_density_bell_pair():
+    red = qcore.reduced_density_from_vec(bell_pair().amplitudes, [0])
+    assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
-def test_partial_trace_product_state():
+def test_reduced_density_product_state():
     rng = substream(5, "test.ptrace")
     psi = qcore.haar_state(2, rng)
     phi = qcore.haar_state(1, rng)
-    joint = QuantumState(3, np.kron(phi.amplitudes, psi.amplitudes))  # psi on qubits 0,1
-    red = partial_trace(joint, [0, 1])
-    assert np.allclose(red.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-12)
-    assert fidelity(red, psi.density()) >= 1 - 1e-9
+    joint = np.kron(phi.amplitudes, psi.amplitudes)  # psi on qubits 0,1
+    red = qcore.reduced_density_from_vec(joint, [0, 1])
+    assert np.allclose(red, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-12)
+    assert fidelity(DensityOperator(2, red), psi.density()) >= 1 - 1e-9
 
 
-def test_partial_trace_ghz_keep_two():
+def test_reduced_density_ghz_keep_two():
     # Direct computation from the 8-amplitude vector.
     vec = ghz3().amplitudes
     expected = np.zeros((4, 4), dtype=complex)
@@ -490,18 +488,11 @@ def test_partial_trace_ghz_keep_two():
         for j in range(8):
             if (i >> 2) == (j >> 2):
                 expected[i & 3, j & 3] += vec[i] * np.conj(vec[j])
-    red = partial_trace(ghz3(), [0, 1])
-    assert np.allclose(red.matrix, expected, atol=1e-12)
+    red = qcore.reduced_density_from_vec(vec, [0, 1])
+    assert np.allclose(red, expected, atol=1e-12)
     target = np.zeros((4, 4), dtype=complex)
     target[0, 0] = target[3, 3] = 0.5
-    assert np.allclose(red.matrix, target, atol=1e-12)
-
-
-def test_partial_trace_empty_keep_and_density_input():
-    red = partial_trace(bell_pair(), [])
-    assert np.allclose(red.matrix, [[1.0]])
-    dens = partial_trace(bell_pair().density(), [1])
-    assert np.allclose(dens.matrix, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(red, target, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -596,16 +587,16 @@ def test_fidelity_symmetry_and_metric_axioms():
 
 
 # ---------------------------------------------------------------------------
-# haar_random
+# Haar draws
 # ---------------------------------------------------------------------------
 
 
 def test_haar_determinism():
-    a = haar_random("state", 1, 7)
-    b = haar_random("state", 1, 7)
+    a = haar_state(1, 7)
+    b = haar_state(1, 7)
     assert np.array_equal(a.amplitudes, b.amplitudes)
-    u1 = haar_random("unitary", 2, 3)
-    u2 = haar_random("unitary", 2, 3)
+    u1 = haar_unitary(2, 3)
+    u2 = haar_unitary(2, 3)
     assert np.array_equal(u1.matrix, u2.matrix)
 
 
