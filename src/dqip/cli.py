@@ -111,6 +111,17 @@ def _catalog_entry(params: dict):
         raise ConfigError(f"config field protocol: {err}", fields=["protocol"]) from err
 
 
+def _catalog_instance(params: dict):
+    """The catalog entry that ``params`` names, and its yes or no instance."""
+    entry = _catalog_entry(params)
+    return entry, entry.yes_instance if params["instance"] == "yes" else entry.no_instance
+
+
+def _optimizer_config(config: dict) -> OptimizerConfig:
+    params = config["params"]
+    return OptimizerConfig(restarts=params["restarts"], sweeps=params["sweeps"], seed=config["seed"])
+
+
 def _run_or_sample(spec, strategy, config):
     if config["mode"] == "sampled":
         return execute_sampled(spec, strategy, trials=config["trials"], seed=config["seed"])
@@ -170,12 +181,7 @@ def _experiment_dqct(config: dict) -> dict:
     }
     if params["probe"]:
         exact = report if config["mode"] == "exact" else execute_exact(compiled.spec, compiled.honest)
-        probe = soundness_probe(
-            instance,
-            compiled,
-            exact.acceptance_probability,
-            OptimizerConfig(restarts=params["restarts"], sweeps=params["sweeps"], seed=config["seed"]),
-        )
+        probe = soundness_probe(instance, compiled, exact.acceptance_probability, _optimizer_config(config))
         trace = probe.pop("trace")
         results["probe"] = probe
         results["probe"]["sweep_acceptance"] = trace.sweep_acceptance
@@ -184,8 +190,7 @@ def _experiment_dqct(config: dict) -> dict:
 
 def _experiment_compile_pipeline(config: dict) -> dict:
     params = config["params"]
-    entry = _catalog_entry(params)
-    instance = entry.yes_instance if params["instance"] == "yes" else entry.no_instance
+    entry, instance = _catalog_instance(params)
     compiled = dam_to_dqip(entry.protocol, instance)
     c, s = float(entry.completeness), float(entry.soundness)
     stages = [_stage_record("dam_to_dqip", compiled)]
@@ -201,11 +206,7 @@ def _experiment_compile_pipeline(config: dict) -> dict:
         stages.append(_stage_record(kind, compiled))
     results = {"classical_completeness": c, "classical_soundness": s, "stages": stages}
     if params["optimize"]:
-        trace = seesaw_optimize(
-            compiled.spec,
-            OptimizerConfig(restarts=params["restarts"], sweeps=params["sweeps"], seed=config["seed"]),
-            honest=compiled.honest,
-        )
+        trace = seesaw_optimize(compiled.spec, _optimizer_config(config), honest=compiled.honest)
         results["seesaw_best"] = trace.best_acceptance
         results["seesaw_sweeps"] = trace.sweep_acceptance
     return results
@@ -235,14 +236,9 @@ def _apply_stage(compiled, stage: dict, c: float, s: float):
 
 def _experiment_optimize(config: dict) -> dict:
     params = config["params"]
-    entry = _catalog_entry(params)
-    instance = entry.yes_instance if params["instance"] == "yes" else entry.no_instance
+    entry, instance = _catalog_instance(params)
     compiled = dam_to_dqip(entry.protocol, instance)
-    trace = seesaw_optimize(
-        compiled.spec,
-        OptimizerConfig(restarts=params["restarts"], sweeps=params["sweeps"], seed=config["seed"]),
-        honest=compiled.honest,
-    )
+    trace = seesaw_optimize(compiled.spec, _optimizer_config(config), honest=compiled.honest)
     return {
         "best_acceptance": trace.best_acceptance,
         "restarts": trace.restarts,

@@ -1,15 +1,14 @@
-"""Small named protocols and randomized spec generators used across the suite."""
+"""Small named protocols that the verification battery runs (see :mod:`dqip.acceptance`)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import qcore
-from .network import allocate_layout, build_network, path_graph
+from .network import allocate_layout, build_network
 from .protocol import (
     CoinFlip,
     FunctionalStrategy,
-    NodeAccept,
     ProtocolSpec,
     ProverTurn,
     VerificationPhase,
@@ -18,68 +17,6 @@ from .protocol import (
     first_qubit_zero_accept,
     static_step,
 )
-from .seeding import substream
-
-
-def identity_for(spec: ProtocolSpec, name: str = "identity") -> FunctionalStrategy:
-    """Prover that applies the identity on whatever it holds at each turn."""
-
-    def gate(turn_index, view):
-        turn = next(t for t in spec.turns if isinstance(t, ProverTurn) and t.index == turn_index)
-        regs = turn.acts_on(view) if callable(turn.acts_on) else turn.acts_on
-        dim = 2 ** sum(spec.layout.size(r.split("[")[0]) if "[" not in r else 1 for r in regs)
-        return np.eye(dim, dtype=np.complex128)
-
-    return FunctionalStrategy(name, gate)
-
-
-def always_accept_spec(n_nodes: int = 1) -> ProtocolSpec:
-    """No prover turns, verifier does nothing; every V register stays |0>."""
-    graph = path_graph(n_nodes) if n_nodes > 1 else build_network(1, [])
-    layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
-    accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(n_nodes))
-    return ProtocolSpec(
-        name="always-accept",
-        graph=graph,
-        layout=layout,
-        turns=(),
-        verification=VerificationPhase(accepts=accepts),
-    )
-
-
-def flip_reject_spec() -> ProtocolSpec:
-    """Single verifier turn applies X to one node's accept qubit: acceptance 0."""
-    graph = path_graph(2)
-    layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
-    turn = VerifierTurn(index=1, steps=(static_step(0, qcore.X.matrix, ["V:0"]),))
-    accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2))
-    return ProtocolSpec(
-        name="flip-reject",
-        graph=graph,
-        layout=layout,
-        turns=(turn,),
-        verification=VerificationPhase(accepts=accepts),
-    )
-
-
-def fair_coin_spec() -> ProtocolSpec:
-    """Accept iff a single shared coin lands 0: acceptance exactly 1/2."""
-    graph = build_network(1, [])
-    layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
-    turn = VerifierTurn(index=1, coins=(CoinFlip("r", 2, owner=None),))
-    accept = NodeAccept(
-        node=0,
-        projector=None,
-        predicate=lambda view: view["r"] == 0,
-        describe={"kind": "coin-is-zero", "coin": "r"},
-    )
-    return ProtocolSpec(
-        name="fair-coin",
-        graph=graph,
-        layout=layout,
-        turns=(turn,),
-        verification=VerificationPhase(accepts=(accept,)),
-    )
 
 
 def _completion_unitary(v: np.ndarray) -> np.ndarray:
@@ -150,79 +87,3 @@ def two_check_spec(v0: np.ndarray, v1: np.ndarray, name: str = "two-check") -> P
 def coin_check_honest() -> FunctionalStrategy:
     """Sends |0> in the message register of :func:`coin_check_spec`."""
     return FunctionalStrategy("send-zero", lambda turn, view: np.eye(2, dtype=np.complex128))
-
-
-def prover_blind_spec() -> tuple[ProtocolSpec, FunctionalStrategy]:
-    """The prover's turns act on registers the verifier never reads."""
-    graph = build_network(1, [])
-    layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=0)
-    turns = (ProverTurn(index=1, acts_on=("P",), delivers=()),)
-    spec = ProtocolSpec(
-        name="prover-blind",
-        graph=graph,
-        layout=layout,
-        turns=turns,
-        verification=VerificationPhase(accepts=(first_qubit_zero_accept(0, "V:0"),)),
-    )
-    honest = FunctionalStrategy("idle", lambda turn, view: np.eye(2, dtype=np.complex128))
-    return spec, honest
-
-
-def random_clean_spec(
-    seed: int, coin: bool = False, turns: int = 3, nodes: int = 2
-) -> tuple[ProtocolSpec, FunctionalStrategy]:
-    """Random protocol on a path of ``nodes`` nodes with Haar gates in every turn.
-
-    Odd turns are prover turns acting on (P, every M); even turns apply one
-    Haar gate per node on its (V, M).  ``coin`` adds a shared coin at turn 2
-    that picks each node's verification gate.  The honest prover applies
-    Haar-random unitaries as well; used by the statistical and invariance
-    property tests and as the oracle for the turn reductions.
-    """
-    rng = substream(seed, "corpus.random_clean_spec")
-    graph = path_graph(nodes)
-    layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
-    messages = tuple(f"M:{u}" for u in range(nodes))
-
-    gates = {}
-    turn_list = []
-    for j in range(1, turns + 1):
-        if j % 2 == 1:
-            gates[j] = qcore.haar_unitary(1 + nodes, rng).matrix
-            delivers = tuple((m, u) for u, m in enumerate(messages))
-            turn_list.append(ProverTurn(index=j, acts_on=("P",) + messages, delivers=delivers))
-            continue
-        steps = tuple(
-            static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]) for u in range(nodes)
-        )
-        coins = (CoinFlip("r", 2, owner=None),) if coin and j == 2 else ()
-        turn_list.append(VerifierTurn(index=j, coins=coins, steps=steps, sends=messages))
-
-    ver_steps = []
-    for u in range(nodes):
-        if coin:
-            ver_steps.append(
-                conditional_step(
-                    u,
-                    ["r"],
-                    {
-                        (0,): (qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]),
-                        (1,): (qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]),
-                    },
-                )
-            )
-        else:
-            ver_steps.append(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]))
-    accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(nodes))
-    spec = ProtocolSpec(
-        name=f"random-clean-{seed}",
-        graph=graph,
-        layout=layout,
-        turns=tuple(turn_list),
-        verification=VerificationPhase(steps=tuple(ver_steps), accepts=accepts),
-    )
-
-    def gate(turn_index, view):
-        return gates[turn_index]
-
-    return spec, FunctionalStrategy(f"haar-{seed}", gate)

@@ -117,12 +117,11 @@ def evaluate_outcome(
     return True
 
 
-def brute_force_value(
-    protocol: DamProtocol,
-    instance: NetworkGraph,
-    budget: int = ENUMERATION_BUDGET,
-) -> DamValue:
-    """Exact optimum over all Merlin strategies, averaged over all coins."""
+def brute_force_value(protocol: DamProtocol, instance: NetworkGraph) -> DamValue:
+    """Exact optimum over all Merlin strategies, averaged over all coins.
+
+    Refuses, before it recurses, an enumeration above ``ENUMERATION_BUDGET``.
+    """
     cert_choices = list(
         itertools.product(range(2**protocol.bits_per_turn), repeat=instance.node_count)
     )
@@ -137,11 +136,11 @@ def brute_force_value(
         else:
             histories *= len(coin_values)
     enumerated += histories  # terminal predicate evaluations per leaf certificate set
-    if enumerated > budget:
+    if enumerated > ENUMERATION_BUDGET:
         raise CapacityError(
-            f"enumeration size {enumerated} exceeds the budget of {budget}",
+            f"enumeration size {enumerated} exceeds the budget of {ENUMERATION_BUDGET}",
             requested=enumerated,
-            limit=budget,
+            limit=ENUMERATION_BUDGET,
         )
 
     strategy: dict[int, dict] = {j: {} for j in protocol.merlin_turns()}

@@ -21,11 +21,11 @@ import numpy as np
 from . import qcore
 from .errors import ValidationError
 from .ghz import GhzProtocolParams, build_pghz, copy_reg
-from .network import NetworkGraph
+from .network import NetworkGraph, extend_layout
 from .prover import OptimizerConfig, seesaw_optimize
 from .protocol import FunctionalStrategy, Step
 from .seeding import substream
-from .transforms import Compiled, _layout_with
+from .transforms import Compiled
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     for u in held:
         extras.append((in_reg(1, u), instance.qubits_per_node[u], u))
         extras.append((in_reg(2, u), instance.qubits_per_node[u], u))
-    layout = _layout_with(ghz.spec, extras)
+    layout = extend_layout(graph, ghz.spec.layout, extras)
 
     def b_reg(u: int, view: Mapping) -> str:
         target = (view["btarget"] if u == leader else view[f"becho_target:{u}"]) + 1
@@ -160,8 +160,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
 
     # CNOT from B2 back onto the leader's control qubit, then H on B2.
     finish = qcore.circuit_matrix(2, [(qcore.CNOT.matrix, [1, 0]), (qcore.H.matrix, [1])], "swap-test finish")
-    zero1 = np.diag([1, 0]).astype(np.complex128)
-    zero2 = np.diag([1, 0, 0, 0]).astype(np.complex128)
+    zero1, zero2 = qcore.basis_projector(1), qcore.basis_projector(2)
 
     def projector(u: int):
         if u == leader:

@@ -2,6 +2,8 @@
 
 A :class:`RegisterLayout` is the single source of truth mapping named
 registers to disjoint qubit ranges; no other module hardcodes positions.
+It also owns the register grammar (``name[i]`` is qubit i of ``name``, see
+:func:`split_register`) and, with :func:`extend_layout`, how a layout grows.
 Register ownership starts from the layout's initial assignment and moves
 between actors only at turn boundaries (tracked by the executor).
 """
@@ -130,6 +132,14 @@ def reg_w(u: int, v: int) -> str:
     return f"W:{u}:{v}"
 
 
+def split_register(name: str) -> tuple[str, int | None]:
+    """``name[i]`` as ``(name, i)``, a whole register as ``(name, None)``."""
+    if name.endswith("]") and "[" in name:
+        base, index = name[:-1].split("[")
+        return base, int(index)
+    return name, None
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Named registers mapped to disjoint qubit ranges plus initial owners."""
@@ -150,13 +160,23 @@ class RegisterLayout:
         return name in self._index
 
     def size(self, name: str) -> int:
-        return self._index[name][1]
+        """The register's qubit count; 0 for one the layout does not hold (none has size 0)."""
+        return self._index.get(name, (0, 0))[1]
 
     def qubits(self, name: str) -> list[int]:
         if name not in self._index:
             raise LayoutError(f"unknown register {name!r}")
         start, size = self._index[name]
         return list(range(start, start + size))
+
+    def expand(self, names: Iterable[str]) -> list[int]:
+        """The qubits of ``names``, in order; ``name[i]`` selects qubit i of ``name``."""
+        out: list[int] = []
+        for name in names:
+            base, index = split_register(name)
+            qubits = self.qubits(base)
+            out += qubits if index is None else [qubits[index]]
+        return out
 
     def owner(self, name: str) -> int:
         return self.initial_owner[name]
@@ -212,6 +232,26 @@ def allocate_layout(
             limit=DEFAULT_QUBIT_CEILING,
         )
     return RegisterLayout(tuple(regs), owners, cursor)
+
+
+def extend_layout(
+    graph: NetworkGraph,
+    layout: RegisterLayout,
+    extras: Sequence[tuple[str, int, int]],
+    p_size: int | None = None,
+    owners: Mapping[str, int] | None = None,
+) -> RegisterLayout:
+    """``layout``'s registers in place, then ``extras`` (name, size, owner).
+
+    P is resized to ``p_size`` when given, and ``owners`` overrides the
+    initial owner of the registers it names.  The layout is built by
+    :func:`allocate_layout`, so it is held to the qubit ceiling.
+    """
+    owners = owners or {}
+    kept = [(name, size, owners.get(name, layout.owner(name))) for name, _, size in layout.registers if name != "P"]
+    if p_size is None:
+        p_size = layout.size("P")
+    return allocate_layout(graph, prover_qubits=p_size, extras=kept + list(extras))
 
 
 # ---------------------------------------------------------------------------

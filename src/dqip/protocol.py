@@ -56,7 +56,7 @@ import numpy as np
 
 from . import qcore
 from .errors import LayoutError, ProtocolError, ValidationError
-from .network import PROVER, NetworkGraph, RegisterLayout
+from .network import PROVER, NetworkGraph, RegisterLayout, split_register
 from .qcore import (
     SWAP,
     FactoredOp,
@@ -337,7 +337,7 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 def first_qubit_zero_accept(node: int, register: str) -> NodeAccept:
     """Canonical accept condition: first qubit of the node's register is |0>."""
-    proj = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    proj = qcore.basis_projector(1)
     describe = {"kind": "first-qubit-zero", "register": register}
     return NodeAccept(node=node, projector=lambda view: (proj, [f"{register}[0]"]), describe=describe)
 
@@ -347,24 +347,8 @@ def first_qubit_zero_accept(node: int, register: str) -> NodeAccept:
 # ---------------------------------------------------------------------------
 
 
-def _expand_registers(layout: RegisterLayout, names: Iterable[str]) -> list[int]:
-    """Register names to qubits; ``name[i]`` selects a single qubit."""
-    out: list[int] = []
-    for name in names:
-        if name.endswith("]") and "[" in name:
-            base, idx = name[:-1].split("[")
-            out.append(layout.qubits(base)[int(idx)])
-        else:
-            out.extend(layout.qubits(name))
-    return out
-
-
 def _norm2(vec: np.ndarray) -> float:
     return float(np.vdot(vec, vec).real)
-
-
-def _selector_matrix(k: int, outcome: int) -> np.ndarray:
-    return np.diag(np.eye(2**k, dtype=np.complex128)[outcome])
 
 
 def _joint(parts: list[list[int]]) -> list[int]:
@@ -548,7 +532,7 @@ class _Record(_Exact):
 
     def __init__(self):
         super().__init__()
-        self._selector = functools.cache(_selector_matrix)  # one array, so one op, per outcome
+        self._selector = functools.cache(qcore.basis_projector)  # one array, so one op, per outcome
 
     def apply(self, chain, matrix: np.ndarray, qubits: list[int]):
         return chain, self.op(matrix, qubits)
@@ -641,7 +625,7 @@ class _Executor:
         vec = np.zeros(2**self.layout.total_qubits, dtype=np.complex128)
         vec[0] = 1.0
         for regs, factor in self.spec.initial_factors:
-            qubits = _expand_registers(self.layout, regs)
+            qubits = self.layout.expand(regs)
             factor = np.asarray(factor, dtype=np.complex128)
             if factor.size != 2 ** len(qubits):
                 raise ValidationError(f"initial factor on {regs} has wrong dimension")
@@ -713,7 +697,7 @@ class _Executor:
     # -- events ---------------------------------------------------------------
 
     def _check_ownership(self, branch: _Branch, actors: tuple, regs: list[str], label: str, who: str = "") -> None:
-        for base in (name.split("[")[0] for name in regs):
+        for base in (split_register(name)[0] for name in regs):
             if base not in branch.owner:
                 raise ProtocolError(f"{label}: unknown register {base!r}")
             if branch.owner[base] not in actors:
@@ -729,7 +713,7 @@ class _Executor:
         view = _view(branch, PROVER)
         regs = list(turn.acts_on(view)) if callable(turn.acts_on) else list(turn.acts_on)
         self._check_ownership(branch, (PROVER,), regs, label)
-        qubits = _expand_registers(self.layout, regs)
+        qubits = self.layout.expand(regs)
         try:
             branch.vec = self.policy.prover(branch.vec, self.strategy, turn.index, view, qubits)
         except LayoutError as err:
@@ -757,7 +741,7 @@ class _Executor:
             return
         matrix, regs = resolved
         self._check_ownership(branch, (step.actor,), regs, label)
-        qubits = _expand_registers(self.layout, regs)
+        qubits = self.layout.expand(regs)
         branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
 
     def _w_swap(self, branch: _Branch, _, label: str) -> None:
@@ -784,7 +768,7 @@ class _Executor:
             if regs:
                 self._check_ownership(branch, (m.node,), regs, label)
                 members.append((m.name, [m.node, PROVER] if m.to_prover else [m.node]))
-                parts.append(_expand_registers(self.layout, regs))
+                parts.append(self.layout.expand(regs))
         if not members:
             return None
         outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.vec, parts)]
@@ -800,7 +784,7 @@ class _Executor:
             return None
         projector, regs = resolved
         self._check_ownership(branch, check.nodes, regs, label, "the checking nodes")
-        qubits = _expand_registers(self.layout, regs)
+        qubits = self.layout.expand(regs)
         hit_miss = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
         branch.vec = None  # the (hit, miss) pair replaces it
         kept = list(self.policy.check(*hit_miss))
@@ -831,7 +815,7 @@ class _Executor:
                     matrix, regs = resolved
                     matrix = np.asarray(matrix, dtype=np.complex128)
                     check_projector(matrix)
-                    ops.append((accept.node, matrix, _expand_registers(self.layout, regs)))
+                    ops.append((accept.node, matrix, self.layout.expand(regs)))
         return ops, passed
 
     def acceptance(self, branch: _Branch, views: dict[int, dict], project: bool = False) -> tuple:
@@ -933,7 +917,7 @@ def execute_exact(spec: ProtocolSpec, prover: ProverStrategy, collect_output: bo
             node_acc[u] += branch.weight * p_u
         if projected is not None:
             regs = spec.output_registers(branch.values)
-            red = branch.weight * reduced_density_from_vec(projected, _expand_registers(spec.layout, regs))
+            red = branch.weight * reduced_density_from_vec(projected, spec.layout.expand(regs))
             out_mat = red if out_mat is None else out_mat + red
         del branch, projected  # the walk frees a leaf's states only once nothing else holds them
 

@@ -31,7 +31,6 @@ from .protocol import (
     ProverStrategy,
     ProverTurn,
     TabularStrategy,
-    _expand_registers,
     collect_paths,
 )
 from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix, haar_matrix
@@ -361,7 +360,7 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
     paths, initial = collect_paths(spec, skeleton)
     turn = prover_turns[0]
     regs = list(turn.acts_on(dict()) if callable(turn.acts_on) else turn.acts_on)
-    qubits = _expand_registers(spec.layout, regs)
+    qubits = spec.layout.expand(regs)
     dim = 2 ** len(qubits)
     if not paths:
         vec = np.zeros(dim, dtype=np.complex128)

@@ -17,7 +17,8 @@ and kept in a bounded cache; only the matrix shape is checked per call.
 diagonal, 0/1 permutation or dense and applies it by broadcast multiply,
 row moves by basic slicing or the planned matmul; the see-saw and the
 executor's walks apply their fixed operators through it.
-:func:`project_outcome` zeroes the amplitudes outside one outcome.
+:func:`project_outcome` zeroes the amplitudes outside one outcome, and
+:func:`basis_projector` is the one constructor of its projector as a matrix.
 :func:`circuit_matrix` is the one dense constructor of composite operators
 (node units, star preparations, fan-outs, basis rotations): it applies
 their factors to the identity through the same kernel.
@@ -580,6 +581,13 @@ def reduced_density_from_vec(vec: np.ndarray, keep: Sequence[int]) -> np.ndarray
     keep = sorted(set(keep))
     block = _keep_block(vec, keep)
     return block @ block.conj().T
+
+
+def basis_projector(k: int, outcome: int = 0) -> np.ndarray:
+    """The projector ``|outcome><outcome|`` on ``k`` qubits, a new array per call."""
+    proj = np.zeros((2**k, 2**k), dtype=np.complex128)
+    proj[outcome, outcome] = 1.0
+    return proj
 
 
 def check_projector(op: np.ndarray) -> None:

@@ -20,7 +20,7 @@ caller supplies the input's (completeness, soundness), the predicted output
 values; :meth:`Compiled.of` is the one place a report is made.  Honest
 strategies for snapshot-style constructions are built by replaying the input
 protocol's honest evolution internally.  Transforms that carry the input's
-steps, measurements or accept projectors into the output do it through one
+steps, measurements, broadcasts or accepts into the output do it through one
 rewrite layer (:class:`_Rewrite`): parallel repetition renames each copy's
 registers and translates its views, perfect completeness widens P, and the
 turn reductions gate the input's verification on the forward branch.
@@ -40,11 +40,12 @@ from .errors import ConfigError, ProtocolError, ShapeError, ValidationError
 from .network import (
     PROVER,
     NetworkGraph,
-    RegisterLayout,
     allocate_layout,
+    extend_layout,
     reg_m,
     reg_v,
     spanning_tree,
+    split_register,
     tree_label_replies,
     tree_label_slots,
     tree_labels_hold,
@@ -64,7 +65,6 @@ from .protocol import (
     VerificationPhase,
     VerifierTurn,
     _Executor,
-    _expand_registers,
     conditional_step,
     register_measurement,
     static_step,
@@ -130,30 +130,23 @@ def message_accounting(spec: ProtocolSpec) -> dict:
     """Max qubits moved between the prover and each node over all turns."""
     moved = {u: 0 for u in range(spec.graph.node_count)}
 
-    def size(reg: str) -> int:
-        return len(_expand_registers(spec.layout, [reg]))
-
     for turn in spec.turns:
         per_turn = {u: 0 for u in moved}
         if isinstance(turn, ProverTurn) and not callable(turn.delivers):
             for reg, node in turn.delivers:
-                per_turn[node] += size(reg)
+                per_turn[node] += len(spec.layout.expand([reg]))
         elif isinstance(turn, VerifierTurn) and not callable(turn.sends):
             for reg in turn.sends:
                 owner = spec.layout.owner(reg)
                 if owner != PROVER:
-                    per_turn[owner] += size(reg)
+                    per_turn[owner] += len(spec.layout.expand([reg]))
         for u in moved:
             moved[u] = max(moved[u], per_turn[u])
     return moved
 
 
 def private_accounting(spec: ProtocolSpec) -> dict:
-    sizes = {u: 0 for u in range(spec.graph.node_count)}
-    for u in sizes:
-        if spec.layout.has(reg_v(u)):
-            sizes[u] = spec.layout.size(reg_v(u))
-    return sizes
+    return {u: spec.layout.size(reg_v(u)) for u in range(spec.graph.node_count)}
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +192,13 @@ def _require_node_registers(spec: ProtocolSpec, transform: str) -> None:
 
 def _node_unit(spec: ProtocolSpec, steps: Sequence[Step], u: int) -> np.ndarray:
     """Composite unitary of node ``u``'s static ``steps``, in order, on its (V, M) space."""
-    union = _expand_registers(spec.layout, _vm_regs(u))
+    union = spec.layout.expand(_vm_regs(u))
     factors = []
     for step in steps:
         resolved = step.resolve({}) if step.actor == u else None
         if resolved is not None:
             mat, regs = resolved
-            factors.append((mat, [union.index(q) for q in _expand_registers(spec.layout, regs)]))
+            factors.append((mat, [union.index(q) for q in spec.layout.expand(regs)]))
     return qcore.circuit_matrix(len(union), factors, f"node {u}'s unit on (V, M) in {spec.name!r}")
 
 
@@ -221,31 +214,6 @@ def _prover_regs(spec: ProtocolSpec) -> tuple[str, ...]:
     return tuple(regs)
 
 
-def _layout_with(
-    spec: ProtocolSpec,
-    extras: Sequence[tuple[str, int, int]],
-    p_size: int | None = None,
-    owners: Mapping[str, int] | None = None,
-) -> RegisterLayout:
-    """``spec``'s registers in place, then ``extras`` (name, size, owner).
-
-    P is resized to ``p_size`` when given, and ``owners`` overrides the
-    initial owner of the registers it names.  The layout is built by
-    :func:`allocate_layout`, so it is held to the qubit ceiling.
-    """
-    layout, owners = spec.layout, owners or {}
-    if p_size is None:
-        p_size = layout.size("P") if layout.has("P") else 0
-    kept = [(name, size, owners.get(name, layout.owner(name))) for name, _, size in layout.registers if name != "P"]
-    return allocate_layout(spec.graph, prover_qubits=p_size, extras=kept + list(extras))
-
-
-def _zero_projector(size: int) -> np.ndarray:
-    proj = np.zeros((2**size, 2**size), dtype=np.complex128)
-    proj[0, 0] = 1.0
-    return proj
-
-
 # ---------------------------------------------------------------------------
 # Spec rewrites
 # ---------------------------------------------------------------------------
@@ -258,8 +226,9 @@ class _Rewrite:
     ``regs`` maps a register to the names it becomes (any other keeps its
     name; ``name[i]`` selects qubit i of each); ``suffix`` is appended to
     measurement names; ``view`` turns an output view into the input's view.
-    A rewritten step, measurement or resolver fires only where ``when(view)``
-    holds, and a ``tag`` wraps each describe as ``{**tag, "inner": describe}``.
+    A rewritten step, measurement, resolver, broadcast or accept predicate
+    reads the input's view and fires only where ``when(view)`` holds, and a
+    ``tag`` wraps each describe as ``{**tag, "inner": describe}``.
     """
 
     regs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -271,8 +240,8 @@ class _Rewrite:
     def names(self, regs: Sequence[str]) -> list[str]:
         out = []
         for reg in regs:
-            base, bracket, qubit = reg.partition("[")
-            out += [name + bracket + qubit for name in self.regs.get(base, (base,))]
+            base, index = split_register(reg)
+            out += [name if index is None else f"{name}[{index}]" for name in self.regs.get(base, (base,))]
         return out
 
     def describe(self, inner: dict) -> dict:
@@ -286,6 +255,15 @@ class _Rewrite:
             return None if found is None else (found[0], self.names(found[1]))
 
         return rewritten
+
+    def broadcast(self, bc: Broadcast) -> Callable[[Mapping], object]:
+        """The message of an input broadcast; None where it does not fire."""
+        return lambda view: bc.fn(self.view(view)) if self.when(view) else None
+
+    def predicate(self, accept: NodeAccept) -> Callable[[Mapping], bool]:
+        """An input accept's predicate; it holds where it does not fire or the input has none."""
+        inner = accept.predicate
+        return lambda view: inner is None or not self.when(view) or bool(inner(self.view(view)))
 
     def step(self, step: Step) -> Step:
         return Step(step.actor, self.resolver(step.resolve), self.describe(step.describe))
@@ -508,7 +486,7 @@ def pad_to_turns(spec: ProtocolSpec, honest: ProverStrategy, target: int) -> Com
             )
             identity_turns.append(idx)
 
-    dim = 2 ** len(_expand_registers(spec.layout, _prover_regs(spec)))
+    dim = 2 ** len(spec.layout.expand(_prover_regs(spec)))
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
         if turn_index in identity_turns:
@@ -568,6 +546,11 @@ class _Branch:
     check: Callable[[int, Mapping, dict], bool] = lambda u, view, received: True
 
 
+def _inner_bundles(view: Mapping) -> dict:
+    """A turn reduction's view as its input's: each received bundle is replaced by its ``"inner"`` entry."""
+    return {key: val["inner"] if key.startswith("recv:") else val for key, val in view.items()}
+
+
 class _Halving:
     """The snapshot-and-branch schedule behind the three turn reductions.
 
@@ -619,9 +602,9 @@ class _Halving:
             if turn.index > upto:
                 break
             if isinstance(turn, ProverTurn):
-                factors.append((self.gates[turn.index], _expand_registers(layout, list(turn.acts_on))))
+                factors.append((self.gates[turn.index], layout.expand(turn.acts_on)))
             else:
-                factors += [(self.units[turn.index, u], _expand_registers(layout, _vm_regs(u))) for u in range(self.n)]
+                factors += [(self.units[turn.index, u], layout.expand(_vm_regs(u))) for u in range(self.n)]
         return qcore.FactoredOp(layout.total_qubits, factors)
 
     def _node_step(self, b: _Branch, u: int, fwd: np.ndarray | None, bwd: np.ndarray | None) -> Step:
@@ -649,7 +632,7 @@ class _Halving:
             ),
             *b.prelude,
         ]
-        idle = np.eye(2 ** len(_expand_registers(spec.layout, _prover_regs(spec))), dtype=np.complex128)
+        idle = np.eye(2 ** len(spec.layout.expand(_prover_regs(spec))), dtype=np.complex128)
         pair_gates = {}
         for i, (fwd, bwd) in enumerate(self.pairs):
             index, extra = len(turns) + 1, (b.first if i == 0 else {})
@@ -675,9 +658,10 @@ class _Halving:
     def _verification(self, b: _Branch) -> VerificationPhase:
         """Forward: the input's verification, gated; backward: V_2^-1 and the all-zero V check."""
         spec, n = self.spec, self.n
-        # The input's verification steps and measurements run on the forward branch only.
+        # The input's verification runs on the forward branch only, on views whose bundles are the input's.
         forward = {
-            u: _Rewrite(when=lambda view, _u=u: view[b.key(_u)] == 0, tag={"kind": "branch-gated"}) for u in range(n)
+            u: _Rewrite(view=_inner_bundles, when=lambda view, _u=u: view[b.key(_u)] == 0, tag={"kind": "branch-gated"})
+            for u in range(n)
         }
         ver = spec.verification
         if b.control is None:
@@ -691,38 +675,29 @@ class _Halving:
         steps += [self._node_step(b, u, None, self.units[2, u].conj().T) for u in range(n)]
         measurements = b.measurements + tuple(forward[m.node].measurement(m) for m in ver.measurements)
 
-        inner_broadcasts = {bc.node: bc for bc in ver.broadcasts}
+        sends = {bc.node: forward[bc.node].broadcast(bc) for bc in ver.broadcasts}
         broadcasts = tuple(
             Broadcast(
                 node=u,
-                fn=lambda view, _u=u: {
-                    **b.bundle(_u, view),
-                    "inner": (
-                        inner_broadcasts[_u].fn(view) if _u in inner_broadcasts and forward[_u].when(view) else None
-                    ),
-                },
+                fn=lambda view, _u=u: {**b.bundle(_u, view), "inner": sends[_u](view) if _u in sends else None},
                 describe={"kind": b.kinds[0], "node": u},
             )
             for u in range(n)
         )
 
-        inner_accepts = {a.node: a for a in ver.accepts}
-        zeros = {u: _zero_projector(spec.layout.size(reg_v(u))) for u in range(n)}
+        inner = {a.node: a for a in ver.accepts}
+        holds = {u: forward[u].predicate(a) for u, a in inner.items()}
+        resolves = {u: forward[u].resolver(a.projector) for u, a in inner.items() if a.projector is not None}
+        zeros = {u: qcore.basis_projector(spec.layout.size(reg_v(u))) for u in range(n)}
 
         def predicate(view: Mapping, u: int) -> bool:
             received = {v: view[f"recv:{v}"] for v in spec.graph.neighbors(u)}
-            inner = inner_accepts.get(u)
-            if not b.check(u, view, received):
-                return False
-            if view[b.key(u)] == 1 or inner is None or inner.predicate is None:
-                return True
-            return inner.predicate({**view, **{f"recv:{v}": got["inner"] for v, got in received.items()}})
+            return b.check(u, view, received) and (u not in holds or holds[u](view))
 
         def projector(view: Mapping, u: int):
-            inner = inner_accepts.get(u)
             if view[b.key(u)] == 1:
                 return zeros[u], [reg_v(u)]
-            return None if inner is None or inner.projector is None else inner.projector(view)
+            return resolves[u](view) if u in resolves else None
 
         accepts = tuple(
             NodeAccept(
@@ -741,7 +716,7 @@ class _Halving:
         out = ProtocolSpec(
             name=f"{b.tag}[{spec.name}]",
             graph=spec.graph,
-            layout=_layout_with(spec, b.extras, owners={reg_v(u): PROVER for u in range(self.n)}),
+            layout=extend_layout(spec.graph, spec.layout, b.extras, owners={reg_v(u): PROVER for u in range(self.n)}),
             turns=tuple(turns),
             verification=self._verification(b),
             metadata=dict(spec.metadata, **b.metadata),
@@ -844,7 +819,7 @@ def halve_turns_private(
     """
     halving = _Halving(spec, honest, "halve_turns_private", _FOUR_L_PLUS_ONE)
     n, root = halving.n, 0
-    p_size = spec.layout.size("P") if spec.layout.has("P") else 0
+    p_size = spec.layout.size("P")
     fanout_regs = ("CP",) + tuple(coin_reg(u) for u in range(n) if u != root)
     # CP at position p_size, fan-out targets follow.
     cnots = [(qcore.CNOT.matrix, [p_size, p_size + offset]) for offset in range(1, n)]
@@ -988,11 +963,11 @@ def perfect_completeness(
     k = spec.num_turns
     n = spec.graph.node_count
     leader = 0
-    p_in = spec.layout.size("P") if spec.layout.has("P") else 0
+    p_in = spec.layout.size("P")
     p_total = p_in + n  # ancilla workspace for the verdict fan-out
 
     extras = [(f"out:{u}", 1, u) for u in range(n)] + [("B", 1, leader), ("B2", 1, leader)]
-    layout = _layout_with(spec, extras, p_size=p_total)
+    layout = extend_layout(spec.graph, spec.layout, extras, p_size=p_total)
 
     # The input's prover memory is the first p_in qubits of the wider P.
     widened = _Rewrite(regs={"P": tuple(f"P[{i}]" for i in range(p_in))})
@@ -1020,8 +995,7 @@ def perfect_completeness(
     )
 
     parity_odd = np.diag([0.0, 1.0, 1.0, 0.0]).astype(np.complex128)
-    bad_state = np.zeros((4, 4), dtype=np.complex128)
-    bad_state[1, 1] = 1.0  # retained output 1 while returned verdict reads 0
+    bad_state = qcore.basis_projector(2, 1)  # retained output 1 while returned verdict reads 0
     checks = tuple(
         ProjectiveCheck(
             name=f"parity:{a}:{b}",
@@ -1057,8 +1031,7 @@ def perfect_completeness(
     held_regs = tuple(name for name in layout.names() if name != "B2")
     turns.append(ProverTurn(index=k + 4, acts_on=held_regs, delivers=(("B", leader),)))
 
-    accept_pair = np.zeros((4, 4), dtype=np.complex128)
-    accept_pair[0, 0] = 1.0
+    accept_pair = qcore.basis_projector(2)
     accepts = []
     for u in range(n):
         def predicate(view, _u=u):
@@ -1114,7 +1087,7 @@ def perfect_completeness(
 
 
 def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, or_gate: np.ndarray, held_regs) -> np.ndarray:
-    held = _expand_registers(out_spec.layout, list(held_regs))
+    held = out_spec.layout.expand(held_regs)
     dim = 2 ** len(held)
     # Two basis completions and their product, each dim x dim, before the replay.
     what = f"perfect_completeness uncompute gate of {out_spec.name!r} on {len(held)} held qubits"
@@ -1189,14 +1162,13 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
     if mode not in ("AND", "majority"):
         raise ValidationError(f"unknown repetition mode {mode!r}")
     n = spec.graph.node_count
-    p_in = spec.layout.size("P") if spec.layout.has("P") else 0
+    p_in = spec.layout.size("P")
     copies = [_copy(spec, i) for i in range(t)]
     extras = [
         (copy.names([reg])[0], spec.layout.size(reg), owner)
         for copy in copies
         for u in range(n)
         for reg, owner in ((reg_v(u), u), (reg_m(u), PROVER))
-        if spec.layout.has(reg)
     ]
     layout = allocate_layout(spec.graph, prover_qubits=p_in * t, extras=extras)
 
@@ -1216,48 +1188,40 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
     ver = spec.verification
     steps = tuple(copy.step(s) for copy in copies for s in ver.steps)
     measurements = tuple(copy.measurement(m) for copy in copies for m in ver.measurements)
-    inner_bc = {bc.node: bc for bc in ver.broadcasts}
+    sends = {bc.node: [copy.broadcast(bc) for copy in copies] for bc in ver.broadcasts}
     broadcasts = tuple(
         Broadcast(
             node=u,
-            fn=lambda view, _u=u: tuple(inner_bc[_u].fn(copy.view(view)) for copy in copies),
+            fn=lambda view, _u=u: tuple(send(view) for send in sends[_u]),
             describe={"kind": "copy-bundle", "node": u},
         )
-        for u in sorted(inner_bc)
+        for u in sorted(sends)
     )
 
-    inner_accepts = {a.node: a for a in ver.accepts}
-    # Each node's accept projector in every copy, resolved on the output view.
-    copy_accepts = {
-        u: [copy.resolver(a.projector) for copy in copies]
-        for u, a in inner_accepts.items()
-        if a.projector is not None
-    }
+    inner = {a.node: a for a in ver.accepts}
+    # Each node's accept predicate and projector in every copy, on the output view.
+    holds = {u: [copy.predicate(a) for copy in copies] for u, a in inner.items()}
+    resolves = {u: [copy.resolver(a.projector) for copy in copies] for u, a in inner.items() if a.projector is not None}
     accepts = []
     checks: list[ProjectiveCheck] = []
 
     if mode == "AND":
-        for u in sorted(inner_accepts):
+        for u in sorted(inner):
             def projector(view, _u=u):
-                parts = [p for p in (resolve(view) for resolve in copy_accepts.get(_u, ())) if p is not None]
+                parts = [p for p in (resolve(view) for resolve in resolves.get(_u, ())) if p is not None]
                 if not parts:
                     return None
                 union = [reg for _, regs in parts for reg in regs]
-                qubits = _expand_registers(layout, union)
-                factors = [(m, [qubits.index(q) for q in _expand_registers(layout, r)]) for m, r in parts]
+                qubits = layout.expand(union)
+                factors = [(m, [qubits.index(q) for q in layout.expand(r)]) for m, r in parts]
                 return qcore.circuit_matrix(len(qubits), factors, f"AND accept projector of node {_u}"), union
 
-            def predicate(view, _u=u):
-                inner = inner_accepts[_u]
-                if inner.predicate is None:
-                    return True
-                return all(inner.predicate(copy.view(view)) for copy in copies)
-
-            accepts.append(NodeAccept(node=u, projector=projector, predicate=predicate,
+            accepts.append(NodeAccept(node=u, projector=projector,
+                                      predicate=lambda view, _u=u: all(h(view) for h in holds[_u]),
                                       describe={"kind": "and-accept", "node": u}))
     else:
-        for u in sorted(inner_accepts):
-            for i, resolve in enumerate(copy_accepts.get(u, ())):
+        for u in sorted(inner):
+            for i, resolve in enumerate(resolves.get(u, ())):
                 checks.append(
                     ProjectiveCheck(
                         name=f"acc:{u}:r{i}",
@@ -1267,13 +1231,8 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
                     )
                 )
 
-            def predicate(view, _u=u, _inner=inner_accepts[u]):
-                good = 0
-                for i, copy in enumerate(copies):
-                    ok = view.get(f"acc:{_u}:r{i}", 1) == 1
-                    if ok and _inner.predicate is not None:
-                        ok = _inner.predicate(copy.view(view))
-                    good += 1 if ok else 0
+            def predicate(view, _u=u):
+                good = sum(view.get(f"acc:{_u}:r{i}", 1) == 1 and held(view) for i, held in enumerate(holds[_u]))
                 return good > t / 2
 
             accepts.append(NodeAccept(node=u, projector=None, predicate=predicate,
@@ -1304,6 +1263,6 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
             offset = p_in * t + i * per_copy_m
             positions = list(range(i * p_in, (i + 1) * p_in)) + list(range(offset, offset + per_copy_m))
             factors.append((inner_gate, positions))
-        return qcore.FactoredOp(len(_expand_registers(layout, list(acts))), factors)
+        return qcore.FactoredOp(len(layout.expand(acts)), factors)
 
     return Compiled.of("parallel_repeat", spec.num_turns, out, FunctionalStrategy(f"repeat[{honest.name}]", gate))

@@ -112,7 +112,8 @@ def test_shared_equals_private_with_identical_coins():
         assert brute_force_value(diagonal, instance).optimal_acceptance == shared_value
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(dam, "ENUMERATION_BUDGET", 10)
     proto = DamProtocol(
         name="big",
         turns=3,
@@ -122,7 +123,7 @@ def test_budget_guard():
         predicate=lambda view, received: True,
     )
     with pytest.raises(CapacityError) as err:
-        brute_force_value(proto, path_graph(3), budget=10)
+        brute_force_value(proto, path_graph(3))
     assert err.value.requested > 10
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from dqip import protocol, qcore
-from dqip.corpus import identity_for, random_clean_spec
 from dqip.dam import catalog_entry
 from dqip.dqct import build_pdqct, make_instance
 from dqip.ghz import GhzProtocolParams, build_pghz
@@ -24,7 +23,6 @@ from dqip.protocol import (
     VerificationPhase,
     VerifierTurn,
     _Executor,
-    _expand_registers,
     _Record,
     _recorded,
     _Sample,
@@ -34,6 +32,8 @@ from dqip.protocol import (
 )
 from dqip.seeding import substream
 from dqip.transforms import dam_to_dqip, halve_turns_private, pad_to_turns
+
+from specs import identity_for, random_clean_spec
 
 
 def per_measurement(executor, branch, group, label):
@@ -49,7 +49,7 @@ def per_measurement(executor, branch, group, label):
             yield from forks(branch, members[1:])
             return
         executor._check_ownership(branch, (m.node,), regs, label)
-        parts = [_expand_registers(executor.layout, regs)]
+        parts = [executor.layout.expand(regs)]
         outcomes = [int(outcome) for outcome in executor.policy.outcomes(branch.vec, parts)]
         states = (executor.policy.project(branch.vec, parts, outcome) for outcome in outcomes)
         visible = [m.node, PROVER] if m.to_prover else [m.node]

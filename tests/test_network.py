@@ -13,8 +13,10 @@ from dqip.network import (
     allocate_layout,
     build_network,
     cycle_graph,
+    extend_layout,
     path_graph,
     spanning_tree,
+    split_register,
     verify_spanning_tree,
 )
 
@@ -87,11 +89,47 @@ def test_layout_ordering_rule():
     assert layout.owner("V:0") == 0 and layout.owner("M:0") == PROVER
 
 
-def test_layout_with_w_registers():
+def test_w_registers_follow_the_node_registers():
     g = path_graph(2)
     layout = allocate_layout(g, prover_qubits=1, node_private=1, node_message=1, edge_w=1)
     assert layout.total_qubits == 7
     assert layout.names()[-2:] == ["W:0:1", "W:1:0"]
+
+
+def test_split_register():
+    assert split_register("V:0") == ("V:0", None)
+    assert split_register("V:0[2]") == ("V:0", 2)
+    assert split_register("W:0:1[0]") == ("W:0:1", 0)
+
+
+def test_expand_lists_whole_registers_and_single_qubits_in_order():
+    layout = allocate_layout(path_graph(2), prover_qubits=2, node_private=2, node_message=1)
+    assert layout.names() == ["P", "V:0", "M:0", "V:1", "M:1"]
+    assert layout.expand(["V:1", "P"]) == [5, 6, 0, 1]
+    assert layout.expand(["M:1", "V:0[1]", "P[0]", "V:0"]) == [7, 3, 0, 2, 3]
+    assert layout.expand([]) == []
+
+
+def test_absent_register_has_size_zero_and_expand_refuses_it():
+    layout = allocate_layout(path_graph(2), prover_qubits=0, node_private=1, node_message=0)
+    assert not layout.has("P") and not layout.has("M:0")
+    assert layout.size("P") == 0 and layout.size("M:0") == 0 and layout.size("V:1") == 1
+    with pytest.raises(LayoutError, match="unknown register 'M:0'"):
+        layout.expand(["V:0", "M:0"])
+    with pytest.raises(LayoutError, match="unknown register 'X'"):
+        layout.expand(["X[0]"])
+
+
+def test_extend_layout_keeps_registers_in_place_and_appends_extras():
+    g = path_graph(2)
+    layout = allocate_layout(g, prover_qubits=1, node_private=1, node_message=1)
+    wider = extend_layout(g, layout, [("B", 2, 0)], p_size=3, owners={"V:1": PROVER})
+    assert wider.names() == ["P", "V:0", "M:0", "V:1", "M:1", "B"]
+    assert wider.size("P") == 3 and wider.qubits("B") == [7, 8]
+    assert wider.owner("V:1") == PROVER and wider.owner("V:0") == 0 and wider.owner("B") == 0
+    assert extend_layout(g, layout, []) == layout
+    with pytest.raises(CapacityError):
+        extend_layout(g, layout, [("B", 20, 0)])
 
 
 def test_layout_capacity_error():

@@ -4,13 +4,6 @@ import numpy as np
 import pytest
 
 from dqip import qcore
-from dqip.corpus import (
-    always_accept_spec,
-    fair_coin_spec,
-    flip_reject_spec,
-    identity_for,
-    random_clean_spec,
-)
 from dqip.errors import ProtocolError
 from dqip.seeding import substream
 from dqip.network import allocate_layout, path_graph
@@ -30,7 +23,6 @@ from dqip.protocol import (
     _paths,
     _Record,
     _Sample,
-    _selector_matrix,
     collect_paths,
     execute_exact,
     execute_sampled,
@@ -40,6 +32,8 @@ from dqip.protocol import (
     verification_projector,
     wilson_interval,
 )
+
+from specs import always_accept_spec, fair_coin_spec, flip_reject_spec, identity_for, random_clean_spec
 
 
 def test_always_accept():
@@ -356,10 +350,8 @@ def test_prover_post_processing_on_private_register_is_irrelevant():
 
 def test_acceptance_invariant_under_node_relabeling():
     # Swap the two nodes of the random spec: rebuild with permuted data.
-    from dqip.corpus import random_clean_spec as build
-
     for seed in range(4):
-        spec, prover = build(seed)
+        spec, prover = random_clean_spec(seed)
         base = execute_exact(spec, prover).acceptance_probability
 
         perm = {0: 1, 1: 0}
@@ -556,7 +548,7 @@ def test_split_outcomes_equal_selector_matmul_exactly():
         outcomes = [(o, qcore.project_outcome(vec, qubits, o)) for o in range(2 ** len(qubits))]
         assert [o for o, _ in outcomes] == list(range(2 ** len(qubits)))
         for outcome, got in outcomes:
-            selector = _selector_matrix(len(qubits), outcome)
+            selector = qcore.basis_projector(len(qubits), outcome)
             assert got.flags.c_contiguous
             assert np.array_equal(got, qcore.apply_matrix_vec(vec, selector, qubits))
             assert np.array_equal(got, qcore.embed_operator(selector, qubits, n) @ vec)

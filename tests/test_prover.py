@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from dqip import qcore
-from dqip.corpus import (
-    coin_check_honest,
-    coin_check_spec,
-    prover_blind_spec,
-    random_clean_spec,
-)
+from dqip.corpus import coin_check_honest, coin_check_spec
 from dqip.dqct import build_pdqct, make_instance
 from dqip.errors import CapacityError, ShapeError, ValidationError
 from dqip.ghz import GhzProtocolParams
@@ -24,6 +19,8 @@ from dqip.prover import (
 )
 from dqip.protocol import collect_paths, execute_exact
 from dqip.transforms import halve_turns_shared
+
+from specs import prover_blind_spec, random_clean_spec
 
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -137,7 +134,7 @@ def test_seesaw_refuses_a_haar_block_it_cannot_draw_under_a_memory_cap():
     resource = pytest.importorskip("resource")
     limit = 3 * 2**30
     code = (
-        "from dqip.corpus import random_clean_spec\n"
+        "from specs import random_clean_spec\n"
         "from dqip.errors import CapacityError\n"
         "from dqip.prover import OptimizerConfig, seesaw_optimize\n"
         "from dqip.transforms import halve_turns_shared\n"
@@ -148,12 +145,13 @@ def test_seesaw_refuses_a_haar_block_it_cannot_draw_under_a_memory_cap():
         "    print(err.requested)\n"
         "    print(err)\n"
     )
+    path = os.pathsep.join([str(Path(qcore.__file__).parents[1]), str(Path(__file__).parent)])  # dqip and specs
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": str(Path(qcore.__file__).parents[1])},
+        env={**os.environ, "PYTHONPATH": path},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert proc.returncode == 0 and "MemoryError" not in proc.stderr, proc.stderr

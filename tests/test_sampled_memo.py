@@ -13,7 +13,6 @@ import pytest
 from test_measurement_groups import CASES as GROUP_CASES
 
 from dqip import protocol
-from dqip.corpus import fair_coin_spec, identity_for, random_clean_spec
 from dqip.dqct import build_pdqct, make_instance
 from dqip.ghz import GhzProtocolParams, all_zero_cheat, build_pghz
 from dqip.network import allocate_layout, path_graph
@@ -38,6 +37,8 @@ from dqip.protocol import (
 )
 from dqip.qcore import outcome_weights
 from dqip.seeding import substream
+
+from specs import fair_coin_spec, identity_for, random_clean_spec
 
 
 class _PerTrial(_Exact):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dqip import prover, qcore
-from dqip.corpus import random_clean_spec
 from dqip.dam import catalog_entry
 from dqip.dqct import build_pdqct, make_instance
 from dqip.ghz import GhzProtocolParams
@@ -32,6 +31,8 @@ from dqip.prover import OptimizerConfig, _final_vectors, _step, seesaw_optimize
 from dqip.qcore import StructuredOp, _keep_block
 from dqip.seeding import substream
 from dqip.transforms import dam_to_dqip, halve_turns_private, pad_to_turns
+
+from specs import random_clean_spec
 
 
 def per_path_sweep(trie, witnesses, gates) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqip.corpus import coin_check_honest, random_clean_spec, two_check_spec
+from dqip.corpus import coin_check_honest, two_check_spec
 from dqip.dam import toy_protocols
 from dqip.errors import DqipError
 from dqip.protocol import execute_exact, spec_to_json
@@ -30,6 +30,8 @@ from dqip.transforms import (
     perfect_completeness,
     seven_to_five,
 )
+
+from specs import random_clean_spec
 
 GOLDEN = Path(__file__).parent / "golden" / "transform-specs.json"
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from dqip import protocol, qcore
-from dqip.corpus import coin_check_honest, coin_check_spec, random_clean_spec, two_check_spec
+from dqip.corpus import coin_check_honest, coin_check_spec, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.errors import CapacityError, ConfigError, ShapeError, ValidationError
 from dqip.protocol import (
+    Broadcast,
     FunctionalStrategy,
     ProverTurn,
     execute_exact,
@@ -30,6 +31,8 @@ from dqip.transforms import (
     perfect_completeness,
     seven_to_five,
 )
+
+from specs import random_clean_spec
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -340,7 +343,7 @@ def test_perfect_completeness_refuses_an_uncompute_gate_it_cannot_hold_under_a_m
     resource = pytest.importorskip("resource")
     limit = 3 * 2**30
     code = (
-        "from dqip.corpus import random_clean_spec\n"
+        "from specs import random_clean_spec\n"
         "from dqip.errors import CapacityError\n"
         "from dqip.transforms import perfect_completeness\n"
         "try:\n"
@@ -349,12 +352,13 @@ def test_perfect_completeness_refuses_an_uncompute_gate_it_cannot_hold_under_a_m
         "    print(err.requested)\n"
         "    print(err)\n"
     )
+    path = os.pathsep.join([str(Path(qcore.__file__).parents[1]), str(Path(__file__).parent)])  # dqip and specs
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": str(Path(qcore.__file__).parents[1])},
+        env={**os.environ, "PYTHONPATH": path},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert proc.returncode == 0 and "MemoryError" not in proc.stderr, proc.stderr
@@ -514,3 +518,68 @@ def test_private_halving_past_the_layout_ceiling_is_a_typed_error():
     spec, honest = random_clean_spec(0, turns=5, nodes=7)
     with pytest.raises(CapacityError, match="layout needs 23 qubits, above the ceiling of 22"):
         halve_turns_private(spec, honest)
+
+
+def _bundle_reading(spec):
+    """``spec`` whose nodes broadcast ``("bundle", u)`` and whose accept callbacks log each view they read."""
+    calls = []
+
+    def logged(inner):
+        def predicate(view):
+            calls.append(("predicate", inner.node, dict(view)))
+            return True
+
+        def projector(view):
+            calls.append(("projector", inner.node, dict(view)))
+            return inner.projector(view)
+
+        return dataclasses.replace(inner, predicate=predicate, projector=projector)
+
+    ver = dataclasses.replace(
+        spec.verification,
+        broadcasts=tuple(Broadcast(u, lambda view, _u=u: ("bundle", _u)) for u in range(spec.graph.node_count)),
+        accepts=tuple(logged(a) for a in spec.verification.accepts),
+    )
+    return dataclasses.replace(spec, verification=ver), calls
+
+
+def _received(view) -> dict:
+    return {key: val for key, val in view.items() if key.startswith("recv:")}
+
+
+# Each reduction's branch bit as node u reads it: 0 is the forward branch.
+BRANCH_KEYS = {
+    halve_turns_shared: lambda u: "r",
+    seven_to_five: lambda u: f"becho:{u}",
+    halve_turns_private: lambda u: f"coin:{u}",
+}
+
+
+@pytest.mark.parametrize("reduce, turns", REDUCTIONS[:3])
+def test_reductions_hand_the_input_accept_its_own_view_on_the_forward_branch_only(reduce, turns):
+    spec, honest = random_clean_spec(2, turns=turns, nodes=3)
+    spec, calls = _bundle_reading(spec)
+    out = reduce(spec, honest)
+    execute_exact(out.spec, out.honest)
+    assert {kind for kind, _, _ in calls} == {"predicate", "projector"}
+    for kind, u, view in calls:
+        assert view[BRANCH_KEYS[reduce](u)] == 0, kind
+        assert _received(view) == {f"recv:{v}": ("bundle", v) for v in spec.graph.neighbors(u)}, kind
+
+
+@pytest.mark.parametrize("mode", ["AND", "majority"])
+def test_repetition_hands_each_copy_its_entry_of_every_bundle(mode):
+    spec, honest = random_clean_spec(2)
+    spec, calls = _bundle_reading(spec)
+    ver = parallel_repeat(spec, honest, 2, mode).spec.verification
+    assert ver.broadcasts[1].fn({}) == (("bundle", 1), ("bundle", 1))
+    view = {"recv:1": ("copy 0", "copy 1"), "acc:0:r0": 1, "acc:0:r1": 1}
+    assert ver.accepts[0].predicate(view)
+    if mode == "AND":
+        ver.accepts[0].projector(view)
+    else:  # each copy's projector is a check of node 0
+        for check in ver.checks[:2]:
+            assert check.nodes == (0,)
+            check.resolve(view)
+    got = [(kind, u, _received(view)) for kind, u, view in calls]
+    assert got == [(kind, 0, {"recv:1": f"copy {i}"}) for kind in ("predicate", "projector") for i in range(2)]

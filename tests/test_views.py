@@ -20,7 +20,7 @@ import pytest
 from test_measurement_groups import CASES as GROUP_CASES
 
 from dqip import protocol
-from dqip.corpus import coin_check_honest, identity_for, random_clean_spec, two_check_spec
+from dqip.corpus import coin_check_honest, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.errors import ProtocolError
 from dqip.network import PROVER, allocate_layout, path_graph
@@ -42,6 +42,8 @@ from dqip.protocol import (
 )
 from dqip.seeding import substream
 from dqip.transforms import dam_to_dqip, pad_to_turns, parallel_repeat, perfect_completeness, seven_to_five
+
+from specs import identity_for, random_clean_spec
 
 
 class Oracle:
