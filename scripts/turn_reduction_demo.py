@@ -44,14 +44,14 @@ def main(argv: list[str] | None = None) -> int:
         ("leader coin 7 -> 5", 7, seven_to_five),
         ("private halving 5 -> 5", 5, halve_turns_private),
     ):
-        yes = dam_to_dqip(entry.protocol, entry.yes_instance)
+        yes = dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
         padded = pad_to_turns(yes.spec, yes.honest, target)
         reduced = reduce(padded.spec, padded.honest, completeness=c, soundness=s)
         honest = execute_exact(reduced.spec, reduced.honest).acceptance_probability
         print(f"\n{label}: {padded.spec.num_turns} turns -> {reduced.spec.num_turns}")
         print(f"  honest acceptance {honest:.10f} (predicted {halved_completeness(c):.10f})")
 
-        no = dam_to_dqip(entry.protocol, entry.no_instance)
+        no = dam_to_dqip(entry.protocol, entry.no_instance, entry.no)
         padded_no = pad_to_turns(no.spec, no.honest, target)
         reduced_no = reduce(padded_no.spec, padded_no.honest, soundness=s)
         trace = seesaw_optimize(reduced_no.spec, config, honest=reduced_no.honest)

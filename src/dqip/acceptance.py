@@ -8,7 +8,7 @@ test module.  Tolerances are fixed here, not configurable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -157,10 +157,10 @@ def _dam_to_dqip_fidelity():
     details = []
     config = OptimizerConfig(restarts=4, sweeps=60, seed=31)
     for entry in toy_protocols():
-        yes = dam_to_dqip(entry.protocol, entry.yes_instance)
+        yes = dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
         honest = execute_exact(yes.spec, yes.honest).acceptance_probability
         worst = max(worst, abs(honest - float(entry.completeness)) - 1e-9)
-        no = dam_to_dqip(entry.protocol, entry.no_instance)
+        no = dam_to_dqip(entry.protocol, entry.no_instance, entry.no)
         trace = seesaw_optimize(no.spec, config, honest=no.honest)
         worst = max(worst, trace.best_acceptance - float(entry.soundness) - 1e-6)
         details.append(
@@ -176,36 +176,27 @@ def _turn_halving_identities():
     config = OptimizerConfig(restarts=4, sweeps=60, seed=37)
     worst = -1.0
     details = []
+    # (input turns, reduction, output turns, label of the no-instance detail)
+    reductions = ((5, halve_turns_shared, 3, "shared no"), (7, seven_to_five, 5, "7->5 no"))
     for cat in (entry, guess):
-        yes = dam_to_dqip(cat.protocol, cat.yes_instance)
+        yes = dam_to_dqip(cat.protocol, cat.yes_instance, cat.yes)
         c = float(cat.completeness)
-        padded5 = pad_to_turns(yes.spec, yes.honest, 5)
-        halved = halve_turns_shared(padded5.spec, padded5.honest, completeness=c)
-        assert halved.spec.num_turns == 3 and halved.report.input_turns == 5
-        got = execute_exact(halved.spec, halved.honest).acceptance_probability
-        worst = max(worst, abs(got - halved_completeness(c)) - 1e-9)
-        details.append(f"{cat.name} 5->3: honest={got:.10f} target={halved_completeness(c):.10f}")
-
-        padded7 = pad_to_turns(yes.spec, yes.honest, 7)
-        five = seven_to_five(padded7.spec, padded7.honest, completeness=c)
-        assert five.spec.num_turns == 5
-        got7 = execute_exact(five.spec, five.honest).acceptance_probability
-        worst = max(worst, abs(got7 - halved_completeness(c)) - 1e-9)
-        details.append(f"{cat.name} 7->5: honest={got7:.10f} target={halved_completeness(c):.10f}")
+        for turns, reduce, out_turns, _ in reductions:
+            padded = pad_to_turns(yes.spec, yes.honest, turns)
+            reduced = reduce(padded.spec, padded.honest, completeness=c)
+            assert reduced.spec.num_turns == out_turns and reduced.report.input_turns == turns
+            got = execute_exact(reduced.spec, reduced.honest).acceptance_probability
+            worst = max(worst, abs(got - halved_completeness(c)) - 1e-9)
+            details.append(f"{cat.name} {turns}->{out_turns}: honest={got:.10f} target={halved_completeness(c):.10f}")
 
     s = float(entry.soundness)
-    no = dam_to_dqip(entry.protocol, entry.no_instance)
-    padded5 = pad_to_turns(no.spec, no.honest, 5)
-    halved = halve_turns_shared(padded5.spec, padded5.honest, soundness=s)
-    trace = seesaw_optimize(halved.spec, config, honest=halved.honest)
-    worst = max(worst, trace.best_acceptance - halved_soundness(s) - 1e-6)
-    details.append(f"shared no: seesaw={trace.best_acceptance:.10f} <= {halved_soundness(s):.10f}")
-
-    padded7 = pad_to_turns(no.spec, no.honest, 7)
-    five = seven_to_five(padded7.spec, padded7.honest, soundness=s)
-    trace7 = seesaw_optimize(five.spec, config, honest=five.honest)
-    worst = max(worst, trace7.best_acceptance - halved_soundness(s) - 1e-6)
-    details.append(f"7->5 no: seesaw={trace7.best_acceptance:.10f} <= {halved_soundness(s):.10f}")
+    no = dam_to_dqip(entry.protocol, entry.no_instance, entry.no)
+    for turns, reduce, _, label in reductions:
+        padded = pad_to_turns(no.spec, no.honest, turns)
+        reduced = reduce(padded.spec, padded.honest, soundness=s)
+        trace = seesaw_optimize(reduced.spec, config, honest=reduced.honest)
+        worst = max(worst, trace.best_acceptance - halved_soundness(s) - 1e-6)
+        details.append(f"{label}: seesaw={trace.best_acceptance:.10f} <= {halved_soundness(s):.10f}")
     return worst, 0.0, "<=", details
 
 
@@ -214,7 +205,7 @@ def _private_halving():
     details = []
     for name in ("coin-parity-echo-private", "coin-guess"):
         cat = catalog_entry(name)
-        yes = dam_to_dqip(cat.protocol, cat.yes_instance)
+        yes = dam_to_dqip(cat.protocol, cat.yes_instance, cat.yes)
         c = float(cat.completeness)
         padded = pad_to_turns(yes.spec, yes.honest, 5)
         halved = halve_turns_private(padded.spec, padded.honest, completeness=c)
@@ -308,9 +299,7 @@ def _determinism():
     with tempfile.TemporaryDirectory() as tmp:
         a = run_experiment(dict(config), Path(tmp) / "a")
         b = run_experiment(dict(config), Path(tmp) / "b")
-        same = (
-            a[0].read_bytes() == b[0].read_bytes() and a[1].read_bytes() == b[1].read_bytes()
-        )
+        same = [path.read_bytes() for path in a] == [path.read_bytes() for path in b]
     return (0.0 if same else 1.0), 0.5, "<=", ["byte-identical JSON and CSV for a repeated config"]
 
 
@@ -348,19 +337,4 @@ def run_all(printer: Callable[[str], None] | None = None) -> tuple[list[Criterio
 
 
 def results_document(results: list[CriterionResult], total: float) -> dict:
-    return {
-        "format": "dqip-verify/1",
-        "total_runtime_seconds": total,
-        "criteria": [
-            {
-                "criterion": r.criterion,
-                "passed": r.passed,
-                "measured": r.measured,
-                "bound": r.bound,
-                "comparison": r.comparison,
-                "details": r.details,
-                "elapsed_seconds": r.elapsed_seconds,
-            }
-            for r in results
-        ],
-    }
+    return {"format": "dqip-verify/1", "total_runtime_seconds": total, "criteria": [asdict(r) for r in results]}

@@ -26,7 +26,7 @@ import jsonschema
 
 from . import qcore
 from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
-from .dam import brute_force_value, catalog_entry, toy_protocols
+from .dam import catalog_entry, toy_protocols
 from .dqct import build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
 from .errors import ConfigError, DqipError, ShapeError, ValidationError
 from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity
@@ -112,9 +112,11 @@ def _catalog_entry(params: dict):
 
 
 def _catalog_instance(params: dict):
-    """The catalog entry that ``params`` names, and its yes or no instance."""
+    """The catalog entry that ``params`` names, its yes or no instance and that instance's value."""
     entry = _catalog_entry(params)
-    return entry, entry.yes_instance if params["instance"] == "yes" else entry.no_instance
+    if params["instance"] == "yes":
+        return entry, entry.yes_instance, entry.yes
+    return entry, entry.no_instance, entry.no
 
 
 def _optimizer_config(config: dict) -> OptimizerConfig:
@@ -190,8 +192,8 @@ def _experiment_dqct(config: dict) -> dict:
 
 def _experiment_compile_pipeline(config: dict) -> dict:
     params = config["params"]
-    entry, instance = _catalog_instance(params)
-    compiled = dam_to_dqip(entry.protocol, instance)
+    entry, instance, value = _catalog_instance(params)
+    compiled = dam_to_dqip(entry.protocol, instance, value)
     c, s = float(entry.completeness), float(entry.soundness)
     stages = [_stage_record("dam_to_dqip", compiled)]
     for i, stage in enumerate(params["pipeline"]):
@@ -236,23 +238,20 @@ def _apply_stage(compiled, stage: dict, c: float, s: float):
 
 def _experiment_optimize(config: dict) -> dict:
     params = config["params"]
-    entry, instance = _catalog_instance(params)
-    compiled = dam_to_dqip(entry.protocol, instance)
+    entry, instance, value = _catalog_instance(params)
+    compiled = dam_to_dqip(entry.protocol, instance, value)
     trace = seesaw_optimize(compiled.spec, _optimizer_config(config), honest=compiled.honest)
     return {
         "best_acceptance": trace.best_acceptance,
         "restarts": trace.restarts,
         "sweep_acceptance": trace.sweep_acceptance,
-        "classical_value": float(
-            entry.completeness if params["instance"] == "yes" else entry.soundness
-        ),
+        "classical_value": float(value.optimal_acceptance),
     }
 
 
 def _experiment_dam(config: dict) -> dict:
     entry = _catalog_entry(config["params"])
-    yes = brute_force_value(entry.protocol, entry.yes_instance)
-    no = brute_force_value(entry.protocol, entry.no_instance)
+    yes, no = entry.yes, entry.no
     return {
         "completeness": float(yes.optimal_acceptance),
         "completeness_exact": str(yes.optimal_acceptance),

@@ -17,8 +17,10 @@ function tables (max distributes over the average), while touching each
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import CapacityError, ValidationError
@@ -71,12 +73,12 @@ class DamProtocol:
         return [j for j in range(1, self.turns + 1) if j not in merlin]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DamValue:
-    """Exact optimal acceptance and the optimal Merlin strategy tables."""
+    """Exact optimal acceptance and the optimal Merlin strategy tables, all read-only."""
 
     optimal_acceptance: Fraction
-    strategy: dict  # merlin turn -> {coin history tuple -> per-node certificates}
+    strategy: Mapping[int, Mapping[tuple, tuple]]  # merlin turn -> {coin history -> per-node certificates}
     enumerated: int = 0
 
 
@@ -145,7 +147,7 @@ def brute_force_value(protocol: DamProtocol, instance: NetworkGraph) -> DamValue
 
     strategy: dict[int, dict] = {j: {} for j in protocol.merlin_turns()}
     optimal = _game_value(protocol, instance, cert_choices, coin_values, strategy)
-    return DamValue(optimal_acceptance=optimal, strategy=strategy, enumerated=enumerated)
+    return DamValue(optimal, MappingProxyType({j: MappingProxyType(t) for j, t in strategy.items()}), enumerated)
 
 
 def _game_value(protocol, instance, cert_choices, coin_values, strategy) -> Fraction:
@@ -197,12 +199,25 @@ def _game_value(protocol, instance, cert_choices, coin_values, strategy) -> Frac
 
 @dataclass(frozen=True)
 class DamCatalogEntry:
+    """A catalog protocol, its yes and no instances and their exact values.
+
+    Brute-forced once per process by :func:`catalog_entry` and shared, so immutable.
+    """
+
     name: str
     protocol: DamProtocol
     yes_instance: NetworkGraph
     no_instance: NetworkGraph
-    completeness: Fraction = field(default=None)
-    soundness: Fraction = field(default=None)
+    yes: DamValue
+    no: DamValue
+
+    @property
+    def completeness(self) -> Fraction:
+        return self.yes.optimal_acceptance
+
+    @property
+    def soundness(self) -> Fraction:
+        return self.no.optimal_acceptance
 
 
 def bipartite_pls() -> DamProtocol:
@@ -290,25 +305,17 @@ def _catalog_specs() -> list[tuple[DamProtocol, NetworkGraph, NetworkGraph]]:
     ]
 
 
-def _catalog_entry_of(protocol: DamProtocol, yes: NetworkGraph, no: NetworkGraph) -> DamCatalogEntry:
-    return DamCatalogEntry(
-        name=protocol.name,
-        protocol=protocol,
-        yes_instance=yes,
-        no_instance=no,
-        completeness=brute_force_value(protocol, yes).optimal_acceptance,
-        soundness=brute_force_value(protocol, no).optimal_acceptance,
-    )
-
-
 def toy_protocols() -> list[DamCatalogEntry]:
     """Catalog of brute-forceable protocols with yes/no instance pairs."""
-    return [_catalog_entry_of(*spec) for spec in _catalog_specs()]
+    return [catalog_entry(protocol.name) for protocol, _, _ in _catalog_specs()]
 
 
+@cache
 def catalog_entry(name: str) -> DamCatalogEntry:
-    """The named catalog entry; only its own two instances are brute-forced."""
-    for spec in _catalog_specs():
-        if spec[0].name == name:
-            return _catalog_entry_of(*spec)
+    """The named catalog entry.  Memoised: each process brute-forces an entry's
+    two instances once, and every call returns the same immutable entry."""
+    for protocol, yes, no in _catalog_specs():
+        if protocol.name == name:
+            yes_value, no_value = brute_force_value(protocol, yes), brute_force_value(protocol, no)
+            return DamCatalogEntry(name, protocol, yes, no, yes_value, no_value)
     raise ValidationError(f"no catalog entry named {name!r}")

@@ -99,25 +99,6 @@ class StabilizerTest:
     def __post_init__(self):
         qcore.check_projector(self.projector)
 
-    def outcome_probability(self, state: QuantumState, outcomes: tuple[int, ...]) -> float:
-        """Born probability of one outcome string under the basis assignment."""
-        vec = state.amplitudes
-        for q, basis in enumerate(self.bases):
-            if basis == "X":
-                vec = qcore.apply_matrix_vec(vec, qcore.H.matrix, [q])
-        idx = sum(bit << q for q, bit in enumerate(outcomes))
-        return float(abs(vec[idx]) ** 2)
-
-    def classical_expectation(self, state: QuantumState) -> float:
-        """Probability the basis-assignment measurement passes the predicate."""
-        n = len(self.bases)
-        total = 0.0
-        for idx in range(2**n):
-            outcomes = tuple((idx >> q) & 1 for q in range(n))
-            if self.predicate(outcomes):
-                total += self.outcome_probability(state, outcomes)
-        return total
-
 
 def stabilizer_tests(n: int) -> tuple[StabilizerTest, StabilizerTest]:
     """The two star-coloring tests with the center at qubit 0."""

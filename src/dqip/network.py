@@ -337,19 +337,3 @@ def tree_labels_hold(graph: NetworkGraph, root: int, u: int, view: Mapping, rece
     if leader == u:
         return parent == graph.node_count and dist == 0
     return parent in received and dist >= 1 and received[parent]["dist"] + 1 == dist
-
-
-def verify_spanning_tree(graph: NetworkGraph, labels: SpanningTreeLabels) -> list[bool]:
-    """Local verification predicate, evaluated at every node.
-
-    Node ``u`` checks only its own label against its neighbors' labels:
-    the root has no parent and distance 0, every other node's parent is an
-    adjacent node one step closer to the root.  All nodes return True iff
-    the labels encode a spanning tree rooted at ``labels.root``.
-    """
-    claims = tree_label_replies(labels)
-    bundles = {v: {"leader": labels.root, "dist": labels.distance[v]} for v in range(graph.node_count)}
-    return [
-        tree_labels_hold(graph, labels.root, u, claims, {v: bundles[v] for v in graph.neighbors(u)})
-        for u in range(graph.node_count)
-    ]

@@ -293,7 +293,7 @@ def static_step(actor: int, matrix: np.ndarray, registers: Sequence[str]) -> Ste
     return Step(
         actor=actor,
         resolve=lambda view: (mat, regs),
-        describe={"kind": "gate", "registers": regs, "matrix": matrix_to_json(mat)},
+        describe={"kind": "gate", "registers": regs, "matrix": mat},
     )
 
 
@@ -323,7 +323,7 @@ def conditional_step(
         "kind": "conditional-gate",
         "depends_on": list(deps),
         "table": {
-            ",".join(map(str, k)): (None if v is None else {"registers": v[1], "matrix": matrix_to_json(v[0])})
+            ",".join(map(str, k)): (None if v is None else {"registers": v[1], "matrix": v[0]})
             for k, v in fixed.items()
         },
     }
@@ -1078,7 +1078,9 @@ def _paths(executor: _Executor, leaves: Iterable) -> list[BranchPath]:
 
 
 def spec_to_json(spec: ProtocolSpec) -> dict:
-    """Stable JSON form: turn list, gate matrices as [re, im] pairs, registers."""
+    """Stable JSON form: turn list, gate matrices as [re, im] pairs, registers.
+
+    The spec golden files' serializer; it converts the describes' arrays, which no build does."""
 
     def turn_json(turn) -> dict:
         if isinstance(turn, ProverTurn):
@@ -1102,7 +1104,7 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
         }
 
     phase = spec.verification
-    return {
+    return _json_ready({
         "format": "dqip-protocol/1",
         "name": spec.name,
         "nodes": spec.graph.node_count,
@@ -1122,4 +1124,13 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
         },
         "allow_node_exchange": spec.allow_node_exchange,
         "metadata": spec.metadata,
-    }
+    })
+
+
+def _json_ready(obj):
+    """``obj`` with each array in it, at any depth, converted by :func:`matrix_to_json`."""
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return matrix_to_json(obj) if isinstance(obj, np.ndarray) else obj

@@ -182,7 +182,6 @@ Z = Gate(1, np.array([[1, 0], [0, -1]], dtype=np.complex128))
 CNOT = Gate(2, _permutation_matrix(2, lambda i: i ^ 2 if i & 1 else i))
 CZ = Gate(2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))
 SWAP = Gate(2, _permutation_matrix(2, lambda i: _swap_bits(i, 0, 1)))
-CSWAP = Gate(3, _permutation_matrix(3, lambda i: _swap_bits(i, 1, 2) if i & 1 else i))
 
 
 def acceptance_rotation(c: float) -> Gate:

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import qcore
-from .dam import DamNodeView, DamProtocol, brute_force_value
+from .dam import DamNodeView, DamProtocol, DamValue
 from .errors import ConfigError, ProtocolError, ShapeError, ValidationError
 from .network import (
     PROVER,
@@ -290,20 +290,22 @@ class _Rewrite:
 # ---------------------------------------------------------------------------
 
 
-def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph) -> Compiled:
+def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, value: DamValue) -> Compiled:
     """Quantum simulation of a private-coin dAM protocol.
 
     Verifier turns store the received certificate with SWAP gates and send
     coin superpositions sum_r |r>|r>; the honest prover moves received coins
     into its register and writes certificates with the reversible xor-update
-    |r.., b> -> |r.., b xor c_j>, where the c_j tables are the brute-forced
-    optimal Merlin strategy.  Verification measures everything in the
+    |r.., b> -> |r.., b xor c_j>, where the c_j tables are the optimal Merlin
+    strategy of ``value``.  Verification measures everything in the
     computational basis, broadcasts, and evaluates the classical predicate,
     so no prover can do better than the best classical Merlin.
+
+    ``value`` is ``dam``'s brute-forced value on ``instance`` (a catalog
+    entry's ``yes`` or ``no``); this function reads it and computes none.
     """
     if dam.randomness != "private":
         raise ShapeError("dam_to_dqip simulates private-randomness protocols")
-    value = brute_force_value(dam, instance)
     n = instance.node_count
     m = dam.bits_per_turn
     k = dam.turns

@@ -50,19 +50,13 @@ def test_schema_requires_the_parameters_of_each_transform(stage, field, message)
     assert err.value.fields == [field] and message in str(err.value)
 
 
-def test_schema_refuses_the_perfect_completeness_stage_before_any_brute_force(tmp_path, monkeypatch):
+def test_schema_refuses_the_perfect_completeness_stage_before_any_brute_force(tmp_path, brute_force_calls):
     # No pipeline output is a coherent spec, so the stage is not in the schema.
-    from dqip import cli, transforms
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the config ran a brute force")
-
-    monkeypatch.setattr(transforms, "brute_force_value", refuse)
-    monkeypatch.setattr(cli, "brute_force_value", refuse)
     params = {"protocol": "coin-guess", "instance": "yes", "pipeline": [{"transform": "perfect-completeness"}]}
     with pytest.raises(ConfigError) as err:
         run_config({"experiment": "compile-pipeline", "seed": 1, "params": params}, tmp_path)
     assert err.value.fields == ["pipeline/0/transform"]
+    assert brute_force_calls == []
 
 
 def test_schema_rejects_an_edge_that_is_not_a_pair():
@@ -152,6 +146,48 @@ def test_qcore_properties_experiment(tmp_path):
     assert doc["results"]["worst_triple_inequality_slack"] <= 1e-8
 
 
+# Each experiment kind with the number of brute forces its first run makes:
+# a catalog entry brute-forces its yes and its no instance once per process.
+BRUTE_FORCES_PER_RUN = [
+    (
+        {
+            "experiment": "compile-pipeline",
+            "seed": 5,
+            "params": {
+                "protocol": "coin-guess",
+                "instance": "no",
+                "pipeline": [{"transform": "pad", "target": 5}, {"transform": "halve-private"}],
+            },
+        },
+        2,
+    ),
+    (
+        {
+            "experiment": "optimize",
+            "seed": 5,
+            "params": {"protocol": "coin-parity-echo-private", "instance": "yes", "restarts": 1, "sweeps": 2},
+        },
+        2,
+    ),
+    ({"experiment": "dam-brute-force", "seed": 0, "params": {"protocol": "bipartite-pls"}}, 2),
+    ({"experiment": "ghz", "seed": 7, "params": {"nodes": 2, "copies": 1}}, 0),
+    ({"experiment": "dqct", "seed": 3, "params": {"nodes": 2, "states": "random", "prover_qubits": 0}}, 0),
+    ({"experiment": "qcore-properties", "seed": 1, "params": {"samples": 20}}, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "config, calls", BRUTE_FORCES_PER_RUN, ids=[config["experiment"] for config, _ in BRUTE_FORCES_PER_RUN]
+)
+def test_a_process_brute_forces_each_catalog_instance_once(tmp_path, brute_force_calls, config, calls):
+    first = run_config(config, tmp_path, "first")
+    assert brute_force_calls == [config["params"].get("protocol")] * calls
+    brute_force_calls.clear()
+    second = run_config(config, tmp_path, "second")
+    assert brute_force_calls == []
+    assert [path.read_bytes() for path in first] == [path.read_bytes() for path in second]
+
+
 def test_csv_is_projection_of_json(tmp_path):
     config = {"experiment": "ghz", "seed": 7, "params": {"nodes": 3, "copies": 1}}
     json_path, csv_path = run_config(config, tmp_path)
@@ -193,7 +229,7 @@ def test_protocol_spec_golden_file():
     from dqip.transforms import dam_to_dqip
 
     entry = catalog_entry("bipartite-pls")
-    compiled = dam_to_dqip(entry.protocol, entry.yes_instance)
+    compiled = dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
     doc = json.dumps(spec_to_json(compiled.spec), sort_keys=True, indent=2) + "\n"
     golden = GOLDEN / "bipartite-spec.json"
     assert doc == golden.read_text()

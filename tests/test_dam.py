@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -64,24 +65,42 @@ def test_catalog_has_gap_everywhere():
     assert any(e.soundness > 0 for e in entries)
 
 
-def test_catalog_entry_brute_forces_only_its_own_instances(monkeypatch):
-    entries = {entry.name: entry for entry in toy_protocols()}
-    calls = []
-    original = dam.brute_force_value
-
-    def counting(protocol, instance, *args, **kwargs):
-        calls.append(protocol.name)
-        return original(protocol, instance, *args, **kwargs)
-
-    monkeypatch.setattr(dam, "brute_force_value", counting)
-    for name, listed in entries.items():
-        calls.clear()
+def test_catalog_entry_brute_forces_only_its_own_instances(brute_force_calls):
+    for protocol, yes, no in dam._catalog_specs():
+        name = protocol.name
+        brute_force_calls.clear()
         entry = catalog_entry(name)
-        assert calls == [name, name]
-        assert (entry.name, entry.completeness, entry.soundness) == (name, listed.completeness, listed.soundness)
-        assert entry.yes_instance == listed.yes_instance and entry.no_instance == listed.no_instance
+        assert brute_force_calls == [name, name]
+        assert (entry.name, entry.yes_instance, entry.no_instance) == (name, yes, no)
+        assert (entry.completeness, entry.soundness) == (
+            brute_force_value(protocol, yes).optimal_acceptance,
+            brute_force_value(protocol, no).optimal_acceptance,
+        )
+        brute_force_calls.clear()
+        assert catalog_entry(name) is entry
+        assert brute_force_calls == []
+    assert [entry.name for entry in toy_protocols()] == [spec[0].name for spec in dam._catalog_specs()]
+    assert brute_force_calls == []
     with pytest.raises(ValidationError):
         catalog_entry("no-such-protocol")
+
+
+def test_a_catalog_entry_and_its_values_are_immutable():
+    entry = catalog_entry("coin-guess")
+    strategy = entry.yes.strategy
+    with pytest.raises(TypeError):
+        strategy[1] = {}
+    with pytest.raises(TypeError):
+        strategy[1][()] = (1, 1)
+    with pytest.raises(TypeError):
+        del strategy[3]
+    with pytest.raises(FrozenInstanceError):
+        entry.yes.optimal_acceptance = Fraction(1)
+    with pytest.raises(FrozenInstanceError):
+        entry.no.strategy = {}
+    with pytest.raises(FrozenInstanceError):
+        entry.yes = entry.no
+    assert catalog_entry("coin-guess").completeness == Fraction(1, 4)
 
 
 def test_shared_equals_private_with_identical_coins():

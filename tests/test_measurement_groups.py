@@ -110,8 +110,8 @@ def _closeness(qubits, seed=1, prover_qubits=0):
 
 def _private_halving(which):
     entry = catalog_entry("coin-parity-echo-private")
-    instance = entry.yes_instance if which == "yes" else entry.no_instance
-    compiled = dam_to_dqip(entry.protocol, instance)
+    instance, value = (entry.yes_instance, entry.yes) if which == "yes" else (entry.no_instance, entry.no)
+    compiled = dam_to_dqip(entry.protocol, instance, value)
     padded = pad_to_turns(compiled.spec, compiled.honest, 5)
     halved = halve_turns_private(padded.spec, padded.honest, float(entry.completeness), float(entry.soundness))
     return [(compiled.spec, compiled.honest), (halved.spec, halved.honest)]

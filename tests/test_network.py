@@ -17,7 +17,8 @@ from dqip.network import (
     path_graph,
     spanning_tree,
     split_register,
-    verify_spanning_tree,
+    tree_label_replies,
+    tree_labels_hold,
 )
 
 
@@ -165,6 +166,22 @@ def test_unknown_register_raises():
 # ---------------------------------------------------------------------------
 # Spanning trees
 # ---------------------------------------------------------------------------
+
+
+def verify_spanning_tree(graph: NetworkGraph, labels: SpanningTreeLabels) -> list[bool]:
+    """``tree_labels_hold`` at every node, for labels that every node claims truthfully.
+
+    Node ``u`` checks only its own label against its neighbors' labels:
+    the root has no parent and distance 0, every other node's parent is an
+    adjacent node one step closer to the root.  All nodes return True iff
+    the labels encode a spanning tree rooted at ``labels.root``.
+    """
+    claims = tree_label_replies(labels)
+    bundles = {v: {"leader": labels.root, "dist": labels.distance[v]} for v in range(graph.node_count)}
+    return [
+        tree_labels_hold(graph, labels.root, u, claims, {v: bundles[v] for v in graph.neighbors(u)})
+        for u in range(graph.node_count)
+    ]
 
 
 def test_bfs_tree_on_path():

@@ -118,8 +118,8 @@ def test_trie_sweep_matches_per_path_on_the_dqct_probe(monkeypatch, seed, freeze
 @pytest.mark.parametrize("which", ["yes", "no"])
 def test_trie_sweep_matches_per_path_on_private_halving(monkeypatch, which):
     entry = catalog_entry("coin-parity-echo-private")
-    instance = entry.yes_instance if which == "yes" else entry.no_instance
-    compiled = dam_to_dqip(entry.protocol, instance)
+    instance, value = (entry.yes_instance, entry.yes) if which == "yes" else (entry.no_instance, entry.no)
+    compiled = dam_to_dqip(entry.protocol, instance, value)
     padded = pad_to_turns(compiled.spec, compiled.honest, 5)
     halved = halve_turns_private(
         padded.spec, padded.honest, completeness=float(entry.completeness), soundness=float(entry.soundness)

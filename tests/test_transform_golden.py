@@ -48,7 +48,9 @@ def _entries() -> dict:
 @cache
 def _simulated(name: str, instance: str):
     entry = _entries()[name]
-    return dam_to_dqip(entry.protocol, entry.yes_instance if instance == "yes" else entry.no_instance)
+    if instance == "yes":
+        return dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
+    return dam_to_dqip(entry.protocol, entry.no_instance, entry.no)
 
 
 @cache

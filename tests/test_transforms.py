@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -66,8 +67,8 @@ def parity_echo():
     entry = catalog_entry("coin-parity-echo-private")
     return {
         "entry": entry,
-        "yes": dam_to_dqip(entry.protocol, entry.yes_instance),
-        "no": dam_to_dqip(entry.protocol, entry.no_instance),
+        "yes": dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes),
+        "no": dam_to_dqip(entry.protocol, entry.no_instance, entry.no),
         "c": float(entry.completeness),
         "s": float(entry.soundness),
     }
@@ -78,7 +79,7 @@ def coin_guess():
     entry = catalog_entry("coin-guess")
     return {
         "entry": entry,
-        "yes": dam_to_dqip(entry.protocol, entry.yes_instance),
+        "yes": dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes),
         "c": float(entry.completeness),
     }
 
@@ -90,13 +91,13 @@ def coin_guess():
 
 def test_bipartite_compiles_to_perfect_completeness():
     entry = catalog_entry("bipartite-pls")
-    yes = dam_to_dqip(entry.protocol, entry.yes_instance)
+    yes = dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
     assert abs(execute_exact(yes.spec, yes.honest).acceptance_probability - 1.0) <= 1e-9
 
 
 def test_bipartite_no_instance_unwinnable_even_quantumly():
     entry = catalog_entry("bipartite-pls")
-    no = dam_to_dqip(entry.protocol, entry.no_instance)
+    no = dam_to_dqip(entry.protocol, entry.no_instance, entry.no)
     value, _ = exact_single_message_max(no.spec)
     assert value <= float(entry.soundness) + 1e-10
 
@@ -125,12 +126,32 @@ def test_dam_simulation_soundness_via_seesaw(parity_echo):
     assert trace.best_acceptance <= parity_echo["s"] + 1e-6
 
 
+def test_building_a_pipeline_converts_no_matrix_to_json(monkeypatch):
+    # Steps keep their matrices as arrays; only the serializer converts them.
+    converted = []
+    original = protocol.matrix_to_json
+
+    def counting(mat):
+        converted.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(protocol, "matrix_to_json", counting)
+    entry = catalog_entry("coin-guess")
+    compiled = dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
+    padded = pad_to_turns(compiled.spec, compiled.honest, 5)
+    halved = halve_turns_private(padded.spec, padded.honest, completeness=float(entry.completeness))
+    assert converted == []
+    json.dumps(protocol.spec_to_json(halved.spec))  # raises on an array left unconverted
+    assert converted
+
+
 def test_shared_randomness_dam_rejected():
     from dqip.dam import coin_parity_echo
     from dqip.network import path_graph
 
+    # The shape is refused before the value is read, so no value is needed.
     with pytest.raises(ShapeError):
-        dam_to_dqip(coin_parity_echo("shared"), path_graph(2, ["0", "0"]))
+        dam_to_dqip(coin_parity_echo("shared"), path_graph(2, ["0", "0"]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +430,7 @@ def test_dense_gate_builders_check_the_budget_before_allocating(monkeypatch):
     entry = catalog_entry("coin-guess")
     monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 16 * 4**4 - 1)
     with pytest.raises(CapacityError, match="dam_to_dqip Merlin gate of turn 1 on 4 qubits") as err:
-        dam_to_dqip(entry.protocol, entry.yes_instance)
+        dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
     assert err.value.requested == 16 * 4**4
 
     spec = two_check_spec(E0, PLUS)
@@ -445,7 +466,7 @@ def test_parallel_repeat_and_power_law():
 
 def test_parallel_repeat_always_reject():
     entry = catalog_entry("bipartite-pls")
-    no = dam_to_dqip(entry.protocol, entry.no_instance)
+    no = dam_to_dqip(entry.protocol, entry.no_instance, entry.no)
     for mode in ("AND", "majority"):
         rep = parallel_repeat(no.spec, no.honest, 2, mode)
         assert execute_exact(rep.spec, rep.honest).acceptance_probability <= 1e-12
@@ -464,7 +485,7 @@ def test_parallel_repeat_validation():
 def test_reductions_name_a_missing_node_register(reduce, turns):
     # bipartite-pls keeps its state in message registers only: no node has V:u.
     entry = catalog_entry("bipartite-pls")
-    compiled = dam_to_dqip(entry.protocol, entry.yes_instance)
+    compiled = dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
     padded = pad_to_turns(compiled.spec, compiled.honest, turns)
     assert not padded.spec.layout.has("V:0")
     with pytest.raises(ConfigError) as err:

@@ -199,7 +199,7 @@ def _walk(oracle: Oracle, executor: _Executor) -> None:
 
 def _coin_guess():
     entry = catalog_entry("coin-guess")
-    return dam_to_dqip(entry.protocol, entry.yes_instance)
+    return dam_to_dqip(entry.protocol, entry.yes_instance, entry.yes)
 
 
 def _seven_to_five():
