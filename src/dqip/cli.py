@@ -26,7 +26,7 @@ import jsonschema
 
 from . import qcore
 from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
-from .dam import catalog_entry, toy_protocols
+from .dam import catalog_entry, catalog_names, toy_protocols
 from .dqct import build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
 from .errors import ConfigError, DqipError, ShapeError, ValidationError
 from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity
@@ -339,8 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list-protocols":
             print("ghz-verify          5-turn GHZ verification (experiment: ghz)")
             print("closeness           5-turn distributed closeness test (experiment: dqct)")
-            for entry in toy_protocols():
-                print(f"dqip[{entry.name}]".ljust(36) + "compiled classical protocol (compile-pipeline)")
+            for name in catalog_names():
+                print(f"dqip[{name}]".ljust(36) + "compiled classical protocol (compile-pipeline)")
             return 0
         if args.command == "list-dam":
             for entry in toy_protocols():

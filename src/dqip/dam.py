@@ -305,9 +305,14 @@ def _catalog_specs() -> list[tuple[DamProtocol, NetworkGraph, NetworkGraph]]:
     ]
 
 
+def catalog_names() -> list[str]:
+    """The catalog entries' names, in order, read without brute-forcing any."""
+    return [protocol.name for protocol, _, _ in _catalog_specs()]
+
+
 def toy_protocols() -> list[DamCatalogEntry]:
     """Catalog of brute-forceable protocols with yes/no instance pairs."""
-    return [catalog_entry(protocol.name) for protocol, _, _ in _catalog_specs()]
+    return [catalog_entry(name) for name in catalog_names()]
 
 
 @cache

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import dqip
 from dqip.cli import main, run_experiment, validate_config
 from dqip.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(dqip.__file__).parents[1])  # put on the PYTHONPATH of every subprocess that imports dqip
 
 
 def run_config(config: dict, tmp_path: Path, name: str = "exp"):
@@ -370,7 +372,7 @@ def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
             capture_output=True,
             text=True,
             timeout=300,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": SRC},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         return proc, tmp_path / f"{name}.json"
@@ -414,7 +416,7 @@ def test_cli_repeated_pipeline_see_saw_runs_under_the_memory_cap(tmp_path):
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": SRC},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert proc.returncode == 0, proc.stderr
@@ -433,9 +435,27 @@ def test_cli_listings(capsys):
     assert "ghz-verify" in out and "closeness" in out
 
 
+def test_listing_protocols_brute_forces_nothing():
+    # A fresh process, so no catalog entry is memoised before the listing.
+    code = (
+        "from dqip import cli, dam\n"
+        "calls = []\n"
+        "real = dam.brute_force_value\n"
+        "dam.brute_force_value = lambda *args: calls.append(args) or real(*args)\n"
+        "assert cli.main(['list-protocols']) == 0\n"
+        "print(len(calls))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *listing, calls = proc.stdout.splitlines()
+    assert "dqip[coin-guess]" in "\n".join(listing)
+    assert calls == "0"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "dqip.cli", "list-dam"], capture_output=True, text=True
+        [sys.executable, "-m", "dqip.cli", "list-dam"], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}
     )
     assert proc.returncode == 0
     assert "coin-guess" in proc.stdout
@@ -444,7 +464,7 @@ def test_console_entry_point_runs():
 @pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}])
 def test_importing_dqip_pins_blas_to_one_thread_unless_set(preset):
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in names} | preset
+    env = {k: v for k, v in os.environ.items() if k not in names} | preset | {"PYTHONPATH": SRC}
     code = f"import os, sys, dqip; assert 'numpy' in sys.modules; print(*(os.environ[n] for n in {names!r}))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,7 @@ from dqip import protocol, qcore
 from dqip.corpus import coin_check_honest, coin_check_spec, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.errors import CapacityError, ConfigError, ShapeError, ValidationError
+from dqip.network import spanning_tree, tree_label_replies, tree_labels_hold
 from dqip.protocol import (
     Broadcast,
     FunctionalStrategy,
@@ -327,6 +328,61 @@ def test_halve_private_soundness_seesaw(parity_echo):
     halved = halve_turns_private(padded.spec, padded.honest, soundness=parity_echo["s"])
     trace = seesaw_optimize(halved.spec, OptimizerConfig(restarts=3, sweeps=50, seed=5), honest=halved.honest)
     assert trace.best_acceptance <= halved_soundness(parity_echo["s"]) + 1e-6
+
+
+def _echo_predicate(graph, view, u, leader=0):
+    """The 7 -> 5 accept predicate, one neighbor and one field at a time."""
+    for v in graph.neighbors(u):
+        for name in ("becho", "leader"):
+            if view[f"recv:{v}"][name] != view[f"{name}:{u}"]:
+                return False
+    return u != leader or (view[f"becho:{u}"] == view["b"] and view[f"leader:{u}"] == leader)
+
+
+def _coin_predicate(graph, view, u, root=0):
+    """The private halving's accept predicate, one neighbor at a time."""
+    received = {v: view[f"recv:{v}"] for v in graph.neighbors(u)}
+    for got in received.values():
+        if got["coin"] != view[f"coin:{u}"]:
+            return False
+    return tree_labels_hold(graph, root, u, view, received)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4])
+@pytest.mark.parametrize(
+    "reduce, turns, fields, reference",
+    [
+        (seven_to_five, 7, ("becho", "leader"), _echo_predicate),
+        (halve_turns_private, 5, ("coin", "leader", "parent", "dist"), _coin_predicate),
+    ],
+    ids=["seven-to-five", "halve-private"],
+)
+def test_reduction_predicates_equal_the_per_field_loop(reduce, turns, fields, reference, nodes):
+    # Random transcripts around the honest ones: mostly agreeing echoes, coins
+    # and leader labels, now and then one that differs or one lying tree label.
+    # Only the leader sees the coin b.  The input's accepts have no predicate,
+    # so the output's predicate is the reduction's own check.
+    rng = np.random.default_rng(nodes)
+    spec = reduce(*random_clean_spec(0, turns=turns, nodes=nodes)).spec
+    graph, accepts = spec.graph, spec.verification.accepts
+    verdicts = set()
+    for _ in range(300):
+        bit = int(rng.integers(2))
+        values = dict(tree_label_replies(spanning_tree(graph, 0)))
+        for u in range(nodes):
+            values[f"becho:{u}"] = values[f"coin:{u}"] = bit if rng.random() < 0.85 else 1 - bit
+            if rng.random() < 0.1:
+                values[f"leader:{u}"] = int(rng.integers(nodes))
+        if rng.random() < 0.1:
+            values[f"{('parent', 'dist')[int(rng.integers(2))]}:{int(rng.integers(nodes))}"] = int(rng.integers(nodes))
+        bundles = {v: {name: values[f"{name}:{v}"] for name in fields} | {"inner": None} for v in range(nodes)}
+        for accept in accepts:
+            u = accept.node
+            view = values | {f"recv:{v}": bundles[v] for v in graph.neighbors(u)} | ({"b": bit} if u == 0 else {})
+            verdict = accept.predicate(view)
+            assert verdict == reference(graph, view, u)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
