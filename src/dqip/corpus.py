@@ -38,8 +38,8 @@ def coin_check_spec(check_vectors: list[np.ndarray], name: str = "coin-check") -
     """
     graph = build_network(1, [])
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=1)
-    turn1 = ProverTurn(index=1, acts_on=("M:0",), delivers=(("M:0", 0),))
-    turn2 = VerifierTurn(index=2, coins=(CoinFlip("r", len(check_vectors), owner=0),))
+    turn1 = ProverTurn(acts_on=("M:0",), delivers=(("M:0", 0),))
+    turn2 = VerifierTurn(coins=(CoinFlip("r", len(check_vectors), owner=0),))
     table = {}
     for r, v in enumerate(check_vectors):
         # Unrotate M, then copy it into V (CNOT with control M, target V).
@@ -65,7 +65,7 @@ def two_check_spec(v0: np.ndarray, v1: np.ndarray, name: str = "two-check") -> P
     """
     graph = build_network(1, [])
     layout = allocate_layout(graph, prover_qubits=0, node_private=2, node_message=1)
-    turn1 = ProverTurn(index=1, acts_on=("M:0",), delivers=(("M:0", 0),))
+    turn1 = ProverTurn(acts_on=("M:0",), delivers=(("M:0", 0),))
     coin_h = static_step(0, qcore.H.matrix, ["V:0[1]"])
     # Gate qubit 0 is the coin, gate qubit 1 the message.
     unrot = qcore.controlled(_completion_unitary(v0).conj().T, _completion_unitary(v1).conj().T)

@@ -33,6 +33,7 @@ from .network import (
     PROVER,
     NetworkGraph,
     allocate_layout,
+    neighbors_agree,
     spanning_tree,
     tree_label_replies,
     tree_label_slots,
@@ -225,15 +226,12 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         leader, spanning-tree labels, the telescoped parity test, the
         all-equal test."""
         received = {v: view[key] for v, key in receives[u]}
-        my_test = view[keys[u]["becho_test"]]
-        my_target = view[keys[u]["becho_target"]]
-        for got in received.values():
-            if got["becho_test"] != my_test or got["becho_target"] != my_target:
-                return False
-        if u == leader and (my_test != view["btest"] or my_target != view["btarget"]):
+        anchor = {"becho_test": view["btest"], "becho_target": view["btarget"]} if u == leader else None
+        if not neighbors_agree(u, ("becho_test", "becho_target"), view, received, anchor):
             return False
         if not tree_labels_hold(graph, leader, u, view, received):
             return False
+        my_test = view[keys[u]["becho_test"]]
         # Bit t of the test string picks copy t's test: 0 the parity test, where
         # u's outcome and its children's subtree parities must sum to u's own
         # (0 at the leader), 1 the all-equal test against every neighbor.
@@ -247,20 +245,17 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
 
     turns = (
         ProverTurn(
-            index=1,
             acts_on=p_regs + r_regs,
             delivers=tuple((copy_reg(i, u), u) for i in range(1, copies + 2) for u in range(n)),
             replies=tree_label_slots(graph),
         ),
         VerifierTurn(
-            index=2,
             coins=(
                 CoinFlip("btest", 2**copies, owner=leader),
                 CoinFlip("btarget", copies + 1, owner=leader),
             ),
         ),
         ProverTurn(
-            index=3,
             acts_on=p_regs,
             replies=tuple(
                 slot
@@ -272,7 +267,6 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
             ),
         ),
         VerifierTurn(
-            index=4,
             steps=tuple(rotation_step(u) for u in range(n)),
             measurements=tuple(
                 Measurement(
@@ -288,7 +282,6 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
             ),
         ),
         ProverTurn(
-            index=5,
             acts_on=p_regs,
             replies=tuple(ReplySlot(f"s:{u}", 2**copies, audience=(u,)) for u in range(n)),
         ),

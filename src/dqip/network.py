@@ -319,6 +319,28 @@ def tree_label_replies(tree: SpanningTreeLabels) -> dict[str, int]:
     return replies
 
 
+def neighbors_agree(
+    u: int, fields: Sequence[str], view: Mapping, received: Mapping, anchor: Mapping | None = None
+) -> bool:
+    """Node ``u``'s check that its value of each bundle field equals every neighbor's.
+
+    Node u holds field ``f`` as ``view[f"{f}:{u}"]``, and ``received`` maps
+    each neighbor to its broadcast, which carries that neighbor's value under
+    ``f``.  The leader passes ``anchor``, the value each field must take
+    (say the coin it flipped), so that agreement along every edge of a
+    connected network ties each node's values to the leader's.  Plain loops:
+    pGHZ calls this once per node on every leaf.
+    """
+    for f in fields:
+        mine = view[f"{f}:{u}"]
+        if anchor is not None and anchor[f] != mine:
+            return False
+        for got in received.values():
+            if got[f] != mine:
+                return False
+    return True
+
+
 def tree_labels_hold(graph: NetworkGraph, root: int, u: int, view: Mapping, received: Mapping) -> bool:
     """Node ``u``'s local check of the labels from :func:`tree_label_slots`.
 
@@ -328,12 +350,9 @@ def tree_labels_hold(graph: NetworkGraph, root: int, u: int, view: Mapping, rece
     has no parent and distance 0, and any other node's parent is a neighbor
     one step closer to the leader.
     """
-    leader, parent, dist = view[f"leader:{u}"], view[f"parent:{u}"], view[f"dist:{u}"]
-    if u == root and leader != root:
+    if not neighbors_agree(u, ("leader",), view, received, {"leader": root} if u == root else None):
         return False
-    for got in received.values():
-        if got["leader"] != leader:
-            return False
+    leader, parent, dist = view[f"leader:{u}"], view[f"parent:{u}"], view[f"dist:{u}"]
     if leader == u:
         return parent == graph.node_count and dist == 0
     return parent in received and dist >= 1 and received[parent]["dist"] + 1 == dist

@@ -151,7 +151,6 @@ class ProjectiveCheck:
 
 @dataclass(frozen=True)
 class ProverTurn:
-    index: int
     acts_on: Callable[[Mapping], list[str]] | tuple[str, ...]
     delivers: Callable[[Mapping], list[tuple[str, int]]] | tuple[tuple[str, int], ...] = ()
     replies: tuple[ReplySlot, ...] = ()
@@ -159,7 +158,6 @@ class ProverTurn:
 
 @dataclass(frozen=True)
 class VerifierTurn:
-    index: int
     coins: tuple[CoinFlip, ...] = ()
     steps: tuple[Step, ...] = ()
     measurements: tuple[Measurement, ...] = ()
@@ -200,6 +198,9 @@ class VerificationPhase:
 class ProtocolSpec:
     """An executable turn script over a fixed layout.
 
+    A turn's number is its 1-based position in ``turns``: the executor hands
+    a prover turn's number to :meth:`ProverStrategy.gate` as ``turn_index``,
+    and :func:`block_key` keys the turn's prover blocks by it.
     ``initial_factors`` seeds named registers with given pure states (used by
     protocols whose inputs are quantum); everything else starts at |0...0>.
     ``allow_node_exchange`` marks the variant where nodes may interact in the
@@ -586,7 +587,8 @@ def _all_actors(graph: NetworkGraph) -> list[int]:
 class _Executor:
     """The turn walk: every branch runs one event schedule, depth first.
 
-    The schedule holds ``(function, event, label)`` entries.  A plain event
+    The schedule holds ``(function, event, label)`` entries; a prover
+    turn's event is its ``(number, turn)`` pair.  A plain event
     changes the branch in place; a fork (a coin, a measurement or a check)
     returns a generator of the branch's kept children, and each child walks
     the rest of the schedule before the next is built.  ``policy``
@@ -608,11 +610,11 @@ class _Executor:
         # Plain functions, not bound methods: the executor must not refer to
         # itself, or the states it caches would wait for the cyclic collector.
         schedule = []
-        for turn in spec.turns:
+        for position, turn in enumerate(spec.turns, 1):
             if isinstance(turn, ProverTurn):
-                schedule.append((_Executor._prover_turn, turn, f"turn {turn.index} (prover)"))
+                schedule.append((_Executor._prover_turn, (position, turn), f"turn {position} (prover)"))
                 continue
-            label = f"turn {turn.index} (verifier)"
+            label = f"turn {position} (verifier)"
             schedule += [(_Executor._flip_coin, coin, label) for coin in turn.coins]
             schedule += _local_events(turn, label)
             schedule.append((_Executor._send, turn, label))
@@ -709,13 +711,14 @@ class _Executor:
             raise ProtocolError(f"{label}: unknown register {register!r}")
         branch.owner[register] = new_owner
 
-    def _prover_turn(self, branch: _Branch, turn: ProverTurn, label: str) -> None:
+    def _prover_turn(self, branch: _Branch, numbered: tuple[int, ProverTurn], label: str) -> None:
+        position, turn = numbered
         view = _view(branch, PROVER)
         regs = list(turn.acts_on(view)) if callable(turn.acts_on) else list(turn.acts_on)
         self._check_ownership(branch, (PROVER,), regs, label)
         qubits = self.layout.expand(regs)
         try:
-            branch.vec = self.policy.prover(branch.vec, self.strategy, turn.index, view, qubits)
+            branch.vec = self.policy.prover(branch.vec, self.strategy, position, view, qubits)
         except LayoutError as err:
             raise ProtocolError(f"{label}: strategy gate on {len(qubits)} qubits: {err}") from err
         for slot in turn.replies:
@@ -1082,11 +1085,11 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
 
     The spec golden files' serializer; it converts the describes' arrays, which no build does."""
 
-    def turn_json(turn) -> dict:
+    def turn_json(position: int, turn) -> dict:
         if isinstance(turn, ProverTurn):
             return {
                 "type": "prover",
-                "index": turn.index,
+                "index": position,
                 "acts_on": list(turn.acts_on) if not callable(turn.acts_on) else "dynamic",
                 "delivers": [list(d) for d in turn.delivers] if not callable(turn.delivers) else "dynamic",
                 "replies": [
@@ -1095,7 +1098,7 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
             }
         return {
             "type": "verifier",
-            "index": turn.index,
+            "index": position,
             "coins": [{"name": c.name, "num_values": c.num_values, "owner": c.owner} for c in turn.coins],
             "steps": [s.describe for s in turn.steps],
             "measurements": [m.describe or {"name": m.name, "node": m.node} for m in turn.measurements],
@@ -1113,7 +1116,7 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
             {"name": name, "start": start, "size": size, "owner": spec.layout.owner(name)}
             for name, start, size in spec.layout.registers
         ],
-        "turns": [turn_json(t) for t in spec.turns],
+        "turns": [turn_json(position, t) for position, t in enumerate(spec.turns, 1)],
         "verification": {
             "steps": [s.describe for s in phase.steps],
             "w_swap": phase.w_swap,

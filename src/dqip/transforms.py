@@ -42,6 +42,7 @@ from .network import (
     NetworkGraph,
     allocate_layout,
     extend_layout,
+    neighbors_agree,
     reg_m,
     reg_v,
     spanning_tree,
@@ -335,7 +336,6 @@ def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, value: DamValue) -> Co
         if j in merlin:
             turns.append(
                 ProverTurn(
-                    index=j,
                     acts_on=prover_regs,
                     delivers=tuple((reg_m(u), u) for u in range(n)),
                 )
@@ -344,7 +344,7 @@ def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, value: DamValue) -> Co
         else:
             steps = tuple(static_step(u, _arthur_unit(slots[j], g, m), _vm_regs(u)) for u in range(n))
             turns.append(
-                VerifierTurn(index=j, steps=steps, sends=tuple(reg_m(u) for u in range(n)))
+                VerifierTurn(steps=steps, sends=tuple(reg_m(u) for u in range(n)))
             )
 
     measurements = []
@@ -466,37 +466,25 @@ def _merlin_gate(dam, instance, strategy, j, p_size, m, n, arthur) -> np.ndarray
 
 
 def pad_to_turns(spec: ProtocolSpec, honest: ProverStrategy, target: int) -> Compiled:
-    """Append identity verifier/prover turn pairs; the value is unchanged."""
+    """Append idle (verifier, prover) turn pairs, whose honest gate is the identity; the value is unchanged."""
     _require_clean(spec)
     k = spec.num_turns
     if target < k or (target - k) % 2 != 0:
         raise ShapeError(f"cannot pad {k} turns to {target}")
     if not isinstance(spec.turns[-1], ProverTurn):
         raise ShapeError("padding expects a protocol ending with a prover turn")
-    turns = list(spec.turns)
-    identity_turns = []
-    for idx in range(k + 1, target + 1):
-        if idx % 2 == 0:
-            turns.append(VerifierTurn(index=idx, sends=_all_m(spec)))
-        else:
-            turns.append(
-                ProverTurn(
-                    index=idx,
-                    acts_on=_prover_regs(spec),
-                    delivers=tuple((reg_m(u), u) for u in range(spec.graph.node_count)),
-                )
-            )
-            identity_turns.append(idx)
-
+    idle_pair = (
+        VerifierTurn(sends=_all_m(spec)),
+        ProverTurn(acts_on=_prover_regs(spec), delivers=tuple((reg_m(u), u) for u in range(spec.graph.node_count))),
+    )
     dim = 2 ** len(spec.layout.expand(_prover_regs(spec)))
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index in identity_turns:
-            return np.eye(dim, dtype=np.complex128)
-        return honest.gate(turn_index, view)
+        return honest.gate(turn_index, view) if turn_index <= k else np.eye(dim, dtype=np.complex128)
 
+    turns = spec.turns + idle_pair * ((target - k) // 2)
     padded = replace(
-        spec, name=f"{spec.name}+pad{target}", turns=tuple(turns), metadata=dict(spec.metadata, padded_to=target)
+        spec, name=f"{spec.name}+pad{target}", turns=turns, metadata=dict(spec.metadata, padded_to=target)
     )
     return Compiled.of("pad_to_turns", k, padded, FunctionalStrategy(f"{honest.name}+pad", gate))
 
@@ -525,9 +513,11 @@ class _Branch:
     qubit.  ``gate(pair, view)`` makes the honest prover gate of a pair turn
     from its (forward, backward) matrices on (``holds``, P, M).  ``first``
     adds coins or reply slots to the first pair turn; ``prelude`` turns run
-    between the snapshot and the pairs.  Node u broadcasts ``bundle(u, view)``
-    next to the input's broadcast under ``"inner"``, and rejects unless
-    ``check(u, view, received)`` holds on its neighbors' bundles.
+    between the snapshot and the pairs, and ``prelude_gates`` are the honest
+    gates of its prover turns.  Node u broadcasts its value
+    ``view[f"{field}:{u}"]`` of each ``bundle`` field next to the input's
+    broadcast under ``"inner"``, and rejects unless ``check(u, view,
+    received)`` holds on its neighbors' bundles.
     """
 
     tag: str
@@ -541,10 +531,10 @@ class _Branch:
     replies: tuple[ReplySlot, ...] = ()  # turn-1 reply slots
     reply: Callable[[str, Mapping], int] | None = None
     prelude: tuple[ProverTurn | VerifierTurn, ...] = ()
-    prelude_gates: dict = field(default_factory=dict)
+    prelude_gates: tuple[np.ndarray, ...] = ()
     extras: tuple[tuple[str, int, int], ...] = ()  # added registers: (name, size, owner)
     measurements: tuple[Measurement, ...] = ()
-    bundle: Callable[[int, Mapping], dict] = lambda u, view: {}
+    bundle: tuple[str, ...] = ()
     check: Callable[[int, Mapping, dict], bool] = lambda u, view, received: True
 
 
@@ -580,14 +570,14 @@ class _Halving:
         self.n = n = spec.graph.node_count
         # Honest tables: node units on (V, M) and dense prover gates, by input turn.
         self.units = {
-            (t.index, u): _node_unit(spec, t.steps, u)
-            for t in spec.turns
+            (i, u): _node_unit(spec, t.steps, u)
+            for i, t in enumerate(spec.turns, 1)
             if isinstance(t, VerifierTurn)
             for u in range(n)
         }
         self.gates = {
-            t.index: qcore.dense_matrix(honest.gate(t.index, {}))
-            for t in spec.turns
+            i: qcore.dense_matrix(honest.gate(i, {}))
+            for i, t in enumerate(spec.turns, 1)
             if isinstance(t, ProverTurn)
         }
         mid = 2 * ((k - 1) // 4) + 2
@@ -600,13 +590,11 @@ class _Halving:
         """The honest evolution through turn ``upto``, as its node units and prover gates in order."""
         layout = self.spec.layout
         factors = []
-        for turn in self.spec.turns:
-            if turn.index > upto:
-                break
+        for i, turn in enumerate(self.spec.turns[:upto], 1):
             if isinstance(turn, ProverTurn):
-                factors.append((self.gates[turn.index], layout.expand(turn.acts_on)))
+                factors.append((self.gates[i], layout.expand(turn.acts_on)))
             else:
-                factors += [(self.units[turn.index, u], layout.expand(_vm_regs(u))) for u in range(self.n)]
+                factors += [(self.units[i, u], layout.expand(_vm_regs(u))) for u in range(self.n)]
         return qcore.FactoredOp(layout.total_qubits, factors)
 
     def _node_step(self, b: _Branch, u: int, fwd: np.ndarray | None, bwd: np.ndarray | None) -> Step:
@@ -619,28 +607,30 @@ class _Halving:
         pair = qcore.controlled(idle if fwd is None else fwd, idle if bwd is None else bwd)
         return static_step(u, pair, [b.control(u)] + vm)
 
-    def _turns(self, b: _Branch) -> tuple[list[ProverTurn | VerifierTurn], dict]:
-        """The output turns, and the (forward, backward) prover matrices of each prover pair turn."""
+    def _turns(self, b: _Branch) -> tuple[list[ProverTurn | VerifierTurn], dict, dict]:
+        """The output turns; by turn number, the honest gates of turn 1 and of the prelude's
+        prover turns, and the (forward, backward) prover matrices of each prover pair turn."""
         spec, n = self.spec, self.n
         deliver_m = tuple((reg_m(u), u) for u in range(n))
         # Nodes get their M back with the snapshot when the first pair turn is theirs.
         nodes_first = (self.pairs[0][0] or self.pairs[0][1]) not in self.gates
         turns: list[ProverTurn | VerifierTurn] = [
             ProverTurn(
-                index=1,
                 acts_on=tuple(spec.layout.names()),
                 delivers=tuple((reg_v(u), u) for u in range(n)) + (deliver_m if nodes_first else ()),
                 replies=b.replies,
             ),
             *b.prelude,
         ]
+        provers = [i for i, turn in enumerate(turns, 1) if isinstance(turn, ProverTurn)]  # turn 1, then the prelude's
+        fixed = dict(zip(provers, (self.snapshot, *b.prelude_gates)))
         idle = np.eye(2 ** len(spec.layout.expand(_prover_regs(spec))), dtype=np.complex128)
         pair_gates = {}
         for i, (fwd, bwd) in enumerate(self.pairs):
-            index, extra = len(turns) + 1, (b.first if i == 0 else {})
+            extra = b.first if i == 0 else {}
             if (fwd or bwd) in self.gates:
-                turns.append(ProverTurn(index=index, acts_on=b.holds + _prover_regs(spec), delivers=deliver_m, **extra))
-                pair_gates[index] = (
+                turns.append(ProverTurn(acts_on=b.holds + _prover_regs(spec), delivers=deliver_m, **extra))
+                pair_gates[len(turns)] = (
                     idle if fwd is None else self.gates[fwd],
                     idle if bwd is None else self.gates[bwd].conj().T,
                 )
@@ -654,8 +644,8 @@ class _Halving:
                 )
                 for u in range(n)
             )
-            turns.append(VerifierTurn(index=index, steps=steps, sends=_all_m(spec), **extra))
-        return turns, pair_gates
+            turns.append(VerifierTurn(steps=steps, sends=_all_m(spec), **extra))
+        return turns, fixed, pair_gates
 
     def _verification(self, b: _Branch) -> VerificationPhase:
         """Forward: the input's verification, gated; backward: V_2^-1 and the all-zero V check."""
@@ -681,7 +671,10 @@ class _Halving:
         broadcasts = tuple(
             Broadcast(
                 node=u,
-                fn=lambda view, _u=u: {**b.bundle(_u, view), "inner": sends[_u](view) if _u in sends else None},
+                fn=lambda view, _u=u: {
+                    **{f: view[f"{f}:{_u}"] for f in b.bundle},
+                    "inner": sends[_u](view) if _u in sends else None,
+                },
                 describe={"kind": b.kinds[0], "node": u},
             )
             for u in range(n)
@@ -714,7 +707,7 @@ class _Halving:
 
     def build(self, b: _Branch, completeness: float | None, soundness: float | None) -> Compiled:
         spec = self.spec
-        turns, pair_gates = self._turns(b)
+        turns, fixed, pair_gates = self._turns(b)
         out = ProtocolSpec(
             name=f"{b.tag}[{spec.name}]",
             graph=spec.graph,
@@ -725,11 +718,7 @@ class _Halving:
         )
 
         def gate(turn_index: int, view: Mapping) -> np.ndarray | qcore.FactoredOp:
-            if turn_index == 1:
-                return self.snapshot
-            if turn_index in b.prelude_gates:
-                return b.prelude_gates[turn_index]
-            return b.gate(pair_gates[turn_index], view)
+            return fixed[turn_index] if turn_index in fixed else b.gate(pair_gates[turn_index], view)
 
         honest = FunctionalStrategy(f"{b.tag}[{self.honest.name}]", gate, b.reply)
         c = None if completeness is None else halved_completeness(float(completeness))
@@ -780,13 +769,11 @@ def seven_to_five(
     or differently from the coin, is rejected outright.
     """
     halving = _Halving(spec, honest, "seven_to_five", _SEVEN)
-    n, leader = halving.n, 0
+    n, leader, bundle = halving.n, 0, ("becho", "leader")
 
     def check(u: int, view: Mapping, received: dict) -> bool:
-        echo, label = view[f"becho:{u}"], view[f"leader:{u}"]
-        if any(got["becho"] != echo or got["leader"] != label for got in received.values()):
-            return False
-        return u != leader or (echo == view["b"] and label == leader)
+        anchor = {"becho": view["b"], "leader": leader} if u == leader else None
+        return neighbors_agree(u, bundle, view, received, anchor)
 
     branch = _Branch(
         tag="5turn",
@@ -797,8 +784,8 @@ def seven_to_five(
         first={"replies": tuple(ReplySlot(f"becho:{u}", 2, audience=(u,)) for u in range(n))},
         replies=tuple(ReplySlot(f"leader:{u}", n, audience=(u,)) for u in range(n)),
         reply=lambda slot, view: view["b"] if slot.startswith("becho:") else leader,
-        prelude=(VerifierTurn(index=2, coins=(CoinFlip("b", 2, owner=leader),)),),
-        bundle=lambda u, view: {"becho": view[f"becho:{u}"], "leader": view[f"leader:{u}"]},
+        prelude=(VerifierTurn(coins=(CoinFlip("b", 2, owner=leader),)),),
+        bundle=bundle,
         check=check,
     )
     return halving.build(branch, completeness, soundness)
@@ -828,7 +815,6 @@ def halve_turns_private(
     fanout = qcore.circuit_matrix(p_size + len(fanout_regs), cnots, "coin fan-out")
     prelude = (
         VerifierTurn(
-            index=2,
             steps=(
                 static_step(root, qcore.H.matrix, [coin_reg(root)]),
                 static_step(root, qcore.CNOT.matrix, [coin_reg(root), "CP"]),
@@ -836,7 +822,6 @@ def halve_turns_private(
             sends=("CP",),
         ),
         ProverTurn(
-            index=3,
             acts_on=(("P",) if p_size else ()) + fanout_regs,
             delivers=tuple((coin_reg(u), u) for u in range(n) if u != root),
         ),
@@ -844,10 +829,7 @@ def halve_turns_private(
     labels = tree_label_replies(spanning_tree(spec.graph, root))
 
     def check(u: int, view: Mapping, received: dict) -> bool:
-        coin = view[f"coin:{u}"]
-        return all(got["coin"] == coin for got in received.values()) and tree_labels_hold(
-            spec.graph, root, u, view, received
-        )
+        return neighbors_agree(u, ("coin",), view, received) and tree_labels_hold(spec.graph, root, u, view, received)
 
     branch = _Branch(
         tag="halved-p",
@@ -860,17 +842,12 @@ def halve_turns_private(
         replies=tree_label_slots(spec.graph),
         reply=lambda slot, view: labels[slot],
         prelude=prelude,
-        prelude_gates={3: fanout},
+        prelude_gates=(fanout,),
         extras=tuple((coin_reg(u), 1, root if u == root else PROVER) for u in range(n)) + (("CP", 1, root),),
         measurements=tuple(
             register_measurement(f"coin:{u}", u, coin_reg(u), {"kind": "coin-measurement", "node": u}) for u in range(n)
         ),
-        bundle=lambda u, view: {
-            "coin": view[f"coin:{u}"],
-            "leader": view[f"leader:{u}"],
-            "parent": view[f"parent:{u}"],
-            "dist": view[f"dist:{u}"],
-        },
+        bundle=("coin", "leader", "parent", "dist"),
         check=check,
     )
     return halving.build(branch, completeness, soundness)
@@ -981,7 +958,6 @@ def perfect_completeness(
     )
     turns.append(
         VerifierTurn(
-            index=k + 1,
             steps=tuple(spec.verification.steps) + copy_steps,
             sends=out_regs,
         )
@@ -990,7 +966,6 @@ def perfect_completeness(
     or_gate = _or_fanout_permutation(p_total, p_in, n)
     turns.append(
         ProverTurn(
-            index=k + 2,
             acts_on=("P",) + out_regs,
             delivers=tuple((f"out:{u}", u) for u in range(n)),
         )
@@ -1020,7 +995,6 @@ def perfect_completeness(
     ) + out_regs + ("B",)
     turns.append(
         VerifierTurn(
-            index=k + 3,
             steps=(
                 static_step(leader, qcore.CNOT.matrix, ["out:0", "B"]),
                 static_step(leader, qcore.CNOT.matrix, ["out:0", "B2"]),
@@ -1031,7 +1005,7 @@ def perfect_completeness(
     )
 
     held_regs = tuple(name for name in layout.names() if name != "B2")
-    turns.append(ProverTurn(index=k + 4, acts_on=held_regs, delivers=(("B", leader),)))
+    turns.append(ProverTurn(acts_on=held_regs, delivers=(("B", leader),)))
 
     accept_pair = qcore.basis_projector(2)
     accepts = []
@@ -1082,8 +1056,6 @@ def perfect_completeness(
         raise ProtocolError(f"unexpected prover turn {turn_index}")
 
     delta = None if soundness is None else c - float(soundness)
-    if out.num_turns != k + 4:
-        raise ProtocolError("perfect completeness produced the wrong turn count")
     honest_out = FunctionalStrategy(f"perfect[{honest.name}]", gate)
     return Compiled.of("perfect_completeness", k, out, honest_out, 1.0, None if delta is None else 1 - delta**2)
 
@@ -1176,11 +1148,11 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
 
     turns: list[ProverTurn | VerifierTurn] = []
     prover_acts: dict[int, tuple[tuple, tuple]] = {}  # (input, output) acts_on of each prover turn
-    for turn in spec.turns:
+    for position, turn in enumerate(spec.turns, 1):
         parts = [copy.turn(turn) for copy in copies]
         if isinstance(turn, ProverTurn):
             acts = (("P",) if p_in else ()) + tuple(r for part in parts for r in part.acts_on if r != "P")
-            prover_acts[turn.index] = (tuple(turn.acts_on), acts)
+            prover_acts[position] = (tuple(turn.acts_on), acts)
             delivers = tuple(d for part in parts for d in part.delivers)
             turns.append(replace(turn, acts_on=acts, delivers=delivers))
         else:

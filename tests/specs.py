@@ -30,7 +30,7 @@ def identity_for(spec: ProtocolSpec, name: str = "identity") -> FunctionalStrate
     """Prover that applies the identity on whatever it holds at each turn."""
 
     def gate(turn_index, view):
-        turn = next(t for t in spec.turns if isinstance(t, ProverTurn) and t.index == turn_index)
+        turn = spec.turns[turn_index - 1]
         regs = turn.acts_on(view) if callable(turn.acts_on) else turn.acts_on
         return np.eye(2 ** len(spec.layout.expand(regs)), dtype=np.complex128)
 
@@ -55,7 +55,7 @@ def flip_reject_spec() -> ProtocolSpec:
     """Single verifier turn applies X to one node's accept qubit: acceptance 0."""
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
-    turn = VerifierTurn(index=1, steps=(static_step(0, qcore.X.matrix, ["V:0"]),))
+    turn = VerifierTurn(steps=(static_step(0, qcore.X.matrix, ["V:0"]),))
     accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2))
     return ProtocolSpec(
         name="flip-reject",
@@ -70,7 +70,7 @@ def fair_coin_spec() -> ProtocolSpec:
     """Accept iff a single shared coin lands 0: acceptance exactly 1/2."""
     graph = build_network(1, [])
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
-    turn = VerifierTurn(index=1, coins=(CoinFlip("r", 2, owner=None),))
+    turn = VerifierTurn(coins=(CoinFlip("r", 2, owner=None),))
     accept = NodeAccept(
         node=0,
         projector=None,
@@ -90,7 +90,7 @@ def prover_blind_spec() -> tuple[ProtocolSpec, FunctionalStrategy]:
     """The prover's turns act on registers the verifier never reads."""
     graph = build_network(1, [])
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=0)
-    turns = (ProverTurn(index=1, acts_on=("P",), delivers=()),)
+    turns = (ProverTurn(acts_on=("P",), delivers=()),)
     spec = ProtocolSpec(
         name="prover-blind",
         graph=graph,
@@ -124,13 +124,13 @@ def random_clean_spec(
         if j % 2 == 1:
             gates[j] = qcore.haar_unitary(1 + nodes, rng).matrix
             delivers = tuple((m, u) for u, m in enumerate(messages))
-            turn_list.append(ProverTurn(index=j, acts_on=("P",) + messages, delivers=delivers))
+            turn_list.append(ProverTurn(acts_on=("P",) + messages, delivers=delivers))
             continue
         steps = tuple(
             static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]) for u in range(nodes)
         )
         coins = (CoinFlip("r", 2, owner=None),) if coin and j == 2 else ()
-        turn_list.append(VerifierTurn(index=j, coins=coins, steps=steps, sends=messages))
+        turn_list.append(VerifierTurn(coins=coins, steps=steps, sends=messages))
 
     ver_steps = []
     for u in range(nodes):

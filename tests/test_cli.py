@@ -454,9 +454,8 @@ def test_listing_protocols_brute_forces_nothing():
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dqip.cli", "list-dam"], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}
-    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "dqip.cli", "list-dam"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "coin-guess" in proc.stdout
 

@@ -82,9 +82,9 @@ def twice_measured_spec():
         Measurement("d", 1, lambda view: ["V:1[1]"] if view["b"] == 0 else [], to_prover=True),
     )
     turns = (
-        ProverTurn(index=1, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
-        VerifierTurn(index=2, steps=steps, measurements=measurements, sends=("M:0", "M:1")),
-        ProverTurn(index=3, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        VerifierTurn(steps=steps, measurements=measurements, sends=("M:0", "M:1")),
+        ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
     )
     spec = ProtocolSpec(
         name="twice-measured",

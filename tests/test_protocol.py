@@ -80,7 +80,7 @@ def test_ownership_violation_reported():
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
     # Node 0 tries to act on M:0 while the prover still holds it.
-    turn = VerifierTurn(index=1, steps=(static_step(0, qcore.X.matrix, ["M:0"]),))
+    turn = VerifierTurn(steps=(static_step(0, qcore.X.matrix, ["M:0"]),))
     spec = ProtocolSpec(
         name="bad",
         graph=graph,
@@ -101,7 +101,7 @@ def test_turn_alternation_enforced():
             name="bad",
             graph=graph,
             layout=layout,
-            turns=(VerifierTurn(index=1), VerifierTurn(index=2)),
+            turns=(VerifierTurn(), VerifierTurn()),
             verification=VerificationPhase(),
         )
 
@@ -136,7 +136,6 @@ def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, FunctionalStrategy]
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
     plus = np.full((2, 2), 0.5, dtype=complex)
     turn2 = VerifierTurn(
-        index=2,
         coins=(CoinFlip("r", 2, owner=None),),
         steps=tuple(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]) for u in range(2)),
         measurements=(Measurement("m0", 0, lambda view: ["M:0"], to_prover=True),),
@@ -145,9 +144,9 @@ def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, FunctionalStrategy]
     )
     acts = ("P", "M:0", "M:1")
     turns = (
-        ProverTurn(index=1, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
         turn2,
-        ProverTurn(index=3, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
     )
     verification = VerificationPhase(
         steps=(static_step(0, qcore.haar_unitary(2, rng).matrix, ["V:0", "M:0"]),),
@@ -195,9 +194,8 @@ def check_after_measurement_spec() -> ProtocolSpec:
     zero = np.diag([1.0, 0.0]).astype(complex)
     acts = ("P", "M:0", "M:1")
     turns = (
-        ProverTurn(index=1, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
         VerifierTurn(
-            index=2,
             steps=tuple(
                 static_step(u, qcore.acceptance_rotation(c).matrix, [f"V:{u}"]) for u, c in ((0, 0.3), (1, 0.6))
             ),
@@ -208,7 +206,7 @@ def check_after_measurement_spec() -> ProtocolSpec:
             ),
             sends=("M:0", "M:1"),
         ),
-        ProverTurn(index=3, acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
+        ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
     )
     verification = VerificationPhase(accepts=tuple(first_qubit_zero_accept(u, f"M:{u}") for u in range(2)))
     return ProtocolSpec(name="check-after-measurement", graph=graph, layout=layout, turns=turns, verification=verification)
@@ -318,7 +316,7 @@ def test_checks_on_registers_the_nodes_do_not_hold_fail_in_both_modes():
             name="bad-check",
             graph=graph,
             layout=layout,
-            turns=(VerifierTurn(index=1, checks=(check,)),),
+            turns=(VerifierTurn(checks=(check,)),),
             verification=VerificationPhase(accepts=accepts),
         )
         for run in (lambda: execute_exact(spec, identity_for(spec)),
@@ -369,12 +367,11 @@ def test_acceptance_invariant_under_node_relabeling():
                 # Prover acts on (P, M:0, M:1); conjugate by the M:0 <-> M:1 swap.
                 swap_m = qcore.embed_operator(qcore.SWAP.matrix, [1, 2], 3)
                 turns.append(
-                    ProverTurn(index=turn.index, acts_on=turn.acts_on, delivers=turn.delivers)
+                    ProverTurn(acts_on=turn.acts_on, delivers=turn.delivers)
                 )
             else:
                 turns.append(
                     VerifierTurn(
-                        index=turn.index,
                         steps=tuple(permute_step(s) for s in turn.steps),
                         sends=turn.sends,
                     )
@@ -448,7 +445,7 @@ def build_w_exchange_spec(expect0: int, expect1: int) -> ProtocolSpec:
     flipped to 1, so the true received values are (node 0: 0, node 1: 1)."""
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0, edge_w=1)
-    turn = VerifierTurn(index=1, steps=(static_step(0, qcore.X.matrix, ["V:0"]),))
+    turn = VerifierTurn(steps=(static_step(0, qcore.X.matrix, ["V:0"]),))
     copy_steps = tuple(
         static_step(u, qcore.CNOT.matrix, [f"V:{u}", f"W:{u}:{1 - u}"]) for u in range(2)
     )

@@ -180,7 +180,7 @@ def _annihilating_spec(position: str, left: float) -> ProtocolSpec:
         "leaf": {},
     }[position]
     turn = VerifierTurn(
-        index=1, coins=(CoinFlip("r", 2),), steps=(static_step(0, np.diag([left, 1.0]), ["V:0"]),), **events
+        coins=(CoinFlip("r", 2),), steps=(static_step(0, np.diag([left, 1.0]), ["V:0"]),), **events
     )
     accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2))
     return ProtocolSpec(f"annihilate-before-{position}", graph, layout, (turn,), VerificationPhase(accepts=accepts))

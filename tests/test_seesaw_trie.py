@@ -146,14 +146,13 @@ def private_outcome_spec():
     prover_regs = ("P", "M:0")
     checks = {(b,): (qcore.haar_unitary(2, rng).matrix, ["V:0[0]", "M:0"]) for b in (0, 1)}
     turns = (
-        ProverTurn(index=1, acts_on=prover_regs, delivers=(("M:0", 0),)),
+        ProverTurn(acts_on=prover_regs, delivers=(("M:0", 0),)),
         VerifierTurn(
-            index=2,
             steps=(static_step(0, qcore.H.matrix, ["V:0[1]"]),),
             measurements=(Measurement("coin", 0, lambda view: ["V:0[1]"]),),
             sends=("M:0",),
         ),
-        ProverTurn(index=3, acts_on=prover_regs, delivers=(("M:0", 0),)),
+        ProverTurn(acts_on=prover_regs, delivers=(("M:0", 0),)),
     )
     spec = ProtocolSpec(
         name="private-outcome",

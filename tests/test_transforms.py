@@ -117,7 +117,7 @@ def test_dam_simulation_honest_matches_classical_value(parity_echo, coin_guess):
 def test_dam_simulation_structure(parity_echo):
     spec = parity_echo["yes"].spec
     assert spec.num_turns == 3
-    assert [t.index for t in spec.turns if isinstance(t, ProverTurn)] == [1, 3]
+    assert [i for i, t in enumerate(spec.turns, 1) if isinstance(t, ProverTurn)] == [1, 3]
     report = parity_echo["yes"].report
     assert report.message_qubits_per_node == {0: 1, 1: 1}
 

@@ -230,8 +230,8 @@ def _one_coin_spec(owner=None, audience=(0,)) -> ProtocolSpec:
     graph = path_graph(2)
     layout = allocate_layout(graph, node_private=1)
     turns = (
-        ProverTurn(index=1, acts_on=(), replies=(ReplySlot("y", 2, audience=audience),)),
-        VerifierTurn(index=2, coins=(CoinFlip("x", 2, owner=owner),), sends=lambda view: ["V:0"] * view["y"]),
+        ProverTurn(acts_on=(), replies=(ReplySlot("y", 2, audience=audience),)),
+        VerifierTurn(coins=(CoinFlip("x", 2, owner=owner),), sends=lambda view: ["V:0"] * view["y"]),
     )
     accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2))
     return ProtocolSpec("one-coin", graph, layout, turns, VerificationPhase(accepts=accepts))
