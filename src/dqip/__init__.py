@@ -32,7 +32,6 @@ from .qcore import (  # noqa: F401
     DensityOperator,
     Gate,
     QuantumState,
-    apply_unitary,
     fidelity,
     projector_probability,
     trace_distance,

@@ -44,17 +44,6 @@ from .transforms import (
     seven_to_five,
 )
 
-DEFAULT_PARAMS = {
-    "ghz": {"copies": 1, "epsilon": 0.25, "delta": 0.5, "strategy": "honest", "prover_qubits": 0},
-    "dqct": {"copies": 1, "epsilon": 0.25, "delta": 0.5, "probe": False, "prover_qubits": 2,
-             "restarts": 5, "sweeps": 50},
-    "compile-pipeline": {"optimize": False, "restarts": 4, "sweeps": 60},
-    "optimize": {"restarts": 4, "sweeps": 60},
-    "dam-brute-force": {},
-    "qcore-properties": {"samples": 500},
-}
-
-
 def _validator(schema: dict):
     """A validator for ``schema``, which is checked against its metaschema once."""
     cls = jsonschema.validators.validator_for(schema)
@@ -62,8 +51,15 @@ def _validator(schema: dict):
     return cls(schema)
 
 
+def _defaults(schema: dict) -> dict:
+    """The ``"default"`` of each property of ``schema`` that states one."""
+    return {key: prop["default"] for key, prop in schema["properties"].items() if "default" in prop}
+
+
 _CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
 _PARAM_VALIDATORS = {name: _validator(schema) for name, schema in PARAM_SCHEMAS.items()}
+_CONFIG_DEFAULTS = _defaults(CONFIG_SCHEMA)
+_PARAM_DEFAULTS = {name: _defaults(schema) for name, schema in PARAM_SCHEMAS.items()}
 
 
 def _raise_first_error(validator, instance) -> None:
@@ -77,17 +73,12 @@ def validate_config(config: dict) -> dict:
     try:
         _raise_first_error(_CONFIG_VALIDATOR, config)
         experiment = config["experiment"]
-        params = dict(DEFAULT_PARAMS[experiment])
-        params.update(config.get("params", {}))
+        params = {**_PARAM_DEFAULTS[experiment], **config.get("params", {})}
         _raise_first_error(_PARAM_VALIDATORS[experiment], params)
     except jsonschema.ValidationError as err:
         field = "/".join(str(p) for p in err.absolute_path) or "(root)"
         raise ConfigError(f"config field {field}: {err.message}", fields=[field]) from err
-    resolved = dict(config)
-    resolved.setdefault("mode", "exact")
-    resolved.setdefault("trials", 1000)
-    resolved["params"] = params
-    return resolved
+    return {**_CONFIG_DEFAULTS, **config, "params": params}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """JSON schema for experiment configurations.
 
+The schema owns the config defaults: every optional field with a
+``"default"`` takes that value when a config leaves it out.
 ``python -m dqip.config_schema > docs/config.schema.json`` writes the copy
 shipped in ``docs/``.
 """
@@ -25,7 +27,7 @@ CONFIG_SCHEMA = {
         },
         "seed": {"type": "integer", "minimum": 0},
         "mode": {"enum": ["exact", "sampled"], "default": "exact"},
-        "trials": {"type": "integer", "minimum": 1},
+        "trials": {"type": "integer", "minimum": 1, "default": 1000},
         "output": {"type": "string"},
         "params": {"type": "object"},
     },
@@ -37,15 +39,15 @@ PARAM_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "nodes": {"type": "integer", "minimum": 2, "maximum": 5},
-            "copies": {"type": "integer", "minimum": 1, "maximum": 3},
-            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+            "copies": {"type": "integer", "minimum": 1, "maximum": 3, "default": 1},
+            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.25},
+            "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.5},
             "edges": {
                 "type": "array",
                 "items": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
             },
-            "strategy": {"enum": ["honest", "all-zero"]},
-            "prover_qubits": {"type": "integer", "minimum": 0, "maximum": 4},
+            "strategy": {"enum": ["honest", "all-zero"], "default": "honest"},
+            "prover_qubits": {"type": "integer", "minimum": 0, "maximum": 4, "default": 0},
         },
         "required": ["nodes", "copies"],
     },
@@ -56,13 +58,13 @@ PARAM_SCHEMAS = {
             "nodes": {"type": "integer", "minimum": 2, "maximum": 3},
             "qubits_per_node": {"type": "array", "items": {"type": "integer", "minimum": 0}},
             "states": {"enum": ["equal", "orthogonal", "random"]},
-            "copies": {"type": "integer", "minimum": 1, "maximum": 2},
-            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "probe": {"type": "boolean"},
-            "prover_qubits": {"type": "integer", "minimum": 0, "maximum": 4},
-            "restarts": {"type": "integer", "minimum": 1},
-            "sweeps": {"type": "integer", "minimum": 1},
+            "copies": {"type": "integer", "minimum": 1, "maximum": 2, "default": 1},
+            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.25},
+            "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.5},
+            "probe": {"type": "boolean", "default": False},
+            "prover_qubits": {"type": "integer", "minimum": 0, "maximum": 4, "default": 2},
+            "restarts": {"type": "integer", "minimum": 1, "default": 5},
+            "sweeps": {"type": "integer", "minimum": 1, "default": 50},
         },
         "required": ["nodes", "states"],
     },
@@ -97,9 +99,9 @@ PARAM_SCHEMAS = {
                     ],
                 },
             },
-            "optimize": {"type": "boolean"},
-            "restarts": {"type": "integer", "minimum": 1},
-            "sweeps": {"type": "integer", "minimum": 1},
+            "optimize": {"type": "boolean", "default": False},
+            "restarts": {"type": "integer", "minimum": 1, "default": 4},
+            "sweeps": {"type": "integer", "minimum": 1, "default": 60},
         },
         "required": ["protocol", "instance", "pipeline"],
     },
@@ -109,8 +111,8 @@ PARAM_SCHEMAS = {
         "properties": {
             "protocol": {"type": "string"},
             "instance": {"enum": ["yes", "no"]},
-            "restarts": {"type": "integer", "minimum": 1},
-            "sweeps": {"type": "integer", "minimum": 1},
+            "restarts": {"type": "integer", "minimum": 1, "default": 4},
+            "sweeps": {"type": "integer", "minimum": 1, "default": 60},
         },
         "required": ["protocol", "instance"],
     },
@@ -123,7 +125,7 @@ PARAM_SCHEMAS = {
     "qcore-properties": {
         "type": "object",
         "additionalProperties": False,
-        "properties": {"samples": {"type": "integer", "minimum": 1, "maximum": 5000}},
+        "properties": {"samples": {"type": "integer", "minimum": 1, "maximum": 5000, "default": 500}},
     },
 }
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import qcore
 from .errors import ValidationError
-from .ghz import GhzProtocolParams, build_pghz, copy_reg
-from .network import NetworkGraph, extend_layout
+from .ghz import GhzProtocolParams, build_pghz, copy_reg, read_tests
+from .network import LEADER, NetworkGraph, extend_layout
 from .prover import OptimizerConfig, seesaw_optimize
 from .protocol import FunctionalStrategy, Step
 from .seeding import substream
@@ -109,7 +109,6 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     """
     graph = instance.graph
     n = graph.node_count
-    leader = 0
     ghz = build_pghz(graph, ghz_params)
     ghz_turns, phase = ghz.spec.turns, ghz.spec.verification
     # pGHZ's output, the untested copy at every node, is the control register B.
@@ -117,19 +116,18 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
 
     # pGHZ's registers, then the SWAP test's.
     held = [u for u in range(n) if instance.qubits_per_node[u]]
-    extras = [("B2", 1, leader)]
+    extras = [("B2", 1, LEADER)]
     for u in held:
         extras.append((in_reg(1, u), instance.qubits_per_node[u], u))
         extras.append((in_reg(2, u), instance.qubits_per_node[u], u))
     layout = extend_layout(graph, ghz.spec.layout, extras)
 
     def b_reg(u: int, view: Mapping) -> str:
-        target = (view["btarget"] if u == leader else view[f"becho_target:{u}"]) + 1
-        return copy_reg(target, u)
+        return copy_reg(read_tests(u, view)[1], u)
 
     def leader_step(matrix: np.ndarray, describe: dict) -> Step:
         """``matrix`` on the leader's control qubit and B2."""
-        return Step(actor=leader, resolve=lambda view: (matrix, [b_reg(leader, view), "B2"]), describe=describe)
+        return Step(actor=LEADER, resolve=lambda view: (matrix, [b_reg(LEADER, view), "B2"]), describe=describe)
 
     def cswap_step(u: int) -> Step:
         width = instance.qubits_per_node[u]
@@ -142,12 +140,13 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
 
         return Step(actor=u, resolve=resolve, describe={"kind": "controlled-slice-swap", "node": u})
 
-    turn4, turn5 = ghz_turns[3], ghz_turns[4]
-    turns = ghz_turns[:3] + (
+    *head, turn4, turn5 = ghz_turns
+    turns = (
+        *head,
         replace(
             turn4,
             steps=turn4.steps
-            + (leader_step(qcore.CNOT.matrix, {"kind": "control-mark", "node": leader}),)
+            + (leader_step(qcore.CNOT.matrix, {"kind": "control-mark", "node": LEADER}),)
             + tuple(cswap_step(u) for u in range(n)),
             sends=control_regs,
         ),
@@ -163,7 +162,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     zero1, zero2 = qcore.basis_projector(1), qcore.basis_projector(2)
 
     def projector(u: int):
-        if u == leader:
+        if u == LEADER:
             return lambda view: (zero2, [b_reg(u, view), "B2"])
         return lambda view: (zero1, [b_reg(u, view)])
 
@@ -193,15 +192,13 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
         },
     )
 
-    # Turn 5: CNOT fan-in from the leader's control qubit onto all others,
-    # sending the register back as |0^(n-1)> on the non-leader qubits.
-    p_qubits = ghz_params.prover_qubits
-    fan_in = qcore.circuit_matrix(
-        p_qubits + n, [(qcore.CNOT.matrix, [p_qubits, p_qubits + offset]) for offset in range(1, n)], "CNOT fan-in"
-    )
+    # The last turn returns B: a CNOT fan-in from the leader's control qubit
+    # (after P) onto all others, leaving |0^(n-1)> on the non-leader qubits.
+    returns = len(turns)
+    fan_in = qcore.cnot_fanout(ghz_params.prover_qubits, n)
 
     def gate(turn_index: int, view: Mapping):
-        return fan_in if turn_index == 5 else ghz.honest.gate_fn(turn_index, view)
+        return fan_in if turn_index == returns else ghz.honest.gate_fn(turn_index, view)
 
     honest = FunctionalStrategy("closeness-honest", gate, ghz.honest.reply_fn)
     return Compiled.of("build_pdqct", 0, spec, honest, completeness=0.5 + 0.5 * instance.overlap_squared())

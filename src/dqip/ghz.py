@@ -30,6 +30,7 @@ import numpy as np
 from . import qcore
 from .errors import ValidationError
 from .network import (
+    LEADER,
     PROVER,
     NetworkGraph,
     allocate_layout,
@@ -52,7 +53,7 @@ from .protocol import (
     VerifierTurn,
     Step,
 )
-from .qcore import FactoredOp, QuantumState, apply_unitary
+from .qcore import FactoredOp, QuantumState
 from .transforms import Compiled
 
 
@@ -65,22 +66,17 @@ def ghz_state(n: int) -> QuantumState:
     return QuantumState(n, amps)
 
 
-def star_state(n: int) -> QuantumState:
-    """Star graph state: CZ fan-out from qubit 0 on |+>^n."""
-    if n < 2:
-        raise ValidationError("star_state needs at least two qubits")
-    state = QuantumState.zero(n)
-    for q in range(n):
-        state = apply_unitary(state, qcore.H, [q])
-    for leaf in range(1, n):
-        state = apply_unitary(state, qcore.CZ, [0, leaf])
-    return state
-
-
 def star_prep_matrix(n: int) -> np.ndarray:
-    """Unitary with star_state(n) as its action on |0^n>."""
+    """The honest star preparation: Hadamards on every qubit, then a CZ from qubit 0 to each leaf."""
     factors = [(qcore.H.matrix, [q]) for q in range(n)] + [(qcore.CZ.matrix, [0, leaf]) for leaf in range(1, n)]
     return qcore.circuit_matrix(n, factors, f"{n}-qubit star preparation")
+
+
+def star_state(n: int) -> QuantumState:
+    """Star graph state: :func:`star_prep_matrix` applied to |0^n>, its column 0."""
+    if n < 2:
+        raise ValidationError("star_state needs at least two qubits")
+    return QuantumState(n, np.ascontiguousarray(star_prep_matrix(n)[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +155,14 @@ def copy_reg(i: int, u: int) -> str:
     return f"R:{i}:{u}"
 
 
+def read_tests(u: int, view: Mapping) -> tuple[int, int]:
+    """(test bit string, target copy index) as node ``u`` reads them: the
+    leader from its coins, any other node from the prover's echoes."""
+    if u == LEADER:
+        return view["btest"], view["btarget"] + 1
+    return view[f"becho_test:{u}"], view[f"becho_target:{u}"] + 1
+
+
 def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     """The 5-turn GHZ verification protocol on ``graph``.
 
@@ -176,7 +180,9 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     if n < 2:
         raise ValidationError("the protocol needs at least two nodes")
     copies = params.copies
-    leader = 0
+    # Bit t of the test string picks copy t's test, whose basis at node u is
+    # bases[bit][u]: the tests and the stars centre on qubit 0, the leader's.
+    bases = tuple(test.bases for test in stabilizer_tests(n))
 
     r_regs = tuple(copy_reg(i, u) for i in range(1, copies + 2) for u in range(n))
     layout = allocate_layout(graph, prover_qubits=params.prover_qubits, extras=[(r, 1, PROVER) for r in r_regs])
@@ -187,14 +193,8 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     receives = [[(v, f"recv:{v}") for v in graph.neighbors(u)] for u in range(n)]
     bits = (1 << copies) - 1  # one bit per test copy
 
-    def tests_of(u: int, view: Mapping) -> tuple[int, int]:
-        """(test bit string, target copy index) as node u understands them."""
-        if u == leader:
-            return view["btest"], view["btarget"] + 1
-        return view[f"becho_test:{u}"], view[f"becho_target:{u}"] + 1
-
     def measured_copies(u: int, view: Mapping) -> list[int]:
-        _, target = tests_of(u, view)
+        _, target = read_tests(u, view)
         return [i for i in range(1, copies + 2) if i != target]
 
     def rotation_step(u: int) -> Step:
@@ -203,13 +203,8 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
 
         @functools.cache  # one operator per (tested bits, target copy)
         def rotation(bits: int, target: int, measured: tuple[int, ...]):
-            regs = []
-            for t, i in enumerate(measured):
-                bit = (bits >> t) & 1
-                wants_x = (bit == 0) if u == leader else (bit == 1)
-                if wants_x:
-                    regs.append(copy_reg(i, u))
-            if u != leader:
+            regs = [copy_reg(i, u) for t, i in enumerate(measured) if bases[(bits >> t) & 1][u] == "X"]
+            if u != LEADER:
                 regs.append(copy_reg(target, u))
             if not regs:
                 return None
@@ -217,7 +212,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
             return qcore.circuit_matrix(len(regs), hadamards, f"basis rotation of node {u}"), regs
 
         def resolve(view: Mapping):
-            return rotation(*tests_of(u, view), tuple(measured_copies(u, view)))
+            return rotation(*read_tests(u, view), tuple(measured_copies(u, view)))
 
         return Step(actor=u, resolve=resolve, describe={"kind": "test-basis-rotation", "node": u})
 
@@ -226,17 +221,17 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         leader, spanning-tree labels, the telescoped parity test, the
         all-equal test."""
         received = {v: view[key] for v, key in receives[u]}
-        anchor = {"becho_test": view["btest"], "becho_target": view["btarget"]} if u == leader else None
+        anchor = {"becho_test": view["btest"], "becho_target": view["btarget"]} if u == LEADER else None
         if not neighbors_agree(u, ("becho_test", "becho_target"), view, received, anchor):
             return False
-        if not tree_labels_hold(graph, leader, u, view, received):
+        if not tree_labels_hold(graph, LEADER, u, view, received):
             return False
         my_test = view[keys[u]["becho_test"]]
         # Bit t of the test string picks copy t's test: 0 the parity test, where
         # u's outcome and its children's subtree parities must sum to u's own
         # (0 at the leader), 1 the all-equal test against every neighbor.
         o_u = view[keys[u]["o"]]
-        parity = o_u if u == leader else o_u ^ view[keys[u]["s"]]
+        parity = o_u if u == LEADER else o_u ^ view[keys[u]["s"]]
         for got in received.values():
             parity ^= got["s"] if got["parent"] == u else 0
         if parity & ~my_test & bits:
@@ -251,8 +246,8 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
         ),
         VerifierTurn(
             coins=(
-                CoinFlip("btest", 2**copies, owner=leader),
-                CoinFlip("btarget", copies + 1, owner=leader),
+                CoinFlip("btest", 2**copies, owner=LEADER),
+                CoinFlip("btarget", copies + 1, owner=LEADER),
             ),
         ),
         ProverTurn(
@@ -306,7 +301,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     )
 
     def output_registers(values: Mapping) -> list[str]:
-        target = values["btarget"] + 1
+        _, target = read_tests(LEADER, values)
         return [copy_reg(target, u) for u in range(n)]
 
     spec = ProtocolSpec(
@@ -331,13 +326,12 @@ def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> Func
     """Sends star states, echoes the leader's coins, sums subtree parities."""
     n = graph.node_count
     copies = params.copies
-    leader = 0
-    tree = spanning_tree(graph, leader)
+    tree = spanning_tree(graph, LEADER)
     labels = tree_label_replies(tree)
     p_qubits = params.prover_qubits
 
     # Turn 1 acts on (P, R:1:0..R:1:n-1, R:2:0, ...): copy i's star
-    # preparation covers its n node qubits, centred on node 0; P is idle.
+    # preparation covers its n node qubits, centred on the leader, node 0; P is idle.
     prep = star_prep_matrix(n)
     full_prep = FactoredOp(
         p_qubits + n * (copies + 1),

@@ -20,6 +20,10 @@ from .errors import CapacityError, LayoutError, ValidationError
 #: Sentinel owner id for the prover (nodes are 0..n-1).
 PROVER = -1
 
+#: The leader: the node that flips the leader coins, roots the spanning tree
+#: whose labels the prover supplies, and centres each star state.
+LEADER = 0
+
 #: Dense simulation stays practical below this total qubit count.
 DEFAULT_QUBIT_CEILING = 22
 
@@ -185,20 +189,17 @@ class RegisterLayout:
 def allocate_layout(
     graph: NetworkGraph,
     prover_qubits: int = 0,
-    node_private: Mapping[int, int] | int = 0,
-    node_message: Mapping[int, int] | int = 0,
+    node_private: int = 0,
+    node_message: int = 0,
     edge_w: int = 0,
     extras: Sequence[tuple[str, int, int]] = (),
 ) -> RegisterLayout:
     """Deterministic layout over (P, per-node V/M, directed-edge W, extras).
 
+    Every node gets ``node_private`` V qubits and ``node_message`` M qubits.
     ``extras`` entries are (name, size, initial owner).  Raises
     :class:`CapacityError` when the total exceeds ``DEFAULT_QUBIT_CEILING``.
     """
-
-    def per_node(spec, u: int) -> int:
-        return spec[u] if isinstance(spec, Mapping) else int(spec)
-
     regs: list[tuple[str, int, int]] = []
     owners: dict[str, int] = {}
     cursor = 0
@@ -216,8 +217,8 @@ def allocate_layout(
 
     add(reg_p(), prover_qubits, PROVER)
     for u in range(graph.node_count):
-        add(reg_v(u), per_node(node_private, u), u)
-        add(reg_m(u), per_node(node_message, u), PROVER)
+        add(reg_v(u), node_private, u)
+        add(reg_m(u), node_message, PROVER)
     if edge_w:
         for a, b in sorted(graph.edges):
             add(reg_w(a, b), edge_w, a)

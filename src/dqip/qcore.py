@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 * Qubit indexing is little-endian: bit ``q`` of a basis index addresses
   qubit ``q``, so qubit 0 is the least significant bit.
-* Gates carry their own local qubit order; ``apply_unitary(state, g, targets)``
-  maps the gate's qubit ``j`` onto global qubit ``targets[j]``.
+* Gates carry their own local qubit order; ``apply_matrix_vec(vec, m, targets)``
+  maps the matrix's qubit ``j`` onto global qubit ``targets[j]``.
 * Everything is immutable after construction and all operations are pure
   functions, so independent calls are safe to evaluate in parallel.
 
@@ -20,8 +20,9 @@ executor's walks apply their fixed operators through it.
 :func:`project_outcome` zeroes the amplitudes outside one outcome, and
 :func:`basis_projector` is the one constructor of its projector as a matrix.
 :func:`circuit_matrix` is the one dense constructor of composite operators
-(node units, star preparations, fan-outs, basis rotations): it applies
-their factors to the identity through the same kernel.
+(node units, star preparations, fan-outs, basis rotations, the span form
+of a low-qubit gate): it applies their factors to the identity through the
+same kernel, and :func:`cnot_fanout` is the one CNOT fan-out.
 :func:`embed_operator` builds one embedded operator by index arithmetic;
 nothing in the package calls it, and the tests use it as the oracle.
 
@@ -306,21 +307,31 @@ def apply_matrix_vec(vec: np.ndarray, mat: np.ndarray, targets: Sequence[int]) -
     return plan.apply(vec, mat)
 
 
-def circuit_matrix(num_qubits: int, factors: Iterable[tuple[np.ndarray, Sequence[int]]], what: str) -> np.ndarray:
+def circuit_matrix(
+    num_qubits: int, factors: Iterable[tuple[np.ndarray, Sequence[int]]], what: str, budget: bool = True
+) -> np.ndarray:
     """Dense matrix of ``(matrix, targets)`` factors applied in order, first factor first.
 
     The identity is viewed as a ``2^(2n)`` vector whose bit ``n+q`` is row
     qubit ``q``, and each factor acts on those row bits through
     :func:`apply_matrix_vec`.  Raises :class:`CapacityError` naming ``what``
-    before allocating more than ``MAX_DENSE_BYTES``.
+    before allocating more than ``MAX_DENSE_BYTES``, unless ``budget`` is
+    false: the span form of a gate below ``SPAN_QUBITS`` (at most 32 x 32)
+    is held like the gate itself.
     """
     n = num_qubits
-    # Each factor holds the input, its moved block and the output at once.
-    check_budget(3 * 16 * 4**n, what)
+    if budget:  # each factor holds the input, its moved block and the output at once
+        check_budget(3 * 16 * 4**n, what)
     vec = np.eye(2**n, dtype=np.complex128).reshape(-1)
     for mat, targets in factors:
         vec = apply_matrix_vec(vec, np.asarray(mat, dtype=np.complex128), [n + q for q in targets])
     return vec.reshape(2**n, 2**n)
+
+
+def cnot_fanout(control: int, count: int) -> np.ndarray:
+    """CNOTs from qubit ``control`` onto each of the next ``count - 1`` qubits, on ``control + count`` qubits."""
+    cnots = [(CNOT.matrix, [control, control + j]) for j in range(1, count)]
+    return circuit_matrix(control + count, cnots, f"CNOT fan-out from qubit {control} onto {count - 1} qubits")
 
 
 class StructuredOp:
@@ -396,7 +407,7 @@ class StructuredOp:
         plan = _axis_plan(n, self.targets)  # validates the targets
         span = max(self.targets, default=-1) + 1
         if span <= SPAN_QUBITS:
-            full = _span_matrix(self.matrix, self.targets)
+            full = circuit_matrix(span, [(self.matrix, self.targets)], "span form", budget=False)
             if self.kind == "dense":
                 return (-1, 2**span), np.ascontiguousarray(full.T)
             if self.kind == "permutation":
@@ -422,13 +433,6 @@ class StructuredOp:
             adjoint = self._adjoint = StructuredOp(np.ascontiguousarray(self.matrix.conj().T), self.targets)
             adjoint._adjoint = weakref.ref(self)
         return adjoint
-
-
-def _span_matrix(mat: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """``mat`` expanded to the qubits up to its highest target, as by :func:`circuit_matrix` (no budget: <= 32 x 32)."""
-    span = max(targets) + 1
-    eye = np.eye(2**span, dtype=np.complex128).reshape(-1)
-    return apply_matrix_vec(eye, mat, [span + q for q in targets]).reshape(2**span, -1)
 
 
 class FactoredOp:
@@ -492,7 +496,9 @@ def apply_op(vec: np.ndarray, op, targets: Sequence[int]) -> np.ndarray:
         op = op.dense()
     mat = np.asarray(op, dtype=np.complex128)
     if targets and max(targets) < SPAN_QUBITS:
-        return (vec.reshape(-1, 2 ** (max(targets) + 1)) @ _span_matrix(mat, targets).T).reshape(-1)
+        span = max(targets) + 1
+        full = circuit_matrix(span, [(mat, targets)], "span form", budget=False)
+        return (vec.reshape(-1, 2**span) @ full.T).reshape(-1)
     return apply_matrix_vec(vec, mat, targets)
 
 
@@ -528,12 +534,6 @@ def outcome_weights(vec: np.ndarray, targets: Sequence[int]) -> np.ndarray:
         return _axis_plan(span, tuple(targets)).front(sums).sum(axis=1)
     squares = vec.real * vec.real + vec.imag * vec.imag
     return plan.front(squares).sum(axis=1)
-
-
-def apply_unitary(state: QuantumState, gate: Gate, targets: Sequence[int]) -> QuantumState:
-    """Apply ``gate`` to the given qubits, identity elsewhere."""
-    vec = apply_matrix_vec(state.amplitudes, gate.matrix, targets)
-    return QuantumState(state.num_qubits, vec)
 
 
 def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from . import qcore
 from .dam import DamNodeView, DamProtocol, DamValue
 from .errors import ConfigError, ProtocolError, ShapeError, ValidationError
 from .network import (
+    LEADER,
     PROVER,
     NetworkGraph,
     allocate_layout,
@@ -67,6 +68,7 @@ from .protocol import (
     VerifierTurn,
     _Executor,
     conditional_step,
+    execute_exact,
     register_measurement,
     static_step,
 )
@@ -208,11 +210,12 @@ def _all_m(spec: ProtocolSpec) -> tuple[str, ...]:
 
 
 def _prover_regs(spec: ProtocolSpec) -> tuple[str, ...]:
-    regs = []
-    if spec.layout.has("P"):
-        regs.append("P")
-    regs.extend(_all_m(spec))
-    return tuple(regs)
+    return (("P",) if spec.layout.has("P") else ()) + _all_m(spec)
+
+
+def _prover_identity(spec: ProtocolSpec) -> np.ndarray:
+    """The identity on the prover's registers (P and every M): an idle prover turn's honest gate."""
+    return np.eye(2 ** len(spec.layout.expand(_prover_regs(spec))), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +480,13 @@ def pad_to_turns(spec: ProtocolSpec, honest: ProverStrategy, target: int) -> Com
         VerifierTurn(sends=_all_m(spec)),
         ProverTurn(acts_on=_prover_regs(spec), delivers=tuple((reg_m(u), u) for u in range(spec.graph.node_count))),
     )
-    dim = 2 ** len(spec.layout.expand(_prover_regs(spec)))
+    turns = spec.turns + idle_pair * ((target - k) // 2)
+    idle = _prover_identity(spec)
+    appended = {i: idle for i, turn in enumerate(turns[k:], k + 1) if isinstance(turn, ProverTurn)}
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        return honest.gate(turn_index, view) if turn_index <= k else np.eye(dim, dtype=np.complex128)
+        return appended[turn_index] if turn_index in appended else honest.gate(turn_index, view)
 
-    turns = spec.turns + idle_pair * ((target - k) // 2)
     padded = replace(
         spec, name=f"{spec.name}+pad{target}", turns=turns, metadata=dict(spec.metadata, padded_to=target)
     )
@@ -624,7 +628,7 @@ class _Halving:
         ]
         provers = [i for i, turn in enumerate(turns, 1) if isinstance(turn, ProverTurn)]  # turn 1, then the prelude's
         fixed = dict(zip(provers, (self.snapshot, *b.prelude_gates)))
-        idle = np.eye(2 ** len(spec.layout.expand(_prover_regs(spec))), dtype=np.complex128)
+        idle = _prover_identity(spec)
         pair_gates = {}
         for i, (fwd, bwd) in enumerate(self.pairs):
             extra = b.first if i == 0 else {}
@@ -769,10 +773,10 @@ def seven_to_five(
     or differently from the coin, is rejected outright.
     """
     halving = _Halving(spec, honest, "seven_to_five", _SEVEN)
-    n, leader, bundle = halving.n, 0, ("becho", "leader")
+    n, bundle = halving.n, ("becho", "leader")
 
     def check(u: int, view: Mapping, received: dict) -> bool:
-        anchor = {"becho": view["b"], "leader": leader} if u == leader else None
+        anchor = {"becho": view["b"], "leader": LEADER} if u == LEADER else None
         return neighbors_agree(u, bundle, view, received, anchor)
 
     branch = _Branch(
@@ -783,8 +787,8 @@ def seven_to_five(
         kinds=("echo-bundle", "seven-to-five-accept"),
         first={"replies": tuple(ReplySlot(f"becho:{u}", 2, audience=(u,)) for u in range(n))},
         replies=tuple(ReplySlot(f"leader:{u}", n, audience=(u,)) for u in range(n)),
-        reply=lambda slot, view: view["b"] if slot.startswith("becho:") else leader,
-        prelude=(VerifierTurn(coins=(CoinFlip("b", 2, owner=leader),)),),
+        reply=lambda slot, view: view["b"] if slot.startswith("becho:") else LEADER,
+        prelude=(VerifierTurn(coins=(CoinFlip("b", 2, owner=LEADER),)),),
         bundle=bundle,
         check=check,
     )
@@ -807,29 +811,27 @@ def halve_turns_private(
     branches forward/backward exactly as in the shared-coin construction.
     """
     halving = _Halving(spec, honest, "halve_turns_private", _FOUR_L_PLUS_ONE)
-    n, root = halving.n, 0
+    n = halving.n
     p_size = spec.layout.size("P")
-    fanout_regs = ("CP",) + tuple(coin_reg(u) for u in range(n) if u != root)
-    # CP at position p_size, fan-out targets follow.
-    cnots = [(qcore.CNOT.matrix, [p_size, p_size + offset]) for offset in range(1, n)]
-    fanout = qcore.circuit_matrix(p_size + len(fanout_regs), cnots, "coin fan-out")
+    others = [u for u in range(n) if u != LEADER]
     prelude = (
         VerifierTurn(
             steps=(
-                static_step(root, qcore.H.matrix, [coin_reg(root)]),
-                static_step(root, qcore.CNOT.matrix, [coin_reg(root), "CP"]),
+                static_step(LEADER, qcore.H.matrix, [coin_reg(LEADER)]),
+                static_step(LEADER, qcore.CNOT.matrix, [coin_reg(LEADER), "CP"]),
             ),
             sends=("CP",),
         ),
+        # Its honest gate fans CP, right after P, out onto the other nodes' coin qubits.
         ProverTurn(
-            acts_on=(("P",) if p_size else ()) + fanout_regs,
-            delivers=tuple((coin_reg(u), u) for u in range(n) if u != root),
+            acts_on=(("P",) if p_size else ()) + ("CP",) + tuple(coin_reg(u) for u in others),
+            delivers=tuple((coin_reg(u), u) for u in others),
         ),
     )
-    labels = tree_label_replies(spanning_tree(spec.graph, root))
+    labels = tree_label_replies(spanning_tree(spec.graph, LEADER))
 
     def check(u: int, view: Mapping, received: dict) -> bool:
-        return neighbors_agree(u, ("coin",), view, received) and tree_labels_hold(spec.graph, root, u, view, received)
+        return neighbors_agree(u, ("coin",), view, received) and tree_labels_hold(spec.graph, LEADER, u, view, received)
 
     branch = _Branch(
         tag="halved-p",
@@ -842,8 +844,8 @@ def halve_turns_private(
         replies=tree_label_slots(spec.graph),
         reply=lambda slot, view: labels[slot],
         prelude=prelude,
-        prelude_gates=(fanout,),
-        extras=tuple((coin_reg(u), 1, root if u == root else PROVER) for u in range(n)) + (("CP", 1, root),),
+        prelude_gates=(qcore.cnot_fanout(p_size, n),),
+        extras=tuple((coin_reg(u), 1, LEADER if u == LEADER else PROVER) for u in range(n)) + (("CP", 1, LEADER),),
         measurements=tuple(
             register_measurement(f"coin:{u}", u, coin_reg(u), {"kind": "coin-measurement", "node": u}) for u in range(n)
         ),
@@ -932,8 +934,6 @@ def perfect_completeness(
     """
     _require_coherent(spec)
     if c is None:
-        from .protocol import execute_exact
-
         c = execute_exact(spec, honest).acceptance_probability
     c = float(c)
     if not 0.0 < c <= 1.0:
@@ -941,11 +941,10 @@ def perfect_completeness(
 
     k = spec.num_turns
     n = spec.graph.node_count
-    leader = 0
     p_in = spec.layout.size("P")
     p_total = p_in + n  # ancilla workspace for the verdict fan-out
 
-    extras = [(f"out:{u}", 1, u) for u in range(n)] + [("B", 1, leader), ("B2", 1, leader)]
+    extras = [(f"out:{u}", 1, u) for u in range(n)] + [("B", 1, LEADER), ("B2", 1, LEADER)]
     layout = extend_layout(spec.graph, spec.layout, extras, p_size=p_total)
 
     # The input's prover memory is the first p_in qubits of the wider P.
@@ -963,13 +962,14 @@ def perfect_completeness(
         )
     )
 
-    or_gate = _or_fanout_permutation(p_total, p_in, n)
     turns.append(
         ProverTurn(
             acts_on=("P",) + out_regs,
             delivers=tuple((f"out:{u}", u) for u in range(n)),
         )
     )
+    # The honest gates of the appended prover turns, by position: the OR fan-out here, the uncompute gate last.
+    appended = {len(turns): _or_fanout_permutation(p_total, p_in, n)}
 
     parity_odd = np.diag([0.0, 1.0, 1.0, 0.0]).astype(np.complex128)
     bad_state = qcore.basis_projector(2, 1)  # retained output 1 while returned verdict reads 0
@@ -996,8 +996,8 @@ def perfect_completeness(
     turns.append(
         VerifierTurn(
             steps=(
-                static_step(leader, qcore.CNOT.matrix, ["out:0", "B"]),
-                static_step(leader, qcore.CNOT.matrix, ["out:0", "B2"]),
+                static_step(LEADER, qcore.CNOT.matrix, [f"out:{LEADER}", "B"]),
+                static_step(LEADER, qcore.CNOT.matrix, [f"out:{LEADER}", "B2"]),
             ),
             checks=checks,
             sends=hand_over,
@@ -1005,26 +1005,20 @@ def perfect_completeness(
     )
 
     held_regs = tuple(name for name in layout.names() if name != "B2")
-    turns.append(ProverTurn(acts_on=held_regs, delivers=(("B", leader),)))
+    turns.append(ProverTurn(acts_on=held_regs, delivers=(("B", LEADER),)))
 
+    # A node rejects when a check it takes part in fires.
+    fired = {u: [check.name for check in checks if u in check.nodes] for u in range(n)}
     accept_pair = qcore.basis_projector(2)
-    accepts = []
-    for u in range(n):
-        def predicate(view, _u=u):
-            for a, b in sorted(spec.graph.edges):
-                if _u in (a, b) and view.get(f"parity:{a}:{b}", 0) != 0:
-                    return False
-            return view.get(f"bad:{_u}", 0) == 0
-
-        projector = None
-        if u == leader:
-            def projector(view):  # noqa: F811 - leader-only closure
-                return accept_pair, ["B", "B2"]
-
-        accepts.append(
-            NodeAccept(node=u, projector=projector, predicate=predicate,
-                       describe={"kind": "perfected-accept", "node": u})
+    accepts = tuple(
+        NodeAccept(
+            node=u,
+            projector=(lambda view: (accept_pair, ["B", "B2"])) if u == LEADER else None,
+            predicate=lambda view, _u=u: not any(view.get(name, 0) for name in fired[_u]),
+            describe={"kind": "perfected-accept", "node": u},
         )
+        for u in range(n)
+    )
 
     out = ProtocolSpec(
         name=f"perfect[{spec.name}]",
@@ -1033,46 +1027,35 @@ def perfect_completeness(
         turns=tuple(turns),
         verification=VerificationPhase(
             steps=(
-                static_step(leader, qcore.CNOT.matrix, ["B", "B2"]),
-                static_step(leader, qcore.acceptance_rotation(c).matrix, ["B"]),
+                static_step(LEADER, qcore.CNOT.matrix, ["B", "B2"]),
+                static_step(LEADER, qcore.acceptance_rotation(c).matrix, ["B"]),
             ),
-            accepts=tuple(accepts),
+            accepts=accepts,
         ),
         allow_node_exchange=True,
         metadata=dict(spec.metadata, perfected_with_c=c),
     )
 
-    # Honest re-coherence gate: replay the first k+3 turns and map the two
-    # verdict branches onto the all-zero state tagged by the marker B.
-    uncompute = _uncompute_gate(out, honest, k, or_gate, held_regs)
-
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        if turn_index <= k:
-            return honest.gate(turn_index, view)
-        if turn_index == k + 2:
-            return or_gate
-        if turn_index == k + 4:
-            return uncompute
-        raise ProtocolError(f"unexpected prover turn {turn_index}")
+        return appended[turn_index] if turn_index in appended else honest.gate(turn_index, view)
 
-    delta = None if soundness is None else c - float(soundness)
+    # Honest re-coherence gate: replay every turn before the last and map the
+    # two verdict branches onto the all-zero state tagged by the marker B.
     honest_out = FunctionalStrategy(f"perfect[{honest.name}]", gate)
+    appended[len(turns)] = _uncompute_gate(out, honest_out, held_regs)
+    delta = None if soundness is None else c - float(soundness)
     return Compiled.of("perfect_completeness", k, out, honest_out, 1.0, None if delta is None else 1 - delta**2)
 
 
-def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, k: int, or_gate: np.ndarray, held_regs) -> np.ndarray:
+def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, held_regs) -> np.ndarray:
+    """The last turn's honest gate, from a replay of every turn before it with ``honest``."""
     held = out_spec.layout.expand(held_regs)
     dim = 2 ** len(held)
     # Two basis completions and their product, each dim x dim, before the replay.
     what = f"perfect_completeness uncompute gate of {out_spec.name!r} on {len(held)} held qubits"
     qcore.check_budget(3 * 16 * dim * dim, what)
     partial = replace(out_spec, name="partial", turns=out_spec.turns[:-1], verification=VerificationPhase())
-
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        # The one prover turn after the original ones is the OR fan-out.
-        return honest.gate(turn_index, view) if turn_index <= k else or_gate
-
-    leaves = _Executor(partial, FunctionalStrategy("replay", gate)).leaves()
+    leaves = _Executor(partial, honest).leaves()
     live = [b for b, _ in leaves if float(np.vdot(b.vec, b.vec).real) > 1e-18]
     if len(live) != 1:
         raise ProtocolError(f"honest replay produced {len(live)} live branches, expected 1")

@@ -73,6 +73,33 @@ def test_defaults_resolved():
     assert resolved["params"]["epsilon"] == 0.25
 
 
+@pytest.mark.parametrize(
+    "experiment, given, defaults",
+    [
+        ("ghz", {"nodes": 3}, {"copies": 1, "epsilon": 0.25, "delta": 0.5, "strategy": "honest", "prover_qubits": 0}),
+        (
+            "dqct",
+            {"nodes": 2, "states": "equal"},
+            {"copies": 1, "epsilon": 0.25, "delta": 0.5, "probe": False, "prover_qubits": 2, "restarts": 5, "sweeps": 50},
+        ),
+        (
+            "compile-pipeline",
+            {"protocol": "coin-guess", "instance": "yes", "pipeline": []},
+            {"optimize": False, "restarts": 4, "sweeps": 60},
+        ),
+        ("optimize", {"protocol": "coin-guess", "instance": "yes"}, {"restarts": 4, "sweeps": 60}),
+        ("dam-brute-force", {"protocol": "coin-guess"}, {}),
+        ("qcore-properties", {}, {"samples": 500}),
+    ],
+)
+def test_every_field_left_out_takes_its_schema_default(experiment, given, defaults):
+    resolved = validate_config({"experiment": experiment, "seed": 1, "params": given})
+    assert resolved == {"experiment": experiment, "seed": 1, "mode": "exact", "trials": 1000, "params": given | defaults}
+    # A value the config states wins over the default.
+    stated = validate_config({"experiment": experiment, "seed": 1, "mode": "sampled", "trials": 7, "params": given})
+    assert (stated["mode"], stated["trials"]) == ("sampled", 7)
+
+
 def test_schema_in_docs_matches_code():
     from dqip.config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
 

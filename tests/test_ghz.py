@@ -208,7 +208,9 @@ def _per_bit_predicate(graph, copies, view, u, leader=0):
 @pytest.mark.parametrize("copies", [1, 2, 3])
 def test_pghz_predicate_equals_the_per_bit_loop(graph, copies):
     # Random transcripts around the honest tree labels: mostly honest echoes,
-    # random outcomes and parity replies, now and then one lying label.
+    # random outcomes and parity replies, now and then one lying label.  Now
+    # and then every node echoes the same wrong test string, or the same wrong
+    # target copy, which only the leader's check against its coins catches.
     rng = np.random.default_rng(copies)
     accepts = build_pghz(graph, GhzProtocolParams(copies=copies)).spec.verification.accepts
     n, fields = graph.node_count, ("becho_test", "becho_target", "o", "s", "leader", "parent", "dist")
@@ -216,9 +218,11 @@ def test_pghz_predicate_equals_the_per_bit_loop(graph, copies):
     for _ in range(400):
         btest, btarget = int(rng.integers(2**copies)), int(rng.integers(copies + 1))
         values = {"btest": btest, "btarget": btarget, **tree_label_replies(spanning_tree(graph, 0))}
+        echo_test = btest if rng.random() < 0.9 else (btest + int(rng.integers(1, 2**copies))) % 2**copies
+        echo_target = btarget if rng.random() < 0.9 else (btarget + int(rng.integers(1, copies + 1))) % (copies + 1)
         for u in range(n):
-            values[f"becho_test:{u}"] = btest if rng.random() < 0.9 else int(rng.integers(2**copies))
-            values[f"becho_target:{u}"] = btarget
+            values[f"becho_test:{u}"] = echo_test if rng.random() < 0.9 else int(rng.integers(2**copies))
+            values[f"becho_target:{u}"] = echo_target
             values[f"o:{u}"], values[f"s:{u}"] = (int(x) for x in rng.integers(2**copies, size=2))
         if rng.random() < 0.1:
             values[f"parent:{int(rng.integers(1, n))}"] = int(rng.integers(n + 1))
@@ -232,14 +236,19 @@ def test_pghz_predicate_equals_the_per_bit_loop(graph, copies):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("slot", ["dist:1", "parent:2"])
-def test_lying_tree_label_rejected(slot):
+@pytest.mark.parametrize(
+    "lies",
+    [{"dist:1": 2}, {"parent:2": 2}, tree_label_replies(spanning_tree(path_graph(3), 2))],
+    ids=["dist:1", "parent:2", "rooted-at-2"],
+)
+def test_lying_tree_label_rejected(lies):
+    # The last lie is a consistent spanning tree rooted at node 2, which every
+    # label names: only the leader's check that it names itself catches it.
     params = GhzProtocolParams(copies=1)
     compiled = build_pghz(path_graph(3), params)
 
     def lying_reply(slot_name, view, _inner=compiled.honest.reply_fn):
-        value = _inner(slot_name, view)
-        return (value + 1) % 3 if slot_name == slot else value
+        return lies[slot_name] if slot_name in lies else _inner(slot_name, view)
 
     cheat = FunctionalStrategy("bad-tree-label", compiled.honest.gate_fn, lying_reply)
     assert execute_exact(compiled.spec, cheat).acceptance_probability == 0.0

@@ -26,7 +26,6 @@ from dqip.qcore import (
     acceptance_rotation,
     apply_matrix_vec,
     apply_op,
-    apply_unitary,
     circuit_matrix,
     controlled,
     embed_operator,
@@ -41,31 +40,36 @@ from dqip.qcore import (
 from dqip.seeding import substream
 
 
+def applied(state: QuantumState, gate: Gate, targets) -> QuantumState:
+    """``gate`` on ``targets`` of ``state``, identity elsewhere, through the kernel."""
+    return QuantumState(state.num_qubits, apply_matrix_vec(state.amplitudes, gate.matrix, targets))
+
+
 def bell_pair() -> QuantumState:
     s = QuantumState.zero(2)
-    s = apply_unitary(s, H, [0])
-    return apply_unitary(s, CNOT, [0, 1])
+    s = applied(s, H, [0])
+    return applied(s, CNOT, [0, 1])
 
 
 def ghz3() -> QuantumState:
     s = QuantumState.zero(3)
-    s = apply_unitary(s, H, [0])
-    s = apply_unitary(s, CNOT, [0, 1])
-    return apply_unitary(s, CNOT, [0, 2])
+    s = applied(s, H, [0])
+    s = applied(s, CNOT, [0, 1])
+    return applied(s, CNOT, [0, 2])
 
 
 # ---------------------------------------------------------------------------
-# apply_unitary
+# Named gates through apply_matrix_vec
 # ---------------------------------------------------------------------------
 
 
 def test_hadamard_on_zero():
-    out = apply_unitary(QuantumState.zero(1), H, [0])
+    out = applied(QuantumState.zero(1), H, [0])
     assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_acceptance_rotation_c036():
-    out = apply_unitary(QuantumState.zero(1), acceptance_rotation(0.36), [0])
+    out = applied(QuantumState.zero(1), acceptance_rotation(0.36), [0])
     assert np.allclose(out.amplitudes, [0.6, -0.8], atol=1e-12)
 
 
@@ -394,6 +398,15 @@ def test_circuit_matrix_is_the_product_of_embedded_factors():
         assert np.array_equal(circuit_matrix(n, [], "empty circuit"), np.eye(2**n))
 
 
+@pytest.mark.parametrize("control", [0, 1, 2])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_cnot_fanout_is_the_product_of_embedded_cnots(control, count):
+    reference = np.eye(2 ** (control + count), dtype=complex)
+    for j in range(1, count):
+        reference = embed_operator(CNOT.matrix, [control, control + j], control + count) @ reference
+    assert np.array_equal(qcore.cnot_fanout(control, count), reference)
+
+
 def test_circuit_matrix_checks_the_budget_before_allocating():
     # 16 qubits would need a 64 GiB matrix; the refusal names the operator.
     with pytest.raises(CapacityError) as err:
@@ -439,12 +452,12 @@ def test_bad_targets_raise_on_first_and_cached_call(targets, arity):
             StructuredOp(mat, targets).apply(vec)
 
 
-def test_apply_unitary_errors():
+def test_bad_gate_targets_and_non_unitary_gates_are_refused():
     s = QuantumState.zero(2)
     with pytest.raises(LayoutError):
-        apply_unitary(s, CNOT, [0, 2])
+        applied(s, CNOT, [0, 2])
     with pytest.raises(LayoutError):
-        apply_unitary(s, CNOT, [1, 1])
+        applied(s, CNOT, [1, 1])
     with pytest.raises(ValidationError):
         Gate(1, np.array([[1, 0], [1, 1]], dtype=complex))
 
@@ -457,7 +470,7 @@ def test_norm_preserved_under_random_unitaries():
         k = int(rng.integers(1, n + 1))
         gate = qcore.haar_unitary(k, rng)
         targets = list(rng.permutation(n)[:k])
-        out = apply_unitary(state, gate, targets)
+        out = applied(state, gate, targets)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
 
@@ -502,7 +515,7 @@ def test_reduced_density_ghz_keep_two():
 
 
 def test_projector_on_plus_state():
-    plus = apply_unitary(QuantumState.zero(1), H, [0])
+    plus = applied(QuantumState.zero(1), H, [0])
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     assert abs(projector_probability(plus, p0, [0]) - 0.5) <= 1e-12
 
@@ -547,7 +560,7 @@ def test_fidelity_pure_state_cases():
 def test_trace_distance_cases():
     zero = QuantumState.zero(1).density()
     one = QuantumState(1, np.array([0, 1], dtype=complex)).density()
-    plus = apply_unitary(QuantumState.zero(1), H, [0]).density()
+    plus = applied(QuantumState.zero(1), H, [0]).density()
     assert trace_distance(zero, zero) <= 1e-12
     assert abs(trace_distance(zero, one) - 1.0) <= 1e-12
     assert abs(trace_distance(zero, plus) - 1 / np.sqrt(2)) <= 1e-10

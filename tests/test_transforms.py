@@ -12,7 +12,7 @@ from dqip import protocol, qcore
 from dqip.corpus import coin_check_honest, coin_check_spec, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.errors import CapacityError, ConfigError, ShapeError, ValidationError
-from dqip.network import spanning_tree, tree_label_replies, tree_labels_hold
+from dqip.network import path_graph, spanning_tree, tree_label_replies, tree_labels_hold
 from dqip.protocol import (
     Broadcast,
     FunctionalStrategy,
@@ -52,15 +52,13 @@ REDUCTIONS = [
 ]
 
 
-def _lying(strategy: FunctionalStrategy, spec, slot: str) -> FunctionalStrategy:
-    """``strategy`` with the reply to ``slot`` moved to the next value."""
-    sizes = {r.name: r.num_values for t in spec.turns if isinstance(t, ProverTurn) for r in t.replies}
+def _lying(strategy: FunctionalStrategy, lies: dict) -> FunctionalStrategy:
+    """``strategy`` with the replies to the slots that ``lies`` names replaced by its values."""
 
     def reply(slot_name, view):
-        value = strategy.reply_fn(slot_name, view)
-        return (value + 1) % sizes[slot] if slot_name == slot else value
+        return lies[slot_name] if slot_name in lies else strategy.reply_fn(slot_name, view)
 
-    return FunctionalStrategy(f"lie-{slot}", strategy.gate_fn, reply)
+    return FunctionalStrategy("lying", strategy.gate_fn, reply)
 
 
 @pytest.fixture(scope="module")
@@ -314,12 +312,25 @@ def test_halve_private_all_zero_coin_cheat(parity_echo):
     assert value <= shared_bound + 1e-6
 
 
-@pytest.mark.parametrize("slot", ["dist:2", "parent:2", "leader:1", "parent:0"])
-def test_halve_private_rejects_a_lying_tree_label(slot):
+@pytest.mark.parametrize(
+    "lies",
+    [
+        {"dist:2": 0},
+        {"parent:2": 2},
+        {"leader:1": 1},
+        {"parent:0": 0},
+        tree_label_replies(spanning_tree(path_graph(3), 2)),
+    ],
+    ids=["dist:2", "parent:2", "leader:1", "parent:0", "rooted-at-2"],
+)
+def test_halve_private_rejects_a_lying_tree_label(lies):
+    # The honest labels name the tree rooted at node 0 on the 3-node path.  The
+    # last lie is a consistent tree rooted at node 2, which every label names:
+    # only the leader's check that it names itself catches it.
     spec, honest = random_clean_spec(0, turns=5, nodes=3)
     halved = halve_turns_private(spec, honest)
     assert execute_exact(halved.spec, halved.honest).acceptance_probability > 0.5
-    cheat = _lying(halved.honest, halved.spec, slot)
+    cheat = _lying(halved.honest, lies)
     assert execute_exact(halved.spec, cheat).acceptance_probability == 0.0
 
 
@@ -577,9 +588,9 @@ def test_reductions_of_wide_random_specs_build_no_operator_on_every_qubit(reduce
     widths = []
     build = qcore.circuit_matrix
 
-    def recording(num_qubits, factors, what):
+    def recording(num_qubits, factors, what, **options):
         widths.append(num_qubits)
-        return build(num_qubits, factors, what)
+        return build(num_qubits, factors, what, **options)
 
     monkeypatch.setattr(qcore, "circuit_matrix", recording)
     monkeypatch.setattr(protocol, "circuit_matrix", recording)
