@@ -30,8 +30,6 @@ from .protocol import (  # noqa: F401
 )
 from .qcore import (  # noqa: F401
     DensityOperator,
-    Gate,
-    QuantumState,
     fidelity,
     projector_probability,
     trace_distance,

@@ -75,10 +75,10 @@ class Criterion:
 def _ghz_star_equivalence():
     worst = 0.0
     for n in range(2, 7):
-        vec = ghz_state(n).amplitudes
+        vec = ghz_state(n)
         for leaf in range(1, n):
-            vec = qcore.apply_matrix_vec(vec, qcore.H.matrix, [leaf])
-        worst = max(worst, float(np.linalg.norm(vec - star_state(n).amplitudes)))
+            vec = qcore.apply_matrix_vec(vec, qcore.H, [leaf])
+        worst = max(worst, float(np.linalg.norm(vec - star_state(n))))
     return worst, 1e-12, "<=", [f"max deviation over n=2..6: {worst:.2e}"]
 
 
@@ -92,10 +92,9 @@ def _stabilizer_equivalence():
                 vec[idx] = 1.0
                 for q, basis in enumerate(test.bases):
                     if basis == "X":
-                        vec = qcore.apply_matrix_vec(vec, qcore.H.matrix, [q])
-                state = qcore.QuantumState(n, vec)
+                        vec = qcore.apply_matrix_vec(vec, qcore.H, [q])
                 classical = 1.0 if test.predicate(bits) else 0.0
-                quantum = qcore.projector_probability(state, test.projector, list(range(n)))
+                quantum = qcore.projector_probability(vec, test.projector, list(range(n)))
                 worst = max(worst, abs(classical - quantum))
     return worst, 1e-10, "<=", ["all product basis states, n = 2..4, both tests"]
 

@@ -49,7 +49,7 @@ PARAM_SCHEMAS = {
             "strategy": {"enum": ["honest", "all-zero"], "default": "honest"},
             "prover_qubits": {"type": "integer", "minimum": 0, "maximum": 4, "default": 0},
         },
-        "required": ["nodes", "copies"],
+        "required": ["nodes"],
     },
     "dqct": {
         "type": "object",

@@ -8,8 +8,8 @@ from . import qcore
 from .network import allocate_layout, build_network
 from .protocol import (
     CoinFlip,
-    FunctionalStrategy,
     ProtocolSpec,
+    ProverStrategy,
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
@@ -43,7 +43,7 @@ def coin_check_spec(check_vectors: list[np.ndarray], name: str = "coin-check") -
     table = {}
     for r, v in enumerate(check_vectors):
         # Unrotate M, then copy it into V (CNOT with control M, target V).
-        factors = [(_completion_unitary(v).conj().T, [1]), (qcore.CNOT.matrix, [1, 0])]
+        factors = [(_completion_unitary(v).conj().T, [1]), (qcore.CNOT, [1, 0])]
         table[(r,)] = (qcore.circuit_matrix(2, factors, "check step"), ["V:0", "M:0"])
     step = conditional_step(0, ["r"], table)
     return ProtocolSpec(
@@ -66,11 +66,11 @@ def two_check_spec(v0: np.ndarray, v1: np.ndarray, name: str = "two-check") -> P
     graph = build_network(1, [])
     layout = allocate_layout(graph, prover_qubits=0, node_private=2, node_message=1)
     turn1 = ProverTurn(acts_on=("M:0",), delivers=(("M:0", 0),))
-    coin_h = static_step(0, qcore.H.matrix, ["V:0[1]"])
+    coin_h = static_step(0, qcore.H, ["V:0[1]"])
     # Gate qubit 0 is the coin, gate qubit 1 the message.
     unrot = qcore.controlled(_completion_unitary(v0).conj().T, _completion_unitary(v1).conj().T)
     controlled_unrotate = static_step(0, unrot, ["V:0[1]", "M:0"])
-    copy = qcore.circuit_matrix(2, [(qcore.CNOT.matrix, [1, 0])], "copy step")  # control M, target V
+    copy = qcore.circuit_matrix(2, [(qcore.CNOT, [1, 0])], "copy step")  # control M, target V
     copy_into_v = static_step(0, copy, ["V:0[0]", "M:0"])
     return ProtocolSpec(
         name=name,
@@ -84,6 +84,6 @@ def two_check_spec(v0: np.ndarray, v1: np.ndarray, name: str = "two-check") -> P
     )
 
 
-def coin_check_honest() -> FunctionalStrategy:
+def coin_check_honest() -> ProverStrategy:
     """Sends |0> in the message register of :func:`coin_check_spec`."""
-    return FunctionalStrategy("send-zero", lambda turn, view: np.eye(2, dtype=np.complex128))
+    return ProverStrategy("send-zero", lambda turn, view: np.eye(2, dtype=np.complex128))

@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .ghz import GhzProtocolParams, build_pghz, copy_reg, read_tests
 from .network import LEADER, NetworkGraph, extend_layout
 from .prover import OptimizerConfig, seesaw_optimize
-from .protocol import FunctionalStrategy, Step
+from .protocol import ProverStrategy, Step
 from .seeding import substream
 from .transforms import Compiled
 
@@ -68,15 +68,15 @@ def make_instance(graph: NetworkGraph, qubits_per_node, kind: str, seed: int = 0
     """Named generators: 'equal', 'orthogonal' or 'random'."""
     total = sum(qubits_per_node)
     rng = substream(seed, "dqct.instance", kind)
-    psi = qcore.haar_state(total, rng).amplitudes
+    psi = qcore.haar_state(total, rng)
     if kind == "equal":
         phi = psi.copy()
     elif kind == "orthogonal":
-        raw = qcore.haar_state(total, rng).amplitudes
+        raw = qcore.haar_state(total, rng)
         phi = raw - psi * np.vdot(psi, raw)
         phi = phi / np.linalg.norm(phi)
     elif kind == "random":
-        phi = qcore.haar_state(total, rng).amplitudes
+        phi = qcore.haar_state(total, rng)
     else:
         raise ValidationError(f"unknown instance kind {kind!r}")
     return DqctInstance(graph, tuple(qubits_per_node), psi, phi)
@@ -89,7 +89,7 @@ def in_reg(side: int, u: int) -> str:
 def _controlled_slice_swap(width: int) -> np.ndarray:
     """Controlled qubit-wise SWAP of two width-qubit slices (control first)."""
     what = f"controlled swap of two {width}-qubit slices"
-    swap = qcore.circuit_matrix(2 * width, [(qcore.SWAP.matrix, [j, width + j]) for j in range(width)], what)
+    swap = qcore.circuit_matrix(2 * width, [(qcore.SWAP, [j, width + j]) for j in range(width)], what)
     return qcore.controlled(np.eye(len(swap), dtype=np.complex128), swap)
 
 
@@ -146,7 +146,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
         replace(
             turn4,
             steps=turn4.steps
-            + (leader_step(qcore.CNOT.matrix, {"kind": "control-mark", "node": LEADER}),)
+            + (leader_step(qcore.CNOT, {"kind": "control-mark", "node": LEADER}),)
             + tuple(cswap_step(u) for u in range(n)),
             sends=control_regs,
         ),
@@ -158,7 +158,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     )
 
     # CNOT from B2 back onto the leader's control qubit, then H on B2.
-    finish = qcore.circuit_matrix(2, [(qcore.CNOT.matrix, [1, 0]), (qcore.H.matrix, [1])], "swap-test finish")
+    finish = qcore.circuit_matrix(2, [(qcore.CNOT, [1, 0]), (qcore.H, [1])], "swap-test finish")
     zero1, zero2 = qcore.basis_projector(1), qcore.basis_projector(2)
 
     def projector(u: int):
@@ -200,7 +200,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     def gate(turn_index: int, view: Mapping):
         return fan_in if turn_index == returns else ghz.honest.gate_fn(turn_index, view)
 
-    honest = FunctionalStrategy("closeness-honest", gate, ghz.honest.reply_fn)
+    honest = ProverStrategy("closeness-honest", gate, ghz.honest.reply_fn)
     return Compiled.of("build_pdqct", 0, spec, honest, completeness=0.5 + 0.5 * instance.overlap_squared())
 
 

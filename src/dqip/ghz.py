@@ -43,40 +43,40 @@ from .network import (
 from .protocol import (
     Broadcast,
     CoinFlip,
-    FunctionalStrategy,
     Measurement,
     NodeAccept,
     ProtocolSpec,
+    ProverStrategy,
     ProverTurn,
     ReplySlot,
     VerificationPhase,
     VerifierTurn,
     Step,
 )
-from .qcore import FactoredOp, QuantumState
+from .qcore import FactoredOp
 from .transforms import Compiled
 
 
-def ghz_state(n: int) -> QuantumState:
-    """(|0^n> + |1^n>)/sqrt(2)."""
+def ghz_state(n: int) -> np.ndarray:
+    """(|0^n> + |1^n>)/sqrt(2), as a state vector."""
     if n < 2:
         raise ValidationError("ghz_state needs at least two qubits")
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
-    return QuantumState(n, amps)
+    return amps
 
 
 def star_prep_matrix(n: int) -> np.ndarray:
     """The honest star preparation: Hadamards on every qubit, then a CZ from qubit 0 to each leaf."""
-    factors = [(qcore.H.matrix, [q]) for q in range(n)] + [(qcore.CZ.matrix, [0, leaf]) for leaf in range(1, n)]
+    factors = [(qcore.H, [q]) for q in range(n)] + [(qcore.CZ, [0, leaf]) for leaf in range(1, n)]
     return qcore.circuit_matrix(n, factors, f"{n}-qubit star preparation")
 
 
-def star_state(n: int) -> QuantumState:
-    """Star graph state: :func:`star_prep_matrix` applied to |0^n>, its column 0."""
+def star_state(n: int) -> np.ndarray:
+    """Star graph state vector: :func:`star_prep_matrix` applied to |0^n>, its column 0."""
     if n < 2:
         raise ValidationError("star_state needs at least two qubits")
-    return QuantumState(n, np.ascontiguousarray(star_prep_matrix(n)[:, 0]))
+    return np.ascontiguousarray(star_prep_matrix(n)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +105,9 @@ def stabilizer_tests(n: int) -> tuple[StabilizerTest, StabilizerTest]:
     # leaves' projectors (1 + Z_0 X_leaf) / 2, which commute.
     what = f"{n}-qubit stabilizer test"
     leaves = range(1, n)
-    center_x = qcore.circuit_matrix(n, [(qcore.Z.matrix, [leaf]) for leaf in leaves] + [(qcore.X.matrix, [0])], what)
+    center_x = qcore.circuit_matrix(n, [(qcore.Z, [leaf]) for leaf in leaves] + [(qcore.X, [0])], what)
     p0 = (np.eye(2**n) + center_x) / 2
-    k_leaf = qcore.circuit_matrix(2, [(qcore.X.matrix, [1]), (qcore.Z.matrix, [0])], what)
+    k_leaf = qcore.circuit_matrix(2, [(qcore.X, [1]), (qcore.Z, [0])], what)
     p1 = qcore.circuit_matrix(n, [((np.eye(4) + k_leaf) / 2, [0, leaf]) for leaf in reversed(leaves)], what)
 
     test0 = StabilizerTest(
@@ -208,7 +208,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
                 regs.append(copy_reg(target, u))
             if not regs:
                 return None
-            hadamards = [(qcore.H.matrix, [j]) for j in range(len(regs))]
+            hadamards = [(qcore.H, [j]) for j in range(len(regs))]
             return qcore.circuit_matrix(len(regs), hadamards, f"basis rotation of node {u}"), regs
 
         def resolve(view: Mapping):
@@ -322,7 +322,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     return Compiled.of("build_pghz", 0, spec, honest_pghz_strategy(graph, params), completeness=1.0)
 
 
-def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> FunctionalStrategy:
+def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> ProverStrategy:
     """Sends star states, echoes the leader's coins, sums subtree parities."""
     n = graph.node_count
     copies = params.copies
@@ -371,21 +371,21 @@ def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> Func
             return view["btarget"]
         raise ValidationError(f"unexpected reply slot {slot_name!r}")
 
-    return FunctionalStrategy("ghz-honest", gate, reply)
+    return ProverStrategy("ghz-honest", gate, reply)
 
 
-def all_zero_cheat(spec: ProtocolSpec, params: GhzProtocolParams) -> FunctionalStrategy:
+def all_zero_cheat(spec: ProtocolSpec, params: GhzProtocolParams) -> ProverStrategy:
     """Fixed cheat: sends |0...0> instead of star states, replies honestly."""
     honest = honest_pghz_strategy(spec.graph, params)
 
     def gate(turn_index: int, view: Mapping) -> FactoredOp:
         return FactoredOp(honest.gate_fn(turn_index, view).arity)
 
-    return FunctionalStrategy("ghz-all-zero", gate, honest.reply_fn)
+    return ProverStrategy("ghz-all-zero", gate, honest.reply_fn)
 
 
 def ghz_fidelity(rho: np.ndarray) -> float:
     """<GHZ| rho |GHZ> for a density matrix on n qubits."""
     n = int(round(np.log2(rho.shape[0])))
-    target = ghz_state(n).amplitudes
+    target = ghz_state(n)
     return float(np.real(target.conj() @ rho @ target))

@@ -199,7 +199,7 @@ class ProtocolSpec:
     """An executable turn script over a fixed layout.
 
     A turn's number is its 1-based position in ``turns``: the executor hands
-    a prover turn's number to :meth:`ProverStrategy.gate` as ``turn_index``,
+    a prover turn's number to :attr:`ProverStrategy.gate_fn` as ``turn_index``,
     and :func:`block_key` keys the turn's prover blocks by it.
     ``initial_factors`` seeds named registers with given pure states (used by
     protocols whose inputs are quantum); everything else starts at |0...0>.
@@ -233,19 +233,23 @@ class ProtocolSpec:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ProverStrategy:
-    """Interface: one unitary per prover turn plus classical reply functions.
+    """A prover: one gate per prover turn and one value per classical reply slot.
 
-    A gate is a dense ``2^k`` matrix on the turn's ``acts_on`` qubits or a
-    :class:`~dqip.qcore.FactoredOp` over them; callers that need the matrix
-    use :func:`~dqip.qcore.dense_matrix`.  Replies come from ``reply_fn``.
+    ``gate_fn(turn_index, view)`` returns the gate of the prover turn at
+    position ``turn_index``: a dense ``2^k`` matrix on its ``acts_on`` qubits
+    or a :class:`~dqip.qcore.FactoredOp` over them (callers that need the
+    matrix use :func:`~dqip.qcore.dense_matrix`).  ``reply_fn(slot_name,
+    view)`` returns a reply.  ``view`` is the prover's view; both functions
+    must be pure, as the sampled walk's memo and :func:`block_key` assume.
+    The see-saw's best strategy looks its gates up by :func:`block_key`
+    (:attr:`~dqip.prover.OptimizerTrace.best_gates`).
     """
 
     name: str
+    gate_fn: Callable[[int, Mapping], np.ndarray | FactoredOp]
     reply_fn: Callable[[str, Mapping], int] | None = None
-
-    def gate(self, turn_index: int, view: Mapping) -> np.ndarray | FactoredOp:
-        raise NotImplementedError
 
     def reply(self, slot_name: str, view: Mapping) -> int:
         if self.reply_fn is None:
@@ -253,34 +257,9 @@ class ProverStrategy:
         return self.reply_fn(slot_name, view)
 
 
-@dataclass
-class FunctionalStrategy(ProverStrategy):
-    name: str
-    gate_fn: Callable[[int, Mapping], np.ndarray | FactoredOp]
-    reply_fn: Callable[[str, Mapping], int] | None = None
-
-    def gate(self, turn_index: int, view: Mapping) -> np.ndarray | FactoredOp:
-        return self.gate_fn(turn_index, view)
-
-
 def block_key(turn_index: int, view: Mapping) -> tuple:
+    """The key of a prover gate: the turn's number and the prover's view, as sorted items."""
     return (turn_index, tuple(sorted(view.items())))
-
-
-@dataclass
-class TabularStrategy(ProverStrategy):
-    """Strategy given by explicit per-(turn, prover view) unitaries.
-
-    This is the representation the see-saw optimizer works with; replies are
-    delegated to a fixed reply function (usually the honest one).
-    """
-
-    name: str
-    gates: dict
-    reply_fn: Callable[[str, Mapping], int] | None = None
-
-    def gate(self, turn_index: int, view: Mapping) -> np.ndarray:
-        return self.gates[block_key(turn_index, view)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +387,7 @@ class _Exact:
         return self.op(matrix, qubits).apply(vec)
 
     def prover(self, vec: np.ndarray, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
-        return apply_op(vec, strategy.gate(turn_index, view), qubits)
+        return apply_op(vec, strategy.gate_fn(turn_index, view), qubits)
 
     def project(self, vec: np.ndarray, parts: list[list[int]], outcome: int) -> np.ndarray:
         return project_outcome(vec, _joint(parts), outcome)
@@ -754,7 +733,7 @@ class _Executor:
             nab, nba = f"W:{a}:{b}", f"W:{b}:{a}"
             if self.layout.has(nab) and self.layout.has(nba):
                 for x, y in zip(self.layout.qubits(nab), self.layout.qubits(nba)):
-                    branch.vec = self.policy.apply(branch.vec, SWAP.matrix, [x, y])
+                    branch.vec = self.policy.apply(branch.vec, SWAP, [x, y])
 
     def _flip_coin(self, branch: _Branch, coin: CoinFlip, label: str):
         values = list(self.policy.coin(coin.num_values))
@@ -893,6 +872,19 @@ class RunReport:
             raise ValidationError(f"acceptance {self.acceptance_probability!r} outside [0, 1]")
         self.acceptance_probability = min(max(self.acceptance_probability, 0.0), 1.0)
 
+    def to_json(self) -> dict:
+        """Every field but ``output_state``, which the reports leave out."""
+        return {
+            "acceptance_probability": self.acceptance_probability,
+            "mode": self.mode,
+            "per_node_acceptance": {str(k): v for k, v in self.per_node_acceptance.items()},
+            "seed": self.seed,
+            "trials": self.trials,
+            "wilson_interval": self.wilson_interval,
+            "derived": self.derived,
+            "metadata": self.metadata,
+        }
+
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
@@ -1008,7 +1000,7 @@ def verification_projector(spec: ProtocolSpec) -> np.ndarray:
     dim = 2**spec.layout.total_qubits
     what = f"verification projector of {spec.name!r}"
     qcore.check_budget(16 * dim * dim, what)
-    executor = _Executor(spec, FunctionalStrategy("unused", lambda *_: None), _Record())
+    executor = _Executor(spec, ProverStrategy("unused", lambda *_: None), _Record())
     # Ownership does not constrain the verification phase analysis here:
     # every register is measured or projected by its final holder.
     start = _Branch.start(spec.graph, None, _final_holders(spec))

@@ -26,11 +26,10 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .protocol import (
     BranchPath,
-    FunctionalStrategy,
     ProtocolSpec,
     ProverStrategy,
     ProverTurn,
-    TabularStrategy,
+    block_key,
     collect_paths,
 )
 from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix, haar_matrix
@@ -53,8 +52,12 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerTrace:
+    """A see-saw's result.  ``best_strategy`` looks its gates up in
+    ``best_gates``, the best restart's gate per :func:`~dqip.protocol.block_key`."""
+
     best_acceptance: float
-    best_strategy: TabularStrategy
+    best_strategy: ProverStrategy
+    best_gates: dict = field(default_factory=dict)
     sweep_acceptance: list[list[float]] = field(default_factory=list)  # per restart
     restarts: int = 0
 
@@ -207,16 +210,16 @@ def seesaw_optimize(
     if freeze_turns and honest is None:
         raise ValidationError("freeze_turns requires an honest strategy to pin")
     reply_fn = None if honest is None else honest.reply
-    skeleton = FunctionalStrategy("skeleton", lambda *_: None, reply_fn)
-    paths, initial = collect_paths(spec, skeleton)
+    best_gates: dict = {}
+    best = ProverStrategy(
+        f"seesaw[{spec.name}]", lambda turn_index, view: best_gates[block_key(turn_index, view)], reply_fn
+    )
+    trace = OptimizerTrace(best_acceptance=-1.0, best_strategy=best, best_gates=best_gates, restarts=config.restarts)
+    paths, initial = collect_paths(spec, ProverStrategy("skeleton", lambda *_: None, reply_fn))
     if not paths:
         # Every branch fails a classical predicate: no unitary can help.
-        return OptimizerTrace(
-            best_acceptance=0.0,
-            best_strategy=TabularStrategy(f"seesaw[{spec.name}]", {}, reply_fn),
-            sweep_acceptance=[[0.0]],
-            restarts=config.restarts,
-        )
+        trace.best_acceptance, trace.sweep_acceptance = 0.0, [[0.0]]
+        return trace
     blocks = _block_table(paths)
     order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
     update_order = [key for key in order if key[0] not in freeze_turns]
@@ -235,7 +238,7 @@ def seesaw_optimize(
     def honest_gate(key) -> np.ndarray:
         turn_index, view_items = key
         what = f"the honest gate of turn {turn_index} in the see-saw of {spec.name!r}"
-        return dense_matrix(honest.gate(turn_index, dict(view_items)), what)
+        return dense_matrix(honest.gate_fn(turn_index, dict(view_items)), what)
 
     def random_gates(restart: int) -> dict:
         gates = {}
@@ -248,7 +251,6 @@ def seesaw_optimize(
             gates[key] = haar_matrix(len(blocks[key]), rng, what)
         return gates
 
-    trace = OptimizerTrace(best_acceptance=-1.0, best_strategy=None, restarts=config.restarts)
     for restart in range(config.restarts):
         if restart == 0 and honest is not None:
             gates = {key: honest_gate(key) for key in order}
@@ -267,9 +269,7 @@ def seesaw_optimize(
         trace.sweep_acceptance.append(history)
         if history[-1] > trace.best_acceptance:
             trace.best_acceptance = history[-1]
-            trace.best_strategy = TabularStrategy(
-                name=f"seesaw[{spec.name}]", gates=dict(gates), reply_fn=reply_fn
-            )
+            best_gates.update(gates)  # every restart assigns the same keys
     return trace
 
 
@@ -356,8 +356,7 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
     if prover_turns[0].replies:
         raise ShapeError("exact_single_message_max does not support classical replies")
 
-    skeleton = FunctionalStrategy("skeleton", lambda *_: None)
-    paths, initial = collect_paths(spec, skeleton)
+    paths, initial = collect_paths(spec, ProverStrategy("skeleton", lambda *_: None))
     turn = prover_turns[0]
     regs = list(turn.acts_on(dict()) if callable(turn.acts_on) else turn.acts_on)
     qubits = spec.layout.expand(regs)

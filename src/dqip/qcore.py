@@ -4,10 +4,13 @@ Conventions used throughout the package:
 
 * Qubit indexing is little-endian: bit ``q`` of a basis index addresses
   qubit ``q``, so qubit 0 is the least significant bit.
-* Gates carry their own local qubit order; ``apply_matrix_vec(vec, m, targets)``
+* Gates are complex matrices and pure states complex vectors.  A gate
+  carries its own local qubit order; ``apply_matrix_vec(vec, m, targets)``
   maps the matrix's qubit ``j`` onto global qubit ``targets[j]``.
-* Everything is immutable after construction and all operations are pure
-  functions, so independent calls are safe to evaluate in parallel.
+* The named gates ``H, X, Z, CNOT, CZ, SWAP`` are read-only arrays that
+  every spec in a process shares; writing into one raises ``ValueError``.
+* No operation modifies its inputs, so independent calls are safe to
+  evaluate in parallel.
 
 Gates act through one planned kernel, :func:`apply_matrix_vec`.  The axis
 plan for a ``(qubit count, targets)`` pair (the transpose that brings the
@@ -57,7 +60,6 @@ from .errors import CapacityError, LayoutError, ValidationError
 from .seeding import substream
 
 NORM_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
@@ -90,34 +92,6 @@ def check_budget(requested: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class QuantumState:
-    """A normalized pure state on ``num_qubits`` qubits."""
-
-    num_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValidationError(
-                f"amplitude vector has shape {amps.shape}, expected ({2**self.num_qubits},)"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "QuantumState":
-        amps = np.zeros(2**num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """A density matrix: Hermitian, unit trace, positive semidefinite."""
 
@@ -136,23 +110,6 @@ class DensityOperator:
             raise ValidationError(f"density matrix trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
         if np.min(np.linalg.eigvalsh(mat)) < EIGENVALUE_FLOOR:
             raise ValidationError("density matrix has an eigenvalue below the PSD floor")
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
-class Gate:
-    """A unitary on ``arity`` qubits, stored as a dense ``2^arity`` matrix."""
-
-    arity: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        dim = 2**self.arity
-        if mat.shape != (dim, dim):
-            raise ValidationError(f"gate matrix shape {mat.shape} does not match arity {self.arity}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > UNITARY_ATOL:
-            raise ValidationError("gate matrix is not unitary within tolerance")
         object.__setattr__(self, "matrix", mat)
 
 
@@ -175,22 +132,28 @@ def _swap_bits(i: int, a: int, b: int) -> int:
     return i
 
 
-H = Gate(1, np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
-X = Gate(1, np.array([[0, 1], [1, 0]], dtype=np.complex128))
-Z = Gate(1, np.array([[1, 0], [0, -1]], dtype=np.complex128))
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+# Every spec in a process shares these arrays, so writing into one raises.
+H = _read_only(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
+X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+Z = _read_only(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 # Control is the gate's qubit 0 in all controlled gates below.
-CNOT = Gate(2, _permutation_matrix(2, lambda i: i ^ 2 if i & 1 else i))
-CZ = Gate(2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))
-SWAP = Gate(2, _permutation_matrix(2, lambda i: _swap_bits(i, 0, 1)))
+CNOT = _read_only(_permutation_matrix(2, lambda i: i ^ 2 if i & 1 else i))
+CZ = _read_only(np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))
+SWAP = _read_only(_permutation_matrix(2, lambda i: _swap_bits(i, 0, 1)))
 
 
-def acceptance_rotation(c: float) -> Gate:
+def acceptance_rotation(c: float) -> np.ndarray:
     """Single-qubit rotation T_c with T_c|0> = sqrt(c)|0> - sqrt(1-c)|1>."""
     if not 0.0 <= c <= 1.0:
         raise ValidationError(f"rotation parameter {c!r} outside [0, 1]")
     sc, ss = np.sqrt(c), np.sqrt(1.0 - c)
-    return Gate(1, np.array([[sc, ss], [-ss, sc]], dtype=np.complex128))
+    return np.array([[sc, ss], [-ss, sc]], dtype=np.complex128)
 
 
 def controlled(mat0: np.ndarray, mat1: np.ndarray) -> np.ndarray:
@@ -330,7 +293,7 @@ def circuit_matrix(
 
 def cnot_fanout(control: int, count: int) -> np.ndarray:
     """CNOTs from qubit ``control`` onto each of the next ``count - 1`` qubits, on ``control + count`` qubits."""
-    cnots = [(CNOT.matrix, [control, control + j]) for j in range(1, count)]
+    cnots = [(CNOT, [control, control + j]) for j in range(1, count)]
     return circuit_matrix(control + count, cnots, f"CNOT fan-out from qubit {control} onto {count - 1} qubits")
 
 
@@ -596,12 +559,12 @@ def check_projector(op: np.ndarray) -> None:
         raise ValidationError("operator is not idempotent within tolerance")
 
 
-def projector_probability(state: QuantumState, projector: np.ndarray, targets: Sequence[int]) -> float:
-    """Return <psi| Pi |psi> with ``projector`` lifted to the full space."""
+def projector_probability(vec: np.ndarray, projector: np.ndarray, targets: Sequence[int]) -> float:
+    """Return <psi| Pi |psi> for the state vector ``vec``, with ``projector`` lifted to the full space."""
     projector = np.asarray(projector, dtype=np.complex128)
     check_projector(projector)
-    out = apply_matrix_vec(state.amplitudes, projector, targets)
-    p = float(np.real(np.vdot(state.amplitudes, out)))
+    out = apply_matrix_vec(vec, projector, targets)
+    p = float(np.real(np.vdot(vec, out)))
     if p < -NORM_ATOL or p > 1.0 + NORM_ATOL:
         raise ValidationError(f"projector expectation {p!r} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
@@ -660,20 +623,17 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(int(seed), "qcore.haar")
+def haar_state(num_qubits: int, seed) -> np.ndarray:
+    """Haar-random pure state: normalized complex standard-normal vector.
 
-
-def haar_state(num_qubits: int, seed) -> QuantumState:
-    """Haar-random pure state: normalized complex standard-normal vector."""
+    ``seed`` is a generator, or an int that seeds the ``qcore.haar`` substream.
+    """
     if num_qubits < 1:
         raise ValidationError("haar_state needs at least one qubit")
-    rng = _as_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), "qcore.haar")
     dim = 2**num_qubits
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return QuantumState(num_qubits, vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 # A Haar draw's peak in units of its 16 * dim^2-byte matrix: tracemalloc reads
@@ -695,19 +655,12 @@ def haar_matrix(num_qubits: int, rng: np.random.Generator, what: str) -> np.ndar
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def haar_unitary(num_qubits: int, seed) -> Gate:
-    """Haar-random unitary gate drawn by :func:`haar_matrix`."""
-    if num_qubits < 1:
-        raise ValidationError("haar_unitary needs at least one qubit")
-    return Gate(num_qubits, haar_matrix(num_qubits, _as_rng(seed), f"{num_qubits}-qubit Haar unitary"))
-
-
 def _random_density(rng: np.random.Generator, n: int) -> DensityOperator:
     """A mixture of one to four Haar-random pure states on ``n`` qubits."""
     weights = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
     mat = np.zeros((2**n, 2**n), dtype=complex)
     for w in weights:
-        v = haar_state(n, rng).amplitudes
+        v = haar_state(n, rng)
         mat += w * np.outer(v, v.conj())
     return DensityOperator(n, mat)
 

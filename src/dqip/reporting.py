@@ -14,24 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .protocol import RunReport
 
 
 def jsonify(value):
-    """Recursively convert reports, arrays and numpy scalars to JSON types."""
-    if isinstance(value, RunReport):
-        return jsonify(
-            {
-                "acceptance_probability": value.acceptance_probability,
-                "mode": value.mode,
-                "per_node_acceptance": {str(k): v for k, v in value.per_node_acceptance.items()},
-                "seed": value.seed,
-                "trials": value.trials,
-                "wilson_interval": value.wilson_interval,
-                "derived": value.derived,
-                "metadata": value.metadata,
-            }
-        )
+    """Recursively convert arrays, numpy scalars and objects with ``to_json`` to JSON types."""
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return [[float(z.real), float(z.imag)] for z in value.reshape(-1)]

@@ -55,7 +55,6 @@ from .network import (
 from .protocol import (
     Broadcast,
     CoinFlip,
-    FunctionalStrategy,
     Measurement,
     NodeAccept,
     ProjectiveCheck,
@@ -413,7 +412,7 @@ def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, value: DamValue) -> Co
             "classical_value": float(value.optimal_acceptance),
         },
     )
-    honest = FunctionalStrategy(
+    honest = ProverStrategy(
         name=f"dam-honest[{dam.name}]",
         gate_fn=lambda turn, view: honest_gates[turn],
     )
@@ -428,9 +427,9 @@ def _arthur_unit(slot: tuple[int | None, int], g: int, m: int) -> np.ndarray:
     CNOT fan-out from the coin slot into M.
     """
     store, coin = slot
-    factors = [] if store is None else [(qcore.SWAP.matrix, [store + b, g + b]) for b in range(m)]
+    factors = [] if store is None else [(qcore.SWAP, [store + b, g + b]) for b in range(m)]
     for b in range(m):
-        factors += [(qcore.H.matrix, [coin + b]), (qcore.CNOT.matrix, [coin + b, g + b])]
+        factors += [(qcore.H, [coin + b]), (qcore.CNOT, [coin + b, g + b])]
     return qcore.circuit_matrix(g + m, factors, "Arthur unit on (V, M)")
 
 
@@ -485,12 +484,12 @@ def pad_to_turns(spec: ProtocolSpec, honest: ProverStrategy, target: int) -> Com
     appended = {i: idle for i, turn in enumerate(turns[k:], k + 1) if isinstance(turn, ProverTurn)}
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        return appended[turn_index] if turn_index in appended else honest.gate(turn_index, view)
+        return appended[turn_index] if turn_index in appended else honest.gate_fn(turn_index, view)
 
     padded = replace(
         spec, name=f"{spec.name}+pad{target}", turns=turns, metadata=dict(spec.metadata, padded_to=target)
     )
-    return Compiled.of("pad_to_turns", k, padded, FunctionalStrategy(f"{honest.name}+pad", gate))
+    return Compiled.of("pad_to_turns", k, padded, ProverStrategy(f"{honest.name}+pad", gate))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +579,7 @@ class _Halving:
             for u in range(n)
         }
         self.gates = {
-            i: qcore.dense_matrix(honest.gate(i, {}))
+            i: qcore.dense_matrix(honest.gate_fn(i, {}))
             for i, t in enumerate(spec.turns, 1)
             if isinstance(t, ProverTurn)
         }
@@ -724,7 +723,7 @@ class _Halving:
         def gate(turn_index: int, view: Mapping) -> np.ndarray | qcore.FactoredOp:
             return fixed[turn_index] if turn_index in fixed else b.gate(pair_gates[turn_index], view)
 
-        honest = FunctionalStrategy(f"{b.tag}[{self.honest.name}]", gate, b.reply)
+        honest = ProverStrategy(f"{b.tag}[{self.honest.name}]", gate, b.reply)
         c = None if completeness is None else halved_completeness(float(completeness))
         s = None if soundness is None else halved_soundness(float(soundness))
         return Compiled.of(self.transform, spec.num_turns, out, honest, c, s)
@@ -817,8 +816,8 @@ def halve_turns_private(
     prelude = (
         VerifierTurn(
             steps=(
-                static_step(LEADER, qcore.H.matrix, [coin_reg(LEADER)]),
-                static_step(LEADER, qcore.CNOT.matrix, [coin_reg(LEADER), "CP"]),
+                static_step(LEADER, qcore.H, [coin_reg(LEADER)]),
+                static_step(LEADER, qcore.CNOT, [coin_reg(LEADER), "CP"]),
             ),
             sends=("CP",),
         ),
@@ -953,7 +952,7 @@ def perfect_completeness(
 
     out_regs = tuple(f"out:{u}" for u in range(n))
     copy_steps = tuple(
-        static_step(u, qcore.CNOT.matrix, [f"V:{u}[0]", f"out:{u}"]) for u in range(n)
+        static_step(u, qcore.CNOT, [f"V:{u}[0]", f"out:{u}"]) for u in range(n)
     )
     turns.append(
         VerifierTurn(
@@ -996,8 +995,8 @@ def perfect_completeness(
     turns.append(
         VerifierTurn(
             steps=(
-                static_step(LEADER, qcore.CNOT.matrix, [f"out:{LEADER}", "B"]),
-                static_step(LEADER, qcore.CNOT.matrix, [f"out:{LEADER}", "B2"]),
+                static_step(LEADER, qcore.CNOT, [f"out:{LEADER}", "B"]),
+                static_step(LEADER, qcore.CNOT, [f"out:{LEADER}", "B2"]),
             ),
             checks=checks,
             sends=hand_over,
@@ -1027,8 +1026,8 @@ def perfect_completeness(
         turns=tuple(turns),
         verification=VerificationPhase(
             steps=(
-                static_step(LEADER, qcore.CNOT.matrix, ["B", "B2"]),
-                static_step(LEADER, qcore.acceptance_rotation(c).matrix, ["B"]),
+                static_step(LEADER, qcore.CNOT, ["B", "B2"]),
+                static_step(LEADER, qcore.acceptance_rotation(c), ["B"]),
             ),
             accepts=accepts,
         ),
@@ -1037,11 +1036,11 @@ def perfect_completeness(
     )
 
     def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        return appended[turn_index] if turn_index in appended else honest.gate(turn_index, view)
+        return appended[turn_index] if turn_index in appended else honest.gate_fn(turn_index, view)
 
     # Honest re-coherence gate: replay every turn before the last and map the
     # two verdict branches onto the all-zero state tagged by the marker B.
-    honest_out = FunctionalStrategy(f"perfect[{honest.name}]", gate)
+    honest_out = ProverStrategy(f"perfect[{honest.name}]", gate)
     appended[len(turns)] = _uncompute_gate(out, honest_out, held_regs)
     delta = None if soundness is None else c - float(soundness)
     return Compiled.of("perfect_completeness", k, out, honest_out, 1.0, None if delta is None else 1 - delta**2)
@@ -1214,7 +1213,7 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
         # Copy i's honest gate acts on its own block of P and its own messages.
         inner_acts, acts = prover_acts[turn_index]
         per_copy_m = sum(spec.layout.size(r) for r in inner_acts if r != "P")
-        inner_gate = qcore.dense_matrix(honest.gate(turn_index, view))
+        inner_gate = qcore.dense_matrix(honest.gate_fn(turn_index, view))
         factors = []
         for i in range(t):
             offset = p_in * t + i * per_copy_m
@@ -1222,4 +1221,4 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
             factors.append((inner_gate, positions))
         return qcore.FactoredOp(len(layout.expand(acts)), factors)
 
-    return Compiled.of("parallel_repeat", spec.num_turns, out, FunctionalStrategy(f"repeat[{honest.name}]", gate))
+    return Compiled.of("parallel_repeat", spec.num_turns, out, ProverStrategy(f"repeat[{honest.name}]", gate))

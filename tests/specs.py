@@ -13,9 +13,9 @@ from dqip import qcore
 from dqip.network import allocate_layout, build_network, path_graph
 from dqip.protocol import (
     CoinFlip,
-    FunctionalStrategy,
     NodeAccept,
     ProtocolSpec,
+    ProverStrategy,
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
@@ -26,7 +26,7 @@ from dqip.protocol import (
 from dqip.seeding import substream
 
 
-def identity_for(spec: ProtocolSpec, name: str = "identity") -> FunctionalStrategy:
+def identity_for(spec: ProtocolSpec, name: str = "identity") -> ProverStrategy:
     """Prover that applies the identity on whatever it holds at each turn."""
 
     def gate(turn_index, view):
@@ -34,7 +34,7 @@ def identity_for(spec: ProtocolSpec, name: str = "identity") -> FunctionalStrate
         regs = turn.acts_on(view) if callable(turn.acts_on) else turn.acts_on
         return np.eye(2 ** len(spec.layout.expand(regs)), dtype=np.complex128)
 
-    return FunctionalStrategy(name, gate)
+    return ProverStrategy(name, gate)
 
 
 def always_accept_spec(n_nodes: int = 1) -> ProtocolSpec:
@@ -55,7 +55,7 @@ def flip_reject_spec() -> ProtocolSpec:
     """Single verifier turn applies X to one node's accept qubit: acceptance 0."""
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
-    turn = VerifierTurn(steps=(static_step(0, qcore.X.matrix, ["V:0"]),))
+    turn = VerifierTurn(steps=(static_step(0, qcore.X, ["V:0"]),))
     accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2))
     return ProtocolSpec(
         name="flip-reject",
@@ -86,7 +86,7 @@ def fair_coin_spec() -> ProtocolSpec:
     )
 
 
-def prover_blind_spec() -> tuple[ProtocolSpec, FunctionalStrategy]:
+def prover_blind_spec() -> tuple[ProtocolSpec, ProverStrategy]:
     """The prover's turns act on registers the verifier never reads."""
     graph = build_network(1, [])
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=0)
@@ -98,13 +98,13 @@ def prover_blind_spec() -> tuple[ProtocolSpec, FunctionalStrategy]:
         turns=turns,
         verification=VerificationPhase(accepts=(first_qubit_zero_accept(0, "V:0"),)),
     )
-    honest = FunctionalStrategy("idle", lambda turn, view: np.eye(2, dtype=np.complex128))
+    honest = ProverStrategy("idle", lambda turn, view: np.eye(2, dtype=np.complex128))
     return spec, honest
 
 
 def random_clean_spec(
     seed: int, coin: bool = False, turns: int = 3, nodes: int = 2
-) -> tuple[ProtocolSpec, FunctionalStrategy]:
+) -> tuple[ProtocolSpec, ProverStrategy]:
     """Random protocol on a path of ``nodes`` nodes with Haar gates in every turn.
 
     Odd turns are prover turns acting on (P, every M); even turns apply one
@@ -122,12 +122,12 @@ def random_clean_spec(
     turn_list = []
     for j in range(1, turns + 1):
         if j % 2 == 1:
-            gates[j] = qcore.haar_unitary(1 + nodes, rng).matrix
+            gates[j] = qcore.haar_matrix(1 + nodes, rng, "test gate")
             delivers = tuple((m, u) for u, m in enumerate(messages))
             turn_list.append(ProverTurn(acts_on=("P",) + messages, delivers=delivers))
             continue
         steps = tuple(
-            static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]) for u in range(nodes)
+            static_step(u, qcore.haar_matrix(2, rng, "test gate"), [f"V:{u}", f"M:{u}"]) for u in range(nodes)
         )
         coins = (CoinFlip("r", 2, owner=None),) if coin and j == 2 else ()
         turn_list.append(VerifierTurn(coins=coins, steps=steps, sends=messages))
@@ -140,13 +140,13 @@ def random_clean_spec(
                     u,
                     ["r"],
                     {
-                        (0,): (qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]),
-                        (1,): (qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]),
+                        (0,): (qcore.haar_matrix(2, rng, "test gate"), [f"V:{u}", f"M:{u}"]),
+                        (1,): (qcore.haar_matrix(2, rng, "test gate"), [f"V:{u}", f"M:{u}"]),
                     },
                 )
             )
         else:
-            ver_steps.append(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]))
+            ver_steps.append(static_step(u, qcore.haar_matrix(2, rng, "test gate"), [f"V:{u}", f"M:{u}"]))
     accepts = tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(nodes))
     spec = ProtocolSpec(
         name=f"random-clean-{seed}",
@@ -159,4 +159,4 @@ def random_clean_spec(
     def gate(turn_index, view):
         return gates[turn_index]
 
-    return spec, FunctionalStrategy(f"haar-{seed}", gate)
+    return spec, ProverStrategy(f"haar-{seed}", gate)

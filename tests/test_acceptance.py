@@ -54,7 +54,7 @@ def test_mutated_rotation_breaks_perfect_completeness(monkeypatch):
 
     def broken(c):
         sc, ss = np.sqrt(c), np.sqrt(1.0 - c)
-        return qcore.Gate(1, np.array([[sc, -ss], [ss, sc]], dtype=np.complex128))
+        return np.array([[sc, -ss], [ss, sc]], dtype=np.complex128)
 
     monkeypatch.setattr(qcore, "acceptance_rotation", broken)
     criterion = next(c for c in acceptance.CRITERIA if c.ident == "perfect-completeness")

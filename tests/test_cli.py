@@ -108,6 +108,27 @@ def test_schema_in_docs_matches_code():
     assert doc["params"] == PARAM_SCHEMAS
 
 
+def _required_with_default(schema, path: str) -> list[str]:
+    """Fields of ``schema``, at any depth, that are required and also state a default."""
+    if isinstance(schema, list):
+        return [hit for i, part in enumerate(schema) for hit in _required_with_default(part, f"{path}[{i}]")]
+    if not isinstance(schema, dict):
+        return []
+    properties = schema.get("properties", {})
+    hits = [f"{path}.{name}" for name in schema.get("required", []) if "default" in properties.get(name, {})]
+    return hits + [hit for key, part in schema.items() for hit in _required_with_default(part, f"{path}.{key}")]
+
+
+def test_no_required_field_states_a_default():
+    # validate_config fills the defaults in before it validates, so a required
+    # field with a default can never be reported missing.
+    from dqip.config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
+
+    assert _required_with_default(CONFIG_SCHEMA, "config") == []
+    for experiment, schema in PARAM_SCHEMAS.items():
+        assert _required_with_default(schema, experiment) == []
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------

@@ -16,29 +16,29 @@ from dqip.ghz import (
     star_state,
 )
 from dqip.network import cycle_graph, path_graph, spanning_tree, tree_label_replies, tree_labels_hold
-from dqip.protocol import FunctionalStrategy, _Executor, execute_exact, execute_sampled
+from dqip.protocol import ProverStrategy, _Executor, execute_exact, execute_sampled
 from dqip.qcore import FactoredOp
 
 
 def test_ghz_two_qubits():
-    assert np.allclose(ghz_state(2).amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
+    assert np.allclose(ghz_state(2), [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_ghz_locally_equivalent_to_star(n):
-    vec = ghz_state(n).amplitudes
+    vec = ghz_state(n)
     for leaf in range(1, n):
-        vec = qcore.apply_matrix_vec(vec, qcore.H.matrix, [leaf])
-    assert np.linalg.norm(vec - star_state(n).amplitudes) <= 1e-12
+        vec = qcore.apply_matrix_vec(vec, qcore.H, [leaf])
+    assert np.linalg.norm(vec - star_state(n)) <= 1e-12
 
 
 def test_star_state_amplitudes_match_explicit_cz_products():
     # Direct matrix construction from scratch.
     n = 3
     vec = np.ones(8, dtype=complex) / np.sqrt(8)
-    cz01 = qcore.embed_operator(qcore.CZ.matrix, [0, 1], 3)
-    cz02 = qcore.embed_operator(qcore.CZ.matrix, [0, 2], 3)
-    assert np.allclose(star_state(3).amplitudes, cz02 @ cz01 @ vec, atol=1e-12)
+    cz01 = qcore.embed_operator(qcore.CZ, [0, 1], 3)
+    cz02 = qcore.embed_operator(qcore.CZ, [0, 2], 3)
+    assert np.allclose(star_state(3), cz02 @ cz01 @ vec, atol=1e-12)
 
 
 def test_state_constructors_reject_small_n():
@@ -64,7 +64,8 @@ def test_star_passes_both_tests(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_all_zero_against_equality_test(n):
     _, t1 = stabilizer_tests(n)
-    zero = qcore.QuantumState.zero(n)
+    zero = np.zeros(2**n, dtype=complex)
+    zero[0] = 1.0
     expect = 2.0 ** -(n - 1)
     assert abs(qcore.projector_probability(zero, t1.projector, list(range(n))) - expect) <= 1e-12
 
@@ -81,8 +82,8 @@ def _basis_product_state(test, bits):
     vec[sum(b << q for q, b in enumerate(bits))] = 1.0
     for q, basis in enumerate(test.bases):
         if basis == "X":
-            vec = qcore.apply_matrix_vec(vec, qcore.H.matrix, [q])
-    return qcore.QuantumState(n, vec)
+            vec = qcore.apply_matrix_vec(vec, qcore.H, [q])
+    return vec
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -98,12 +99,11 @@ def test_classical_evaluation_equals_projector_on_product_eigenstates(n):
             assert abs(classical - quantum) <= 1e-10
 
 
-def classical_expectation(test, state: qcore.QuantumState) -> float:
-    """Probability that measuring ``state`` in the test's bases passes its predicate."""
-    vec = state.amplitudes
+def classical_expectation(test, vec: np.ndarray) -> float:
+    """Probability that measuring the state ``vec`` in the test's bases passes its predicate."""
     for q, basis in enumerate(test.bases):
         if basis == "X":
-            vec = qcore.apply_matrix_vec(vec, qcore.H.matrix, [q])
+            vec = qcore.apply_matrix_vec(vec, qcore.H, [q])
     n = len(test.bases)
     passing = [idx for idx in range(2**n) if test.predicate(tuple((idx >> q) & 1 for q in range(n)))]
     return float(np.sum(np.abs(vec[passing]) ** 2))
@@ -169,7 +169,7 @@ def test_wrong_parity_label_rejected_on_that_branch():
             return value ^ 1  # flip the label of test index 0
         return value
 
-    cheat = FunctionalStrategy("bad-label", compiled.honest.gate_fn, corrupt_reply)
+    cheat = ProverStrategy("bad-label", compiled.honest.gate_fn, corrupt_reply)
     report = execute_exact(compiled.spec, cheat)
     # Test index 0 runs on every coin draw; its parity recursion fails surely
     # whenever that index is a parity test (b_test bit 0 = 0), i.e. half the
@@ -250,7 +250,7 @@ def test_lying_tree_label_rejected(lies):
     def lying_reply(slot_name, view, _inner=compiled.honest.reply_fn):
         return lies[slot_name] if slot_name in lies else _inner(slot_name, view)
 
-    cheat = FunctionalStrategy("bad-tree-label", compiled.honest.gate_fn, lying_reply)
+    cheat = ProverStrategy("bad-tree-label", compiled.honest.gate_fn, lying_reply)
     assert execute_exact(compiled.spec, cheat).acceptance_probability == 0.0
 
 
@@ -276,12 +276,12 @@ def test_factored_honest_gate_matches_dense_gate(n, copies, prover_qubits):
     kron_gate = np.eye(2**prover_qubits, dtype=complex)
     for _ in range(copies + 1):
         kron_gate = np.kron(prep, kron_gate)
-    assert np.array_equal(honest.gate(1, {}).dense(), kron_gate)
+    assert np.array_equal(honest.gate_fn(1, {}).dense(), kron_gate)
 
     def dense_gate(turn_index, view):
-        return qcore.dense_matrix(honest.gate(turn_index, view))
+        return qcore.dense_matrix(honest.gate_fn(turn_index, view))
 
-    dense = FunctionalStrategy("dense", dense_gate, honest.reply_fn)
+    dense = ProverStrategy("dense", dense_gate, honest.reply_fn)
     factored_report = execute_exact(compiled.spec, honest, collect_output=True)
     dense_report = execute_exact(compiled.spec, dense, collect_output=True)
     assert abs(factored_report.acceptance_probability - dense_report.acceptance_probability) <= 1e-12
@@ -304,7 +304,7 @@ def test_bad_factored_gate_is_a_protocol_error_naming_the_turn(factors, arity):
         return FactoredOp(arity, factors) if turn_index == 1 else _inner(turn_index, view)
 
     with pytest.raises(ProtocolError) as err:
-        execute_exact(compiled.spec, FunctionalStrategy("bad", gate, compiled.honest.reply_fn))
+        execute_exact(compiled.spec, ProverStrategy("bad", gate, compiled.honest.reply_fn))
     assert "turn 1" in str(err.value)
 
 
@@ -320,7 +320,7 @@ def test_walks_over_the_budget_are_refused_before_they_start(monkeypatch):
         calls.append(turn_index)
         return _inner(turn_index, view)
 
-    counted = FunctionalStrategy("counted", gate, compiled.honest.reply_fn)
+    counted = ProverStrategy("counted", gate, compiled.honest.reply_fn)
     monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 5 * 256)
     for run in (lambda: execute_exact(compiled.spec, counted), lambda: execute_sampled(compiled.spec, counted, 3, 1)):
         with pytest.raises(CapacityError) as err:

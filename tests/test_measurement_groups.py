@@ -74,7 +74,7 @@ def twice_measured_spec():
     layout = allocate_layout(graph, prover_qubits=1, node_private=2, node_message=1)
     rng = substream(11, "tests.twice_measured_spec")
     acts = ("P", "M:0", "M:1")
-    steps = tuple(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}"]) for u in range(2))
+    steps = tuple(static_step(u, qcore.haar_matrix(2, rng, "test gate"), [f"V:{u}"]) for u in range(2))
     measurements = (
         Measurement("a", 0, lambda view: ["V:0[0]"], to_prover=True),
         Measurement("b", 1, lambda view: ["V:1[0]"]),
@@ -93,8 +93,8 @@ def twice_measured_spec():
         turns=turns,
         verification=VerificationPhase(accepts=tuple(first_qubit_zero_accept(u, f"M:{u}") for u in range(2))),
     )
-    gates = {t: qcore.haar_unitary(3, rng).matrix for t in (1, 3)}
-    return spec, protocol.FunctionalStrategy("haar", lambda turn, view: gates[turn])
+    gates = {t: qcore.haar_matrix(3, rng, "test gate") for t in (1, 3)}
+    return spec, protocol.ProverStrategy("haar", lambda turn, view: gates[turn])
 
 
 def _ghz(nodes, copies):

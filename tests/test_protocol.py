@@ -9,20 +9,20 @@ from dqip.seeding import substream
 from dqip.network import allocate_layout, path_graph
 from dqip.protocol import (
     CoinFlip,
-    FunctionalStrategy,
     Measurement,
     NodeAccept,
     ProjectiveCheck,
     ProtocolSpec,
+    ProverStrategy,
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
     _Branch,
     _Executor,
-    _final_holders,
-    _paths,
     _Record,
     _Sample,
+    _final_holders,
+    _paths,
     collect_paths,
     execute_exact,
     execute_sampled,
@@ -80,7 +80,7 @@ def test_ownership_violation_reported():
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
     # Node 0 tries to act on M:0 while the prover still holds it.
-    turn = VerifierTurn(steps=(static_step(0, qcore.X.matrix, ["M:0"]),))
+    turn = VerifierTurn(steps=(static_step(0, qcore.X, ["M:0"]),))
     spec = ProtocolSpec(
         name="bad",
         graph=graph,
@@ -124,7 +124,7 @@ def test_exact_and_sampled_agree_on_random_specs():
     assert hits >= 95
 
 
-def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, FunctionalStrategy]:
+def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, ProverStrategy]:
     """Random 2-node protocol with a coin, a measurement and a check mid-protocol.
 
     Node 0 measures its message (the outcome goes to the prover), node 1
@@ -137,7 +137,7 @@ def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, FunctionalStrategy]
     plus = np.full((2, 2), 0.5, dtype=complex)
     turn2 = VerifierTurn(
         coins=(CoinFlip("r", 2, owner=None),),
-        steps=tuple(static_step(u, qcore.haar_unitary(2, rng).matrix, [f"V:{u}", f"M:{u}"]) for u in range(2)),
+        steps=tuple(static_step(u, qcore.haar_matrix(2, rng, "test gate"), [f"V:{u}", f"M:{u}"]) for u in range(2)),
         measurements=(Measurement("m0", 0, lambda view: ["M:0"], to_prover=True),),
         checks=(ProjectiveCheck("c1", (1,), lambda view: (plus, ["V:1"])),),
         sends=("M:0", "M:1"),
@@ -149,17 +149,17 @@ def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, FunctionalStrategy]
         ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
     )
     verification = VerificationPhase(
-        steps=(static_step(0, qcore.haar_unitary(2, rng).matrix, ["V:0", "M:0"]),),
+        steps=(static_step(0, qcore.haar_matrix(2, rng, "test gate"), ["V:0", "M:0"]),),
         measurements=(Measurement("v0", 0, lambda view: ["V:0"]),),
         accepts=tuple(first_qubit_zero_accept(u, f"M:{u}") for u in range(2)),
     )
     spec = ProtocolSpec(
         name=f"measure-check-{seed}", graph=graph, layout=layout, turns=turns, verification=verification
     )
-    gates = {1: qcore.haar_unitary(3, rng).matrix}
+    gates = {1: qcore.haar_matrix(3, rng, "test gate")}
     # The turn-3 gate depends on the measured outcome and the coin the prover saw.
-    gates.update({(m, r): qcore.haar_unitary(3, rng).matrix for m in range(2) for r in range(2)})
-    return spec, FunctionalStrategy("haar", lambda t, view: gates[1] if t == 1 else gates[view["m0"], view["r"]])
+    gates.update({(m, r): qcore.haar_matrix(3, rng, "test gate") for m in range(2) for r in range(2)})
+    return spec, ProverStrategy("haar", lambda t, view: gates[1] if t == 1 else gates[view["m0"], view["r"]])
 
 
 def test_sampled_leaves_follow_the_exact_leaf_weights():
@@ -197,7 +197,7 @@ def check_after_measurement_spec() -> ProtocolSpec:
         ProverTurn(acts_on=acts, delivers=(("M:0", 0), ("M:1", 1))),
         VerifierTurn(
             steps=tuple(
-                static_step(u, qcore.acceptance_rotation(c).matrix, [f"V:{u}"]) for u, c in ((0, 0.3), (1, 0.6))
+                static_step(u, qcore.acceptance_rotation(c), [f"V:{u}"]) for u, c in ((0, 0.3), (1, 0.6))
             ),
             measurements=(Measurement("m0", 0, lambda view: ["V:0"]),),
             checks=(
@@ -263,10 +263,10 @@ def _leaf_cases():
     rng = substream(4, "test.leaf-cases")
 
     def scrambled(turn_index, view):  # the honest move after a Haar unitary: some GHZ predicates fail
-        gate = qcore.dense_matrix(closeness.honest.gate(turn_index, view))
-        return gate if len(gate) == 1 else qcore.haar_unitary(len(gate).bit_length() - 1, rng).matrix @ gate
+        gate = qcore.dense_matrix(closeness.honest.gate_fn(turn_index, view))
+        return gate if len(gate) == 1 else qcore.haar_matrix(len(gate).bit_length() - 1, rng, "test gate") @ gate
 
-    cheat = FunctionalStrategy("scrambled", scrambled, closeness.honest.reply_fn)
+    cheat = ProverStrategy("scrambled", scrambled, closeness.honest.reply_fn)
     return cases + [(closeness.spec, closeness.honest), (closeness.spec, cheat)]
 
 
@@ -331,7 +331,7 @@ def test_prover_post_processing_on_private_register_is_irrelevant():
     # acceptance: append it to the last prover gate and compare.
     for seed in range(5):
         spec, prover = random_clean_spec(seed)
-        extra = qcore.haar_unitary(1, 123 + seed).matrix
+        extra = qcore.haar_matrix(1, substream(123 + seed, "qcore.haar"), "test gate")
 
         def gate2(turn_index, view, _inner=prover.gate_fn):
             mat = _inner(turn_index, view)
@@ -340,7 +340,7 @@ def test_prover_post_processing_on_private_register_is_irrelevant():
                 mat = np.kron(np.eye(4), extra) @ mat
             return mat
 
-        tweaked = FunctionalStrategy("tweaked", gate2)
+        tweaked = ProverStrategy("tweaked", gate2)
         a = execute_exact(spec, prover).acceptance_probability
         b = execute_exact(spec, tweaked).acceptance_probability
         assert abs(a - b) <= 1e-10
@@ -365,7 +365,7 @@ def test_acceptance_invariant_under_node_relabeling():
         for turn in spec.turns:
             if isinstance(turn, ProverTurn):
                 # Prover acts on (P, M:0, M:1); conjugate by the M:0 <-> M:1 swap.
-                swap_m = qcore.embed_operator(qcore.SWAP.matrix, [1, 2], 3)
+                swap_m = qcore.embed_operator(qcore.SWAP, [1, 2], 3)
                 turns.append(
                     ProverTurn(acts_on=turn.acts_on, delivers=turn.delivers)
                 )
@@ -389,12 +389,12 @@ def test_acceptance_invariant_under_node_relabeling():
             turns=tuple(turns),
             verification=ver,
         )
-        swap_m = qcore.embed_operator(qcore.SWAP.matrix, [1, 2], 3)
+        swap_m = qcore.embed_operator(qcore.SWAP, [1, 2], 3)
 
         def permuted_gate(turn_index, view, _inner=prover.gate_fn):
             return swap_m @ _inner(turn_index, view) @ swap_m
 
-        out = execute_exact(permuted, FunctionalStrategy("perm", permuted_gate)).acceptance_probability
+        out = execute_exact(permuted, ProverStrategy("perm", permuted_gate)).acceptance_probability
         assert abs(out - base) <= 1e-10
 
 
@@ -414,7 +414,7 @@ def test_projector_with_hadamard_before_measurement():
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
     ver = VerificationPhase(
-        steps=(static_step(0, qcore.H.matrix, ["V:0"]),),
+        steps=(static_step(0, qcore.H, ["V:0"]),),
         accepts=tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2)),
     )
     spec = ProtocolSpec(name="had", graph=graph, layout=layout, turns=(), verification=ver)
@@ -445,9 +445,9 @@ def build_w_exchange_spec(expect0: int, expect1: int) -> ProtocolSpec:
     flipped to 1, so the true received values are (node 0: 0, node 1: 1)."""
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0, edge_w=1)
-    turn = VerifierTurn(steps=(static_step(0, qcore.X.matrix, ["V:0"]),))
+    turn = VerifierTurn(steps=(static_step(0, qcore.X, ["V:0"]),))
     copy_steps = tuple(
-        static_step(u, qcore.CNOT.matrix, [f"V:{u}", f"W:{u}:{1 - u}"]) for u in range(2)
+        static_step(u, qcore.CNOT, [f"V:{u}", f"W:{u}:{1 - u}"]) for u in range(2)
     )
     bit = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     accepts = tuple(

@@ -18,11 +18,10 @@ from dqip.qcore import (
     SWAP,
     DensityOperator,
     FactoredOp,
-    Gate,
     H,
-    QuantumState,
     StructuredOp,
     X,
+    Z,
     acceptance_rotation,
     apply_matrix_vec,
     apply_op,
@@ -31,7 +30,6 @@ from dqip.qcore import (
     embed_operator,
     fidelity,
     haar_state,
-    haar_unitary,
     outcome_weights,
     project_outcome,
     projector_probability,
@@ -40,22 +38,27 @@ from dqip.qcore import (
 from dqip.seeding import substream
 
 
-def applied(state: QuantumState, gate: Gate, targets) -> QuantumState:
-    """``gate`` on ``targets`` of ``state``, identity elsewhere, through the kernel."""
-    return QuantumState(state.num_qubits, apply_matrix_vec(state.amplitudes, gate.matrix, targets))
+UNITARY_ATOL = 1e-10  # the tolerance the named gates are held to
 
 
-def bell_pair() -> QuantumState:
-    s = QuantumState.zero(2)
-    s = applied(s, H, [0])
-    return applied(s, CNOT, [0, 1])
+def zero(n: int) -> np.ndarray:
+    """The state vector |0^n>."""
+    vec = np.zeros(2**n, dtype=np.complex128)
+    vec[0] = 1.0
+    return vec
 
 
-def ghz3() -> QuantumState:
-    s = QuantumState.zero(3)
-    s = applied(s, H, [0])
-    s = applied(s, CNOT, [0, 1])
-    return applied(s, CNOT, [0, 2])
+def density(vec: np.ndarray) -> DensityOperator:
+    """The density operator |vec><vec| of a normalized state vector."""
+    return DensityOperator(vec.size.bit_length() - 1, np.outer(vec, vec.conj()))
+
+
+def bell_pair() -> np.ndarray:
+    return apply_matrix_vec(apply_matrix_vec(zero(2), H, [0]), CNOT, [0, 1])
+
+
+def ghz3() -> np.ndarray:
+    return apply_matrix_vec(apply_matrix_vec(apply_matrix_vec(zero(3), H, [0]), CNOT, [0, 1]), CNOT, [0, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +66,36 @@ def ghz3() -> QuantumState:
 # ---------------------------------------------------------------------------
 
 
+ROTATIONS = (0.0, 0.36, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [H, X, Z, CNOT, CZ, SWAP] + [acceptance_rotation(c) for c in ROTATIONS],
+    ids=["H", "X", "Z", "CNOT", "CZ", "SWAP"] + [f"T_{c}" for c in ROTATIONS],
+)
+def test_named_gates_are_unitary(gate):
+    dim = len(gate)
+    assert gate.shape == (dim, dim) and dim in (2, 4) and gate.dtype == np.complex128
+    assert np.max(np.abs(gate.conj().T @ gate - np.eye(dim))) <= UNITARY_ATOL
+
+
+def test_named_gates_are_read_only():
+    # Every spec in a process shares these arrays.
+    with pytest.raises(ValueError):
+        qcore.H[0, 0] = 0.0
+    assert not any(gate.flags.writeable for gate in (H, X, Z, CNOT, CZ, SWAP))
+    assert acceptance_rotation(0.5).flags.writeable  # a new array per call
+
+
 def test_hadamard_on_zero():
-    out = applied(QuantumState.zero(1), H, [0])
-    assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    out = apply_matrix_vec(zero(1), H, [0])
+    assert np.allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_acceptance_rotation_c036():
-    out = applied(QuantumState.zero(1), acceptance_rotation(0.36), [0])
-    assert np.allclose(out.amplitudes, [0.6, -0.8], atol=1e-12)
+    out = apply_matrix_vec(zero(1), acceptance_rotation(0.36), [0])
+    assert np.allclose(out, [0.6, -0.8], atol=1e-12)
 
 
 def brute_force_cswap() -> np.ndarray:
@@ -83,28 +108,29 @@ def brute_force_cswap() -> np.ndarray:
     return mat
 
 
-CSWAP = Gate(3, brute_force_cswap())
+CSWAP = brute_force_cswap()
 
 
 def test_controlled_swap_matches_brute_force_permutation():
-    assert np.array_equal(controlled(np.eye(4), SWAP.matrix), CSWAP.matrix)
+    assert np.array_equal(controlled(np.eye(4), SWAP), CSWAP)
     rng = substream(7, "test.cswap")
     psi = qcore.haar_state(1, rng)
     phi = qcore.haar_state(1, rng)
-    joint = np.kron(np.kron(phi.amplitudes, psi.amplitudes), [0.0, 1.0])  # control=|1>
-    out = apply_matrix_vec(joint, CSWAP.matrix, [0, 1, 2])
-    expected = np.kron(np.kron(psi.amplitudes, phi.amplitudes), [0.0, 1.0])
+    joint = np.kron(np.kron(phi, psi), [0.0, 1.0])  # control=|1>
+    out = apply_matrix_vec(joint, CSWAP, [0, 1, 2])
+    expected = np.kron(np.kron(psi, phi), [0.0, 1.0])
     assert np.allclose(out, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("gate", [H, X, CNOT, CZ, SWAP, CSWAP])
 def test_fast_application_matches_embedded_operator(gate):
-    rng = substream(11, "test.embed", gate.arity and str(gate.arity))
+    arity = len(gate).bit_length() - 1
+    rng = substream(11, "test.embed", str(arity))
     n = 4
-    vec = qcore.haar_state(n, rng).amplitudes
-    targets = list(rng.permutation(n))[: gate.arity]
-    fast = apply_matrix_vec(vec, gate.matrix, targets)
-    slow = embed_operator(gate.matrix, targets, n) @ vec
+    vec = qcore.haar_state(n, rng)
+    targets = list(rng.permutation(n))[:arity]
+    fast = apply_matrix_vec(vec, gate, targets)
+    slow = embed_operator(gate, targets, n) @ vec
     assert np.allclose(fast, slow, atol=1e-12)
 
 
@@ -152,7 +178,7 @@ def test_an_op_and_its_adjoint_form_no_reference_cycle():
     # (and its prepared tables) is freed without the cyclic collector.
     gc.disable()
     try:
-        op = StructuredOp(H.matrix, [0])
+        op = StructuredOp(H, [0])
         adjoint = op.adjoint()
         assert adjoint.adjoint() is op and op.adjoint() is adjoint
         alive = weakref.ref(adjoint)
@@ -362,16 +388,16 @@ def test_factored_dense_is_the_kron_product():
 
 def test_dense_constructors_refuse_operators_over_the_budget(monkeypatch):
     monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 16 * 4**3)
-    op = FactoredOp(4, [(H.matrix, [0])])
+    op = FactoredOp(4, [(H, [0])])
     with pytest.raises(CapacityError) as err:
         op.dense()
     assert err.value.requested == 3 * 16 * 4**4 and err.value.limit == 16 * 4**3
     with pytest.raises(CapacityError):
-        embed_operator(H.matrix, [0], 4)
-    assert embed_operator(H.matrix, [0], 3).shape == (8, 8)
+        embed_operator(H, [0], 4)
+    assert embed_operator(H, [0], 3).shape == (8, 8)
     # On a state smaller than its dense form it is applied factor by factor.
-    vec = QuantumState.zero(7).amplitudes
-    assert np.allclose(apply_op(vec, op, [0, 1, 2, 3]), apply_matrix_vec(vec, H.matrix, [0]), atol=1e-15)
+    vec = zero(7)
+    assert np.allclose(apply_op(vec, op, [0, 1, 2, 3]), apply_matrix_vec(vec, H, [0]), atol=1e-15)
 
 
 def test_circuit_matrix_is_the_product_of_embedded_factors():
@@ -383,7 +409,7 @@ def test_circuit_matrix_is_the_product_of_embedded_factors():
         for _ in range(int(rng.integers(0, 6))):
             k = int(rng.integers(1, min(3, n) + 1))
             targets = [int(q) for q in rng.permutation(n)[:k]]
-            mat = haar_unitary(k, rng).matrix
+            mat = qcore.haar_matrix(k, rng, "test gate")
             if rng.integers(2):  # a projector onto the span of the first columns
                 basis = mat[:, : int(rng.integers(1, 2**k))] if k > 1 else mat[:, :1]
                 mat = basis @ basis.conj().T
@@ -403,7 +429,7 @@ def test_circuit_matrix_is_the_product_of_embedded_factors():
 def test_cnot_fanout_is_the_product_of_embedded_cnots(control, count):
     reference = np.eye(2 ** (control + count), dtype=complex)
     for j in range(1, count):
-        reference = embed_operator(CNOT.matrix, [control, control + j], control + count) @ reference
+        reference = embed_operator(CNOT, [control, control + j], control + count) @ reference
     assert np.array_equal(qcore.cnot_fanout(control, count), reference)
 
 
@@ -425,7 +451,7 @@ def test_circuit_matrix_refuses_what_it_cannot_hold_under_a_memory_cap():
         "from dqip import qcore\n"
         "from dqip.errors import CapacityError\n"
         "try:\n"
-        "    qcore.circuit_matrix(13, [(qcore.H.matrix, [12])], 'probe')\n"
+        "    qcore.circuit_matrix(13, [(qcore.H, [12])], 'probe')\n"
         "except CapacityError as err:\n"
         "    print(err.requested)\n"
     )
@@ -443,7 +469,7 @@ def test_circuit_matrix_refuses_what_it_cannot_hold_under_a_memory_cap():
 
 @pytest.mark.parametrize("targets, arity", [([1, 1], 2), ([0, 4], 2), ([-1], 1), ([0, 1], 1), ([0], 2)])
 def test_bad_targets_raise_on_first_and_cached_call(targets, arity):
-    vec = QuantumState.zero(3).amplitudes
+    vec = zero(3)
     mat = np.eye(2**arity, dtype=complex)
     for _ in range(2):
         with pytest.raises(LayoutError):
@@ -452,14 +478,11 @@ def test_bad_targets_raise_on_first_and_cached_call(targets, arity):
             StructuredOp(mat, targets).apply(vec)
 
 
-def test_bad_gate_targets_and_non_unitary_gates_are_refused():
-    s = QuantumState.zero(2)
+def test_bad_gate_targets_are_refused():
     with pytest.raises(LayoutError):
-        applied(s, CNOT, [0, 2])
+        apply_matrix_vec(zero(2), CNOT, [0, 2])
     with pytest.raises(LayoutError):
-        applied(s, CNOT, [1, 1])
-    with pytest.raises(ValidationError):
-        Gate(1, np.array([[1, 0], [1, 1]], dtype=complex))
+        apply_matrix_vec(zero(2), CNOT, [1, 1])
 
 
 def test_norm_preserved_under_random_unitaries():
@@ -468,10 +491,10 @@ def test_norm_preserved_under_random_unitaries():
         n = int(rng.integers(1, 5))
         state = qcore.haar_state(n, rng)
         k = int(rng.integers(1, n + 1))
-        gate = qcore.haar_unitary(k, rng)
+        gate = qcore.haar_matrix(k, rng, "test gate")
         targets = list(rng.permutation(n)[:k])
-        out = applied(state, gate, targets)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
+        out = apply_matrix_vec(state, gate, targets)
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +503,7 @@ def test_norm_preserved_under_random_unitaries():
 
 
 def test_reduced_density_bell_pair():
-    red = qcore.reduced_density_from_vec(bell_pair().amplitudes, [0])
+    red = qcore.reduced_density_from_vec(bell_pair(), [0])
     assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
@@ -488,15 +511,15 @@ def test_reduced_density_product_state():
     rng = substream(5, "test.ptrace")
     psi = qcore.haar_state(2, rng)
     phi = qcore.haar_state(1, rng)
-    joint = np.kron(phi.amplitudes, psi.amplitudes)  # psi on qubits 0,1
+    joint = np.kron(phi, psi)  # psi on qubits 0,1
     red = qcore.reduced_density_from_vec(joint, [0, 1])
-    assert np.allclose(red, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-12)
-    assert fidelity(DensityOperator(2, red), psi.density()) >= 1 - 1e-9
+    assert np.allclose(red, np.outer(psi, psi.conj()), atol=1e-12)
+    assert fidelity(DensityOperator(2, red), density(psi)) >= 1 - 1e-9
 
 
 def test_reduced_density_ghz_keep_two():
     # Direct computation from the 8-amplitude vector.
-    vec = ghz3().amplitudes
+    vec = ghz3()
     expected = np.zeros((4, 4), dtype=complex)
     for i in range(8):
         for j in range(8):
@@ -515,7 +538,7 @@ def test_reduced_density_ghz_keep_two():
 
 
 def test_projector_on_plus_state():
-    plus = applied(QuantumState.zero(1), H, [0])
+    plus = apply_matrix_vec(zero(1), H, [0])
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     assert abs(projector_probability(plus, p0, [0]) - 0.5) <= 1e-12
 
@@ -523,7 +546,7 @@ def test_projector_on_plus_state():
 def test_projector_first_qubit_zero_lifted():
     rng = substream(9, "test.proj")
     anything = qcore.haar_state(2, rng)
-    state = QuantumState(3, np.kron(anything.amplitudes, [1.0, 0.0]))  # qubit 0 = |0>
+    state = np.kron(anything, [1.0, 0.0])  # qubit 0 = |0>
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     assert abs(projector_probability(state, p0, [0]) - 1.0) <= 1e-12
 
@@ -540,7 +563,7 @@ def test_projector_star_state_stabilizer():
 
 def test_non_idempotent_rejected():
     with pytest.raises(ValidationError):
-        projector_probability(QuantumState.zero(1), np.array([[0.5, 0], [0, 1]]), [0])
+        projector_probability(zero(1), np.array([[0.5, 0], [0, 1]]), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -549,21 +572,19 @@ def test_non_idempotent_rejected():
 
 
 def test_fidelity_pure_state_cases():
-    zero = QuantumState.zero(1).density()
-    one = QuantumState(1, np.array([0, 1], dtype=complex)).density()
-    assert abs(fidelity(zero, zero) - 1.0) <= 1e-12
-    assert fidelity(zero, one) <= 1e-9
+    rho0, rho1 = density(zero(1)), density(np.array([0, 1], dtype=complex))
+    assert abs(fidelity(rho0, rho0) - 1.0) <= 1e-12
+    assert fidelity(rho0, rho1) <= 1e-9
     mixed = DensityOperator(1, np.eye(2) / 2)
-    assert abs(fidelity(zero, mixed) - 1 / np.sqrt(2)) <= 1e-10
+    assert abs(fidelity(rho0, mixed) - 1 / np.sqrt(2)) <= 1e-10
 
 
 def test_trace_distance_cases():
-    zero = QuantumState.zero(1).density()
-    one = QuantumState(1, np.array([0, 1], dtype=complex)).density()
-    plus = applied(QuantumState.zero(1), H, [0]).density()
-    assert trace_distance(zero, zero) <= 1e-12
-    assert abs(trace_distance(zero, one) - 1.0) <= 1e-12
-    assert abs(trace_distance(zero, plus) - 1 / np.sqrt(2)) <= 1e-10
+    rho0, rho1 = density(zero(1)), density(np.array([0, 1], dtype=complex))
+    plus = density(apply_matrix_vec(zero(1), H, [0]))
+    assert trace_distance(rho0, rho0) <= 1e-12
+    assert abs(trace_distance(rho0, rho1) - 1.0) <= 1e-12
+    assert abs(trace_distance(rho0, plus) - 1 / np.sqrt(2)) <= 1e-10
 
 
 def random_density(rng, num_qubits: int, max_terms: int = 4) -> DensityOperator:
@@ -572,7 +593,7 @@ def random_density(rng, num_qubits: int, max_terms: int = 4) -> DensityOperator:
     dim = 2**num_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     for w in weights:
-        v = qcore.haar_state(num_qubits, rng).amplitudes
+        v = qcore.haar_state(num_qubits, rng)
         mat += w * np.outer(v, v.conj())
     return DensityOperator(num_qubits, mat)
 
@@ -608,16 +629,16 @@ def test_fidelity_symmetry_and_metric_axioms():
 def test_haar_determinism():
     a = haar_state(1, 7)
     b = haar_state(1, 7)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-    u1 = haar_unitary(2, 3)
-    u2 = haar_unitary(2, 3)
-    assert np.array_equal(u1.matrix, u2.matrix)
+    assert np.array_equal(a, b)
+    u1 = qcore.haar_matrix(2, substream(3, "t"), "x")
+    u2 = qcore.haar_matrix(2, substream(3, "t"), "x")
+    assert np.array_equal(u1, u2)
 
 
 def test_haar_unitarity():
     for seed in range(5):
-        u = haar_unitary(2, seed)
-        assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4))) <= 1e-10
+        u = qcore.haar_matrix(2, substream(seed, "t"), "x")
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
 
 
 def test_haar_matrix_checks_what_the_draw_holds_before_drawing():
@@ -628,20 +649,18 @@ def test_haar_matrix_checks_what_the_draw_holds_before_drawing():
     assert str(err.value).startswith("probe block needs ")
     assert err.value.requested == qcore.HAAR_PEAK_MATRICES * 16 * 4**12 > qcore.MAX_DENSE_BYTES
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # nothing drawn
-    for k in (1, 3):
-        assert np.array_equal(qcore.haar_matrix(k, substream(5, "t"), "x"), haar_unitary(k, substream(5, "t")).matrix)
 
 
 def test_haar_first_moment():
-    vals = [abs(haar_state(1, seed).amplitudes[0]) ** 2 for seed in range(10_000)]
+    vals = [abs(haar_state(1, seed)[0]) ** 2 for seed in range(10_000)]
     assert abs(np.mean(vals) - 0.5) <= 0.02
 
 
 def test_haar_conjugation_invariance():
     # The |<0|psi>|^2 statistic is invariant in law under a fixed unitary.
-    fixed = haar_unitary(1, 999).matrix
-    plain = np.array([abs(haar_state(1, s).amplitudes[0]) ** 2 for s in range(4000)])
-    rotated = np.array([abs((fixed @ haar_state(1, s + 50_000).amplitudes)[0]) ** 2 for s in range(4000)])
+    fixed = qcore.haar_matrix(1, substream(999, "t"), "x")
+    plain = np.array([abs(haar_state(1, s)[0]) ** 2 for s in range(4000)])
+    rotated = np.array([abs((fixed @ haar_state(1, s + 50_000))[0]) ** 2 for s in range(4000)])
     assert abs(plain.mean() - rotated.mean()) <= 0.03
     assert abs(plain.var() - rotated.var()) <= 0.03
 
@@ -650,7 +669,7 @@ def test_haar_conjugation_invariance():
 @settings(max_examples=25, deadline=None)
 def test_haar_state_always_normalized(seed):
     s = haar_state(2, seed)
-    assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(s) - 1.0) <= 1e-10
 
 
 def test_density_operator_validation():

@@ -16,9 +16,9 @@ from dqip.dqct import build_pdqct, make_instance
 from dqip.ghz import GhzProtocolParams
 from dqip.network import allocate_layout, build_network, path_graph
 from dqip.protocol import (
-    FunctionalStrategy,
     Measurement,
     ProtocolSpec,
+    ProverStrategy,
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
@@ -90,9 +90,9 @@ def assert_same_as_per_path(monkeypatch, spec, config, **kwargs):
         oracle = seesaw_optimize(spec, config, **kwargs)
     assert trie.sweep_acceptance == oracle.sweep_acceptance
     assert trie.best_acceptance == oracle.best_acceptance
-    assert trie.best_strategy.gates.keys() == oracle.best_strategy.gates.keys()
-    for key, gate in trie.best_strategy.gates.items():
-        assert np.array_equal(gate, oracle.best_strategy.gates[key]), key
+    assert trie.best_gates.keys() == oracle.best_gates.keys()
+    for key, gate in trie.best_gates.items():
+        assert np.array_equal(gate, oracle.best_gates[key]), key
     return trie
 
 
@@ -124,7 +124,7 @@ def test_trie_sweep_matches_per_path_on_private_halving(monkeypatch, which):
     halved = halve_turns_private(
         padded.spec, padded.honest, completeness=float(entry.completeness), soundness=float(entry.soundness)
     )
-    paths, _ = collect_paths(halved.spec, FunctionalStrategy("skeleton", lambda *_: None, halved.honest.reply))
+    paths, _ = collect_paths(halved.spec, ProverStrategy("skeleton", lambda *_: None, halved.honest.reply))
     blocks = prover._block_table(paths)
     trie = prover._Trie(paths, None, blocks, sorted(blocks, key=lambda key: (key[0], repr(key[1]))))
     assert len(trie.parent) - 1 < sum(len(path.ops) for path in paths)  # prefixes are shared
@@ -144,11 +144,11 @@ def private_outcome_spec():
     graph = build_network(1, [])
     layout = allocate_layout(graph, prover_qubits=1, node_private=2, node_message=1)
     prover_regs = ("P", "M:0")
-    checks = {(b,): (qcore.haar_unitary(2, rng).matrix, ["V:0[0]", "M:0"]) for b in (0, 1)}
+    checks = {(b,): (qcore.haar_matrix(2, rng, "test gate"), ["V:0[0]", "M:0"]) for b in (0, 1)}
     turns = (
         ProverTurn(acts_on=prover_regs, delivers=(("M:0", 0),)),
         VerifierTurn(
-            steps=(static_step(0, qcore.H.matrix, ["V:0[1]"]),),
+            steps=(static_step(0, qcore.H, ["V:0[1]"]),),
             measurements=(Measurement("coin", 0, lambda view: ["V:0[1]"]),),
             sends=("M:0",),
         ),
@@ -165,8 +165,8 @@ def private_outcome_spec():
             accepts=(first_qubit_zero_accept(0, "V:0"),),
         ),
     )
-    gates = {1: qcore.haar_unitary(2, rng).matrix, 3: qcore.haar_unitary(2, rng).matrix}
-    return spec, FunctionalStrategy("haar", lambda turn, view: gates[turn])
+    gates = {1: qcore.haar_matrix(2, rng, "test gate"), 3: qcore.haar_matrix(2, rng, "test gate")}
+    return spec, ProverStrategy("haar", lambda turn, view: gates[turn])
 
 
 def test_trie_sweep_sums_one_block_over_two_trie_nodes_in_path_order(monkeypatch):

@@ -15,7 +15,7 @@ from dqip.errors import CapacityError, ConfigError, ShapeError, ValidationError
 from dqip.network import path_graph, spanning_tree, tree_label_replies, tree_labels_hold
 from dqip.protocol import (
     Broadcast,
-    FunctionalStrategy,
+    ProverStrategy,
     ProverTurn,
     execute_exact,
     variable_marginal,
@@ -52,13 +52,13 @@ REDUCTIONS = [
 ]
 
 
-def _lying(strategy: FunctionalStrategy, lies: dict) -> FunctionalStrategy:
+def _lying(strategy: ProverStrategy, lies: dict) -> ProverStrategy:
     """``strategy`` with the replies to the slots that ``lies`` names replaced by its values."""
 
     def reply(slot_name, view):
         return lies[slot_name] if slot_name in lies else strategy.reply_fn(slot_name, view)
 
-    return FunctionalStrategy("lying", strategy.gate_fn, reply)
+    return ProverStrategy("lying", strategy.gate_fn, reply)
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +259,7 @@ def test_seven_to_five_flipped_echo_rejected(parity_echo):
             return 1 - view["b"]
         return _inner(slot_name, view)
 
-    cheat = FunctionalStrategy("flipped-echo", five.honest.gate_fn, flipped_reply)
+    cheat = ProverStrategy("flipped-echo", five.honest.gate_fn, flipped_reply)
     report = execute_exact(five.spec, cheat)
     # Node 1 disagrees with node 0 (and the leader anchor): both reject.
     assert report.acceptance_probability <= 1e-12
@@ -306,7 +306,7 @@ def test_halve_private_all_zero_coin_cheat(parity_echo):
             return np.eye(mat.shape[0], dtype=np.complex128)
         return _inner(turn_index, view)
 
-    cheat = FunctionalStrategy("zero-coins", zero_coin_gate, halved.honest.reply_fn)
+    cheat = ProverStrategy("zero-coins", zero_coin_gate, halved.honest.reply_fn)
     value = execute_exact(halved.spec, cheat).acceptance_probability
     shared_bound = halved_soundness(parity_echo["s"])
     assert value <= shared_bound + 1e-6
@@ -597,7 +597,7 @@ def test_reductions_of_wide_random_specs_build_no_operator_on_every_qubit(reduce
     spec, honest = random_clean_spec(0, turns=turns, nodes=nodes)
     c = execute_exact(spec, honest).acceptance_probability
     out = reduce(spec, honest)
-    assert isinstance(out.honest.gate(1, {}), qcore.FactoredOp)
+    assert isinstance(out.honest.gate_fn(1, {}), qcore.FactoredOp)
     assert abs(execute_exact(out.spec, out.honest).acceptance_probability - halved_completeness(c)) <= 1e-9
     assert widths and max(widths) < spec.layout.total_qubits
 

@@ -26,8 +26,8 @@ from dqip.errors import ProtocolError
 from dqip.network import PROVER, allocate_layout, path_graph
 from dqip.protocol import (
     CoinFlip,
-    FunctionalStrategy,
     ProtocolSpec,
+    ProverStrategy,
     ProverTurn,
     ReplySlot,
     VerificationPhase,
@@ -93,7 +93,7 @@ def _watched(oracle: Oracle, kind: str, fn, expected):
     return watched
 
 
-def _instrumented(oracle: Oracle, spec: ProtocolSpec, strategy) -> tuple[ProtocolSpec, FunctionalStrategy]:
+def _instrumented(oracle: Oracle, spec: ProtocolSpec, strategy) -> tuple[ProtocolSpec, ProverStrategy]:
     """``spec`` and ``strategy`` with every callback that reads a view watched."""
 
     def actor(a):
@@ -143,9 +143,9 @@ def _instrumented(oracle: Oracle, spec: ProtocolSpec, strategy) -> tuple[Protoco
             for a in phase.accepts
         ),
     )
-    watched = FunctionalStrategy(
+    watched = ProverStrategy(
         strategy.name,
-        _watched(oracle, "gate", strategy.gate, actor(PROVER)),
+        _watched(oracle, "gate", strategy.gate_fn, actor(PROVER)),
         _watched(oracle, "reply", strategy.reply, actor(PROVER)),
     )
     return dataclasses.replace(spec, turns=tuple(turns), verification=phase), watched
@@ -237,7 +237,7 @@ def _one_coin_spec(owner=None, audience=(0,)) -> ProtocolSpec:
     return ProtocolSpec("one-coin", graph, layout, turns, VerificationPhase(accepts=accepts))
 
 
-ONE = FunctionalStrategy("idle-yes", lambda turn, view: np.eye(1), lambda slot, view: 1)
+ONE = ProverStrategy("idle-yes", lambda turn, view: np.eye(1), lambda slot, view: 1)
 
 CASES = {
     **GROUP_CASES,
