@@ -26,7 +26,6 @@ from .protocol import (  # noqa: F401
     RunReport,
     execute_exact,
     execute_sampled,
-    verification_projector,
 )
 from .qcore import (  # noqa: F401
     DensityOperator,

@@ -56,7 +56,6 @@ class DamProtocol:
     randomness: str  # "private" | "shared"
     broadcast: Callable[[DamNodeView], object]
     predicate: Callable[[DamNodeView, Mapping[int, object]], bool]
-    description: str = ""
 
     def __post_init__(self):
         if self.turns < 1 or self.bits_per_turn < 1:
@@ -236,7 +235,6 @@ def bipartite_pls() -> DamProtocol:
         randomness="private",
         broadcast=broadcast,
         predicate=predicate,
-        description="2-coloring certificate checked across every edge",
     )
 
 
@@ -266,7 +264,6 @@ def coin_parity_echo(randomness: str = "private") -> DamProtocol:
         randomness=randomness,
         broadcast=broadcast,
         predicate=predicate,
-        description="commit a bit, echo it XOR (coin AND label), compare across edges",
     )
 
 
@@ -292,7 +289,6 @@ def coin_guess() -> DamProtocol:
         randomness="private",
         broadcast=broadcast,
         predicate=predicate,
-        description="committed bit must match every node's later coin",
     )
 
 

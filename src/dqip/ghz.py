@@ -88,7 +88,6 @@ def star_state(n: int) -> np.ndarray:
 class StabilizerTest:
     """One coloring test: projector, per-node basis, classical predicate."""
 
-    color: int
     projector: np.ndarray
     bases: tuple[str, ...]  # 'X' or 'Z' per qubit, center first
     predicate: Callable[[tuple[int, ...]], bool]
@@ -111,13 +110,11 @@ def stabilizer_tests(n: int) -> tuple[StabilizerTest, StabilizerTest]:
     p1 = qcore.circuit_matrix(n, [((np.eye(4) + k_leaf) / 2, [0, leaf]) for leaf in reversed(leaves)], what)
 
     test0 = StabilizerTest(
-        color=0,
         projector=p0,
         bases=("X",) + ("Z",) * (n - 1),
         predicate=lambda outcomes: sum(outcomes) % 2 == 0,
     )
     test1 = StabilizerTest(
-        color=1,
         projector=p1,
         bases=("Z",) + ("X",) * (n - 1),
         predicate=lambda outcomes: len(set(outcomes)) == 1,

@@ -132,10 +132,6 @@ def reg_m(u: int) -> str:
     return f"M:{u}"
 
 
-def reg_w(u: int, v: int) -> str:
-    return f"W:{u}:{v}"
-
-
 def split_register(name: str) -> tuple[str, int | None]:
     """``name[i]`` as ``(name, i)``, a whole register as ``(name, None)``."""
     if name.endswith("]") and "[" in name:
@@ -191,10 +187,9 @@ def allocate_layout(
     prover_qubits: int = 0,
     node_private: int = 0,
     node_message: int = 0,
-    edge_w: int = 0,
     extras: Sequence[tuple[str, int, int]] = (),
 ) -> RegisterLayout:
-    """Deterministic layout over (P, per-node V/M, directed-edge W, extras).
+    """Deterministic layout over (P, per-node V/M, extras).
 
     Every node gets ``node_private`` V qubits and ``node_message`` M qubits.
     ``extras`` entries are (name, size, initial owner).  Raises
@@ -219,10 +214,6 @@ def allocate_layout(
     for u in range(graph.node_count):
         add(reg_v(u), node_private, u)
         add(reg_m(u), node_message, PROVER)
-    if edge_w:
-        for a, b in sorted(graph.edges):
-            add(reg_w(a, b), edge_w, a)
-            add(reg_w(b, a), edge_w, b)
     for name, size, owner in extras:
         add(name, size, owner)
 

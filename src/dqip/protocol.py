@@ -12,8 +12,8 @@ were set.  A node's gates and predicates can only read that view.
 
 Every run goes through one walk, :class:`_Executor`, with the same
 ownership, exchange and visibility checks in every mode.  The protocol's
-events (prover turns, coins, steps, W-swaps, measurements, checks, sends,
-then the verification phase) form one schedule, which each branch walks
+events (prover turns, coins, steps, measurements, checks, sends, then the
+verification phase) form one schedule, which each branch walks
 depth first: a coin, a group of measurements (one fork, see
 :class:`Measurement`) or a check yields its children one at a time, and
 each finishes its subtree before the next is built.  Leaves stream out in
@@ -29,14 +29,14 @@ which children are kept:
   the squared norm that the marginal they read already holds; the draws are
   memoised on the choices drawn before them, so a trial that repeats a
   classical history redraws it without a walk (see :class:`_Sample`);
-* record (:func:`collect_paths`, :func:`verification_projector`): every child,
-  with the fixed operators and the symbolic prover gates logged instead of
-  any amplitudes, as the :class:`BranchPath` list that the see-saw and the
-  exact single-message optimum replay.
+* record (:func:`collect_paths`): every child, with the fixed operators
+  and the symbolic prover gates logged instead of any amplitudes, as the
+  :class:`BranchPath` list that the see-saw and the exact single-message
+  optimum replay.
 
-All three walks take each fixed operator (a step, a W-swap, a check
-projector, on the record walk an accept projector and an outcome's selector)
-as a :class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
+All three walks take each fixed operator (a step, a check projector, on
+the record walk an accept projector and an outcome's selector) as a
+:class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
 and sampled walks apply it, the record walk records it.  No vector is
 modified in place, so the initial one is built once per executor and shared.
 A branch releases its state once its last child is built: a walk holds one
@@ -58,7 +58,6 @@ from . import qcore
 from .errors import LayoutError, ProtocolError, ValidationError
 from .network import PROVER, NetworkGraph, RegisterLayout, split_register
 from .qcore import (
-    SWAP,
     FactoredOp,
     StructuredOp,
     apply_matrix_vec,
@@ -187,7 +186,6 @@ class NodeAccept:
 @dataclass(frozen=True)
 class VerificationPhase:
     steps: tuple[Step, ...] = ()
-    w_swap: bool = False
     measurements: tuple[Measurement, ...] = ()
     checks: tuple[ProjectiveCheck, ...] = ()
     broadcasts: tuple[Broadcast, ...] = ()
@@ -359,11 +357,6 @@ class _Branch:
     values: dict
     views: dict[int, dict]
     owner: dict
-
-    @classmethod
-    def start(cls, graph: NetworkGraph, vec, owner: Mapping[str, int]) -> _Branch:
-        """A weight-1 branch with an empty transcript."""
-        return cls(1.0, vec, {}, dict.fromkeys(_all_actors(graph), {}), dict(owner))
 
 
 class _Exact:
@@ -597,7 +590,6 @@ class _Executor:
             schedule += [(_Executor._flip_coin, coin, label) for coin in turn.coins]
             schedule += _local_events(turn, label)
             schedule.append((_Executor._send, turn, label))
-        self.verification_start = len(schedule)
         self.schedule = schedule + _local_events(spec.verification, "verification")
 
     @functools.cached_property
@@ -634,18 +626,13 @@ class _Executor:
 
     # -- the walk -------------------------------------------------------------
 
-    def leaves(self, branch: _Branch | None = None, start: int = 0) -> Iterator[tuple[_Branch, dict[int, dict]]]:
-        """Every kept leaf, one at a time, with its nodes' verification views.
-
-        The walk starts from the initial state, or from ``branch`` at
-        schedule position ``start``.
-        """
-        if branch is None:
-            if not self.policy.records:
-                self.check_budget()
-            owner = {name: self.layout.owner(name) for name in self.layout.names()}
-            branch = _Branch.start(self.graph, self.initial, owner)
-        for leaf in self._walk(branch, start):
+    def leaves(self) -> Iterator[tuple[_Branch, dict[int, dict]]]:
+        """Every kept leaf, one at a time, with its nodes' verification views."""
+        if not self.policy.records:
+            self.check_budget()
+        owner = {name: self.layout.owner(name) for name in self.layout.names()}
+        branch = _Branch(1.0, self.initial, {}, dict.fromkeys(_all_actors(self.graph), {}), owner)
+        for leaf in self._walk(branch, 0):
             yield leaf, self._verification_views(leaf)
             del leaf
 
@@ -725,15 +712,6 @@ class _Executor:
         self._check_ownership(branch, (step.actor,), regs, label)
         qubits = self.layout.expand(regs)
         branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
-
-    def _w_swap(self, branch: _Branch, _, label: str) -> None:
-        # Contents are exchanged while names keep their owner: after the
-        # phase, W:u:v (held by u) contains whatever v prepared in W:v:u.
-        for a, b in sorted(self.graph.edges):
-            nab, nba = f"W:{a}:{b}", f"W:{b}:{a}"
-            if self.layout.has(nab) and self.layout.has(nba):
-                for x, y in zip(self.layout.qubits(nab), self.layout.qubits(nba)):
-                    branch.vec = self.policy.apply(branch.vec, SWAP, [x, y])
 
     def _flip_coin(self, branch: _Branch, coin: CoinFlip, label: str):
         values = list(self.policy.coin(coin.num_values))
@@ -835,10 +813,8 @@ _FORKS = (_Executor._flip_coin, _Executor._measure, _Executor._projective_check)
 
 
 def _local_events(part: VerifierTurn | VerificationPhase, label: str) -> list[tuple]:
-    """Schedule entries for the nodes' steps, W-swap, measurements and checks of a turn or phase."""
+    """Schedule entries for the nodes' steps, measurements and checks of a turn or phase."""
     events = [(_Executor._apply_step, step, label) for step in part.steps]
-    if isinstance(part, VerificationPhase) and part.w_swap:
-        events.append((_Executor._w_swap, None, label))
     groups: list[list[Measurement]] = []
     for m in part.measurements:  # each maximal run by distinct nodes forks once
         if not groups or m.node in {other.node for other in groups[-1]}:
@@ -983,47 +959,8 @@ def variable_marginal(spec: ProtocolSpec, prover: ProverStrategy, name: str, val
 
 
 # ---------------------------------------------------------------------------
-# Verification projector and branch recording
+# Branch recording
 # ---------------------------------------------------------------------------
-
-
-def verification_projector(spec: ProtocolSpec) -> np.ndarray:
-    """The single operator whose pre-verification expectation is acceptance.
-
-    The record walk of the verification phase gives each predicate-passing
-    leaf its fixed operators ``L`` (steps, W-swaps, measurement and check
-    outcomes) and accept projectors ``A``.
-    The result is ``sum_leaf (A L)^dag (A L)`` (``L^dag A L``, as the
-    projectors of different nodes commute), with ``A L`` built as one
-    :func:`~dqip.qcore.circuit_matrix` per leaf.  It is idempotent.
-    """
-    dim = 2**spec.layout.total_qubits
-    what = f"verification projector of {spec.name!r}"
-    qcore.check_budget(16 * dim * dim, what)
-    executor = _Executor(spec, ProverStrategy("unused", lambda *_: None), _Record())
-    # Ownership does not constrain the verification phase analysis here:
-    # every register is measured or projected by its final holder.
-    start = _Branch.start(spec.graph, None, _final_holders(spec))
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for path in _paths(executor, executor.leaves(start, executor.verification_start)):
-        m = qcore.circuit_matrix(
-            spec.layout.total_qubits, [(op.matrix, op.targets) for op in path.ops + path.accept], what
-        )
-        out += m.conj().T @ m
-
-    check_projector(out)
-    return out
-
-
-def _final_holders(spec: ProtocolSpec) -> dict[str, int]:
-    """Each register's holder after the turns' static deliveries and sends."""
-    owner = {name: spec.layout.owner(name) for name in spec.layout.names()}
-    for turn in spec.turns:
-        if isinstance(turn, ProverTurn) and not callable(turn.delivers):
-            owner.update((reg, node) for reg, node in turn.delivers if reg in owner)
-        elif isinstance(turn, VerifierTurn) and not callable(turn.sends):
-            owner.update((reg, PROVER) for reg in turn.sends if reg in owner)
-    return owner
 
 
 @dataclass
@@ -1111,7 +1048,7 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
         "turns": [turn_json(position, t) for position, t in enumerate(spec.turns, 1)],
         "verification": {
             "steps": [s.describe for s in phase.steps],
-            "w_swap": phase.w_swap,
+            "w_swap": False,  # dqip-protocol/1 keeps the key; no spec exchanges W registers
             "measurements": [m.describe or {"name": m.name, "node": m.node} for m in phase.measurements],
             "checks": [c.describe or {"name": c.name} for c in phase.checks],
             "broadcasts": [b.describe or {"node": b.node} for b in phase.broadcasts],

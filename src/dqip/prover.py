@@ -14,6 +14,11 @@ matrix M, and the exact single-block maximizer is the unitary polar factor
 of M (from its SVD).  Every block update is an exact maximization, so the
 acceptance recorded after each sweep is non-decreasing; the result is a
 certified lower bound on the optimal cheating probability.
+
+The recorded branches are replayed by one walk, :func:`_forward`, over
+their shared-prefix trie (:class:`_Trie`): a sweep's forward half, each
+restart's starting value and, once per basis message, the operator of the
+single-message optimum all go through it.
 """
 
 from __future__ import annotations
@@ -79,18 +84,6 @@ def _step(vec: np.ndarray, op, gates: Mapping) -> np.ndarray:
         return op.apply(vec)
     key, qubits = op
     return apply_matrix_vec(vec, gates[key], qubits)
-
-
-def _final_vectors(paths: list[BranchPath], initial: np.ndarray, gates: Mapping) -> list[np.ndarray]:
-    finals = []
-    for path in paths:
-        vec = initial
-        for op in path.ops:
-            vec = _step(vec, op, gates)
-        for op in path.accept:
-            vec = op.apply(vec)
-        finals.append(vec)
-    return finals
 
 
 def _acceptance(paths: list[BranchPath], finals: list[np.ndarray]) -> float:
@@ -256,7 +249,8 @@ def seesaw_optimize(
             gates = {key: honest_gate(key) for key in order}
         else:
             gates = random_gates(restart)
-        finals = _final_vectors(paths, initial, gates)
+        finals = [None] * len(paths)
+        _forward(trie, gates, finals)
         history = [_acceptance(paths, finals)]
         for _ in range(config.sweeps):
             _sweep(trie, finals, gates)
@@ -306,11 +300,21 @@ def _sweep(trie: _Trie, witnesses: list, gates: dict) -> None:
             if pos > first:
                 vec = _step(vec, op, adjoints)
 
-    # Forward fronts, one per trie node, each computed once after the blocks
-    # above it are updated (stage s follows the update of block s - 1).
+    _forward(trie, gates, witnesses, suffixes)
+
+
+def _forward(trie: _Trie, gates: dict, finals: list, suffixes: dict | None = None) -> None:
+    """Walk the trie forward and put each path's final vector in its slot of ``finals``.
+
+    Each node's front is computed once, from its parent's; stage ``s`` of
+    ``trie.schedule`` follows block ``s - 1`` of ``trie.order``.  Given a
+    sweep's backward ``suffixes``, that block's gate is first replaced by
+    the polar maximizer of its block matrix, summed over its visits in path
+    order (the suffixes are consumed); without them the walk only evaluates.
+    """
     fronts = {0: trie.initial}
     for stage, nodes in enumerate(trie.schedule):
-        if stage:
+        if stage and suffixes is not None:
             key = trie.order[stage - 1]
             qubits = trie.blocks[key]
             dim = 2 ** len(qubits)
@@ -332,7 +336,7 @@ def _sweep(trie: _Trie, witnesses: list, gates: dict) -> None:
                 final = vec
                 for op in trie.paths[i].accept:
                     final = op.apply(final)
-                witnesses[i] = final
+                finals[i] = final
             if trie.holds[node]:
                 fronts[node] = vec
 
@@ -371,14 +375,19 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
         raise ShapeError("prover block targets disagree with the turn's registers")
 
     # Basis message i: the block's gate is a preparation mapping |0> to |i>.
-    preps = []
-    for i in range(dim):
+    trie = _Trie(paths, initial, blocks, [key])
+    check_budget(
+        (dim * len(paths) + trie.peak_fronts) * 16 * initial.size,
+        f"single-message optimum of {spec.name!r} over {dim} basis messages and {len(paths)} paths",
+    )
+    finals = [[None] * len(paths) for _ in range(dim)]
+    for i, row in enumerate(finals):
         prep = np.zeros((dim, dim), dtype=np.complex128)
         prep[i, 0] = 1.0
-        preps.append({key: prep})
+        _forward(trie, {key: prep}, row)
     e = np.zeros((dim, dim), dtype=np.complex128)
-    for path in paths:
-        u = np.stack([_final_vectors([path], initial, gates)[0] for gates in preps])
+    for p, path in enumerate(paths):
+        u = np.stack([row[p] for row in finals])
         e += path.weight * (u.conj() @ u.T)
 
     vals, vecs = np.linalg.eigh((e + e.conj().T) / 2)

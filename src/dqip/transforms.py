@@ -176,8 +176,8 @@ def _require_clean(spec: ProtocolSpec) -> None:
                 raise ShapeError("clean specs need static sends")
         elif turn.replies or callable(turn.delivers) or callable(turn.acts_on):
             raise ShapeError("clean specs need static prover turns without replies")
-    if spec.verification.w_swap or spec.verification.checks:
-        raise ShapeError("clean specs may not use W registers or projective checks")
+    if spec.verification.checks:
+        raise ShapeError("clean specs may not use projective checks")
 
 
 def _vm_regs(u: int) -> list[str]:

@@ -90,13 +90,6 @@ def test_layout_ordering_rule():
     assert layout.owner("V:0") == 0 and layout.owner("M:0") == PROVER
 
 
-def test_w_registers_follow_the_node_registers():
-    g = path_graph(2)
-    layout = allocate_layout(g, prover_qubits=1, node_private=1, node_message=1, edge_w=1)
-    assert layout.total_qubits == 7
-    assert layout.names()[-2:] == ["W:0:1", "W:1:0"]
-
-
 def test_split_register():
     assert split_register("V:0") == ("V:0", None)
     assert split_register("V:0[2]") == ("V:0", 2)
@@ -145,12 +138,11 @@ def test_layout_capacity_error():
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=2),
-    st.integers(min_value=0, max_value=1),
 )
 @settings(max_examples=60, deadline=None)
-def test_layout_is_bijection(prover, private, message, w):
+def test_layout_is_bijection(prover, private, message):
     g = path_graph(3)
-    layout = allocate_layout(g, prover, private, message, w)
+    layout = allocate_layout(g, prover, private, message)
     seen: list[int] = []
     for name in layout.names():
         seen.extend(layout.qubits(name))

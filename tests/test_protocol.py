@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,26 +8,20 @@ from dqip.network import allocate_layout, path_graph
 from dqip.protocol import (
     CoinFlip,
     Measurement,
-    NodeAccept,
     ProjectiveCheck,
     ProtocolSpec,
     ProverStrategy,
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
-    _Branch,
     _Executor,
-    _Record,
     _Sample,
-    _final_holders,
-    _paths,
     collect_paths,
     execute_exact,
     execute_sampled,
     first_qubit_zero_accept,
     spec_to_json,
     static_step,
-    verification_projector,
     wilson_interval,
 )
 
@@ -398,96 +390,6 @@ def test_acceptance_invariant_under_node_relabeling():
         assert abs(out - base) <= 1e-10
 
 
-# ---------------------------------------------------------------------------
-# verification_projector
-# ---------------------------------------------------------------------------
-
-
-def test_projector_trivial_spec():
-    spec = always_accept_spec(1)
-    proj = verification_projector(spec)
-    expected = np.array([[1, 0], [0, 0]], dtype=complex)
-    assert np.allclose(proj, expected, atol=1e-12)
-
-
-def test_projector_with_hadamard_before_measurement():
-    graph = path_graph(2)
-    layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0)
-    ver = VerificationPhase(
-        steps=(static_step(0, qcore.H, ["V:0"]),),
-        accepts=tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2)),
-    )
-    spec = ProtocolSpec(name="had", graph=graph, layout=layout, turns=(), verification=ver)
-    proj = verification_projector(spec)
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    expected = np.kron(np.array([[1, 0], [0, 0]]), np.outer(plus, plus.conj()))
-    assert np.allclose(proj, expected, atol=1e-12)
-
-
-def test_projector_expectation_matches_execute_exact():
-    for seed in range(6):
-        spec, prover = random_clean_spec(seed)
-        # Pre-verification state: run the interaction only, via a spec whose
-        # verification is empty, then take expectation of the projector.
-        interaction = dataclasses.replace(spec, verification=VerificationPhase())
-        branches = [branch for branch, _ in _Executor(interaction, prover).leaves()]
-        assert len(branches) == 1
-        pre = branches[0].vec
-        proj = verification_projector(spec)
-        expect = float(np.real(np.vdot(pre, proj @ pre)))
-        direct = execute_exact(spec, prover).acceptance_probability
-        assert abs(expect - direct) <= 1e-10
-
-
-def build_w_exchange_spec(expect0: int, expect1: int) -> ProtocolSpec:
-    """Each node copies its V bit into its W register; after the exchange,
-    node u accepts iff the received bit equals ``expect_u``.  Node 0's V is
-    flipped to 1, so the true received values are (node 0: 0, node 1: 1)."""
-    graph = path_graph(2)
-    layout = allocate_layout(graph, prover_qubits=0, node_private=1, node_message=0, edge_w=1)
-    turn = VerifierTurn(steps=(static_step(0, qcore.X, ["V:0"]),))
-    copy_steps = tuple(
-        static_step(u, qcore.CNOT, [f"V:{u}", f"W:{u}:{1 - u}"]) for u in range(2)
-    )
-    bit = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    accepts = tuple(
-        NodeAccept(
-            node=u,
-            projector=lambda view, _u=u, _e=(expect0, expect1)[u]: (bit[_e], [f"W:{_u}:{1 - _u}"]),
-            predicate=None,
-            describe={"kind": "expect-received-bit", "node": u},
-        )
-        for u in range(2)
-    )
-    return ProtocolSpec(
-        name="w-exchange",
-        graph=graph,
-        layout=layout,
-        turns=(turn,),
-        verification=VerificationPhase(steps=copy_steps, w_swap=True, accepts=accepts),
-    )
-
-
-def _projector_oracle(spec: ProtocolSpec) -> np.ndarray:
-    """``sum (A L)^dag (A L)`` over the recorded verification leaves, from ``embed_operator`` products."""
-    n = spec.layout.total_qubits
-    executor = _Executor(spec, identity_for(spec), _Record())
-    start = _Branch.start(spec.graph, None, _final_holders(spec))
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for path in _paths(executor, executor.leaves(start, executor.verification_start)):
-        m = np.eye(2**n, dtype=complex)
-        for op in path.ops + path.accept:
-            m = qcore.embed_operator(op.matrix, op.targets, n) @ m
-        out += m.conj().T @ m
-    return out
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_projector_matches_the_embedded_product_oracle(seed):
-    spec, _ = random_clean_spec(seed)
-    assert np.allclose(verification_projector(spec), _projector_oracle(spec), rtol=0, atol=1e-12)
-
-
 def test_recorded_paths_share_structured_ops_across_branches():
     # One path per value of the shared coin at turn 2: the turn-1 block comes
     # before the fork, and the turn-2 steps and the accept projectors are the
@@ -502,18 +404,6 @@ def test_recorded_paths_share_structured_ops_across_branches():
     assert all(a is b for a, b in zip(first.ops[:3], second.ops[:3]))
     assert all(a is b for a, b in zip(first.accept, second.accept))
     assert first.ops[3] != second.ops[3]  # the turn-3 block key holds the coin
-
-
-def test_w_registers_exchange_contents():
-    # Node 1 must see node 0's flipped bit and vice versa; expecting each
-    # node's own bit instead must fail completely.
-    spec = build_w_exchange_spec(expect0=0, expect1=1)
-    assert abs(execute_exact(spec, identity_for(spec)).acceptance_probability - 1.0) <= 1e-12
-    wrong = build_w_exchange_spec(expect0=1, expect1=0)
-    assert execute_exact(wrong, identity_for(wrong)).acceptance_probability <= 1e-12
-    proj = verification_projector(spec)
-    assert proj.shape == (2**spec.layout.total_qubits,) * 2
-    assert np.allclose(proj, _projector_oracle(spec), rtol=0, atol=1e-12)
 
 
 def test_wilson_interval_basic():

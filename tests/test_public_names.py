@@ -3,9 +3,10 @@
 A name counts as used when it appears, as an identifier or as a string
 literal equal to it (``getattr`` by name, the benchmark's span table),
 in a Python file under ``src/``, ``scripts/`` or ``bench/`` more often
-than it is defined there at top level.  Uses in ``tests/`` do not count:
-API that only the tests call is deleted, or listed in ``ALLOWED`` with
-the reason it stays.
+than it is defined there at top level.  Uses in ``tests/`` do not count,
+and neither do the package's re-exports in ``src/dqip/__init__.py``: API
+that only the tests call is deleted, or listed in ``ALLOWED`` with the
+reason it stays.
 """
 
 import ast
@@ -35,6 +36,15 @@ def _definitions(tree: ast.Module) -> list[str]:
     return names
 
 
+def _without_imports(source: str) -> str:
+    """``source`` with its top-level import statements blanked out."""
+    lines = source.splitlines(keepends=True)
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines[node.lineno - 1 : node.end_lineno] = ["\n"] * (node.end_lineno - node.lineno + 1)
+    return "".join(lines)
+
+
 def _occurrences(source: str) -> Counter:
     """Identifier tokens, and string literals that are a bare identifier, by name."""
     counts: Counter = Counter()
@@ -56,7 +66,7 @@ def unused_public_names() -> list[str]:
     definitions: Counter = Counter()
     for path in SCANNED:
         source = path.read_text()
-        occurrences += _occurrences(source)
+        occurrences += _occurrences(_without_imports(source) if path == PACKAGE / "__init__.py" else source)
         definitions.update(_definitions(ast.parse(source)))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -73,3 +83,10 @@ def test_every_public_name_has_a_use_outside_the_tests():
 def test_every_allowlist_entry_is_still_needed():
     unused = unused_public_names()
     assert [name for name in ALLOWED if name not in unused] == []
+
+
+def test_re_exports_are_blanked_line_for_line():
+    source = "from .a import (\n    one,\n    two,\n)\nimport b\n\nthree = one\n"
+    blanked = _without_imports(source)
+    assert blanked == "\n" * 6 + "three = one\n"
+    assert _occurrences(blanked) == Counter({"three": 1, "one": 1})

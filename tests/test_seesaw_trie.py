@@ -1,18 +1,22 @@
-"""The trie sweep against the per-path sweep it replaced.
+"""The trie walk against the per-path replays it replaced.
 
 ``per_path_sweep`` replays every recorded path in full: a backward pass per
 path, a lazily advanced forward front per path, and a fresh replay of the
-finals after the updates.  The trie sweep merges shared prefixes but does the
-same arithmetic in the same order, so both must give equal sweep histories
-and equal best gates, compared with ``==``.
+finals after the updates (``_final_vectors``, which ``per_path_forward``
+also uses for each restart's starting value).  The trie walk merges shared
+prefixes but does the same arithmetic in the same order, so both must give
+equal sweep histories (starting values included), equal best gates and
+equal single-message optima, compared with ``==``.
 """
 
 import numpy as np
 import pytest
 
 from dqip import prover, qcore
+from dqip.corpus import coin_check_spec, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.dqct import build_pdqct, make_instance
+from dqip.errors import CapacityError
 from dqip.ghz import GhzProtocolParams
 from dqip.network import allocate_layout, build_network, path_graph
 from dqip.protocol import (
@@ -27,12 +31,31 @@ from dqip.protocol import (
     first_qubit_zero_accept,
     static_step,
 )
-from dqip.prover import OptimizerConfig, _final_vectors, _step, seesaw_optimize
+from dqip.prover import OptimizerConfig, _step, exact_single_message_max, seesaw_optimize
 from dqip.qcore import StructuredOp, _keep_block
 from dqip.seeding import substream
 from dqip.transforms import dam_to_dqip, halve_turns_private, pad_to_turns
 
 from specs import random_clean_spec
+
+
+def _final_vectors(paths, initial, gates) -> list[np.ndarray]:
+    """Each path's final vector under ``gates``, each path replayed from ``initial`` on its own."""
+    finals = []
+    for path in paths:
+        vec = initial
+        for op in path.ops:
+            vec = _step(vec, op, gates)
+        for op in path.accept:
+            vec = op.apply(vec)
+        finals.append(vec)
+    return finals
+
+
+def per_path_forward(trie, gates, finals, suffixes=None) -> None:
+    """The evaluating trie walk, replayed per path; sweeps go through ``per_path_sweep``."""
+    assert suffixes is None
+    finals[:] = _final_vectors(trie.paths, trie.initial, gates)
 
 
 def per_path_sweep(trie, witnesses, gates) -> None:
@@ -87,6 +110,7 @@ def assert_same_as_per_path(monkeypatch, spec, config, **kwargs):
     trie = seesaw_optimize(spec, config, **kwargs)
     with monkeypatch.context() as patch:
         patch.setattr(prover, "_sweep", per_path_sweep)
+        patch.setattr(prover, "_forward", per_path_forward)
         oracle = seesaw_optimize(spec, config, **kwargs)
     assert trie.sweep_acceptance == oracle.sweep_acceptance
     assert trie.best_acceptance == oracle.best_acceptance
@@ -101,6 +125,28 @@ def assert_same_as_per_path(monkeypatch, spec, config, **kwargs):
 def test_trie_sweep_matches_per_path_on_random_specs(monkeypatch, seed, coin):
     spec, honest = random_clean_spec(seed, coin=coin)
     assert_same_as_per_path(monkeypatch, spec, OptimizerConfig(restarts=3, sweeps=30, seed=seed), honest=honest)
+
+
+@pytest.mark.parametrize("coin", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluating_walk_matches_per_path_replay(seed, coin):
+    # Without suffixes the walk leaves the gates alone and only fills ``finals``.
+    spec, honest = random_clean_spec(seed, coin=coin)
+    paths, initial = collect_paths(spec, honest)
+    blocks = prover._block_table(paths)
+    order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
+    trie = prover._Trie(paths, initial, blocks, order)
+    rng = substream(seed, "tests.evaluating_walk")
+    gates = {key: qcore.haar_matrix(len(qubits), rng, "test gate") for key, qubits in blocks.items()}
+    before = {key: gate.copy() for key, gate in gates.items()}
+    finals = [None] * len(paths)
+    prover._forward(trie, gates, finals)
+    expected = _final_vectors(paths, initial, gates)
+    assert len(finals) == len(expected) == len(paths)
+    for got, want in zip(finals, expected):
+        assert np.array_equal(got, want)
+    assert gates.keys() == before.keys()
+    assert all(np.array_equal(gates[key], before[key]) for key in gates)
 
 
 @pytest.mark.parametrize(
@@ -182,3 +228,36 @@ def test_trie_sweep_sums_one_block_over_two_trie_nodes_in_path_order(monkeypatch
     assert [i for i, _ in late] == [0, 1, 2, 3]
     assert late[0][1] == late[1][1] != late[2][1] == late[3][1]
     assert_same_as_per_path(monkeypatch, spec, OptimizerConfig(restarts=3, sweeps=25, seed=2), honest=honest)
+
+
+E0, E1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # The optimizer-sanity corpus; the last is also the perfect-completeness no-instance.
+        coin_check_spec([E0], name="sm-zero"),
+        coin_check_spec([E0, E1], name="sm-incompatible"),
+        coin_check_spec([E0, PLUS], name="sm-tilted"),
+        two_check_spec(E0, PLUS, name="sm-quantum-coin"),
+        two_check_spec(E0, E1, name="sm-quantum-orth"),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_single_message_max_matches_per_path(monkeypatch, spec):
+    value, vec = exact_single_message_max(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(prover, "_forward", per_path_forward)
+        oracle_value, oracle_vec = exact_single_message_max(spec)
+    assert value == oracle_value
+    assert np.array_equal(vec, oracle_vec)
+
+
+def test_single_message_max_checks_its_finals_against_the_dense_budget(monkeypatch):
+    # The spec's own steps are built first, under the real limit.
+    spec = two_check_spec(E0, E1, name="sm-quantum-orth")
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 0)
+    with pytest.raises(CapacityError, match="single-message optimum of 'sm-quantum-orth'"):
+        exact_single_message_max(spec)
