@@ -7,9 +7,11 @@ two checkouts: the printed lines must be identical.
     python scripts/report_hashes.py                       # this checkout's src/
     python scripts/report_hashes.py --src OTHER/src       # another checkout's
 
-The configs cover the ghz experiment (exact, sampled and the all-zero
-cheat), the closeness-test soundness probe at dqct seeds 1400000-1400007,
-the sampled 17-qubit closeness test, the three compile pipelines of the
+The configs cover the ghz experiment (exact, sampled, the all-zero cheat
+and one prover qubit), the closeness-test soundness probe at dqct seeds
+1400000-1400007, the sampled 17-qubit closeness test, exact closeness
+tests without prover qubits (a star delivery small enough to apply through
+its dense form) and on three nodes, the three compile pipelines of the
 benchmark with the see-saw on, parallel repetition (AND and majority),
 optimize, dam-brute-force and qcore-properties.  Each line reads
 ``<sha256>  <report file name>``.
@@ -36,10 +38,15 @@ CONFIGS = {
     "ghz-sampled": {"experiment": "ghz", "seed": 2, "mode": "sampled", "trials": 200,
                     "params": {"nodes": 3, "copies": 2}},
     "ghz-all-zero": {"experiment": "ghz", "seed": 3, "params": {"nodes": 3, "copies": 1, "strategy": "all-zero"}},
+    "ghz-prover-qubit": {"experiment": "ghz", "seed": 4, "params": {"nodes": 3, "copies": 1, "prover_qubits": 1}},
     **{f"dqct-probe-{seed}": {"experiment": "dqct", "seed": seed, "params": PROBE}
        for seed in range(1_400_000, 1_400_008)},
     "dqct-sampled-17": {"experiment": "dqct", "seed": 1000, "mode": "sampled", "trials": 12,
                         "params": {"nodes": 2, "qubits_per_node": [3, 3], "states": "random", "prover_qubits": 0}},
+    "dqct-exact-dense": {"experiment": "dqct", "seed": 5,
+                         "params": {"nodes": 2, "qubits_per_node": [1, 1], "states": "random", "prover_qubits": 0}},
+    "dqct-exact-3-nodes": {"experiment": "dqct", "seed": 6,
+                           "params": {"nodes": 3, "qubits_per_node": [1, 0, 1], "states": "random"}},
     **{f"pipeline-{name}": {"experiment": "compile-pipeline", "seed": 1,
                             "params": {"protocol": "coin-guess", "instance": "yes", "pipeline": stages,
                                        "optimize": True}}

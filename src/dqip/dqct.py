@@ -196,11 +196,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     # (after P) onto all others, leaving |0^(n-1)> on the non-leader qubits.
     returns = len(turns)
     fan_in = qcore.cnot_fanout(ghz_params.prover_qubits, n)
-
-    def gate(turn_index: int, view: Mapping):
-        return fan_in if turn_index == returns else ghz.honest.gate_fn(turn_index, view)
-
-    honest = ProverStrategy("closeness-honest", gate, ghz.honest.reply_fn)
+    honest = ProverStrategy.table("closeness-honest", {returns: fan_in}, ghz.honest)
     return Compiled.of("build_pdqct", 0, spec, honest, completeness=0.5 + 0.5 * instance.overlap_squared())
 
 

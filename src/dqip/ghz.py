@@ -374,11 +374,7 @@ def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> Prov
 def all_zero_cheat(spec: ProtocolSpec, params: GhzProtocolParams) -> ProverStrategy:
     """Fixed cheat: sends |0...0> instead of star states, replies honestly."""
     honest = honest_pghz_strategy(spec.graph, params)
-
-    def gate(turn_index: int, view: Mapping) -> FactoredOp:
-        return FactoredOp(honest.gate_fn(turn_index, view).arity)
-
-    return ProverStrategy("ghz-all-zero", gate, honest.reply_fn)
+    return ProverStrategy.table("ghz-all-zero", {1: FactoredOp(honest.gate_fn(1, {}).arity)}, honest)
 
 
 def ghz_fidelity(rho: np.ndarray) -> float:

@@ -120,10 +120,6 @@ def cycle_graph(n: int, node_inputs: Sequence[str] | None = None) -> NetworkGrap
 # ---------------------------------------------------------------------------
 
 
-def reg_p() -> str:
-    return "P"
-
-
 def reg_v(u: int) -> str:
     return f"V:{u}"
 
@@ -210,7 +206,7 @@ def allocate_layout(
             owners[name] = owner
             cursor += size
 
-    add(reg_p(), prover_qubits, PROVER)
+    add("P", prover_qubits, PROVER)
     for u in range(graph.node_count):
         add(reg_v(u), node_private, u)
         add(reg_m(u), node_message, PROVER)

@@ -37,8 +37,10 @@ which children are kept:
 All three walks take each fixed operator (a step, a check projector, on
 the record walk an accept projector and an outcome's selector) as a
 :class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
-and sampled walks apply it, the record walk records it.  No vector is
-modified in place, so the initial one is built once per executor and shared.
+and sampled walks apply it, and a prover gate the same way (a factored one
+by its :meth:`~dqip.qcore.FactoredOp.parts`); the record walk records it.
+No vector is modified in place, so the initial one is built once per
+executor and shared.
 A branch releases its state once its last child is built: a walk holds one
 state per open fork on its current path, and exact and sampled walks check
 that many (:meth:`_Executor.check_budget`) against ``qcore.MAX_DENSE_BYTES``
@@ -61,7 +63,6 @@ from .qcore import (
     FactoredOp,
     StructuredOp,
     apply_matrix_vec,
-    apply_op,
     check_projector,
     circuit_matrix,
     outcome_weights,
@@ -155,6 +156,12 @@ class ProverTurn:
     replies: tuple[ReplySlot, ...] = ()
 
 
+def turn_field(value, view: Mapping):
+    """A turn's ``acts_on``, ``delivers`` or ``sends`` as read from ``view``: a static
+    tuple as it is, a dynamic one called on the view."""
+    return value(view) if callable(value) else value
+
+
 @dataclass(frozen=True)
 class VerifierTurn:
     coins: tuple[CoinFlip, ...] = ()
@@ -240,7 +247,9 @@ class ProverStrategy:
     or a :class:`~dqip.qcore.FactoredOp` over them (callers that need the
     matrix use :func:`~dqip.qcore.dense_matrix`).  ``reply_fn(slot_name,
     view)`` returns a reply.  ``view`` is the prover's view; both functions
-    must be pure, as the sampled walk's memo and :func:`block_key` assume.
+    must be pure, as the sampled walk's memo and :func:`block_key` assume,
+    and a gate is returned as the same object for the same arguments, as
+    the walks' op cache (:meth:`~dqip.qcore.StructuredOp.cached`) assumes.
     The see-saw's best strategy looks its gates up by :func:`block_key`
     (:attr:`~dqip.prover.OptimizerTrace.best_gates`).
     """
@@ -248,6 +257,16 @@ class ProverStrategy:
     name: str
     gate_fn: Callable[[int, Mapping], np.ndarray | FactoredOp]
     reply_fn: Callable[[str, Mapping], int] | None = None
+
+    @classmethod
+    def table(cls, name: str, gates: Mapping, inner: ProverStrategy | None = None) -> ProverStrategy:
+        """Serves ``gates[turn_index]`` where ``gates`` holds that position and ``inner``'s gate
+        elsewhere, with ``inner``'s replies; ``gates`` is read at each call, not copied."""
+
+        def gate(turn_index: int, view: Mapping):
+            return gates[turn_index] if inner is None or turn_index in gates else inner.gate_fn(turn_index, view)
+
+        return cls(name, gate, None if inner is None else inner.reply_fn)
 
     def reply(self, slot_name: str, view: Mapping) -> int:
         if self.reply_fn is None:
@@ -380,7 +399,12 @@ class _Exact:
         return self.op(matrix, qubits).apply(vec)
 
     def prover(self, vec: np.ndarray, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
-        return apply_op(vec, strategy.gate_fn(turn_index, view), qubits)
+        """The prover's gate applied to ``vec`` like a fixed operator, or a factored one's parts in order."""
+        gate = strategy.gate_fn(turn_index, view)
+        parts = gate.parts(qubits, vec.size.bit_length() - 1) if isinstance(gate, FactoredOp) else [(gate, qubits)]
+        for matrix, targets in parts:
+            vec = self.apply(vec, matrix, targets)
+        return vec
 
     def project(self, vec: np.ndarray, parts: list[list[int]], outcome: int) -> np.ndarray:
         return project_outcome(vec, _joint(parts), outcome)
@@ -506,6 +530,7 @@ class _Record(_Exact):
     def __init__(self):
         super().__init__()
         self._selector = functools.cache(qcore.basis_projector)  # one array, so one op, per outcome
+        self._misses: dict = {}  # id(projector) -> (projector, I - projector), so one op per check projector
 
     def apply(self, chain, matrix: np.ndarray, qubits: list[int]):
         return chain, self.op(matrix, qubits)
@@ -519,7 +544,9 @@ class _Record(_Exact):
         return chain
 
     def split(self, chain, projector: np.ndarray, qubits: list[int]) -> tuple:
-        return self.apply(chain, projector, qubits), self.apply(chain, np.eye(len(projector)) - projector, qubits)
+        if id(projector) not in self._misses:
+            self._misses[id(projector)] = (projector, np.eye(len(projector)) - projector)
+        return self.apply(chain, projector, qubits), self.apply(chain, self._misses[id(projector)][1], qubits)
 
     def outcomes(self, chain, parts: list[list[int]]) -> Iterable[int]:
         return range(2 ** sum(map(len, parts)))
@@ -680,7 +707,7 @@ class _Executor:
     def _prover_turn(self, branch: _Branch, numbered: tuple[int, ProverTurn], label: str) -> None:
         position, turn = numbered
         view = _view(branch, PROVER)
-        regs = list(turn.acts_on(view)) if callable(turn.acts_on) else list(turn.acts_on)
+        regs = list(turn_field(turn.acts_on, view))
         self._check_ownership(branch, (PROVER,), regs, label)
         qubits = self.layout.expand(regs)
         try:
@@ -693,13 +720,11 @@ class _Executor:
                 raise ProtocolError(f"{label}: reply {slot.name!r}={value} out of range")
             _set_value(branch, slot.name, value, [PROVER, *slot.audience])
             view = _view(branch, PROVER)  # the prover sees its own replies
-        deliveries = turn.delivers(view) if callable(turn.delivers) else turn.delivers
-        for register, node in deliveries:
+        for register, node in turn_field(turn.delivers, view):
             self._move(branch, register, node, label)
 
     def _send(self, branch: _Branch, turn: VerifierTurn, label: str) -> None:
-        sends = turn.sends(_view(branch, PROVER)) if callable(turn.sends) else turn.sends
-        for register in sends:
+        for register in turn_field(turn.sends, _view(branch, PROVER)):
             if branch.owner.get(register) == PROVER:
                 raise ProtocolError(f"{label}: register {register!r} already at the prover")
             self._move(branch, register, PROVER, label)

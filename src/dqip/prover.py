@@ -36,6 +36,7 @@ from .protocol import (
     ProverTurn,
     block_key,
     collect_paths,
+    turn_field,
 )
 from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix, haar_matrix
 from .seeding import substream
@@ -362,7 +363,7 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
 
     paths, initial = collect_paths(spec, ProverStrategy("skeleton", lambda *_: None))
     turn = prover_turns[0]
-    regs = list(turn.acts_on(dict()) if callable(turn.acts_on) else turn.acts_on)
+    regs = list(turn_field(turn.acts_on, {}))
     qubits = spec.layout.expand(regs)
     dim = 2 ** len(qubits)
     if not paths:

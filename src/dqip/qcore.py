@@ -19,7 +19,7 @@ and kept in a bounded cache; only the matrix shape is checked per call.
 :class:`StructuredOp` classifies a fixed ``(matrix, targets)`` pair once as
 diagonal, 0/1 permutation or dense and applies it by broadcast multiply,
 row moves by basic slicing or the planned matmul; the see-saw and the
-executor's walks apply their fixed operators through it.
+executor's walks apply their fixed operators and prover gates through it.
 :func:`project_outcome` zeroes the amplitudes outside one outcome, and
 :func:`basis_projector` is the one constructor of its projector as a matrix.
 :func:`circuit_matrix` is the one dense constructor of composite operators
@@ -31,15 +31,16 @@ nothing in the package calls it, and the tests use it as the oracle.
 
 A gate is either a dense matrix or a :class:`FactoredOp`: local factors
 applied in order, which may share qubits, identity elsewhere.
-:func:`apply_op` applies both; a factored gate goes through its dense form,
+:meth:`FactoredOp.parts` applies a factored gate through its dense form,
 built once by :func:`circuit_matrix`, when that matrix is no larger than
-the state, and factor by factor otherwise.  Fixed verifier operators,
-projectors and see-saw blocks stay dense; honest prover moves made of local
-gates are factored: the GHZ delivery of N+1 star states, the copies of a
-parallel repetition, and the honest prefix of a turn reduction, whose
-dense form would span every qubit.  The dense constructors
-(:func:`circuit_matrix` and :func:`embed_operator`) check what they will
-hold against ``MAX_DENSE_BYTES`` before they allocate
+the state, and factor by factor otherwise; each part, like a dense gate,
+is applied as a :class:`StructuredOp`, whose ``_prepare`` builds every
+span form.  Fixed verifier operators, projectors and see-saw blocks stay
+dense; honest prover moves made of local gates are factored: the GHZ
+delivery of N+1 star states, the copies of a parallel repetition, and the
+honest prefix of a turn reduction, whose dense form would span every qubit.
+The dense constructors (:func:`circuit_matrix` and :func:`embed_operator`)
+check what they will hold against ``MAX_DENSE_BYTES`` before they allocate
 (:func:`check_budget`), and the executor checks the states its deepest
 path holds against the same limit before it walks.
 
@@ -432,37 +433,23 @@ class FactoredOp:
             self._dense = circuit_matrix(self.arity, self.factors, f"{size} for {what}" if what else size)
         return self._dense
 
+    def parts(self, targets: Sequence[int], num_qubits: int) -> list[tuple[np.ndarray, list[int]]]:
+        """The ``(matrix, qubits)`` operators that apply this gate to ``targets`` of ``num_qubits``.
+
+        The dense form when that matrix is no larger than the state (``4^k <=
+        2^n``), the factors in order otherwise, and none without factors.
+        """
+        _check_targets(targets, num_qubits, self.arity)  # all of them: the factors may cover only some
+        if not self.factors:
+            return []
+        if 4**self.arity <= 2**num_qubits:
+            return [(self.dense(), list(targets))]
+        return [(mat, [targets[p] for p in positions]) for mat, positions in self.factors]
+
 
 def dense_matrix(op, what: str = "") -> np.ndarray:
     """A strategy gate as a dense complex matrix (:meth:`FactoredOp.dense` of ``what`` when factored)."""
     return op.dense(what) if isinstance(op, FactoredOp) else np.asarray(op, dtype=np.complex128)
-
-
-def apply_op(vec: np.ndarray, op, targets: Sequence[int]) -> np.ndarray:
-    """Apply a dense matrix or a :class:`FactoredOp` to ``targets`` of ``vec``.
-
-    A factored op is applied through its dense form when that matrix is no
-    larger than the state (``4^k <= 2^n``), factor by factor otherwise; one
-    without factors returns ``vec`` itself.  A dense form on targets below
-    ``SPAN_QUBITS`` is one span-form matmul, as in :class:`StructuredOp`.
-    """
-    _plan_for(vec, targets)  # validates the targets as a whole
-    if isinstance(op, FactoredOp):
-        if len(targets) != op.arity:
-            raise LayoutError(f"factored op of arity {op.arity} does not match {len(targets)} targets")
-        if not op.factors:
-            return vec
-        if 4**op.arity > vec.size:
-            for mat, positions in op.factors:
-                vec = apply_matrix_vec(vec, mat, [targets[p] for p in positions])
-            return vec
-        op = op.dense()
-    mat = np.asarray(op, dtype=np.complex128)
-    if targets and max(targets) < SPAN_QUBITS:
-        span = max(targets) + 1
-        full = circuit_matrix(span, [(mat, targets)], "span form", budget=False)
-        return (vec.reshape(-1, 2**span) @ full.T).reshape(-1)
-    return apply_matrix_vec(vec, mat, targets)
 
 
 def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np.ndarray:

@@ -412,10 +412,7 @@ def dam_to_dqip(dam: DamProtocol, instance: NetworkGraph, value: DamValue) -> Co
             "classical_value": float(value.optimal_acceptance),
         },
     )
-    honest = ProverStrategy(
-        name=f"dam-honest[{dam.name}]",
-        gate_fn=lambda turn, view: honest_gates[turn],
-    )
+    honest = ProverStrategy.table(f"dam-honest[{dam.name}]", honest_gates)
     return Compiled.of("dam_to_dqip", k, spec, honest, completeness=float(value.optimal_acceptance))
 
 
@@ -482,14 +479,10 @@ def pad_to_turns(spec: ProtocolSpec, honest: ProverStrategy, target: int) -> Com
     turns = spec.turns + idle_pair * ((target - k) // 2)
     idle = _prover_identity(spec)
     appended = {i: idle for i, turn in enumerate(turns[k:], k + 1) if isinstance(turn, ProverTurn)}
-
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        return appended[turn_index] if turn_index in appended else honest.gate_fn(turn_index, view)
-
     padded = replace(
         spec, name=f"{spec.name}+pad{target}", turns=turns, metadata=dict(spec.metadata, padded_to=target)
     )
-    return Compiled.of("pad_to_turns", k, padded, ProverStrategy(f"{honest.name}+pad", gate))
+    return Compiled.of("pad_to_turns", k, padded, ProverStrategy.table(f"{honest.name}+pad", appended, honest))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +506,9 @@ class _Branch:
     first pair turn and node steps are conditional on ``key(u)``; with it,
     node u holds the bit in the qubit ``control(u)`` until the verification
     measures it, and every branch-dependent node step is controlled on that
-    qubit.  ``gate(pair, view)`` makes the honest prover gate of a pair turn
-    from its (forward, backward) matrices on (``holds``, P, M).  ``first``
+    qubit.  A pair turn's honest prover gate is the one of its (forward,
+    backward) matrices on (P, M) that the prover's ``bit`` picks, or with
+    ``control`` the pair controlled on the first of ``holds``.  ``first``
     adds coins or reply slots to the first pair turn; ``prelude`` turns run
     between the snapshot and the pairs, and ``prelude_gates`` are the honest
     gates of its prover turns.  Node u broadcasts its value
@@ -526,8 +520,8 @@ class _Branch:
     tag: str
     metadata: dict
     key: Callable[[int], str]
-    gate: Callable[[tuple[np.ndarray, np.ndarray], Mapping], np.ndarray]
     kinds: tuple[str, str]  # describe kinds of the bundle broadcast and of the accept
+    bit: str = ""  # the prover's variable holding the bit, without ``control``
     control: Callable[[int], str] | None = None
     holds: tuple[str, ...] = ()
     first: dict = field(default_factory=dict)
@@ -611,8 +605,9 @@ class _Halving:
         return static_step(u, pair, [b.control(u)] + vm)
 
     def _turns(self, b: _Branch) -> tuple[list[ProverTurn | VerifierTurn], dict, dict]:
-        """The output turns; by turn number, the honest gates of turn 1 and of the prelude's
-        prover turns, and the (forward, backward) prover matrices of each prover pair turn."""
+        """The output turns; by turn number, the honest gates of turn 1, of the prelude's prover
+        turns and of pair turns controlled on a qubit, and the (forward, backward) prover
+        matrices of each pair turn whose bit the prover reads."""
         spec, n = self.spec, self.n
         deliver_m = tuple((reg_m(u), u) for u in range(n))
         # Nodes get their M back with the snapshot when the first pair turn is theirs.
@@ -633,10 +628,11 @@ class _Halving:
             extra = b.first if i == 0 else {}
             if (fwd or bwd) in self.gates:
                 turns.append(ProverTurn(acts_on=b.holds + _prover_regs(spec), delivers=deliver_m, **extra))
-                pair_gates[len(turns)] = (
-                    idle if fwd is None else self.gates[fwd],
-                    idle if bwd is None else self.gates[bwd].conj().T,
-                )
+                pair = (idle if fwd is None else self.gates[fwd], idle if bwd is None else self.gates[bwd].conj().T)
+                if b.control is None:
+                    pair_gates[len(turns)] = pair
+                else:
+                    fixed[len(turns)] = qcore.controlled(*pair)
                 continue
             steps = tuple(
                 self._node_step(
@@ -720,10 +716,9 @@ class _Halving:
             metadata=dict(spec.metadata, **b.metadata),
         )
 
-        def gate(turn_index: int, view: Mapping) -> np.ndarray | qcore.FactoredOp:
-            return fixed[turn_index] if turn_index in fixed else b.gate(pair_gates[turn_index], view)
-
-        honest = ProverStrategy(f"{b.tag}[{self.honest.name}]", gate, b.reply)
+        name = f"{b.tag}[{self.honest.name}]"
+        pairs = ProverStrategy(name, lambda turn_index, view: pair_gates[turn_index][view[b.bit]], b.reply)
+        honest = ProverStrategy.table(name, fixed, pairs)
         c = None if completeness is None else halved_completeness(float(completeness))
         s = None if soundness is None else halved_soundness(float(soundness))
         return Compiled.of(self.transform, spec.num_turns, out, honest, c, s)
@@ -748,8 +743,8 @@ def halve_turns_shared(
         tag="halved-sh",
         metadata={"halved": "shared"},
         key=lambda u: "r",
-        gate=lambda pair, view: pair[view["r"]],
         kinds=("shared-bundle", "halved-accept"),
+        bit="r",
         first={"coins": (CoinFlip("r", 2, owner=None),)},
     )
     return halving.build(branch, completeness, soundness)
@@ -782,8 +777,8 @@ def seven_to_five(
         tag="5turn",
         metadata={"reduced": "7to5"},
         key=lambda u: f"becho:{u}",
-        gate=lambda pair, view: pair[view["b"]],
         kinds=("echo-bundle", "seven-to-five-accept"),
+        bit="b",
         first={"replies": tuple(ReplySlot(f"becho:{u}", 2, audience=(u,)) for u in range(n))},
         replies=tuple(ReplySlot(f"leader:{u}", n, audience=(u,)) for u in range(n)),
         reply=lambda slot, view: view["b"] if slot.startswith("becho:") else LEADER,
@@ -836,7 +831,6 @@ def halve_turns_private(
         tag="halved-p",
         metadata={"halved": "private"},
         key=lambda u: f"coin:{u}",
-        gate=lambda pair, view: qcore.controlled(*pair),
         kinds=("coin-bundle", "private-halved-accept"),
         control=coin_reg,
         holds=("CP",),
@@ -1035,12 +1029,9 @@ def perfect_completeness(
         metadata=dict(spec.metadata, perfected_with_c=c),
     )
 
-    def gate(turn_index: int, view: Mapping) -> np.ndarray:
-        return appended[turn_index] if turn_index in appended else honest.gate_fn(turn_index, view)
-
     # Honest re-coherence gate: replay every turn before the last and map the
     # two verdict branches onto the all-zero state tagged by the marker B.
-    honest_out = ProverStrategy(f"perfect[{honest.name}]", gate)
+    honest_out = ProverStrategy.table(f"perfect[{honest.name}]", appended, honest)
     appended[len(turns)] = _uncompute_gate(out, honest_out, held_regs)
     delta = None if soundness is None else c - float(soundness)
     return Compiled.of("perfect_completeness", k, out, honest_out, 1.0, None if delta is None else 1 - delta**2)
@@ -1162,15 +1153,20 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
     checks: list[ProjectiveCheck] = []
 
     if mode == "AND":
+        products: dict = {}  # the parts' (matrix id, registers) -> (parts, product, registers)
         for u in sorted(inner):
             def projector(view, _u=u):
                 parts = [p for p in (resolve(view) for resolve in resolves.get(_u, ())) if p is not None]
                 if not parts:
                     return None
-                union = [reg for _, regs in parts for reg in regs]
-                qubits = layout.expand(union)
-                factors = [(m, [qubits.index(q) for q in layout.expand(r)]) for m, r in parts]
-                return qcore.circuit_matrix(len(qubits), factors, f"AND accept projector of node {_u}"), union
+                key = tuple((id(m), tuple(r)) for m, r in parts)
+                if key not in products:  # one array per product, held with its parts so no id is reused
+                    union = [reg for _, regs in parts for reg in regs]
+                    qubits = layout.expand(union)
+                    factors = [(m, [qubits.index(q) for q in layout.expand(r)]) for m, r in parts]
+                    what = f"AND accept projector of node {_u}"
+                    products[key] = parts, qcore.circuit_matrix(len(qubits), factors, what), union
+                return products[key][1:]
 
             accepts.append(NodeAccept(node=u, projector=projector,
                                       predicate=lambda view, _u=u: all(h(view) for h in holds[_u]),
@@ -1209,16 +1205,16 @@ def parallel_repeat(spec: ProtocolSpec, honest: ProverStrategy, t: int, mode: st
         metadata=dict(spec.metadata, repeated=t, repeat_mode=mode),
     )
 
-    def gate(turn_index: int, view: Mapping) -> qcore.FactoredOp:
-        # Copy i's honest gate acts on its own block of P and its own messages.
-        inner_acts, acts = prover_acts[turn_index]
+    # Copy i's honest gate acts on its own block of P and its own messages.  A clean
+    # spec's prover sees nothing before its verification, so each gate reads no view.
+    gates = {}
+    for position, (inner_acts, acts) in prover_acts.items():
         per_copy_m = sum(spec.layout.size(r) for r in inner_acts if r != "P")
-        inner_gate = qcore.dense_matrix(honest.gate_fn(turn_index, view))
+        inner_gate = qcore.dense_matrix(honest.gate_fn(position, {}))
         factors = []
         for i in range(t):
             offset = p_in * t + i * per_copy_m
             positions = list(range(i * p_in, (i + 1) * p_in)) + list(range(offset, offset + per_copy_m))
             factors.append((inner_gate, positions))
-        return qcore.FactoredOp(len(layout.expand(acts)), factors)
-
-    return Compiled.of("parallel_repeat", spec.num_turns, out, ProverStrategy(f"repeat[{honest.name}]", gate))
+        gates[position] = qcore.FactoredOp(len(layout.expand(acts)), factors)
+    return Compiled.of("parallel_repeat", spec.num_turns, out, ProverStrategy.table(f"repeat[{honest.name}]", gates))

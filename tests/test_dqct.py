@@ -138,10 +138,13 @@ def test_input_distance_against_inner_product():
 
 
 def test_sampled_runs_classify_each_operator_once(monkeypatch):
-    # Steps and checks are classified once per executor, keyed on the matrix
-    # object, so the count is bounded by the distinct operators the trials
-    # resolve, not by the number of trials.  Trials draw the coins, so a short
-    # run may not reach every operator; at this seed 12 trials reach all 14.
+    # Steps, checks and prover gates are classified once per executor, keyed
+    # on the matrix object, so the count is bounded by the distinct operators
+    # the trials resolve, not by the number of trials.  Trials draw the coins,
+    # so a short run may not reach every operator; at this seed 12 trials
+    # reach all 17, three of them prover gates: the star preparations' dense
+    # form, and the turn-5 fan-in on each of the two control-qubit pairs the
+    # tests can pick (the idle turns' gate has no factors, so nothing).
     # Accept projectors are not classified: the leaf reads them from its
     # accept marginal.
     classified = []
@@ -159,7 +162,7 @@ def test_sampled_runs_classify_each_operator_once(monkeypatch):
         execute_sampled(compiled.spec, compiled.honest, trials=trials, seed=0)
         assert len(set(classified)) == len(classified), trials  # no operator built or classified twice
         counts.append(len(classified))
-    assert counts == [14, 14]
+    assert counts == [17, 17]
 
 
 def test_sampled_17_qubit_run_holds_no_gather_index(monkeypatch):

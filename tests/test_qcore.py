@@ -24,7 +24,6 @@ from dqip.qcore import (
     Z,
     acceptance_rotation,
     apply_matrix_vec,
-    apply_op,
     circuit_matrix,
     controlled,
     embed_operator,
@@ -35,6 +34,7 @@ from dqip.qcore import (
     projector_probability,
     trace_distance,
 )
+from dqip.protocol import ProverStrategy, _Exact
 from dqip.seeding import substream
 
 
@@ -312,10 +312,16 @@ def test_low_qubit_outcome_weights_match_the_projected_norms(n):
         outcome_weights(vec, [n])
 
 
+def _prover_apply(vec, op, targets):
+    """The exact walk's application of the prover gate ``op`` to ``targets`` of ``vec``."""
+    return _Exact().prover(vec, ProverStrategy("gate", lambda turn_index, view: op), 1, {}, list(targets))
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_low_qubit_prover_gates_take_the_span_form_and_match_embedded_operator(n, monkeypatch):
-    # A dense gate, or a factored one through its dense form, whose targets lie
-    # below SPAN_QUBITS never hands the state to apply_matrix_vec.
+    # A dense gate, or a factored one through its dense form or factor by
+    # factor, whose targets lie below SPAN_QUBITS never hands the state to
+    # apply_matrix_vec: the walk applies each part as a StructuredOp, in span form.
     rng = substream(n, "test.low-prover-gates")
     seen = []
     kernel = qcore.apply_matrix_vec
@@ -325,11 +331,10 @@ def test_low_qubit_prover_gates_take_the_span_form_and_match_embedded_operator(n
         dense = _random_matrices(rng, len(targets))["dense"]
         for op in (dense, FactoredOp(len(targets), [(dense, range(len(targets)))])):
             seen.clear()
-            got = apply_op(vec, op, targets)
+            got = _prover_apply(vec, op, targets)
             assert got.shape == (2**n,) and got.flags.c_contiguous
             assert np.allclose(got, embed_operator(dense, targets, n) @ vec, rtol=0, atol=1e-12), name
-            factor_by_factor = isinstance(op, FactoredOp) and 4 ** len(targets) > 2**n
-            assert any(arg is vec for arg in seen) == (not in_span or factor_by_factor), name
+            assert any(arg is vec for arg in seen) == (not in_span), name
 
 
 def _random_factored(rng, k):
@@ -362,10 +367,15 @@ def test_factored_op_matches_embedded_operator_on_both_sides_of_the_dense_rule()
         reference = np.eye(2**k, dtype=complex)
         for mat, positions in op.factors:
             reference = embed_operator(mat, list(positions), k) @ reference
-        got = apply_op(vec, op, targets)
+        parts = op.parts(targets, n)
+        got = _prover_apply(vec, op, targets)
         dense_path = 4**k <= 2**n and bool(op.factors)
         paths.add(dense_path)
         assert (op._dense is not None) == dense_path
+        if dense_path:
+            assert len(parts) == 1 and parts[0][0] is op.dense() and parts[0][1] == targets
+        else:
+            assert [(mat, [targets[p] for p in positions]) for mat, positions in op.factors] == parts
         assert np.allclose(got, embed_operator(reference, targets, n) @ vec, rtol=0, atol=1e-12)
         assert np.allclose(op.dense(), reference, rtol=0, atol=1e-12)
     assert paths == {True, False}
@@ -383,7 +393,11 @@ def test_factored_dense_is_the_kron_product():
     assert np.allclose(idle_low.dense(), np.kron(op.dense(), np.eye(2)), rtol=0, atol=1e-12)
     assert np.array_equal(FactoredOp(2).dense(), np.eye(4))
     vec = rng.standard_normal(8) + 0j
-    assert apply_op(vec, FactoredOp(2), [0, 2]) is vec
+    assert FactoredOp(2).parts([0, 2], 3) == []
+    assert _prover_apply(vec, FactoredOp(2), [0, 2]) is vec
+    for targets in ([0, 1, 2], [0, 0], [0, 3]):  # a wrong arity, a repeated target, one outside the state
+        with pytest.raises(LayoutError):
+            FactoredOp(2).parts(targets, 3)
 
 
 def test_dense_constructors_refuse_operators_over_the_budget(monkeypatch):
@@ -397,7 +411,8 @@ def test_dense_constructors_refuse_operators_over_the_budget(monkeypatch):
     assert embed_operator(H, [0], 3).shape == (8, 8)
     # On a state smaller than its dense form it is applied factor by factor.
     vec = zero(7)
-    assert np.allclose(apply_op(vec, op, [0, 1, 2, 3]), apply_matrix_vec(vec, H, [0]), atol=1e-15)
+    assert op.parts([0, 1, 2, 3], 7) == [(op.factors[0][0], [0])]
+    assert np.allclose(_prover_apply(vec, op, [0, 1, 2, 3]), apply_matrix_vec(vec, H, [0]), atol=1e-15)
 
 
 def test_circuit_matrix_is_the_product_of_embedded_factors():
