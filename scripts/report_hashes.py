@@ -12,7 +12,9 @@ and one prover qubit), the closeness-test soundness probe at dqct seeds
 1400000-1400007, the sampled 17-qubit closeness test, exact closeness
 tests without prover qubits (a star delivery small enough to apply through
 its dense form) and on three nodes, the three compile pipelines of the
-benchmark with the see-saw on, parallel repetition (AND and majority),
+benchmark and both halvings of coin-guess padded to 9 turns (more idle
+identities and pair turns), all with the see-saw on, parallel repetition
+(AND and majority),
 optimize, dam-brute-force and qcore-properties.  Each line reads
 ``<sha256>  <report file name>``.
 """
@@ -31,6 +33,8 @@ PIPELINES = {
     "pad-halve-shared": [{"transform": "pad", "target": 5}, {"transform": "halve-shared"}],
     "pad-seven-to-five": [{"transform": "pad", "target": 7}, {"transform": "seven-to-five"}],
     "pad-halve-private": [{"transform": "pad", "target": 5}, {"transform": "halve-private"}],
+    "pad9-halve-shared": [{"transform": "pad", "target": 9}, {"transform": "halve-shared"}],
+    "pad9-halve-private": [{"transform": "pad", "target": 9}, {"transform": "halve-private"}],
 }
 
 CONFIGS = {

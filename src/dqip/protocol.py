@@ -736,7 +736,10 @@ class _Executor:
         matrix, regs = resolved
         self._check_ownership(branch, (step.actor,), regs, label)
         qubits = self.layout.expand(regs)
-        branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
+        try:
+            branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
+        except LayoutError as err:
+            raise ProtocolError(f"{label}: operator on {regs}: {err}") from err
 
     def _flip_coin(self, branch: _Branch, coin: CoinFlip, label: str):
         values = list(self.policy.coin(coin.num_values))
@@ -770,7 +773,10 @@ class _Executor:
         projector, regs = resolved
         self._check_ownership(branch, check.nodes, regs, label, "the checking nodes")
         qubits = self.layout.expand(regs)
-        hit_miss = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
+        try:
+            hit_miss = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
+        except LayoutError as err:
+            raise ProtocolError(f"{label}: check {check.name!r} on {regs}: {err}") from err
         branch.vec = None  # the (hit, miss) pair replaces it
         kept = list(self.policy.check(*hit_miss))
         pending = [hit_miss[i] for i in kept]  # popped when reached: nothing else holds a child's first state

@@ -17,15 +17,18 @@ plan for a ``(qubit count, targets)`` pair (the transpose that brings the
 targets to the front, its inverse, and the validated targets) is built once
 and kept in a bounded cache; only the matrix shape is checked per call.
 :class:`StructuredOp` classifies a fixed ``(matrix, targets)`` pair once as
-diagonal, 0/1 permutation or dense and applies it by broadcast multiply,
-row moves by basic slicing or the planned matmul; the see-saw and the
-executor's walks apply their fixed operators and prover gates through it.
+identity, diagonal, 0/1 permutation or dense, and holds one table, built on
+first use through the axis plan of the qubits its targets span and shared by
+every state size: an identity returns its input, a diagonal is one multiply,
+a permutation one ``np.take`` over that window, and a dense op one matmul
+or the planned kernel; the see-saw and the executor's walks apply their
+fixed operators and prover gates through it.
 :func:`project_outcome` zeroes the amplitudes outside one outcome, and
 :func:`basis_projector` is the one constructor of its projector as a matrix.
 :func:`circuit_matrix` is the one dense constructor of composite operators
 (node units, star preparations, fan-outs, basis rotations, the span form
-of a low-qubit gate): it applies their factors to the identity through the
-same kernel, and :func:`cnot_fanout` is the one CNOT fan-out.
+of a low-qubit dense gate): it applies their factors to the identity
+through the same kernel, and :func:`cnot_fanout` is the one CNOT fan-out.
 :func:`embed_operator` builds one embedded operator by index arithmetic;
 nothing in the package calls it, and the tests use it as the oracle.
 
@@ -34,9 +37,9 @@ applied in order, which may share qubits, identity elsewhere.
 :meth:`FactoredOp.parts` applies a factored gate through its dense form,
 built once by :func:`circuit_matrix`, when that matrix is no larger than
 the state, and factor by factor otherwise; each part, like a dense gate,
-is applied as a :class:`StructuredOp`, whose ``_prepare`` builds every
-span form.  Fixed verifier operators, projectors and see-saw blocks stay
-dense; honest prover moves made of local gates are factored: the GHZ
+is applied as a :class:`StructuredOp`.  Fixed verifier operators,
+projectors and see-saw blocks stay dense; honest prover moves made of
+local gates are factored: the GHZ
 delivery of N+1 star states, the copies of a parallel repetition, and the
 honest prefix of a turn reduction, whose dense form would span every qubit.
 The dense constructors (:func:`circuit_matrix` and :func:`embed_operator`)
@@ -72,7 +75,7 @@ PROJECTOR_ATOL = 1e-9
 MAX_DENSE_BYTES = 2**30
 
 # The low span (see StructuredOp): qubits below SPAN_QUBITS, and the run a
-# span-form diagonal is tiled to and outcome_weights sums down.
+# diagonal's table is tiled to and outcome_weights sums down.
 SPAN_QUBITS = 5
 SPAN_RUN = 256
 
@@ -215,10 +218,6 @@ class _AxisPlan:
         """Inverse of :meth:`front`, as a new C-contiguous vector."""
         return block.reshape(self.moved).transpose(self.inverse).reshape(-1)
 
-    def index(self, outcome: int) -> tuple:
-        """Basic index into ``shape`` of the amplitudes whose target bits read ``outcome``."""
-        return tuple(slice(None) if group is None else (outcome >> group[0]) % 2 ** group[1] for group in self.groups)
-
     def apply(self, vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
         if self.trailing:
             return (vec.reshape(-1, self.dim) @ mat.T).reshape(-1)
@@ -280,8 +279,8 @@ def circuit_matrix(
     qubit ``q``, and each factor acts on those row bits through
     :func:`apply_matrix_vec`.  Raises :class:`CapacityError` naming ``what``
     before allocating more than ``MAX_DENSE_BYTES``, unless ``budget`` is
-    false: the span form of a gate below ``SPAN_QUBITS`` (at most 32 x 32)
-    is held like the gate itself.
+    false: the span form of a dense gate below ``SPAN_QUBITS`` (at most
+    32 x 32) is held like the gate itself.
     """
     n = num_qubits
     if budget:  # each factor holds the input, its moved block and the output at once
@@ -301,16 +300,19 @@ def cnot_fanout(control: int, count: int) -> np.ndarray:
 class StructuredOp:
     """A fixed ``(matrix, targets)`` pair, classified once for repeated use.
 
-    ``kind`` is ``"diagonal"`` (applied as a broadcast multiply over the
-    target axes), ``"permutation"`` (a 0/1 matrix with one 1 per row and
-    column, applied as a copy of the vector in which each row ``r`` with
-    ``source[r] != r`` is moved by basic slicing, so no ``2^n`` index is
-    built) or ``"dense"`` (applied by :func:`apply_matrix_vec`).  An op whose
-    targets lie below ``SPAN_QUBITS`` is expanded to the low ``s`` qubits up to
-    its highest target, whose ``2^s`` amplitudes are contiguous runs, and
-    applied in span form: one trailing matmul (dense), a multiply by the
-    diagonal tiled to ``SPAN_RUN`` entries, or one length-``2^s`` ``np.take``.
-    Every kind and form matches ``embed_operator(matrix, targets, n) @ vec``.
+    ``kind`` is ``"identity"`` (applied as nothing: :meth:`apply` returns its
+    input), ``"diagonal"``, ``"permutation"`` (a 0/1 matrix with one 1 per row
+    and column) or ``"dense"``.  Each op holds one table, built on its first
+    use and shared by every state size.  A diagonal is one multiply by its
+    diagonal over qubits ``0..max(targets)`` (at most ``2^(max + 1)``
+    entries), tiled to ``SPAN_RUN``.  A permutation is one ``np.take`` of the
+    source of each amplitude (at most ``2^n`` entries) over its window: the
+    qubits from its lowest target to its highest, or from 0 when all lie below
+    ``SPAN_QUBITS``.  A dense op below ``SPAN_QUBITS`` is one matmul with the
+    gate expanded to qubits ``0..max(targets)``, any other the planned kernel.
+    Duplicate or negative targets raise :class:`LayoutError` when the op is
+    built, a state too small for them when it is applied.  Every kind matches
+    ``embed_operator(matrix, targets, n) @ vec``.
     """
 
     def __init__(self, matrix: np.ndarray, targets: Sequence[int]):
@@ -319,23 +321,24 @@ class StructuredOp:
         dim = 2 ** len(self.targets)
         if mat.shape != (dim, dim):
             raise LayoutError(f"operator of shape {mat.shape} does not match {len(self.targets)} targets")
+        self._top = max(self.targets, default=-1)
+        _check_targets(self.targets, self._top + 1, len(self.targets))  # duplicates and negatives
         self.matrix = mat
         self._adjoint: StructuredOp | weakref.ref | None = None
-        self._per_size: dict[int, tuple] = {}  # qubit count -> (tensor shape, prepared table or None)
+        self._table: np.ndarray | None = None
         diag = np.diagonal(mat)
         nonzero = mat != 0
         if np.count_nonzero(nonzero) == np.count_nonzero(diag):
-            self.kind = "diagonal"
-            self._diag = diag.copy()
+            self.kind = "identity" if np.all(diag == 1) else "diagonal"
         elif (
             np.all(np.count_nonzero(nonzero, axis=0) == 1)
             and np.all(np.count_nonzero(nonzero, axis=1) == 1)
             and np.all(mat[nonzero] == 1)
         ):
             self.kind = "permutation"
-            self._source = np.argmax(nonzero, axis=1)  # row r reads input row _source[r]
         else:
             self.kind = "dense"
+        self._low = min(self.targets) if self.kind == "permutation" and self._top >= SPAN_QUBITS else 0
 
     @classmethod
     def cached(cls, cache: dict, matrix: np.ndarray, targets: Sequence[int]) -> "StructuredOp":
@@ -347,47 +350,35 @@ class StructuredOp:
         return cache[key][1]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The operator applied to ``vec``, as a new C-contiguous vector."""
+        """The operator applied to ``vec``: a new C-contiguous vector, or ``vec`` itself for an identity."""
         n = vec.size.bit_length() - 1
-        prepared = self._per_size.get(n)
-        if prepared is None:
-            prepared = self._per_size[n] = self._prepare(n)
-        shape, table = prepared
-        if table is None:
+        if self._top >= n:
+            raise LayoutError(f"target qubit {self._top} outside [0, {n})")
+        if self.kind == "identity":
+            return vec
+        if self.kind == "dense" and self._top >= SPAN_QUBITS:
             return apply_matrix_vec(vec, self.matrix, self.targets)
-        if self.kind == "dense":  # span form: the expanded gate, transposed
-            return (vec.reshape(shape) @ table).reshape(-1)
-        if self.kind == "diagonal":
-            return (vec.reshape(shape) * table).reshape(-1)
-        if isinstance(table, np.ndarray):  # a permutation's span form: the source column of each column
-            return np.take(vec.reshape(shape), table, axis=1).reshape(-1)
-        out = vec.copy()
-        source, target = vec.reshape(shape), out.reshape(shape)
-        for to, read in table:
-            target[to] = source[read]
-        return out
-
-    def _prepare(self, n: int) -> tuple:
-        plan = _axis_plan(n, self.targets)  # validates the targets
-        span = max(self.targets, default=-1) + 1
-        if span <= SPAN_QUBITS:
-            full = circuit_matrix(span, [(self.matrix, self.targets)], "span form", budget=False)
-            if self.kind == "dense":
-                return (-1, 2**span), np.ascontiguousarray(full.T)
-            if self.kind == "permutation":
-                return (-1, 2**span), np.argmax(full != 0, axis=1)
-            run = min(2**n, max(2**span, SPAN_RUN))
-            return (-1, run), np.tile(np.diagonal(full), run // 2**span)
+        table = self._table = self._prepare() if self._table is None else self._table
         if self.kind == "dense":
-            return None, None
-        if self.kind == "permutation":
-            return plan.shape, [(plan.index(r), plan.index(int(s))) for r, s in enumerate(self._source) if s != r]
-        # The gate index at each value of the target axes (value v of an axis
-        # holding gate bits j.. adds v << j); the other axes get length 1.
-        index = np.zeros((), dtype=np.intp)
-        for size, group in zip(plan.shape, plan.groups):
-            index = index[..., None] + (np.arange(size) << group[0] if group else 0)
-        return plan.shape, self._diag[index]
+            return (vec.reshape(-1, len(table)) @ table).reshape(-1)
+        if self.kind == "diagonal":
+            run = min(vec.size, table.size)
+            return (vec.reshape(-1, run) * table[:run]).reshape(-1)
+        return np.take(vec.reshape(-1, table.size, 2**self._low), table, axis=1).reshape(-1)
+
+    def _prepare(self) -> np.ndarray:
+        """The op's one table: a dense op's expanded gate, or an index or a diagonal laid out
+        through the axis plan of the op's window."""
+        if self.kind == "dense":  # the gate expanded to qubits 0..top, transposed
+            full = circuit_matrix(self._top + 1, [(self.matrix, self.targets)], "span form", budget=False)
+            return np.ascontiguousarray(full.T)
+        width = self._top + 1 - self._low
+        plan = _axis_plan(width, tuple(q - self._low for q in self.targets))
+        if self.kind == "permutation":  # the window index each amplitude reads; gate row r reads row source[r]
+            source = np.argmax(self.matrix != 0, axis=1)
+            return plan.back(plan.front(np.arange(2**width))[source])
+        diag = plan.back(np.broadcast_to(np.diagonal(self.matrix)[:, None], (plan.dim, 2**width // plan.dim)))
+        return np.tile(diag, max(1, SPAN_RUN // diag.size))
 
     def adjoint(self) -> "StructuredOp":
         """The conjugate transpose on the same targets (of the same kind).  An op holds its
@@ -461,7 +452,8 @@ def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np
     plan = _plan_for(vec, targets)
     if not 0 <= outcome < plan.dim:
         raise LayoutError(f"outcome {outcome} outside [0, {plan.dim})")
-    index = plan.index(outcome)
+    # A basic index into the plan's shape: each target axis at its bits of the outcome.
+    index = tuple(slice(None) if group is None else (outcome >> group[0]) % 2 ** group[1] for group in plan.groups)
     out = np.zeros(vec.size, dtype=np.complex128)
     out.reshape(plan.shape)[index] = vec.reshape(plan.shape)[index]
     return out

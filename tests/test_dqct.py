@@ -167,8 +167,9 @@ def test_sampled_runs_classify_each_operator_once(monkeypatch):
 
 def test_sampled_17_qubit_run_holds_no_gather_index(monkeypatch):
     # The bench's sampled closeness test: three input qubits per node.  Its
-    # fixed permutations (the controlled slice swaps, the leader's CNOT) move
-    # rows by slicing, so a run's peak stays within the states the walk is
+    # fixed permutations (the controlled slice swaps, the leader's CNOT) each
+    # take one index over the window their targets span, the widest 2^16 of
+    # 2^17 entries, so a run's peak stays within the states the walk is
     # budgeted for plus one vector, and an executor holds no 2^n index.
     compiled = build_pdqct(make_instance(G2, (3, 3), "random", seed=1), PARAMS)
     n = compiled.spec.layout.total_qubits

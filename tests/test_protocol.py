@@ -85,6 +85,33 @@ def test_ownership_violation_reported():
     assert "M:0" in str(err.value) and "turn 1" in str(err.value)
 
 
+def test_bad_operator_targets_name_the_turn_under_every_policy():
+    # A step or a check whose registers expand to one qubit twice is refused
+    # as its operator is built, by the exact, sampled and record walks alike.
+    graph = path_graph(2)
+    layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)
+    turns = {
+        "step": VerifierTurn(steps=(static_step(0, qcore.CNOT, ["V:0[0]", "V:0[0]"]),)),
+        "check": VerifierTurn(
+            checks=(ProjectiveCheck("c", (0,), lambda view: (qcore.basis_projector(2), ["V:0", "V:0"])),)
+        ),
+    }
+    for name, turn in turns.items():
+        spec = ProtocolSpec(
+            name="bad-targets",
+            graph=graph,
+            layout=layout,
+            turns=(turn,),
+            verification=VerificationPhase(accepts=(first_qubit_zero_accept(0, "V:0"),)),
+        )
+        for run in (lambda: execute_exact(spec, identity_for(spec)),
+                    lambda: execute_sampled(spec, identity_for(spec), trials=3, seed=1),
+                    lambda: collect_paths(spec, identity_for(spec))):
+            with pytest.raises(ProtocolError, match="duplicate targets") as err:
+                run()
+            assert "turn 1" in str(err.value) and "V:0" in str(err.value), name
+
+
 def test_turn_alternation_enforced():
     graph = path_graph(2)
     layout = allocate_layout(graph, prover_qubits=1, node_private=1, node_message=1)

@@ -216,6 +216,10 @@ def test_structured_permutations_and_diagonals_match_embedded_operator(n):
     }
     if n == 17:  # the closeness test's controlled slice swap: control, then two 3-qubit slices
         target_sets["seven-qubit"] = [4, 16, 9, 10, 0, 1, 2]
+    if n > 2:  # a window whose highest target is the top qubit
+        target_sets["window at the top"] = [n - 1, n - 3]
+    if n > qcore.SPAN_QUBITS + 2:  # a window that starts above the span
+        target_sets["window above the span"] = [qcore.SPAN_QUBITS, qcore.SPAN_QUBITS + 2]
     assert qcore._axis_plan(n, tuple(target_sets["trailing"])).trailing
     assert not any(qcore._axis_plan(n, tuple(t)).trailing for name, t in target_sets.items() if name != "trailing")
     for name, targets in target_sets.items():
@@ -232,7 +236,7 @@ def test_structured_permutations_and_diagonals_match_embedded_operator(n):
             wants = [_embedded_product(mat, targets, n, vec)]
             if n <= 7:
                 wants.append(embed_operator(mat, targets, n) @ vec)
-            for got in (op.apply(vec), op.apply(vec)):  # planned, then from the per-size cache
+            for got in (op.apply(vec), op.apply(vec)):  # prepared, then from the prepared table
                 assert got.shape == (2**n,) and got.flags.c_contiguous
                 for want in wants:
                     if mat is permutation:
@@ -260,10 +264,23 @@ def _span_target_sets(n: int) -> dict[str, tuple[list[int], bool]]:
     return sets
 
 
+def _table_shape(targets: list[int], kind: str) -> tuple | None:
+    """The shape of the one table a prepared op of ``kind`` on ``targets`` holds."""
+    top = max(targets)
+    if kind == "identity" or (kind == "dense" and top >= qcore.SPAN_QUBITS):
+        return None
+    if kind == "dense":
+        return (2 ** (top + 1), 2 ** (top + 1))
+    if kind == "diagonal":
+        return (max(2 ** (top + 1), qcore.SPAN_RUN),)
+    low = 0 if top < qcore.SPAN_QUBITS else min(targets)  # a permutation's window
+    return (2 ** (top + 1 - low),)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_span_forms_and_their_adjoints_match_embedded_operator(n):
-    # Every kind in span form (targets below SPAN_QUBITS), and on the old
-    # paths otherwise, against the index-arithmetic oracle.
+    # Every kind in span form (targets below SPAN_QUBITS), and on the window
+    # and kernel paths otherwise, against the index-arithmetic oracle.
     rng = substream(n, "test.span-forms")
     for name, (targets, in_span) in _span_target_sets(n).items():
         assert len(set(targets)) == len(targets) and (max(targets) < qcore.SPAN_QUBITS) == in_span, name
@@ -271,18 +288,40 @@ def test_span_forms_and_their_adjoints_match_embedded_operator(n):
         for mat in _random_matrices(rng, len(targets)).values():
             op = StructuredOp(mat, targets)
             for applied, matrix in ((op, mat), (op.adjoint(), mat.conj().T)):
-                got, kind = applied.apply(vec), applied.kind  # an identity permutation is diagonal
-                shape, table = applied._per_size[n]
-                if in_span:
-                    width = 2 ** (max(targets) + 1)
-                    assert shape == (-1, min(2**n, max(width, qcore.SPAN_RUN)) if kind == "diagonal" else width)
-                else:
-                    assert table is None if kind == "dense" else shape == qcore._axis_plan(n, tuple(targets)).shape
+                got, kind = applied.apply(vec), applied.kind  # an identity permutation is an identity
+                table = applied._table
+                assert (None if table is None else table.shape) == _table_shape(targets, kind), (name, kind)
                 assert got.shape == (2**n,) and got.flags.c_contiguous
                 want = embed_operator(matrix, targets, n) @ vec
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (name, kind, applied is op)
                 if kind != "dense":
-                    assert np.array_equal(got, applied.apply(vec)), (name, kind)  # served from the per-size cache
+                    assert np.array_equal(got, applied.apply(vec)), (name, kind)  # from the prepared table
+                assert applied._table is table  # the second apply reuses it
+
+
+@pytest.mark.parametrize("targets", [[3, 0], [5, 2, 7]])
+def test_one_op_of_each_kind_serves_every_state_size(targets):
+    # One op per kind and its adjoint (of the same kind), applied to states of
+    # three sizes, in span form ([3, 0]) and on a window from qubit 2 to 7
+    # ([5, 2, 7]).  An identity returns its input and builds no table.
+    rng = substream(len(targets), "test.one-op-every-size")
+    mats = {**_random_matrices(rng, len(targets)), "identity": np.eye(2 ** len(targets), dtype=complex)}
+    for kind, mat in mats.items():
+        op = StructuredOp(mat, targets)
+        for applied, matrix in ((op, mat), (op.adjoint(), mat.conj().T)):
+            assert applied.kind == kind
+            tables = set()
+            for n in (max(targets) + 1, max(targets) + 2, max(targets) + 3):
+                vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+                got = applied.apply(vec)
+                assert np.allclose(got, embed_operator(matrix, targets, n) @ vec, rtol=0, atol=1e-12), (kind, n)
+                assert (got is vec) == (kind == "identity"), kind
+                tables.add(id(applied._table))
+            assert len(tables) == 1, kind  # prepared once, for every size
+            table = applied._table
+            assert (None if table is None else table.shape) == _table_shape(targets, kind), kind
+            with pytest.raises(LayoutError):
+                applied.apply(zero(max(targets)))
 
 
 def test_outcome_weights_are_the_squared_norms_of_the_projected_outcomes():

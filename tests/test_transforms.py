@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from dqip.protocol import (
 from dqip.prover import OptimizerConfig, exact_single_message_max, seesaw_optimize
 from dqip.transforms import (
     _basis_completion,
+    _prover_regs,
     dam_to_dqip,
     halve_turns_private,
     halve_turns_shared,
@@ -164,6 +166,46 @@ def test_padding_preserves_value(parity_echo):
     assert abs(execute_exact(padded.spec, padded.honest).acceptance_probability - 1.0) <= 1e-9
     with pytest.raises(ShapeError):
         pad_to_turns(parity_echo["yes"].spec, parity_echo["yes"].honest, 4)
+
+
+def _padded(compiled, target):
+    padded = pad_to_turns(compiled.spec, compiled.honest, target)
+    return padded.spec, padded.honest
+
+
+# Each source of identity operators, and the (prover gate, node unit)
+# identities an exact honest run of it applies.
+IDENTITY_SOURCES = {
+    "dam Merlin gate": (lambda yes: yes, (1, 0)),
+    "pad idle prover gate": (lambda yes: pad_to_turns(yes.spec, yes.honest, 5), (2, 0)),
+    "halve-shared idle units": (lambda yes: halve_turns_shared(*_padded(yes, 5)), (2, 4)),
+    "seven-to-five idle units": (lambda yes: seven_to_five(*_padded(yes, 7)), (4, 6)),
+    "halve-private idle units": (lambda yes: halve_turns_private(*_padded(yes, 5)), (1, 4)),
+}
+
+
+@pytest.mark.parametrize("source", IDENTITY_SOURCES)
+def test_identity_operators_apply_as_nothing(coin_guess, source, monkeypatch):
+    # The dam's identity Merlin gate, pad's idle prover gate and the halvings'
+    # idle node units and their adjoints are identities: the walk gets its
+    # input vector back, and the op builds no table.
+    build, (gates, units) = IDENTITY_SOURCES[source]
+    compiled = build(coin_guess["yes"])
+    applied = []
+    apply = qcore.StructuredOp.apply
+
+    def recording(op, vec):
+        applied.append((op, vec, apply(op, vec)))
+        return applied[-1][2]
+
+    monkeypatch.setattr(qcore.StructuredOp, "apply", recording)
+    execute_exact(compiled.spec, compiled.honest)
+    identities = [(op, vec, out) for op, vec, out in applied if np.array_equal(op.matrix, np.eye(len(op.matrix)))]
+    assert all(op.kind == "identity" and out is vec and op._table is None for op, vec, out in identities)
+    assert sum(op.kind == "identity" for op, _, _ in applied) == len(identities)
+    prover = set(compiled.spec.layout.expand(_prover_regs(compiled.spec)))
+    kinds = Counter("gate" if set(op.targets) <= prover else "unit" for op, _, _ in identities)
+    assert (kinds["gate"], kinds["unit"]) == (gates, units)
 
 
 @pytest.mark.parametrize(
