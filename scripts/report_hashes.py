@@ -7,8 +7,9 @@ two checkouts: the printed lines must be identical.
     python scripts/report_hashes.py                       # this checkout's src/
     python scripts/report_hashes.py --src OTHER/src       # another checkout's
 
-The configs cover the ghz experiment (exact, sampled, the all-zero cheat
-and one prover qubit), the closeness-test soundness probe at dqct seeds
+The configs cover the ghz experiment (exact, sampled, the all-zero cheat,
+one prover qubit, and 16 qubits, whose branches hold slices of 2^16-entry
+states after the measurements), the closeness-test soundness probe at dqct seeds
 1400000-1400007, the sampled 17-qubit closeness test, exact closeness
 tests without prover qubits (a star delivery small enough to apply through
 its dense form) and on three nodes, the three compile pipelines of the
@@ -43,6 +44,7 @@ CONFIGS = {
                     "params": {"nodes": 3, "copies": 2}},
     "ghz-all-zero": {"experiment": "ghz", "seed": 3, "params": {"nodes": 3, "copies": 1, "strategy": "all-zero"}},
     "ghz-prover-qubit": {"experiment": "ghz", "seed": 4, "params": {"nodes": 3, "copies": 1, "prover_qubits": 1}},
+    "ghz-16": {"experiment": "ghz", "seed": 1, "params": {"nodes": 4, "copies": 3}},
     **{f"dqct-probe-{seed}": {"experiment": "dqct", "seed": seed, "params": PROBE}
        for seed in range(1_400_000, 1_400_008)},
     "dqct-sampled-17": {"experiment": "dqct", "seed": 1000, "mode": "sampled", "trials": 12,

@@ -34,17 +34,30 @@ which children are kept:
   :class:`BranchPath` list that the see-saw and the exact single-message
   optimum replay.
 
+On the exact and sampled walks a branch's state (:class:`_State`) holds
+amplitudes on its free qubits only; every other qubit carries a known basis
+bit, 0 until an operator first touches it, or its measured outcome.  So the
+initial state is the Kronecker product of the initial factors on their
+qubits, a measurement child is a copy of its outcome's slice, and outcome
+weights, accept reads (the fixed bits folded into the reduced density) and
+the output state read the slice.
+
 All three walks take each fixed operator (a step, a check projector, on
 the record walk an accept projector and an outcome's selector) as a
 :class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
 and sampled walks apply it, and a prover gate the same way (a factored one
-by its :meth:`~dqip.qcore.FactoredOp.parts`); the record walk records it.
-No vector is modified in place, so the initial one is built once per
+by its :meth:`~dqip.qcore.FactoredOp.parts`, chosen on the layout's qubit
+count), with its targets renumbered into the slice when all are free; one
+that touches fixed qubits acts through its columns at their bits and frees
+only those (see :meth:`_State.apply`).  The record walk records it, carries
+no amplitudes and hands the see-saw the full initial vector.
+No vector is modified in place, so the initial state is built once per
 executor and shared.
 A branch releases its state once its last child is built: a walk holds one
 state per open fork on its current path, and exact and sampled walks check
-that many (:meth:`_Executor.check_budget`) against ``qcore.MAX_DENSE_BYTES``
-before they start.
+that many full ``2^n`` states, an upper bound on their slices
+(:meth:`_Executor.check_budget`), against ``qcore.MAX_DENSE_BYTES`` before
+they start.
 """
 
 from __future__ import annotations
@@ -62,11 +75,12 @@ from .network import PROVER, NetworkGraph, RegisterLayout, split_register
 from .qcore import (
     FactoredOp,
     StructuredOp,
+    apply_columns,
     apply_matrix_vec,
     check_projector,
     circuit_matrix,
+    outcome_slice,
     outcome_weights,
-    project_outcome,
     reduced_density_from_vec,
 )
 from .seeding import substream
@@ -358,21 +372,132 @@ def _digits(outcome: int, parts: list[list[int]]) -> list[int]:
     return [int(digit) for digit in np.unravel_index(outcome, [2 ** len(qubits) for qubits in parts])]
 
 
+def _basis(k: int, index: int, dtype=np.float64) -> np.ndarray:
+    """Basis column ``index`` on ``k`` qubits, as a ``2^k x 1`` matrix."""
+    column = np.zeros((2**k, 1), dtype=dtype)
+    column[index] = 1.0
+    return column
+
+
+def _spread(positions: list[int], base: int) -> list[int]:
+    """``base`` with each count ``0..2^len(positions) - 1`` spread onto ``positions``: bit ``k`` at ``positions[k]``."""
+    return [base | sum((count >> k & 1) << j for k, j in enumerate(positions)) for count in range(2 ** len(positions))]
+
+
+@dataclass(slots=True)
+class _State:
+    """A branch's state on ``n`` qubits: amplitudes on its free qubits, a basis bit on the rest.
+
+    ``vec`` holds the amplitudes over ``free`` (ascending; bit ``j`` of its
+    index is qubit ``free[j]``), and every other qubit is at its bit of
+    ``bits``: 0 until an operator first touches it, or its measured outcome.
+    So the state is ``vec`` times one basis state of the fixed qubits, and
+    :meth:`full` is the zero-filled vector that stands for.  Like a branch's
+    other fields, a state is shared and never modified.
+    """
+
+    vec: np.ndarray
+    free: tuple[int, ...]
+    bits: int
+    n: int
+
+    def local(self, qubits: Sequence[int]) -> list[int]:
+        """Free ``qubits`` renumbered into the slice."""
+        return [self.free.index(q) for q in qubits]
+
+    def outcome(self, qubits: Sequence[int]) -> int:
+        """The fixed bits of ``qubits``; bit ``j`` is qubit ``qubits[j]``."""
+        return sum((self.bits >> q & 1) << j for j, q in enumerate(qubits))
+
+    def _fixing(self, qubits: Sequence[int], outcome: int) -> int:
+        """``bits`` with ``qubits`` set to ``outcome`` (bit ``j`` is ``qubits[j]``)."""
+        bits = self.bits
+        for j, q in enumerate(qubits):
+            bits = bits & ~(1 << q) | (outcome >> j & 1) << q
+        return bits
+
+    def placed(self, qubits: Sequence[int]) -> _State:
+        """Fixed ``qubits`` freed, the amplitudes placed at their bits."""
+        free = tuple(sorted(self.free + tuple(qubits)))
+        column = _basis(len(qubits), self.outcome(qubits), self.vec.dtype)
+        vec = apply_columns(self.vec, column, [], [free.index(q) for q in qubits])
+        return _State(vec, free, self._fixing(qubits, 0), self.n)
+
+    def apply(self, op: Callable[[np.ndarray, list[int]], StructuredOp], matrix: np.ndarray, qubits: list[int]):
+        """``matrix`` applied to ``qubits``: through ``op(matrix, targets in the slice)`` when all are free,
+        else through its columns at the fixed qubits' bits.
+
+        An identity changes nothing.  On fixed qubits alone, a basis column
+        (up to a factor) sets their bits and any other is prepared on them;
+        among free ones, the fixed qubits are freed.
+        """
+        fixed = [j for j, q in enumerate(qubits) if q not in self.free]
+        if not fixed:
+            return _State(op(matrix, self.local(qubits)).apply(self.vec), self.free, self.bits, self.n)
+        if op(matrix, qubits).kind == "identity":  # classified on the qubits themselves, which refuses bad ones
+            return self
+        loose = [j for j, q in enumerate(qubits) if q in self.free]
+        columns = matrix[:, _spread(loose, self.outcome(qubits))]  # free qubits' bits are 0
+        if not loose and np.count_nonzero(columns) <= 1:
+            (rows,) = np.nonzero(columns[:, 0])
+            row = int(rows[0]) if len(rows) else self.outcome(qubits)
+            vec = self.vec if columns[row, 0] == 1 else self.vec * columns[row, 0]
+            return _State(vec, self.free, self._fixing(qubits, row), self.n)
+        on_fixed = [qubits[j] for j in fixed]
+        free = tuple(sorted(self.free + tuple(on_fixed)))
+        vec = apply_columns(self.vec, columns, self.local([qubits[j] for j in loose]), [free.index(q) for q in qubits])
+        return _State(vec, free, self._fixing(on_fixed, 0), self.n)
+
+    def measured(self, targets: list[int], outcome: int) -> _State:
+        """The child at ``outcome`` of ``targets`` (bit ``j`` is ``targets[j]``): the slice of the free
+        ones at their bits, and every target fixed at its bit."""
+        free = [j for j, q in enumerate(targets) if q in self.free]
+        digits = outcome if len(free) == len(targets) else sum((outcome >> j & 1) << k for k, j in enumerate(free))
+        vec = outcome_slice(self.vec, self.local([targets[j] for j in free]), digits)
+        return _State(vec, tuple(q for q in self.free if q not in targets), self._fixing(targets, outcome), self.n)
+
+    def weights(self, targets: list[int]) -> np.ndarray:
+        """The squared norm on each outcome of ``targets``: the free ones' table, at the fixed ones' bits."""
+        free = [j for j, q in enumerate(targets) if q in self.free]
+        table = outcome_weights(self.vec, self.local([targets[j] for j in free]))
+        fixed = [j for j, q in enumerate(targets) if q not in self.free]
+        if not fixed:
+            return table
+        return apply_columns(table, _basis(len(fixed), self.outcome([targets[j] for j in fixed])), [], fixed)
+
+    def density(self, qubits: Sequence[int]) -> np.ndarray:
+        """The (unnormalised) reduced density of ``qubits``, in ascending order, with the fixed ones' bits folded in."""
+        keep = sorted(qubits)
+        free = [i for i, q in enumerate(keep) if q in self.free]
+        rho = reduced_density_from_vec(self.vec, self.local([keep[i] for i in free]))
+        fixed = [i for i, q in enumerate(keep) if q not in self.free]
+        if not fixed:
+            return rho
+        # rho's entries as a vector on 2m qubits: bit i is column qubit keep[i], bit m + i its row qubit.
+        m, b = len(keep), self.outcome([keep[i] for i in fixed])
+        column = _basis(2 * len(fixed), b | b << len(fixed), rho.dtype)
+        return apply_columns(rho.reshape(-1), column, [], fixed + [m + i for i in fixed]).reshape(2**m, 2**m)
+
+    def full(self) -> np.ndarray:
+        """The zero-filled vector on all ``n`` qubits."""
+        return self.placed([q for q in range(self.n) if q not in self.free]).vec
+
+
 @dataclass
 class _Branch:
     """One classical branch: weight, state, transcript and each actor's view of it.
 
-    ``vec`` is the state vector, or on the record walk the chain of recorded
-    operators (see :class:`_Record`).  ``views`` maps the prover and every
-    node to the variables it has seen, in the order they were set.  States
-    and view dicts are shared between branches and never modified: a new
-    value replaces a view with a longer copy (:func:`_set_value`), so a
+    ``state`` is a :class:`_State`, or on the record walk the chain of
+    recorded operators (see :class:`_Record`).  ``views`` maps the prover and
+    every node to the variables it has seen, in the order they were set.
+    States and view dicts are shared between branches and never modified: a
+    new value replaces a view with a longer copy (:func:`_set_value`), so a
     callback's view never changes after it returns, and callbacks must not
     change it either.
     """
 
     weight: float
-    vec: object
+    state: object
     values: dict
     views: dict[int, dict]
     owner: dict
@@ -382,7 +507,7 @@ class _Exact:
     """Keep every child whose weight is above ``PRUNE_TOL``; coins keep every value.
 
     Children stay unnormalised: a coin value divides the branch weight by its
-    number of values, and an outcome keeps its projected vector.
+    number of values, and an outcome keeps its slice of the state.
     """
 
     records = False
@@ -394,36 +519,39 @@ class _Exact:
         """The structured op of a fixed operator, classified on its first use."""
         return StructuredOp.cached(self._ops, matrix, qubits)
 
-    def apply(self, vec: np.ndarray, matrix: np.ndarray, qubits: list[int]) -> np.ndarray:
-        """A fixed operator applied to ``vec``."""
-        return self.op(matrix, qubits).apply(vec)
+    def apply(self, state: _State, matrix: np.ndarray, qubits: list[int]) -> _State:
+        """A fixed operator applied to ``state`` (see :meth:`_State.apply`)."""
+        return state.apply(self.op, matrix, qubits)
 
-    def prover(self, vec: np.ndarray, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
-        """The prover's gate applied to ``vec`` like a fixed operator, or a factored one's parts in order."""
+    def prover(self, state: _State, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
+        """The prover's gate applied to ``state`` like a fixed operator, or a factored one's parts in order."""
         gate = strategy.gate_fn(turn_index, view)
-        parts = gate.parts(qubits, vec.size.bit_length() - 1) if isinstance(gate, FactoredOp) else [(gate, qubits)]
+        parts = gate.parts(qubits, state.n) if isinstance(gate, FactoredOp) else [(gate, qubits)]
         for matrix, targets in parts:
-            vec = self.apply(vec, matrix, targets)
-        return vec
+            state = self.apply(state, matrix, targets)
+        return state
 
-    def project(self, vec: np.ndarray, parts: list[list[int]], outcome: int) -> np.ndarray:
-        return project_outcome(vec, _joint(parts), outcome)
+    def project(self, state: _State, parts: list[list[int]], outcome: int) -> _State:
+        return state.measured(_joint(parts), outcome)
 
-    def split(self, vec: np.ndarray, projector: np.ndarray, qubits: list[int]) -> tuple:
-        """The (hit, miss) children of a two-outcome check."""
-        hit = self.apply(vec, projector, qubits)
-        return hit, vec - hit
+    def split(self, state: _State, projector: np.ndarray, qubits: list[int], kept=(0, 1)) -> list[_State]:
+        """The children of a two-outcome check in ``kept``: the hit (0) and the miss (1)."""
+        hit = self.apply(state, projector, qubits)
+        if hit.free != state.free:  # the projector freed fixed qubits: the miss needs them too
+            state = state.placed([q for q in hit.free if q not in state.free])
+        return [hit if i == 0 else _State(state.vec - hit.vec, hit.free, hit.bits, hit.n) for i in kept]
 
     def coin(self, n: int) -> Iterable[int]:
         return range(n)
 
-    def outcomes(self, vec: np.ndarray, parts: list[list[int]]) -> Iterable[int]:
+    def outcomes(self, state: _State, parts: list[list[int]]) -> Iterable[int]:
         """Kept joint outcomes: one weight pass, and each part's marginal holds at least the joint weight."""
-        return np.flatnonzero(outcome_weights(vec, _joint(parts)) > PRUNE_TOL)
+        return np.flatnonzero(state.weights(_joint(parts)) > PRUNE_TOL)
 
-    def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
-        """Kept indices into ``(hit, miss)``."""
-        return [i for i, vec in enumerate((hit, miss)) if _norm2(vec) > PRUNE_TOL]
+    def check(self, state: _State, projector: np.ndarray, qubits: list[int]) -> list[tuple[int, _State]]:
+        """The kept ``(index, child)`` pairs of a check, hit (0) then miss (1)."""
+        children = enumerate(self.split(state, projector, qubits))
+        return [(i, child) for i, child in children if _norm2(child.vec) > PRUNE_TOL]
 
 
 class _Sample(_Exact):
@@ -437,9 +565,10 @@ class _Sample(_Exact):
     p_miss)``, see :func:`_draw`) or a leaf's accept probabilities
     (``("leaf", accepts)``).  :meth:`redraw` replays a trial's draws from it,
     and the walk of a history no earlier trial reached is handed the choices
-    already drawn (no second draw) before it draws and stores the rest.  The
-    memo holds no states; its weight tables may hold at most ``room`` bytes,
-    and past that it stores nothing new.
+    already drawn (no second draw, and a check builds only the child taken)
+    before it draws and stores the rest.  The memo holds no states; its
+    weight tables may hold at most ``room`` bytes, and past that it stores
+    nothing new.
     """
 
     def __init__(self, rng: np.random.Generator, room: int = 0):
@@ -466,10 +595,13 @@ class _Sample(_Exact):
             self.room -= nbytes
             self.memo[tuple(self.path)] = node
 
+    def _replaying(self) -> bool:
+        return self.path is not None and self.at < len(self.path)
+
     def _choose(self, node: Callable[[], tuple], mass: Callable[[tuple], float] = lambda node: 1.0) -> list[int]:
         """The walk's choice at a fork: the redrawn one while the trial's path lasts,
         else drawn from ``node()`` (none if it reads no mass) and stored."""
-        if self.path is not None and self.at < len(self.path):
+        if self._replaying():
             choice = self.path[self.at]
         else:
             node = node()
@@ -485,16 +617,25 @@ class _Sample(_Exact):
     def coin(self, n: int) -> Iterable[int]:
         return self._choose(lambda: ("coin", n))
 
-    def outcomes(self, vec: np.ndarray, parts: list[list[int]]) -> Iterable[int]:
+    def outcomes(self, state: _State, parts: list[list[int]]) -> Iterable[int]:
         """One joint outcome, drawn part by part from the marginals of one weight table."""
 
         def table():
-            return "outcome", np.clip(outcome_weights(vec, _joint(parts)), 0.0, None), [len(q) for q in parts]
+            return "outcome", np.clip(state.weights(_joint(parts)), 0.0, None), [len(q) for q in parts]
 
         return self._choose(table, lambda node: node[1].sum())
 
-    def check(self, hit: np.ndarray, miss: np.ndarray) -> Iterable[int]:
-        return self._choose(lambda: ("check", _norm2(hit), _norm2(miss)), lambda node: node[1] + node[2])
+    def check(self, state: _State, projector: np.ndarray, qubits: list[int]) -> list[tuple[int, _State]]:
+        """One child: a replayed choice builds only that one, a new draw reads both norms."""
+        if self._replaying():
+            (i,) = self._choose(None)  # a replayed choice reads no draw input
+            return [(i, *self.split(state, projector, qubits, (i,)))]
+        children = self.split(state, projector, qubits)
+
+        def norms():
+            return "check", *(_norm2(child.vec) for child in children)
+
+        return [(i, children[i]) for i in self._choose(norms, lambda node: node[1] + node[2])]
 
 
 def _draw(rng: np.random.Generator, node: tuple) -> int:
@@ -543,16 +684,14 @@ class _Record(_Exact):
             chain = self.apply(chain, self._selector(len(qubits), digit), qubits)
         return chain
 
-    def split(self, chain, projector: np.ndarray, qubits: list[int]) -> tuple:
-        if id(projector) not in self._misses:
-            self._misses[id(projector)] = (projector, np.eye(len(projector)) - projector)
-        return self.apply(chain, projector, qubits), self.apply(chain, self._misses[id(projector)][1], qubits)
-
     def outcomes(self, chain, parts: list[list[int]]) -> Iterable[int]:
         return range(2 ** sum(map(len, parts)))
 
-    def check(self, hit, miss) -> Iterable[int]:
-        return (0, 1)
+    def check(self, chain, projector: np.ndarray, qubits: list[int]) -> list[tuple[int, object]]:
+        if id(projector) not in self._misses:
+            self._misses[id(projector)] = (projector, np.eye(len(projector)) - projector)
+        miss = self._misses[id(projector)][1]
+        return [(0, self.apply(chain, projector, qubits)), (1, self.apply(chain, miss, qubits))]
 
 
 def _recorded(chain) -> list:
@@ -620,19 +759,13 @@ class _Executor:
         self.schedule = schedule + _local_events(spec.verification, "verification")
 
     @functools.cached_property
-    def initial(self) -> np.ndarray:
-        """The initial state vector, built once and shared by every walk."""
-        vec = np.zeros(2**self.layout.total_qubits, dtype=np.complex128)
-        vec[0] = 1.0
-        for regs, factor in self.spec.initial_factors:
-            qubits = self.layout.expand(regs)
-            factor = np.asarray(factor, dtype=np.complex128)
-            if factor.size != 2 ** len(qubits):
-                raise ValidationError(f"initial factor on {regs} has wrong dimension")
-            prep = np.zeros((factor.size, factor.size), dtype=np.complex128)
-            prep[:, 0] = factor
-            vec = apply_matrix_vec(vec, prep, qubits)
-        return vec
+    def initial(self) -> _State:
+        """The initial state, built once and shared by every walk: each initial factor prepared
+        on its qubits from |0...0>, so its slice is their Kronecker product and the rest is fixed."""
+        state = _State(np.ones(1, dtype=np.complex128), (), 0, self.layout.total_qubits)
+        for prep, qubits in _preparations(self.spec):
+            state = state.apply(StructuredOp, prep, qubits)
+        return state
 
     def check_budget(self) -> None:
         """Refuse a walk that could hold more states at once than ``qcore.MAX_DENSE_BYTES``.
@@ -640,6 +773,7 @@ class _Executor:
         The deepest path holds the initial state, the current one and two
         built from it, plus one per open fork: the parent of a verifier
         turn's coins or of a group of measurements, and a check's second child.
+        Each is counted at the full ``2^n`` entries, an upper bound on a slice.
         """
         forks = [entry for entry in self.schedule if entry[0] in _FORKS]
         coin_turns = {label for function, _, label in forks if function is _Executor._flip_coin}
@@ -683,7 +817,7 @@ class _Executor:
         for k, assigned in enumerate(values):
             child = _Branch(weight, next(states), dict(branch.values), dict(branch.views), dict(branch.owner))
             if k == len(values) - 1:
-                branch.vec = None
+                branch.state = None
             for name, value, visible in assigned:
                 _set_value(child, name, value, visible)
             yield child
@@ -711,7 +845,7 @@ class _Executor:
         self._check_ownership(branch, (PROVER,), regs, label)
         qubits = self.layout.expand(regs)
         try:
-            branch.vec = self.policy.prover(branch.vec, self.strategy, position, view, qubits)
+            branch.state = self.policy.prover(branch.state, self.strategy, position, view, qubits)
         except LayoutError as err:
             raise ProtocolError(f"{label}: strategy gate on {len(qubits)} qubits: {err}") from err
         for slot in turn.replies:
@@ -737,7 +871,7 @@ class _Executor:
         self._check_ownership(branch, (step.actor,), regs, label)
         qubits = self.layout.expand(regs)
         try:
-            branch.vec = self.policy.apply(branch.vec, np.asarray(matrix, dtype=np.complex128), qubits)
+            branch.state = self.policy.apply(branch.state, np.asarray(matrix, dtype=np.complex128), qubits)
         except LayoutError as err:
             raise ProtocolError(f"{label}: operator on {regs}: {err}") from err
 
@@ -745,7 +879,7 @@ class _Executor:
         values = list(self.policy.coin(coin.num_values))
         visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
         weight = branch.weight / coin.num_values
-        return self._fork(branch, [[(coin.name, v, visible)] for v in values], (branch.vec for _ in values), weight)
+        return self._fork(branch, [[(coin.name, v, visible)] for v in values], (branch.state for _ in values), weight)
 
     def _measure(self, branch: _Branch, group: list[Measurement], label: str):
         """One fork on the joint outcome of a group, each member resolved from its node's view
@@ -759,8 +893,8 @@ class _Executor:
                 parts.append(self.layout.expand(regs))
         if not members:
             return None
-        outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.vec, parts)]
-        states = (self.policy.project(branch.vec, parts, outcome) for outcome in outcomes)
+        outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.state, parts)]
+        states = (self.policy.project(branch.state, parts, outcome) for outcome in outcomes)
         values = [[(name, d, visible) for (name, visible), d in zip(members, _digits(o, parts))] for o in outcomes]
         return self._fork(branch, values, states, branch.weight)
 
@@ -774,12 +908,13 @@ class _Executor:
         self._check_ownership(branch, check.nodes, regs, label, "the checking nodes")
         qubits = self.layout.expand(regs)
         try:
-            hit_miss = self.policy.split(branch.vec, np.asarray(projector, dtype=np.complex128), qubits)
+            children = self.policy.check(branch.state, np.asarray(projector, dtype=np.complex128), qubits)
         except LayoutError as err:
             raise ProtocolError(f"{label}: check {check.name!r} on {regs}: {err}") from err
-        branch.vec = None  # the (hit, miss) pair replaces it
-        kept = list(self.policy.check(*hit_miss))
-        pending = [hit_miss[i] for i in kept]  # popped when reached: nothing else holds a child's first state
+        branch.state = None  # the kept children replace it
+        kept = [i for i, _ in children]
+        pending = [child for _, child in children]  # popped when reached: nothing else holds a child's first state
+        del children
         states = (pending.pop(0) for _ in kept)
         return self._fork(branch, [[(check.name, 1 - i, check.nodes)] for i in kept], states, branch.weight)
 
@@ -811,8 +946,9 @@ class _Executor:
 
     def acceptance(self, branch: _Branch, views: dict[int, dict], project: bool = False) -> tuple:
         """A leaf's squared norm ``tr(rho)``, joint and per-node accept masses ``tr(A^dag A rho)``
-        before its weight, and with ``project`` its accept-projected vector (``None`` if a
-        predicate fails), for ``rho`` the reduced density of the accept qubits (or low span)."""
+        before its weight, and with ``project`` its accept-projected state (``None`` if a
+        predicate fails), for ``rho`` the reduced density of the accept qubits (or low span),
+        read from the leaf's slice with the fixed bits folded in (:meth:`_State.density`)."""
         ops, passed = self.accept_ops(branch, views)
         marginal = sorted({q for _, _, qubits in ops for q in qubits})
         if marginal and marginal[-1] < qcore.SPAN_QUBITS:
@@ -821,10 +957,10 @@ class _Executor:
         if all(passed.values()):
             reads["all"] = ops
         forms = {u: self._accept_form(marginal, node_ops) for u, node_ops in reads.items() if node_ops}
-        rho = reduced_density_from_vec(branch.vec, marginal) if ops else None  # no projector: no marginal
-        total = float(rho.trace().real) if ops else _norm2(branch.vec)  # also the read of a node without projectors
+        rho = branch.state.density(marginal) if ops else None  # no projector: no marginal
+        total = float(rho.trace().real) if ops else _norm2(branch.state.vec)  # also a node's read without projectors
         read = {u: float(np.vdot(forms[u], rho).real) if u in forms else total for u in reads}  # tr(F rho), F = F^dag
-        projected = branch.vec if "all" in read and project else None
+        projected = branch.state if "all" in read and project else None
         for _, matrix, qubits in ops if projected is not None else ():
             projected = self.policy.apply(projected, matrix, qubits)
         return total, read.pop("all", 0.0), {u: read.get(u, 0.0) for u in passed}, projected
@@ -841,6 +977,29 @@ class _Executor:
 
 
 _FORKS = (_Executor._flip_coin, _Executor._measure, _Executor._projective_check)
+
+
+def _preparations(spec: ProtocolSpec) -> list[tuple[np.ndarray, list[int]]]:
+    """Each initial factor as the ``(matrix, qubits)`` that prepares it from |0...0>: its column 0."""
+    preparations = []
+    for regs, factor in spec.initial_factors:
+        qubits = spec.layout.expand(regs)
+        factor = np.asarray(factor, dtype=np.complex128)
+        if factor.size != 2 ** len(qubits):
+            raise ValidationError(f"initial factor on {regs} has wrong dimension")
+        prep = np.zeros((factor.size, factor.size), dtype=np.complex128)
+        prep[:, 0] = factor
+        preparations.append((prep, qubits))
+    return preparations
+
+
+def initial_vector(spec: ProtocolSpec) -> np.ndarray:
+    """The initial state as a full vector: each preparation applied to |0...0> through the gate kernel."""
+    vec = np.zeros(2**spec.layout.total_qubits, dtype=np.complex128)
+    vec[0] = 1.0
+    for prep, qubits in _preparations(spec):
+        vec = apply_matrix_vec(vec, prep, qubits)
+    return vec
 
 
 def _local_events(part: VerifierTurn | VerificationPhase, label: str) -> list[tuple]:
@@ -919,7 +1078,7 @@ def execute_exact(spec: ProtocolSpec, prover: ProverStrategy, collect_output: bo
             node_acc[u] += branch.weight * p_u
         if projected is not None:
             regs = spec.output_registers(branch.values)
-            red = branch.weight * reduced_density_from_vec(projected, spec.layout.expand(regs))
+            red = branch.weight * projected.density(spec.layout.expand(regs))
             out_mat = red if out_mat is None else out_mat + red
         del branch, projected  # the walk frees a leaf's states only once nothing else holds them
 
@@ -985,7 +1144,7 @@ def variable_marginal(spec: ProtocolSpec, prover: ProverStrategy, name: str, val
     total = 0.0
     for branch, _ in _Executor(spec, prover).leaves():
         if branch.values.get(name) == value:
-            total += branch.weight * _norm2(branch.vec)
+            total += branch.weight * _norm2(branch.state.vec)
     return total
 
 
@@ -1018,10 +1177,11 @@ def collect_paths(spec: ProtocolSpec, strategy: ProverStrategy) -> tuple[list[Br
     The classical skeleton (transcripts, replies, ownership) is fixed by the
     strategy's reply functions; the record walk keeps every measurement
     outcome, so the recorded paths stay valid for any unitary assignment to
-    the blocks.  Returns the paths and the initial state vector.
+    the blocks.  Returns the paths and the initial state as a full vector
+    (:func:`initial_vector`), which the see-saw replays them from.
     """
     executor = _Executor(spec, strategy, _Record())
-    return _paths(executor, executor.leaves()), executor.initial
+    return _paths(executor, executor.leaves()), initial_vector(spec)
 
 
 def _paths(executor: _Executor, leaves: Iterable) -> list[BranchPath]:
@@ -1031,7 +1191,7 @@ def _paths(executor: _Executor, leaves: Iterable) -> list[BranchPath]:
         ops, passed = executor.accept_ops(branch, views)
         if all(passed.values()):
             accept = [executor.policy.op(matrix, qubits) for _, matrix, qubits in ops]
-            paths.append(BranchPath(branch.weight, _recorded(branch.vec), accept))
+            paths.append(BranchPath(branch.weight, _recorded(branch.state), accept))
     return paths
 
 

@@ -23,8 +23,16 @@ every state size: an identity returns its input, a diagonal is one multiply,
 a permutation one ``np.take`` over that window, and a dense op one matmul
 or the planned kernel; the see-saw and the executor's walks apply their
 fixed operators and prover gates through it.
-:func:`project_outcome` zeroes the amplitudes outside one outcome, and
-:func:`basis_projector` is the one constructor of its projector as a matrix.
+:func:`outcome_slice` copies the amplitudes at one outcome of some qubits,
+:func:`apply_columns` takes such slices onto the outcomes of other qubits
+(a preparation on new qubits, a slice placed back at its outcome, or a
+gate's columns at some qubits' bits), and
+:func:`basis_projector` is the one constructor of an outcome's projector as
+a matrix.  The executor's branches are slices: a vector on their free
+qubits, every other qubit at a known basis bit (0 until an operator first
+touches it, or its measured outcome), cut by :func:`outcome_slice` when a
+qubit is measured and widened by :func:`apply_columns` when an operator
+frees one.
 :func:`circuit_matrix` is the one dense constructor of composite operators
 (node units, star preparations, fan-outs, basis rotations, the span form
 of a low-qubit dense gate): it applies their factors to the identity
@@ -443,33 +451,71 @@ def dense_matrix(op, what: str = "") -> np.ndarray:
     return op.dense(what) if isinstance(op, FactoredOp) else np.asarray(op, dtype=np.complex128)
 
 
-def project_outcome(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np.ndarray:
-    """``vec`` with every amplitude whose ``targets`` bits differ from ``outcome`` zeroed.
-
-    Bit ``j`` of ``outcome`` is qubit ``targets[j]``.  Equal, element for
-    element, to applying the 0/1 selector ``|outcome><outcome|`` to ``targets``.
-    """
-    plan = _plan_for(vec, targets)
+def _outcome_index(plan: _AxisPlan, outcome: int) -> tuple:
+    """A basic index into ``plan.shape``: each target axis at its bits of ``outcome``, the others
+    whole (a view even when every axis is a target)."""
     if not 0 <= outcome < plan.dim:
         raise LayoutError(f"outcome {outcome} outside [0, {plan.dim})")
-    # A basic index into the plan's shape: each target axis at its bits of the outcome.
-    index = tuple(slice(None) if group is None else (outcome >> group[0]) % 2 ** group[1] for group in plan.groups)
-    out = np.zeros(vec.size, dtype=np.complex128)
-    out.reshape(plan.shape)[index] = vec.reshape(plan.shape)[index]
+    return (*(slice(None) if group is None else (outcome >> group[0]) % 2 ** group[1] for group in plan.groups), ...)
+
+
+def outcome_slice(vec: np.ndarray, targets: Sequence[int], outcome: int) -> np.ndarray:
+    """The amplitudes of ``vec`` at one ``outcome`` of ``targets``: a new vector on the other qubits, in order.
+
+    Bit ``j`` of ``outcome`` is qubit ``targets[j]``.  :func:`apply_columns`
+    with the outcome's basis column puts the slice back where it was.
+    """
+    plan = _plan_for(vec, targets)
+    return np.ascontiguousarray(vec.reshape(plan.shape)[_outcome_index(plan, outcome)]).reshape(-1)
+
+
+def apply_columns(vec: np.ndarray, matrix: np.ndarray, sources: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+    """A ``2^len(targets) x 2^len(sources)`` matrix from ``sources`` of ``vec`` onto ``targets`` of the result.
+
+    Bit ``j`` of the column index is qubit ``sources[j]`` of ``vec``, bit
+    ``j`` of the row index qubit ``targets[j]`` of the result, and the other
+    qubits of ``vec`` are the result's others, in order: column ``c`` takes
+    the slice of ``vec`` at ``c`` (:func:`outcome_slice`) to the rows it
+    holds.  The result is a new vector with the dtype of the product.  It is
+    built from one zero-filled vector and one strided pass per nonzero entry,
+    or, for one column of several nonzeros (a preparation on new qubits), as
+    one outer product.  With no sources, a basis column places ``vec`` at its
+    outcome and zero elsewhere.
+    """
+    n = vec.size.bit_length() - 1
+    source = _axis_plan(n, tuple(sources))
+    target = _axis_plan(n - len(sources) + len(targets), tuple(targets))
+    if matrix.shape != (target.dim, source.dim):
+        raise LayoutError(f"matrix of shape {matrix.shape} does not map {len(sources)} onto {len(targets)} qubits")
+    rows, columns = np.nonzero(matrix)
+    size, dtype = target.dim * vec.size // source.dim, np.result_type(vec, matrix)
+    if source.dim == 1 and len(rows) > 1:  # written through the target plan's axis order, as back() reads it
+        out, lead = np.empty(size, dtype=dtype), sum(group is not None for group in target.groups)
+        column = matrix[:, 0].reshape(target.moved[:lead] + (1,) * (len(target.moved) - lead))
+        np.multiply(column, vec.reshape(target.moved[lead:]), out=out.reshape(target.shape).transpose(target.order))
+        return out
+    out = np.empty(size, dtype=dtype)
+    out.fill(0)  # np.zeros would take fresh zero pages, faulted in one by one, where this reuses freed memory
+    into, pieces = out.reshape(target.shape), vec.reshape(source.shape)
+    for r, c in zip(rows.tolist(), columns.tolist()):
+        rows_at = into[_outcome_index(target, r)]
+        piece = pieces[_outcome_index(source, c)].reshape(rows_at.shape)
+        rows_at += piece if matrix[r, c] == 1 else matrix[r, c] * piece
     return out
 
 
 def outcome_weights(vec: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """Squared norm of ``vec`` on each computational-basis outcome of ``targets``.
 
-    Entry ``o`` equals ``||project_outcome(vec, targets, o)||^2``; no
-    projected vector is built.  Targets below ``SPAN_QUBITS`` sum the squares
-    down runs of the float view in one pass, then fold the sums onto the
-    targets; others take the squares first, so the transpose copies reals.
+    Entry ``o`` equals ``||outcome_slice(vec, targets, o)||^2``; no slice
+    is built.  On a vector longer than ``SPAN_RUN``, targets below
+    ``SPAN_QUBITS`` sum the squares down runs of the float view in one pass,
+    then fold the sums onto the targets; otherwise the squares come first, so
+    the transpose copies reals.
     """
     plan = _plan_for(vec, targets)  # validates the targets
     span = max(targets, default=-1) + 1
-    if span <= SPAN_QUBITS:
+    if span <= SPAN_QUBITS and vec.size > SPAN_RUN:
         run = min(vec.size, max(2**span, SPAN_RUN))
         runs = np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2 * run)
         sums = np.einsum("ij,ij->j", runs, runs).reshape(-1, 2**span, 2).sum(axis=(0, 2))

@@ -1046,10 +1046,10 @@ def _uncompute_gate(out_spec: ProtocolSpec, honest: ProverStrategy, held_regs) -
     qcore.check_budget(3 * 16 * dim * dim, what)
     partial = replace(out_spec, name="partial", turns=out_spec.turns[:-1], verification=VerificationPhase())
     leaves = _Executor(partial, honest).leaves()
-    live = [b for b, _ in leaves if float(np.vdot(b.vec, b.vec).real) > 1e-18]
+    live = [b for b, _ in leaves if float(np.vdot(b.state.vec, b.state.vec).real) > 1e-18]
     if len(live) != 1:
         raise ProtocolError(f"honest replay produced {len(live)} live branches, expected 1")
-    vec = live[0].vec
+    vec = live[0].state.full()
 
     block = qcore._keep_block(vec, held)  # columns indexed by the B2 bit
     pos_b = held.index(out_spec.layout.qubits("B")[0])

@@ -139,14 +139,17 @@ def test_input_distance_against_inner_product():
 
 def test_sampled_runs_classify_each_operator_once(monkeypatch):
     # Steps, checks and prover gates are classified once per executor, keyed
-    # on the matrix object, so the count is bounded by the distinct operators
-    # the trials resolve, not by the number of trials.  Trials draw the coins,
-    # so a short run may not reach every operator; at this seed 12 trials
-    # reach all 17, three of them prover gates: the star preparations' dense
-    # form, and the turn-5 fan-in on each of the two control-qubit pairs the
-    # tests can pick (the idle turns' gate has no factors, so nothing).
-    # Accept projectors are not classified: the leaf reads them from its
-    # accept marginal.
+    # on the matrix object and the targets in the branch's slice, so the
+    # count is bounded by the distinct operators the trials resolve, not by
+    # the number of trials.  Trials draw the coins, so a short run may not
+    # reach every operator; at this seed 12 trials reach all 17: the two
+    # input preparations and the star preparations' dense form, each
+    # classified on its qubits (an identity there would free nothing) and
+    # then applied through its column, and 14 ops on slices.  The turn-5
+    # fan-in and the swap-test finish on either control-qubit pair the tests
+    # can pick land on the same slice targets once the other copy is measured
+    # (the idle turns' gate has no factors, so nothing).  Accept projectors
+    # are not classified: the leaf reads them from its accept marginal.
     classified = []
 
     class Counting(qcore.StructuredOp):
@@ -168,9 +171,10 @@ def test_sampled_runs_classify_each_operator_once(monkeypatch):
 def test_sampled_17_qubit_run_holds_no_gather_index(monkeypatch):
     # The bench's sampled closeness test: three input qubits per node.  Its
     # fixed permutations (the controlled slice swaps, the leader's CNOT) each
-    # take one index over the window their targets span, the widest 2^16 of
-    # 2^17 entries, so a run's peak stays within the states the walk is
-    # budgeted for plus one vector, and an executor holds no 2^n index.
+    # take one index over the window their targets span in the slice, so a
+    # run's peak stays within the states the walk is budgeted for plus one
+    # vector, and an executor holds no index or state of 2^n entries: the
+    # initial state it shares is the 2^12-entry product of the inputs.
     compiled = build_pdqct(make_instance(G2, (3, 3), "random", seed=1), PARAMS)
     n = compiled.spec.layout.total_qubits
     assert n == 17
@@ -194,4 +198,5 @@ def test_sampled_17_qubit_run_holds_no_gather_index(monkeypatch):
         tracemalloc.stop()
     assert report.trials == 4
     assert peak <= budget + state_bytes, (peak / state_bytes, budget / state_bytes)
-    assert held == [state_bytes]  # the initial state the executor shares between walks
+    assert held == []
+    assert executor.initial.vec.size == 2**12

@@ -50,13 +50,18 @@ def per_measurement(executor, branch, group, label):
             return
         executor._check_ownership(branch, (m.node,), regs, label)
         parts = [executor.layout.expand(regs)]
-        outcomes = [int(outcome) for outcome in executor.policy.outcomes(branch.vec, parts)]
-        states = (executor.policy.project(branch.vec, parts, outcome) for outcome in outcomes)
+        outcomes = [int(outcome) for outcome in executor.policy.outcomes(branch.state, parts)]
+        states = (executor.policy.project(branch.state, parts, outcome) for outcome in outcomes)
         visible = [m.node, PROVER] if m.to_prover else [m.node]
         for child in executor._fork(branch, [[(m.name, o, visible)] for o in outcomes], states, branch.weight):
             yield from forks(child, members[1:])
 
     return forks(branch, list(group))
+
+
+def same_state(a, b):
+    """Equal slices: the same free qubits, fixed bits and amplitudes."""
+    return (a.free, a.bits, a.n) == (b.free, b.bits, b.n) and np.array_equal(a.vec, b.vec)
 
 
 def oracle(executor):
@@ -138,7 +143,7 @@ def test_grouped_walk_keeps_the_leaves_of_one_fork_per_measurement(case):
                 a: list(view.items()) for a, view in want.views.items()
             }
             assert got.weight == want.weight and got_views == want_views
-            assert np.array_equal(got.vec, want.vec), (spec.name, got.values)
+            assert same_state(got.state, want.state), (spec.name, got.values)
 
 
 @pytest.mark.parametrize("case", ["ghz n=3 N=2", "closeness 17 qubits", "private halving yes", "twice measured"])
@@ -150,7 +155,7 @@ def test_grouped_record_walk_records_one_selector_per_member(case):
         reference = oracle(_Executor(spec, strategy, policy)).leaves()
         for (got, _), (want, _) in zip(grouped, reference, strict=True):
             assert got.values == want.values and got.weight == want.weight
-            ops, want_ops = _recorded(got.vec), _recorded(want.vec)
+            ops, want_ops = _recorded(got.state), _recorded(want.state)
             assert len(ops) == len(want_ops)
             assert all(a is b if isinstance(a, qcore.StructuredOp) else a == b for a, b in zip(ops, want_ops))
 
@@ -163,7 +168,7 @@ def test_grouped_sampled_walk_draws_as_one_fork_per_measurement(case):
         for _ in range(20):
             ((got, _),) = grouped.leaves()
             ((want, _),) = reference.leaves()
-            assert got.values == want.values and np.array_equal(got.vec, want.vec)
+            assert got.values == want.values and same_state(got.state, want.state)
         assert grouped.policy.rng.random() == reference.policy.rng.random()  # as many draws, in order
 
 
@@ -185,8 +190,8 @@ def test_a_nodes_second_measurement_in_a_turn_forks_again_and_reads_the_first():
 
 def test_bench_ghz_forks_once_per_coin_pair(monkeypatch):
     # The benchmark's ghz op: n=4, N=2.  Each of its 12 coin pairs makes one
-    # weight pass over the four nodes' joint outcome and one projection per
-    # leaf; one fork per node made 468 weight passes and 756 projections.
+    # weight pass over the four nodes' joint outcome and one outcome slice per
+    # leaf; one fork per node made 468 weight passes and 756 slices.
     spec, honest = _ghz(4, 2)
     walks = ((_Executor, 12, 300), (lambda *args: oracle(_Executor(*args)), 468, 756))
     for walk, passes, projections in walks:
@@ -201,6 +206,6 @@ def test_bench_ghz_forks_once_per_coin_pair(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "outcome_weights", counted(qcore.outcome_weights, "weights"))
-            patch.setattr(protocol, "project_outcome", counted(qcore.project_outcome, "projections"))
+            patch.setattr(protocol, "outcome_slice", counted(qcore.outcome_slice, "projections"))
             assert sum(1 for _ in walk(spec, honest).leaves()) == 300
         assert calls == {"weights": passes, "projections": projections}

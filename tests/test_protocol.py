@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dqip import qcore
-from dqip.errors import ProtocolError
+from dqip.errors import LayoutError, ProtocolError
 from dqip.seeding import substream
 from dqip.network import allocate_layout, path_graph
 from dqip.protocol import (
@@ -190,7 +190,7 @@ def test_sampled_leaves_follow_the_exact_leaf_weights():
         exact = {}
         for branch, _ in _Executor(spec, prover).leaves():
             key = tuple(sorted(branch.values.items()))
-            exact[key] = exact.get(key, 0.0) + branch.weight * float(np.vdot(branch.vec, branch.vec).real)
+            exact[key] = exact.get(key, 0.0) + branch.weight * float(np.vdot(branch.state.vec, branch.state.vec).real)
         assert abs(sum(exact.values()) - 1.0) <= 1e-12
         assert len(exact) >= (2 if case == 0 else 8)
         sampler = _Executor(spec, prover, _Sample(substream(case, "test.sampled-leaves")))
@@ -241,7 +241,7 @@ def test_sampled_checks_after_a_measurement_divide_by_the_unnormalised_norm():
     exact = {}
     for branch, _ in _Executor(spec, prover).leaves():
         key = (branch.values["m0"], branch.values["c1"], branch.values["c0"])
-        exact[key] = branch.weight * float(np.vdot(branch.vec, branch.vec).real)
+        exact[key] = branch.weight * float(np.vdot(branch.state.vec, branch.state.vec).real)
     want = {(m, c, 1): (0.3 if m == 0 else 0.7) * (0.6 if c == 1 else 0.4) for m in (0, 1) for c in (0, 1)}
     assert exact.keys() == want.keys() and all(abs(exact[k] - want[k]) <= 1e-12 for k in want)
     walks = 2000
@@ -291,7 +291,7 @@ def _leaf_cases():
 
 def test_acceptance_reads_equal_the_norms_of_the_projected_leaves():
     # Each leaf's marginal reads against ||A v||^2, with A built by applying the
-    # embedded projectors to the leaf's (unnormalised) vector.
+    # embedded projectors to the leaf's (unnormalised) zero-filled vector.
     predicate_failed = 0
     for spec, prover in _leaf_cases():
         executor = _Executor(spec, prover or identity_for(spec))
@@ -299,10 +299,11 @@ def test_acceptance_reads_equal_the_norms_of_the_projected_leaves():
         for branch, views in executor.leaves():
             total, joint, per_node, projected = executor.acceptance(branch, views, project=True)
             ops, passed = executor.accept_ops(branch, views)
-            assert abs(total - float(np.vdot(branch.vec, branch.vec).real)) <= 1e-12
+            full = branch.state.full()
+            assert abs(total - float(np.vdot(full, full).real)) <= 1e-12
             want = {}
             for u in list(passed) + ["all"]:
-                vec = branch.vec
+                vec = full
                 for node, matrix, qubits in ops:
                     if u in ("all", node):
                         vec = qcore.embed_operator(matrix, qubits, n) @ vec
@@ -311,7 +312,7 @@ def test_acceptance_reads_equal_the_norms_of_the_projected_leaves():
                 assert abs(per_node[u] - (float(np.vdot(want[u], want[u]).real) if ok else 0.0)) <= 1e-12, (spec.name, u)
             if all(passed.values()):
                 assert abs(joint - float(np.vdot(want["all"], want["all"]).real)) <= 1e-12, spec.name
-                assert np.allclose(projected, want["all"], rtol=0, atol=1e-12)
+                assert np.allclose(projected.full(), want["all"], rtol=0, atol=1e-12)
             else:
                 predicate_failed += 1
                 assert joint == 0.0 and projected is None
@@ -452,17 +453,30 @@ def test_spec_serialization_shape():
 
 
 def test_split_outcomes_equal_selector_matmul_exactly():
-    # The basis projection must give the very amplitudes of the 0/1 selector
-    # matmul it replaced, on random unnormalized vectors and target orders.
+    # An outcome's slice, placed back at its outcome, must give the very
+    # amplitudes of the 0/1 selector matmul, on random unnormalized vectors and
+    # target orders; with any column it is the product state.
     rng = substream(17, "test.split-outcomes")
     for _ in range(40):
         n = int(rng.integers(1, 9))
         qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, min(4, n) + 1))]]
         vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        outcomes = [(o, qcore.project_outcome(vec, qubits, o)) for o in range(2 ** len(qubits))]
-        assert [o for o, _ in outcomes] == list(range(2 ** len(qubits)))
-        for outcome, got in outcomes:
+        for outcome in range(2 ** len(qubits)):
             selector = qcore.basis_projector(len(qubits), outcome)
+            piece = qcore.outcome_slice(vec, qubits, outcome)
+            assert piece.shape == (2 ** (n - len(qubits)),) and piece.flags.c_contiguous
+            got = qcore.apply_columns(piece, selector[:, [outcome]], [], qubits)
             assert got.flags.c_contiguous
             assert np.array_equal(got, qcore.apply_matrix_vec(vec, selector, qubits))
             assert np.array_equal(got, qcore.embed_operator(selector, qubits, n) @ vec)
+        column = rng.standard_normal(2 ** len(qubits)) + 1j * rng.standard_normal(2 ** len(qubits))
+        rest = qcore.outcome_slice(vec, qubits, 0)
+        prep = np.zeros((len(column), len(column)), dtype=complex)
+        prep[:, 0] = column
+        placed = qcore.apply_columns(rest, qcore.basis_projector(len(qubits))[:, [0]], [], qubits)  # rest at outcome 0
+        want = qcore.embed_operator(prep, qubits, n) @ placed
+        assert np.allclose(qcore.apply_columns(rest, column[:, None], [], qubits), want, rtol=0, atol=1e-12)
+    with pytest.raises(LayoutError):
+        qcore.outcome_slice(vec, qubits, 2 ** len(qubits))
+    with pytest.raises(LayoutError):
+        qcore.apply_columns(vec, np.ones((3, 1)), [], [0, 1])

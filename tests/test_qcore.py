@@ -30,12 +30,13 @@ from dqip.qcore import (
     fidelity,
     haar_state,
     outcome_weights,
-    project_outcome,
     projector_probability,
     trace_distance,
 )
-from dqip.protocol import ProverStrategy, _Exact
+from dqip.protocol import ProverStrategy, _Exact, _State
 from dqip.seeding import substream
+
+from zero_filled import project_outcome
 
 
 UNITARY_ATOL = 1e-10  # the tolerance the named gates are held to
@@ -336,7 +337,8 @@ def test_outcome_weights_are_the_squared_norms_of_the_projected_outcomes():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_low_qubit_outcome_weights_match_the_projected_norms(n):
-    # Targets below SPAN_QUBITS sum runs of the float view; in order, reversed
+    # Targets below SPAN_QUBITS sum runs of the float view on vectors longer
+    # than SPAN_RUN (n >= 9 here), the squares otherwise; in order, reversed
     # and non-adjacent, and one target above the span on the transposing path.
     rng = substream(n, "test.low-outcome-weights")
     span = min(n, qcore.SPAN_QUBITS)
@@ -351,9 +353,47 @@ def test_low_qubit_outcome_weights_match_the_projected_norms(n):
         outcome_weights(vec, [n])
 
 
+def _columns_oracle(vec, matrix, sources, targets):
+    """``apply_columns`` by its definition, one output entry at a time."""
+    n = vec.size.bit_length() - 1
+    size = n - len(sources) + len(targets)
+    rest_in = [q for q in range(n) if q not in sources]
+    rest_out = [q for q in range(size) if q not in targets]
+    out = np.zeros(2**size, dtype=complex)
+    for i in range(2**size):
+        row = sum((i >> q & 1) << j for j, q in enumerate(targets))
+        rest = sum((i >> q & 1) << k for k, q in enumerate(rest_out))
+        for c in range(2 ** len(sources)):
+            index = sum((rest >> k & 1) << q for k, q in enumerate(rest_in))
+            index |= sum((c >> j & 1) << q for j, q in enumerate(sources))
+            out[i] += matrix[row, c] * vec[index]
+    return out
+
+
+def test_apply_columns_matches_its_definition():
+    # Random sources and targets in any order, dense and sparse matrices,
+    # no sources (a preparation or a placement) and no targets (a contraction).
+    rng = substream(29, "test.apply-columns")
+    for _ in range(60):
+        n = int(rng.integers(0, 6))
+        sources = [int(q) for q in rng.permutation(n)[: int(rng.integers(0, min(3, n) + 1))]]
+        size = n - len(sources) + int(rng.integers(0, 3))
+        targets = [int(q) for q in rng.permutation(size)[: size - (n - len(sources))]]
+        matrix = rng.standard_normal((2 ** len(targets), 2 ** len(sources))) + 0j
+        matrix[rng.random(matrix.shape) < 0.5] = 0
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        got = qcore.apply_columns(vec, matrix, sources, targets)
+        assert got.shape == (2**size,) and got.flags.c_contiguous
+        assert np.allclose(got, _columns_oracle(vec, matrix, sources, targets), rtol=0, atol=1e-12), (sources, targets)
+    with pytest.raises(LayoutError):
+        qcore.apply_columns(np.ones(4), np.ones((2, 2)), [0], [0, 1])
+
+
 def _prover_apply(vec, op, targets):
     """The exact walk's application of the prover gate ``op`` to ``targets`` of ``vec``."""
-    return _Exact().prover(vec, ProverStrategy("gate", lambda turn_index, view: op), 1, {}, list(targets))
+    n = vec.size.bit_length() - 1
+    state = _State(vec, tuple(range(n)), 0, n)
+    return _Exact().prover(state, ProverStrategy("gate", lambda turn_index, view: op), 1, {}, list(targets)).vec
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -16,6 +16,7 @@ from dqip import protocol
 from dqip.dqct import build_pdqct, make_instance
 from dqip.ghz import GhzProtocolParams, all_zero_cheat, build_pghz
 from dqip.network import allocate_layout, path_graph
+from dqip.qcore import H, acceptance_rotation
 from dqip.protocol import (
     CoinFlip,
     Measurement,
@@ -29,13 +30,13 @@ from dqip.protocol import (
     _joint,
     _norm2,
     _Sample,
+    conditional_step,
     execute_exact,
     execute_sampled,
     first_qubit_zero_accept,
     static_step,
     wilson_interval,
 )
-from dqip.qcore import outcome_weights
 from dqip.seeding import substream
 
 from specs import fair_coin_spec, identity_for, random_clean_spec
@@ -51,8 +52,8 @@ class _PerTrial(_Exact):
     def coin(self, n):
         return [int(self.rng.integers(n))]
 
-    def outcomes(self, vec, parts):
-        table, outcome = np.clip(outcome_weights(vec, _joint(parts)), 0.0, None), 0
+    def outcomes(self, state, parts):
+        table, outcome = np.clip(state.weights(_joint(parts)), 0.0, None), 0
         for qubits in parts:
             table = table.reshape(2 ** len(qubits), -1)
             probs = table.sum(axis=1)
@@ -60,9 +61,11 @@ class _PerTrial(_Exact):
             table, outcome = table[digit], outcome << len(qubits) | digit
         return [outcome]
 
-    def check(self, hit, miss):
-        p_hit, p_miss = _norm2(hit), _norm2(miss)
-        return [0 if self.rng.random() < p_hit / (p_hit + p_miss) else 1]
+    def check(self, state, projector, qubits):
+        hit, miss = self.split(state, projector, qubits)
+        p_hit, p_miss = _norm2(hit.vec), _norm2(miss.vec)
+        i = 0 if self.rng.random() < p_hit / (p_hit + p_miss) else 1
+        return [(i, (hit, miss)[i])]
 
 
 def reference_run(spec, prover, trials, seed):
@@ -198,3 +201,47 @@ def test_a_trial_whose_draw_reads_no_mass_rejects_as_the_exact_run_reads_zero(po
     assert walks == 2  # one per coin value; a history that reads no mass is stored as a zero leaf
     assert sorted(key for key, node in policy.memo.items() if node[0] == "leaf") == [(0,), (1,)]
     assert all(node[1] == [0.0, 0.0, 0.0] for node in policy.memo.values() if node[0] == "leaf")
+
+
+def check_after_coin_spec() -> ProtocolSpec:
+    """Node 0 flips r and turns V:0[0] by an r-dependent rotation, checks it against |0>, and
+    in the verification measures V:0[1] after a Hadamard: a check between a coin and a fork,
+    so a trial can replay the check and then draw an outcome no earlier trial reached."""
+    graph = path_graph(2)
+    layout = allocate_layout(graph, node_private=2)
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    turns = {(r,): (acceptance_rotation(c), ["V:0[0]"]) for r, c in ((0, 0.3), (1, 0.8))}
+    turn = VerifierTurn(
+        coins=(CoinFlip("r", 2, owner=0),),
+        steps=(conditional_step(0, ["r"], turns),),
+        checks=(ProjectiveCheck("c", (0,), lambda view: (zero, ["V:0[0]"])),),
+    )
+    verification = VerificationPhase(
+        steps=(static_step(0, H, ["V:0[1]"]),),
+        measurements=(Measurement("m", 0, lambda view: ["V:0[1]"]),),
+        accepts=tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2)),
+    )
+    return ProtocolSpec("check-after-coin", graph, layout, (turn,), verification)
+
+
+def test_a_replayed_check_builds_only_the_child_it_takes(monkeypatch):
+    # A trial that replays its choices up to a fork no earlier trial drew
+    # walks them again; at the check it builds only the child it took.  A
+    # check drawn afresh builds both, to read their norms, once per memo entry.
+    spec = check_after_coin_spec()
+    strategy = identity_for(spec)
+    want, want_rng, histories = reference_run(spec, strategy, 40, 5)
+    built = []
+    split = _Exact.split
+
+    def counted(self, state, projector, qubits, kept=(0, 1)):
+        children = split(self, state, projector, qubits, kept)
+        built.append(len(children))
+        return children
+
+    monkeypatch.setattr(_Exact, "split", counted)
+    got, got_rng, policy, walks = memoised_run(spec, strategy, 40, 5, monkeypatch)
+    assert got == want and got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert walks == len(histories)
+    drawn = sum(node[0] == "check" for node in policy.memo.values())
+    assert built.count(2) == drawn and built.count(1) == walks - drawn > 0 and len(built) == walks

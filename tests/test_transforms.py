@@ -188,23 +188,29 @@ IDENTITY_SOURCES = {
 def test_identity_operators_apply_as_nothing(coin_guess, source, monkeypatch):
     # The dam's identity Merlin gate, pad's idle prover gate and the halvings'
     # idle node units and their adjoints are identities: the walk gets its
-    # input vector back, and the op builds no table.
+    # input state back (the same amplitudes, free qubits and fixed bits, so an
+    # identity on fixed qubits frees none), and the op builds no table.
     build, (gates, units) = IDENTITY_SOURCES[source]
     compiled = build(coin_guess["yes"])
-    applied = []
-    apply = qcore.StructuredOp.apply
+    applied, ops = [], []
+    apply, cached = protocol._State.apply, qcore.StructuredOp.cached
 
-    def recording(op, vec):
-        applied.append((op, vec, apply(op, vec)))
-        return applied[-1][2]
+    def recording(state, op, matrix, qubits):
+        applied.append((matrix, qubits, state, apply(state, op, matrix, qubits)))
+        return applied[-1][3]
 
-    monkeypatch.setattr(qcore.StructuredOp, "apply", recording)
+    def kept(cache, matrix, targets):
+        ops.append(cached(cache, matrix, targets))
+        return ops[-1]
+
+    monkeypatch.setattr(protocol._State, "apply", recording)
+    monkeypatch.setattr(qcore.StructuredOp, "cached", kept)
     execute_exact(compiled.spec, compiled.honest)
-    identities = [(op, vec, out) for op, vec, out in applied if np.array_equal(op.matrix, np.eye(len(op.matrix)))]
-    assert all(op.kind == "identity" and out is vec and op._table is None for op, vec, out in identities)
-    assert sum(op.kind == "identity" for op, _, _ in applied) == len(identities)
+    identities = [(qubits, state, out) for matrix, qubits, state, out in applied if np.array_equal(matrix, np.eye(len(matrix)))]
+    assert all(out.vec is state.vec and (out.free, out.bits) == (state.free, state.bits) for _, state, out in identities)
+    assert all(op._table is None and np.array_equal(op.matrix, np.eye(len(op.matrix))) for op in ops if op.kind == "identity")
     prover = set(compiled.spec.layout.expand(_prover_regs(compiled.spec)))
-    kinds = Counter("gate" if set(op.targets) <= prover else "unit" for op, _, _ in identities)
+    kinds = Counter("gate" if set(qubits) <= prover else "unit" for qubits, _, _ in identities)
     assert (kinds["gate"], kinds["unit"]) == (gates, units)
 
 
