@@ -20,6 +20,7 @@ from dqip.ghz import GhzProtocolParams, build_pghz
 from dqip.network import allocate_layout, path_graph
 from dqip.protocol import (
     Measurement,
+    ProjectiveCheck,
     ProtocolSpec,
     VerificationPhase,
     VerifierTurn,
@@ -75,20 +76,23 @@ def _perfect_completeness():
     return compiled.spec, compiled.honest
 
 
-def fixed_at_one_spec():
-    """Node 0 measures V:0 after a Hadamard; node 1 flips its fresh V:1 to |1> and measures it in
-    the verification; both accept on |0>: accept reads and a weight table on qubits fixed at 1."""
+def fixed_qubits_spec():
+    """Node 0 measures V:0[0] after a Hadamard; node 1 flips its fresh V:1[0] to |1>, checks its
+    fresh V:1[1] against |+> and measures V:1[0] in the verification; both accept on |0>: accept
+    reads and a weight table on a qubit fixed at 1, and a check that frees a fixed qubit."""
     graph = path_graph(2)
-    layout = allocate_layout(graph, node_private=1)
+    layout = allocate_layout(graph, node_private=2)
+    plus = np.full((2, 2), 0.5, dtype=complex)
     turn = VerifierTurn(
-        steps=(static_step(0, H, ["V:0"]), static_step(1, X, ["V:1"])),
-        measurements=(Measurement("m0", 0, lambda view: ["V:0"]),),
+        steps=(static_step(0, H, ["V:0[0]"]), static_step(1, X, ["V:1[0]"])),
+        measurements=(Measurement("m0", 0, lambda view: ["V:0[0]"]),),
+        checks=(ProjectiveCheck("c", (1,), lambda view: (plus, ["V:1[1]"])),),
     )
     verification = VerificationPhase(
-        measurements=(Measurement("m1", 1, lambda view: ["V:1"]),),
+        measurements=(Measurement("m1", 1, lambda view: ["V:1[0]"]),),
         accepts=tuple(first_qubit_zero_accept(u, f"V:{u}") for u in range(2)),
     )
-    return ProtocolSpec("fixed-at-one", graph, layout, (turn,), verification), None
+    return ProtocolSpec("fixed-qubits", graph, layout, (turn,), verification), None
 
 
 CASES = {
@@ -104,7 +108,7 @@ CASES = {
     "seven-to-five": lambda: _reduced(seven_to_five, 7),
     "halve-private": lambda: _reduced(halve_turns_private, 5),
     "perfect completeness": _perfect_completeness,
-    "fixed at one": fixed_at_one_spec,
+    "fixed qubits": fixed_qubits_spec,
 }
 
 
