@@ -10,7 +10,8 @@ two checkouts: the printed lines must be identical.
 The configs cover the ghz experiment (exact, sampled, the all-zero cheat,
 one prover qubit, and 16 qubits, whose branches hold slices of 2^16-entry
 states after the measurements), the closeness-test soundness probe at dqct seeds
-1400000-1400007, the sampled 17-qubit closeness test, exact closeness
+1400000-1400007 and, on 13 qubits with two copies (a wider see-saw trie), at
+seed 1400002, the sampled 17-qubit closeness test, exact closeness
 tests without prover qubits (a star delivery small enough to apply through
 its dense form) and on three nodes, the three compile pipelines of the
 benchmark and both halvings of coin-guess padded to 9 turns (more idle
@@ -47,6 +48,7 @@ CONFIGS = {
     "ghz-16": {"experiment": "ghz", "seed": 1, "params": {"nodes": 4, "copies": 3}},
     **{f"dqct-probe-{seed}": {"experiment": "dqct", "seed": seed, "params": PROBE}
        for seed in range(1_400_000, 1_400_008)},
+    "dqct-probe-copies-2": {"experiment": "dqct", "seed": 1_400_002, "params": {**PROBE, "copies": 2}},
     "dqct-sampled-17": {"experiment": "dqct", "seed": 1000, "mode": "sampled", "trials": 12,
                         "params": {"nodes": 2, "qubits_per_node": [3, 3], "states": "random", "prover_qubits": 0}},
     "dqct-exact-dense": {"experiment": "dqct", "seed": 5,

@@ -65,8 +65,12 @@ class DqctInstance:
 
 
 def make_instance(graph: NetworkGraph, qubits_per_node, kind: str, seed: int = 0) -> DqctInstance:
-    """Named generators: 'equal', 'orthogonal' or 'random'."""
+    """Named generators: 'equal', 'orthogonal' or 'random'.
+
+    The two inputs' bytes are checked against ``qcore.MAX_DENSE_BYTES`` before either is drawn.
+    """
     total = sum(qubits_per_node)
+    qcore.check_budget(2 * 16 * 2**total, f"a draw of the closeness-test inputs on {total} qubits each")
     rng = substream(seed, "dqct.instance", kind)
     psi = qcore.haar_state(total, rng)
     if kind == "equal":

@@ -38,9 +38,12 @@ On the exact and sampled walks a branch's state (:class:`_State`) holds
 amplitudes on its free qubits only; every other qubit carries a known basis
 bit, 0 until an operator first touches it, or its measured outcome.  So the
 initial state is the Kronecker product of the initial factors on their
-qubits, a measurement child is a copy of its outcome's slice, and outcome
-weights, accept reads (the fixed bits folded into the reduced density) and
-the output state read the slice.
+qubits and a measurement child is a copy of its outcome's slice.  One rule
+serves every read (outcome weights, the reduced density of exactly the
+accept qubits, the output state, a check's miss and the zero-filled
+vector): the fixed ones of the qubits read are placed at their bits first
+(:meth:`_State.placed`, which returns the state itself when none is fixed),
+and the read takes the slice.
 
 All three walks take each fixed operator (a step, a check projector, on
 the record walk an accept projector and an outcome's selector) as a
@@ -372,13 +375,6 @@ def _digits(outcome: int, parts: list[list[int]]) -> list[int]:
     return [int(digit) for digit in np.unravel_index(outcome, [2 ** len(qubits) for qubits in parts])]
 
 
-def _basis(k: int, index: int, dtype=np.float64) -> np.ndarray:
-    """Basis column ``index`` on ``k`` qubits, as a ``2^k x 1`` matrix."""
-    column = np.zeros((2**k, 1), dtype=dtype)
-    column[index] = 1.0
-    return column
-
-
 def _spread(positions: list[int], base: int) -> list[int]:
     """``base`` with each count ``0..2^len(positions) - 1`` spread onto ``positions``: bit ``k`` at ``positions[k]``."""
     return [base | sum((count >> k & 1) << j for k, j in enumerate(positions)) for count in range(2 ** len(positions))]
@@ -416,12 +412,17 @@ class _State:
             bits = bits & ~(1 << q) | (outcome >> j & 1) << q
         return bits
 
-    def placed(self, qubits: Sequence[int]) -> _State:
-        """Fixed ``qubits`` freed, the amplitudes placed at their bits."""
-        free = tuple(sorted(self.free + tuple(qubits)))
-        column = _basis(len(qubits), self.outcome(qubits), self.vec.dtype)
-        vec = apply_columns(self.vec, column, [], [free.index(q) for q in qubits])
-        return _State(vec, free, self._fixing(qubits, 0), self.n)
+    def placed(self, qubits: Iterable[int]) -> _State:
+        """The fixed ones of ``qubits`` freed, the amplitudes placed at their bits; the state itself
+        when none is fixed.  Every read that meets a fixed qubit goes through here."""
+        fixed = [q for q in qubits if q not in self.free]
+        if not fixed:
+            return self
+        free = tuple(sorted(self.free + tuple(fixed)))
+        column = np.zeros((2 ** len(fixed), 1), dtype=self.vec.dtype)
+        column[self.outcome(fixed)] = 1.0
+        vec = apply_columns(self.vec, column, [], [free.index(q) for q in fixed])
+        return _State(vec, free, self._fixing(fixed, 0), self.n)
 
     def apply(self, op: Callable[[np.ndarray, list[int]], StructuredOp], matrix: np.ndarray, qubits: list[int]):
         """``matrix`` applied to ``qubits``: through ``op(matrix, targets in the slice)`` when all are free,
@@ -457,30 +458,18 @@ class _State:
         return _State(vec, tuple(q for q in self.free if q not in targets), self._fixing(targets, outcome), self.n)
 
     def weights(self, targets: list[int]) -> np.ndarray:
-        """The squared norm on each outcome of ``targets``: the free ones' table, at the fixed ones' bits."""
-        free = [j for j, q in enumerate(targets) if q in self.free]
-        table = outcome_weights(self.vec, self.local([targets[j] for j in free]))
-        fixed = [j for j, q in enumerate(targets) if q not in self.free]
-        if not fixed:
-            return table
-        return apply_columns(table, _basis(len(fixed), self.outcome([targets[j] for j in fixed])), [], fixed)
+        """The squared norm on each outcome of ``targets``, read from the slice with them placed."""
+        state = self.placed(targets)
+        return outcome_weights(state.vec, state.local(targets))
 
     def density(self, qubits: Sequence[int]) -> np.ndarray:
-        """The (unnormalised) reduced density of ``qubits``, in ascending order, with the fixed ones' bits folded in."""
-        keep = sorted(qubits)
-        free = [i for i, q in enumerate(keep) if q in self.free]
-        rho = reduced_density_from_vec(self.vec, self.local([keep[i] for i in free]))
-        fixed = [i for i, q in enumerate(keep) if q not in self.free]
-        if not fixed:
-            return rho
-        # rho's entries as a vector on 2m qubits: bit i is column qubit keep[i], bit m + i its row qubit.
-        m, b = len(keep), self.outcome([keep[i] for i in fixed])
-        column = _basis(2 * len(fixed), b | b << len(fixed), rho.dtype)
-        return apply_columns(rho.reshape(-1), column, [], fixed + [m + i for i in fixed]).reshape(2**m, 2**m)
+        """The (unnormalised) reduced density of ``qubits``, in ascending order, read like :meth:`weights`."""
+        state = self.placed(qubits)
+        return reduced_density_from_vec(state.vec, state.local(qubits))
 
     def full(self) -> np.ndarray:
         """The zero-filled vector on all ``n`` qubits."""
-        return self.placed([q for q in range(self.n) if q not in self.free]).vec
+        return self.placed(range(self.n)).vec
 
 
 @dataclass
@@ -537,8 +526,7 @@ class _Exact:
     def split(self, state: _State, projector: np.ndarray, qubits: list[int], kept=(0, 1)) -> list[_State]:
         """The children of a two-outcome check in ``kept``: the hit (0) and the miss (1)."""
         hit = self.apply(state, projector, qubits)
-        if hit.free != state.free:  # the projector freed fixed qubits: the miss needs them too
-            state = state.placed([q for q in hit.free if q not in state.free])
+        state = state.placed(hit.free)  # the qubits the projector freed: the miss needs them too
         return [hit if i == 0 else _State(state.vec - hit.vec, hit.free, hit.bits, hit.n) for i in kept]
 
     def coin(self, n: int) -> Iterable[int]:
@@ -947,12 +935,10 @@ class _Executor:
     def acceptance(self, branch: _Branch, views: dict[int, dict], project: bool = False) -> tuple:
         """A leaf's squared norm ``tr(rho)``, joint and per-node accept masses ``tr(A^dag A rho)``
         before its weight, and with ``project`` its accept-projected state (``None`` if a
-        predicate fails), for ``rho`` the reduced density of the accept qubits (or low span),
-        read from the leaf's slice with the fixed bits folded in (:meth:`_State.density`)."""
+        predicate fails), for ``rho`` the reduced density of exactly the accept qubits, read
+        from the leaf's slice with the fixed ones placed (:meth:`_State.density`)."""
         ops, passed = self.accept_ops(branch, views)
         marginal = sorted({q for _, _, qubits in ops for q in qubits})
-        if marginal and marginal[-1] < qcore.SPAN_QUBITS:
-            marginal = list(range(marginal[-1] + 1))
         reads = {u: [op for op in ops if op[0] == u] for u in passed if passed[u]}
         if all(passed.values()):
             reads["all"] = ops
@@ -1177,22 +1163,18 @@ def collect_paths(spec: ProtocolSpec, strategy: ProverStrategy) -> tuple[list[Br
     The classical skeleton (transcripts, replies, ownership) is fixed by the
     strategy's reply functions; the record walk keeps every measurement
     outcome, so the recorded paths stay valid for any unitary assignment to
-    the blocks.  Returns the paths and the initial state as a full vector
-    (:func:`initial_vector`), which the see-saw replays them from.
+    the blocks.  Returns the paths of the leaves whose predicates pass and
+    the initial state as a full vector (:func:`initial_vector`), which the
+    see-saw replays them from.
     """
     executor = _Executor(spec, strategy, _Record())
-    return _paths(executor, executor.leaves()), initial_vector(spec)
-
-
-def _paths(executor: _Executor, leaves: Iterable) -> list[BranchPath]:
-    """The predicate-passing leaves of a record walk."""
     paths = []
-    for branch, views in leaves:
+    for branch, views in executor.leaves():
         ops, passed = executor.accept_ops(branch, views)
         if all(passed.values()):
             accept = [executor.policy.op(matrix, qubits) for _, matrix, qubits in ops]
             paths.append(BranchPath(branch.weight, _recorded(branch.state), accept))
-    return paths
+    return paths, initial_vector(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,13 @@ of M (from its SVD).  Every block update is an exact maximization, so the
 acceptance recorded after each sweep is non-decreasing; the result is a
 certified lower bound on the optimal cheating probability.
 
-The recorded branches are replayed by one walk, :func:`_forward`, over
-their shared-prefix trie (:class:`_Trie`): a sweep's forward half, each
+Both optimizers set up their replay one way: :class:`_Trie` records the
+spec's branches for a skeleton prover (gates left symbolic, replies from
+the honest strategy's reply function when there is one), checks that each
+block key keeps one set of qubits, sorts the blocks, merges the paths on
+their shared prefixes and, on first use, builds the adjoints of the fixed
+ops a sweep's backward half applies.  The recorded branches are replayed
+by one walk, :func:`_forward`, over that trie: a sweep's forward half, each
 restart's starting value and, once per basis message, the operator of the
 single-message optimum all go through it.
 """
@@ -24,7 +29,7 @@ single-message optimum all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -94,39 +99,38 @@ def _acceptance(paths: list[BranchPath], finals: list[np.ndarray]) -> float:
     return total
 
 
-def _block_table(paths: list[BranchPath]) -> dict:
-    """Block key -> qubit tuple, consistency-checked across branches."""
-    blocks: dict = {}
-    for path in paths:
-        for op in path.ops:
-            if isinstance(op, StructuredOp):
-                continue
-            key, qubits = op
-            if key in blocks and blocks[key] != qubits:
-                raise ValidationError("prover block appears with inconsistent targets")
-            blocks[key] = qubits
-    if not blocks:
-        raise ShapeError("spec has no prover turns to optimize")
-    return blocks
-
-
 class _Trie:
-    """The recorded paths merged on their shared prefixes, and a sweep's schedule.
+    """The paths a spec records for the skeleton prover, merged on their shared prefixes, and a sweep's schedule.
+
+    The skeleton prover leaves every gate symbolic and answers each
+    classical reply with ``reply_fn`` (:func:`~dqip.protocol.collect_paths`).
+    ``blocks`` maps each block key to its qubits, which must agree across
+    paths, sorted by turn and then view; ``order`` lists the blocks a sweep
+    updates, those of the turns not in ``frozen``.
 
     Node 0 stands for the initial state; node ``j > 0`` applies ``op[j]`` to
     the front of ``parent[j]``.  Children are keyed by op identity for fixed
     ops (paths through the same prefix hold the same op objects) and by
-    equality for ``(block key, qubits)`` pairs.  ``order`` lists the blocks a
-    sweep updates.  ``schedule[s]`` holds, in creation order, the nodes whose
-    nearest updated block at or above them is ``order[s - 1]`` (none for
-    ``s = 0``), so their fronts are computed right after that update.  A
-    front is kept while its node has children (``holds``) until the last of
-    them is computed (``releases`` marks it); ``peak_fronts`` is the most
-    fronts a sweep holds at once, counting the one being computed.
+    equality for ``(block key, qubits)`` pairs.  ``schedule[s]`` holds, in
+    creation order, the nodes whose nearest updated block at or above them
+    is ``order[s - 1]`` (none for ``s = 0``), so their fronts are computed
+    right after that update.  A front is kept while its node has children
+    (``holds``) until the last of them is computed (``releases`` marks it);
+    ``peak_fronts`` is the most fronts a sweep holds at once, counting the
+    one being computed.  :meth:`adjoint` builds the adjoints of the fixed
+    ops that a sweep's backward half applies.
     """
 
-    def __init__(self, paths: list[BranchPath], initial: np.ndarray, blocks: dict, order: list):
-        self.paths, self.initial, self.blocks, self.order = paths, initial, blocks, order
+    def __init__(self, spec: ProtocolSpec, reply_fn: Callable | None = None, frozen: tuple[int, ...] = ()):
+        paths, self.initial = collect_paths(spec, ProverStrategy("skeleton", lambda *_: None, reply_fn))
+        blocks: dict = {}
+        for op in (op for path in paths for op in path.ops if not isinstance(op, StructuredOp)):
+            if blocks.setdefault(*op) != op[1]:
+                raise ValidationError("prover block appears with inconsistent targets")
+        self.blocks = dict(sorted(blocks.items(), key=lambda item: (item[0][0], repr(item[0][1]))))
+        order = [key for key in self.blocks if key[0] not in frozen]
+        self.paths, self.order = paths, order
+        self._adjoints: dict = {}  # id(op) -> its adjoint; the paths hold each op, so no id is reused
         rank = {key: s + 1 for s, key in enumerate(order)}
         self.parent, self.op, stage = [-1], [None], [0]
         children: list[dict] = [{}]
@@ -170,6 +174,12 @@ class _Trie:
                 self.peak_fronts = max(self.peak_fronts, live + 1)
                 live += self.holds[node] - self.releases[node]
 
+    def adjoint(self, op: StructuredOp) -> StructuredOp:
+        """The conjugate transpose of a recorded fixed op, on the same targets, built on its first use."""
+        if id(op) not in self._adjoints:
+            self._adjoints[id(op)] = StructuredOp(np.ascontiguousarray(op.matrix.conj().T), op.targets)
+        return self._adjoints[id(op)]
+
 
 def _polar_maximizer(m: np.ndarray) -> np.ndarray:
     """Unitary U maximizing Re tr(U m): the polar factor from the SVD of m."""
@@ -209,22 +219,19 @@ def seesaw_optimize(
         f"seesaw[{spec.name}]", lambda turn_index, view: best_gates[block_key(turn_index, view)], reply_fn
     )
     trace = OptimizerTrace(best_acceptance=-1.0, best_strategy=best, best_gates=best_gates, restarts=config.restarts)
-    paths, initial = collect_paths(spec, ProverStrategy("skeleton", lambda *_: None, reply_fn))
+    trie = _Trie(spec, reply_fn, freeze_turns)
+    paths, blocks = trie.paths, trie.blocks
     if not paths:
         # Every branch fails a classical predicate: no unitary can help.
         trace.best_acceptance, trace.sweep_acceptance = 0.0, [[0.0]]
         return trace
-    blocks = _block_table(paths)
-    order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
-    update_order = [key for key in order if key[0] not in freeze_turns]
-    if not update_order:
+    if not trie.order:
         raise ShapeError("freeze_turns pinned every prover block")
-    trie = _Trie(paths, initial, blocks, update_order)
     # A sweep holds one witness or new final per path, a suffix per updated
     # block position and the live trie fronts.
     suffixes = sum(len(visits) for visits in trie.visits.values())
     check_budget(
-        (len(paths) + suffixes + trie.peak_fronts) * 16 * initial.size,
+        (len(paths) + suffixes + trie.peak_fronts) * 16 * trie.initial.size,
         f"see-saw of {spec.name!r} over {len(paths)} paths, {suffixes} block suffixes "
         f"and {trie.peak_fronts} trie fronts",
     )
@@ -236,7 +243,7 @@ def seesaw_optimize(
 
     def random_gates(restart: int) -> dict:
         gates = {}
-        for b, key in enumerate(order):
+        for b, key in enumerate(blocks):
             if key[0] in freeze_turns:
                 gates[key] = honest_gate(key)
                 continue
@@ -247,7 +254,7 @@ def seesaw_optimize(
 
     for restart in range(config.restarts):
         if restart == 0 and honest is not None:
-            gates = {key: honest_gate(key) for key in order}
+            gates = {key: honest_gate(key) for key in blocks}
         else:
             gates = random_gates(restart)
         finals = [None] * len(paths)
@@ -290,11 +297,11 @@ def _sweep(trie: _Trie, witnesses: list, gates: dict) -> None:
         if first == len(path.ops):
             continue
         for op in reversed(path.accept):
-            vec = op.adjoint().apply(vec)
+            vec = trie.adjoint(op).apply(vec)
         for pos in range(len(path.ops) - 1, first - 1, -1):
             op = path.ops[pos]
             if isinstance(op, StructuredOp):
-                vec = op.adjoint().apply(vec)
+                vec = trie.adjoint(op).apply(vec)
                 continue
             if op[0] in trie.visits:
                 suffixes[i, op[0]] = vec
@@ -361,24 +368,18 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
     if prover_turns[0].replies:
         raise ShapeError("exact_single_message_max does not support classical replies")
 
-    paths, initial = collect_paths(spec, ProverStrategy("skeleton", lambda *_: None))
-    turn = prover_turns[0]
-    regs = list(turn_field(turn.acts_on, {}))
-    qubits = spec.layout.expand(regs)
-    dim = 2 ** len(qubits)
+    trie = _Trie(spec)
+    paths = trie.paths
+    dim = 2 ** len(spec.layout.expand(list(turn_field(prover_turns[0].acts_on, {}))))
     if not paths:
         vec = np.zeros(dim, dtype=np.complex128)
         vec[0] = 1.0
         return 0.0, vec
-    blocks = _block_table(paths)
-    ((key, block_qubits),) = blocks.items()
-    if tuple(block_qubits) != tuple(qubits):
-        raise ShapeError("prover block targets disagree with the turn's registers")
 
     # Basis message i: the block's gate is a preparation mapping |0> to |i>.
-    trie = _Trie(paths, initial, blocks, [key])
+    (key,) = trie.order
     check_budget(
-        (dim * len(paths) + trie.peak_fronts) * 16 * initial.size,
+        (dim * len(paths) + trie.peak_fronts) * 16 * trie.initial.size,
         f"single-message optimum of {spec.name!r} over {dim} basis messages and {len(paths)} paths",
     )
     finals = [[None] * len(paths) for _ in range(dim)]

@@ -55,14 +55,15 @@ check what they will hold against ``MAX_DENSE_BYTES`` before they allocate
 (:func:`check_budget`), and the executor checks the states its deepest
 path holds against the same limit before it walks.
 
-The dense representation is practical up to roughly 22 qubits; layouts are
-capped well below that (see :mod:`dqip.network`).
+A layout holds at most 22 qubits (see :mod:`dqip.network`), and a
+schema-valid config can reach that width.  ``MAX_DENSE_BYTES`` bounds what
+a dense build, a walk, the see-saw and the closeness test's two inputs
+hold, each checked before it allocates.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -332,7 +333,6 @@ class StructuredOp:
         self._top = max(self.targets, default=-1)
         _check_targets(self.targets, self._top + 1, len(self.targets))  # duplicates and negatives
         self.matrix = mat
-        self._adjoint: StructuredOp | weakref.ref | None = None
         self._table: np.ndarray | None = None
         diag = np.diagonal(mat)
         nonzero = mat != 0
@@ -387,15 +387,6 @@ class StructuredOp:
             return plan.back(plan.front(np.arange(2**width))[source])
         diag = plan.back(np.broadcast_to(np.diagonal(self.matrix)[:, None], (plan.dim, 2**width // plan.dim)))
         return np.tile(diag, max(1, SPAN_RUN // diag.size))
-
-    def adjoint(self) -> "StructuredOp":
-        """The conjugate transpose on the same targets (of the same kind).  An op holds its
-        adjoint, which refers back weakly: a cycle would keep both for the cyclic collector."""
-        adjoint = self._adjoint() if isinstance(self._adjoint, weakref.ref) else self._adjoint
-        if adjoint is None:
-            adjoint = self._adjoint = StructuredOp(np.ascontiguousarray(self.matrix.conj().T), self.targets)
-            adjoint._adjoint = weakref.ref(self)
-        return adjoint
 
 
 class FactoredOp:

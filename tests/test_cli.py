@@ -402,41 +402,54 @@ def test_cli_stage_that_cannot_apply_is_a_config_error(tmp_path, capsys, protoco
     assert field in err["message"] and kind in err["message"]
 
 
+def _run_capped(tmp_path: Path, name: str, config: dict) -> tuple[subprocess.CompletedProcess, Path]:
+    """``dqip run`` of ``config`` in a subprocess with 3 GiB of address space, so a missing
+    check fails fast with a raw MemoryError instead of touching host memory."""
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+    config_path = tmp_path / f"{name}.json"
+    config_path.write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": SRC},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return proc, tmp_path / f"{name}.json"
+
+
 def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
     # Both configs pass the schema.  ghz nodes=5, copies=2 (15 qubits) runs:
     # its honest gate is factored, not a 16 GiB matrix.  dqct with four input
     # qubits per node and two copies needs 25 qubits and is refused before
-    # any state exists.  The runs get a few GiB of address space, so a
-    # missing check fails fast with a raw MemoryError instead of touching
-    # host memory.
-    resource = pytest.importorskip("resource")
-    limit = 3 * 2**30
-
-    def run(name: str, config: dict) -> tuple[subprocess.CompletedProcess, Path]:
-        config_path = tmp_path / f"{name}.json"
-        config_path.write_text(json.dumps(config))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": SRC},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-        return proc, tmp_path / f"{name}.json"
-
+    # any state exists.
     dqct = {"nodes": 2, "qubits_per_node": [4, 4], "states": "random", "copies": 2, "probe": True}
-    proc, _ = run("big-dqct", {"experiment": "dqct", "seed": 1, "params": dqct})
+    proc, _ = _run_capped(tmp_path, "big-dqct", {"experiment": "dqct", "seed": 1, "params": dqct})
     assert proc.returncode == 1, proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"] == "CapacityError"
     assert re.search(r"layout needs 25 qubits, above the ceiling of 22", err["message"])
 
-    proc, report_path = run("big-ghz", {"experiment": "ghz", "seed": 1, "params": {"nodes": 5, "copies": 2}})
+    config = {"experiment": "ghz", "seed": 1, "params": {"nodes": 5, "copies": 2}}
+    proc, report_path = _run_capped(tmp_path, "big-ghz", config)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(report_path.read_text())["results"]
     assert abs(results["run"]["acceptance_probability"] - 1.0) <= 1e-9
     assert abs(results["output_ghz_fidelity"] - 1.0) <= 1e-9
+
+
+def test_cli_oversized_closeness_inputs_are_a_typed_error(tmp_path):
+    # The schema caps no entry of qubits_per_node: two 31-qubit inputs would
+    # take 64 GiB, and are refused before either is drawn.
+    dqct = {"nodes": 2, "qubits_per_node": [30, 1], "states": "random"}
+    proc, _ = _run_capped(tmp_path, "huge-inputs", {"experiment": "dqct", "seed": 1, "params": dqct})
+    assert proc.returncode == 1, proc.stderr
+    assert "MemoryError" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "CapacityError"
+    assert "closeness-test inputs on 31 qubits each" in err["message"]
 
 
 def test_cli_repeated_pipeline_see_saw_runs_under_the_memory_cap(tmp_path):
@@ -445,8 +458,6 @@ def test_cli_repeated_pipeline_see_saw_runs_under_the_memory_cap(tmp_path):
     # vectors; every leaf of this no-instance fails its predicate, so the
     # see-saw holds none either.  Under a 3 GiB address-space cap the run must
     # finish or fail with a typed error, never with a raw MemoryError.
-    resource = pytest.importorskip("resource")
-    limit = 3 * 2**30
     config = {
         "experiment": "compile-pipeline",
         "seed": 1,
@@ -457,19 +468,10 @@ def test_cli_repeated_pipeline_see_saw_runs_under_the_memory_cap(tmp_path):
             "pipeline": [{"transform": "parallel-repeat", "t": 2, "repeat_mode": "majority"}],
         },
     }
-    config_path = tmp_path / "repeat.json"
-    config_path.write_text(json.dumps(config))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": SRC},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc, report_path = _run_capped(tmp_path, "repeat", config)
     assert proc.returncode == 0, proc.stderr
     assert "MemoryError" not in proc.stderr
-    results = json.loads((tmp_path / "out" / "repeat.json").read_text())["results"]
+    results = json.loads(report_path.read_text())["results"]
     assert results["seesaw_best"] == 0.0 and results["seesaw_sweeps"] == [[0.0]]
     assert [stage["turns"] for stage in results["stages"]] == [3, 3]
 

@@ -67,6 +67,16 @@ def test_instance_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_inputs_over_the_dense_budget_are_refused_before_the_draw(monkeypatch):
+    # Two 10-qubit inputs hold 2 * 16 * 2^10 bytes: one byte less refuses them.
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 2 * 16 * 2**10 - 1)
+    with pytest.raises(CapacityError, match="closeness-test inputs on 10 qubits each") as err:
+        make_instance(G2, (5, 5), "random", seed=1)
+    assert err.value.requested == 2 * 16 * 2**10
+    monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 2 * 16 * 2**10)
+    assert make_instance(G2, (5, 5), "random", seed=1).total_qubits == 10
+
+
 def test_closeness_bound_formula():
     eps = 0.01
     assert abs(closeness_bound(0.5, eps) - (1.0 + eps)) <= 1e-12

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from dqip.prover import (
     exact_single_message_max,
     seesaw_optimize,
 )
-from dqip.protocol import collect_paths, execute_exact
+from dqip.protocol import ProverTurn, ReplySlot, VerifierTurn, collect_paths, execute_exact
 from dqip.transforms import halve_turns_shared
 
 from specs import prover_blind_spec, random_clean_spec
@@ -49,6 +50,25 @@ def test_single_message_shape_errors():
     spec, _ = random_clean_spec(0)  # two prover turns
     with pytest.raises(ShapeError):
         exact_single_message_max(spec)
+
+
+@pytest.mark.parametrize("change", ["replies", "second"])
+def test_single_message_refuses_a_turn_with_replies_or_after_a_verifier_turn(change):
+    spec = coin_check_spec([E0, PLUS])
+    if change == "replies":
+        turns = (replace(spec.turns[0], replies=(ReplySlot("guess", 2, (0,)),)), *spec.turns[1:])
+    else:
+        turns = (VerifierTurn(), *spec.turns)
+    with pytest.raises(ShapeError, match="exact_single_message_max"):
+        exact_single_message_max(replace(spec, turns=turns))
+
+
+def test_seesaw_refuses_to_freeze_every_prover_turn():
+    spec, honest = random_clean_spec(0)
+    prover_turns = tuple(i for i, turn in enumerate(spec.turns, 1) if isinstance(turn, ProverTurn))
+    assert len(prover_turns) == 2
+    with pytest.raises(ShapeError, match="pinned every prover block"):
+        seesaw_optimize(spec, OptimizerConfig(restarts=1, sweeps=1), honest=honest, freeze_turns=prover_turns)
 
 
 def test_seesaw_flat_on_prover_independent_spec():

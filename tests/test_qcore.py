@@ -1,8 +1,6 @@
-import gc
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +151,11 @@ def _random_matrices(rng, k):
     }
 
 
+def _adjoint(op: StructuredOp) -> StructuredOp:
+    """The op of ``op``'s conjugate transpose on the same targets."""
+    return StructuredOp(np.ascontiguousarray(op.matrix.conj().T), op.targets)
+
+
 def test_planned_kernel_and_structured_ops_match_embedded_operator():
     rng = substream(13, "test.kernel-oracle")
     for _ in range(60):
@@ -167,26 +170,11 @@ def test_planned_kernel_and_structured_ops_match_embedded_operator():
                 (apply_matrix_vec(vec, mat, targets), expected),
                 (op.apply(vec), expected),
                 (op.apply(vec), expected),  # served from the per-size cache
-                (op.adjoint().apply(vec), expected_adj),
+                (_adjoint(op).apply(vec), expected_adj),
             ):
                 assert got.shape == (2**n,) and got.flags.c_contiguous
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
-            assert op.adjoint().kind == op.kind and op.adjoint().adjoint() is op
-
-
-def test_an_op_and_its_adjoint_form_no_reference_cycle():
-    # The op holds its adjoint and the adjoint refers back weakly, so the pair
-    # (and its prepared tables) is freed without the cyclic collector.
-    gc.disable()
-    try:
-        op = StructuredOp(H, [0])
-        adjoint = op.adjoint()
-        assert adjoint.adjoint() is op and op.adjoint() is adjoint
-        alive = weakref.ref(adjoint)
-        del op, adjoint
-        assert alive() is None
-    finally:
-        gc.enable()
+            assert _adjoint(op).kind == op.kind
 
 
 def _embedded_product(mat, targets, n, vec):
@@ -288,7 +276,7 @@ def test_span_forms_and_their_adjoints_match_embedded_operator(n):
         vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         for mat in _random_matrices(rng, len(targets)).values():
             op = StructuredOp(mat, targets)
-            for applied, matrix in ((op, mat), (op.adjoint(), mat.conj().T)):
+            for applied, matrix in ((op, mat), (_adjoint(op), mat.conj().T)):
                 got, kind = applied.apply(vec), applied.kind  # an identity permutation is an identity
                 table = applied._table
                 assert (None if table is None else table.shape) == _table_shape(targets, kind), (name, kind)
@@ -309,7 +297,7 @@ def test_one_op_of_each_kind_serves_every_state_size(targets):
     mats = {**_random_matrices(rng, len(targets)), "identity": np.eye(2 ** len(targets), dtype=complex)}
     for kind, mat in mats.items():
         op = StructuredOp(mat, targets)
-        for applied, matrix in ((op, mat), (op.adjoint(), mat.conj().T)):
+        for applied, matrix in ((op, mat), (_adjoint(op), mat.conj().T)):
             assert applied.kind == kind
             tables = set()
             for n in (max(targets) + 1, max(targets) + 2, max(targets) + 3):

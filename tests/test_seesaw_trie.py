@@ -9,6 +9,10 @@ equal sweep histories (starting values included), equal best gates and
 equal single-message optima, compared with ``==``.
 """
 
+import functools
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from dqip import prover, qcore
 from dqip.corpus import coin_check_spec, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.dqct import build_pdqct, make_instance
-from dqip.errors import CapacityError
+from dqip.errors import CapacityError, ValidationError
 from dqip.ghz import GhzProtocolParams
 from dqip.network import allocate_layout, build_network, path_graph
 from dqip.protocol import (
@@ -26,7 +30,6 @@ from dqip.protocol import (
     ProverTurn,
     VerificationPhase,
     VerifierTurn,
-    collect_paths,
     conditional_step,
     first_qubit_zero_accept,
     static_step,
@@ -62,16 +65,17 @@ def per_path_sweep(trie, witnesses, gates) -> None:
     """One sweep that replays each path on its own, with the trie's inputs."""
     paths, initial, order, blocks = trie.paths, trie.initial, trie.order, trie.blocks
     adjoints = {key: np.ascontiguousarray(gate.conj().T) for key, gate in gates.items()}
+    adjoint = functools.cache(lambda op: StructuredOp(np.ascontiguousarray(op.matrix.conj().T), op.targets))
     suffixes = []
     for path, a in zip(paths, witnesses):
         vec = a
         for op in reversed(path.accept):
-            vec = op.adjoint().apply(vec)
+            vec = adjoint(op).apply(vec)
         suffix = {}
         for pos in range(len(path.ops) - 1, -1, -1):
             op = path.ops[pos]
             if isinstance(op, StructuredOp):
-                vec = op.adjoint().apply(vec)
+                vec = adjoint(op).apply(vec)
             else:
                 suffix[pos] = vec
                 vec = _step(vec, op, adjoints)
@@ -132,10 +136,8 @@ def test_trie_sweep_matches_per_path_on_random_specs(monkeypatch, seed, coin):
 def test_evaluating_walk_matches_per_path_replay(seed, coin):
     # Without suffixes the walk leaves the gates alone and only fills ``finals``.
     spec, honest = random_clean_spec(seed, coin=coin)
-    paths, initial = collect_paths(spec, honest)
-    blocks = prover._block_table(paths)
-    order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
-    trie = prover._Trie(paths, initial, blocks, order)
+    trie = prover._Trie(spec, honest.reply_fn)
+    paths, initial, blocks = trie.paths, trie.initial, trie.blocks
     rng = substream(seed, "tests.evaluating_walk")
     gates = {key: qcore.haar_matrix(len(qubits), rng, "test gate") for key, qubits in blocks.items()}
     before = {key: gate.copy() for key, gate in gates.items()}
@@ -170,10 +172,8 @@ def test_trie_sweep_matches_per_path_on_private_halving(monkeypatch, which):
     halved = halve_turns_private(
         padded.spec, padded.honest, completeness=float(entry.completeness), soundness=float(entry.soundness)
     )
-    paths, _ = collect_paths(halved.spec, ProverStrategy("skeleton", lambda *_: None, halved.honest.reply))
-    blocks = prover._block_table(paths)
-    trie = prover._Trie(paths, None, blocks, sorted(blocks, key=lambda key: (key[0], repr(key[1]))))
-    assert len(trie.parent) - 1 < sum(len(path.ops) for path in paths)  # prefixes are shared
+    trie = prover._Trie(halved.spec, halved.honest.reply)
+    assert len(trie.parent) - 1 < sum(len(path.ops) for path in trie.paths)  # prefixes are shared
     config = OptimizerConfig(restarts=2, sweeps=8, seed=5)
     assert_same_as_per_path(monkeypatch, halved.spec, config, honest=halved.honest)
 
@@ -217,17 +217,26 @@ def private_outcome_spec():
 
 def test_trie_sweep_sums_one_block_over_two_trie_nodes_in_path_order(monkeypatch):
     spec, honest = private_outcome_spec()
-    paths, initial = collect_paths(spec, honest)
-    blocks = prover._block_table(paths)
-    order = sorted(blocks, key=lambda key: (key[0], repr(key[1])))
-    trie = prover._Trie(paths, initial, blocks, order)
-    assert len(paths) == 4 and [key[0] for key in order] == [1, 3]
+    trie = prover._Trie(spec, honest.reply_fn)
+    order = trie.order
+    assert len(trie.paths) == 4 and [key[0] for key in order] == [1, 3]
     # One block key on two trie nodes; its block matrix sums the four paths
     # in path order, not node by node.
     late = trie.visits[order[1]]
     assert [i for i, _ in late] == [0, 1, 2, 3]
     assert late[0][1] == late[1][1] != late[2][1] == late[3][1]
     assert_same_as_per_path(monkeypatch, spec, OptimizerConfig(restarts=3, sweeps=25, seed=2), honest=honest)
+
+
+def test_a_block_whose_registers_change_for_one_view_is_refused():
+    # Turn 3 meets the same prover view on both outcomes of the private
+    # measurement; an acts_on that answers differently the second time gives
+    # one block key two qubit orders.
+    spec, honest = private_outcome_spec()
+    answers = itertools.cycle([["P", "M:0"], ["M:0", "P"]])
+    turn3 = replace(spec.turns[2], acts_on=lambda view: next(answers))
+    with pytest.raises(ValidationError, match="inconsistent targets"):
+        seesaw_optimize(replace(spec, turns=(*spec.turns[:2], turn3)), OptimizerConfig(restarts=1), honest=honest)
 
 
 E0, E1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)

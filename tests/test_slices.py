@@ -26,6 +26,7 @@ from dqip.protocol import (
     VerifierTurn,
     _Executor,
     _Sample,
+    _State,
     execute_exact,
     first_qubit_zero_accept,
     static_step,
@@ -205,3 +206,44 @@ def test_the_16_qubit_ghz_run_peaks_below_five_states():
         tracemalloc.stop()
     assert abs(report.acceptance_probability - 1.0) <= 1e-9
     assert peak < 5 * 16 * 2**spec.layout.total_qubits, peak / (16 * 2**spec.layout.total_qubits)
+
+
+def _filled_by_index(state):
+    """``state`` as a zero-filled vector, each amplitude put at its index by bit arithmetic."""
+    full = np.zeros(2**state.n, dtype=complex)
+    base = state.bits & ~sum(1 << q for q in state.free)
+    for i, amplitude in enumerate(state.vec):
+        full[base | sum((i >> j & 1) << q for j, q in enumerate(state.free))] = amplitude
+    return full
+
+
+def _bits_of(index, qubits):
+    """Each entry of ``index`` read at ``qubits``: bit ``j`` is qubit ``qubits[j]``."""
+    return sum((index >> q & 1) << j for j, q in enumerate(qubits))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reads_place_the_fixed_qubits_they_meet(seed):
+    # Random slices on 3-8 qubits, read on targets that mix free and fixed
+    # qubits, against the same reads of the zero-filled vector.
+    rng = substream(seed, "tests.slice-reads")
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        free = tuple(sorted(int(q) for q in rng.choice(n, int(rng.integers(1, n)), replace=False)))
+        fixed = [q for q in range(n) if q not in free]
+        bits = sum(int(rng.integers(2)) << q for q in fixed)
+        vec = rng.standard_normal(2 ** len(free)) + 1j * rng.standard_normal(2 ** len(free))
+        state = _State(vec, free, bits, n)
+        full, index = _filled_by_index(state), np.arange(2**n)
+        assert _close(state.full(), full)
+        picked = [int(rng.choice(free)), int(rng.choice(fixed))]
+        others = [q for q in range(n) if q not in picked]
+        extra = [int(q) for q in rng.choice(others, int(rng.integers(0, n - 1)), replace=False)]
+        targets = [int(q) for q in rng.permutation(picked + extra)]
+        weights = np.bincount(_bits_of(index, targets), abs(full) ** 2, minlength=2 ** len(targets))
+        assert _close(state.weights(targets), weights), (n, free, targets)
+        keep = sorted(targets)
+        rest = [q for q in range(n) if q not in keep]
+        block = np.zeros((2 ** len(keep), 2 ** len(rest)), dtype=complex)
+        block[_bits_of(index, keep), _bits_of(index, rest)] = full
+        assert _close(state.density(targets), block @ block.conj().T), (n, free, targets)
