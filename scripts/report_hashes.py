@@ -7,9 +7,11 @@ two checkouts: the printed lines must be identical.
     python scripts/report_hashes.py                       # this checkout's src/
     python scripts/report_hashes.py --src OTHER/src       # another checkout's
 
-The configs cover the ghz experiment (exact, sampled, the all-zero cheat,
-one prover qubit, and 16 qubits, whose branches hold slices of 2^16-entry
-states after the measurements), the closeness-test soundness probe at dqct seeds
+The configs cover the ghz experiment (exact; sampled with the honest
+prover, which accepts every trial, and with the all-zero cheat, whose
+accept count moves with any change of the sampler's draws; the all-zero
+cheat exact, one prover qubit, and 16 qubits, whose branches hold slices of
+2^16-entry states after the measurements), the closeness-test soundness probe at dqct seeds
 1400000-1400007 and, on 13 qubits with two copies (a wider see-saw trie), at
 seed 1400002, the sampled 17-qubit closeness test, exact closeness
 tests without prover qubits (a star delivery small enough to apply through
@@ -43,6 +45,8 @@ CONFIGS = {
     "ghz-exact": {"experiment": "ghz", "seed": 1, "params": {"nodes": 4, "copies": 2}},
     "ghz-sampled": {"experiment": "ghz", "seed": 2, "mode": "sampled", "trials": 200,
                     "params": {"nodes": 3, "copies": 2}},
+    "ghz-sampled-all-zero": {"experiment": "ghz", "seed": 2, "mode": "sampled", "trials": 200,
+                             "params": {"nodes": 3, "copies": 2, "strategy": "all-zero"}},
     "ghz-all-zero": {"experiment": "ghz", "seed": 3, "params": {"nodes": 3, "copies": 1, "strategy": "all-zero"}},
     "ghz-prover-qubit": {"experiment": "ghz", "seed": 4, "params": {"nodes": 3, "copies": 1, "prover_qubits": 1}},
     "ghz-16": {"experiment": "ghz", "seed": 1, "params": {"nodes": 4, "copies": 3}},

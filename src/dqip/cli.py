@@ -27,7 +27,7 @@ import jsonschema
 from . import qcore
 from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
 from .dam import catalog_entry, catalog_names, toy_protocols
-from .dqct import build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
+from .dqct import _swap_test_layout, build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
 from .errors import ConfigError, DqipError, ShapeError, ValidationError
 from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity
 from .network import build_network, path_graph
@@ -161,8 +161,10 @@ def _experiment_dqct(config: dict) -> dict:
         )
     if not sum(qubits):
         raise ConfigError("config field qubits_per_node: no node holds an input qubit", fields=["qubits_per_node"])
+    ghz_params = _ghz_params(config)
+    _swap_test_layout(graph, qubits, build_pghz(graph, ghz_params).spec.layout)  # refuse a wide one before the draw
     instance = make_instance(graph, qubits, params["states"], seed=config["seed"])
-    compiled = build_pdqct(instance, _ghz_params(config))
+    compiled = build_pdqct(instance, ghz_params)
     report = _run_or_sample(compiled.spec, compiled.honest, config)
     acc = report.acceptance_probability
     results = {

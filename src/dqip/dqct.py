@@ -21,7 +21,7 @@ import numpy as np
 from . import qcore
 from .errors import ValidationError
 from .ghz import GhzProtocolParams, build_pghz, copy_reg, read_tests
-from .network import LEADER, NetworkGraph, extend_layout
+from .network import LEADER, NetworkGraph, RegisterLayout, extend_layout
 from .prover import OptimizerConfig, seesaw_optimize
 from .protocol import ProverStrategy, Step
 from .seeding import substream
@@ -97,6 +97,14 @@ def _controlled_slice_swap(width: int) -> np.ndarray:
     return qcore.controlled(np.eye(len(swap), dtype=np.complex128), swap)
 
 
+def _swap_test_layout(graph: NetworkGraph, qubits_per_node, ghz_layout) -> RegisterLayout:
+    """pGHZ's registers, then the SWAP test's: the leader's ancilla B2 and each node's two input
+    slices (none for a node that holds no input qubit).  Refused above the qubit ceiling."""
+    extras = [("B2", 1, LEADER)]
+    extras += [(in_reg(side, u), width, u) for u, width in enumerate(qubits_per_node) for side in (1, 2)]
+    return extend_layout(graph, ghz_layout, extras)
+
+
 def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compiled:
     """The closeness test: :func:`~dqip.ghz.build_pghz` plus the SWAP test.
 
@@ -118,13 +126,8 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     # pGHZ's output, the untested copy at every node, is the control register B.
     control_regs = ghz.spec.output_registers
 
-    # pGHZ's registers, then the SWAP test's.
     held = [u for u in range(n) if instance.qubits_per_node[u]]
-    extras = [("B2", 1, LEADER)]
-    for u in held:
-        extras.append((in_reg(1, u), instance.qubits_per_node[u], u))
-        extras.append((in_reg(2, u), instance.qubits_per_node[u], u))
-    layout = extend_layout(graph, ghz.spec.layout, extras)
+    layout = _swap_test_layout(graph, instance.qubits_per_node, ghz.spec.layout)
 
     def b_reg(u: int, view: Mapping) -> str:
         return copy_reg(read_tests(u, view)[1], u)

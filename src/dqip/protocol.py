@@ -24,11 +24,11 @@ which children are kept:
   weight is above ``PRUNE_TOL``; measurement children stay unnormalized
   (their squared norms carry the Born weights), and acceptance sums
   ``weight * tr(A^dag A rho) * predicate`` over leaves (:meth:`_Executor.acceptance`);
-* sample (:func:`execute_sampled`): one child, drawn with its probability and
-  not renormalized, so a trial is a one-branch walk whose draws divide by
-  the squared norm that the marginal they read already holds; the draws are
-  memoised on the choices drawn before them, so a trial that repeats a
-  classical history redraws it without a walk (see :class:`_Sample`);
+* sample (:func:`execute_sampled`): a branch's weight is its number of
+  trials, and a fork deals them over its children by one multinomial draw
+  on their Born probabilities; only the children dealt a trial are kept,
+  none is renormalized, and each draw divides by the squared norm that the
+  marginal it reads already holds (see :class:`_Sample`);
 * record (:func:`collect_paths`): every child, with the fixed operators
   and the symbolic prover gates logged instead of any amplitudes, as the
   :class:`BranchPath` list that the see-saw and the exact single-message
@@ -264,9 +264,9 @@ class ProverStrategy:
     or a :class:`~dqip.qcore.FactoredOp` over them (callers that need the
     matrix use :func:`~dqip.qcore.dense_matrix`).  ``reply_fn(slot_name,
     view)`` returns a reply.  ``view`` is the prover's view; both functions
-    must be pure, as the sampled walk's memo and :func:`block_key` assume,
-    and a gate is returned as the same object for the same arguments, as
-    the walks' op cache (:meth:`~dqip.qcore.StructuredOp.cached`) assumes.
+    must be pure, as :func:`block_key` assumes, and a gate is returned as the
+    same object for the same arguments, as the walks' op cache
+    (:meth:`~dqip.qcore.StructuredOp.cached`) assumes.
     The see-saw's best strategy looks its gates up by :func:`block_key`
     (:attr:`~dqip.prover.OptimizerTrace.best_gates`).
     """
@@ -476,7 +476,9 @@ class _State:
 class _Branch:
     """One classical branch: weight, state, transcript and each actor's view of it.
 
-    ``state`` is a :class:`_State`, or on the record walk the chain of
+    ``weight`` is the branch's probability weight on the exact and record
+    walks, and on the sampled walk the number of trials it holds.  ``state``
+    is a :class:`_State`, or on the record walk the chain of
     recorded operators (see :class:`_Record`).  ``views`` maps the prover and
     every node to the variables it has seen, in the order they were set.
     States and view dicts are shared between branches and never modified: a
@@ -493,10 +495,13 @@ class _Branch:
 
 
 class _Exact:
-    """Keep every child whose weight is above ``PRUNE_TOL``; coins keep every value.
+    """Keep every child whose mass is above ``PRUNE_TOL``; coins keep every value.
 
-    Children stay unnormalised: a coin value divides the branch weight by its
-    number of values, and an outcome keeps its slice of the state.
+    A fork method takes the branch's weight and returns each kept child
+    with its weight.  Children stay unnormalised: a coin value divides the
+    branch weight by its number of values, and an outcome or a check's
+    child keeps the branch weight and its slice of the state, whose squared
+    norm carries its Born weight.
     """
 
     records = False
@@ -523,123 +528,52 @@ class _Exact:
     def project(self, state: _State, parts: list[list[int]], outcome: int) -> _State:
         return state.measured(_joint(parts), outcome)
 
-    def split(self, state: _State, projector: np.ndarray, qubits: list[int], kept=(0, 1)) -> list[_State]:
-        """The children of a two-outcome check in ``kept``: the hit (0) and the miss (1)."""
+    def _keep(self, masses: np.ndarray, weight: float) -> list[tuple[int, float]]:
+        """The ``(index, weight)`` of each child whose mass is above ``PRUNE_TOL``: the branch ``weight``."""
+        return [(int(i), weight) for i in np.flatnonzero(masses > PRUNE_TOL)]
+
+    def coin(self, n: int, weight: float) -> list[tuple[int, float]]:
+        return [(value, weight / n) for value in range(n)]
+
+    def outcomes(self, state: _State, parts: list[list[int]], weight: float) -> list[tuple[int, float]]:
+        """Kept joint outcomes from one weight pass; each part's marginal holds at least the joint weight."""
+        return self._keep(state.weights(_joint(parts)), weight)
+
+    def check(self, state: _State, projector: np.ndarray, qubits: list[int], weight: float) -> list[tuple]:
+        """The kept ``(index, child, weight)`` of a check, hit (0) then miss (1)."""
         hit = self.apply(state, projector, qubits)
         state = state.placed(hit.free)  # the qubits the projector freed: the miss needs them too
-        return [hit if i == 0 else _State(state.vec - hit.vec, hit.free, hit.bits, hit.n) for i in kept]
-
-    def coin(self, n: int) -> Iterable[int]:
-        return range(n)
-
-    def outcomes(self, state: _State, parts: list[list[int]]) -> Iterable[int]:
-        """Kept joint outcomes: one weight pass, and each part's marginal holds at least the joint weight."""
-        return np.flatnonzero(state.weights(_joint(parts)) > PRUNE_TOL)
-
-    def check(self, state: _State, projector: np.ndarray, qubits: list[int]) -> list[tuple[int, _State]]:
-        """The kept ``(index, child)`` pairs of a check, hit (0) then miss (1)."""
-        children = enumerate(self.split(state, projector, qubits))
-        return [(i, child) for i, child in children if _norm2(child.vec) > PRUNE_TOL]
+        children = [hit, _State(state.vec - hit.vec, hit.free, hit.bits, hit.n)]
+        masses = np.array([_norm2(child.vec) for child in children])
+        return [(i, children[i], kept) for i, kept in self._keep(masses, weight)]
 
 
 class _Sample(_Exact):
-    """Keep one child, drawn with its Born probability and not renormalised: each draw
-    divides by the squared norm that the marginal it reads holds, so no pass is spent on it.
-    A fork whose draw reads no mass (at most ``PRUNE_TOL``) keeps no child.
+    """Deal a branch's trials over its children: its weight is its number of trials.
 
-    After :meth:`redraw`, a walk also memoises its draws.  ``memo`` maps the
-    choices drawn so far in a trial to what comes next: a fork's draw input
-    (``("coin", n)``, ``("outcome", table, widths)`` or ``("check", p_hit,
-    p_miss)``, see :func:`_draw`) or a leaf's accept probabilities
-    (``("leaf", accepts)``).  :meth:`redraw` replays a trial's draws from it,
-    and the walk of a history no earlier trial reached is handed the choices
-    already drawn (no second draw, and a check builds only the child taken)
-    before it draws and stores the rest.  The memo holds no states; its
-    weight tables may hold at most ``room`` bytes, and past that it stores
-    nothing new.
+    A fork splits them by one multinomial draw on the children's masses
+    (uniform for a coin, the joint weight table for a group of
+    measurements, the two squared norms for a check), divided by their sum:
+    the squared norm that the marginal holds, so no pass renormalises.  Only
+    the children dealt a trial are kept, with their counts as weights, and
+    a fork whose masses sum to at most ``PRUNE_TOL`` keeps none.  Dealing N
+    independent trials down the tree this way draws their leaves as N
+    independent one-branch walks would.
     """
 
-    def __init__(self, rng: np.random.Generator, room: int = 0):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
         self.rng = rng
-        self.memo: dict[tuple, tuple] = {}
-        self.room = room
-        self.path: list[int] | None = None  # this trial's choices, once redraw has started it
-        self.at = 0  # forks this trial's walk has passed; the path's first ones were drawn by redraw
 
-    def redraw(self) -> list[float] | None:
-        """Start a trial: draw from the memo while it knows the next fork; the stored
-        leaf's accept probabilities if one is reached, else ``None`` (walk it)."""
-        self.path, self.at = [], 0
-        node = self.memo.get(())
-        while node is not None and node[0] != "leaf":
-            self.path.append(_draw(self.rng, node))
-            node = self.memo.get(tuple(self.path))
-        return None if node is None else node[1]
+    def _keep(self, masses: np.ndarray, weight: int) -> list[tuple[int, int]]:
+        total = masses.sum()
+        if total <= PRUNE_TOL:
+            return []
+        counts = self.rng.multinomial(weight, masses / total)
+        return [(int(i), int(counts[i])) for i in np.flatnonzero(counts)]
 
-    def store(self, node: tuple, nbytes: int = 0) -> None:
-        """Keep ``node`` under the trial's choices so far, if its ``nbytes`` fit the room."""
-        if self.path is not None and nbytes <= self.room:
-            self.room -= nbytes
-            self.memo[tuple(self.path)] = node
-
-    def _replaying(self) -> bool:
-        return self.path is not None and self.at < len(self.path)
-
-    def _choose(self, node: Callable[[], tuple], mass: Callable[[tuple], float] = lambda node: 1.0) -> list[int]:
-        """The walk's choice at a fork: the redrawn one while the trial's path lasts,
-        else drawn from ``node()`` (none if it reads no mass) and stored."""
-        if self._replaying():
-            choice = self.path[self.at]
-        else:
-            node = node()
-            if mass(node) <= PRUNE_TOL:
-                return []
-            self.store(node, node[1].nbytes if node[0] == "outcome" else 0)
-            choice = _draw(self.rng, node)
-            if self.path is not None:
-                self.path.append(choice)
-        self.at += 1
-        return [choice]
-
-    def coin(self, n: int) -> Iterable[int]:
-        return self._choose(lambda: ("coin", n))
-
-    def outcomes(self, state: _State, parts: list[list[int]]) -> Iterable[int]:
-        """One joint outcome, drawn part by part from the marginals of one weight table."""
-
-        def table():
-            return "outcome", np.clip(state.weights(_joint(parts)), 0.0, None), [len(q) for q in parts]
-
-        return self._choose(table, lambda node: node[1].sum())
-
-    def check(self, state: _State, projector: np.ndarray, qubits: list[int]) -> list[tuple[int, _State]]:
-        """One child: a replayed choice builds only that one, a new draw reads both norms."""
-        if self._replaying():
-            (i,) = self._choose(None)  # a replayed choice reads no draw input
-            return [(i, *self.split(state, projector, qubits, (i,)))]
-        children = self.split(state, projector, qubits)
-
-        def norms():
-            return "check", *(_norm2(child.vec) for child in children)
-
-        return [(i, children[i]) for i in self._choose(norms, lambda node: node[1] + node[2])]
-
-
-def _draw(rng: np.random.Generator, node: tuple) -> int:
-    """One choice drawn from a fork's input: a coin value, a joint outcome drawn part by
-    part from the marginals of its weight table, or a check's hit (0) or miss (1)."""
-    if node[0] == "coin":
-        return int(rng.integers(node[1]))
-    if node[0] == "check":
-        return 0 if rng.random() < node[1] / (node[1] + node[2]) else 1
-    table, outcome = node[1], 0
-    for width in node[2]:
-        table = table.reshape(2**width, -1)
-        probs = table.sum(axis=1)
-        digit = int(rng.choice(len(probs), p=probs / probs.sum()))
-        table, outcome = table[digit], outcome << width | digit
-    return outcome
+    def coin(self, n: int, weight: int) -> list[tuple[int, int]]:
+        return self._keep(np.ones(n), weight)
 
 
 class _Record(_Exact):
@@ -672,14 +606,14 @@ class _Record(_Exact):
             chain = self.apply(chain, self._selector(len(qubits), digit), qubits)
         return chain
 
-    def outcomes(self, chain, parts: list[list[int]]) -> Iterable[int]:
-        return range(2 ** sum(map(len, parts)))
+    def outcomes(self, chain, parts: list[list[int]], weight: float) -> list[tuple[int, float]]:
+        return [(outcome, weight) for outcome in range(2 ** sum(map(len, parts)))]
 
-    def check(self, chain, projector: np.ndarray, qubits: list[int]) -> list[tuple[int, object]]:
+    def check(self, chain, projector: np.ndarray, qubits: list[int], weight: float) -> list[tuple]:
         if id(projector) not in self._misses:
             self._misses[id(projector)] = (projector, np.eye(len(projector)) - projector)
         miss = self._misses[id(projector)][1]
-        return [(0, self.apply(chain, projector, qubits)), (1, self.apply(chain, miss, qubits))]
+        return [(0, self.apply(chain, projector, qubits), weight), (1, self.apply(chain, miss, qubits), weight)]
 
 
 def _recorded(chain) -> list:
@@ -775,12 +709,13 @@ class _Executor:
 
     # -- the walk -------------------------------------------------------------
 
-    def leaves(self) -> Iterator[tuple[_Branch, dict[int, dict]]]:
-        """Every kept leaf, one at a time, with its nodes' verification views."""
+    def leaves(self, weight: float = 1.0) -> Iterator[tuple[_Branch, dict[int, dict]]]:
+        """Every kept leaf, one at a time, with its nodes' verification views; the root holds
+        ``weight`` (on the sampled walk, the number of trials)."""
         if not self.policy.records:
             self.check_budget()
         owner = {name: self.layout.owner(name) for name in self.layout.names()}
-        branch = _Branch(1.0, self.initial, {}, dict.fromkeys(_all_actors(self.graph), {}), owner)
+        branch = _Branch(weight, self.initial, {}, dict.fromkeys(_all_actors(self.graph), {}), owner)
         for leaf in self._walk(branch, 0):
             yield leaf, self._verification_views(leaf)
             del leaf
@@ -796,13 +731,14 @@ class _Executor:
                 return
         yield branch
 
-    def _fork(self, branch: _Branch, values: list[list[tuple]], states: Iterable, weight: float):
-        """The children of ``branch``, one at a time, one per list of ``(name, value, visible)``.
+    def _fork(self, branch: _Branch, values: list[list[tuple]], states: Iterable, weights: list[float]):
+        """The children of ``branch``, one at a time, one per list of ``(name, value, visible)``
+        with its weight in ``weights``.
 
         ``states`` builds each child's state when it is reached; the last
         one releases the parent's.
         """
-        for k, assigned in enumerate(values):
+        for k, (assigned, weight) in enumerate(zip(values, weights)):
             child = _Branch(weight, next(states), dict(branch.values), dict(branch.views), dict(branch.owner))
             if k == len(values) - 1:
                 branch.state = None
@@ -864,10 +800,10 @@ class _Executor:
             raise ProtocolError(f"{label}: operator on {regs}: {err}") from err
 
     def _flip_coin(self, branch: _Branch, coin: CoinFlip, label: str):
-        values = list(self.policy.coin(coin.num_values))
+        kept = self.policy.coin(coin.num_values, branch.weight)
         visible = _all_actors(self.graph) if coin.owner is None else [PROVER, coin.owner]
-        weight = branch.weight / coin.num_values
-        return self._fork(branch, [[(coin.name, v, visible)] for v in values], (branch.state for _ in values), weight)
+        values = [[(coin.name, v, visible)] for v, _ in kept]
+        return self._fork(branch, values, (branch.state for _ in kept), [weight for _, weight in kept])
 
     def _measure(self, branch: _Branch, group: list[Measurement], label: str):
         """One fork on the joint outcome of a group, each member resolved from its node's view
@@ -881,10 +817,10 @@ class _Executor:
                 parts.append(self.layout.expand(regs))
         if not members:
             return None
-        outcomes = [int(outcome) for outcome in self.policy.outcomes(branch.state, parts)]
-        states = (self.policy.project(branch.state, parts, outcome) for outcome in outcomes)
-        values = [[(name, d, visible) for (name, visible), d in zip(members, _digits(o, parts))] for o in outcomes]
-        return self._fork(branch, values, states, branch.weight)
+        kept = self.policy.outcomes(branch.state, parts, branch.weight)
+        states = (self.policy.project(branch.state, parts, outcome) for outcome, _ in kept)
+        values = [[(name, d, visible) for (name, visible), d in zip(members, _digits(o, parts))] for o, _ in kept]
+        return self._fork(branch, values, states, [weight for _, weight in kept])
 
     def _projective_check(self, branch: _Branch, check: ProjectiveCheck, label: str):
         if len(check.nodes) > 1 and not self.spec.allow_node_exchange:
@@ -894,17 +830,17 @@ class _Executor:
             return None
         projector, regs = resolved
         self._check_ownership(branch, check.nodes, regs, label, "the checking nodes")
-        qubits = self.layout.expand(regs)
+        qubits, projector = self.layout.expand(regs), np.asarray(projector, dtype=np.complex128)
         try:
-            children = self.policy.check(branch.state, np.asarray(projector, dtype=np.complex128), qubits)
+            children = self.policy.check(branch.state, projector, qubits, branch.weight)
         except LayoutError as err:
             raise ProtocolError(f"{label}: check {check.name!r} on {regs}: {err}") from err
         branch.state = None  # the kept children replace it
-        kept = [i for i, _ in children]
-        pending = [child for _, child in children]  # popped when reached: nothing else holds a child's first state
+        values = [[(check.name, 1 - i, check.nodes)] for i, _, _ in children]
+        weights = [weight for _, _, weight in children]
+        pending = [child for _, child, _ in children]  # popped when reached: nothing else holds a child's first state
         del children
-        states = (pending.pop(0) for _ in kept)
-        return self._fork(branch, [[(check.name, 1 - i, check.nodes)] for i in kept], states, branch.weight)
+        return self._fork(branch, values, (pending.pop(0) for _ in weights), weights)
 
     # -- verification ---------------------------------------------------------
 
@@ -1081,35 +1017,31 @@ def execute_exact(spec: ProtocolSpec, prover: ProverStrategy, collect_output: bo
 
 
 def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, seed: int) -> RunReport:
-    """Monte-Carlo execution: one sampled history per trial, accepts counted.
+    """Monte-Carlo execution: ``trials`` sampled histories, accepts counted.
 
-    Each trial draws the joint accept, then each node's accept, from the
-    same sampled leaf; a trial whose draw reads no mass rejects for all.
-    Trials that repeat a classical history are redrawn from the memo of
-    :class:`_Sample` with the same draws in the same order, so only a new
-    history costs a walk, and the report equals that of one walk per trial.
-    This relies on the strategy and the resolvers being pure functions of
-    the views, as the exact walk and :func:`block_key` already do.
+    The trials walk down one branch tree: the root holds all of them, and
+    each fork deals its branch's trials over the children by one multinomial
+    draw (see :class:`_Sample`), which draws the leaves as ``trials``
+    independent one-branch walks would.  A leaf holding ``k`` trials adds
+    ``Binomial(k, p)`` joint accepts and ``Binomial(k, p_u)`` accepts of
+    each node ``u``, for its accept probabilities ``p`` and ``p_u``; trials
+    dealt to a fork or a leaf that reads no mass reject for all.  Every draw
+    comes from one generator seeded by ``seed`` and the spec's name, so the
+    report is a function of them.
     """
     if trials < 1:
         raise ValidationError("execute_sampled needs at least one trial")
     rng = substream(seed, "protocol.execute_sampled", spec.name)
-    policy = _Sample(rng, room=16 * 2**spec.layout.total_qubits)  # the tables may take one state's bytes
-    executor = _Executor(spec, prover, policy)
+    executor = _Executor(spec, prover, _Sample(rng))
     successes = 0
     node_hits = {u: 0 for u in range(spec.graph.node_count)}
-    for _ in range(trials):
-        accepts = policy.redraw()
-        if accepts is None:
-            accepts = [0.0] * (1 + len(node_hits))  # the walk keeps no leaf if a draw reads no mass
-            for branch, views in executor.leaves():
-                total, p_all, per_node, _ = executor.acceptance(branch, views)
-                if total > PRUNE_TOL:
-                    accepts = [min(max(p / total, 0.0), 1.0) for p in (p_all, *per_node.values())]
-            policy.store(("leaf", accepts))
-        successes += rng.random() < accepts[0]
-        for u, p_u in zip(node_hits, accepts[1:]):
-            node_hits[u] += rng.random() < p_u
+    for branch, views in executor.leaves(trials):
+        total, p_all, per_node, _ = executor.acceptance(branch, views)
+        if total <= PRUNE_TOL:
+            continue
+        successes += int(rng.binomial(branch.weight, min(max(p_all / total, 0.0), 1.0)))
+        for u, p_u in per_node.items():
+            node_hits[u] += int(rng.binomial(branch.weight, min(max(p_u / total, 0.0), 1.0)))
     return RunReport(
         acceptance_probability=successes / trials,
         mode="sampled",

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import dqip
+from dqip import qcore
 from dqip.cli import main, run_experiment, validate_config
-from dqip.errors import ConfigError
+from dqip.errors import CapacityError, ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(dqip.__file__).parents[1])  # put on the PYTHONPATH of every subprocess that imports dqip
@@ -442,14 +443,25 @@ def test_cli_oversized_dense_gate_is_a_typed_error(tmp_path):
 
 def test_cli_oversized_closeness_inputs_are_a_typed_error(tmp_path):
     # The schema caps no entry of qubits_per_node: two 31-qubit inputs would
-    # take 64 GiB, and are refused before either is drawn.
+    # take 64 GiB, and their 69-qubit layout is refused before either is drawn.
     dqct = {"nodes": 2, "qubits_per_node": [30, 1], "states": "random"}
     proc, _ = _run_capped(tmp_path, "huge-inputs", {"experiment": "dqct", "seed": 1, "params": dqct})
     assert proc.returncode == 1, proc.stderr
     assert "MemoryError" not in proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"] == "CapacityError"
-    assert "closeness-test inputs on 31 qubits each" in err["message"]
+    assert "layout needs 69 qubits, above the ceiling of 22" in err["message"]
+
+
+def test_cli_closeness_layout_above_the_ceiling_is_refused_before_the_inputs_are_drawn(tmp_path, monkeypatch):
+    # Two 12-qubit inputs take 512 MiB, within the byte budget, but their
+    # layout needs 55 qubits: the run is refused with no input drawn.
+    drawn = []
+    monkeypatch.setattr(qcore, "haar_state", lambda *args: drawn.append(args))
+    dqct = {"nodes": 2, "qubits_per_node": [12, 12], "states": "random"}
+    with pytest.raises(CapacityError, match="layout needs 55 qubits, above the ceiling of 22"):
+        run_config({"experiment": "dqct", "seed": 1, "params": dqct}, tmp_path)
+    assert drawn == []
 
 
 def test_cli_repeated_pipeline_see_saw_runs_under_the_memory_cap(tmp_path):

@@ -4,8 +4,8 @@ A run of consecutive measurements by distinct nodes forks once over its joint
 outcome.  ``per_measurement`` walks such a group as the executor did before:
 one fork per member, each from the state its predecessor left, through the
 policy's calls for a single measured part.  Both walks must give equal leaves
-(transcripts, weights, states by ``==``), equal recorded paths and equal
-sampled draws.
+(transcripts, weights, states by ``==``) and equal recorded paths, and
+their sampled walks must deal trials at the same leaf probabilities.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from dqip.protocol import (
     VerificationPhase,
     VerifierTurn,
     _Executor,
+    _norm2,
     _Record,
     _recorded,
     _Sample,
@@ -50,10 +51,11 @@ def per_measurement(executor, branch, group, label):
             return
         executor._check_ownership(branch, (m.node,), regs, label)
         parts = [executor.layout.expand(regs)]
-        outcomes = [int(outcome) for outcome in executor.policy.outcomes(branch.state, parts)]
-        states = (executor.policy.project(branch.state, parts, outcome) for outcome in outcomes)
+        kept = executor.policy.outcomes(branch.state, parts, branch.weight)
+        states = (executor.policy.project(branch.state, parts, outcome) for outcome, _ in kept)
         visible = [m.node, PROVER] if m.to_prover else [m.node]
-        for child in executor._fork(branch, [[(m.name, o, visible)] for o in outcomes], states, branch.weight):
+        values = [[(m.name, o, visible)] for o, _ in kept]
+        for child in executor._fork(branch, values, states, [weight for _, weight in kept]):
             yield from forks(child, members[1:])
 
     return forks(branch, list(group))
@@ -161,15 +163,25 @@ def test_grouped_record_walk_records_one_selector_per_member(case):
 
 
 @pytest.mark.parametrize("case", ["ghz n=3 N=2", "closeness 17 qubits", "twice measured"])
-def test_grouped_sampled_walk_draws_as_one_fork_per_measurement(case):
+def test_grouped_sampled_walk_deals_as_one_fork_per_measurement(case):
+    # The group deals its trials by one multinomial draw over the joint
+    # outcome, the oracle by one per member; both must reach every leaf at
+    # its exact probability, within 5 sigma, and lose no trial.
+    trials = 20_000
     for spec, strategy in CASES[case]():
-        grouped = _Executor(spec, strategy, _Sample(substream(5, "tests.grouped-draws")))
-        reference = oracle(_Executor(spec, strategy, _Sample(substream(5, "tests.grouped-draws"))))
-        for _ in range(20):
-            ((got, _),) = grouped.leaves()
-            ((want, _),) = reference.leaves()
-            assert got.values == want.values and same_state(got.state, want.state)
-        assert grouped.policy.rng.random() == reference.policy.rng.random()  # as many draws, in order
+        exact: dict = {}
+        for branch, _ in _Executor(spec, strategy).leaves():
+            key = tuple(sorted(branch.values.items()))
+            exact[key] = exact.get(key, 0.0) + branch.weight * _norm2(branch.state.vec)
+        for executor in (
+            _Executor(spec, strategy, _Sample(substream(5, "tests.grouped-draws"))),
+            oracle(_Executor(spec, strategy, _Sample(substream(6, "tests.grouped-draws")))),
+        ):
+            counts = {tuple(sorted(branch.values.items())): branch.weight for branch, _ in executor.leaves(trials)}
+            assert sum(counts.values()) == trials, spec.name
+            for key in set(exact) | set(counts):
+                p = exact.get(key, 0.0)
+                assert abs(counts.get(key, 0) - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)), (key, p)
 
 
 def test_a_nodes_second_measurement_in_a_turn_forks_again_and_reads_the_first():

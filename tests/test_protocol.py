@@ -131,16 +131,20 @@ def test_turn_alternation_enforced():
 
 
 def test_exact_and_sampled_agree_on_random_specs():
-    hits = 0
-    total = 100
-    for seed in range(total):
+    # Each spec's sampled rate, as a z-score against its exact value: none
+    # beyond 5, and their mean within 0.5 of 0 (its s.d. over 100 unbiased
+    # specs is 0.1), which a bias of the sampler shifts where a count of
+    # covering intervals would not see it.  A certain value is matched exactly.
+    trials, scores = 600, []
+    for seed in range(100):
         spec, prover = random_clean_spec(seed, coin=(seed % 3 == 0))
         exact = execute_exact(spec, prover).acceptance_probability
-        sampled = execute_sampled(spec, prover, trials=600, seed=3000 + seed)
-        lo, hi = sampled.wilson_interval
-        if lo - 1e-12 <= exact <= hi + 1e-12:
-            hits += 1
-    assert hits >= 95
+        sampled = execute_sampled(spec, prover, trials=trials, seed=3000 + seed).acceptance_probability
+        if min(exact, 1 - exact) <= 1e-12:
+            assert sampled == round(exact), (seed, exact, sampled)
+            continue
+        scores.append((sampled - exact) / np.sqrt(exact * (1 - exact) / trials))
+    assert max(map(abs, scores)) <= 5 and abs(np.mean(scores)) <= 0.5, (max(map(abs, scores)), np.mean(scores))
 
 
 def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, ProverStrategy]:
@@ -179,30 +183,6 @@ def measure_and_check_spec(seed: int) -> tuple[ProtocolSpec, ProverStrategy]:
     # The turn-3 gate depends on the measured outcome and the coin the prover saw.
     gates.update({(m, r): qcore.haar_matrix(3, rng, "test gate") for m in range(2) for r in range(2)})
     return spec, ProverStrategy("haar", lambda t, view: gates[1] if t == 1 else gates[view["m0"], view["r"]])
-
-
-def test_sampled_leaves_follow_the_exact_leaf_weights():
-    # The sample policy keeps one child per event; over many walks each leaf
-    # transcript must turn up at its exact Born weight, within 5 sigma.
-    walks = 2000
-    cases = [random_clean_spec(5, coin=True), measure_and_check_spec(0), measure_and_check_spec(1)]
-    for case, (spec, prover) in enumerate(cases):
-        exact = {}
-        for branch, _ in _Executor(spec, prover).leaves():
-            key = tuple(sorted(branch.values.items()))
-            exact[key] = exact.get(key, 0.0) + branch.weight * float(np.vdot(branch.state.vec, branch.state.vec).real)
-        assert abs(sum(exact.values()) - 1.0) <= 1e-12
-        assert len(exact) >= (2 if case == 0 else 8)
-        sampler = _Executor(spec, prover, _Sample(substream(case, "test.sampled-leaves")))
-        counts: dict = {}
-        for _ in range(walks):
-            ((branch, _),) = sampler.leaves()
-            key = tuple(sorted(branch.values.items()))
-            counts[key] = counts.get(key, 0) + 1
-        for key in set(exact) | set(counts):
-            p = exact.get(key, 0.0)
-            sigma = np.sqrt(walks * p * (1 - p))
-            assert abs(counts.get(key, 0) - walks * p) <= 5 * sigma, (spec.name, key, counts.get(key, 0), walks * p)
 
 
 def check_after_measurement_spec() -> ProtocolSpec:
@@ -244,23 +224,22 @@ def test_sampled_checks_after_a_measurement_divide_by_the_unnormalised_norm():
         exact[key] = branch.weight * float(np.vdot(branch.state.vec, branch.state.vec).real)
     want = {(m, c, 1): (0.3 if m == 0 else 0.7) * (0.6 if c == 1 else 0.4) for m in (0, 1) for c in (0, 1)}
     assert exact.keys() == want.keys() and all(abs(exact[k] - want[k]) <= 1e-12 for k in want)
-    walks = 2000
+    trials = 2000
     sampler = _Executor(spec, prover, _Sample(substream(3, "test.check-after-measurement")))
     counts: dict = {}
-    for _ in range(walks):
-        ((branch, _),) = sampler.leaves()
-        key = (branch.values["m0"], branch.values["c1"], branch.values["c0"])
-        counts[key] = counts.get(key, 0) + 1
-    assert set(counts) <= set(want)  # c0 never misses
+    for branch, _ in sampler.leaves(trials):
+        counts[branch.values["m0"], branch.values["c1"], branch.values["c0"]] = branch.weight
+    assert set(counts) <= set(want) and sum(counts.values()) == trials  # c0 never misses
     for key, p in want.items():
-        assert abs(counts.get(key, 0) - walks * p) <= 5 * np.sqrt(walks * p * (1 - p)), (key, counts)
+        assert abs(counts.get(key, 0) - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)), (key, counts)
 
 
-@pytest.mark.parametrize("seed, accepted, node_accepted", [(1, 6, {0: 6, 1: 12}), (7, 9, {0: 2, 1: 12})])
+@pytest.mark.parametrize("seed, accepted, node_accepted", [(1, 7, {0: 8, 1: 12}), (7, 6, {0: 6, 1: 12})])
 def test_sampled_closeness_test_on_17_qubits_keeps_its_draws(seed, accepted, node_accepted):
-    # The benchmark's sampled config.  These are the counts the walk drew when
-    # it renormalised every child and applied each accept projector to the
-    # leaf: taking every probability from a marginal changes no draw.
+    # The benchmark's sampled config: the counts of the walk that deals the
+    # trials down the branch tree, pinned so that any change of draws shows.
+    # Node 1 accepts with certainty; the joint and node 0's accepts are
+    # drawn apart, from the same probability (0.501 at seed 1, 0.514 at seed 7).
     from dqip.dqct import build_pdqct, make_instance
     from dqip.ghz import GhzProtocolParams
 
