@@ -17,6 +17,17 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+# glibc keeps freed blocks below 32 MiB (M_MMAP_THRESHOLD, -3, its maximum) and a
+# heap top up to 64 MiB (M_TRIM_THRESHOLD, -1), so the walks' 1-2 MiB slices reuse
+# pages; either alone would leave the other at 128 KiB.  The environment wins.
+if os.name == "posix" and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & os.environ.keys():
+    import ctypes
+
+    _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc's, where it is there
+    if _mallopt is not None:
+        _mallopt(-3, 32 << 20)
+        _mallopt(-1, 64 << 20)
+
 __version__ = "0.1.0"
 
 from .network import NetworkGraph, RegisterLayout, build_network  # noqa: F401

@@ -29,7 +29,7 @@ from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
 from .dam import catalog_entry, catalog_names, toy_protocols
 from .dqct import _swap_test_layout, build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
 from .errors import ConfigError, DqipError, ShapeError, ValidationError
-from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity
+from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity, pghz_layout
 from .network import build_network, path_graph
 from .prover import OptimizerConfig, seesaw_optimize
 from .protocol import execute_exact, execute_sampled
@@ -162,7 +162,7 @@ def _experiment_dqct(config: dict) -> dict:
     if not sum(qubits):
         raise ConfigError("config field qubits_per_node: no node holds an input qubit", fields=["qubits_per_node"])
     ghz_params = _ghz_params(config)
-    _swap_test_layout(graph, qubits, build_pghz(graph, ghz_params).spec.layout)  # refuse a wide one before the draw
+    _swap_test_layout(graph, qubits, pghz_layout(graph, ghz_params))  # refuse a wide one before the draw
     instance = make_instance(graph, qubits, params["states"], seed=config["seed"])
     compiled = build_pdqct(instance, ghz_params)
     report = _run_or_sample(compiled.spec, compiled.honest, config)

@@ -12,6 +12,7 @@ acceptance of 1 - 1/z certifies trace distance at most sqrt(2/z) + epsilon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from math import sqrt
 from typing import Mapping
@@ -90,11 +91,18 @@ def in_reg(side: int, u: int) -> str:
     return f"in{side}:{u}"
 
 
+@functools.cache
 def _controlled_slice_swap(width: int) -> np.ndarray:
-    """Controlled qubit-wise SWAP of two width-qubit slices (control first)."""
+    """Controlled qubit-wise SWAP of two width-qubit slices (control first), read-only."""
     what = f"controlled swap of two {width}-qubit slices"
     swap = qcore.circuit_matrix(2 * width, [(qcore.SWAP, [j, width + j]) for j in range(width)], what)
-    return qcore.controlled(np.eye(len(swap), dtype=np.complex128), swap)
+    return qcore.read_only(qcore.controlled(np.eye(len(swap), dtype=np.complex128), swap))
+
+
+@functools.cache
+def _swap_test_finish() -> np.ndarray:
+    """The SWAP-test finish on (control, B2): a CNOT from B2 back onto the control, then H on B2."""
+    return qcore.read_only(qcore.circuit_matrix(2, [(qcore.CNOT, [1, 0]), (qcore.H, [1])], "swap-test finish"))
 
 
 def _swap_test_layout(graph: NetworkGraph, qubits_per_node, ghz_layout) -> RegisterLayout:
@@ -164,9 +172,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
         ),
     )
 
-    # CNOT from B2 back onto the leader's control qubit, then H on B2.
-    finish = qcore.circuit_matrix(2, [(qcore.CNOT, [1, 0]), (qcore.H, [1])], "swap-test finish")
-    zero1, zero2 = qcore.basis_projector(1), qcore.basis_projector(2)
+    finish, zero1, zero2 = _swap_test_finish(), qcore.basis_projector(1), qcore.basis_projector(2)
 
     def projector(u: int):
         if u == LEADER:

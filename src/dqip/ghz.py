@@ -33,6 +33,7 @@ from .network import (
     LEADER,
     PROVER,
     NetworkGraph,
+    RegisterLayout,
     allocate_layout,
     neighbors_agree,
     spanning_tree,
@@ -66,10 +67,17 @@ def ghz_state(n: int) -> np.ndarray:
     return amps
 
 
+@functools.cache
 def star_prep_matrix(n: int) -> np.ndarray:
     """The honest star preparation: Hadamards on every qubit, then a CZ from qubit 0 to each leaf."""
     factors = [(qcore.H, [q]) for q in range(n)] + [(qcore.CZ, [0, leaf]) for leaf in range(1, n)]
-    return qcore.circuit_matrix(n, factors, f"{n}-qubit star preparation")
+    return qcore.read_only(qcore.circuit_matrix(n, factors, f"{n}-qubit star preparation"))
+
+
+@functools.cache
+def _hadamard_layer(k: int) -> np.ndarray:
+    """Hadamards on ``k`` qubits."""
+    return qcore.read_only(qcore.circuit_matrix(k, [(qcore.H, [j]) for j in range(k)], f"{k}-qubit Hadamard layer"))
 
 
 def star_state(n: int) -> np.ndarray:
@@ -160,6 +168,12 @@ def read_tests(u: int, view: Mapping) -> tuple[int, int]:
     return view[f"becho_test:{u}"], view[f"becho_target:{u}"] + 1
 
 
+def pghz_layout(graph: NetworkGraph, params: GhzProtocolParams) -> RegisterLayout:
+    """The registers of :func:`build_pghz`: P, then each copy's qubit at each node, held by the prover."""
+    copies = [(copy_reg(i, u), 1, PROVER) for i in range(1, params.copies + 2) for u in range(graph.node_count)]
+    return allocate_layout(graph, prover_qubits=params.prover_qubits, extras=copies)
+
+
 def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     """The 5-turn GHZ verification protocol on ``graph``.
 
@@ -182,7 +196,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     bases = tuple(test.bases for test in stabilizer_tests(n))
 
     r_regs = tuple(copy_reg(i, u) for i in range(1, copies + 2) for u in range(n))
-    layout = allocate_layout(graph, prover_qubits=params.prover_qubits, extras=[(r, 1, PROVER) for r in r_regs])
+    layout = pghz_layout(graph, params)
     p_regs = ("P",) if params.prover_qubits else ()
     # Each node's variables and received broadcasts, named once per build.
     bundle = ("becho_test", "becho_target", "o", "s", "leader", "parent", "dist")
@@ -203,10 +217,7 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
             regs = [copy_reg(i, u) for t, i in enumerate(measured) if bases[(bits >> t) & 1][u] == "X"]
             if u != LEADER:
                 regs.append(copy_reg(target, u))
-            if not regs:
-                return None
-            hadamards = [(qcore.H, [j]) for j in range(len(regs))]
-            return qcore.circuit_matrix(len(regs), hadamards, f"basis rotation of node {u}"), regs
+            return (_hadamard_layer(len(regs)), regs) if regs else None
 
         def resolve(view: Mapping):
             return rotation(*read_tests(u, view), tuple(measured_copies(u, view)))

@@ -47,7 +47,8 @@ and the read takes the slice.
 
 All three walks take each fixed operator (a step, a check projector, on
 the record walk an accept projector and an outcome's selector) as a
-:class:`~dqip.qcore.StructuredOp`, classified once per executor: the exact
+:class:`~dqip.qcore.StructuredOp`, classified once per executor (per process
+if read-only, see :meth:`~dqip.qcore.StructuredOp.cached`): the exact
 and sampled walks apply it, and a prover gate the same way (a factored one
 by its :meth:`~dqip.qcore.FactoredOp.parts`, chosen on the layout's qubit
 count), with its targets renumbered into the slice when all are free; one
@@ -582,8 +583,8 @@ class _Record(_Exact):
     A branch's state is a chain ``(previous, op)`` that starts from the
     initial vector, which it never changes.  A fixed operator is recorded as
     its :class:`~dqip.qcore.StructuredOp` (:meth:`_Exact.op`, so each is
-    classified once per executor and branches through the same prefix hold
-    the same op objects), a prover gate as a ``(block key, qubits)`` pair.
+    classified once and branches through the same prefix hold the same op
+    objects), a prover gate as a ``(block key, qubits)`` pair.
     :func:`_recorded` lists a chain.  The classical flow never reads
     amplitudes.
     """
@@ -592,7 +593,6 @@ class _Record(_Exact):
 
     def __init__(self):
         super().__init__()
-        self._selector = functools.cache(qcore.basis_projector)  # one array, so one op, per outcome
         self._misses: dict = {}  # id(projector) -> (projector, I - projector), so one op per check projector
 
     def apply(self, chain, matrix: np.ndarray, qubits: list[int]):
@@ -603,7 +603,7 @@ class _Record(_Exact):
 
     def project(self, chain, parts: list[list[int]], outcome: int):
         for qubits, digit in zip(parts, _digits(outcome, parts)):
-            chain = self.apply(chain, self._selector(len(qubits), digit), qubits)
+            chain = self.apply(chain, qcore.basis_projector(len(qubits), digit), qubits)
         return chain
 
     def outcomes(self, chain, parts: list[list[int]], weight: float) -> list[tuple[int, float]]:
@@ -1023,8 +1023,9 @@ def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, see
     each fork deals its branch's trials over the children by one multinomial
     draw (see :class:`_Sample`), which draws the leaves as ``trials``
     independent one-branch walks would.  A leaf holding ``k`` trials adds
-    ``Binomial(k, p)`` joint accepts and ``Binomial(k, p_u)`` accepts of
-    each node ``u``, for its accept probabilities ``p`` and ``p_u``; trials
+    ``a ~ Binomial(k, p)`` joint accepts, and node ``u`` accepts those and
+    ``Binomial(k - a, (p_u - p) / (1 - p))`` more, for its accept probabilities
+    ``p <= p_u``: ``Binomial(k, p_u)`` in all, never below the joint.  Trials
     dealt to a fork or a leaf that reads no mass reject for all.  Every draw
     comes from one generator seeded by ``seed`` and the spec's name, so the
     report is a function of them.
@@ -1039,9 +1040,11 @@ def execute_sampled(spec: ProtocolSpec, prover: ProverStrategy, trials: int, see
         total, p_all, per_node, _ = executor.acceptance(branch, views)
         if total <= PRUNE_TOL:
             continue
-        successes += int(rng.binomial(branch.weight, min(max(p_all / total, 0.0), 1.0)))
-        for u, p_u in per_node.items():
-            node_hits[u] += int(rng.binomial(branch.weight, min(max(p_u / total, 0.0), 1.0)))
+        accepts = int(rng.binomial(branch.weight, min(max(p_all / total, 0.0), 1.0)))
+        successes += accepts
+        for u, p_u in per_node.items():  # u accepts the joint's accepts and some of its rejects
+            rest = min(max((p_u - p_all) / (total - p_all), 0.0), 1.0) if total > p_all else 0.0
+            node_hits[u] += accepts + int(rng.binomial(branch.weight - accepts, rest))
     return RunReport(
         acceptance_probability=successes / trials,
         mode="sampled",

@@ -7,8 +7,9 @@ Conventions used throughout the package:
 * Gates are complex matrices and pure states complex vectors.  A gate
   carries its own local qubit order; ``apply_matrix_vec(vec, m, targets)``
   maps the matrix's qubit ``j`` onto global qubit ``targets[j]``.
-* The named gates ``H, X, Z, CNOT, CZ, SWAP`` are read-only arrays that
-  every spec in a process shares; writing into one raises ``ValueError``.
+* The named gates ``H, X, Z, CNOT, CZ, SWAP`` and memoised constructors'
+  outputs are read-only arrays that every spec in a process shares, each
+  classified once per process; writing into one raises ``ValueError``.
 * No operation modifies its inputs, so independent calls are safe to
   evaluate in parallel.
 
@@ -145,20 +146,21 @@ def _swap_bits(i: int, a: int, b: int) -> int:
     return i
 
 
-def _read_only(mat: np.ndarray) -> np.ndarray:
+def read_only(mat: np.ndarray) -> np.ndarray:
+    """``mat``, made read-only: a gate every spec in the process shares (see :meth:`StructuredOp.cached`)."""
     mat.flags.writeable = False
     return mat
 
 
 # Every spec in a process shares these arrays, so writing into one raises.
-H = _read_only(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
-X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
-Z = _read_only(np.array([[1, 0], [0, -1]], dtype=np.complex128))
+H = read_only(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2))
+X = read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+Z = read_only(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 # Control is the gate's qubit 0 in all controlled gates below.
-CNOT = _read_only(_permutation_matrix(2, lambda i: i ^ 2 if i & 1 else i))
-CZ = _read_only(np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))
-SWAP = _read_only(_permutation_matrix(2, lambda i: _swap_bits(i, 0, 1)))
+CNOT = read_only(_permutation_matrix(2, lambda i: i ^ 2 if i & 1 else i))
+CZ = read_only(np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))
+SWAP = read_only(_permutation_matrix(2, lambda i: _swap_bits(i, 0, 1)))
 
 
 def acceptance_rotation(c: float) -> np.ndarray:
@@ -300,10 +302,12 @@ def circuit_matrix(
     return vec.reshape(2**n, 2**n)
 
 
+@functools.cache
 def cnot_fanout(control: int, count: int) -> np.ndarray:
     """CNOTs from qubit ``control`` onto each of the next ``count - 1`` qubits, on ``control + count`` qubits."""
     cnots = [(CNOT, [control, control + j]) for j in range(1, count)]
-    return circuit_matrix(control + count, cnots, f"CNOT fan-out from qubit {control} onto {count - 1} qubits")
+    what = f"CNOT fan-out from qubit {control} onto {count - 1} qubits"
+    return read_only(circuit_matrix(control + count, cnots, what))
 
 
 class StructuredOp:
@@ -348,10 +352,14 @@ class StructuredOp:
             self.kind = "dense"
         self._low = min(self.targets) if self.kind == "permutation" and self._top >= SPAN_QUBITS else 0
 
+    _shared: dict = {}  # see cached
+
     @classmethod
     def cached(cls, cache: dict, matrix: np.ndarray, targets: Sequence[int]) -> "StructuredOp":
-        """The op of ``(matrix, targets)`` from ``cache``, keyed on ``id(matrix)``: classified
-        on first use, and held with the matrix so that the id is not reused."""
+        """The op of ``(matrix, targets)``, keyed on ``id(matrix)``, classified on first use and held with
+        the matrix so that the id is not reused: in ``cache``, or for a read-only matrix (a named gate or
+        a memoised constructor's, which lives as long as the process) in the process table ``_shared``."""
+        cache = cache if matrix.flags.writeable else cls._shared
         key = (id(matrix), tuple(targets))
         if key not in cache:
             cache[key] = (matrix, cls(matrix, targets))
@@ -561,11 +569,12 @@ def reduced_density_from_vec(vec: np.ndarray, keep: Sequence[int]) -> np.ndarray
     return block @ block.conj().T
 
 
+@functools.cache
 def basis_projector(k: int, outcome: int = 0) -> np.ndarray:
-    """The projector ``|outcome><outcome|`` on ``k`` qubits, a new array per call."""
+    """The projector ``|outcome><outcome|`` on ``k`` qubits, one read-only array per process."""
     proj = np.zeros((2**k, 2**k), dtype=np.complex128)
     proj[outcome, outcome] = 1.0
-    return proj
+    return read_only(proj)
 
 
 def check_projector(op: np.ndarray) -> None:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dqip import protocol, qcore
+from dqip import qcore
 from dqip.dqct import (
     DqctInstance,
     build_pdqct,
@@ -147,35 +147,62 @@ def test_input_distance_against_inner_product():
     assert abs(input_trace_distance(inst) - direct) <= 1e-10
 
 
-def test_sampled_runs_classify_each_operator_once(monkeypatch):
-    # Steps, checks and prover gates are classified once per executor, keyed
-    # on the matrix object and the targets in the branch's slice, so the
-    # count is bounded by the distinct operators the trials resolve, not by
-    # the number of trials.  Trials draw the coins, so a short run may not
-    # reach every operator; at this seed 12 trials reach all 17: the two
-    # input preparations and the star preparations' dense form, each
-    # classified on its qubits (an identity there would free nothing) and
-    # then applied through its column, and 14 ops on slices.  The turn-5
-    # fan-in and the swap-test finish on either control-qubit pair the tests
-    # can pick land on the same slice targets once the other copy is measured
-    # (the idle turns' gate has no factors, so nothing).  Accept projectors
-    # are not classified: the leaf reads them from its accept marginal.
-    classified = []
-
-    class Counting(qcore.StructuredOp):
-        def __init__(self, matrix, targets):
-            classified.append((matrix.tobytes(), tuple(targets)))
-            super().__init__(matrix, targets)
-
-    monkeypatch.setattr(protocol, "StructuredOp", Counting)
+def test_sampled_runs_classify_each_operator_once(classified):
+    # Steps, checks and prover gates are classified once, keyed on the matrix
+    # object and the targets in the branch's slice: a read-only matrix once
+    # per process, any other once per executor.  So the count is bounded by
+    # the distinct operators the trials resolve, not by the number of trials.
+    # Trials draw the coins, so a short run may not reach every operator; at
+    # this seed 12 trials reach all 17: the two input preparations and the
+    # star preparations' dense form, each classified on its qubits (an
+    # identity there would free nothing) and then applied through its column,
+    # and 14 ops on slices.  The turn-5 fan-in and the swap-test finish on
+    # either control-qubit pair the tests can pick land on the same slice
+    # targets once the other copy is measured (the idle turns' gate has no
+    # factors, so nothing).  Accept projectors are not classified: the leaf
+    # reads them from its accept marginal.  The 14 ops on slices are all
+    # read-only gates, so a second run of the same spec classifies only the
+    # three its executor holds: the preparations and the star delivery.
     compiled = build_pdqct(make_instance(G2, (1, 1), "random", seed=1), PARAMS)
     counts = []
     for trials in (12, 48):
         classified.clear()
         execute_sampled(compiled.spec, compiled.honest, trials=trials, seed=0)
-        assert len(set(classified)) == len(classified), trials  # no operator built or classified twice
+        keys = [(matrix.tobytes(), targets) for matrix, targets in classified]
+        assert len(set(keys)) == len(keys), trials  # no operator built or classified twice in a run
         counts.append(len(classified))
-    assert counts == [17, 17]
+    assert counts == [17, 3]
+
+
+def test_a_rebuilt_sampled_spec_classifies_only_the_ops_built_for_it(classified):
+    # The bench's sampled closeness test, built and run twice as `dqip run`
+    # does.  Every step of the second build is a read-only gate the first run
+    # classified (the stars' Hadamard layers, the leader's CNOT, the
+    # controlled slice swaps, the CNOT fan-in and the swap-test finish), so
+    # the second run classifies only the ops of its own inputs: the
+    # preparations of its two input states and its honest prover's turn-1
+    # star delivery (a FactoredOp the strategy builds, here in dense form).
+    for seed in (1, 2):
+        before = len(classified)
+        instance = make_instance(G2, (3, 3), "random", seed=seed)
+        compiled = build_pdqct(instance, PARAMS)
+        execute_sampled(compiled.spec, compiled.honest, trials=12, seed=seed)
+    assert before == 17
+    fresh = classified[before:]
+    assert len(fresh) == 3
+    (psi, _), (phi, _), (delivery, _) = fresh
+    assert np.array_equal(psi[:, 0], instance.psi) and np.array_equal(phi[:, 0], instance.phi)
+    assert delivery is compiled.honest.gate_fn(1, {}).dense()
+
+
+def test_sampled_joint_acceptance_never_exceeds_a_node_acceptance():
+    # A trial the joint accepts passes every node's projector, so a report's
+    # joint count cannot exceed a node's.  Drawn apart, 87 of these 200
+    # reports read more joint accepts than node 0's (seed 0: 8 of 12 against 5).
+    compiled = build_pdqct(make_instance(G2, (1, 1), "random", seed=1), PARAMS)
+    for seed in range(200):
+        report = execute_sampled(compiled.spec, compiled.honest, trials=12, seed=seed)
+        assert all(report.acceptance_probability <= p for p in report.per_node_acceptance.values()), (seed, report)
 
 
 def test_sampled_17_qubit_run_holds_no_gather_index(monkeypatch):

@@ -3,7 +3,9 @@
 The exact and sampled walks classify each prover gate once per executor,
 keyed on the matrix object (``StructuredOp.cached``), so a ``gate_fn`` that
 built a new array or ``FactoredOp`` per call would be classified, and held,
-once per call.
+once per call.  A read-only gate (a named one, or a memoised constructor's)
+is classified once per process instead, in one table that rebuilt specs
+must not grow.
 """
 
 from functools import cache
@@ -11,7 +13,8 @@ from functools import cache
 import numpy as np
 import pytest
 
-from dqip import ghz
+from dqip import dqct, ghz, qcore
+from dqip.cli import run_experiment
 from dqip.corpus import coin_check_honest, coin_check_spec, two_check_spec
 from dqip.dam import catalog_entry
 from dqip.dqct import build_pdqct, make_instance
@@ -86,15 +89,72 @@ def test_gate_fn_returns_one_object_per_turn_and_view(name):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_a_second_exact_walk_classifies_no_new_operator(name):
-    # The op cache and the accept forms hold one entry per (operator object,
-    # targets): a gate, step or projector rebuilt per call adds entries on
-    # every walk, and one built once adds none after the first.
+def test_a_second_exact_walk_classifies_no_new_operator(name, classified):
+    # The op tables hold one entry per (operator object, targets), the
+    # process's for a read-only matrix and the executor's for any other, and
+    # the accept forms one per executor: a gate, step or projector rebuilt per
+    # call is classified again on every walk, and one built once is
+    # classified on the first walk only.
     spec, strategy = BUILDERS[name]()
     executor = _Executor(spec, strategy)
-    sizes = []
+    classified.clear()  # a build may run walks of its own
+    counts = []
     for _ in range(2):
+        before = len(classified)
         for branch, views in executor.leaves():
             executor.acceptance(branch, views)
-        sizes.append((len(executor.policy._ops), len(executor._accept_forms)))
-    assert sizes[0] == sizes[1] and sizes[0][0] > 0, (name, sizes)
+        counts.append((len(classified) - before, len(executor._accept_forms)))
+    keys = [(id(matrix), targets) for matrix, targets in classified]
+    assert len(set(keys)) == len(keys), name  # no operator classified twice
+    assert counts[0][0] > 0 and counts[1][0] == 0 and counts[0][1] == counts[1][1], (name, counts)
+
+
+MEMOISED = {
+    "star preparation": lambda: ghz.star_prep_matrix(3),
+    "Hadamard layer": lambda: ghz._hadamard_layer(2),
+    "controlled slice swap": lambda: dqct._controlled_slice_swap(2),
+    "swap-test finish": lambda: dqct._swap_test_finish(),
+    "basis projector |0>": lambda: qcore.basis_projector(1),
+    "basis projector |11>": lambda: qcore.basis_projector(2, 3),
+    "CNOT fan-in": lambda: qcore.cnot_fanout(1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOISED))
+def test_a_memoised_gate_is_one_read_only_array(name):
+    gate = MEMOISED[name]()
+    assert MEMOISED[name]() is gate, name
+    with pytest.raises(ValueError, match="read-only"):
+        gate[0, 0] = 0
+
+
+def test_rebuilt_specs_do_not_grow_the_process_table(classified, tmp_path):
+    # Each `dqip run` rebuilds its spec; the process table holds the ops of
+    # read-only gates only, which a second round of the same configs reuses.
+    configs = [
+        {"experiment": "ghz", "seed": 1, "params": {"nodes": 3, "copies": 1}},
+        {"experiment": "ghz", "seed": 1, "mode": "sampled", "trials": 12, "params": {"nodes": 2, "copies": 2}},
+        {"experiment": "dqct", "seed": 1, "params": {"nodes": 2, "qubits_per_node": [1, 1], "states": "random"}},
+        {
+            "experiment": "dqct",
+            "seed": 2,
+            "mode": "sampled",
+            "trials": 12,
+            "params": {"nodes": 2, "qubits_per_node": [2, 1], "states": "orthogonal", "prover_qubits": 0},
+        },
+        {
+            "experiment": "compile-pipeline",
+            "seed": 1,
+            "params": {
+                "protocol": "coin-guess",
+                "instance": "yes",
+                "pipeline": [{"transform": "pad", "target": 5}, {"transform": "halve-shared"}],
+            },
+        },
+    ]
+    sizes = []
+    for _ in range(2):
+        for i, config in enumerate(configs):
+            run_experiment(config, tmp_path / str(i))
+        sizes.append(len(qcore.StructuredOp._shared))
+    assert sizes[0] > 0 and sizes[1] == sizes[0], sizes

@@ -180,25 +180,20 @@ def test_seesaw_refuses_a_haar_block_it_cannot_draw_under_a_memory_cap():
     assert "a Haar block of turn 1 in the see-saw of 'halved-sh[random-clean-0]'" in message
 
 
-def test_seesaw_classifies_each_recorded_op_once(monkeypatch):
+def test_seesaw_classifies_each_recorded_op_once(classified):
     # The closeness-test probe the benchmark runs: the record walk classifies
     # each fixed operator once (also those of predicate-failing leaves, which
     # are dropped), and the see-saw only adds the adjoints of the recorded ops.
+    # The process table of read-only gates is emptied before each walk, so the
+    # see-saw's own record walk classifies what the first one did.
     instance = make_instance(path_graph(2), (1, 1), "random", seed=1_400_000)
     compiled = build_pdqct(instance, GhzProtocolParams(copies=1, epsilon=0.25, seed=1_400_000, prover_qubits=2))
-    classified = []  # holds each matrix, so no id is reused
-    init = qcore.StructuredOp.__init__
-
-    def recording_init(self, matrix, targets):
-        classified.append((matrix, tuple(targets)))
-        init(self, matrix, targets)
-
-    monkeypatch.setattr(qcore.StructuredOp, "__init__", recording_init)
     paths, _ = collect_paths(compiled.spec, compiled.honest)
     walk = len(classified)
     recorded = {id(op) for path in paths for op in path.ops + path.accept if isinstance(op, qcore.StructuredOp)}
     assert 0 < len(recorded) <= walk
     classified.clear()
+    qcore.StructuredOp._shared.clear()
     seesaw_optimize(compiled.spec, OptimizerConfig(restarts=2, sweeps=3, seed=1), honest=compiled.honest)
     keys = [(id(matrix), targets) for matrix, targets in classified]
     assert len(keys) == len(set(keys))
