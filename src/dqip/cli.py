@@ -7,11 +7,12 @@ Commands::
     dqip list-protocols
     dqip list-dam
 
-``run`` validates the config against the shipped JSON schema, executes the
-named experiment and writes ``<output>.json`` plus a flat ``<output>.csv``
-of scalar results.  All randomness is derived from the config seed, so a
-config always produces byte-identical reports.  The output directory can be
-overridden with the ``DQIP_OUTPUT_DIR`` environment variable.
+``run`` validates the config against the shipped JSON schema (no jsonschema
+needed: :mod:`dqip.config_schema`), runs the named experiment and writes
+``<output>.json`` plus a flat ``<output>.csv`` of scalar results.  All
+randomness is derived from the config seed, so a config always produces
+byte-identical reports.  The output directory can be overridden with the
+``DQIP_OUTPUT_DIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from . import qcore
-from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS
+from .config_schema import CONFIG_SCHEMA, PARAM_SCHEMAS, validate
 from .dam import catalog_entry, catalog_names, toy_protocols
 from .dqct import _swap_test_layout, build_pdqct, closeness_bound, input_trace_distance, make_instance, soundness_probe
 from .errors import ConfigError, DqipError, ShapeError, ValidationError
@@ -44,40 +43,21 @@ from .transforms import (
     seven_to_five,
 )
 
-def _validator(schema: dict):
-    """A validator for ``schema``, which is checked against its metaschema once."""
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
 
 def _defaults(schema: dict) -> dict:
     """The ``"default"`` of each property of ``schema`` that states one."""
     return {key: prop["default"] for key, prop in schema["properties"].items() if "default" in prop}
 
 
-_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
-_PARAM_VALIDATORS = {name: _validator(schema) for name, schema in PARAM_SCHEMAS.items()}
 _CONFIG_DEFAULTS = _defaults(CONFIG_SCHEMA)
 _PARAM_DEFAULTS = {name: _defaults(schema) for name, schema in PARAM_SCHEMAS.items()}
 
 
-def _raise_first_error(validator, instance) -> None:
-    # The error jsonschema.validate would raise for the same instance.
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 def validate_config(config: dict) -> dict:
-    try:
-        _raise_first_error(_CONFIG_VALIDATOR, config)
-        experiment = config["experiment"]
-        params = {**_PARAM_DEFAULTS[experiment], **config.get("params", {})}
-        _raise_first_error(_PARAM_VALIDATORS[experiment], params)
-    except jsonschema.ValidationError as err:
-        field = "/".join(str(p) for p in err.absolute_path) or "(root)"
-        raise ConfigError(f"config field {field}: {err.message}", fields=[field]) from err
+    """``config`` with its defaults filled in, through :func:`config_schema.validate`."""
+    config = validate(CONFIG_SCHEMA, config)
+    experiment = config["experiment"]
+    params = validate(PARAM_SCHEMAS[experiment], {**_PARAM_DEFAULTS[experiment], **config.get("params", {})})
     return {**_CONFIG_DEFAULTS, **config, "params": params}
 
 

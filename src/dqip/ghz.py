@@ -102,10 +102,12 @@ class StabilizerTest:
 
     def __post_init__(self):
         qcore.check_projector(self.projector)
+        qcore.read_only(self.projector)
 
 
+@functools.cache
 def stabilizer_tests(n: int) -> tuple[StabilizerTest, StabilizerTest]:
-    """The two star-coloring tests with the center at qubit 0."""
+    """The two star-coloring tests with the center at qubit 0, one pair per process."""
     if n < 2:
         raise ValidationError("stabilizer_tests needs at least two qubits")
     # The center's stabilizer X_0 Z_1 ... Z_{n-1}, and the product of the
@@ -330,6 +332,14 @@ def build_pghz(graph: NetworkGraph, params: GhzProtocolParams) -> Compiled:
     return Compiled.of("build_pghz", 0, spec, honest_pghz_strategy(graph, params), completeness=1.0)
 
 
+@functools.cache
+def _star_delivery(n: int, copies: int, p_qubits: int) -> FactoredOp:
+    """The honest turn-1 gate, one per process: each copy's star on its n node qubits, centred on the leader; P idle."""
+    prep = star_prep_matrix(n)
+    factors = [(prep, range(p_qubits + i * n, p_qubits + (i + 1) * n)) for i in range(copies + 1)]
+    return FactoredOp(p_qubits + n * (copies + 1), factors, shared=True)
+
+
 def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> ProverStrategy:
     """Sends star states, echoes the leader's coins, sums subtree parities."""
     n = graph.node_count
@@ -338,13 +348,7 @@ def honest_pghz_strategy(graph: NetworkGraph, params: GhzProtocolParams) -> Prov
     labels = tree_label_replies(tree)
     p_qubits = params.prover_qubits
 
-    # Turn 1 acts on (P, R:1:0..R:1:n-1, R:2:0, ...): copy i's star
-    # preparation covers its n node qubits, centred on the leader, node 0; P is idle.
-    prep = star_prep_matrix(n)
-    full_prep = FactoredOp(
-        p_qubits + n * (copies + 1),
-        [(prep, range(p_qubits + i * n, p_qubits + (i + 1) * n)) for i in range(copies + 1)],
-    )
+    full_prep = _star_delivery(n, copies, p_qubits)
     idle = FactoredOp(p_qubits)
 
     def subtree(u: int) -> list[int]:

@@ -887,15 +887,18 @@ class _Executor:
             projected = self.policy.apply(projected, matrix, qubits)
         return total, read.pop("all", 0.0), {u: read.get(u, 0.0) for u in passed}, projected
 
+    _shared_forms: dict = {}  # see _accept_form
+
     def _accept_form(self, marginal: list[int], ops: list) -> np.ndarray:
-        """``A^dag A`` on the ``marginal`` qubits, for the product ``A`` of ``ops``; built
-        once per executor, keyed like :meth:`StructuredOp.cached` on the matrices' ids."""
+        """``A^dag A`` on the ``marginal`` qubits, for the product ``A`` of ``ops``; built once per executor,
+        or per process when every matrix is read-only, as in :meth:`StructuredOp.cached`."""
+        forms = self._accept_forms if any(matrix.flags.writeable for _, matrix, _ in ops) else self._shared_forms
         key = (tuple(marginal), tuple((id(matrix), tuple(qubits)) for _, matrix, qubits in ops))
-        if key not in self._accept_forms:
+        if key not in forms:
             what = f"accept marginal of {self.spec.name!r} on {len(marginal)} qubits"
             a = circuit_matrix(len(marginal), [(m, [marginal.index(q) for q in qs]) for _, m, qs in ops], what)
-            self._accept_forms[key] = (ops, a.conj().T @ a)  # the ops hold the matrices, so no id is reused
-        return self._accept_forms[key][1]
+            forms[key] = (ops, a.conj().T @ a)  # the ops hold the matrices, so no id is reused
+        return forms[key][1]
 
 
 _FORKS = (_Executor._flip_coin, _Executor._measure, _Executor._projective_check)

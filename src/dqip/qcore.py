@@ -405,11 +405,14 @@ class FactoredOp:
     the targets the gate is applied to.  Factors act first to last and may
     share positions; positions no factor covers get the identity, so
     ``FactoredOp(k)`` is the identity on ``k`` qubits.  Bad positions or
-    factor shapes raise :class:`LayoutError`.
+    factor shapes raise :class:`LayoutError`.  A ``shared`` op, one that a
+    memoised constructor keeps for the process, has a :func:`read_only`
+    dense form, which the walks classify once per process.
     """
 
-    def __init__(self, arity: int, factors: Iterable[tuple[np.ndarray, Sequence[int]]] = ()):
+    def __init__(self, arity: int, factors: Iterable[tuple[np.ndarray, Sequence[int]]] = (), shared: bool = False):
         self.arity = int(arity)
+        self.shared = shared
         self.factors = tuple(
             (np.asarray(mat, dtype=np.complex128), tuple(int(p) for p in positions)) for mat, positions in factors
         )
@@ -428,7 +431,8 @@ class FactoredOp:
         """
         if self._dense is None:
             size = f"dense {2**self.arity}x{2**self.arity} operator"
-            self._dense = circuit_matrix(self.arity, self.factors, f"{size} for {what}" if what else size)
+            dense = circuit_matrix(self.arity, self.factors, f"{size} for {what}" if what else size)
+            self._dense = read_only(dense) if self.shared else dense
         return self._dense
 
     def parts(self, targets: Sequence[int], num_qubits: int) -> list[tuple[np.ndarray, list[int]]]:

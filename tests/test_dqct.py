@@ -160,9 +160,10 @@ def test_sampled_runs_classify_each_operator_once(classified):
     # either control-qubit pair the tests can pick land on the same slice
     # targets once the other copy is measured (the idle turns' gate has no
     # factors, so nothing).  Accept projectors are not classified: the leaf
-    # reads them from its accept marginal.  The 14 ops on slices are all
-    # read-only gates, so a second run of the same spec classifies only the
-    # three its executor holds: the preparations and the star delivery.
+    # reads them from its accept marginal.  The 14 ops on slices and the star
+    # delivery (one per process) are all read-only gates, so a second run of
+    # the same spec classifies only the two its executor holds: the
+    # preparations.
     compiled = build_pdqct(make_instance(G2, (1, 1), "random", seed=1), PARAMS)
     counts = []
     for trials in (12, 48):
@@ -171,17 +172,17 @@ def test_sampled_runs_classify_each_operator_once(classified):
         keys = [(matrix.tobytes(), targets) for matrix, targets in classified]
         assert len(set(keys)) == len(keys), trials  # no operator built or classified twice in a run
         counts.append(len(classified))
-    assert counts == [17, 3]
+    assert counts == [17, 2]
 
 
 def test_a_rebuilt_sampled_spec_classifies_only_the_ops_built_for_it(classified):
     # The bench's sampled closeness test, built and run twice as `dqip run`
     # does.  Every step of the second build is a read-only gate the first run
     # classified (the stars' Hadamard layers, the leader's CNOT, the
-    # controlled slice swaps, the CNOT fan-in and the swap-test finish), so
-    # the second run classifies only the ops of its own inputs: the
-    # preparations of its two input states and its honest prover's turn-1
-    # star delivery (a FactoredOp the strategy builds, here in dense form).
+    # controlled slice swaps, the CNOT fan-in, the swap-test finish and the
+    # honest prover's turn-1 star delivery, one FactoredOp per process whose
+    # dense form is read-only), so the second run classifies only the
+    # preparations of its two input states.
     for seed in (1, 2):
         before = len(classified)
         instance = make_instance(G2, (3, 3), "random", seed=seed)
@@ -189,10 +190,10 @@ def test_a_rebuilt_sampled_spec_classifies_only_the_ops_built_for_it(classified)
         execute_sampled(compiled.spec, compiled.honest, trials=12, seed=seed)
     assert before == 17
     fresh = classified[before:]
-    assert len(fresh) == 3
-    (psi, _), (phi, _), (delivery, _) = fresh
+    assert len(fresh) == 2
+    (psi, _), (phi, _) = fresh
     assert np.array_equal(psi[:, 0], instance.psi) and np.array_equal(phi[:, 0], instance.phi)
-    assert delivery is compiled.honest.gate_fn(1, {}).dense()
+    assert not compiled.honest.gate_fn(1, {}).dense().flags.writeable
 
 
 def test_sampled_joint_acceptance_never_exceeds_a_node_acceptance():

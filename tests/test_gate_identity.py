@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from dqip import dqct, ghz, qcore
+from dqip import dqct, ghz, protocol, prover, qcore
 from dqip.cli import run_experiment
 from dqip.corpus import coin_check_honest, coin_check_spec, two_check_spec
 from dqip.dam import catalog_entry
@@ -92,9 +92,9 @@ def test_gate_fn_returns_one_object_per_turn_and_view(name):
 def test_a_second_exact_walk_classifies_no_new_operator(name, classified):
     # The op tables hold one entry per (operator object, targets), the
     # process's for a read-only matrix and the executor's for any other, and
-    # the accept forms one per executor: a gate, step or projector rebuilt per
-    # call is classified again on every walk, and one built once is
-    # classified on the first walk only.
+    # so do the accept forms: a gate, step or projector rebuilt per call is
+    # classified again on every walk, and one built once is classified on the
+    # first walk only.
     spec, strategy = BUILDERS[name]()
     executor = _Executor(spec, strategy)
     classified.clear()  # a build may run walks of its own
@@ -103,7 +103,7 @@ def test_a_second_exact_walk_classifies_no_new_operator(name, classified):
         before = len(classified)
         for branch, views in executor.leaves():
             executor.acceptance(branch, views)
-        counts.append((len(classified) - before, len(executor._accept_forms)))
+        counts.append((len(classified) - before, len(executor._accept_forms) + len(_Executor._shared_forms)))
     keys = [(id(matrix), targets) for matrix, targets in classified]
     assert len(set(keys)) == len(keys), name  # no operator classified twice
     assert counts[0][0] > 0 and counts[1][0] == 0 and counts[0][1] == counts[1][1], (name, counts)
@@ -117,6 +117,8 @@ MEMOISED = {
     "basis projector |0>": lambda: qcore.basis_projector(1),
     "basis projector |11>": lambda: qcore.basis_projector(2, 3),
     "CNOT fan-in": lambda: qcore.cnot_fanout(1, 3),
+    "stabilizer projector": lambda: ghz.stabilizer_tests(3)[1].projector,
+    "star delivery": lambda: ghz._star_delivery(2, 1, 0).dense(),
 }
 
 
@@ -158,3 +160,28 @@ def test_rebuilt_specs_do_not_grow_the_process_table(classified, tmp_path):
             run_experiment(config, tmp_path / str(i))
         sizes.append(len(qcore.StructuredOp._shared))
     assert sizes[0] > 0 and sizes[1] == sizes[0], sizes
+
+
+def test_a_repeated_sampled_run_makes_no_kernel_call(monkeypatch, tmp_path):
+    # Every operator a closeness-test build hands the walks, and every accept
+    # form, is built once per process: a second run only applies span forms.
+    config = {
+        "experiment": "dqct",
+        "seed": 1000,
+        "mode": "sampled",
+        "trials": 12,
+        "params": {"nodes": 2, "qubits_per_node": [3, 3], "states": "random", "prover_qubits": 0},
+    }
+    run_experiment(config, tmp_path / "first")
+    calls = []
+    original = qcore.apply_matrix_vec
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (qcore, protocol, prover):
+        if getattr(module, "apply_matrix_vec", None) is original:
+            monkeypatch.setattr(module, "apply_matrix_vec", counting)
+    run_experiment({**config, "seed": 1001}, tmp_path / "second")
+    assert calls == []
