@@ -8,8 +8,9 @@ Commands::
     dqip list-dam
 
 ``run`` validates the config against the shipped JSON schema (no jsonschema
-needed: :mod:`dqip.config_schema`), runs the named experiment and writes
-``<output>.json`` plus a flat ``<output>.csv`` of scalar results.  All
+needed: :mod:`dqip.config_schema`) before it reads any field, runs the named
+experiment and writes ``<output>.json`` plus a flat ``<output>.csv`` of
+scalar results; a report that would overwrite the config is refused.  All
 randomness is derived from the config seed, so a config always produces
 byte-identical reports.  The output directory can be overridden with the
 ``DQIP_OUTPUT_DIR`` environment variable.
@@ -270,9 +271,12 @@ def run_experiment(config: dict, stem: Path) -> tuple[Path, Path]:
 
 
 def _output_stem(config: dict, config_path: Path, output_dir: str | None) -> Path:
-    base = config.get("output") or config_path.stem
-    directory = output_dir or os.environ.get("DQIP_OUTPUT_DIR") or "."
-    return Path(directory) / base
+    """The report stem of a validated ``config``: its ``output`` or the config's own stem, in ``output_dir``,
+    ``$DQIP_OUTPUT_DIR`` or ``.``; refused when either report would overwrite the config."""
+    stem = Path(output_dir or os.environ.get("DQIP_OUTPUT_DIR") or ".") / (config.get("output") or config_path.stem)
+    if config_path.resolve() in {stem.with_suffix(".json").resolve(), stem.with_suffix(".csv").resolve()}:
+        raise ConfigError(f"config field output: a report on {stem} would overwrite the config", fields=["output"])
+    return stem
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -292,8 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = json.loads(args.config.read_text())
-            stem = _output_stem(config, args.config, args.output_dir)
+            try:
+                config = json.loads(args.config.read_text())
+            except (OSError, json.JSONDecodeError) as err:  # a missing file, or one that is not JSON
+                raise ConfigError(f"config {args.config} is not a readable JSON file: {err}") from err
+            stem = _output_stem(validate_config(config), args.config, args.output_dir)
             json_path, csv_path = run_experiment(config, stem)
             print(f"wrote {json_path} and {csv_path}")
             return 0

@@ -23,7 +23,7 @@ which children are kept:
 * exact (:func:`execute_exact`, :func:`variable_marginal`): every child whose
   weight is above ``PRUNE_TOL``; measurement children stay unnormalized
   (their squared norms carry the Born weights), and acceptance sums
-  ``weight * tr(A^dag A rho) * predicate`` over leaves (:meth:`_Executor.acceptance`);
+  ``weight * ||A psi||^2 * predicate`` over leaves (:meth:`_Executor.acceptance`);
 * sample (:func:`execute_sampled`): a branch's weight is its number of
   trials, and a fork deals them over its children by one multinomial draw
   on their Born probabilities; only the children dealt a trial are kept,
@@ -39,14 +39,13 @@ amplitudes on its free qubits only; every other qubit carries a known basis
 bit, 0 until an operator first touches it, or its measured outcome.  So the
 initial state is the Kronecker product of the initial factors on their
 qubits and a measurement child is a copy of its outcome's slice.  One rule
-serves every read (outcome weights, the reduced density of exactly the
-accept qubits, the output state, a check's miss and the zero-filled
-vector): the fixed ones of the qubits read are placed at their bits first
-(:meth:`_State.placed`, which returns the state itself when none is fixed),
-and the read takes the slice.
+serves every read (outcome weights, the output state, a check's miss and
+the zero-filled vector): the fixed ones of the qubits read are placed at
+their bits first (:meth:`_State.placed`, which returns the state itself
+when none is fixed), and the read takes the slice.
 
-All three walks take each fixed operator (a step, a check projector, on
-the record walk an accept projector and an outcome's selector) as a
+All three walks take each fixed operator (a step, a check projector, an
+accept projector, and on the record walk an outcome's selector) as a
 :class:`~dqip.qcore.StructuredOp`, classified once per executor (per process
 if read-only, see :meth:`~dqip.qcore.StructuredOp.cached`): the exact
 and sampled walks apply it, and a prover gate the same way (a factored one
@@ -82,7 +81,6 @@ from .qcore import (
     apply_columns,
     apply_matrix_vec,
     check_projector,
-    circuit_matrix,
     outcome_slice,
     outcome_weights,
     reduced_density_from_vec,
@@ -665,7 +663,7 @@ class _Executor:
         for accept in spec.verification.accepts:
             if accept.node not in range(self.graph.node_count):
                 raise ProtocolError(f"verification: accept node {accept.node!r} is not a node of the network")
-        self._accept_forms: dict = {}  # see _accept_form
+        self._projectors: dict = {}  # id(matrix) -> matrix, each accept matrix checked once (see accept_ops)
         self._receives = [(u, v, f"recv:{v}") for u in range(self.graph.node_count) for v in self.graph.neighbors(u)]
         # Plain functions, not bound methods: the executor must not refer to
         # itself, or the states it caches would wait for the cyclic collector.
@@ -853,7 +851,8 @@ class _Executor:
         return views
 
     def accept_ops(self, branch: _Branch, views: dict[int, dict]) -> tuple[list, dict[int, bool]]:
-        """Per-node accept projectors (resolved) and whether each node's predicates pass."""
+        """Per-node accept projectors (resolved, each matrix checked on its first leaf) and whether each
+        node's predicates pass."""
         ops = []
         passed = {u: True for u in range(self.graph.node_count)}
         for accept in self.spec.verification.accepts:
@@ -864,41 +863,28 @@ class _Executor:
                 if resolved is not None:
                     matrix, regs = resolved
                     matrix = np.asarray(matrix, dtype=np.complex128)
-                    check_projector(matrix)
+                    if id(matrix) not in self._projectors:
+                        check_projector(matrix)
+                        self._projectors[id(matrix)] = matrix
                     ops.append((accept.node, matrix, self.layout.expand(regs)))
         return ops, passed
 
     def acceptance(self, branch: _Branch, views: dict[int, dict], project: bool = False) -> tuple:
-        """A leaf's squared norm ``tr(rho)``, joint and per-node accept masses ``tr(A^dag A rho)``
-        before its weight, and with ``project`` its accept-projected state (``None`` if a
-        predicate fails), for ``rho`` the reduced density of exactly the accept qubits, read
-        from the leaf's slice with the fixed ones placed (:meth:`_State.density`)."""
+        """A leaf's squared norm, joint and per-node accept masses ``||A psi||^2`` before its weight, and
+        with ``project`` its accept-projected state ``A psi`` (``None`` if a predicate fails), for ``A``
+        the accept ops (node ``u``'s alone for its mass) applied in order through the policy's op cache."""
         ops, passed = self.accept_ops(branch, views)
-        marginal = sorted({q for _, _, qubits in ops for q in qubits})
-        reads = {u: [op for op in ops if op[0] == u] for u in passed if passed[u]}
-        if all(passed.values()):
-            reads["all"] = ops
-        forms = {u: self._accept_form(marginal, node_ops) for u, node_ops in reads.items() if node_ops}
-        rho = branch.state.density(marginal) if ops else None  # no projector: no marginal
-        total = float(rho.trace().real) if ops else _norm2(branch.state.vec)  # also a node's read without projectors
-        read = {u: float(np.vdot(forms[u], rho).real) if u in forms else total for u in reads}  # tr(F rho), F = F^dag
-        projected = branch.state if "all" in read and project else None
-        for _, matrix, qubits in ops if projected is not None else ():
-            projected = self.policy.apply(projected, matrix, qubits)
-        return total, read.pop("all", 0.0), {u: read.get(u, 0.0) for u in passed}, projected
+        joint = self._accepted(branch.state, ops) if all(passed.values()) else None
+        per_node = {u: _norm2(self._accepted(branch.state, [op for op in ops if op[0] == u]).vec) if ok else 0.0
+                    for u, ok in passed.items()}
+        p_all = 0.0 if joint is None else _norm2(joint.vec)
+        return _norm2(branch.state.vec), p_all, per_node, joint if project else None
 
-    _shared_forms: dict = {}  # see _accept_form
-
-    def _accept_form(self, marginal: list[int], ops: list) -> np.ndarray:
-        """``A^dag A`` on the ``marginal`` qubits, for the product ``A`` of ``ops``; built once per executor,
-        or per process when every matrix is read-only, as in :meth:`StructuredOp.cached`."""
-        forms = self._accept_forms if any(matrix.flags.writeable for _, matrix, _ in ops) else self._shared_forms
-        key = (tuple(marginal), tuple((id(matrix), tuple(qubits)) for _, matrix, qubits in ops))
-        if key not in forms:
-            what = f"accept marginal of {self.spec.name!r} on {len(marginal)} qubits"
-            a = circuit_matrix(len(marginal), [(m, [marginal.index(q) for q in qs]) for _, m, qs in ops], what)
-            forms[key] = (ops, a.conj().T @ a)  # the ops hold the matrices, so no id is reused
-        return forms[key][1]
+    def _accepted(self, state: _State, ops: list) -> _State:
+        """``state`` with the accept ``ops`` applied in order."""
+        for _, matrix, qubits in ops:
+            state = self.policy.apply(state, matrix, qubits)
+        return state
 
 
 _FORKS = (_Executor._flip_coin, _Executor._measure, _Executor._projective_check)

@@ -7,9 +7,12 @@ and names its specs ``random-clean-<seed>``, so the pinned outputs in
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from dqip import qcore
+from dqip.dam import DamProtocol
 from dqip.network import allocate_layout, build_network, path_graph
 from dqip.protocol import (
     CoinFlip,
@@ -160,3 +163,24 @@ def random_clean_spec(
         return gates[turn_index]
 
     return spec, ProverStrategy(f"haar-{seed}", gate)
+
+
+def random_dam(seed: int, turns: int = 7) -> DamProtocol:
+    """A seeded random private-coin dAM protocol with 1-bit certificates.
+
+    Each node broadcasts its first certificate and accepts when the first
+    byte of the SHA-256 of its seed, node, label, certificates, coins and
+    received broadcasts is below 0.3 * 256: a random accept table over
+    everything the node sees.  On ``path_graph(2, ["0", "0"])`` seed 0 at
+    7 turns has completeness 49/64.
+    """
+
+    def broadcast(view):
+        return view.certificates[min(view.certificates)]
+
+    def predicate(view, received):
+        seen = (seed, view.node, view.label, sorted(view.certificates.items()), sorted(view.coins.items()))
+        digest = hashlib.sha256(repr(seen + (sorted(received.items()),)).encode()).digest()
+        return digest[0] < 0.3 * 256
+
+    return DamProtocol(f"random-dam-{seed}", turns, 1, "private", broadcast, predicate)

@@ -320,17 +320,55 @@ def test_cli_run_and_env_override(tmp_path, monkeypatch, capsys):
 def test_cli_config_error_is_machine_readable(tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"experiment": "ghz", "seed": 1, "params": {"copies": 1}}))
-    code = main(["run", str(config_path), "--output-dir", str(tmp_path)])
+    code = main(["run", str(config_path), "--output-dir", str(tmp_path / "out")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[1, 2]", "(root)"),  # not an object: nothing may read a field before the schema refuses it
+        (json.dumps({"experiment": "ghz", "seed": 1, "output": 5, "params": {"nodes": 3}}), "output"),
+        ("not json", None),
+        (None, None),  # no such file
+    ],
+    ids=["array", "output-5", "not-json", "missing"],
+)
+def test_cli_run_refuses_a_config_before_reading_it(tmp_path, capsys, text, field):
+    config_path = tmp_path / "cfg.json"
+    if text is not None:
+        config_path.write_text(text)
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["fields"] == ([field] if field else [])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output", [None, "x"])
+def test_cli_run_refuses_a_report_that_would_overwrite_its_config(tmp_path, monkeypatch, capsys, output):
+    # `dqip run x.json` from the config's own directory, with no `output` or
+    # with the config's stem as `output`, would write x.json over the config.
+    config = {"experiment": "ghz", "seed": 1, "params": {"nodes": 3}}
+    config_path = tmp_path / "x.json"
+    config_path.write_text(json.dumps(config if output is None else {**config, "output": output}))
+    before = config_path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DQIP_OUTPUT_DIR", raising=False)
+    assert main(["run", "x.json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["fields"] == ["output"] and "overwrite" in err["message"]
+    assert config_path.read_bytes() == before and not (tmp_path / "x.csv").exists()
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 0  # elsewhere it runs
+    assert config_path.read_bytes() == before
 
 
 def test_cli_dqct_qubits_per_node_of_the_wrong_length_is_a_config_error(tmp_path, capsys):
     params = {"nodes": 3, "qubits_per_node": [1, 1], "states": "random", "copies": 1}
     config_path = tmp_path / "short.json"
     config_path.write_text(json.dumps({"experiment": "dqct", "seed": 1, "params": params}))
-    assert main(["run", str(config_path), "--output-dir", str(tmp_path)]) == 2
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["fields"] == ["qubits_per_node"]
     assert "qubits_per_node" in err["message"]
@@ -349,7 +387,7 @@ def test_cli_dqct_qubits_per_node_of_the_wrong_length_is_a_config_error(tmp_path
 def test_cli_schema_valid_config_the_run_refuses_names_the_field(tmp_path, capsys, experiment, params, field, message):
     config_path = tmp_path / "refused.json"
     config_path.write_text(json.dumps({"experiment": experiment, "seed": 1, "params": params}))
-    assert main(["run", str(config_path), "--output-dir", str(tmp_path)]) == 2
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["fields"] == [field]
     assert f"config field {field}:" in err["message"] and message in err["message"]
@@ -396,7 +434,7 @@ def test_cli_stage_that_cannot_apply_is_a_config_error(tmp_path, capsys, protoco
     config = {"experiment": "compile-pipeline", "seed": 1, "params": params}
     config_path = tmp_path / "stage.json"
     config_path.write_text(json.dumps(config))
-    assert main(["run", str(config_path), "--output-dir", str(tmp_path)]) == 2
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     kind = pipeline[int(field.split("/")[1])]["transform"]
     assert err["error"] == "config" and err["fields"] == [field]
@@ -408,7 +446,8 @@ def _run_capped(tmp_path: Path, name: str, config: dict) -> tuple[subprocess.Com
     check fails fast with a raw MemoryError instead of touching host memory."""
     resource = pytest.importorskip("resource")
     limit = 3 * 2**30
-    config_path = tmp_path / f"{name}.json"
+    config_path = tmp_path / "configs" / f"{name}.json"  # not where the report goes: it would overwrite the config
+    config_path.parent.mkdir(exist_ok=True)
     config_path.write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "dqip.cli", "run", str(config_path), "--output-dir", str(tmp_path)],

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dqip import qcore
+from dqip import protocol, qcore
 from dqip.dqct import (
     DqctInstance,
     build_pdqct,
@@ -153,17 +153,18 @@ def test_sampled_runs_classify_each_operator_once(classified):
     # per process, any other once per executor.  So the count is bounded by
     # the distinct operators the trials resolve, not by the number of trials.
     # Trials draw the coins, so a short run may not reach every operator; at
-    # this seed 12 trials reach all 17: the two input preparations and the
+    # this seed 12 trials reach all 19: the two input preparations and the
     # star preparations' dense form, each classified on its qubits (an
     # identity there would free nothing) and then applied through its column,
-    # and 14 ops on slices.  The turn-5 fan-in and the swap-test finish on
+    # and 16 ops on slices.  The turn-5 fan-in and the swap-test finish on
     # either control-qubit pair the tests can pick land on the same slice
     # targets once the other copy is measured (the idle turns' gate has no
-    # factors, so nothing).  Accept projectors are not classified: the leaf
-    # reads them from its accept marginal.  The 14 ops on slices and the star
-    # delivery (one per process) are all read-only gates, so a second run of
-    # the same spec classifies only the two its executor holds: the
-    # preparations.
+    # factors, so nothing).  Accept projectors are classified like any fixed
+    # op, since a leaf applies them to its slice: the leader's
+    # basis_projector(2) and the other node's basis_projector(1), 2 of the 16.
+    # The 16 ops on slices and the star delivery (one per process) are all
+    # read-only gates, so a second run of the same spec classifies only the
+    # two its executor holds: the preparations.
     compiled = build_pdqct(make_instance(G2, (1, 1), "random", seed=1), PARAMS)
     counts = []
     for trials in (12, 48):
@@ -172,28 +173,45 @@ def test_sampled_runs_classify_each_operator_once(classified):
         keys = [(matrix.tobytes(), targets) for matrix, targets in classified]
         assert len(set(keys)) == len(keys), trials  # no operator built or classified twice in a run
         counts.append(len(classified))
-    assert counts == [17, 2]
+    assert counts == [19, 2]
 
 
 def test_a_rebuilt_sampled_spec_classifies_only_the_ops_built_for_it(classified):
     # The bench's sampled closeness test, built and run twice as `dqip run`
     # does.  Every step of the second build is a read-only gate the first run
     # classified (the stars' Hadamard layers, the leader's CNOT, the
-    # controlled slice swaps, the CNOT fan-in, the swap-test finish and the
-    # honest prover's turn-1 star delivery, one FactoredOp per process whose
-    # dense form is read-only), so the second run classifies only the
-    # preparations of its two input states.
+    # controlled slice swaps, the CNOT fan-in, the swap-test finish, the
+    # accept projectors and the honest prover's turn-1 star delivery, one
+    # FactoredOp per process whose dense form is read-only), so the second
+    # run classifies only the preparations of its two input states.
     for seed in (1, 2):
         before = len(classified)
         instance = make_instance(G2, (3, 3), "random", seed=seed)
         compiled = build_pdqct(instance, PARAMS)
         execute_sampled(compiled.spec, compiled.honest, trials=12, seed=seed)
-    assert before == 17
+    assert before == 19
     fresh = classified[before:]
     assert len(fresh) == 2
     (psi, _), (phi, _) = fresh
     assert np.array_equal(psi[:, 0], instance.psi) and np.array_equal(phi[:, 0], instance.phi)
     assert not compiled.honest.gate_fn(1, {}).dense().flags.writeable
+
+
+def test_a_sampled_run_checks_each_accept_projector_once(monkeypatch):
+    # The bench's sampled closeness test resolves the same two read-only
+    # accept projectors on every leaf; each is checked to be a projector on
+    # its first leaf only, so a run makes 2 checks however many leaves it has.
+    checked, leaves = [], []
+    check = qcore.check_projector
+    monkeypatch.setattr(protocol, "check_projector", lambda matrix: checked.append(matrix) or check(matrix))
+    acceptance = _Executor.acceptance
+    monkeypatch.setattr(_Executor, "acceptance", lambda self, *args: leaves.append(1) or acceptance(self, *args))
+    for seed in (1, 2, 3):
+        compiled = build_pdqct(make_instance(G2, (3, 3), "random", seed=seed), PARAMS)
+        checked.clear()
+        leaves.clear()
+        execute_sampled(compiled.spec, compiled.honest, trials=36, seed=seed)
+        assert len(checked) == 2 and len(leaves) > 2, (seed, len(checked), len(leaves))
 
 
 def test_sampled_joint_acceptance_never_exceeds_a_node_acceptance():

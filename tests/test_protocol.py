@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dqip import qcore
-from dqip.errors import LayoutError, ProtocolError
+from dqip.errors import LayoutError, ProtocolError, ValidationError
 from dqip.seeding import substream
 from dqip.network import allocate_layout, path_graph
 from dqip.protocol import (
     CoinFlip,
     Measurement,
+    NodeAccept,
     ProjectiveCheck,
     ProtocolSpec,
     ProverStrategy,
@@ -33,6 +36,26 @@ def test_always_accept():
     report = execute_exact(spec, identity_for(spec))
     assert abs(report.acceptance_probability - 1.0) <= 1e-12
     assert all(abs(v - 1.0) <= 1e-12 for v in report.per_node_acceptance.values())
+
+
+def test_an_accept_resolver_that_returns_no_projector_is_refused_on_its_first_leaf():
+    # Accept matrices are checked once each, on the leaf that first resolves
+    # them: a fair coin's spec has two leaves, and the first one raises.
+    spec = fair_coin_spec()
+    resolved = []
+
+    def projector(view):
+        resolved.append(view)
+        return np.array([[1, 1], [0, 0]], dtype=np.complex128), ["V:0"]
+
+    accept = NodeAccept(node=0, projector=projector, predicate=spec.verification.accepts[0].predicate)
+    spec = dataclasses.replace(spec, verification=VerificationPhase(accepts=(accept,)))
+    prover = identity_for(spec)
+    for run in (lambda: execute_exact(spec, prover), lambda: execute_sampled(spec, prover, 8, 0)):
+        resolved.clear()
+        with pytest.raises(ValidationError, match="Hermitian"):
+            run()
+        assert len(resolved) == 1
 
 
 def test_flip_rejects():

@@ -313,6 +313,43 @@ def test_seven_to_five_flipped_echo_rejected(parity_echo):
     assert report.acceptance_probability <= 1e-12
 
 
+def test_seven_to_five_of_a_genuine_seven_turn_input_runs_under_a_memory_cap():
+    # A random 7-turn dAM compiles to 20 qubits, and its two nodes' accept
+    # projectors span 12 of them.  The exact run reads each accept mass as the
+    # squared norm of the leaf's slice with the accept ops applied, so it
+    # holds no operator on those 12 qubits: a 4096 x 4096 A^dag A alone would
+    # take 256 MiB.  Under a 1 GiB address-space cap it must finish and keep
+    # (1+c)/2.
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+    code = (
+        "from specs import random_dam\n"
+        "from dqip.dam import brute_force_value\n"
+        "from dqip.network import path_graph\n"
+        "from dqip.protocol import execute_exact\n"
+        "from dqip.transforms import dam_to_dqip, seven_to_five\n"
+        "dam, instance = random_dam(0), path_graph(2, ['0', '0'])\n"
+        "value = brute_force_value(dam, instance)\n"
+        "compiled = dam_to_dqip(dam, instance, value)\n"
+        "five = seven_to_five(compiled.spec, compiled.honest)\n"
+        "assert five.spec.layout.total_qubits == 20\n"
+        "print(value.optimal_acceptance, execute_exact(five.spec, five.honest).acceptance_probability)\n"
+    )
+    path = os.pathsep.join([str(Path(qcore.__file__).parents[1]), str(Path(__file__).parent)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    c, accept = proc.stdout.split()
+    assert c == "49/64"
+    assert abs(float(accept) - halved_completeness(49 / 64)) <= 1e-9
+
+
 def test_seven_to_five_requires_seven_turns(parity_echo):
     with pytest.raises(ShapeError):
         seven_to_five(parity_echo["yes"].spec, parity_echo["yes"].honest)
@@ -641,7 +678,6 @@ def test_reductions_of_wide_random_specs_build_no_operator_on_every_qubit(reduce
         return build(num_qubits, factors, what, **options)
 
     monkeypatch.setattr(qcore, "circuit_matrix", recording)
-    monkeypatch.setattr(protocol, "circuit_matrix", recording)
     spec, honest = random_clean_spec(0, turns=turns, nodes=nodes)
     c = execute_exact(spec, honest).acceptance_probability
     out = reduce(spec, honest)
