@@ -33,7 +33,7 @@ from .ghz import GhzProtocolParams, all_zero_cheat, build_pghz, ghz_fidelity, pg
 from .network import build_network, path_graph
 from .prover import OptimizerConfig, seesaw_optimize
 from .protocol import execute_exact, execute_sampled
-from .reporting import report_document, write_report
+from .reporting import report_document, report_paths, write_report
 from .seeding import substream
 from .transforms import (
     dam_to_dqip,
@@ -274,7 +274,7 @@ def _output_stem(config: dict, config_path: Path, output_dir: str | None) -> Pat
     """The report stem of a validated ``config``: its ``output`` or the config's own stem, in ``output_dir``,
     ``$DQIP_OUTPUT_DIR`` or ``.``; refused when either report would overwrite the config."""
     stem = Path(output_dir or os.environ.get("DQIP_OUTPUT_DIR") or ".") / (config.get("output") or config_path.stem)
-    if config_path.resolve() in {stem.with_suffix(".json").resolve(), stem.with_suffix(".csv").resolve()}:
+    if config_path.resolve() in {path.resolve() for path in report_paths(stem)}:
         raise ConfigError(f"config field output: a report on {stem} would overwrite the config", fields=["output"])
     return stem
 

@@ -119,7 +119,7 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
     The pGHZ script runs unchanged, and its untested copy, the target copy,
     is the control register B.  The SWAP test adds the leader's ancilla B2
     and each node's two input slices to the layout.  In turn 4, after the
-    pGHZ test measurements and rotations, the leader copies its control
+    pGHZ rotations and test measurements, the leader copies its control
     qubit onto B2, each node controlled-swaps its input slices on its
     control qubit, and B travels to the prover.  Turn 5 returns it (honestly
     after a CNOT fan-in onto the leader's qubit) with the parity labels.
@@ -156,13 +156,18 @@ def build_pdqct(instance: DqctInstance, ghz_params: GhzProtocolParams) -> Compil
         return Step(actor=u, resolve=resolve, describe={"kind": "controlled-slice-swap", "node": u})
 
     *head, turn4, turn5 = ghz_turns
+    # The SWAP test runs after the test measurements: its steps act on the
+    # target copy, B2 and the inputs and read only the coins and echoes, so
+    # every branch holds the same amplitudes, only on fewer qubits.
     turns = (
         *head,
         replace(
             turn4,
             steps=turn4.steps
+            + turn4.measurements
             + (leader_step(qcore.CNOT, {"kind": "control-mark", "node": LEADER}),)
             + tuple(cswap_step(u) for u in range(n)),
+            measurements=(),
             sends=control_regs,
         ),
         replace(
@@ -229,10 +234,13 @@ def closeness_bound(acceptance: float, epsilon: float) -> float:
 
 
 def input_trace_distance(instance: DqctInstance) -> float:
-    """dist(|psi>, |phi>) computed from the raw vectors via density matrices."""
-    rho = qcore.DensityOperator(instance.total_qubits, np.outer(instance.psi, instance.psi.conj()))
-    sigma = qcore.DensityOperator(instance.total_qubits, np.outer(instance.phi, instance.phi.conj()))
-    return qcore.trace_distance(rho, sigma)
+    """Trace distance of the pure inputs, read from the two vectors.
+
+    For unit vectors it is sqrt(1 - |<psi|phi>|^2), the norm of phi's part
+    orthogonal to psi: ||phi - <psi|phi> psi||, which stays accurate near 0.
+    """
+    psi, phi = instance.psi, instance.phi
+    return float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
 
 
 def soundness_probe(

@@ -12,9 +12,9 @@ were set.  A node's gates and predicates can only read that view.
 
 Every run goes through one walk, :class:`_Executor`, with the same
 ownership, exchange and visibility checks in every mode.  The protocol's
-events (prover turns, coins, steps, measurements, checks, sends, then the
-verification phase) form one schedule, which each branch walks
-depth first: a coin, a group of measurements (one fork, see
+events (prover turns, coins, steps and measurements in the order listed,
+checks, sends, then the verification phase) form one schedule, which each
+branch walks depth first: a coin, a group of measurements (one fork, see
 :class:`Measurement`) or a check yields its children one at a time, and
 each finishes its subtree before the next is built.  Leaves stream out in
 the order a level-by-level expansion would list them.  A policy decides
@@ -133,9 +133,12 @@ class Measurement:
     ``resolve_targets(view)`` returns the register names to measure (empty
     list skips).  Outcome bit ``j`` is the j-th qubit of the expanded target
     list.  The outcome is visible to the node and, if ``to_prover``, to the
-    prover.  A run of consecutive measurements by distinct nodes forks once,
-    on their joint outcome (they commute, and none sees another's outcome); a
-    node's second one in a turn forks again, so it can read the first's.
+    prover.  A measurement runs where it is listed among a turn's ``steps``
+    or, in its ``measurements``, after every step; a step listed after it
+    reads its outcome from the node's view.  A run of consecutive
+    measurements by distinct nodes forks once, on their joint outcome (they
+    commute, and none sees another's outcome); a node's second one in a turn
+    forks again, so it can read the first's.
     """
 
     name: str
@@ -180,8 +183,14 @@ def turn_field(value, view: Mapping):
 
 @dataclass(frozen=True)
 class VerifierTurn:
+    """The nodes' turn: coins, then ``steps`` and ``measurements`` in the order listed, then checks and sends.
+
+    ``steps`` may list measurements among the unitaries, each run where it
+    stands; ``measurements`` run after every step.
+    """
+
     coins: tuple[CoinFlip, ...] = ()
-    steps: tuple[Step, ...] = ()
+    steps: tuple[Step | Measurement, ...] = ()
     measurements: tuple[Measurement, ...] = ()
     checks: tuple[ProjectiveCheck, ...] = ()
     sends: Callable[[Mapping], list[str]] | tuple[str, ...] = ()
@@ -208,7 +217,9 @@ class NodeAccept:
 
 @dataclass(frozen=True)
 class VerificationPhase:
-    steps: tuple[Step, ...] = ()
+    """The last local events, run like a verifier turn's, then the broadcasts and each node's accept."""
+
+    steps: tuple[Step | Measurement, ...] = ()
     measurements: tuple[Measurement, ...] = ()
     checks: tuple[ProjectiveCheck, ...] = ()
     broadcasts: tuple[Broadcast, ...] = ()
@@ -585,6 +596,11 @@ class _Record(_Exact):
     objects), a prover gate as a ``(block key, qubits)`` pair.
     :func:`_recorded` lists a chain.  The classical flow never reads
     amplitudes.
+
+    A fixed operator on none of the qubits of the outcome selectors that end
+    the chain is recorded before them: a selector is a 0/1 diagonal, so the
+    two commute exactly, and the branches of those outcomes share the
+    operator as a prefix, which a replay on full vectors applies once.
     """
 
     records = True
@@ -592,16 +608,26 @@ class _Record(_Exact):
     def __init__(self):
         super().__init__()
         self._misses: dict = {}  # id(projector) -> (projector, I - projector), so one op per check projector
+        self._selectors: set = set()  # ids of the outcome selectors' ops, which the op cache holds
 
     def apply(self, chain, matrix: np.ndarray, qubits: list[int]):
-        return chain, self.op(matrix, qubits)
+        selectors = []
+        while isinstance(chain, tuple) and id(chain[1]) in self._selectors and not set(chain[1].targets) & set(qubits):
+            chain, selector = chain
+            selectors.append(selector)
+        chain = chain, self.op(matrix, qubits)
+        for selector in reversed(selectors):
+            chain = chain, selector
+        return chain
 
     def prover(self, chain, strategy: ProverStrategy, turn_index: int, view: Mapping, qubits: list[int]):
         return chain, (block_key(turn_index, view), tuple(qubits))
 
     def project(self, chain, parts: list[list[int]], outcome: int):
         for qubits, digit in zip(parts, _digits(outcome, parts)):
-            chain = self.apply(chain, qcore.basis_projector(len(qubits), digit), qubits)
+            selector = self.op(qcore.basis_projector(len(qubits), digit), qubits)
+            self._selectors.add(id(selector))
+            chain = chain, selector
         return chain
 
     def outcomes(self, chain, parts: list[list[int]], weight: float) -> list[tuple[int, float]]:
@@ -872,19 +898,34 @@ class _Executor:
     def acceptance(self, branch: _Branch, views: dict[int, dict], project: bool = False) -> tuple:
         """A leaf's squared norm, joint and per-node accept masses ``||A psi||^2`` before its weight, and
         with ``project`` its accept-projected state ``A psi`` (``None`` if a predicate fails), for ``A``
-        the accept ops (node ``u``'s alone for its mass) applied in order through the policy's op cache."""
-        ops, passed = self.accept_ops(branch, views)
-        joint = self._accepted(branch.state, ops) if all(passed.values()) else None
-        per_node = {u: _norm2(self._accepted(branch.state, [op for op in ops if op[0] == u]).vec) if ok else 0.0
-                    for u, ok in passed.items()}
-        p_all = 0.0 if joint is None else _norm2(joint.vec)
-        return _norm2(branch.state.vec), p_all, per_node, joint if project else None
+        the accept ops (node ``u``'s alone for its mass) applied in order through the policy's op cache.
 
-    def _accepted(self, state: _State, ops: list) -> _State:
-        """``state`` with the accept ``ops`` applied in order."""
-        for _, matrix, qubits in ops:
-            state = self.policy.apply(state, matrix, qubits)
-        return state
+        The joint's ops are applied once, keeping each intermediate state and its squared norm, and
+        only as far as a read needs them: a node whose ops are the first ones in ``ops`` (or who has
+        none) reads its mass there."""
+        ops, passed = self.accept_ops(branch, views)
+        prefix, masses = [branch.state], {}  # prefix[k]: the state with ops[:k] applied; masses[k]: its mass
+
+        def mass(k: int) -> float:
+            for _, matrix, qubits in ops[len(prefix) - 1 : k]:
+                prefix.append(self.policy.apply(prefix[-1], matrix, qubits))
+            if k not in masses:
+                masses[k] = _norm2(prefix[k].vec)
+            return masses[k]
+
+        joint = all(passed.values())
+        p_all = mass(len(ops)) if joint else 0.0
+        per_node = dict.fromkeys(passed, 0.0)
+        for u in (u for u, ok in passed.items() if ok):
+            mine = [op for op in ops if op[0] == u]
+            if all(a is b for a, b in zip(mine, ops)):  # u's ops come first: the joint's prefix holds its state
+                per_node[u] = mass(len(mine))
+                continue
+            state = branch.state
+            for _, matrix, qubits in mine:
+                state = self.policy.apply(state, matrix, qubits)
+            per_node[u] = _norm2(state.vec)
+        return mass(0), p_all, per_node, prefix[-1] if project and joint else None
 
 
 _FORKS = (_Executor._flip_coin, _Executor._measure, _Executor._projective_check)
@@ -914,14 +955,16 @@ def initial_vector(spec: ProtocolSpec) -> np.ndarray:
 
 
 def _local_events(part: VerifierTurn | VerificationPhase, label: str) -> list[tuple]:
-    """Schedule entries for the nodes' steps, measurements and checks of a turn or phase."""
-    events = [(_Executor._apply_step, step, label) for step in part.steps]
-    groups: list[list[Measurement]] = []
-    for m in part.measurements:  # each maximal run by distinct nodes forks once
-        if not groups or m.node in {other.node for other in groups[-1]}:
-            groups.append([])
-        groups[-1].append(m)
-    events += [(_Executor._measure, group, label) for group in groups]
+    """Schedule entries for the nodes' steps and measurements of a turn or phase, in the order
+    listed (``steps``, then ``measurements``), then its checks."""
+    events: list[tuple] = []
+    for event in (*part.steps, *part.measurements):
+        if not isinstance(event, Measurement):
+            events.append((_Executor._apply_step, event, label))
+        elif events and events[-1][0] is _Executor._measure and event.node not in {m.node for m in events[-1][1]}:
+            events[-1][1].append(event)  # each maximal run by distinct nodes forks once
+        else:
+            events.append((_Executor._measure, [event], label))
     return events + [(_Executor._projective_check, check, label) for check in part.checks]
 
 
@@ -1111,6 +1154,11 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
 
     The spec golden files' serializer; it converts the describes' arrays, which no build does."""
 
+    def event_json(event: Step | Measurement) -> dict:
+        if isinstance(event, Measurement):
+            return event.describe or {"name": event.name, "node": event.node}
+        return event.describe
+
     def turn_json(position: int, turn) -> dict:
         if isinstance(turn, ProverTurn):
             return {
@@ -1126,8 +1174,8 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
             "type": "verifier",
             "index": position,
             "coins": [{"name": c.name, "num_values": c.num_values, "owner": c.owner} for c in turn.coins],
-            "steps": [s.describe for s in turn.steps],
-            "measurements": [m.describe or {"name": m.name, "node": m.node} for m in turn.measurements],
+            "steps": [event_json(s) for s in turn.steps],
+            "measurements": [event_json(m) for m in turn.measurements],
             "checks": [c.describe or {"name": c.name} for c in turn.checks],
             "sends": list(turn.sends) if not callable(turn.sends) else "dynamic",
         }
@@ -1144,9 +1192,9 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
         ],
         "turns": [turn_json(position, t) for position, t in enumerate(spec.turns, 1)],
         "verification": {
-            "steps": [s.describe for s in phase.steps],
+            "steps": [event_json(s) for s in phase.steps],
             "w_swap": False,  # dqip-protocol/1 keeps the key; no spec exchanges W registers
-            "measurements": [m.describe or {"name": m.name, "node": m.node} for m in phase.measurements],
+            "measurements": [event_json(m) for m in phase.measurements],
             "checks": [c.describe or {"name": c.name} for c in phase.checks],
             "broadcasts": [b.describe or {"node": b.node} for b in phase.broadcasts],
             "accepts": [a.describe | {"node": a.node} for a in phase.accepts],

@@ -66,12 +66,16 @@ def scalar_rows(doc: dict) -> list[tuple[str, str, float]]:
     return rows
 
 
+def report_paths(stem: Path) -> tuple[Path, Path]:
+    """``<stem>.json`` and ``<stem>.csv``: the suffix is appended, so a dot in the stem's name stays."""
+    stem = Path(stem)
+    return stem.with_name(stem.name + ".json"), stem.with_name(stem.name + ".csv")
+
+
 def write_report(doc: dict, stem: Path) -> tuple[Path, Path]:
     """Write ``<stem>.json`` and the matching ``<stem>.csv`` projection."""
-    stem = Path(stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    json_path = stem.with_suffix(".json")
-    csv_path = stem.with_suffix(".csv")
+    json_path, csv_path = report_paths(stem)
+    json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     lines = ["experiment,metric,value"]
     for experiment, metric, value in scalar_rows(doc):

@@ -170,7 +170,7 @@ def _require_clean(spec: ProtocolSpec) -> None:
         raise ShapeError(f"spec has non-canonical registers {sorted(extra)}")
     for turn in spec.turns:
         if isinstance(turn, VerifierTurn):
-            if turn.coins or turn.measurements or turn.checks:
+            if turn.coins or turn.measurements or turn.checks or _measured(turn):
                 raise ShapeError("clean specs may not use classical events before verification")
             if callable(turn.sends):
                 raise ShapeError("clean specs need static sends")
@@ -178,6 +178,13 @@ def _require_clean(spec: ProtocolSpec) -> None:
             raise ShapeError("clean specs need static prover turns without replies")
     if spec.verification.checks:
         raise ShapeError("clean specs may not use projective checks")
+    if _measured(spec.verification):
+        raise ShapeError("clean specs may not list measurements among the verification's steps")
+
+
+def _measured(part: VerifierTurn | VerificationPhase) -> bool:
+    """Whether ``part`` lists a measurement among its steps, which the rewrites and node units cannot take."""
+    return any(isinstance(step, Measurement) for step in part.steps)
 
 
 def _vm_regs(u: int) -> list[str]:

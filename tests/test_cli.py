@@ -364,6 +364,28 @@ def test_cli_run_refuses_a_report_that_would_overwrite_its_config(tmp_path, monk
     assert config_path.read_bytes() == before
 
 
+def test_cli_run_keeps_a_dotted_output_name(tmp_path, monkeypatch, capsys):
+    # The reports are <output>.json and <output>.csv, so a dot in the name
+    # stays and "run.v2" and "run.v3" write apart; the overwrite guard reads
+    # the same names, so run.v2.json with output "run.v2" is refused in its
+    # own directory.
+    config = {"experiment": "ghz", "seed": 1, "params": {"nodes": 3, "copies": 1}}
+    for output in ("run.v2", "run.v3"):
+        config_path = tmp_path / f"cfg-{output}.json"
+        config_path.write_text(json.dumps({**config, "output": output}))
+        assert main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 0
+    names = sorted(path.name for path in (tmp_path / "out").iterdir())
+    assert names == ["run.v2.csv", "run.v2.json", "run.v3.csv", "run.v3.json"]
+    config_path = tmp_path / "run.v2.json"
+    config_path.write_text(json.dumps({**config, "output": "run.v2"}))
+    before = config_path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DQIP_OUTPUT_DIR", raising=False)
+    assert main(["run", "run.v2.json"]) == 2
+    assert "overwrite" in json.loads(capsys.readouterr().err)["message"]
+    assert config_path.read_bytes() == before and not (tmp_path / "run.v2.csv").exists()
+
+
 def test_cli_dqct_qubits_per_node_of_the_wrong_length_is_a_config_error(tmp_path, capsys):
     params = {"nodes": 3, "qubits_per_node": [1, 1], "states": "random", "copies": 1}
     config_path = tmp_path / "short.json"

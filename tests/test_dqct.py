@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,22 +148,135 @@ def test_input_distance_against_inner_product():
     assert abs(input_trace_distance(inst) - direct) <= 1e-10
 
 
+@pytest.mark.parametrize("qubits", [(1, 1), (1, 3), (3, 3), (1, 1, 1), (1, 2, 3), (3, 3, 3)])
+@pytest.mark.parametrize("kind", ["equal", "orthogonal", "random"])
+def test_input_distance_matches_the_density_matrix_oracle(qubits, kind):
+    inst = make_instance(path_graph(len(qubits)), qubits, kind, seed=sum(qubits))
+    rho, sigma = (qcore.DensityOperator(inst.total_qubits, np.outer(v, v.conj())) for v in (inst.psi, inst.phi))
+    assert abs(input_trace_distance(inst) - qcore.trace_distance(rho, sigma)) <= 1e-12
+
+
+def test_input_distance_stays_accurate_near_zero():
+    # phi = cos(t) psi + sin(t) psi_perp is sin(t) away from psi.  Read from
+    # the vectors, the distance is off by rounding of the amplitudes alone;
+    # sqrt(1 - |<psi|phi>|^2) is off by more than half of it below t = 1e-8.
+    rng = substream(3, "tests.near-zero-distance")
+    psi, raw = qcore.haar_state(4, rng), qcore.haar_state(4, rng)
+    perp = raw - np.vdot(psi, raw) * psi
+    perp /= np.linalg.norm(perp)
+    for t in (1e-5, 1e-9, 1e-12):
+        inst = DqctInstance(G2, (2, 2), psi, np.cos(t) * psi + np.sin(t) * perp)
+        assert abs(input_trace_distance(inst) - np.sin(t)) <= 1e-15, t
+        assert t > 1e-8 or abs(np.sqrt(max(0.0, 1 - inst.overlap_squared())) - np.sin(t)) > t / 2, t
+
+
+def test_swap_test_runs_after_the_test_measurements():
+    # Turn 4 lists the pGHZ rotations, the test measurements, then the
+    # control mark and the controlled swaps, and nothing after every step:
+    # the SWAP test acts on fewer qubits once the test copies are measured.
+    compiled = build_pdqct(make_instance(path_graph(3), (2, 0, 1), "random", seed=0), PARAMS)
+    turn4 = compiled.spec.turns[3]
+    kinds = [event.describe["kind"] for event in turn4.steps]
+    assert kinds == ["test-basis-rotation"] * 3 + ["test-outcomes"] * 3 + [
+        "control-mark",
+        "controlled-slice-swap",
+        "noop",
+        "controlled-slice-swap",
+    ]
+    assert [isinstance(event, protocol.Measurement) for event in turn4.steps] == [k == "test-outcomes" for k in kinds]
+    assert turn4.measurements == ()
+
+
+def test_the_record_walk_keeps_the_swap_test_ahead_of_the_outcome_selectors():
+    # The control mark and the swaps commute with the test copies' selectors,
+    # so the record walk lists them first, as it did when turn 4 ran them
+    # before the measurements: the see-saw's trie shares them across the
+    # outcomes and replays each once per coin branch, not once per outcome.
+    compiled = build_pdqct(make_instance(G2, (1, 1), "random", seed=1), GhzProtocolParams(copies=1, prover_qubits=2))
+    spec = compiled.spec
+    turn4 = spec.turns[3]
+    tests = tuple(e for e in turn4.steps if isinstance(e, protocol.Measurement))
+    assert len(tests) == 2
+    swaps_first = replace(turn4, steps=tuple(e for e in turn4.steps if e not in tests), measurements=tests)
+    before = replace(spec, turns=(*spec.turns[:3], swaps_first, *spec.turns[4:]))
+    (paths, initial), (want, want_initial) = (protocol.collect_paths(s, compiled.honest) for s in (spec, before))
+    assert np.array_equal(initial, want_initial) and len(paths) == len(want) == 8
+    for path, other in zip(paths, want, strict=True):
+        assert path.weight == other.weight and len(path.ops) == len(other.ops)
+        for op, expected in zip(path.ops, other.ops):
+            if isinstance(op, qcore.StructuredOp):
+                assert op.targets == expected.targets and np.array_equal(op.matrix, expected.matrix)
+            else:
+                assert op == expected
+
+
+def test_a_sampled_17_qubit_run_applies_no_op_to_a_17_qubit_slice(monkeypatch):
+    # The bench's sampled closeness test.  The SWAP test runs once the other
+    # copy is measured out, so the CNOT onto B2 and the controlled swaps act
+    # on 14 and 15 free qubits; the widest slice any op meets or leaves is
+    # the 16 of the star delivery (17 when the swap test ran before the test
+    # measurements: the CNOT onto B2 freed it and both swaps ran on it).
+    widths = []
+    apply = protocol._State.apply
+
+    def recording(state, op, matrix, qubits):
+        out = apply(state, op, matrix, qubits)
+        widths.append(max(len(state.free), len(out.free)))
+        return out
+
+    monkeypatch.setattr(protocol._State, "apply", recording)
+    for seed in (1, 2, 3):
+        compiled = build_pdqct(make_instance(G2, (3, 3), "random", seed=seed), PARAMS)
+        execute_sampled(compiled.spec, compiled.honest, trials=12, seed=seed)
+    assert compiled.spec.layout.total_qubits == 17
+    assert max(widths) == 16
+
+
+@pytest.mark.parametrize("qubits", [(1, 1), (2, 1), (1, 1, 1)])
+def test_a_closeness_leaf_applies_each_joint_accept_op_once(qubits):
+    # Node 0's accept projector is the joint's first op, so node 0 reads its
+    # mass from the joint's first intermediate state: a 2-node leaf makes 3
+    # accept applications, not 4 (3 nodes: 5, not 6), and every mass equals,
+    # bit for bit, the one of each node's ops applied alone.
+    compiled = build_pdqct(make_instance(path_graph(len(qubits)), qubits, "random", seed=1), PARAMS)
+    executor = _Executor(compiled.spec, compiled.honest)
+    apply, applied = executor.policy.apply, []
+    executor.policy.apply = lambda state, matrix, targets: applied.append(targets) or apply(state, matrix, targets)
+    leaves = 0
+    for leaf, views in executor.leaves():
+        ops, passed = executor.accept_ops(leaf, views)
+        assert all(passed.values()) and [op[0] for op in ops] == list(range(len(qubits)))
+        applied.clear()
+        total, p_all, per_node, _ = executor.acceptance(leaf, views)
+        assert len(applied) == 2 * len(qubits) - 1
+        state = leaf.state
+        for u, matrix, targets in ops:
+            alone = apply(leaf.state, matrix, targets)
+            state = apply(state, matrix, targets)
+            assert per_node[u] == protocol._norm2(alone.vec)
+        assert p_all == protocol._norm2(state.vec) and total == protocol._norm2(leaf.state.vec)
+        leaves += 1
+    assert leaves > 1
+
+
 def test_sampled_runs_classify_each_operator_once(classified):
     # Steps, checks and prover gates are classified once, keyed on the matrix
     # object and the targets in the branch's slice: a read-only matrix once
     # per process, any other once per executor.  So the count is bounded by
     # the distinct operators the trials resolve, not by the number of trials.
     # Trials draw the coins, so a short run may not reach every operator; at
-    # this seed 12 trials reach all 19: the two input preparations and the
+    # this seed 12 trials reach all 17: the two input preparations and the
     # star preparations' dense form, each classified on its qubits (an
     # identity there would free nothing) and then applied through its column,
-    # and 16 ops on slices.  The turn-5 fan-in and the swap-test finish on
-    # either control-qubit pair the tests can pick land on the same slice
-    # targets once the other copy is measured (the idle turns' gate has no
-    # factors, so nothing).  Accept projectors are classified like any fixed
+    # and 14 ops on slices.  The controlled slice swaps, the turn-5 fan-in
+    # and the swap-test finish on either control-qubit pair the tests can
+    # pick land on the same slice targets once the other copy is measured
+    # (the idle turns' gate has no factors, so nothing); the swaps run after
+    # the test measurements, so they count once each (19 and 16 when they
+    # ran before them).  Accept projectors are classified like any fixed
     # op, since a leaf applies them to its slice: the leader's
-    # basis_projector(2) and the other node's basis_projector(1), 2 of the 16.
-    # The 16 ops on slices and the star delivery (one per process) are all
+    # basis_projector(2) and the other node's basis_projector(1), 2 of the 14.
+    # The 14 ops on slices and the star delivery (one per process) are all
     # read-only gates, so a second run of the same spec classifies only the
     # two its executor holds: the preparations.
     compiled = build_pdqct(make_instance(G2, (1, 1), "random", seed=1), PARAMS)
@@ -173,7 +287,7 @@ def test_sampled_runs_classify_each_operator_once(classified):
         keys = [(matrix.tobytes(), targets) for matrix, targets in classified]
         assert len(set(keys)) == len(keys), trials  # no operator built or classified twice in a run
         counts.append(len(classified))
-    assert counts == [19, 2]
+    assert counts == [17, 2]
 
 
 def test_a_rebuilt_sampled_spec_classifies_only_the_ops_built_for_it(classified):
@@ -183,13 +297,15 @@ def test_a_rebuilt_sampled_spec_classifies_only_the_ops_built_for_it(classified)
     # controlled slice swaps, the CNOT fan-in, the swap-test finish, the
     # accept projectors and the honest prover's turn-1 star delivery, one
     # FactoredOp per process whose dense form is read-only), so the second
-    # run classifies only the preparations of its two input states.
+    # run classifies only the preparations of its two input states.  The
+    # first run classifies 17 (19 when the swaps ran before the test
+    # measurements, see the test above).
     for seed in (1, 2):
         before = len(classified)
         instance = make_instance(G2, (3, 3), "random", seed=seed)
         compiled = build_pdqct(instance, PARAMS)
         execute_sampled(compiled.spec, compiled.honest, trials=12, seed=seed)
-    assert before == 19
+    assert before == 17
     fresh = classified[before:]
     assert len(fresh) == 2
     (psi, _), (phi, _) = fresh

@@ -28,7 +28,9 @@ from dqip.protocol import (
     _recorded,
     _Sample,
     _view,
+    conditional_step,
     first_qubit_zero_accept,
+    spec_to_json,
     static_step,
 )
 from dqip.seeding import substream
@@ -131,6 +133,7 @@ CASES = {
     "private halving yes": lambda: _private_halving("yes"),
     "private halving no": lambda: _private_halving("no"),
     "twice measured": lambda: [twice_measured_spec()],
+    "measured between steps": lambda: [measured_between_spec()],
 }
 
 
@@ -198,6 +201,58 @@ def test_a_nodes_second_measurement_in_a_turn_forks_again_and_reads_the_first():
         assert {actor for actor, view in branch.views.items() if "b" in view} == {1}
         seen.add((values["a"], values["b"]))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def measured_between_spec():
+    """Both nodes put V[0] in superposition and measure it (a, b) among their steps; node 0 then
+    flips V:0[1] where a = 1 and measures it (c, in ``steps``), node 1 measures V:1[1] (d, in
+    ``measurements``)."""
+    graph = path_graph(2)
+    layout = allocate_layout(graph, prover_qubits=1, node_private=2, node_message=1)
+    steps = (
+        static_step(0, qcore.H, ["V:0[0]"]),
+        static_step(1, qcore.H, ["V:1[0]"]),
+        Measurement("a", 0, lambda view: ["V:0[0]"]),
+        Measurement("b", 1, lambda view: ["V:1[0]"], to_prover=True),
+        conditional_step(0, ["a"], {(0,): None, (1,): (qcore.X, ["V:0[1]"])}),
+        Measurement("c", 0, lambda view: ["V:0[1]"]),
+    )
+    turns = (
+        ProverTurn(acts_on=("P", "M:0", "M:1"), delivers=(("M:0", 0), ("M:1", 1))),
+        VerifierTurn(steps=steps, measurements=(Measurement("d", 1, lambda view: ["V:1[1]"]),)),
+    )
+    spec = ProtocolSpec(
+        name="measured-between",
+        graph=graph,
+        layout=layout,
+        turns=turns,
+        verification=VerificationPhase(accepts=tuple(first_qubit_zero_accept(u, f"M:{u}") for u in range(2))),
+    )
+    return spec, identity_for(spec)
+
+
+def test_a_step_listed_after_a_measurement_reads_its_outcome():
+    # Steps and measurements run in the order listed, `measurements` after
+    # every step; a run of measurements by distinct nodes forks once, and a
+    # step ends the run, so c (in steps) and d (in measurements) group.
+    spec, strategy = measured_between_spec()
+    executor = _Executor(spec, strategy)
+    kinds = [
+        [m.name for m in item] if function is _Executor._measure else function.__name__
+        for function, item, _ in executor.schedule
+    ]
+    assert kinds[1:] == ["_apply_step", "_apply_step", ["a", "b"], "_apply_step", ["c", "d"], "_send"]
+    seen = set()
+    for branch, _ in executor.leaves():
+        values = branch.values
+        assert values["c"] == values["a"] and values["d"] == 0, values
+        assert "a" in branch.views[0] and "b" in branch.views[PROVER] and "a" not in branch.views[PROVER]
+        assert abs(branch.weight * protocol._norm2(branch.state.vec) - 0.25) <= 1e-12
+        seen.add((values["a"], values["b"]))
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    doc = spec_to_json(spec)["turns"][1]
+    assert doc["steps"][2:4] == [{"name": "a", "node": 0}, {"name": "b", "node": 1}]
+    assert doc["measurements"] == [{"name": "d", "node": 1}]
 
 
 def test_bench_ghz_forks_once_per_coin_pair(monkeypatch):

@@ -19,6 +19,7 @@ from dqip.protocol import (
     ProverStrategy,
     ProverTurn,
     execute_exact,
+    register_measurement,
     variable_marginal,
 )
 from dqip.prover import OptimizerConfig, exact_single_message_max, seesaw_optimize
@@ -235,6 +236,34 @@ def test_transforms_refuse_a_spec_with_seeded_registers(transform, turns):
     ) > 0.01
     with pytest.raises(ShapeError, match=r"seeds registers \['V:0\[0\]'\]"):
         transform(seeded, honest)
+
+
+@pytest.mark.parametrize(
+    "transform, turns",
+    [
+        (lambda spec, honest: pad_to_turns(spec, honest, 7), 5),
+        (lambda spec, honest: parallel_repeat(spec, honest, 1), 5),
+        (perfect_completeness, 3),
+        (halve_turns_shared, 5),
+        (seven_to_five, 7),
+        (halve_turns_private, 5),
+    ],
+)
+@pytest.mark.parametrize("where", ["turn", "verification"])
+def test_transforms_refuse_a_measurement_among_a_clean_specs_steps(transform, turns, where):
+    # Node units, rewrites and copies read every step as a unitary; a
+    # measurement listed among them is refused before any of them runs.
+    spec, honest = random_clean_spec(0, turns=turns)
+    measure = register_measurement("m", 0, "V:0")
+    if where == "turn":
+        first, turn, *rest = spec.turns
+        spec = dataclasses.replace(spec, turns=(first, dataclasses.replace(turn, steps=turn.steps + (measure,)), *rest))
+        match = "classical events before verification"
+    else:
+        spec = dataclasses.replace(spec, verification=dataclasses.replace(spec.verification, steps=(measure,)))
+        match = "measurements among the verification's steps"
+    with pytest.raises(ShapeError, match=match):
+        transform(spec, honest)
 
 
 @pytest.mark.parametrize("target,out_turns", [(5, 3), (9, 5)])

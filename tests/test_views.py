@@ -26,6 +26,7 @@ from dqip.errors import ProtocolError
 from dqip.network import PROVER, allocate_layout, path_graph
 from dqip.protocol import (
     CoinFlip,
+    Measurement,
     ProtocolSpec,
     ProverStrategy,
     ProverTurn,
@@ -102,14 +103,15 @@ def _instrumented(oracle: Oracle, spec: ProtocolSpec, strategy) -> tuple[Protoco
     def merged(nodes):
         return lambda branch: {k: v for u in nodes for k, v in oracle.view(branch, u).items()}
 
+    def event(e):  # a step, or a measurement listed among the steps or after them
+        if isinstance(e, Measurement):
+            return dataclasses.replace(e, resolve_targets=_watched(oracle, "measure", e.resolve_targets, actor(e.node)))
+        return dataclasses.replace(e, resolve=_watched(oracle, "step", e.resolve, actor(e.actor)))
+
     def local(part):
         fields = {
-            "steps": tuple(dataclasses.replace(s, resolve=_watched(oracle, "step", s.resolve, actor(s.actor)))
-                           for s in part.steps),
-            "measurements": tuple(
-                dataclasses.replace(m, resolve_targets=_watched(oracle, "measure", m.resolve_targets, actor(m.node)))
-                for m in part.measurements
-            ),
+            "steps": tuple(event(e) for e in part.steps),
+            "measurements": tuple(event(m) for m in part.measurements),
             "checks": tuple(dataclasses.replace(c, resolve=_watched(oracle, "check", c.resolve, merged(c.nodes)))
                             for c in part.checks),
         }
