@@ -6,6 +6,10 @@ two checkouts: the printed lines must be identical.
 
     python scripts/report_hashes.py                       # this checkout's src/
     python scripts/report_hashes.py --src OTHER/src       # another checkout's
+    python scripts/report_hashes.py --out DIR             # and keep the reports in DIR
+
+``scripts/report_numbers.py`` compares the numbers of two checkouts'
+reports where their hashes differ.
 
 The configs cover the ghz experiment (exact; sampled with the honest
 prover, which accepts every trial, and with the all-zero cheat, whose
@@ -77,6 +81,7 @@ CONFIGS = {
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", type=Path, default=SRC, help="directory holding the dqip package to run")
+    parser.add_argument("--out", type=Path, help="directory to keep the reports in (default: a temporary one)")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -84,9 +89,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"dqip was imported from {cli.__file__}, not from {src}")
-    with tempfile.TemporaryDirectory() as out_dir:
+    with tempfile.TemporaryDirectory() as scratch:
+        out_dir = args.out or Path(scratch)
         for name, config in CONFIGS.items():
-            for path in cli.run_experiment(config, Path(out_dir) / name):
+            for path in cli.run_experiment(config, out_dir / name):
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}", flush=True)
     return 0
 

@@ -15,27 +15,38 @@ of M (from its SVD).  Every block update is an exact maximization, so the
 acceptance recorded after each sweep is non-decreasing; the result is a
 certified lower bound on the optimal cheating probability.
 
+A *preparation* block is one that no earlier op touches on its qubits, on
+any path that visits it, and whose qubits no initial factor covers: it
+meets them at |0...0>, so only its column 0, a unit vector ``u``, acts.
+Its M is rank one, ``|0><s|``, and ``u = s / ||s||`` is the exact maximizer
+over unit vectors: no SVD and no dense ``2^q x 2^q`` gate.  A Haar restart
+draws ``u`` as a Haar-random state, and the honest start takes the honest
+gate's column 0 (a factored gate's factors applied to ``e_0``).
+:attr:`OptimizerTrace.best_strategy` completes ``u`` to a unitary only when
+asked.
+
 Both optimizers set up their replay one way: :class:`_Trie` records the
 spec's branches for a skeleton prover (gates left symbolic, replies from
-the honest strategy's reply function when there is one), checks that each
-block key keeps one set of qubits, sorts the blocks, merges the paths on
-their shared prefixes and, on first use, builds the adjoints of the fixed
-ops a sweep's backward half applies.  The recorded branches are replayed
-by one walk, :func:`_forward`, over that trie: a sweep's forward half, each
-restart's starting value and, once per basis message, the operator of the
-single-message optimum all go through it.
+the honest strategy's reply function when there is one), finds the
+preparation blocks and compiles each path once, fusing fixed ops where that
+is exact and folding the fixed ops after its last prover block, with its
+accept projectors, into one accept form ``E = T^dag T``, so that the path's
+value is ``w Re <z, E z>`` at its last block's front ``z``.  The paths are
+replayed by one walk, :func:`_forward`, over that trie: a sweep's forward
+half, each restart's starting value and, once per basis message, the
+operator of the single-message optimum all go through it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .protocol import (
-    BranchPath,
     ProtocolSpec,
     ProverStrategy,
     ProverTurn,
@@ -43,7 +54,19 @@ from .protocol import (
     collect_paths,
     turn_field,
 )
-from .qcore import StructuredOp, _keep_block, apply_matrix_vec, check_budget, dense_matrix, haar_matrix
+from .qcore import (
+    FactoredOp,
+    StructuredOp,
+    _keep_block,
+    apply_columns,
+    apply_matrix_vec,
+    check_budget,
+    circuit_matrix,
+    dense_matrix,
+    haar_matrix,
+    haar_state,
+    outcome_slice,
+)
 from .seeding import substream
 
 # A restart stops once a sweep gains less than this.
@@ -63,8 +86,12 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerTrace:
-    """A see-saw's result.  ``best_strategy`` looks its gates up in
-    ``best_gates``, the best restart's gate per :func:`~dqip.protocol.block_key`."""
+    """A see-saw's result.  ``best_gates`` holds the best restart's gate per
+    :func:`~dqip.protocol.block_key`: a unitary, or for a preparation block
+    the unit vector it prepares.  ``best_strategy`` looks its gates up there,
+    completes such a vector to a unitary with that column 0, and gives the
+    identity to a block that no recorded path meets (every leaf below it
+    fails a predicate)."""
 
     best_acceptance: float
     best_strategy: ProverStrategy
@@ -81,48 +108,157 @@ class OptimizerTrace:
 
 
 # ---------------------------------------------------------------------------
-# Path evaluation helpers
+# Gate application and path compilation
 # ---------------------------------------------------------------------------
 
 
-def _step(vec: np.ndarray, op, gates: Mapping) -> np.ndarray:
-    if isinstance(op, StructuredOp):
-        return op.apply(vec)
-    key, qubits = op
-    return apply_matrix_vec(vec, gates[key], qubits)
+def _apply_gate(vec: np.ndarray, gate: np.ndarray, qubits) -> np.ndarray:
+    return apply_matrix_vec(vec, gate, qubits)
 
 
-def _acceptance(paths: list[BranchPath], finals: list[np.ndarray]) -> float:
-    total = 0.0
-    for path, vec in zip(paths, finals):
-        total += path.weight * float(np.vdot(vec, vec).real)
-    return total
+@functools.cache
+def _zero_column(k: int) -> np.ndarray:
+    column = np.zeros((2**k, 1), dtype=np.complex128)
+    column[0, 0] = 1.0
+    return column
+
+
+def _apply_preparation(vec: np.ndarray, u: np.ndarray, qubits) -> np.ndarray:
+    """A preparation block: the slice at |0...0> on ``qubits``, with ``u`` placed there."""
+    return apply_columns(outcome_slice(vec, qubits, 0), u[:, None], (), qubits)
+
+
+def _unapply_preparation(vec: np.ndarray, u: np.ndarray, qubits) -> np.ndarray:
+    """The adjoint of a preparation block: ``vec`` contracted with ``u*`` on ``qubits``, placed at |0...0>."""
+    return apply_columns(u.conj() @ _keep_block(vec, qubits), _zero_column(len(qubits)), (), qubits)
+
+
+def _first_column(gate) -> np.ndarray:
+    """Column 0 of a strategy gate; a factored gate's factors are applied to ``e_0``, so no dense form is built."""
+    if not isinstance(gate, FactoredOp):
+        return np.ascontiguousarray(np.asarray(gate, dtype=np.complex128)[:, 0])
+    vec = np.zeros(2**gate.arity, dtype=np.complex128)
+    vec[0] = 1.0
+    for mat, positions in gate.factors:
+        vec = apply_matrix_vec(vec, mat, positions)
+    return vec
+
+
+def _completed(u: np.ndarray, what: str) -> np.ndarray:
+    """A unitary whose column 0 is the unit vector ``u``: a phase times one Householder reflection.
+
+    With ``v = conj(phase) u`` real and non-negative at index 0, the
+    reflection along ``e_0 + v`` takes ``e_0`` to ``-v`` without
+    cancellation.  Raises :class:`CapacityError` naming ``what`` before the
+    three ``dim x dim`` arrays the build holds exceed the budget.
+    """
+    dim = u.size
+    check_budget(3 * 16 * dim * dim, what)
+    phase = u[0] / abs(u[0]) if u[0] != 0 else 1.0
+    w = np.conj(phase) * u
+    w[0] += 1.0
+    reflection = np.eye(dim, dtype=np.complex128)
+    reflection -= (2 / np.vdot(w, w).real) * np.outer(w, w.conj())
+    return -phase * reflection
+
+
+def _selector(op: StructuredOp) -> bool:
+    """A 0/1 diagonal: an outcome's selector or an accept projector."""
+    return op.kind == "diagonal" and bool(np.all((op.matrix == 0) | (op.matrix == 1)))
+
+
+def _qubits(ops) -> list[int]:
+    return sorted(set().union(*(op.targets for op in ops)))
+
+
+def _fuses(run: list, op: StructuredOp, num_qubits: int) -> bool:
+    """Whether ``op`` after the fixed ops of ``run`` fuses with them into one exact op.
+
+    Permutations compose exactly, and so does a diagonal with a 0/1 one;
+    the composite must also fit the state (``4^k <= 2^n``, the rule of
+    :meth:`~dqip.qcore.FactoredOp.parts`).
+    """
+    kind = run[0].kind
+    if op.kind != kind or kind not in ("permutation", "diagonal"):
+        return False
+    if kind == "diagonal" and not (_selector(op) or all(_selector(part) for part in run)):
+        return False
+    return 4 ** len(_qubits([*run, op])) <= 2**num_qubits
+
+
+def _runs(ops: list, num_qubits: int, joins: Callable = lambda a, b: True) -> list:
+    """``ops`` in order, their fixed ops cut greedily into runs, lists of ops that fuse (:func:`_fuses`)
+    where ``joins`` allows; prover blocks stay as they are."""
+    runs: list = []
+    for op in ops:
+        run = runs[-1] if runs and isinstance(runs[-1], list) else None
+        if isinstance(op, StructuredOp) and run and joins(run[-1], op) and _fuses(run, op, num_qubits):
+            run.append(op)
+        else:
+            runs.append([op] if isinstance(op, StructuredOp) else op)
+    return runs
+
+
+def _dense(ops: list, what: str) -> tuple[np.ndarray, list[int]]:
+    """The fixed ``ops`` applied in order, as one matrix on the union of their targets, and that union."""
+    qubits = _qubits(ops)
+    position = {q: j for j, q in enumerate(qubits)}
+    return circuit_matrix(len(qubits), [(op.matrix, [position[q] for q in op.targets]) for op in ops], what), qubits
+
+
+def _composite(run: list, what: str) -> StructuredOp:
+    return run[0] if len(run) == 1 else StructuredOp(*_dense(run, what))
 
 
 class _Trie:
-    """The paths a spec records for the skeleton prover, merged on their shared prefixes, and a sweep's schedule.
+    """The paths a spec records for the skeleton prover, compiled once and merged on their shared prefixes.
 
     The skeleton prover leaves every gate symbolic and answers each
     classical reply with ``reply_fn`` (:func:`~dqip.protocol.collect_paths`).
     ``blocks`` maps each block key to its qubits, which must agree across
     paths, sorted by turn and then view; ``order`` lists the blocks a sweep
-    updates, those of the turns not in ``frozen``.
+    updates, those of the turns not in ``frozen``; ``preparations`` holds the
+    keys of the preparation blocks (see the module docstring).
 
-    Node 0 stands for the initial state; node ``j > 0`` applies ``op[j]`` to
-    the front of ``parent[j]``.  Children are keyed by op identity for fixed
-    ops (paths through the same prefix hold the same op objects) and by
-    equality for ``(block key, qubits)`` pairs.  ``schedule[s]`` holds, in
-    creation order, the nodes whose nearest updated block at or above them
-    is ``order[s - 1]`` (none for ``s = 0``), so their fronts are computed
-    right after that update.  A front is kept while its node has children
-    (``holds``) until the last of them is computed (``releases`` marks it);
-    ``peak_fronts`` is the most fronts a sweep holds at once, counting the
-    one being computed.  :meth:`adjoint` builds the adjoints of the fixed
-    ops that a sweep's backward half applies.
+    A path is compiled in two parts, identities dropped.  Its *head*, the
+    ops up to its last prover block, enters the trie.  Its *tail*, the fixed
+    ops ``T`` after that block and then its accept projectors, becomes its
+    accept form ``accept[i]``: ops that take the last block's front ``z`` to
+    ``E z``, ``E = T^dag T``, one dense op when ``E`` fits the state
+    (``4^k <= 2^n``) and otherwise ``T`` then ``T^dag``, fused as below.
+    Paths with the same tail share one form.  Fixed ops fuse exactly:
+    adjacent permutations compose into one, and so does a diagonal with an
+    adjacent 0/1 diagonal, greedily in path order, when the union of their
+    targets keeps ``4^k <= 2^n``, so that no composite is wider than a state
+    vector.  In a head an op fuses with the next only where every head that
+    holds it goes on to that op, so the paths keep their shared prefixes.
+
+    Node 0 stands for the initial state; node ``j > 0`` applies ``op[j]``, a
+    fixed op or a ``(block key, qubits)`` pair, to the front of
+    ``parent[j]``.  Children are keyed by the identities of their fixed ops
+    (paths through the same prefix hold the same op objects) or by the pair.
+    ``chains[i]`` lists path ``i``'s nodes from the root and ``ends[j]`` the
+    paths whose heads end at node ``j``.  ``schedule[s]`` holds, in creation
+    order, the nodes whose nearest updated block at or above them is
+    ``order[s - 1]`` (none for ``s = 0``), so their fronts are computed right
+    after that update; ``updates`` maps the first stage of each turn to that
+    turn's keys, which are updated together.  A front is kept while its node
+    has children (``holds``) until the last of them is computed
+    (``releases`` marks it); ``peak_fronts`` is the most fronts a sweep holds
+    at once, counting the one being computed.
+
+    The constructor only plans: ``operators`` and ``operator_bytes`` count
+    the composites, the accept forms and the adjoints of the fixed ops a
+    sweep's backward half applies, 16 bytes per entry of each dense form, so
+    that a caller can check them before :meth:`compile` builds them and
+    binds, once per trie, each node's ``step`` and each path's ``backward``
+    program.
     """
 
     def __init__(self, spec: ProtocolSpec, reply_fn: Callable | None = None, frozen: tuple[int, ...] = ()):
         paths, self.initial = collect_paths(spec, ProverStrategy("skeleton", lambda *_: None, reply_fn))
+        self.name, self.num_qubits = spec.name, self.initial.size.bit_length() - 1
+        n = self.num_qubits
         blocks: dict = {}
         for op in (op for path in paths for op in path.ops if not isinstance(op, StructuredOp)):
             if blocks.setdefault(*op) != op[1]:
@@ -130,36 +266,66 @@ class _Trie:
         self.blocks = dict(sorted(blocks.items(), key=lambda item: (item[0][0], repr(item[0][1]))))
         order = [key for key in self.blocks if key[0] not in frozen]
         self.paths, self.order = paths, order
-        self._adjoints: dict = {}  # id(op) -> its adjoint; the paths hold each op, so no id is reused
-        rank = {key: s + 1 for s, key in enumerate(order)}
-        self.parent, self.op, stage = [-1], [None], [0]
-        children: list[dict] = [{}]
-        self.ends: list[list[int]] = [[]]  # the paths whose ops end at each node
-        self.visits: dict = {key: [] for key in order}  # key -> (path, node of its block), in path order
-        self.first: list[int] = []  # position of each path's first updated block, or len(ops)
-        for i, path in enumerate(paths):
-            node = 0
-            self.first.append(len(path.ops))
-            for pos, op in enumerate(path.ops):
+        self._adjoints: dict = {}  # id(op) -> its adjoint; the trie or the paths hold each op, so no id is reused
+
+        covered = {q for regs, _ in spec.initial_factors for q in spec.layout.expand(regs)}
+        preparations = {key for key, qubits in self.blocks.items() if not covered & set(qubits)}
+        heads, tails = [], []
+        for path in paths:
+            ops = [op for op in path.ops if not isinstance(op, StructuredOp) or op.kind != "identity"]
+            touched: set = set()
+            last = -1
+            for pos, op in enumerate(ops):
                 fixed = isinstance(op, StructuredOp)
-                block = None if fixed else rank.get(op[0])
-                child = children[node].setdefault(id(op) if fixed else op, len(self.parent))
+                if not fixed:
+                    last = pos
+                    if touched & set(op[1]):
+                        preparations.discard(op[0])
+                touched.update(op.targets if fixed else op[1])
+            heads.append(ops[: last + 1])
+            tails.append([op for op in (*ops[last + 1 :], *path.accept) if op.kind != "identity"])
+        self.preparations = frozenset(preparations)
+
+        after: dict = {}  # id(op) -> ids of the ops that follow it in the heads
+        for head in heads:
+            for op, follower in zip(head, head[1:]):
+                after.setdefault(id(op), set()).add(id(follower))
+        rank = {key: s + 1 for s, key in enumerate(order)}
+        self.parent, self.op, self.ends, stage = [-1], [None], [[]], [0]
+        children: list[dict] = [{}]
+        self.chains: list[list[int]] = []
+        self.visits: dict = {key: [] for key in order}  # key -> (path, node of its block), in path order
+        self.first: list[int] = []  # index in each chain of its first updated block, or the chain's length
+        for i, head in enumerate(heads):
+            # Each run of fixed ops stays a list until compile() builds its composite.
+            runs = _runs(head, n, lambda a, b: after[id(a)] == {id(b)})
+            node, chain = 0, []
+            self.first.append(len(runs))
+            for run in runs:
+                fixed = isinstance(run, list)
+                child = children[node].setdefault(tuple(map(id, run)) if fixed else run, len(self.parent))
                 if child == len(self.parent):
                     self.parent.append(node)
-                    self.op.append(op)
+                    self.op.append(run)
                     # A path meets its blocks in turn order, so a block's stage is above
                     # every stage before it.
-                    stage.append(stage[node] if block is None else block)
+                    stage.append(stage[node] if fixed or run[0] not in rank else rank[run[0]])
                     children.append({})
                     self.ends.append([])
-                if block is not None:
-                    self.visits[op[0]].append((i, child))
-                    self.first[i] = min(self.first[i], pos)
+                if not fixed and run[0] in rank:
+                    self.visits[run[0]].append((i, child))
+                    self.first[i] = min(self.first[i], len(chain))
                 node = child
+                chain.append(node)
             self.ends[node].append(i)
+            self.chains.append(chain)
         self.schedule: list[list[int]] = [[] for _ in range(len(order) + 1)]
         for node in range(1, len(self.parent)):
             self.schedule[stage[node]].append(node)
+        turn_start: dict = {}
+        self.updates: dict = {}
+        for s, key in enumerate(order, 1):
+            self.updates.setdefault(turn_start.setdefault(key[0], s), []).append(key)
         last = {}
         for nodes in self.schedule:
             for node in nodes:
@@ -174,17 +340,97 @@ class _Trie:
                 self.peak_fronts = max(self.peak_fronts, live + 1)
                 live += self.holds[node] - self.releases[node]
 
+        forms: dict = {}  # one accept form per distinct tail: (tail, whether E is dense)
+        self.accept = [forms.setdefault(tuple(map(id, t)), (t, 4 ** len(_qubits(t)) <= 2**n)) for t in tails]
+        # What compile() builds, by identity: the qubit count of each dense form.
+        planned = {("fused", *map(id, op)): len(_qubits(op)) for op in self.op if isinstance(op, list) and len(op) > 1}
+        for tail, dense in forms.values():
+            if dense:
+                planned["accept", id(tail)] = len(_qubits(tail))
+                continue
+            planned.update((("adjoint", id(op)), len(op.targets)) for op in tail)
+            for j, run in enumerate(_runs([*tail, *reversed(tail)], n)):
+                if len(run) > 1:
+                    planned["accept", id(tail), j] = len(_qubits(run))
+        for i, chain in enumerate(self.chains):
+            for op in (self.op[node] for node in chain[self.first[i] + 1 :]):
+                if isinstance(op, list):
+                    planned["adjoint", *map(id, op)] = len(_qubits(op))
+        self.operators, self.operator_bytes = len(planned), sum(16 * 4**k for k in planned.values())
+
+    def compile(self) -> "_Trie":
+        """Build the composites, the accept forms and the adjoints, and bind each node's step and each
+        path's backward program."""
+        what = f"a fused fixed op in the see-saw of {self.name!r}"
+        composites: dict = {}  # one per run, however many nodes hold it
+        for node, op in enumerate(self.op):
+            if isinstance(op, list):
+                ids = tuple(map(id, op))
+                if ids not in composites:
+                    composites[ids] = _composite(op, what)
+                self.op[node] = composites[ids]
+        forms: dict = {}
+        for i, (tail, dense) in enumerate(self.accept):
+            if id(tail) not in forms:
+                forms[id(tail)] = self._accept_form(tail, dense)
+            self.accept[i] = forms[id(tail)]
+        self.step: list = [None]
+        for op in self.op[1:]:
+            if isinstance(op, tuple):
+                self.step.append((_apply_preparation if op[0] in self.preparations else _apply_gate, *op))
+            else:
+                self.step.append((op.apply, None, None))
+        # Each path's backward program, from its end down to its first updated
+        # block: an entry (apply, key, qubits, store) first stores the vector as
+        # block ``store``'s suffix when that is set, then applies a fixed op's
+        # adjoint (no key) or a block's given its adjoint gate (a preparation's
+        # u).  Nothing is applied at the first updated block: nothing reads the
+        # vector below it.
+        self.backward: list[list[tuple]] = []
+        for i, chain in enumerate(self.chains):
+            program = []
+            for c in range(len(chain) - 1, self.first[i] - 1, -1):
+                op = self.op[chain[c]]
+                if not isinstance(op, tuple):
+                    program.append((self.adjoint(op).apply, None, None, None))
+                    continue
+                key, qubits = op
+                apply = None
+                if c > self.first[i]:
+                    apply = _unapply_preparation if key in self.preparations else _apply_gate
+                program.append((apply, key, qubits, key if key in self.visits else None))
+            self.backward.append(program)
+        return self
+
+    def _accept_form(self, tail: list, dense: bool) -> list[StructuredOp]:
+        """The ops that take a last block's front ``z`` to ``E z``, ``E = T^dag T`` for the fixed ``tail``."""
+        what = f"the accept form of a path in the see-saw of {self.name!r}"
+        if not tail:
+            return []
+        if dense:
+            t, qubits = _dense(tail, what)
+            return [StructuredOp(t.conj().T @ t, qubits)]
+        chain = [*tail, *(self.adjoint(op) for op in reversed(tail))]
+        return [_composite(run, what) for run in _runs(chain, self.num_qubits)]
+
     def adjoint(self, op: StructuredOp) -> StructuredOp:
-        """The conjugate transpose of a recorded fixed op, on the same targets, built on its first use."""
+        """The conjugate transpose of a compiled fixed op, on the same targets, built on its first use."""
         if id(op) not in self._adjoints:
             self._adjoints[id(op)] = StructuredOp(np.ascontiguousarray(op.matrix.conj().T), op.targets)
         return self._adjoints[id(op)]
 
 
 def _polar_maximizer(m: np.ndarray) -> np.ndarray:
-    """Unitary U maximizing Re tr(U m): the polar factor from the SVD of m."""
+    """Unitary U maximizing Re tr(U m): the polar factor from the SVD of m, or of each of a stack of them."""
     w, _, vh = np.linalg.svd(m)
-    return (w @ vh).conj().T
+    return (w @ vh).conj().swapaxes(-1, -2)
+
+
+def _acceptance(values: list[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +461,21 @@ def seesaw_optimize(
         raise ValidationError("freeze_turns requires an honest strategy to pin")
     reply_fn = None if honest is None else honest.reply
     best_gates: dict = {}
-    best = ProverStrategy(
-        f"seesaw[{spec.name}]", lambda turn_index, view: best_gates[block_key(turn_index, view)], reply_fn
-    )
+    units: dict = {}  # key -> (prepared vector, its completed unitary)
+
+    def best_gate(turn_index, view):
+        key = block_key(turn_index, view)
+        gate = best_gates.get(key)
+        if gate is None:
+            return FactoredOp(len(spec.layout.expand(list(turn_field(spec.turns[turn_index - 1].acts_on, view)))))
+        if gate.ndim == 2:
+            return gate
+        if key not in units or units[key][0] is not gate:
+            what = f"the unitary of the preparation block of turn {turn_index} in the see-saw of {spec.name!r}"
+            units[key] = gate, _completed(gate, what)
+        return units[key][1]
+
+    best = ProverStrategy(f"seesaw[{spec.name}]", best_gate, reply_fn)
     trace = OptimizerTrace(best_acceptance=-1.0, best_strategy=best, best_gates=best_gates, restarts=config.restarts)
     trie = _Trie(spec, reply_fn, freeze_turns)
     paths, blocks = trie.paths, trie.blocks
@@ -228,18 +486,21 @@ def seesaw_optimize(
     if not trie.order:
         raise ShapeError("freeze_turns pinned every prover block")
     # A sweep holds one witness or new final per path, a suffix per updated
-    # block position and the live trie fronts.
+    # block position and the live trie fronts, besides the compiled operators.
     suffixes = sum(len(visits) for visits in trie.visits.values())
     check_budget(
-        (len(paths) + suffixes + trie.peak_fronts) * 16 * trie.initial.size,
+        (len(paths) + suffixes + trie.peak_fronts) * 16 * trie.initial.size + trie.operator_bytes,
         f"see-saw of {spec.name!r} over {len(paths)} paths, {suffixes} block suffixes "
-        f"and {trie.peak_fronts} trie fronts",
+        f"and {trie.peak_fronts} trie fronts, with {trie.operators} compiled fixed operators",
     )
+    trie.compile()
 
     def honest_gate(key) -> np.ndarray:
         turn_index, view_items = key
-        what = f"the honest gate of turn {turn_index} in the see-saw of {spec.name!r}"
-        return dense_matrix(honest.gate_fn(turn_index, dict(view_items)), what)
+        gate = honest.gate_fn(turn_index, dict(view_items))
+        if key in trie.preparations:
+            return _first_column(gate)
+        return dense_matrix(gate, f"the honest gate of turn {turn_index} in the see-saw of {spec.name!r}")
 
     def random_gates(restart: int) -> dict:
         gates = {}
@@ -248,6 +509,9 @@ def seesaw_optimize(
                 gates[key] = honest_gate(key)
                 continue
             rng = substream(config.seed, "prover.seesaw", spec.name, str(restart), str(b))
+            if key in trie.preparations:
+                gates[key] = haar_state(len(blocks[key]), rng)
+                continue
             what = f"a Haar block of turn {key[0]} in the see-saw of {spec.name!r}"
             gates[key] = haar_matrix(len(blocks[key]), rng, what)
         return gates
@@ -258,11 +522,9 @@ def seesaw_optimize(
         else:
             gates = random_gates(restart)
         finals = [None] * len(paths)
-        _forward(trie, gates, finals)
-        history = [_acceptance(paths, finals)]
+        history = [_acceptance(_forward(trie, gates, finals))]
         for _ in range(config.sweeps):
-            _sweep(trie, finals, gates)
-            value = _acceptance(paths, finals)
+            value = _acceptance(_sweep(trie, finals, gates))
             history.append(value)
             if value > 1 + 1e-9:
                 raise ValidationError(f"see-saw acceptance {value!r} exceeded 1")
@@ -275,78 +537,114 @@ def seesaw_optimize(
     return trace
 
 
-def _sweep(trie: _Trie, witnesses: list, gates: dict) -> None:
-    """Update each block of ``trie.order`` once, in order, and replace the
-    witnesses by the finals under the updated gates.
+def _sweep(trie: _Trie, witnesses: list, gates: dict) -> list[float]:
+    """Update each block of ``trie.order`` once, a turn at a time, and replace
+    the witnesses by the new ``E z`` of each path; returns each path's value.
 
-    ``witnesses`` are the current final branch vectors (their global scale
-    does not affect the polar factor of any block matrix M).  Each one is
+    ``witnesses`` hold each path's ``E z`` under the current gates (their
+    global scale does not affect the maximizer of any block).  Each one is
     released once its path's backward suffixes are stored, and its slot takes
-    the path's new final when the forward walk reaches the path's leaf.
+    the path's new ``E z`` when the forward walk reaches the path's end.
     """
     # Backward suffix vectors at each block position, computed with the
     # pre-sweep gates.  Blocks later in a path are updated after this block
     # within the sweep, so their pre-sweep values are the correct fixed ones.
-    # A path's walk stops at its first updated block: nothing reads the
-    # adjoint applied before it.
-    adjoints = {key: np.ascontiguousarray(gate.conj().T) for key, gate in gates.items()}
+    adjoints = {
+        key: gate if key in trie.preparations else np.ascontiguousarray(gate.conj().T) for key, gate in gates.items()
+    }
     suffixes: dict = {}
-    for i, path in enumerate(trie.paths):
+    for i, program in enumerate(trie.backward):
         vec, witnesses[i] = witnesses[i], None
-        first = trie.first[i]
-        if first == len(path.ops):
-            continue
-        for op in reversed(path.accept):
-            vec = trie.adjoint(op).apply(vec)
-        for pos in range(len(path.ops) - 1, first - 1, -1):
-            op = path.ops[pos]
-            if isinstance(op, StructuredOp):
-                vec = trie.adjoint(op).apply(vec)
-                continue
-            if op[0] in trie.visits:
-                suffixes[i, op[0]] = vec
-            if pos > first:
-                vec = _step(vec, op, adjoints)
+        for apply, key, qubits, store in program:
+            if store is not None:
+                suffixes[i, store] = vec
+            if apply is not None:
+                vec = apply(vec) if key is None else apply(vec, adjoints[key], qubits)
 
-    _forward(trie, gates, witnesses, suffixes)
+    return _forward(trie, gates, witnesses, suffixes)
 
 
-def _forward(trie: _Trie, gates: dict, finals: list, suffixes: dict | None = None) -> None:
-    """Walk the trie forward and put each path's final vector in its slot of ``finals``.
+def _update(trie: _Trie, keys: list, fronts: dict, suffixes: dict, gates: dict) -> None:
+    """Replace the gates of ``keys``, blocks of one turn, by their exact maximizers.
 
-    Each node's front is computed once, from its parent's; stage ``s`` of
-    ``trie.schedule`` follows block ``s - 1`` of ``trie.order``.  Given a
-    sweep's backward ``suffixes``, that block's gate is first replaced by
-    the polar maximizer of its block matrix, summed over its visits in path
-    order (the suffixes are consumed); without them the walk only evaluates.
+    Each block's witness is summed over its visits in path order (the
+    suffixes are consumed): ``s = sum w Y x0*`` for a preparation, whose new
+    ``u`` is ``s / ||s||`` (kept when ``s = 0``), and ``M = sum w X Y^dag``
+    for a dense block, whose new gate is the polar factor of ``M``, one
+    stacked SVD per width.  ``X`` and ``Y`` are the front above the block and
+    its suffix with the block's qubits as rows; ``x0`` is the front at
+    |0...0> on them.
     """
+    dense: dict = {}
+    for key in keys:
+        qubits = trie.blocks[key]
+        preparation = key in trie.preparations
+        dim = 2 ** len(qubits)
+        witness = np.zeros(dim if preparation else (dim, dim), dtype=np.complex128)
+        xs: dict = {}
+        for i, node in trie.visits[key]:
+            above = trie.parent[node]
+            if above not in xs:
+                front = fronts[above]
+                xs[above] = outcome_slice(front, qubits, 0).conj() if preparation else _keep_block(front, qubits)
+            y = _keep_block(suffixes.pop((i, key)), qubits)
+            witness += trie.paths[i].weight * (y @ xs[above] if preparation else xs[above] @ y.conj().T)
+        if not preparation:
+            dense.setdefault(dim, []).append((key, witness))
+            continue
+        norm = np.linalg.norm(witness)
+        if norm > 0:
+            gates[key] = witness / norm
+    for group in dense.values():
+        for (key, _), gate in zip(group, _polar_maximizer(np.stack([m for _, m in group]))):
+            gates[key] = gate
+
+
+def _forward(
+    trie: _Trie, gates: dict, finals: list, suffixes: dict | None = None, fronts_out: list | None = None
+) -> list[float]:
+    """Walk the trie forward, put each path's ``E z`` in its slot of ``finals`` and return each path's value.
+
+    A path's value is ``w Re <z, E z>``, with ``z`` the front at its last
+    block and ``E`` its accept form; ``fronts_out``, when given, takes each
+    ``z``.  Each node's front is computed once, from its parent's; stage ``s``
+    of ``trie.schedule`` follows block ``s - 1`` of ``trie.order``.  Given a
+    sweep's backward ``suffixes``, the blocks of each turn are first replaced
+    by their maximizers (:func:`_update`); without them the walk only
+    evaluates.
+    """
+    values = [0.0] * len(trie.paths)
+
+    def finish(node: int, z: np.ndarray) -> None:
+        shared: dict = {}  # paths with one accept form share its E z
+        for i in trie.ends[node]:
+            form = trie.accept[i]
+            if id(form) not in shared:
+                ez = z
+                for op in form:
+                    ez = op.apply(ez)
+                shared[id(form)] = ez, float(np.vdot(z, ez).real)
+            finals[i], value = shared[id(form)]
+            values[i] = trie.paths[i].weight * value
+            if fronts_out is not None:
+                fronts_out[i] = z
+
     fronts = {0: trie.initial}
+    finish(0, trie.initial)
     for stage, nodes in enumerate(trie.schedule):
-        if stage and suffixes is not None:
-            key = trie.order[stage - 1]
-            qubits = trie.blocks[key]
-            dim = 2 ** len(qubits)
-            m = np.zeros((dim, dim), dtype=np.complex128)
-            xs: dict = {}
-            for i, node in trie.visits[key]:
-                above = trie.parent[node]
-                if above not in xs:
-                    xs[above] = _keep_block(fronts[above], qubits)
-                y = _keep_block(suffixes.pop((i, key)), qubits)
-                m += trie.paths[i].weight * (xs[above] @ y.conj().T)
-            gates[key] = _polar_maximizer(m)
+        if suffixes is not None and stage in trie.updates:
+            _update(trie, trie.updates[stage], fronts, suffixes, gates)
         for node in nodes:
             above = trie.parent[node]
-            vec = _step(fronts[above], trie.op[node], gates)
+            apply, key, qubits = trie.step[node]
+            vec = apply(fronts[above]) if key is None else apply(fronts[above], gates[key], qubits)
             if trie.releases[node]:
                 del fronts[above]
-            for i in trie.ends[node]:
-                final = vec
-                for op in trie.paths[i].accept:
-                    final = op.apply(final)
-                finals[i] = final
+            if trie.ends[node]:
+                finish(node, vec)
             if trie.holds[node]:
                 fronts[node] = vec
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +656,13 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the acceptance operator over the prover's message.
 
     Requires exactly one prover turn, occurring first and carrying no
-    classical replies.  The optimal acceptance is the top eigenvalue of
-    ``E = sum_b w_b A_b^dag Pi_b A_b`` restricted to the prover's registers
-    (the prover sends the top eigenvector); returns (value, eigenvector).
+    classical replies, on registers that start at |0...0>, so its block is a
+    preparation.  Each basis message ``e_i`` goes through the trie walk as
+    that preparation's vector, and the acceptance operator over messages is
+    ``sum_b w_b Z_b^dag E_b Z_b``, with ``Z_b`` the path's last-block fronts
+    as columns and ``E_b`` its accept form; the optimal acceptance is its
+    top eigenvalue (the prover sends the top eigenvector).  Returns (value,
+    eigenvector).
     """
     prover_turns = [t for t in spec.turns if isinstance(t, ProverTurn)]
     if len(prover_turns) != 1 or not isinstance(spec.turns[0], ProverTurn):
@@ -376,21 +678,25 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
         vec[0] = 1.0
         return 0.0, vec
 
-    # Basis message i: the block's gate is a preparation mapping |0> to |i>.
     (key,) = trie.order
+    if key not in trie.preparations:
+        raise ShapeError("exact_single_message_max needs the prover's registers at |0...0> before its turn")
     check_budget(
-        (dim * len(paths) + trie.peak_fronts) * 16 * trie.initial.size,
+        (2 * dim * len(paths) + trie.peak_fronts) * 16 * trie.initial.size + trie.operator_bytes,
         f"single-message optimum of {spec.name!r} over {dim} basis messages and {len(paths)} paths",
     )
-    finals = [[None] * len(paths) for _ in range(dim)]
-    for i, row in enumerate(finals):
-        prep = np.zeros((dim, dim), dtype=np.complex128)
-        prep[i, 0] = 1.0
-        _forward(trie, {key: prep}, row)
+    trie.compile()
+    zs = [[None] * len(paths) for _ in range(dim)]
+    ezs = [[None] * len(paths) for _ in range(dim)]
+    for i in range(dim):
+        message = np.zeros(dim, dtype=np.complex128)
+        message[i] = 1.0
+        _forward(trie, {key: message}, ezs[i], fronts_out=zs[i])
     e = np.zeros((dim, dim), dtype=np.complex128)
     for p, path in enumerate(paths):
-        u = np.stack([row[p] for row in finals])
-        e += path.weight * (u.conj() @ u.T)
+        z = np.stack([row[p] for row in zs])
+        ez = np.stack([row[p] for row in ezs])
+        e += path.weight * (z.conj() @ ez.T)
 
     vals, vecs = np.linalg.eigh((e + e.conj().T) / 2)
     return float(np.clip(vals[-1], 0.0, 1.0)), vecs[:, -1]

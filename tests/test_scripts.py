@@ -44,3 +44,19 @@ def test_dqct_soundness_sweep_bounds_dominate_the_distance(tmp_path, capsys):
         assert row["best_acceptance"] >= row["honest_acceptance"] - 1e-9
         for bound in ("bound_at_honest", "bound_at_best"):
             assert row[bound] >= row["input_distance"] - 1e-9
+
+
+def test_report_numbers_finds_the_largest_change_and_where_it_is(tmp_path):
+    numbers = _load("report_numbers")
+    base, head = tmp_path / "base.json", tmp_path / "head.json"
+    base.write_text('{"results": {"best": 0.5, "sweeps": [[0.1, 0.2], [0.3]], "name": "a", "gone": 1}}')
+    head.write_text('{"results": {"best": 0.5001, "sweeps": [[0.1, 0.25], [0.3, 0.4]], "name": "b"}}')
+    largest, per_key, structural = numbers.compare(numbers.leaves(base), numbers.leaves(head), ["best", "sweeps"])
+    assert largest[:2] == (abs(0.25 - 0.2), "results.sweeps[0][1]")
+    assert per_key["best"][1] == "results.best" and abs(per_key["best"][0] - 1e-4) <= 1e-12
+    assert structural == 3  # the changed name, the leaf only in base and the one only in head
+    base_csv, head_csv = tmp_path / "base.csv", tmp_path / "head.csv"
+    base_csv.write_text("experiment,metric,value\ndqct,probe.best,0.5\ndqct,probe.turns,5\n")
+    head_csv.write_text("experiment,metric,value\ndqct,probe.best,0.75\ndqct,probe.turns,5\n")
+    largest, _, structural = numbers.compare(numbers.leaves(base_csv), numbers.leaves(head_csv), [])
+    assert largest == (0.25, "dqct,probe.best:value", 0.5, 0.75) and structural == 0

@@ -1,12 +1,16 @@
-"""The trie walk against the per-path replays it replaced.
+"""The trie walk against the per-path replays it replaced, and the path compilation against the recorded paths.
 
-``per_path_sweep`` replays every recorded path in full: a backward pass per
-path, a lazily advanced forward front per path, and a fresh replay of the
-finals after the updates (``_final_vectors``, which ``per_path_forward``
-also uses for each restart's starting value).  The trie walk merges shared
-prefixes but does the same arithmetic in the same order, so both must give
+``per_path_sweep`` replays every compiled path in full (its head's ops,
+preparation blocks as columns and fused fixed ops included, then its accept
+form): a backward pass per path, a lazily advanced forward front per path,
+one block update at a time, and a fresh replay of the finals after the
+updates (``per_path_forward``, which also gives each restart's starting
+value).  The trie walk merges shared prefixes and updates a turn's blocks
+together but does the same arithmetic in the same order, so both must give
 equal sweep histories (starting values included), equal best gates and
-equal single-message optima, compared with ``==``.
+equal single-message optima, compared with ``==``.  The compiled paths are
+checked against the recorded ones separately: fused ops bit for bit,
+accept forms and preparation updates within 1e-12.
 """
 
 import functools
@@ -31,10 +35,11 @@ from dqip.protocol import (
     VerificationPhase,
     VerifierTurn,
     conditional_step,
+    execute_exact,
     first_qubit_zero_accept,
     static_step,
 )
-from dqip.prover import OptimizerConfig, _step, exact_single_message_max, seesaw_optimize
+from dqip.prover import OptimizerConfig, exact_single_message_max, seesaw_optimize
 from dqip.qcore import StructuredOp, _keep_block
 from dqip.seeding import substream
 from dqip.transforms import dam_to_dqip, halve_turns_private, pad_to_turns
@@ -42,43 +47,81 @@ from dqip.transforms import dam_to_dqip, halve_turns_private, pad_to_turns
 from specs import random_clean_spec
 
 
-def _final_vectors(paths, initial, gates) -> list[np.ndarray]:
-    """Each path's final vector under ``gates``, each path replayed from ``initial`` on its own."""
-    finals = []
-    for path in paths:
-        vec = initial
-        for op in path.ops:
-            vec = _step(vec, op, gates)
-        for op in path.accept:
-            vec = op.apply(vec)
-        finals.append(vec)
-    return finals
+def _step(vec, op, gates):
+    """One compiled op: a fixed op, or a block (a preparation when its gate is a unit vector)."""
+    if isinstance(op, StructuredOp):
+        return op.apply(vec)
+    key, qubits = op
+    gate = gates[key]
+    return (prover._apply_preparation if gate.ndim == 1 else prover._apply_gate)(vec, gate, qubits)
 
 
-def per_path_forward(trie, gates, finals, suffixes=None) -> None:
-    """The evaluating trie walk, replayed per path; sweeps go through ``per_path_sweep``."""
+def _unstep(vec, op, adjoints, adjoint):
+    """The adjoint of one compiled op, given the blocks' adjoint gates (a preparation's own vector)."""
+    if isinstance(op, StructuredOp):
+        return adjoint(op).apply(vec)
+    key, qubits = op
+    gate = adjoints[key]
+    return (prover._unapply_preparation if gate.ndim == 1 else prover._apply_gate)(vec, gate, qubits)
+
+
+def compiled_ops(trie, i) -> list:
+    return [trie.op[node] for node in trie.chains[i]]
+
+
+def random_gates(trie, rng) -> dict:
+    """A Haar state for each preparation block, a Haar unitary for each other block."""
+    def gate(key, q):
+        return qcore.haar_state(q, rng) if key in trie.preparations else qcore.haar_matrix(q, rng, "test gate")
+
+    return {key: gate(key, len(qubits)) for key, qubits in trie.blocks.items()}
+
+
+def recorded_head(path) -> tuple[list, list]:
+    """A recorded path's ops up to its last prover block, and the fixed ops after it followed by its accept ops."""
+    last = max((pos for pos, op in enumerate(path.ops) if not isinstance(op, StructuredOp)), default=-1)
+    return path.ops[: last + 1], [*path.ops[last + 1 :], *path.accept]
+
+
+def dqct_probe(seed):
+    instance = make_instance(path_graph(2), (1, 1), "random", seed=seed)
+    compiled = build_pdqct(instance, GhzProtocolParams(copies=1, epsilon=0.25, seed=seed, prover_qubits=2))
+    return compiled.spec, compiled.honest
+
+
+def per_path_forward(trie, gates, finals, suffixes=None, fronts_out=None) -> list[float]:
+    """The evaluating trie walk, replayed per path: each compiled head from the initial state on its own,
+    then its accept form; sweeps go through ``per_path_sweep``."""
     assert suffixes is None
-    finals[:] = _final_vectors(trie.paths, trie.initial, gates)
+    values = []
+    for i, path in enumerate(trie.paths):
+        z = trie.initial
+        for op in compiled_ops(trie, i):
+            z = _step(z, op, gates)
+        ez = z
+        for op in trie.accept[i]:
+            ez = op.apply(ez)
+        finals[i] = ez
+        if fronts_out is not None:
+            fronts_out[i] = z
+        values.append(path.weight * float(np.vdot(z, ez).real))
+    return values
 
 
-def per_path_sweep(trie, witnesses, gates) -> None:
-    """One sweep that replays each path on its own, with the trie's inputs."""
+def per_path_sweep(trie, witnesses, gates) -> list[float]:
+    """One sweep that replays each compiled path on its own, with the trie's inputs, a block at a time."""
     paths, initial, order, blocks = trie.paths, trie.initial, trie.order, trie.blocks
-    adjoints = {key: np.ascontiguousarray(gate.conj().T) for key, gate in gates.items()}
+    adjoints = {key: gate if gate.ndim == 1 else np.ascontiguousarray(gate.conj().T) for key, gate in gates.items()}
     adjoint = functools.cache(lambda op: StructuredOp(np.ascontiguousarray(op.matrix.conj().T), op.targets))
+    ops = [compiled_ops(trie, i) for i in range(len(paths))]
     suffixes = []
-    for path, a in zip(paths, witnesses):
+    for path_ops, a in zip(ops, witnesses):
         vec = a
-        for op in reversed(path.accept):
-            vec = adjoint(op).apply(vec)
         suffix = {}
-        for pos in range(len(path.ops) - 1, -1, -1):
-            op = path.ops[pos]
-            if isinstance(op, StructuredOp):
-                vec = adjoint(op).apply(vec)
-            else:
+        for pos in range(len(path_ops) - 1, -1, -1):
+            if not isinstance(path_ops[pos], StructuredOp):
                 suffix[pos] = vec
-                vec = _step(vec, op, adjoints)
+            vec = _unstep(vec, path_ops[pos], adjoints, adjoint)
         suffixes.append(suffix)
 
     fronts = [initial] * len(paths)
@@ -86,28 +129,38 @@ def per_path_sweep(trie, witnesses, gates) -> None:
 
     def advance(i, stop):
         while cursor[i] < stop:
-            fronts[i] = _step(fronts[i], paths[i].ops[cursor[i]], gates)
+            fronts[i] = _step(fronts[i], ops[i][cursor[i]], gates)
             cursor[i] += 1
 
     positions = {key: [] for key in order}
-    for i, path in enumerate(paths):
-        for pos, op in enumerate(path.ops):
+    for i, path_ops in enumerate(ops):
+        for pos, op in enumerate(path_ops):
             if not isinstance(op, StructuredOp) and op[0] in positions:
                 positions[op[0]].append((i, pos))
 
     for key in order:
         qubits = blocks[key]
         dim = 2 ** len(qubits)
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for i, pos in positions[key]:
-            advance(i, pos)
-            x = _keep_block(fronts[i], qubits)
-            y = _keep_block(suffixes[i][pos], qubits)
-            m += paths[i].weight * (x @ y.conj().T)
-        gates[key] = prover._polar_maximizer(m)
+        if key in trie.preparations:
+            s = np.zeros(dim, dtype=np.complex128)
+            for i, pos in positions[key]:
+                advance(i, pos)
+                y = _keep_block(suffixes[i][pos], qubits)
+                s += paths[i].weight * (y @ qcore.outcome_slice(fronts[i], qubits, 0).conj())
+            norm = np.linalg.norm(s)
+            if norm > 0:
+                gates[key] = s / norm
+        else:
+            m = np.zeros((dim, dim), dtype=np.complex128)
+            for i, pos in positions[key]:
+                advance(i, pos)
+                x = _keep_block(fronts[i], qubits)
+                y = _keep_block(suffixes[i][pos], qubits)
+                m += paths[i].weight * (x @ y.conj().T)
+            gates[key] = prover._polar_maximizer(m)
         for i, pos in positions[key]:
             advance(i, pos + 1)
-    witnesses[:] = _final_vectors(paths, initial, gates)
+    return per_path_forward(trie, gates, witnesses)
 
 
 def assert_same_as_per_path(monkeypatch, spec, config, **kwargs):
@@ -136,16 +189,15 @@ def test_trie_sweep_matches_per_path_on_random_specs(monkeypatch, seed, coin):
 def test_evaluating_walk_matches_per_path_replay(seed, coin):
     # Without suffixes the walk leaves the gates alone and only fills ``finals``.
     spec, honest = random_clean_spec(seed, coin=coin)
-    trie = prover._Trie(spec, honest.reply_fn)
-    paths, initial, blocks = trie.paths, trie.initial, trie.blocks
+    trie = prover._Trie(spec, honest.reply_fn).compile()
     rng = substream(seed, "tests.evaluating_walk")
-    gates = {key: qcore.haar_matrix(len(qubits), rng, "test gate") for key, qubits in blocks.items()}
+    gates = random_gates(trie, rng)
     before = {key: gate.copy() for key, gate in gates.items()}
-    finals = [None] * len(paths)
-    prover._forward(trie, gates, finals)
-    expected = _final_vectors(paths, initial, gates)
-    assert len(finals) == len(expected) == len(paths)
-    for got, want in zip(finals, expected):
+    finals, fronts = [None] * len(trie.paths), [None] * len(trie.paths)
+    values = prover._forward(trie, gates, finals, fronts_out=fronts)
+    expected, expected_fronts = [None] * len(trie.paths), [None] * len(trie.paths)
+    assert values == per_path_forward(trie, gates, expected, fronts_out=expected_fronts)
+    for got, want in zip(finals + fronts, expected + expected_fronts):
         assert np.array_equal(got, want)
     assert gates.keys() == before.keys()
     assert all(np.array_equal(gates[key], before[key]) for key in gates)
@@ -157,10 +209,9 @@ def test_evaluating_walk_matches_per_path_replay(seed, coin):
 def test_trie_sweep_matches_per_path_on_the_dqct_probe(monkeypatch, seed, freeze_turns):
     # The benchmark's seesaw config: 11 qubits, one Haar restart at the sweep
     # cap; with turn 1 frozen, the trie applies its blocks as fixed ops.
-    instance = make_instance(path_graph(2), (1, 1), "random", seed=seed)
-    compiled = build_pdqct(instance, GhzProtocolParams(copies=1, epsilon=0.25, seed=seed, prover_qubits=2))
+    spec, honest = dqct_probe(seed)
     config = OptimizerConfig(restarts=2, sweeps=20, seed=seed)
-    assert_same_as_per_path(monkeypatch, compiled.spec, config, honest=compiled.honest, freeze_turns=freeze_turns)
+    assert_same_as_per_path(monkeypatch, spec, config, honest=honest, freeze_turns=freeze_turns)
 
 
 @pytest.mark.parametrize("which", ["yes", "no"])
@@ -173,7 +224,7 @@ def test_trie_sweep_matches_per_path_on_private_halving(monkeypatch, which):
         padded.spec, padded.honest, completeness=float(entry.completeness), soundness=float(entry.soundness)
     )
     trie = prover._Trie(halved.spec, halved.honest.reply)
-    assert len(trie.parent) - 1 < sum(len(path.ops) for path in trie.paths)  # prefixes are shared
+    assert len(trie.parent) - 1 < sum(len(chain) for chain in trie.chains)  # prefixes are shared
     config = OptimizerConfig(restarts=2, sweeps=8, seed=5)
     assert_same_as_per_path(monkeypatch, halved.spec, config, honest=halved.honest)
 
@@ -270,3 +321,153 @@ def test_single_message_max_checks_its_finals_against_the_dense_budget(monkeypat
     monkeypatch.setattr(qcore, "MAX_DENSE_BYTES", 0)
     with pytest.raises(CapacityError, match="single-message optimum of 'sm-quantum-orth'"):
         exact_single_message_max(spec)
+
+
+def late_preparation_spec(step: bool):
+    """Turn 1's block acts on P and M:0[0]; turn 3's on M:0[1] alone, which only the verifier's turn-2
+    ``step`` (H on it) touches before: without the step, turn 3's block is a preparation after another
+    updated block, so the backward half contracts a suffix with its vector."""
+    graph = build_network(1, [])
+    layout = allocate_layout(graph, prover_qubits=1, node_private=2, node_message=2)
+    steps = (static_step(0, qcore.CNOT, ["M:0[0]", "V:0[0]"]),)
+    turns = (
+        ProverTurn(acts_on=("P", "M:0[0]"), delivers=(("M:0", 0),)),
+        VerifierTurn(steps=steps + ((static_step(0, qcore.H, ["M:0[1]"]),) if step else ()), sends=("M:0",)),
+        ProverTurn(acts_on=("M:0[1]",), delivers=(("M:0", 0),)),
+    )
+    phase = VerificationPhase(
+        steps=(static_step(0, qcore.H, ["M:0[1]"]), static_step(0, qcore.CNOT, ["M:0[1]", "V:0[1]"])),
+        accepts=(first_qubit_zero_accept(0, "V:0"),),
+    )
+    return ProtocolSpec(name=f"late-preparation-{step}", graph=graph, layout=layout, turns=turns, verification=phase)
+
+
+def test_preparation_blocks_are_detected():
+    spec, honest = private_outcome_spec()
+    trie = prover._Trie(spec, honest.reply_fn)
+    turn1, turn3 = trie.order
+    assert trie.preparations == {turn1}  # turn 3 meets the qubits turn 1 acted on
+    # An initial factor on the block's qubits: they need not start at |0>.
+    seeded = replace(spec, initial_factors=((("P",), PLUS),))
+    assert prover._Trie(seeded, honest.reply_fn).preparations == frozenset()
+    # A fixed op before the block on its qubits, and without it.
+    late, early = (prover._Trie(late_preparation_spec(step)) for step in (True, False))
+    assert [key[0] for key in late.preparations] == [1]
+    assert sorted(key[0] for key in early.preparations) == [1, 3]
+
+
+@pytest.mark.parametrize("step", [False, True])
+def test_trie_sweep_matches_per_path_with_a_late_preparation(monkeypatch, step):
+    config = OptimizerConfig(restarts=3, sweeps=25, seed=4)
+    trace = assert_same_as_per_path(monkeypatch, late_preparation_spec(step), config)
+    for history in trace.sweep_acceptance:
+        assert all(after >= before - 1e-9 for before, after in zip(history, history[1:]))
+
+
+PREPARATION_SPECS = [*(("random-clean", seed) for seed in range(4)), ("dqct", 1_400_000), ("dqct", 1_400_002)]
+FUSION_SPECS = [*PREPARATION_SPECS[:5], ("dqct", 1_400_001), ("late-preparation", 0)]
+
+
+def spec_of(kind, seed):
+    if kind == "late-preparation":
+        return late_preparation_spec(False), ProverStrategy("skeleton", lambda *_: None)
+    return random_clean_spec(seed) if kind == "random-clean" else dqct_probe(seed)
+
+
+@pytest.mark.parametrize("kind, seed", PREPARATION_SPECS)
+def test_preparation_update_is_column_0_of_the_dense_polar_update(monkeypatch, kind, seed):
+    # The same fronts and suffixes through the dense polar update: its block
+    # matrix is rank one, |0><s|, so its column 0 is the normalised witness.
+    spec, honest = spec_of(kind, seed)
+    update, checked = prover._update, []
+
+    def both(trie, keys, fronts, suffixes, gates):
+        columns = {}
+        for key in (key for key in keys if key in trie.preparations):
+            qubits = trie.blocks[key]
+            m = np.zeros((2 ** len(qubits),) * 2, dtype=np.complex128)
+            for i, node in trie.visits[key]:
+                x = _keep_block(fronts[trie.parent[node]], qubits)
+                m += trie.paths[i].weight * (x @ _keep_block(suffixes[i, key], qubits).conj().T)
+            columns[key] = prover._polar_maximizer(m)[:, 0]
+        update(trie, keys, fronts, suffixes, gates)
+        for key, column in columns.items():
+            assert np.max(np.abs(gates[key] - column)) <= 1e-12
+            checked.append(key)
+
+    monkeypatch.setattr(prover, "_update", both)
+    seesaw_optimize(spec, OptimizerConfig(restarts=2, sweeps=4, seed=seed), honest=honest)
+    assert checked
+
+
+@pytest.mark.parametrize("kind, seed", FUSION_SPECS)
+def test_fused_paths_replay_bit_identically_to_the_recorded_ones(kind, seed):
+    spec, honest = spec_of(kind, seed)
+    trie = prover._Trie(spec, honest.reply_fn).compile()
+    n = trie.initial.size.bit_length() - 1
+    rng = substream(seed, "tests.fused_paths")
+    gates = random_gates(trie, rng)
+    recorded = {id(op) for path in trie.paths for op in path.ops + path.accept if isinstance(op, StructuredOp)}
+    composites = [op for op in trie.op[1:] if isinstance(op, StructuredOp) and id(op) not in recorded]
+    for op in composites + [op for form in trie.accept for op in form]:
+        assert 4 ** len(op.targets) <= 2**n
+    if kind == "dqct":
+        assert composites  # the probe's adjacent permutations and selectors fuse
+    start = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    for i, path in enumerate(trie.paths):
+        want = got = start
+        for op in recorded_head(path)[0]:
+            want = _step(want, op, gates)
+        for op in compiled_ops(trie, i):
+            got = _step(got, op, gates)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, seed", [("random-clean", 0), ("dqct", 1_400_000), ("dqct", 1_400_002)])
+@pytest.mark.parametrize("coin", [False, True])
+def test_accept_form_reads_the_squared_norm_of_the_tail(kind, seed, coin):
+    # Dense forms (the probe's tails span 3 of 11 qubits) and chains of T then
+    # T^dag (the random spec's span 4 of 5 qubits).
+    spec, honest = random_clean_spec(seed, coin=coin) if kind == "random-clean" else dqct_probe(seed)
+    trie = prover._Trie(spec, honest.reply_fn).compile()
+    rng = substream(seed, "tests.accept_form")
+    forms = set()
+    for i, path in enumerate(trie.paths):
+        z = rng.standard_normal(trie.initial.size) + 1j * rng.standard_normal(trie.initial.size)
+        z /= np.linalg.norm(z)
+        tz = ez = z
+        tail = recorded_head(path)[1]
+        for op in tail:
+            tz = op.apply(tz)
+        for op in trie.accept[i]:
+            ez = op.apply(ez)
+        back = tz
+        for op in reversed(tail):
+            back = trie.adjoint(op).apply(back)
+        assert abs(np.vdot(z, ez).real - np.vdot(tz, tz).real) <= 1e-12
+        assert np.max(np.abs(ez - back)) <= 1e-12
+        forms.add(len(trie.accept[i]) == 1)  # one dense E
+    assert forms == ({True} if kind == "dqct" else {False})
+
+
+def test_stacked_polar_update_equals_the_per_block_one():
+    rng = substream(3, "tests.stacked_polar")
+    for dim, count in [(2, 3), (4, 4), (16, 8), (64, 2)]:
+        stack = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+        stacked = prover._polar_maximizer(stack)
+        for b in range(count):
+            assert np.array_equal(stacked[b], prover._polar_maximizer(stack[b]))
+
+
+@pytest.mark.parametrize("seed", [1_400_000, 1_400_002])
+def test_dqct_probe_best_strategy_reproduces_its_acceptance(seed):
+    spec, honest = dqct_probe(seed)
+    trace = seesaw_optimize(spec, OptimizerConfig(restarts=2, sweeps=20, seed=seed), honest=honest)
+    prepared = [key for key, gate in trace.best_gates.items() if gate.ndim == 1]
+    assert [key[0] for key in prepared] == [1]
+    (key,) = prepared
+    unitary = trace.best_strategy.gate_fn(key[0], dict(key[1]))
+    assert np.max(np.abs(unitary[:, 0] - trace.best_gates[key])) <= 1e-12
+    assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(len(unitary)))) <= 1e-12
+    report = execute_exact(spec, trace.best_strategy)
+    assert abs(report.acceptance_probability - trace.best_acceptance) <= 1e-9
