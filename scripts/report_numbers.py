@@ -1,33 +1,31 @@
 #!/usr/bin/env python3
-"""Where the numbers of two checkouts' ``dqip run`` reports differ, and by how much.
+"""Where the numbers of two sets of ``dqip run`` reports differ, and by how much.
 
-Runs the configs of ``report_hashes.py`` on two ``src`` trees, each in its
-own process, and prints one line for each report whose SHA-256 differs: the
-largest absolute change over the numbers in it, where that change is, and
-the two values.
+Compares two directories of reports kept by ``report_hashes.py --out`` and
+prints one line for each report whose bytes differ: the largest absolute
+change over the numbers in it, where that change is, the two values, and the
+same for the paths that contain each name in ``KEYS``.
 
-    python scripts/report_numbers.py --base OTHER/src             # OTHER against this checkout's src/
-    python scripts/report_numbers.py --base A/src --head B/src
-    python scripts/report_numbers.py --base OTHER/src --keys best_acceptance sweep_acceptance
+    python scripts/report_hashes.py --src OTHER/src --out BASE
+    python scripts/report_hashes.py --out HEAD
+    python scripts/report_numbers.py BASE HEAD
 
 A JSON report is compared leaf by leaf at the same key path (for example
 ``results.probe.sweep_acceptance[1][3]``), a CSV report cell by cell, each
-row labelled by its cells that are not numbers.  ``--keys`` adds, for each
-name, the largest change among the paths that contain it.  Leaves present on
-one side only, and changed values that are not numbers, are counted as
-structural changes.  A report that only one side writes is named as such.  Files with equal bytes
-have equal hashes, so those are compared byte for byte.
+row labelled by its cells that are not numbers.  Leaves present on one side
+only, and changed values that are not numbers, are counted as structural
+changes.  A report that only one side holds is named as such.
 """
 
 import argparse
 import csv
 import json
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
+# The see-saw's results: its best value and its sweep histories, as the dqct
+# and compile-pipeline reports name them.
+KEYS = ("best_acceptance", "sweep_acceptance", "seesaw_best", "seesaw_sweeps")
 
 
 def leaves(path: Path) -> dict:
@@ -70,7 +68,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def compare(base: dict, head: dict, keys: list[str]) -> tuple[tuple, dict, int]:
+def compare(base: dict, head: dict, keys=KEYS) -> tuple[tuple, dict, int]:
     """The largest change ``(size, path, base value, head value)``, the largest per key name, and the
     count of structural changes."""
     largest, per_key, structural = (0.0, "", None, None), {key: (0.0, "", None, None) for key in keys}, 0
@@ -97,28 +95,20 @@ def _describe(change: tuple) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", type=Path, required=True, help="src directory of the checkout compared against")
-    parser.add_argument("--head", type=Path, default=HERE.parent / "src", help="src directory of the compared checkout")
-    parser.add_argument("--keys", nargs="*", default=[], help="key names to report the largest change of")
+    parser.add_argument("base", type=Path, help="reports of the checkout compared against")
+    parser.add_argument("head", type=Path, help="reports of the compared checkout")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as scratch:
-        out = {}
-        for side in ("base", "head"):
-            out[side] = Path(scratch) / side
-            src = str(getattr(args, side))
-            command = [sys.executable, str(HERE / "report_hashes.py"), "--src", src, "--out", str(out[side])]
-            subprocess.run(command, check=True, stdout=subprocess.DEVNULL)
-        for name in sorted({path.name for side in out.values() for path in side.iterdir()}):
-            base, head = out["base"] / name, out["head"] / name
-            if not (base.exists() and head.exists()):
-                print(f"{name}  only in {'base' if base.exists() else 'head'}", flush=True)
-                continue
-            if base.read_bytes() == head.read_bytes():
-                continue
-            largest, per_key, structural = compare(leaves(base), leaves(head), args.keys)
-            line = f"{name}  largest change {_describe(largest)}"
-            line += "".join(f"; {key}: {_describe(change)}" for key, change in per_key.items())
-            print(line + (f"; {structural} structural changes" if structural else ""), flush=True)
+    for name in sorted({path.name for side in (args.base, args.head) for path in side.iterdir()}):
+        base, head = args.base / name, args.head / name
+        if not (base.exists() and head.exists()):
+            print(f"{name}  only in {'base' if base.exists() else 'head'}", flush=True)
+            continue
+        if base.read_bytes() == head.read_bytes():
+            continue
+        largest, per_key, structural = compare(leaves(base), leaves(head))
+        line = f"{name}  largest change {_describe(largest)}"
+        line += "".join(f"; {key}: {_describe(change)}" for key, change in per_key.items())
+        print(line + (f"; {structural} structural changes" if structural else ""), flush=True)
     return 0
 
 

@@ -29,9 +29,10 @@ Both optimizers set up their replay one way: :class:`_Trie` records the
 spec's branches for a skeleton prover (gates left symbolic, replies from
 the honest strategy's reply function when there is one), finds the
 preparation blocks and compiles each path once, fusing fixed ops where that
-is exact and folding the fixed ops after its last prover block, with its
-accept projectors, into one accept form ``E = T^dag T``, so that the path's
-value is ``w Re <z, E z>`` at its last block's front ``z``.  The paths are
+is exact and folding the fixed ops ``T`` after its last prover block that no
+other path shares, with its accept projectors, into one accept form
+``E = T^dag T``, so that the path's value is ``w Re <z, E z>`` at the front
+``z`` before ``T``.  The paths are
 replayed by one walk, :func:`_forward`, over that trie: a sweep's forward
 half, each restart's starting value and, once per basis message, the
 operator of the single-message optimum all go through it.
@@ -110,10 +111,6 @@ class OptimizerTrace:
 # ---------------------------------------------------------------------------
 # Gate application and path compilation
 # ---------------------------------------------------------------------------
-
-
-def _apply_gate(vec: np.ndarray, gate: np.ndarray, qubits) -> np.ndarray:
-    return apply_matrix_vec(vec, gate, qubits)
 
 
 @functools.cache
@@ -221,17 +218,21 @@ class _Trie:
     keys of the preparation blocks (see the module docstring).
 
     A path is compiled in two parts, identities dropped.  Its *head*, the
-    ops up to its last prover block, enters the trie.  Its *tail*, the fixed
-    ops ``T`` after that block and then its accept projectors, becomes its
-    accept form ``accept[i]``: ops that take the last block's front ``z`` to
-    ``E z``, ``E = T^dag T``, one dense op when ``E`` fits the state
-    (``4^k <= 2^n``) and otherwise ``T`` then ``T^dag``, fused as below.
-    Paths with the same tail share one form.  Fixed ops fuse exactly:
+    ops up to its last prover block, enters the trie.  Its *tail*
+    (``tails[i]``), the fixed ops ``T`` after that block and then its accept
+    projectors, becomes its accept form ``accept[i]``: ops that take the
+    head's last front ``z`` to ``E z``, ``E = T^dag T``, one dense op when
+    ``E`` fits the state (``4^k <= 2^n``) and otherwise ``T`` then ``T^dag``,
+    fused as below.  Such a chain runs ``T`` once per path, so where another
+    path with a chain-form tail holds the first fixed ops of ``T`` after the
+    same prefix, those ops move to the head, and the trie runs them once per
+    forward.  Paths with the same tail share one form.  Fixed ops fuse exactly:
     adjacent permutations compose into one, and so does a diagonal with an
     adjacent 0/1 diagonal, greedily in path order, when the union of their
     targets keeps ``4^k <= 2^n``, so that no composite is wider than a state
     vector.  In a head an op fuses with the next only where every head that
-    holds it goes on to that op, so the paths keep their shared prefixes.
+    holds it goes on to that op (none ends at it), so the paths keep their
+    shared prefixes.
 
     Node 0 stands for the initial state; node ``j > 0`` applies ``op[j]``, a
     fixed op or a ``(block key, qubits)`` pair, to the front of
@@ -271,7 +272,10 @@ class _Trie:
         covered = {q for regs, _ in spec.initial_factors for q in spec.layout.expand(regs)}
         preparations = {key for key, qubits in self.blocks.items() if not covered & set(qubits)}
         heads, tails = [], []
-        for path in paths:
+        prefix: dict = {}  # (node, op or its id) -> node: the recorded paths with chain-form tails, merged
+        shared: dict = {}  # node -> how many of those paths pass it
+        walks: dict = {}  # path -> its nodes there
+        for i, path in enumerate(paths):
             ops = [op for op in path.ops if not isinstance(op, StructuredOp) or op.kind != "identity"]
             touched: set = set()
             last = -1
@@ -283,12 +287,26 @@ class _Trie:
                         preparations.discard(op[0])
                 touched.update(op.targets if fixed else op[1])
             heads.append(ops[: last + 1])
-            tails.append([op for op in (*ops[last + 1 :], *path.accept) if op.kind != "identity"])
+            tails.append([*ops[last + 1 :], *(op for op in path.accept if op.kind != "identity")])
+            if 4 ** len(_qubits(tails[-1])) > 2**n:
+                node, walks[i] = 0, []
+                for op in ops:
+                    node = prefix.setdefault((node, id(op) if isinstance(op, StructuredOp) else op), len(prefix) + 1)
+                    shared[node] = shared.get(node, 0) + 1
+                    walks[i].append(node)
         self.preparations = frozenset(preparations)
+        # The fixed ops at the front of a chain-form tail that another such path
+        # holds after the same prefix move into the head, so that the trie runs
+        # them once for both (counts only fall along a walk).
+        for i, walk in walks.items():
+            moved = sum(shared[node] > 1 for node in walk[len(heads[i]) :])
+            heads[i] += tails[i][:moved]
+            del tails[i][:moved]
+        self.tails = tails
 
-        after: dict = {}  # id(op) -> ids of the ops that follow it in the heads
+        after: dict = {}  # id(op) -> ids of the ops that follow it in the heads, id(None) where one ends
         for head in heads:
-            for op, follower in zip(head, head[1:]):
+            for op, follower in zip(head, [*head[1:], None]):
                 after.setdefault(id(op), set()).add(id(follower))
         rank = {key: s + 1 for s, key in enumerate(order)}
         self.parent, self.op, self.ends, stage = [-1], [None], [[]], [0]
@@ -377,7 +395,7 @@ class _Trie:
         self.step: list = [None]
         for op in self.op[1:]:
             if isinstance(op, tuple):
-                self.step.append((_apply_preparation if op[0] in self.preparations else _apply_gate, *op))
+                self.step.append((_apply_preparation if op[0] in self.preparations else apply_matrix_vec, *op))
             else:
                 self.step.append((op.apply, None, None))
         # Each path's backward program, from its end down to its first updated
@@ -397,13 +415,13 @@ class _Trie:
                 key, qubits = op
                 apply = None
                 if c > self.first[i]:
-                    apply = _unapply_preparation if key in self.preparations else _apply_gate
+                    apply = _unapply_preparation if key in self.preparations else apply_matrix_vec
                 program.append((apply, key, qubits, key if key in self.visits else None))
             self.backward.append(program)
         return self
 
     def _accept_form(self, tail: list, dense: bool) -> list[StructuredOp]:
-        """The ops that take a last block's front ``z`` to ``E z``, ``E = T^dag T`` for the fixed ``tail``."""
+        """The ops that take a head's last front ``z`` to ``E z``, ``E = T^dag T`` for the fixed ``tail``."""
         what = f"the accept form of a path in the see-saw of {self.name!r}"
         if not tail:
             return []
@@ -605,8 +623,8 @@ def _forward(
 ) -> list[float]:
     """Walk the trie forward, put each path's ``E z`` in its slot of ``finals`` and return each path's value.
 
-    A path's value is ``w Re <z, E z>``, with ``z`` the front at its last
-    block and ``E`` its accept form; ``fronts_out``, when given, takes each
+    A path's value is ``w Re <z, E z>``, with ``z`` the front at the end of
+    its head and ``E`` its accept form; ``fronts_out``, when given, takes each
     ``z``.  Each node's front is computed once, from its parent's; stage ``s``
     of ``trie.schedule`` follows block ``s - 1`` of ``trie.order``.  Given a
     sweep's backward ``suffixes``, the blocks of each turn are first replaced
@@ -659,10 +677,10 @@ def exact_single_message_max(spec: ProtocolSpec) -> tuple[float, np.ndarray]:
     classical replies, on registers that start at |0...0>, so its block is a
     preparation.  Each basis message ``e_i`` goes through the trie walk as
     that preparation's vector, and the acceptance operator over messages is
-    ``sum_b w_b Z_b^dag E_b Z_b``, with ``Z_b`` the path's last-block fronts
-    as columns and ``E_b`` its accept form; the optimal acceptance is its
-    top eigenvalue (the prover sends the top eigenvector).  Returns (value,
-    eigenvector).
+    ``sum_b w_b Z_b^dag E_b Z_b``, with ``Z_b`` the fronts at the end of the
+    path's head as columns and ``E_b`` its accept form; the optimal
+    acceptance is its top eigenvalue (the prover sends the top eigenvector).
+    Returns (value, eigenvector).
     """
     prover_turns = [t for t in spec.turns if isinstance(t, ProverTurn)]
     if len(prover_turns) != 1 or not isinstance(spec.turns[0], ProverTurn):

@@ -264,18 +264,28 @@ def test_seesaw_classifies_each_recorded_op_once(classified):
     # The closeness-test probe the benchmark runs: the record walk classifies
     # each fixed operator once (also those of predicate-failing leaves, which
     # are dropped), and the see-saw only adds what its trie compiles: the
-    # fused composites, the accept forms and the adjoints its backward half
-    # applies, as many as the trie plans.  The process table of read-only
-    # gates is emptied before each walk, so the see-saw's own record walk
-    # classifies what the first one did.
+    # fused composites (at most one per fixed-op node of the trie), the accept
+    # forms (at most one per path) and the adjoints its backward half applies
+    # (at most one per recorded op: a composite's stands for two or more), as
+    # many as the trie plans.  The process table of read-only gates is emptied
+    # before each walk, so the see-saw's own record walk classifies what the
+    # first one did.
     instance = make_instance(path_graph(2), (1, 1), "random", seed=1_400_000)
     compiled = build_pdqct(instance, GhzProtocolParams(copies=1, epsilon=0.25, seed=1_400_000, prover_qubits=2))
     paths, _ = collect_paths(compiled.spec, compiled.honest)
     walk = len(classified)
     recorded = {id(op) for path in paths for op in path.ops + path.accept if isinstance(op, qcore.StructuredOp)}
     assert 0 < len(recorded) <= walk
-    planned = prover._Trie(compiled.spec, compiled.honest.reply).operators
-    assert planned > 0
+    trie = prover._Trie(compiled.spec, compiled.honest.reply)
+    planned = trie.operators
+    trie.compile()
+    own = {id(op) for path in trie.paths for op in path.ops + path.accept if isinstance(op, qcore.StructuredOp)}
+    nodes = [op for op in trie.op if isinstance(op, qcore.StructuredOp)]
+    composites = {id(op) for op in nodes if id(op) not in own}
+    forms = {id(op) for form in trie.accept for op in form if id(op) not in own}
+    assert 0 < len(composites) <= len(nodes) and 0 < len(forms) <= len(paths)
+    assert 0 < len(trie._adjoints) <= len(recorded)
+    assert planned == len(composites) + len(forms) + len(trie._adjoints)
     classified.clear()
     qcore.StructuredOp._shared.clear()
     seesaw_optimize(compiled.spec, OptimizerConfig(restarts=2, sweeps=3, seed=1), honest=compiled.honest)

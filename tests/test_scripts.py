@@ -60,3 +60,20 @@ def test_report_numbers_finds_the_largest_change_and_where_it_is(tmp_path):
     head_csv.write_text("experiment,metric,value\ndqct,probe.best,0.75\ndqct,probe.turns,5\n")
     largest, _, structural = numbers.compare(numbers.leaves(base_csv), numbers.leaves(head_csv), [])
     assert largest == (0.25, "dqct,probe.best:value", 0.5, 0.75) and structural == 0
+
+
+def test_report_numbers_names_each_moved_report_of_two_directories(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for side, best in ((base, 0.5), (head, 0.75)):
+        side.mkdir()
+        (side / "same.json").write_text('{"results": {"best_acceptance": 1.0}}')
+        (side / "moved.json").write_text(f'{{"results": {{"best_acceptance": {best}}}}}')
+    (head / "new.json").write_text("{}")
+    assert _load("report_numbers").main([str(base), str(head)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "moved.json  largest change 0.25 at results.best_acceptance (0.5 -> 0.75); "
+        "best_acceptance: 0.25 at results.best_acceptance (0.5 -> 0.75); sweep_acceptance: 0; seesaw_best: 0; "
+        "seesaw_sweeps: 0",
+        "new.json  only in head",
+    ]

@@ -53,7 +53,7 @@ def _step(vec, op, gates):
         return op.apply(vec)
     key, qubits = op
     gate = gates[key]
-    return (prover._apply_preparation if gate.ndim == 1 else prover._apply_gate)(vec, gate, qubits)
+    return (prover._apply_preparation if gate.ndim == 1 else prover.apply_matrix_vec)(vec, gate, qubits)
 
 
 def _unstep(vec, op, adjoints, adjoint):
@@ -62,7 +62,7 @@ def _unstep(vec, op, adjoints, adjoint):
         return adjoint(op).apply(vec)
     key, qubits = op
     gate = adjoints[key]
-    return (prover._unapply_preparation if gate.ndim == 1 else prover._apply_gate)(vec, gate, qubits)
+    return (prover._unapply_preparation if gate.ndim == 1 else prover.apply_matrix_vec)(vec, gate, qubits)
 
 
 def compiled_ops(trie, i) -> list:
@@ -77,10 +77,16 @@ def random_gates(trie, rng) -> dict:
     return {key: gate(key, len(qubits)) for key, qubits in trie.blocks.items()}
 
 
-def recorded_head(path) -> tuple[list, list]:
-    """A recorded path's ops up to its last prover block, and the fixed ops after it followed by its accept ops."""
-    last = max((pos for pos, op in enumerate(path.ops) if not isinstance(op, StructuredOp)), default=-1)
-    return path.ops[: last + 1], [*path.ops[last + 1 :], *path.accept]
+def recorded_split(trie, i) -> tuple[list, list]:
+    """Path ``i``'s recorded ops and accept ops, identities dropped, cut where the ops its accept form folds
+    begin: after its last prover block, or after the fixed ops that follow it and that another path with a
+    chain-form tail shares."""
+    path = trie.paths[i]
+    ops = [op for op in (*path.ops, *path.accept) if not isinstance(op, StructuredOp) or op.kind != "identity"]
+    cut = len(ops) - len(trie.tails[i])
+    last = max((pos for pos, op in enumerate(ops) if not isinstance(op, StructuredOp)), default=-1)
+    assert cut > last and all(isinstance(op, StructuredOp) for op in ops[last + 1 : cut])
+    return ops[:cut], ops[cut:]
 
 
 def dqct_probe(seed):
@@ -214,20 +220,59 @@ def test_trie_sweep_matches_per_path_on_the_dqct_probe(monkeypatch, seed, freeze
     assert_same_as_per_path(monkeypatch, spec, config, honest=honest, freeze_turns=freeze_turns)
 
 
-@pytest.mark.parametrize("which", ["yes", "no"])
-def test_trie_sweep_matches_per_path_on_private_halving(monkeypatch, which):
+def private_halving(which):
     entry = catalog_entry("coin-parity-echo-private")
     instance, value = (entry.yes_instance, entry.yes) if which == "yes" else (entry.no_instance, entry.no)
     compiled = dam_to_dqip(entry.protocol, instance, value)
     padded = pad_to_turns(compiled.spec, compiled.honest, 5)
-    halved = halve_turns_private(
+    return halve_turns_private(
         padded.spec, padded.honest, completeness=float(entry.completeness), soundness=float(entry.soundness)
     )
+
+
+@pytest.mark.parametrize("which", ["yes", "no"])
+def test_trie_sweep_matches_per_path_on_private_halving(monkeypatch, which):
+    halved = private_halving(which)
     trie = prover._Trie(halved.spec, halved.honest.reply)
     assert len(trie.parent) - 1 < sum(len(chain) for chain in trie.chains)  # prefixes are shared
     config = OptimizerConfig(restarts=2, sweeps=8, seed=5)
     assert_same_as_per_path(monkeypatch, halved.spec, config, honest=halved.honest)
 
+
+@pytest.mark.parametrize("which", ["yes", "no"])
+def test_shared_tail_ops_of_chain_form_paths_stay_in_the_trie(which):
+    # The halving's tails span more than half of its 11 qubits, too wide for a
+    # dense E, and its paths share their first fixed ops after the last block.
+    # Each such path's accept form folds only what follows its longest
+    # recorded prefix in common with another such path.
+    halved = private_halving(which)
+    trie = prover._Trie(halved.spec, halved.honest.reply)
+    n = trie.num_qubits
+
+    def same(a, b):
+        return a is b if isinstance(a, StructuredOp) else a == b
+
+    ops, lasts, wide = [], [], []
+    for i, path in enumerate(trie.paths):
+        ops.append([op for op in path.ops if not isinstance(op, StructuredOp) or op.kind != "identity"])
+        lasts.append(max(pos for pos, op in enumerate(ops[i]) if not isinstance(op, StructuredOp)))
+        tail = [*ops[i][lasts[i] + 1 :], *(op for op in path.accept if op.kind != "identity")]
+        if 4 ** len(set().union(*(op.targets for op in tail))) > 2**n:
+            wide.append(i)
+    assert len(wide) >= 2
+    moved = 0
+    for i in wide:
+        common = 0
+        for j in wide:
+            if j != i:
+                k = 0
+                while k < min(len(ops[i]), len(ops[j])) and same(ops[i][k], ops[j][k]):
+                    k += 1
+                common = max(common, k)
+        head, tail = recorded_split(trie, i)
+        assert len(head) == max(lasts[i] + 1, common)
+        moved += len(head) - lasts[i] - 1
+    assert moved > 0
 
 def private_outcome_spec():
     """Node 0 measures a |+> qubit and keeps the outcome from the prover.
@@ -416,7 +461,7 @@ def test_fused_paths_replay_bit_identically_to_the_recorded_ones(kind, seed):
     start = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     for i, path in enumerate(trie.paths):
         want = got = start
-        for op in recorded_head(path)[0]:
+        for op in recorded_split(trie, i)[0]:
             want = _step(want, op, gates)
         for op in compiled_ops(trie, i):
             got = _step(got, op, gates)
@@ -436,7 +481,7 @@ def test_accept_form_reads_the_squared_norm_of_the_tail(kind, seed, coin):
         z = rng.standard_normal(trie.initial.size) + 1j * rng.standard_normal(trie.initial.size)
         z /= np.linalg.norm(z)
         tz = ez = z
-        tail = recorded_head(path)[1]
+        tail = recorded_split(trie, i)[1]
         for op in tail:
             tz = op.apply(tz)
         for op in trie.accept[i]:
